@@ -18,6 +18,7 @@ package logpool
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -111,13 +112,28 @@ func (bi *blockIndex) mayContain(off, end uint32) bool {
 // insert merges [off, off+len(data)) into the index under the index's
 // merge mode. The data slice is copied; callers may reuse their buffer.
 func (bi *blockIndex) insert(off uint32, data []byte, v time.Duration) {
+	bi.insertScaled(1, off, data, v)
+}
+
+// insertScaled merges the record c·data (GF(2^8) scaling; c == 1 is the
+// record itself) in one pass over its bytes.
+//
+// Cost model: a record that starts inside one extent or at its tail is
+// applied in place — overlapping bytes are overwritten or XOR-folded
+// where they lie and the remainder grows the extent with amortised
+// append — so it costs O(len(data)) whatever the extent's size. Only a
+// record that extends an extent's head or bridges several extents
+// rebuilds the merged extent. Extents therefore mutate in place: a slice
+// obtained from the index is valid only while the caller's lock excludes
+// inserts.
+func (bi *blockIndex) insertScaled(c byte, off uint32, data []byte, v time.Duration) {
 	if len(data) == 0 {
 		return
 	}
 	end := off + uint32(len(data))
 	bi.setBitmap(off, end)
 	if bi.mode == NoMerge {
-		bi.extents = append(bi.extents, Extent{Off: off, Data: append([]byte(nil), data...), V: v})
+		bi.extents = append(bi.extents, Extent{Off: off, Data: scaledCopy(c, data), V: v})
 		bi.bytes += int64(len(data))
 		return
 	}
@@ -133,11 +149,27 @@ func (bi *blockIndex) insert(off uint32, data []byte, v time.Duration) {
 		// No overlap/adjacency: plain insert.
 		bi.extents = append(bi.extents, Extent{})
 		copy(bi.extents[first+1:], bi.extents[first:])
-		bi.extents[first] = Extent{Off: off, Data: append([]byte(nil), data...), V: v}
+		bi.extents[first] = Extent{Off: off, Data: scaledCopy(c, data), V: v}
 		bi.bytes += int64(len(data))
 		return
 	}
-	// Merge the run and the new data into one extent covering the union.
+	if e := &bi.extents[first]; last-first == 1 && e.Off <= off {
+		// One extent, and the record does not reach below its head.
+		k := minU32(e.End(), end) - off // bytes landing on indexed content
+		bi.fold(c, e.Data[off-e.Off:][:k], data[:k])
+		if rest := data[k:]; len(rest) > 0 {
+			n := len(e.Data)
+			e.Data = slices.Grow(e.Data, len(rest))[:n+len(rest)]
+			gf256.MulSlice(c, e.Data[n:], rest)
+			bi.bytes += int64(len(rest))
+		}
+		if v < e.V {
+			e.V = v
+		}
+		return
+	}
+	// Head extension or bridge: rebuild the run and the record into one
+	// extent covering the union.
 	lo, hi := off, end
 	minV := v
 	for i := first; i < last; i++ {
@@ -158,16 +190,28 @@ func (bi *blockIndex) insert(off uint32, data []byte, v time.Duration) {
 		copy(buf[e.Off-lo:], e.Data)
 		bi.bytes -= int64(len(e.Data))
 	}
-	switch bi.mode {
-	case Overwrite:
-		copy(buf[off-lo:], data)
-	case XorFold:
-		gf256.XorSlice(buf[off-lo:end-lo], data)
-	}
+	bi.fold(c, buf[off-lo:end-lo], data) // gaps are zero: folding there places
 	merged := Extent{Off: lo, Data: buf, V: minV}
 	bi.extents = append(bi.extents[:first+1], bi.extents[last:]...)
 	bi.extents[first] = merged
 	bi.bytes += int64(len(buf))
+}
+
+// scaledCopy returns a fresh buffer holding c·data.
+func scaledCopy(c byte, data []byte) []byte {
+	fresh := make([]byte, len(data))
+	gf256.MulSlice(c, fresh, data)
+	return fresh
+}
+
+// fold combines c·src into already-indexed (or zeroed) bytes dst under
+// the merge mode: newest wins, or XOR accumulation.
+func (bi *blockIndex) fold(c byte, dst, src []byte) {
+	if bi.mode == XorFold {
+		gf256.MulAddSlice(c, dst, src)
+	} else {
+		gf256.MulSlice(c, dst, src)
+	}
 }
 
 // lookup assembles [off, off+size) from the index. It returns (data,

@@ -84,7 +84,10 @@ func (u *Unit) SealV() time.Duration {
 
 // Blocks returns the recycle work: per-block merged extents, blocks in a
 // deterministic order, extents sorted by offset (or arrival order in
-// NoMerge mode).
+// NoMerge mode). The extents' Data aliases the unit's index: a sealed
+// unit (what TakeRecyclable hands out) is immutable until it is reused
+// after FinishRecycle, an active unit is not — its extents change in
+// place under later appends.
 func (u *Unit) Blocks() []BlockExtents {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
@@ -504,8 +507,8 @@ func (p *Pool) Close() {
 // unit is not necessarily current for every byte — a newer unit may
 // hold a partial update inside the range — so the newer units' extents
 // are overlaid, oldest to newest, before the content is returned. The
-// returned slice aliases internal storage only when no overlay was
-// needed and must not be modified.
+// hit is copied under the unit lock (appends mutate an active unit's
+// extents in place), so the caller owns the returned slice.
 func (p *Pool) Lookup(block wire.BlockID, off, size uint32) ([]byte, bool) {
 	p.mu.Lock()
 	units := make([]*Unit, len(p.queue))
@@ -513,26 +516,20 @@ func (p *Pool) Lookup(block wire.BlockID, off, size uint32) ([]byte, bool) {
 	p.mu.Unlock()
 	for i := len(units) - 1; i >= 0; i-- {
 		u := units[i]
-		u.mu.RLock()
-		bi := u.blocks[block]
 		var data []byte
-		ok := false
-		if bi != nil {
-			data, ok = bi.lookup(off, size)
+		u.mu.RLock()
+		if bi := u.blocks[block]; bi != nil {
+			if hit, ok := bi.lookup(off, size); ok {
+				data = append([]byte(nil), hit...)
+			}
 		}
 		u.mu.RUnlock()
-		if !ok {
+		if data == nil {
 			continue
 		}
-		copied := false
-		for j := i + 1; j < len(units); j++ {
-			nu := units[j]
+		for _, nu := range units[i+1:] {
 			nu.mu.RLock()
 			if nbi := nu.blocks[block]; nbi != nil {
-				if !copied {
-					data = append([]byte(nil), data...)
-					copied = true
-				}
 				nbi.overlay(off, data)
 			}
 			nu.mu.RUnlock()

@@ -177,6 +177,54 @@ func TestLookupOverlaysNewerUnits(t *testing.T) {
 	}
 }
 
+// Appends mutate the active unit's extents in place, so a read must be
+// a copy taken under the unit lock: every 4 KiB page a reader gets back
+// is one writer's whole record, never a mix (and never a slice a later
+// append writes through — the race detector sees that one).
+func TestReadsOfActiveUnitAreWholeRecords(t *testing.T) {
+	const page, pages, writers, appends = 4096, 16, 3, 400
+	p := MustNewPool(testCfg(1<<30, 2)) // never seals: one active unit throughout
+	defer p.Close()
+	p.Append(blk(1), 0, make([]byte, page*pages), 0)
+
+	whole := func(d []byte) bool { return bytes.Count(d, d[:1]) == len(d) }
+	var done atomic.Bool
+	var wg, readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			dst := make([]byte, page)
+			for i := 0; !done.Load(); i++ {
+				off := uint32(i % pages * page)
+				d, ok := p.Lookup(blk(1), off, page)
+				if !ok || !whole(d) {
+					t.Errorf("Lookup(page %d): hit=%v, bytes of more than one record", i%pages, ok)
+					return
+				}
+				p.Overlay(blk(1), off, dst)
+				if !whole(dst) {
+					t.Errorf("Overlay(page %d): bytes of more than one record", i%pages)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < appends; i++ {
+				fill := byte(1 + w + writers*(i%80))
+				p.Append(blk(1), uint32((i+w)%pages*page), bytes.Repeat([]byte{fill}, page), 0)
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	readers.Wait()
+}
+
 func TestDrainWithRecycler(t *testing.T) {
 	p := MustNewPool(testCfg(128, 3))
 	var recycled atomic.Int64

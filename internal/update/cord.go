@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/erasure"
-	"repro/internal/gf256"
 	"repro/internal/logpool"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -183,9 +182,7 @@ func (r *collectorRecycler) recycleUnit(u *logpool.Unit) (cost, wall time.Durati
 			for src, exts := range sw.blocks {
 				coeff := code.Coeff(j, src)
 				for _, e := range exts {
-					scaled := make([]byte, len(e.Data))
-					gf256.MulSlice(coeff, scaled, e.Data)
-					merged.Insert(e.Off, scaled, e.V)
+					merged.InsertScaled(coeff, e.Off, e.Data, e.V)
 				}
 			}
 			target := sw.si.parityNode(j)

@@ -3,6 +3,7 @@ package update
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -205,7 +206,8 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 			continue
 		}
 		cost += rc + wc
-		outs = append(outs, deltaOut{off: e.Off, delta: xorBytes(old, e.Data)})
+		gf256.XorSlice(old, e.Data) // old is this call's own read buffer: now the delta
+		outs = append(outs, deltaOut{off: e.Off, delta: old})
 	}
 	unlock()
 	if si.M == 0 {
@@ -316,9 +318,7 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 			for src, exts := range sw.blocks {
 				coeff := code.Coeff(j, src)
 				for _, e := range exts {
-					scaled := make([]byte, len(e.Data))
-					gf256.MulSlice(coeff, scaled, e.Data)
-					merged.Insert(e.Off, scaled, e.V)
+					merged.InsertScaled(coeff, e.Off, e.Data, e.V)
 				}
 			}
 			pb := parityBlock(sw.anyB, sw.si.K, j)
@@ -485,7 +485,7 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 // cost; otherwise the base block is read and pending log content overlaid.
 func (t *tsue) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
 	if data, ok := t.dataLogs.Lookup(b, off, uint32(size)); ok {
-		return append([]byte(nil), data...), 0, nil
+		return data, 0, nil // Lookup's copy is ours
 	}
 	data, cost, err := t.env.Store().ReadRangeClass(sim.ClassForegroundRead, b, off, size, true)
 	if err != nil {
@@ -562,14 +562,29 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 		}
 		return false
 	}
+	// Snapshot under the lock: role-1 KDeltaLogAdd inserts keep arriving
+	// and XOR-fold into the copies' extents in place.
+	type promotion struct {
+		b    wire.BlockID
+		si   stripeInfo
+		exts []logpool.Extent
+	}
+	var work []promotion
 	t.copyMu.Lock()
-	copies := t.deltaCopy
-	t.copyMu.Unlock()
-	for b, ci := range copies {
+	for b, ci := range t.deltaCopy {
 		si, ok := t.stripes.get(b)
 		if !ok || !isDead(si.parityNode(0)) {
 			continue
 		}
+		exts := slices.Clone(ci.Extents())
+		for i := range exts {
+			exts[i].Data = slices.Clone(exts[i].Data)
+		}
+		work = append(work, promotion{b: b, si: si, exts: exts})
+	}
+	t.copyMu.Unlock()
+	for _, w := range work {
+		b, si := w.b, w.si
 		code, err := t.env.Code(si.K, si.M)
 		if err != nil {
 			return err
@@ -580,7 +595,7 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 				continue
 			}
 			pb := parityBlock(b, si.K, j)
-			for _, e := range ci.Extents() {
+			for _, e := range w.exts {
 				pd := make([]byte, len(e.Data))
 				gf256.MulSlice(code.Coeff(j, int(b.Idx)), pd, e.Data)
 				resp, err := t.env.Call(ctx, target, &wire.Msg{
