@@ -709,56 +709,79 @@ func (c *Client) hintRepair(ctx context.Context, b wire.BlockID) {
 	}
 }
 
-// degradedRead reconstructs one part's data block from stripe survivors
+// degradedRead reconstructs one part's byte range from stripe survivors
 // into dst — the degraded-read path an erasure-coded file system must
 // serve while a node is down and recovery has not yet completed. It
 // reflects the last *recycled* state: updates still buffered in the
 // failed node's DataLog are only restored by recovery's replica-log
-// replay (Cluster.Recover). Survivor shards alias their pooled response
-// buffers, so those are held until the decode has copied out and only
-// then released.
+// replay (Cluster.Recover).
+//
+// The K survivor blocks are fetched as one parallel wave over the first
+// K other holders; only the fetches that fail fall through to a further
+// wave over the holders left. Decoding is byte-wise, so just the
+// requested range of the one lost block is decoded. Survivor shards
+// alias their pooled response buffers, so those are held until the
+// decode has copied out and only then released.
 func (c *Client) degradedRead(ctx context.Context, p part, dst []byte) (time.Duration, error) {
-	n := c.code.K + c.code.M
+	k, n := c.code.K, c.code.K+c.code.M
+	lost := int(p.block.Idx)
+	lo, hi := int(p.off), int(p.off)+p.n
 	shards := make([][]byte, n)
-	resps := make([]*wire.Resp, 0, c.code.K)
+	held := make([]*wire.Resp, 0, k)
 	defer func() {
-		for _, r := range resps {
+		for _, r := range held {
 			r.Release()
 		}
 	}()
-	have := 0
+	cands := make([]int, 0, n-1)
+	for idx := 0; idx < n; idx++ {
+		if idx != lost {
+			cands = append(cands, idx)
+		}
+	}
 	var cost time.Duration
-	for idx := 0; idx < n && have < c.code.K; idx++ {
-		if idx == int(p.block.Idx) {
-			continue
+	for len(held) < k && len(cands) > 0 {
+		wave := cands[:min(k-len(held), len(cands))]
+		cands = cands[len(wave):]
+		calls := make([]*transport.BatchCall, len(wave))
+		for i, idx := range wave {
+			calls[i] = &transport.BatchCall{To: p.loc.Nodes[idx], Msg: &wire.Msg{
+				Kind: wire.KBlockFetch, Block: p.block.WithIdx(uint8(idx)),
+			}}
 		}
-		b := p.block.WithIdx(uint8(idx))
-		resp, err := c.rpc.Call(ctx, p.loc.Nodes[idx], &wire.Msg{Kind: wire.KBlockFetch, Block: b})
-		if err != nil {
-			continue
+		transport.Fanout(ctx, c.rpc, calls)
+		// A wave costs its slowest fetch; fallback waves add up.
+		var waveMax time.Duration
+		for i, bc := range calls {
+			if bc.Err != nil {
+				continue
+			}
+			if !bc.Resp.OK() {
+				bc.Resp.Release()
+				continue
+			}
+			held = append(held, bc.Resp)
+			shards[wave[i]] = bc.Resp.Data
+			waveMax = max(waveMax, bc.Resp.Cost)
 		}
-		if !resp.OK() {
-			resp.Release()
-			continue
-		}
-		resps = append(resps, resp)
-		shards[idx] = resp.Data
-		have++
-		if resp.Cost > cost {
-			cost = resp.Cost
-		}
+		cost += waveMax
 	}
-	if have < c.code.K {
-		return 0, fmt.Errorf("ecfs: degraded read of %v: only %d of %d shards reachable", p.block, have, c.code.K)
+	if len(held) < k {
+		return 0, fmt.Errorf("ecfs: degraded read of %v: only %d of %d shards reachable", p.block, len(held), k)
 	}
-	if err := c.code.Reconstruct(shards); err != nil {
+	for idx, s := range shards {
+		if s == nil {
+			continue
+		}
+		if len(s) < hi {
+			return 0, fmt.Errorf("ecfs: degraded read of %v: range beyond block", p.block)
+		}
+		shards[idx] = s[lo:hi]
+	}
+	if err := c.code.Reconstruct(shards, lost); err != nil {
 		return 0, fmt.Errorf("ecfs: degraded read of %v: %w", p.block, err)
 	}
-	rebuilt := shards[p.block.Idx]
-	if int(p.off)+p.n > len(rebuilt) {
-		return 0, fmt.Errorf("ecfs: degraded read of %v: range beyond block", p.block)
-	}
-	copy(dst, rebuilt[p.off:int(p.off)+p.n])
+	copy(dst, shards[lost])
 	return cost, nil
 }
 

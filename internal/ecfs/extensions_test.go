@@ -119,6 +119,35 @@ func TestDegradedRead(t *testing.T) {
 	}
 }
 
+// TestDegradedReadFallbackWave: with M nodes down, one of the first K
+// survivor fetches fails and the decode must draw on the holder the
+// first wave left out — for an unaligned range inside a lost block.
+func TestDegradedReadFallbackWave(t *testing.T) {
+	c := MustNewCluster(testOptions("fo")) // K=4, M=2
+	defer c.Close()
+	cli := c.NewClient()
+	ino, mirror := writeTestFile(t, c, cli, 48<<10, 44)
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	loc, _ := c.MDS.Lookup(ino, 0)
+	c.FailOSD(loc.Nodes[1])
+	c.FailOSD(loc.Nodes[2])
+	bs := int64(c.Opts.BlockSize)
+	for _, r := range []struct{ off, n int64 }{{bs + 5, 333}, {2*bs + 1, bs - 2}, {bs - 7, 2*bs + 9}} {
+		got, _, err := cli.Read(ino, r.off, int(r.n))
+		if err != nil {
+			t.Fatalf("degraded read [%d,+%d): %v", r.off, r.n, err)
+		}
+		if !bytes.Equal(got, mirror[r.off:r.off+r.n]) {
+			t.Fatalf("degraded read [%d,+%d) returned wrong data", r.off, r.n)
+		}
+	}
+	if st := cli.Stats(); st.DegradedReads != 4 {
+		t.Fatalf("%d reads served by reconstruction, want 4 (one per lost block part)", st.DegradedReads)
+	}
+}
+
 func TestDegradedReadTooManyFailures(t *testing.T) {
 	c := MustNewCluster(testOptions("fo")) // K=4, M=2: three failures is fatal
 	defer c.Close()

@@ -349,7 +349,7 @@ func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 		return sr, nil
 	}
 
-	if err := r.code.Reconstruct(shards); err != nil {
+	if err := r.code.Reconstruct(shards, int(ref.Idx)); err != nil {
 		return sr, fmt.Errorf("ecfs: reconstruct %d/%d: %w", ref.Ino, ref.Stripe, err)
 	}
 	lost := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx}

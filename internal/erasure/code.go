@@ -1,8 +1,11 @@
 package erasure
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/gf256"
 )
@@ -36,6 +39,9 @@ type Code struct {
 	Kind MatrixKind
 	// enc is the (K+M) x K encoding matrix; the top K rows are identity.
 	enc Matrix
+	// parity is the M parity rows of enc compiled for the bulk kernel,
+	// once (about 1 KiB per data column and four parity rows).
+	parity *gf256.Tables
 }
 
 // ErrTooFewShards is returned when fewer than K shards survive.
@@ -64,7 +70,7 @@ func New(k, m int, kind MatrixKind) (*Code, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Code{K: k, M: m, Kind: kind, enc: enc}, nil
+	return &Code{K: k, M: m, Kind: kind, enc: enc, parity: gf256.NewTables(enc.Data[k*k:], m, k)}, nil
 }
 
 // MustNew is New that panics on error, for tests and static configuration.
@@ -83,61 +89,55 @@ func (c *Code) Coeff(parity, data int) byte {
 	return c.enc.At(c.K+parity, data)
 }
 
-// Encode computes the M parity shards for the given K data shards.
-// All shards must have identical length. The returned parity shards are
-// freshly allocated.
+// Encode computes the M parity shards for the given K data shards in one
+// pass over the data per four parity shards. All shards must have
+// identical length. The returned parity shards are freshly allocated.
 func (c *Code) Encode(data [][]byte) ([][]byte, error) {
 	if err := c.checkDataShards(data); err != nil {
 		return nil, err
 	}
-	size := len(data[0])
 	parity := make([][]byte, c.M)
 	for p := range parity {
-		parity[p] = make([]byte, size)
-		c.EncodeInto(parity[p], p, data)
+		parity[p] = make([]byte, len(data[0]))
 	}
+	c.parity.Apply(parity, data)
 	return parity, nil
-}
-
-// EncodeInto computes parity shard p into dst, which must have the same
-// length as the data shards.
-func (c *Code) EncodeInto(dst []byte, p int, data [][]byte) {
-	clear(dst)
-	row := c.enc.Row(c.K + p)
-	for d, shard := range data {
-		gf256.MulAddSlice(row[d], dst, shard)
-	}
 }
 
 // Verify reports whether parity is consistent with data.
 func (c *Code) Verify(data, parity [][]byte) (bool, error) {
-	if err := c.checkDataShards(data); err != nil {
+	want, err := c.Encode(data)
+	if err != nil {
 		return false, err
 	}
 	if len(parity) != c.M {
 		return false, fmt.Errorf("erasure: got %d parity shards, want %d", len(parity), c.M)
 	}
-	size := len(data[0])
-	buf := make([]byte, size)
-	for p := 0; p < c.M; p++ {
-		if len(parity[p]) != size {
-			return false, fmt.Errorf("erasure: parity shard %d has length %d, want %d", p, len(parity[p]), size)
+	for p := range want {
+		if len(parity[p]) != len(want[p]) {
+			return false, fmt.Errorf("erasure: parity shard %d has length %d, want %d", p, len(parity[p]), len(want[p]))
 		}
-		c.EncodeInto(buf, p, data)
-		for i := range buf {
-			if buf[i] != parity[p][i] {
-				return false, nil
-			}
+		if !bytes.Equal(want[p], parity[p]) {
+			return false, nil
 		}
 	}
 	return true, nil
 }
 
-// Reconstruct rebuilds the missing shards in place. shards must have
-// length K+M, ordered data shards then parity shards; missing shards are
-// nil. At least K shards must be present. Reconstructed shards are
-// allocated into the nil slots.
-func (c *Code) Reconstruct(shards [][]byte) error {
+// Reconstruct rebuilds missing shards in place. shards must have length
+// K+M, ordered data shards then parity shards; missing shards are nil.
+// At least K shards must be present. With no want it fills every nil
+// slot; otherwise it rebuilds only the listed shard indices (those that
+// are missing) and leaves every other nil slot nil — a degraded read or
+// a single-block rebuild pays for the one shard it uses. Rebuilt shards
+// are freshly allocated.
+//
+// Every wanted shard is a linear combination of the first K survivors:
+// its coefficients are its encoding row times the inverted survivor
+// matrix (for a data shard, whose encoding row is a unit vector, that is
+// the inverse's own row). The rows form one (|want| x K) matrix that is
+// applied to the survivors once.
+func (c *Code) Reconstruct(shards [][]byte, want ...int) error {
 	n := c.K + c.M
 	if len(shards) != n {
 		return fmt.Errorf("erasure: got %d shards, want %d", len(shards), n)
@@ -157,54 +157,40 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 		}
 		present = append(present, i)
 	}
+	if len(want) > 0 {
+		missing = missing[:0]
+		for _, idx := range want {
+			if idx < 0 || idx >= n {
+				return fmt.Errorf("erasure: wanted shard %d outside [0,%d)", idx, n)
+			}
+			if shards[idx] == nil && !slices.Contains(missing, idx) {
+				missing = append(missing, idx)
+			}
+		}
+	}
 	if len(missing) == 0 {
 		return nil
 	}
 	if len(present) < c.K {
 		return fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(present), c.K)
 	}
-	// Take the first K surviving rows of the encoding matrix; invert; the
-	// product with the survivors yields the original data shards.
 	rows := present[:c.K]
-	sub := c.enc.SubMatrix(rows)
-	inv, err := sub.Invert()
+	inv, err := c.enc.SubMatrix(rows).Invert()
 	if err != nil {
 		return fmt.Errorf("erasure: reconstruction matrix singular: %w", err)
 	}
-	// dataRow(d) = sum over j of inv[d][j] * shards[rows[j]].
-	rebuiltData := make(map[int][]byte, len(missing))
-	needData := func(d int) []byte {
-		if d < c.K {
-			if shards[d] != nil {
-				return shards[d]
-			}
-			if b, ok := rebuiltData[d]; ok {
-				return b
-			}
-			b := make([]byte, size)
-			for j, r := range rows {
-				gf256.MulAddSlice(inv.At(d, j), b, shards[r])
-			}
-			rebuiltData[d] = b
-			return b
-		}
-		return nil
+	dec := c.enc.SubMatrix(missing).Mul(inv)
+	survivors := make([][]byte, c.K)
+	for j, r := range rows {
+		survivors[j] = shards[r]
 	}
-	// First rebuild missing data shards, then missing parity from data.
-	for _, idx := range missing {
-		if idx < c.K {
-			shards[idx] = needData(idx)
-		}
+	rebuilt := make([][]byte, len(missing))
+	for i := range rebuilt {
+		rebuilt[i] = make([]byte, size)
 	}
-	for _, idx := range missing {
-		if idx >= c.K {
-			buf := make([]byte, size)
-			row := c.enc.Row(idx)
-			for d := 0; d < c.K; d++ {
-				gf256.MulAddSlice(row[d], buf, needData(d))
-			}
-			shards[idx] = buf
-		}
+	gf256.NewTables(dec.Data, dec.Rows, dec.Cols).Apply(rebuilt, survivors)
+	for i, idx := range missing {
+		shards[idx] = rebuilt[i]
 	}
 	return nil
 }
@@ -229,9 +215,7 @@ func DataDelta(oldData, newData []byte) []byte {
 		panic("erasure: DataDelta length mismatch")
 	}
 	d := make([]byte, len(newData))
-	for i := range d {
-		d[i] = newData[i] ^ oldData[i]
-	}
+	subtle.XORBytes(d, newData, oldData)
 	return d
 }
 

@@ -3,8 +3,12 @@ package erasure
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/gf256"
 )
 
 func randShards(rng *rand.Rand, k, size int) [][]byte {
@@ -65,6 +69,44 @@ func TestEncodeRejectsMismatchedShards(t *testing.T) {
 	}
 }
 
+// refEncode is the row-at-a-time encoder Encode replaced, kept as the
+// reference: one MulAddSlice per coefficient into zeroed parity.
+func refEncode(c *Code, data [][]byte) [][]byte {
+	parity := make([][]byte, c.M)
+	for p := range parity {
+		parity[p] = make([]byte, len(data[0]))
+		for d, shard := range data {
+			gf256.MulAddSlice(c.Coeff(p, d), parity[p], shard)
+		}
+	}
+	return parity
+}
+
+func TestEncodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, kind := range []MatrixKind{Vandermonde, Cauchy} {
+		for _, km := range [][2]int{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {6, 4}, {10, 8}, {12, 4}, {16, 5}} {
+			c := MustNew(km[0], km[1], kind)
+			for _, size := range []int{0, 1, 1023, 1025, 4096} {
+				data := randShards(rng, c.K, size)
+				got, err := c.Encode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p, want := range refEncode(c, data) {
+					if !bytes.Equal(got[p], want) {
+						t.Fatalf("%v RS(%d,%d) %d bytes: parity %d differs from the reference", kind, c.K, c.M, size, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReconstructAllPatterns: every erasure pattern of up to M shards,
+// crossed with every want list over the lost shards (none = all of
+// them, single data, single parity, mixed), rebuilds exactly the wanted
+// shards to the original stripe and leaves the others nil.
 func TestReconstructAllPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, kind := range []MatrixKind{Vandermonde, Cauchy} {
@@ -76,27 +118,198 @@ func TestReconstructAllPatterns(t *testing.T) {
 		}
 		full := append(append([][]byte{}, data...), parity...)
 		n := c.K + c.M
-		// Every erasure pattern of size 1..M must be recoverable.
 		for mask := 1; mask < 1<<n; mask++ {
-			lost := popcount(mask)
-			if lost > c.M {
+			if popcount(mask) > c.M {
 				continue
 			}
-			shards := make([][]byte, n)
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) == 0 {
-					shards[i] = append([]byte(nil), full[i]...)
+			// wantMask 0 is the no-want call; the others run over the
+			// non-empty subsets of the lost shards.
+			for wantMask := 0; wantMask < 1<<n; wantMask++ {
+				if wantMask&^mask != 0 {
+					continue
 				}
-			}
-			if err := c.Reconstruct(shards); err != nil {
-				t.Fatalf("%v: reconstruct mask %b: %v", kind, mask, err)
-			}
-			for i := 0; i < n; i++ {
-				if !bytes.Equal(shards[i], full[i]) {
-					t.Fatalf("%v: shard %d wrong after reconstructing mask %b", kind, i, mask)
+				shards := make([][]byte, n)
+				var want []int
+				for i := 0; i < n; i++ {
+					if mask&(1<<i) == 0 {
+						shards[i] = append([]byte(nil), full[i]...)
+					}
+					if wantMask&(1<<i) != 0 {
+						want = append(want, i)
+					}
+				}
+				if err := c.Reconstruct(shards, want...); err != nil {
+					t.Fatalf("%v: reconstruct mask %b want %v: %v", kind, mask, want, err)
+				}
+				for i := 0; i < n; i++ {
+					if mask&(1<<i) != 0 && wantMask != 0 && wantMask&(1<<i) == 0 {
+						if shards[i] != nil {
+							t.Fatalf("%v: mask %b want %v: shard %d rebuilt though not wanted", kind, mask, want, i)
+						}
+						continue
+					}
+					if !bytes.Equal(shards[i], full[i]) {
+						t.Fatalf("%v: shard %d wrong after reconstructing mask %b want %v", kind, i, mask, want)
+					}
 				}
 			}
 		}
+	}
+}
+
+// FuzzCodeMatchesReference draws a code (K <= 16, M <= 8, so parity and
+// decode matrices of more than one row group and more than one column
+// pass occur), a shard size, an erasure pattern and a want list from the
+// seed: Encode must equal the row-by-row reference, and Reconstruct must
+// restore exactly the wanted shards.
+func FuzzCodeMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint16(1+seed*517))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		c := MustNew(1+rng.Intn(16), 1+rng.Intn(8), MatrixKind(rng.Intn(2)))
+		data := randShards(rng, c.K, int(size))
+		parity, err := c.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, want := range refEncode(c, data) {
+			if !bytes.Equal(parity[p], want) {
+				t.Fatalf("RS(%d,%d): parity %d differs from the reference", c.K, c.M, p)
+			}
+		}
+		full := append(append([][]byte{}, data...), parity...)
+		shards := append([][]byte{}, full...)
+		lost := rng.Perm(len(full))[:1+rng.Intn(c.M)]
+		for _, i := range lost {
+			shards[i] = nil
+		}
+		want := lost[:rng.Intn(len(lost)+1)] // empty: rebuild all
+		if err := c.Reconstruct(shards, want...); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			want = lost
+		}
+		for _, i := range lost {
+			if !slices.Contains(want, i) {
+				if shards[i] != nil {
+					t.Fatalf("RS(%d,%d): shard %d rebuilt though not wanted", c.K, c.M, i)
+				}
+			} else if !bytes.Equal(shards[i], full[i]) {
+				t.Fatalf("RS(%d,%d): lost %v want %v: shard %d wrong", c.K, c.M, lost, want, i)
+			}
+		}
+	})
+}
+
+func TestReconstructWant(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	c := MustNew(4, 2, Vandermonde)
+	data := randShards(rng, c.K, 64)
+	parity, _ := c.Encode(data)
+	lose := func() [][]byte {
+		s := append(append([][]byte{}, data...), parity...)
+		s[1], s[4] = nil, nil
+		return s
+	}
+	// A present shard in want is left alone, a repeated index is rebuilt
+	// once, and the other lost shard stays nil.
+	shards := lose()
+	kept := &shards[0][0]
+	if err := c.Reconstruct(shards, 0, 4, 4); err != nil {
+		t.Fatal(err)
+	}
+	if &shards[0][0] != kept || !bytes.Equal(shards[4], parity[0]) || shards[1] != nil {
+		t.Fatal("want = {present, lost, lost again} did not rebuild exactly the lost shard")
+	}
+	// Only present shards wanted: nothing to do, even below K survivors.
+	shards = lose()
+	shards[2], shards[3] = nil, nil
+	if err := c.Reconstruct(shards, 0); err != nil {
+		t.Fatalf("nothing to rebuild must not need K survivors: %v", err)
+	}
+	for _, idx := range []int{-1, 6} {
+		if err := c.Reconstruct(lose(), idx); err == nil {
+			t.Fatalf("want index %d must be rejected", idx)
+		}
+	}
+}
+
+// TestCodeConcurrentUse shares one Code — and so its cached encode
+// tables — between goroutines that encode and reconstruct at once; run
+// under -race.
+func TestCodeConcurrentUse(t *testing.T) {
+	c := MustNew(6, 4, Vandermonde)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for iter := 0; iter < 20; iter++ {
+				data := randShards(rng, c.K, 1+rng.Intn(3000))
+				parity, err := c.Encode(data)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ok, err := c.Verify(data, parity); err != nil || !ok {
+					t.Errorf("goroutine %d: verify = %v, %v", g, ok, err)
+					return
+				}
+				shards := append(append([][]byte{}, data...), parity...)
+				lost := rng.Perm(len(shards))[:c.M]
+				for _, i := range lost {
+					shards[i] = nil
+				}
+				if err := c.Reconstruct(shards, lost[0]); err != nil {
+					t.Error(err)
+					return
+				}
+				full := append(append([][]byte{}, data...), parity...)
+				if !bytes.Equal(shards[lost[0]], full[lost[0]]) {
+					t.Errorf("goroutine %d: shard %d rebuilt wrong", g, lost[0])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCodingAllocations gates what the coder allocates: Encode its M
+// parity buffers and the slice holding them, a single-shard Reconstruct
+// one shard-sized buffer plus bookkeeping that does not grow with the
+// shard (index lists, the K x K matrices, one 6 KiB table set).
+func TestCodingAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	c := MustNew(6, 4, Vandermonde)
+	data := randShards(rng, c.K, 64<<10)
+	parity, _ := c.Encode(data)
+	if n := testing.AllocsPerRun(10, func() { c.Encode(data) }); n != float64(c.M+1) {
+		t.Errorf("Encode: %v allocs, want %d", n, c.M+1)
+	}
+	shards := make([][]byte, c.K+c.M)
+	var big int
+	n := testing.AllocsPerRun(10, func() {
+		copy(shards, data)
+		copy(shards[c.K:], parity)
+		shards[0], shards[7], shards[8], shards[9] = nil, nil, nil, nil
+		if err := c.Reconstruct(shards, 0); err != nil {
+			t.Fatal(err)
+		}
+		big = 0
+		for _, i := range []int{0, 7, 8, 9} {
+			big += len(shards[i])
+		}
+	})
+	if big != 64<<10 {
+		t.Errorf("single-shard Reconstruct produced %d bytes of shards, want one shard", big)
+	}
+	if n > 12 {
+		t.Errorf("single-shard Reconstruct: %v allocs, want at most 12", n)
 	}
 }
 
@@ -225,6 +438,15 @@ func TestDataDeltaProperties(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	if got := DataDelta([]byte{1, 2, 3}, []byte{1, 1, 1}); !bytes.Equal(got, []byte{0, 3, 2}) {
+		t.Fatalf("DataDelta = %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch must panic")
+		}
+	}()
+	DataDelta([]byte{1}, []byte{1, 2})
 }
 
 func TestCoeffMatchesEncode(t *testing.T) {
@@ -257,13 +479,12 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeRS6_4_1MB(b *testing.B) {
-	benchEncode(b, 6, 4, 1<<20)
-}
+func BenchmarkEncodeRS6_4_4KB(b *testing.B)  { benchEncode(b, 6, 4, 4<<10) }
+func BenchmarkEncodeRS6_4_1MB(b *testing.B)  { benchEncode(b, 6, 4, 1<<20) }
+func BenchmarkEncodeRS12_4_1MB(b *testing.B) { benchEncode(b, 12, 4, 1<<20) }
 
-func BenchmarkEncodeRS12_4_1MB(b *testing.B) {
-	benchEncode(b, 12, 4, 1<<20)
-}
+// RS(10,8) runs the kernel's two groups of four parity rows.
+func BenchmarkEncodeRS10_8_1MB(b *testing.B) { benchEncode(b, 10, 8, 1<<20) }
 
 func benchEncode(b *testing.B, k, m, size int) {
 	rng := rand.New(rand.NewSource(1))
@@ -291,6 +512,26 @@ func BenchmarkReconstructRS6_4(b *testing.B) {
 		copy(shards, full)
 		shards[0], shards[3], shards[7] = nil, nil, nil
 		if err := c.Reconstruct(shards); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReconstructOneRS6_4_1MB is the degraded-read shape: K
+// survivors fetched, the other M-1 slots nil, one shard wanted.
+func BenchmarkReconstructOneRS6_4_1MB(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	c := MustNew(6, 4, Vandermonde)
+	data := randShards(rng, 6, 1<<20)
+	parity, _ := c.Encode(data)
+	full := append(append([][]byte{}, data...), parity...)
+	b.SetBytes(int64(6 << 20))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shards := make([][]byte, len(full))
+		copy(shards, full)
+		shards[0], shards[7], shards[8], shards[9] = nil, nil, nil, nil
+		if err := c.Reconstruct(shards, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -190,11 +190,23 @@ func TestMulAddSliceSelfInverse(t *testing.T) {
 }
 
 func TestXorSlice(t *testing.T) {
-	a := []byte{1, 2, 3}
-	b := []byte{4, 5, 6}
-	XorSlice(a, b)
-	if a[0] != 5 || a[1] != 7 || a[2] != 5 {
-		t.Fatalf("XorSlice wrong: %v", a)
+	// Against the byte loop, at lengths around the vector widths and at
+	// unaligned offsets.
+	rng := rand.New(rand.NewSource(6))
+	buf := make([]byte, 2*4200)
+	for _, n := range []int{0, 1, 3, 7, 15, 16, 17, 63, 64, 65, 1023, 4096, 4099} {
+		for off := 0; off < 3; off++ {
+			rng.Read(buf)
+			dst, src := buf[off:off+n], buf[4200+2*off:4200+2*off+n]
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = dst[i] ^ src[i]
+			}
+			XorSlice(dst, src)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("XorSlice wrong at length %d, offset %d", n, off)
+			}
+		}
 	}
 }
 
@@ -226,10 +238,14 @@ func BenchmarkMulAddSlice64K(b *testing.B) {
 	}
 }
 
-func BenchmarkXorSlice64K(b *testing.B) {
-	src := make([]byte, 64<<10)
-	dst := make([]byte, 64<<10)
-	b.SetBytes(int64(len(src)))
+func BenchmarkXorSlice4K(b *testing.B)  { benchXorSlice(b, 4<<10) }
+func BenchmarkXorSlice64K(b *testing.B) { benchXorSlice(b, 64<<10) }
+func BenchmarkXorSlice1M(b *testing.B)  { benchXorSlice(b, 1<<20) }
+
+func benchXorSlice(b *testing.B, size int) {
+	src := make([]byte, size)
+	dst := make([]byte, size)
+	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		XorSlice(dst, src)

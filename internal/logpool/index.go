@@ -18,7 +18,6 @@ package logpool
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -133,7 +132,7 @@ func (bi *blockIndex) insertScaled(c byte, off uint32, data []byte, v time.Durat
 	end := off + uint32(len(data))
 	bi.setBitmap(off, end)
 	if bi.mode == NoMerge {
-		bi.extents = append(bi.extents, Extent{Off: off, Data: scaledCopy(c, data), V: v})
+		bi.extents = append(bi.extents, Extent{Off: off, Data: appendScaled(nil, c, data), V: v})
 		bi.bytes += int64(len(data))
 		return
 	}
@@ -149,7 +148,7 @@ func (bi *blockIndex) insertScaled(c byte, off uint32, data []byte, v time.Durat
 		// No overlap/adjacency: plain insert.
 		bi.extents = append(bi.extents, Extent{})
 		copy(bi.extents[first+1:], bi.extents[first:])
-		bi.extents[first] = Extent{Off: off, Data: scaledCopy(c, data), V: v}
+		bi.extents[first] = Extent{Off: off, Data: appendScaled(nil, c, data), V: v}
 		bi.bytes += int64(len(data))
 		return
 	}
@@ -158,9 +157,7 @@ func (bi *blockIndex) insertScaled(c byte, off uint32, data []byte, v time.Durat
 		k := minU32(e.End(), end) - off // bytes landing on indexed content
 		bi.fold(c, e.Data[off-e.Off:][:k], data[:k])
 		if rest := data[k:]; len(rest) > 0 {
-			n := len(e.Data)
-			e.Data = slices.Grow(e.Data, len(rest))[:n+len(rest)]
-			gf256.MulSlice(c, e.Data[n:], rest)
+			e.Data = appendScaled(e.Data, c, rest)
 			bi.bytes += int64(len(rest))
 		}
 		if v < e.V {
@@ -197,11 +194,17 @@ func (bi *blockIndex) insertScaled(c byte, off uint32, data []byte, v time.Durat
 	bi.bytes += int64(len(buf))
 }
 
-// scaledCopy returns a fresh buffer holding c·data.
-func scaledCopy(c byte, data []byte) []byte {
-	fresh := make([]byte, len(data))
-	gf256.MulSlice(c, fresh, data)
-	return fresh
+// appendScaled appends c·data to dst (nil for a fresh buffer) with
+// append's amortised growth. append copies into the tail it grows, where
+// make or slices.Grow would first zero bytes that are about to be
+// overwritten; the scaling then runs in place.
+func appendScaled(dst []byte, c byte, data []byte) []byte {
+	n := len(dst)
+	dst = append(dst, data...)
+	if c != 1 {
+		gf256.MulSlice(c, dst[n:], dst[n:])
+	}
+	return dst
 }
 
 // fold combines c·src into already-indexed (or zeroed) bytes dst under

@@ -85,7 +85,7 @@ func (c *cord) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 	if err != nil {
 		return 0, err
 	}
-	delta := xorBytes(old, msg.Data)
+	delta := erasure.DataDelta(old, msg.Data)
 
 	// One hop: the delta goes to the stripe collector only.
 	k := int(msg.K)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/erasure"
 	"repro/internal/logpool"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -76,7 +77,7 @@ func (f *fl) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Dura
 			continue
 		}
 		cost += rc + wc
-		delta := xorBytes(old, e.Data)
+		delta := erasure.DataDelta(old, e.Data)
 		targets := si.Loc.Nodes[si.K : si.K+si.M]
 		fanCost, err := fanout(context.Background(), f.env, targets, func(to wire.NodeID) *wire.Msg {
 			j := indexOfNode(si.Loc.Nodes[si.K:], to)

@@ -37,7 +37,7 @@ func (f *fo) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	delta := xorBytes(old, msg.Data)
+	delta := erasure.DataDelta(old, msg.Data)
 	lat := rc + wc
 
 	// In-place parity updates at every parity OSD, synchronously.

@@ -260,7 +260,7 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 			} else {
 				total += dev.Read(int64(len(orig))+32, true)
 			}
-			delta := xorBytes(orig, e.Data)
+			delta := erasure.DataDelta(orig, e.Data)
 			pd := code.ParityDelta(j, int(dataBlock.Idx), delta)
 			oldP, rc, err := store.ReadRangeNoLock(pb, e.Off, len(pd), true)
 			if err != nil {

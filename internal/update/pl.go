@@ -65,7 +65,7 @@ func (p *pl) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	delta := xorBytes(old, msg.Data)
+	delta := erasure.DataDelta(old, msg.Data)
 
 	// Forward the data delta to every parity OSD's parity log.
 	k, m := int(msg.K), int(msg.M)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/erasure"
 	"repro/internal/gf256"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -64,7 +65,7 @@ func (p *plr) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) 
 	if err != nil {
 		return 0, err
 	}
-	delta := xorBytes(old, msg.Data)
+	delta := erasure.DataDelta(old, msg.Data)
 
 	k, m := int(msg.K), int(msg.M)
 	targets := msg.Loc.Nodes[k : k+m]

@@ -336,18 +336,6 @@ func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(to wire
 	return maxCost, firstE
 }
 
-// xorBytes returns a^b element-wise into a fresh slice.
-func xorBytes(a, b []byte) []byte {
-	if len(a) != len(b) {
-		panic("update: xorBytes length mismatch")
-	}
-	out := make([]byte, len(a))
-	for i := range a {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
-}
-
 // errResp wraps an error into a response, keeping any structured
 // sentinel class (stale epoch, not found, peer unreachable) it carries.
 func errResp(err error) *wire.Resp { return wire.ErrorResp(err) }

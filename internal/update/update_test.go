@@ -181,19 +181,6 @@ func TestParityBlockHelper(t *testing.T) {
 	}
 }
 
-func TestXorBytes(t *testing.T) {
-	got := xorBytes([]byte{1, 2, 3}, []byte{1, 1, 1})
-	if !bytes.Equal(got, []byte{0, 3, 2}) {
-		t.Fatalf("xorBytes = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch must panic")
-		}
-	}()
-	xorBytes([]byte{1}, []byte{1, 2})
-}
-
 func TestDeltaRecordCodec(t *testing.T) {
 	rec := encodeDeltaRecord(5, []byte("delta"))
 	src, delta := decodeDeltaRecord(rec)
