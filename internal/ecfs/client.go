@@ -2,6 +2,7 @@ package ecfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -419,6 +420,11 @@ func (c *Client) WriteStripe(ino uint64, stripe uint32, data []byte) (time.Durat
 // a transport error only if the block's host changed — a node that may
 // already have applied it is never re-delivered to.
 //
+// A refresh that fails right after a stale-epoch rejection returns an
+// error wrapping both wire.ErrStaleEpoch and the refresh failure: the
+// holder is alive and has moved on, and callers must be able to tell
+// that from an unreachable holder.
+//
 // Buffer ownership: every failed attempt's response is released here;
 // the successful response is returned and becomes the caller's to
 // Release once it is done with Resp.Data.
@@ -437,6 +443,9 @@ func (c *Client) sendWithReresolve(ctx context.Context, b wire.BlockID, loc wire
 		if attempt > 0 {
 			nl, err := c.refreshLoc(ctx, b.Ino, b.Stripe, loc.Epoch)
 			if err != nil {
+				if lastStale {
+					return nil, fmt.Errorf("%w (re-resolve: %w)", lastErr, err)
+				}
 				return nil, err
 			}
 			sameHost := nl.Nodes[b.Idx] == loc.Nodes[b.Idx]
@@ -599,40 +608,95 @@ func (c *Client) updatePart(ctx context.Context, p part, payload []byte, v time.
 	return cost, nil
 }
 
-// ReadContext fetches [off, off+size) of a file.
+// ReadContext fetches [off, off+size) of a file into a buffer of its
+// own.
 func (c *Client) ReadContext(ctx context.Context, ino uint64, off int64, size int) ([]byte, time.Duration, error) {
-	parts, err := c.split(ctx, ino, off, size)
+	if size < 0 {
+		return nil, 0, fmt.Errorf("ecfs: negative range")
+	}
+	out := make([]byte, size)
+	cost, err := c.readInto(ctx, ino, off, out)
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]byte, size)
+	return out, cost, nil
+}
+
+// readInto fills p from [off, off+len(p)) of a file and returns the
+// modeled latency (the slowest part; parts proceed concurrently). Every
+// part's reply is read straight into its own slice of p. A one-part
+// read runs inline; a read spanning blocks sends all its parts as one
+// batch — one flush per holder — and only the parts the batch could not
+// serve (stale placement, unreachable holder, error reply) go on to
+// readPart's re-resolve and degraded path, concurrently. On error p may
+// be partly filled.
+func (c *Client) readInto(ctx context.Context, ino uint64, off int64, p []byte) (time.Duration, error) {
+	parts, err := c.split(ctx, ino, off, len(p))
+	if err != nil {
+		return 0, err
+	}
+	switch len(parts) {
+	case 0:
+		return 0, nil
+	case 1:
+		return c.readPart(ctx, parts[0], p)
+	}
+	calls := make([]*transport.BatchCall, len(parts))
+	for i, pt := range parts {
+		calls[i] = &transport.BatchCall{To: pt.loc.Nodes[pt.block.Idx], Msg: readMsg(pt, pt.loc, p[pt.src:pt.src+pt.n])}
+	}
+	transport.Fanout(ctx, c.rpc, calls)
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		max  time.Duration
-		rerr error
+		wg                   sync.WaitGroup
+		mu                   sync.Mutex
+		batchCost, retryCost time.Duration
+		rerr                 error
 	)
-	for _, p := range parts {
+	for i, bc := range calls {
+		pt, dst := parts[i], p[parts[i].src:parts[i].src+parts[i].n]
+		if bc.Err == nil && bc.Resp.OK() {
+			batchCost = max(batchCost, bc.Resp.Cost)
+			fillFrom(dst, bc.Resp)
+			continue
+		}
+		if bc.Err == nil {
+			bc.Resp.Release()
+		}
 		wg.Add(1)
-		go func(p part) {
+		go func() {
 			defer wg.Done()
-			cost, err := c.readPart(ctx, p, out[p.src:p.src+p.n])
+			cost, err := c.readPart(ctx, pt, dst)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				rerr = err
 				return
 			}
-			if cost > max {
-				max = cost
-			}
-		}(p)
+			retryCost = max(retryCost, cost)
+		}()
 	}
 	wg.Wait()
-	if rerr != nil {
-		return nil, 0, rerr
+	return max(batchCost, retryCost), rerr
+}
+
+// readMsg builds the KRead of one part under placement loc, its reply
+// payload bound for dst.
+func readMsg(p part, loc wire.StripeLoc, dst []byte) *wire.Msg {
+	m := &wire.Msg{Kind: wire.KRead, Block: p.block, Off: p.off, Size: uint32(p.n), Loc: loc}
+	m.SetReplyBuf(dst)
+	return m
+}
+
+// fillFrom completes a part's read from its successful reply. A
+// transport that honoured the reply buffer has already put the payload
+// in dst; any other reply is copied. A short payload leaves the rest of
+// dst zero, and the reply's pooled buffer (if any) is released.
+func fillFrom(dst []byte, resp *wire.Resp) {
+	if n := len(resp.Data); n > 0 && &resp.Data[0] != &dst[0] {
+		copy(dst, resp.Data)
 	}
-	return out, max, nil
+	clear(dst[min(len(resp.Data), len(dst)):])
+	resp.Release()
 }
 
 // Read fetches [off, off+size) of a file.
@@ -660,26 +724,29 @@ func (c *Client) Stripes(ctx context.Context, ino uint64) (int, error) {
 // it: a stale-epoch rejection or an unreachable holder re-resolves at
 // the MDS and retries — after a repair or drain rebinds the stripe,
 // this is how the read cuts over to the new holder with no K-way
-// decode. Only when the normal path is exhausted does the read degrade
-// to reconstruction, and then it tells the MDS (wire.KRepairHint) so an
+// decode. Only when the normal path is exhausted — and the holder did
+// not answer that the placement is stale — does the read degrade to
+// reconstruction, and then it tells the MDS (wire.KRepairHint) so an
 // in-flight repair promotes the stripe to the front of its queue.
 //
-// Copying into dst here (rather than returning Resp.Data) is what lets
-// the response buffer go back to the transport pool before the part
-// fan-out joins.
+// Every attempt names dst as its reply buffer, so over TCP the payload
+// is read off the socket straight into the caller's memory.
 func (c *Client) readPart(ctx context.Context, p part, dst []byte) (time.Duration, error) {
 	resp, err := c.sendWithReresolve(ctx, p.block, p.loc, true, func(loc wire.StripeLoc) (*wire.Resp, error) {
-		return c.rpc.Call(ctx, loc.Nodes[p.block.Idx], &wire.Msg{
-			Kind: wire.KRead, Block: p.block, Off: p.off, Size: uint32(p.n), Loc: loc,
-		})
+		return c.rpc.Call(ctx, loc.Nodes[p.block.Idx], readMsg(p, loc, dst))
 	})
 	if err == nil {
 		cost := resp.Cost
-		copy(dst, resp.Data)
-		resp.Release()
+		fillFrom(dst, resp)
 		return cost, nil
 	}
-	if ctx.Err() != nil {
+	// A holder that rejected the placement as stale is alive and has
+	// moved on; when no fresher placement could be resolved (the MDS is
+	// down, say), the survivors of the stale one may be retired copies
+	// and parity that stage 2 has not caught up with, so reconstructing
+	// from them could serve bytes older than an acknowledged write. The
+	// read fails instead — a transient stale-epoch error.
+	if ctx.Err() != nil || errors.Is(err, wire.ErrStaleEpoch) {
 		return 0, err
 	}
 	// Degraded read: the block's holder cannot serve it (node down, or

@@ -58,15 +58,18 @@ func (f *File) guard() error {
 // K-way reconstruction only when the block's holder cannot serve it.
 // Reads past the last written stripe fail — ECFS places stripes on
 // first write and has no sparse-zero semantics.
+//
+// The replies are read straight into p, with no intermediate buffer.
+// When ReadAt returns an error, p may be partly filled (io.ReaderAt
+// lets a failed read use all of p as scratch).
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if err := f.guard(); err != nil {
 		return 0, err
 	}
-	data, _, err := f.cli.ReadContext(f.ctx, f.ino, off, len(p))
-	if err != nil {
+	if _, err := f.cli.readInto(f.ctx, f.ino, off, p); err != nil {
 		return 0, err
 	}
-	return copy(p, data), nil
+	return len(p), nil
 }
 
 // ReadRange is ReadAt with an explicit context, returning the modeled

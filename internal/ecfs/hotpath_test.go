@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/update"
 	"repro/internal/wire"
 )
 
@@ -137,6 +139,11 @@ func TestPooledRespBalanceAcrossErrorPaths(t *testing.T) {
 	if out, _, err := cli.ReadContext(ctx, ino, 0, len(data)); err != nil || !bytes.Equal(out, data) {
 		t.Fatalf("healthy read-back: err=%v", err)
 	}
+	// A read into the caller's buffer: every reply lands in p itself.
+	p := make([]byte, len(data)-300)
+	if _, err := f.ReadAt(p, 150); err != nil || !bytes.Equal(p, data[150:len(data)-150]) {
+		t.Fatalf("healthy ReadAt: err=%v", err)
+	}
 
 	// Failure paths: kill an OSD mid-placement. Writes that land on it
 	// exhaust the re-resolve/retry loop (release-on-error in writeShard
@@ -149,6 +156,10 @@ func TestPooledRespBalanceAcrossErrorPaths(t *testing.T) {
 	if out, _, err := cli.ReadContext(ctx, ino, 0, len(data)); err != nil || !bytes.Equal(out, data) {
 		t.Fatalf("degraded read-back: err=%v", err)
 	}
+	clear(p)
+	if _, err := f.ReadAt(p, 150); err != nil || !bytes.Equal(p, data[150:len(data)-150]) {
+		t.Fatalf("degraded ReadAt: err=%v", err)
+	}
 
 	// Every buffer attached while armed must be released once handlers
 	// and fallback goroutines settle.
@@ -159,5 +170,207 @@ func TestPooledRespBalanceAcrossErrorPaths(t *testing.T) {
 				transport.PoolDebugOutstanding(), base)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// readCountingRPC forwards to a TCP client the way the benchmark's
+// tracing wrapper does — it implements only Call and CallBatch and
+// passes the *wire.Msg and *transport.BatchCall pointers through — and
+// counts the KRead traffic, checking that every reply that fit its
+// named buffer arrived in it.
+type readCountingRPC struct {
+	t     *testing.T
+	inner *transport.TCPClient
+
+	mu                              sync.Mutex
+	readCalls, readBatches, batched int
+}
+
+func (r *readCountingRPC) Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) (*wire.Resp, error) {
+	resp, err := r.inner.Call(ctx, to, msg)
+	if msg.Kind == wire.KRead {
+		r.mu.Lock()
+		r.readCalls++
+		r.mu.Unlock()
+		r.checkLanded(msg, resp, err)
+	}
+	return resp, err
+}
+
+func (r *readCountingRPC) CallBatch(ctx context.Context, calls []*transport.BatchCall) {
+	r.inner.CallBatch(ctx, calls)
+	reads := 0
+	for _, bc := range calls {
+		if bc.Msg.Kind == wire.KRead {
+			reads++
+			r.checkLanded(bc.Msg, bc.Resp, bc.Err)
+		}
+	}
+	if reads > 0 {
+		r.mu.Lock()
+		r.readBatches++
+		r.batched += reads
+		r.mu.Unlock()
+	}
+}
+
+func (r *readCountingRPC) checkLanded(msg *wire.Msg, resp *wire.Resp, err error) {
+	dst := msg.ReplyBuf()
+	if err != nil || !resp.OK() || len(resp.Data) == 0 || len(dst) == 0 {
+		return
+	}
+	if &resp.Data[0] != &dst[0] {
+		r.t.Errorf("KRead reply for %v did not land in its reply buffer", msg.Block)
+	}
+}
+
+// refRead is the read the client made before replies went into the
+// caller's memory: one plain KRead Call per part, each reply copied out
+// of its own buffer.
+func refRead(t *testing.T, cli *Client, rpc transport.RPC, ino uint64, off int64, size int) []byte {
+	t.Helper()
+	ctx := context.Background()
+	parts, err := cli.split(ctx, ino, off, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, size)
+	for _, p := range parts {
+		resp, err := rpc.Call(ctx, p.loc.Nodes[p.block.Idx], &wire.Msg{
+			Kind: wire.KRead, Block: p.block, Off: p.off, Size: uint32(p.n), Loc: p.loc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Error(); err != nil {
+			t.Fatal(err)
+		}
+		copy(out[p.src:p.src+p.n], resp.Data)
+		resp.Release()
+	}
+	return out
+}
+
+// TestReadAtSpanningStripesIsOneBatch: a File.ReadAt spanning blocks and
+// stripes sends all its parts as one CallBatch (no per-part Call), every
+// reply lands in the caller's buffer through a Call/CallBatch-only
+// wrapper, and the bytes equal what the per-part reference read returns
+// — pending update-log content included.
+func TestReadAtSpanningStripesIsOneBatch(t *testing.T) {
+	const (
+		k, m      = 3, 2
+		nOSDs     = 5
+		blockSize = 4 << 10
+	)
+	h := newTCPHarness(t, k, m, nOSDs, blockSize)
+	tcp := h.newRPC()
+	rpc := &readCountingRPC{t: t, inner: tcp}
+	cli := NewClient(wire.ClientIDBase, rpc, h.code, blockSize)
+	ctx := context.Background()
+	f, err := cli.Open(ctx, "span")
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := k * blockSize
+	data := make([]byte, 3*span)
+	rand.New(rand.NewSource(18)).Read(data)
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Updates still in the DataLog: the holder overlays them on reads.
+	patch := bytes.Repeat([]byte{0xEE}, 3000)
+	for _, off := range []int{blockSize - 1000, span + 2*blockSize - 10} {
+		if _, err := f.UpdateAt(ctx, int64(off), patch, 0); err != nil {
+			t.Fatal(err)
+		}
+		copy(data[off:], patch)
+	}
+
+	off, size := blockSize/2, 2*span+blockSize // from block 0 of stripe 0 into stripe 2
+	want := refRead(t, cli, tcp, f.Ino(), int64(off), size)
+	if !bytes.Equal(want, data[off:off+size]) {
+		t.Fatal("reference read disagrees with the written bytes")
+	}
+	parts, err := cli.split(ctx, f.Ino(), int64(off), size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpc.mu.Lock()
+	rpc.readCalls, rpc.readBatches, rpc.batched = 0, 0, 0
+	rpc.mu.Unlock()
+	p := bytes.Repeat([]byte{0x5C}, size)
+	if n, err := f.ReadAt(p, int64(off)); err != nil || n != size {
+		t.Fatalf("ReadAt = %d, %v", n, err)
+	}
+	if !bytes.Equal(p, want) {
+		t.Fatal("ReadAt differs from the per-part reference read")
+	}
+	rpc.mu.Lock()
+	defer rpc.mu.Unlock()
+	if rpc.readBatches != 1 || rpc.batched != len(parts) || rpc.readCalls != 0 {
+		t.Fatalf("%d-part read went out as %d batches of %d reads plus %d single calls, want one batch of %d",
+			len(parts), rpc.readBatches, rpc.batched, rpc.readCalls, len(parts))
+	}
+}
+
+// TestStage2RepliesReleased: TSUE's stage-2 traffic over TCP — DataLog
+// recycle forwards, DeltaLog merges to the ParityLogs, copy trims and
+// the drain phases — returns every pooled reply buffer it takes.
+func TestStage2RepliesReleased(t *testing.T) {
+	const (
+		k, m      = 4, 2
+		nOSDs     = 6
+		blockSize = 4 << 10
+	)
+	h := newTCPHarness(t, k, m, nOSDs, blockSize)
+	rpc := h.newRPC()
+	cli := NewClient(wire.ClientIDBase, rpc, h.code, blockSize)
+	ctx := context.Background()
+	f, err := cli.Open(ctx, "stage2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := k * blockSize
+	data := make([]byte, 4*span)
+	rng := rand.New(rand.NewSource(2))
+	rng.Read(data)
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	transport.SetPoolDebug(true)
+	defer transport.SetPoolDebug(false)
+	base := transport.PoolDebugOutstanding()
+	for i := 0; i < 300; i++ {
+		n := 512 * (1 + rng.Intn(4))
+		off := rng.Intn(len(data) - n)
+		patch := make([]byte, n)
+		rng.Read(patch)
+		if _, err := f.UpdateAt(ctx, int64(off), patch, time.Duration(i)); err != nil {
+			t.Fatal(err)
+		}
+		copy(data[off:], patch)
+	}
+	for _, o := range h.osds {
+		o.Strategy().(interface{ Settle() }).Settle()
+	}
+	for phase := 1; phase <= update.DrainPhases; phase++ {
+		for id := range h.osds {
+			resp, err := rpc.Call(ctx, id, &wire.Msg{Kind: wire.KDrainLogs, Flag: uint8(phase)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = resp.Error()
+			resp.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := transport.PoolDebugOutstanding(); got != base {
+		t.Fatalf("pooled reply buffers outstanding after stage 2 and the drain: %d, want %d", got, base)
+	}
+	if out, _, err := cli.ReadContext(ctx, f.Ino(), 0, len(data)); err != nil || !bytes.Equal(out, data) {
+		t.Fatalf("read-back after the drain: err=%v", err)
 	}
 }

@@ -2,6 +2,8 @@ package ecfs
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -436,5 +438,44 @@ func TestClusterMDSCrashRestart(t *testing.T) {
 	}
 	if err := c.VerifyStripes(ino2, data); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStaleReadDuringMDSOutageFails: a client whose cached placement a
+// drain retired, reading while the MDS is down, gets a transient
+// stale-epoch error. It never reconstructs from the retired placement's
+// survivors — their base blocks and parity can predate acknowledged
+// updates — and it reads correctly again once the MDS is back.
+func TestStaleReadDuringMDSOutageFails(t *testing.T) {
+	opts := testOptions("tsue")
+	opts.MDSDataDir = t.TempDir()
+	c := MustNewCluster(opts)
+	defer c.Close()
+	cli := c.NewClient()
+	ctx := context.Background()
+	ino, mirror := writeTestFile(t, c, cli, 64<<10, 11)
+	// Cache every placement, then retire stripe 0's first holder.
+	if got, _, err := cli.ReadContext(ctx, ino, 0, len(mirror)); err != nil || !bytes.Equal(got, mirror) {
+		t.Fatalf("warm read: %v", err)
+	}
+	loc, _ := c.MDS.PlacementOf(ino, 0)
+	if _, err := c.DrainWith(ctx, loc.Nodes[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CrashMDS(); err != nil {
+		t.Fatal(err)
+	}
+	degraded := cli.Stats().DegradedReads
+	if _, _, err := cli.ReadContext(ctx, ino, 0, 512); !errors.Is(err, wire.ErrStaleEpoch) {
+		t.Fatalf("read under a retired placement with the MDS down: %v, want a stale-epoch error", err)
+	}
+	if got := cli.Stats().DegradedReads; got != degraded {
+		t.Fatalf("the read degraded (%d reconstructions) instead of failing", got-degraded)
+	}
+	if _, err := c.RestartMDS(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := cli.ReadContext(ctx, ino, 0, len(mirror)); err != nil || !bytes.Equal(got, mirror) {
+		t.Fatalf("read after the MDS restart: %v", err)
 	}
 }

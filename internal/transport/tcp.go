@@ -28,9 +28,17 @@ import (
 // writes every queued frame in one writev-style flush (net.Buffers), and
 // a reader goroutine demuxes responses to the waiting callers by id; the
 // server mirrors the same structure with a handler goroutine per
-// request. Encode buffers are sync.Pool-reused on both sides, so the
-// steady-state data plane allocates only the response bodies that
-// escape to callers.
+// request.
+//
+// Payloads cross the user/kernel boundary once on each side. A frame is
+// a small pooled buffer holding the frame header and the Msg/Resp
+// header (wire's AppendHeaderTo), followed in the writev vector by the
+// sender's own payload slices — never copied into a frame buffer. A
+// reply whose caller named a destination (wire.Msg.SetReplyBuf) has its
+// header decoded out of the buffered reader and its payload read
+// straight into that destination; every other body lands in a pooled
+// buffer the decoded message aliases. The ownership rules that make the
+// borrowing safe are at muxConn.settle (client) and serveConn (server).
 //
 // A peer still speaking the retired gob framing fails the frame-type or
 // codec-version check and the connection is torn down with an error
@@ -62,6 +70,13 @@ const maxInflightPerConn = 256
 // of pinning their capacity forever.
 const pooledBufCap = 4 << 20
 
+// settleGrace bounds how long a call leaving early (cancelled, or failed
+// with its connection) waits for the writer or reader to let go of its
+// borrowed buffers before failing the connection to make them let go;
+// see muxConn.settle. A healthy peer finishes any flush or payload read
+// far inside it.
+const settleGrace = 100 * time.Millisecond
+
 // connReadBufSize is the buffered-reader size both read loops use. Only
 // frame headers and sub-splice bodies are ever copied through it; see
 // readBody.
@@ -75,7 +90,10 @@ const connReadBufSize = 256 << 10
 // buffered path so they keep amortizing syscalls.
 const spliceThreshold = 32 << 10
 
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+// framePool recycles the buffers whole inbound bodies are read into:
+// every request on the server, and replies the client cannot read into
+// a named destination.
+var framePool = sync.Pool{New: func() any { return new([]byte) }} // sized on first use
 
 func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
 
@@ -85,6 +103,23 @@ func putFrameBuf(b *[]byte) {
 	}
 	*b = (*b)[:0]
 	framePool.Put(b)
+}
+
+// headerPool recycles the buffers outbound frames are encoded into. A
+// frame buffer holds only the frame header and the Msg/Resp header — a
+// few hundred bytes — so it never grows with the payload, and keeping
+// it apart from framePool keeps a payload-sized body buffer from being
+// spent on a header.
+var headerPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+func getHeaderBuf() *[]byte { return headerPool.Get().(*[]byte) }
+
+func putHeaderBuf(b *[]byte) {
+	if b == nil || cap(*b) > pooledBufCap {
+		return
+	}
+	*b = (*b)[:0]
+	headerPool.Put(b)
 }
 
 // readerPool recycles the connection read buffers across connections
@@ -204,25 +239,130 @@ func newBufRelease(body *[]byte) func() {
 	}
 }
 
-// appendMsgFrame appends a framed request to buf: header, then the
-// message's binary encoding.
-func appendMsgFrame(buf []byte, id uint64, m *wire.Msg) ([]byte, error) {
+// outFrame is one outbound frame as a writer ships it: hdr holds the
+// frame header and the Msg/Resp header, and the payloads are the
+// sender's own slices, handed to writev as entries of their own.
+type outFrame struct {
+	hdr         *[]byte // pooled (headerPool)
+	data, data2 []byte  // borrowed from the sender
+}
+
+// appendTo adds the frame's writev entries to bufs.
+func (f *outFrame) appendTo(bufs net.Buffers) net.Buffers {
+	bufs = append(bufs, *f.hdr)
+	if len(f.data) > 0 {
+		bufs = append(bufs, f.data)
+	}
+	if len(f.data2) > 0 {
+		bufs = append(bufs, f.data2)
+	}
+	return bufs
+}
+
+func (f *outFrame) size() int64 { return int64(len(*f.hdr) + len(f.data) + len(f.data2)) }
+
+// borrows reports whether writing the frame reads memory its sender owns.
+func (f *outFrame) borrows() bool { return len(f.data)+len(f.data2) > 0 }
+
+// release recycles the header buffer and drops the borrowed payloads.
+func (f *outFrame) release() {
+	putHeaderBuf(f.hdr)
+	*f = outFrame{}
+}
+
+// appendMsgHeader appends a request frame's header bytes to buf: the
+// frame header, then the message's encoding up to its payloads, which
+// follow on the wire from m.Data and m.Data2.
+func appendMsgHeader(buf []byte, id uint64, m *wire.Msg) ([]byte, error) {
 	n := m.WireSize()
 	if n > maxFrameSize {
 		return buf, fmt.Errorf("transport: %v frame of %d bytes exceeds the %d-byte limit", m.Kind, n, maxFrameSize)
 	}
-	buf = appendFrameHeader(buf, uint32(n), frameMsg, id)
-	return m.AppendTo(buf), nil
+	return m.AppendHeaderTo(appendFrameHeader(buf, uint32(n), frameMsg, id)), nil
 }
 
-// appendRespFrame appends a framed response to buf.
-func appendRespFrame(buf []byte, id uint64, r *wire.Resp) ([]byte, error) {
+// msgFrame frames a request whose payloads stay in m.
+func msgFrame(id uint64, m *wire.Msg) (outFrame, error) {
+	hdr := getHeaderBuf()
+	b, err := appendMsgHeader((*hdr)[:0], id, m)
+	if err != nil {
+		putHeaderBuf(hdr)
+		return outFrame{}, err
+	}
+	*hdr = b
+	return outFrame{hdr: hdr, data: m.Data, data2: m.Data2}, nil
+}
+
+// appendRespHeader appends a response frame's header bytes to buf, the
+// payload following from r.Data. A response too large to frame is
+// replaced by a structured error instead of silently dropping the call;
+// the returned payload is what must follow the header.
+func appendRespHeader(buf []byte, id uint64, r *wire.Resp) ([]byte, []byte) {
 	n := r.WireSize()
 	if n > maxFrameSize {
-		return buf, fmt.Errorf("transport: response frame of %d bytes exceeds the %d-byte limit", n, maxFrameSize)
+		r = &wire.Resp{Err: fmt.Sprintf("transport: response frame of %d bytes exceeds the %d-byte limit", n, maxFrameSize)}
+		n = r.WireSize()
 	}
-	buf = appendFrameHeader(buf, uint32(n), frameResp, id)
-	return r.AppendTo(buf), nil
+	return r.AppendHeaderTo(appendFrameHeader(buf, uint32(n), frameResp, id)), r.Data
+}
+
+// respFrame frames a response whose payload stays in r.Data.
+func respFrame(id uint64, r *wire.Resp) outFrame {
+	hdr := getHeaderBuf()
+	b, data := appendRespHeader((*hdr)[:0], id, r)
+	*hdr = b
+	return outFrame{hdr: hdr, data: data}
+}
+
+// readResp reads one response body of n bytes. When the payload fits the
+// destination the caller named (or there is no payload), the header is
+// decoded straight out of the buffered reader and the payload read into
+// dst: Resp.Data is dst[:len] and no pooled buffer is involved.
+// Otherwise the whole body lands in a pooled buffer that Resp.Data
+// aliases, returned as body for the caller to attach as the response's
+// release.
+func readResp(r *bufio.Reader, conn io.Reader, n int, dst []byte) (resp *wire.Resp, body *[]byte, err error) {
+	resp = new(wire.Resp)
+	if n >= wire.RespFixedSize {
+		fixed, err := r.Peek(wire.RespFixedSize)
+		if err != nil {
+			return nil, nil, err
+		}
+		// A malformed prefix falls through: the pooled path's Decode
+		// reports it.
+		hl, dl, err := wire.RespSections(fixed)
+		if err == nil && hl+dl == n && hl <= r.Size() && dl <= len(dst) {
+			h, err := r.Peek(hl)
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := resp.DecodeHeader(h); err != nil {
+				return nil, nil, fmt.Errorf("transport: decode response: %w", err)
+			}
+			r.Discard(hl) // cannot fail: the hl bytes are buffered
+			if dl > 0 {
+				if err := readBody(r, conn, dst[:dl]); err != nil {
+					return nil, nil, err
+				}
+				resp.Data = dst[:dl:dl]
+			}
+			return resp, nil, nil
+		}
+	}
+	body = getFrameBuf()
+	if cap(*body) < n {
+		*body = make([]byte, n)
+	}
+	*body = (*body)[:n]
+	if err := readBody(r, conn, *body); err != nil {
+		putFrameBuf(body)
+		return nil, nil, err
+	}
+	if err := resp.Decode(*body); err != nil {
+		putFrameBuf(body)
+		return nil, nil, fmt.Errorf("transport: decode response: %w", err)
+	}
+	return resp, body, nil
 }
 
 func appendFrameHeader(buf []byte, n uint32, typ byte, id uint64) []byte {
@@ -337,10 +477,15 @@ func (s *TCPServer) acceptLoop() {
 // serveConn demuxes one client connection: the read loop decodes
 // requests into pooled buffers and dispatches a goroutine per request;
 // responses funnel through a shared frameWriter that coalesces
-// concurrently finishing replies into single flushes. The request
-// buffer is recycled as soon as the response has been encoded — the
-// Handler contract (no retaining request payloads beyond the call)
-// is what makes the pooling safe.
+// concurrently finishing replies into single flushes.
+//
+// A response's Data is written from the handler's own slice, and it may
+// alias the request body (an echo, a forwarded payload), so the request
+// buffer of a response carrying a payload is recycled only once the
+// response frame has been flushed —
+// the Handler contract (no retaining request payloads beyond the call,
+// no touching Resp.Data after returning it) is what makes both the
+// pooling and the borrowing safe.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	var reqWG sync.WaitGroup
@@ -386,28 +531,37 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			if resp == nil {
 				resp = &wire.Resp{}
 			}
-			out := getFrameBuf()
-			framed, err := appendRespFrame((*out)[:0], id, resp)
-			putFrameBuf(body) // the response encoding copied any aliased payload
-			if err != nil {
-				// Unencodable response (absurd payload): surface a
-				// structured error instead of silently dropping the call.
-				framed, _ = appendRespFrame((*out)[:0], id, &wire.Resp{Err: err.Error()})
+			out := respOut{frame: respFrame(id, resp), body: body}
+			if !out.frame.borrows() {
+				// Nothing the flush reads can alias the request body.
+				putFrameBuf(body)
+				out.body = nil
 			}
-			*out = framed
 			w.send(out)
 		}(hdr.id, msg, body)
 	}
 }
 
+// respOut is one queued response: its frame, and the request body its
+// payload may alias, recycled together once the frame is flushed.
+type respOut struct {
+	frame outFrame
+	body  *[]byte
+}
+
+func (o *respOut) release() {
+	o.frame.release()
+	putFrameBuf(o.body)
+}
+
 // frameWriter coalesces frames queued by concurrent goroutines into
-// single writev-style flushes on one connection. Buffers handed to
-// send are owned by the writer and recycled after the flush.
+// single writev-style flushes on one connection. Frames handed to send
+// are owned by the writer and released after the flush.
 type frameWriter struct {
 	conn net.Conn
 
 	mu     sync.Mutex
-	queue  []*[]byte
+	queue  []respOut
 	err    error
 	closed bool
 	wake   chan struct{}
@@ -420,15 +574,15 @@ func newFrameWriter(conn net.Conn) *frameWriter {
 	return w
 }
 
-// send queues one encoded frame for the next flush.
-func (w *frameWriter) send(buf *[]byte) {
+// send queues one response for the next flush.
+func (w *frameWriter) send(out respOut) {
 	w.mu.Lock()
 	if w.err != nil || w.closed {
 		w.mu.Unlock()
-		putFrameBuf(buf)
+		out.release()
 		return
 	}
-	w.queue = append(w.queue, buf)
+	w.queue = append(w.queue, out)
 	w.mu.Unlock()
 	select {
 	case w.wake <- struct{}{}:
@@ -474,8 +628,8 @@ func (w *frameWriter) loop() {
 					w.mu.Unlock()
 				}
 			}
-			for _, b := range batch {
-				putFrameBuf(b)
+			for i := range batch {
+				batch[i].release()
 			}
 		}
 	}
@@ -483,10 +637,10 @@ func (w *frameWriter) loop() {
 
 // flushFrames writes a batch of frames with one writev-style call,
 // assembling the vector in the writer's pooled scratch.
-func flushFrames(conn net.Conn, batch []*[]byte, scratch *writeScratch) error {
+func flushFrames(conn net.Conn, batch []respOut, scratch *writeScratch) error {
 	bufs := scratch.bufs[:0]
-	for _, b := range batch {
-		bufs = append(bufs, *b)
+	for i := range batch {
+		bufs = batch[i].frame.appendTo(bufs)
 	}
 	scratch.bufs = bufs
 	conn.SetWriteDeadline(time.Now().Add(writeStallBudget))
@@ -526,7 +680,9 @@ type resolveFlight struct {
 //
 // Reliability: a cancelled or deadline-expired ctx abandons the call
 // immediately (the response, if one ever arrives, is discarded by the
-// demux), so a Call unblocks without waiting out the round-trip. A call
+// demux), so a Call unblocks without waiting out the round-trip — only
+// a flush or reply read still holding the call's borrowed buffers is
+// waited for, and failed after settleGrace if its peer stalled. A call
 // that fails at the connection level is retried on a fresh connection
 // when the message kind is idempotent (wire.Kind.Idempotent) — a
 // connection may have died with the server's previous incarnation — or
@@ -937,12 +1093,17 @@ type muxResult struct {
 
 // muxCall is one in-flight request on a muxConn.
 type muxCall struct {
-	id   uint64
-	buf  *[]byte // encoded frame; owned by the writer once queued
-	done chan struct{}
-	resp *wire.Resp
-	err  error
-	sent bool // guarded by muxConn.mu until done is closed
+	id    uint64
+	frame outFrame // owned by the writer once queued
+	dst   []byte   // where the reply's payload goes (wire.Msg.ReplyBuf)
+	done  chan struct{}
+	resp  *wire.Resp
+	err   error
+
+	// Guarded by muxConn.mu; sent is final once done is closed.
+	sent     bool // the frame may have reached the server
+	flushing bool // the writer is writing the frame's borrowed payload
+	filling  bool // the reader is reading the reply's payload into dst
 }
 
 // muxConn is one multiplexed client connection. Callers enqueue encoded
@@ -958,11 +1119,18 @@ type muxConn struct {
 	pending map[uint64]*muxCall
 	err     error // sticky; the connection is dead once set
 	wake    chan struct{}
+	// ioIdle, when non-nil, is closed the next time the writer ends a
+	// flush or the reader ends a destination read; settle waits on it.
+	ioIdle chan struct{}
 }
 
 // errConnClosed marks frames failed by a deliberate local shutdown
 // (Close or an address change), as opposed to a peer/network failure.
 var errConnClosed = errors.New("connection closed")
+
+// errIOStalled fails a connection whose flush or payload read held an
+// abandoned call's buffers past settleGrace.
+var errIOStalled = errors.New("I/O on an abandoned call's buffers stalled")
 
 func dialMux(ctx context.Context, addr string, flushes *atomic.Int64) (*muxConn, error) {
 	var d net.Dialer
@@ -993,7 +1161,9 @@ func (mc *muxConn) shutdown() { mc.fail(errConnClosed) }
 // call with err. Calls still sitting in the write queue provably never
 // left (sent stays false); calls already handed to the writer keep
 // whatever sent state the writer established. Idempotent by design —
-// the first failure wins.
+// the first failure wins. Closing the socket is also what unblocks a
+// writer or reader still holding a failed call's buffers, which the
+// call's waiter settles on before returning.
 func (mc *muxConn) fail(err error) {
 	mc.mu.Lock()
 	if mc.err != nil {
@@ -1004,8 +1174,7 @@ func (mc *muxConn) fail(err error) {
 	queued := mc.queue
 	mc.queue = nil
 	for _, call := range queued {
-		putFrameBuf(call.buf)
-		call.buf = nil
+		call.frame.release()
 		delete(mc.pending, call.id)
 		call.err = err
 		close(call.done)
@@ -1024,35 +1193,30 @@ func (mc *muxConn) fail(err error) {
 	mc.conn.Close()
 }
 
-// enqueue encodes msgs and adds their frames to the write queue in one
-// critical section — a batch enters the queue contiguously and is
-// flushed together — then wakes the writer once.
+// enqueue frames msgs and adds them to the write queue in one critical
+// section — a batch enters the queue contiguously and is flushed
+// together — then wakes the writer once.
 func (mc *muxConn) enqueue(msgs []*wire.Msg) ([]*muxCall, error) {
+	mc.mu.Lock()
+	first := mc.nextID + 1
+	mc.nextID += uint64(len(msgs))
+	mc.mu.Unlock()
 	calls := make([]*muxCall, len(msgs))
-	encoded := make([]*[]byte, len(msgs))
 	for i, m := range msgs {
-		buf := getFrameBuf()
-		mc.mu.Lock()
-		mc.nextID++
-		id := mc.nextID
-		mc.mu.Unlock()
-		framed, err := appendMsgFrame((*buf)[:0], id, m)
+		f, err := msgFrame(first+uint64(i), m)
 		if err != nil {
-			putFrameBuf(buf)
-			for _, b := range encoded[:i] {
-				putFrameBuf(b)
+			for _, c := range calls[:i] {
+				c.frame.release()
 			}
 			return nil, err
 		}
-		*buf = framed
-		encoded[i] = buf
-		calls[i] = &muxCall{id: id, buf: buf, done: make(chan struct{})}
+		calls[i] = &muxCall{id: first + uint64(i), frame: f, dst: m.ReplyBuf(), done: make(chan struct{})}
 	}
 	mc.mu.Lock()
 	if err := mc.err; err != nil {
 		mc.mu.Unlock()
-		for _, b := range encoded {
-			putFrameBuf(b)
+		for _, c := range calls {
+			c.frame.release()
 		}
 		return nil, err
 	}
@@ -1069,9 +1233,10 @@ func (mc *muxConn) enqueue(msgs []*wire.Msg) ([]*muxCall, error) {
 }
 
 // do runs a batch of calls on the connection and reports each one's
-// outcome. A done ctx abandons the remaining calls instantly: their
-// frames are withdrawn from the write queue when still unsent, and any
-// late responses are dropped by the demux.
+// outcome. A done ctx abandons the remaining calls: their frames are
+// withdrawn from the write queue when still unsent, and any late
+// responses are dropped by the demux. Either way do returns only once
+// the connection has let go of every buffer the calls borrowed.
 func (mc *muxConn) do(ctx context.Context, msgs []*wire.Msg) []muxResult {
 	results := make([]muxResult, len(msgs))
 	calls, err := mc.enqueue(msgs)
@@ -1084,46 +1249,106 @@ func (mc *muxConn) do(ctx context.Context, msgs []*wire.Msg) []muxResult {
 	for i, call := range calls {
 		select {
 		case <-call.done:
-			results[i] = muxResult{resp: call.resp, err: call.err, sent: call.sent}
+			results[i] = mc.result(call)
 		case <-ctx.Done():
-			results[i] = muxResult{err: ctx.Err(), sent: mc.abandon(call), ctxDone: true}
+			if completed, sent := mc.abandon(call); completed {
+				results[i] = mc.result(call)
+			} else {
+				mc.settle(call)
+				results[i] = muxResult{err: ctx.Err(), sent: sent, ctxDone: true}
+			}
 		}
 	}
 	return results
 }
 
+// result reads a completed call's outcome. A reply proves the frame
+// left and the reader completes a call only after filling its
+// destination, so only a call failed with its connection can still have
+// borrowed buffers in use; it settles first.
+func (mc *muxConn) result(call *muxCall) muxResult {
+	if call.err != nil {
+		mc.settle(call)
+	}
+	return muxResult{resp: call.resp, err: call.err, sent: call.sent}
+}
+
 // abandon withdraws a call after its caller's ctx fired: the frame is
 // pulled from the write queue when still unsent, and the pending entry
-// is removed so a late response is discarded. Reports whether the frame
-// may have reached the server.
-func (mc *muxConn) abandon(call *muxCall) (sent bool) {
+// is removed so a late response is discarded. It reports whether the
+// call completed before it could be withdrawn — its own result then
+// stands — and otherwise whether the frame may have reached the server.
+func (mc *muxConn) abandon(call *muxCall) (completed, sent bool) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	select {
 	case <-call.done:
-		// Completed while we were abandoning; report its real state.
-		return call.sent
+		return true, call.sent
 	default:
 	}
 	for i, qc := range mc.queue {
 		if qc == call {
 			mc.queue = append(mc.queue[:i], mc.queue[i+1:]...)
-			putFrameBuf(call.buf)
-			call.buf = nil
+			call.frame.release()
 			break
 		}
 	}
 	delete(mc.pending, call.id)
-	return call.sent
+	return false, call.sent
+}
+
+// settle returns once neither the writer nor the reader is touching the
+// call's borrowed memory: the payload its frame ships from the caller's
+// slices, and the destination its reply is read into. This is the
+// interlock behind the ownership rule that nothing reads a borrowed
+// payload or writes a destination after its Call returns. A flush or
+// read still holding them after settleGrace is stuck on a peer that
+// stopped reading or writing; the connection is failed, which ends it
+// promptly, so cancellation stays prompt too.
+func (mc *muxConn) settle(call *muxCall) {
+	var grace <-chan time.Time
+	for {
+		mc.mu.Lock()
+		if !call.flushing && !call.filling {
+			mc.mu.Unlock()
+			return
+		}
+		if mc.ioIdle == nil {
+			mc.ioIdle = make(chan struct{})
+		}
+		idle := mc.ioIdle
+		mc.mu.Unlock()
+		if grace == nil {
+			t := time.NewTimer(settleGrace)
+			defer t.Stop()
+			grace = t.C
+		}
+		select {
+		case <-idle:
+		case <-grace:
+			mc.fail(errIOStalled)
+		}
+	}
+}
+
+// ioDoneLocked wakes every settle waiting for the writer or reader to
+// end a flush or destination read. Caller holds mc.mu.
+func (mc *muxConn) ioDoneLocked() {
+	if mc.ioIdle != nil {
+		close(mc.ioIdle)
+		mc.ioIdle = nil
+	}
 }
 
 // writeLoop drains the queue, coalescing everything queued since the
-// last flush into one writev-style write. Frames are marked sent before
-// the flush begins; after a write error the unwritten tail is
-// downgraded back to unsent (those frames provably never left), the
-// boundary frame staying sent — a truncated frame cannot be decoded by
-// the server, but conservatively counting it keeps a non-idempotent
-// request from ever being re-sent on doubt.
+// last flush into one writev-style write: each frame's header buffer
+// followed by its caller's payload slices. Frames are marked sent (and,
+// when they borrow a payload, flushing) before the flush begins; after
+// a write error the unwritten tail is downgraded back to unsent (those
+// frames provably never left), the boundary frame staying sent — a
+// truncated frame cannot be decoded by the server, but conservatively
+// counting it keeps a non-idempotent request from ever being re-sent on
+// doubt.
 func (mc *muxConn) writeLoop() {
 	scratch := getScratch()
 	defer putScratch(scratch)
@@ -1140,8 +1365,9 @@ func (mc *muxConn) writeLoop() {
 			sizes := scratch.sizes[:0]
 			for _, call := range batch {
 				call.sent = true
-				bufs = append(bufs, *call.buf)
-				sizes = append(sizes, int64(len(*call.buf)))
+				call.flushing = call.frame.borrows()
+				bufs = call.frame.appendTo(bufs)
+				sizes = append(sizes, call.frame.size())
 			}
 			scratch.bufs, scratch.sizes = bufs, sizes
 			mc.mu.Unlock()
@@ -1153,38 +1379,30 @@ func (mc *muxConn) writeLoop() {
 			}
 			mc.conn.SetWriteDeadline(time.Now().Add(writeStallBudget))
 			written, err := bufs.WriteTo(mc.conn)
-			if err != nil {
-				// Frames starting at or beyond the written-byte mark
-				// provably never left; the boundary frame (partially
-				// written) stays sent even though a truncated frame can
-				// never be decoded — conservative, so a non-idempotent
-				// request is never re-sent on doubt.
-				mc.mu.Lock()
-				var prefix int64
-				for i, call := range batch {
-					if prefix >= written {
-						select {
-						case <-call.done:
-							// Already completed (a concurrent fail);
-							// its sent state is final — never mutate
-							// after the waiter may read it.
-						default:
-							call.sent = false
-						}
+			mc.mu.Lock()
+			var prefix int64
+			for i, call := range batch {
+				call.flushing = false
+				if err != nil && prefix >= written {
+					select {
+					case <-call.done:
+						// Already completed (a concurrent fail); its sent
+						// state is final — never mutate after the waiter
+						// may read it.
+					default:
+						call.sent = false
 					}
-					prefix += sizes[i]
 				}
-				mc.mu.Unlock()
-				for _, call := range batch {
-					putFrameBuf(call.buf)
-					call.buf = nil
-				}
+				prefix += sizes[i]
+			}
+			mc.ioDoneLocked()
+			mc.mu.Unlock()
+			for _, call := range batch {
+				call.frame.release()
+			}
+			if err != nil {
 				mc.fail(err)
 				return
-			}
-			for _, call := range batch {
-				putFrameBuf(call.buf)
-				call.buf = nil
 			}
 		}
 	}
@@ -1195,11 +1413,14 @@ func (mc *muxConn) writeLoop() {
 // surfaced as wire.ErrBadFormat — kills the connection and fails every
 // in-flight call.
 //
-// Response bodies are decoded into pooled buffers (payload-sized frames
-// spliced past the bufio layer, see readBody) and handed to the caller
-// with a wire.Resp release hook: the caller that is done with Resp.Data
-// calls Release() to return the buffer, and a caller that forgets
-// merely costs the pool a miss — the collector still owns the memory.
+// A reply whose call named a destination is read into it (readResp),
+// with the call marked filling for the duration so an abandoning caller
+// settles before reusing the buffer. Every other body is decoded into a
+// pooled buffer (payload-sized frames spliced past the bufio layer, see
+// readBody) and handed to the caller with a wire.Resp release hook: the
+// caller that is done with Resp.Data calls Release() to return the
+// buffer, and a caller that forgets merely costs the pool a miss — the
+// collector still owns the memory.
 func (mc *muxConn) readLoop() {
 	r := getReader(mc.conn)
 	defer putReader(r)
@@ -1213,24 +1434,33 @@ func (mc *muxConn) readLoop() {
 			mc.fail(fmt.Errorf("transport: request frame on the client side: %w", wire.ErrBadFormat))
 			return
 		}
-		body := getFrameBuf()
-		if cap(*body) < int(hdr.n) {
-			*body = make([]byte, hdr.n)
+		// A call still waiting for this reply lends its destination; it
+		// is marked filling until the read ends.
+		var filling *muxCall
+		mc.mu.Lock()
+		if call := mc.pending[hdr.id]; call != nil && call.dst != nil {
+			filling = call
+			call.filling = true
 		}
-		*body = (*body)[:hdr.n]
-		if err := readBody(r, mc.conn, *body); err != nil {
-			putFrameBuf(body)
+		mc.mu.Unlock()
+		var dst []byte
+		if filling != nil {
+			dst = filling.dst
+		}
+		resp, body, err := readResp(r, mc.conn, int(hdr.n), dst)
+		if err == nil && body != nil {
+			resp.AttachRelease(newBufRelease(body))
+		}
+		mc.mu.Lock()
+		if filling != nil {
+			filling.filling = false
+			mc.ioDoneLocked()
+		}
+		if err != nil {
+			mc.mu.Unlock()
 			mc.fail(err)
 			return
 		}
-		resp := new(wire.Resp)
-		if err := resp.Decode(*body); err != nil {
-			putFrameBuf(body)
-			mc.fail(fmt.Errorf("transport: decode response: %w", err))
-			return
-		}
-		resp.AttachRelease(newBufRelease(body))
-		mc.mu.Lock()
 		call := mc.pending[hdr.id]
 		delete(mc.pending, hdr.id)
 		if call != nil {

@@ -39,7 +39,16 @@ import (
 )
 
 // Handler processes one inbound message. Implementations must be safe
-// for concurrent use.
+// for concurrent use. The same buffer contract holds on every
+// transport:
+//
+//   - msg's payloads belong to the transport: a handler reads them
+//     during the call and retains nothing past it (TCP recycles the
+//     request buffer; in process they are the caller's own slices).
+//   - The returned Resp, Data included, belongs to the transport from
+//     the moment it is returned: the handler must not touch it again.
+//     Data may be fresh memory or a slice of msg's payloads; TCP keeps
+//     the request buffer alive until the response has been written.
 type Handler func(ctx context.Context, msg *wire.Msg) *wire.Resp
 
 // RPC sends messages to nodes.
@@ -48,6 +57,14 @@ type RPC interface {
 	// response Cost includes remote compute and (on simulated
 	// transports) the network transfer cost both ways. A cancelled or
 	// expired ctx aborts the call with ctx.Err() wrapped in the return.
+	//
+	// msg's payloads are borrowed for the duration of the call: the
+	// caller must not change them before Call returns, and no transport
+	// reads them afterwards. A reply buffer named with
+	// msg.SetReplyBuf is likewise the transport's only until Call
+	// returns; TCP reads a fitting reply payload straight into it,
+	// other transports may ignore it, so callers compare Resp.Data
+	// with it before copying.
 	Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) (*wire.Resp, error)
 }
 
@@ -105,9 +122,11 @@ func Fanout(ctx context.Context, rpc RPC, calls []*BatchCall) {
 var ErrNodeUnreachable = fmt.Errorf("node unreachable: %w", wire.ErrUnreachable)
 
 // Inproc is the in-process transport. It is both an RPC (from any node)
-// and a Registrar. Message payloads are passed by reference; handlers
-// must not retain or mutate request buffers beyond the call, mirroring
-// the copy semantics a real network imposes.
+// and a Registrar. Message payloads are passed by reference and the
+// handler's Resp is returned as is, under the Handler contract — the
+// same one TCP imposes — so code correct here is correct over sockets.
+// Reply buffers (wire.Msg.SetReplyBuf) are ignored: Resp.Data is
+// whatever the handler returned.
 type Inproc struct {
 	net *netsim.Network
 

@@ -97,6 +97,7 @@ func (c *cord) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 	if err != nil {
 		return 0, err
 	}
+	defer resp.Release()
 	if err := resp.Error(); err != nil {
 		return 0, err
 	}
@@ -192,11 +193,14 @@ func (r *collectorRecycler) recycleUnit(u *logpool.Unit) (cost, wall time.Durati
 					Kind: wire.KParityLogAdd, Block: pb, Off: e.Off, Data: e.Data,
 					Idx: 0, K: uint8(sw.si.K), M: uint8(sw.si.M), Loc: sw.si.Loc, V: int64(e.V),
 				})
-				if err == nil && resp.OK() {
-					cost += resp.Cost
-					if resp.Cost > wall {
-						wall = resp.Cost
+				if err == nil {
+					if resp.OK() {
+						cost += resp.Cost
+						if resp.Cost > wall {
+							wall = resp.Cost
+						}
 					}
+					resp.Release()
 				}
 			}
 		}

@@ -237,8 +237,11 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 					Flag: uint8(i) | flag, // low bits: 0 = primary, 1 = copy
 					V:    int64(sealV),
 				})
-				if err == nil && resp.OK() {
-					cost += resp.Cost
+				if err == nil {
+					if resp.OK() {
+						cost += resp.Cost
+					}
+					resp.Release()
 				}
 			}
 		} else {
@@ -251,8 +254,11 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 					Off: o.off, Data: pd, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
 					V: int64(sealV),
 				})
-				if err == nil && resp.OK() {
-					cost += resp.Cost
+				if err == nil {
+					if resp.OK() {
+						cost += resp.Cost
+					}
+					resp.Release()
 				}
 			}
 		}
@@ -333,8 +339,11 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 					Kind: wire.KParityLogAdd, Block: pb, Off: e.Off, Data: payload, Flag: flag,
 					K: uint8(sw.si.K), M: uint8(sw.si.M), Loc: sw.si.Loc, V: int64(e.V),
 				})
-				if err == nil && resp.OK() {
-					stripeCost += resp.Cost
+				if err == nil {
+					if resp.OK() {
+						stripeCost += resp.Cost
+					}
+					resp.Release()
 				}
 			}
 		}
@@ -354,8 +363,11 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 						Kind: wire.KDeltaLogAdd, Block: b, Off: e.Off,
 						Size: uint32(len(e.Data)), Flag: 2,
 					})
-					if err == nil && resp.OK() {
-						cost += resp.Cost
+					if err == nil {
+						if resp.OK() {
+							cost += resp.Cost
+						}
+						resp.Release()
 					}
 				}
 			}
@@ -605,7 +617,9 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 				if err != nil {
 					return err
 				}
-				if err := resp.Error(); err != nil {
+				err = resp.Error()
+				resp.Release()
+				if err != nil {
 					return err
 				}
 			}

@@ -18,6 +18,15 @@
 // in-process transport and the repair scheduler's priced-byte token
 // bucket charge those same bytes, so simulated pricing and what TCP
 // actually ships agree to the byte.
+//
+// The payloads (Data, Data2) are always the encoding's tail, so an
+// encoding splits into a header — AppendHeaderTo: every other field,
+// plus the payload lengths — followed by the payload bytes verbatim.
+// The TCP transport ships the header from its own buffer and the
+// payloads from the caller's slices, and reads a reply's header apart
+// from its payload (RespSections, Resp.DecodeHeader) so the payload can
+// land straight in a buffer the caller named. The bytes on the wire are
+// the same either way.
 package wire
 
 import (
@@ -41,9 +50,11 @@ var ErrBadFormat = errors.New("unsupported wire format (mixed gob/binary deploym
 
 // Fixed header sizes of the v1 layouts (see AppendTo for the field
 // offsets). WireSize builds on these, so they are exact by definition.
+// RespFixedSize is also the prefix RespSections reads the rest of a
+// Resp's layout from.
 const (
 	msgFixedSize  = 68
-	respFixedSize = 44
+	RespFixedSize = 44
 )
 
 // maxLocNodes bounds the placement width a frame may carry. K+M tops
@@ -76,19 +87,30 @@ const maxLocNodes = 0xFFFF
 //	[68:]    Loc.Nodes (4 bytes each) | Name | Data | Data2
 //
 // AppendTo appends the encoding of m to buf and returns the extended
-// slice. It allocates only when buf lacks capacity, so a pooled buffer
-// makes encoding allocation-free. Panics if Name or Loc.Nodes exceed
-// their uint16 length fields — both are bounded far below that by
-// construction (names are file paths, placements are K+M wide).
+// slice: AppendHeaderTo, then Data, then Data2. It allocates only when
+// buf lacks capacity, so a pooled buffer makes encoding
+// allocation-free. Panics if Name or Loc.Nodes exceed their uint16
+// length fields — both are bounded far below that by construction
+// (names are file paths, placements are K+M wide).
 func (m *Msg) AppendTo(buf []byte) []byte {
+	buf = growBuf(buf, int(m.WireSize()))
+	buf = m.AppendHeaderTo(buf)
+	buf = append(buf, m.Data...)
+	return append(buf, m.Data2...)
+}
+
+// AppendHeaderTo appends every byte of m's encoding but the payloads:
+// the fixed header (which declares len(Data) and len(Data2)), the
+// placement nodes and the name. Data and then Data2, sent verbatim
+// after it, complete the frame AppendTo would have built.
+func (m *Msg) AppendHeaderTo(buf []byte) []byte {
 	if len(m.Name) > 0xFFFF {
 		panic(fmt.Sprintf("wire: message name of %d bytes exceeds the wire format's 64 KiB bound", len(m.Name)))
 	}
 	if len(m.Loc.Nodes) > maxLocNodes {
 		panic(fmt.Sprintf("wire: placement of %d nodes exceeds the wire format bound", len(m.Loc.Nodes)))
 	}
-	need := int(m.WireSize())
-	buf = growBuf(buf, need)
+	buf = growBuf(buf, msgFixedSize+4*len(m.Loc.Nodes)+len(m.Name))
 	h := buf[len(buf) : len(buf)+msgFixedSize]
 	h[0] = FormatVersion
 	h[1] = byte(m.Kind)
@@ -114,10 +136,7 @@ func (m *Msg) AppendTo(buf []byte) []byte {
 	for _, n := range m.Loc.Nodes {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 	}
-	buf = append(buf, m.Name...)
-	buf = append(buf, m.Data...)
-	buf = append(buf, m.Data2...)
-	return buf
+	return append(buf, m.Name...)
 }
 
 // Decode parses a v1 encoding into m, replacing every field. Data and
@@ -203,14 +222,22 @@ func (m *Msg) Decode(b []byte) error {
 //	[44:]    Loc.Nodes (4 bytes each) | Err | Data
 //
 // AppendTo appends the encoding of r to buf and returns the extended
-// slice; see Msg.AppendTo for the allocation contract.
+// slice — AppendHeaderTo, then Data; see Msg.AppendTo for the
+// allocation contract.
 func (r *Resp) AppendTo(buf []byte) []byte {
+	buf = growBuf(buf, int(r.WireSize()))
+	buf = r.AppendHeaderTo(buf)
+	return append(buf, r.Data...)
+}
+
+// AppendHeaderTo appends every byte of r's encoding but Data: the fixed
+// header (which declares len(Data)), the placement nodes and Err.
+func (r *Resp) AppendHeaderTo(buf []byte) []byte {
 	if len(r.Loc.Nodes) > maxLocNodes {
 		panic(fmt.Sprintf("wire: placement of %d nodes exceeds the wire format bound", len(r.Loc.Nodes)))
 	}
-	need := int(r.WireSize())
-	buf = growBuf(buf, need)
-	h := buf[len(buf) : len(buf)+respFixedSize]
+	buf = growBuf(buf, RespFixedSize+4*len(r.Loc.Nodes)+len(r.Err))
+	h := buf[len(buf) : len(buf)+RespFixedSize]
 	h[0] = FormatVersion
 	h[1] = byte(r.Code)
 	binary.BigEndian.PutUint16(h[2:4], uint16(len(r.Loc.Nodes)))
@@ -220,41 +247,78 @@ func (r *Resp) AppendTo(buf []byte) []byte {
 	binary.BigEndian.PutUint64(h[20:28], uint64(r.Val))
 	binary.BigEndian.PutUint64(h[28:36], uint64(r.Cost))
 	binary.BigEndian.PutUint64(h[36:44], r.Loc.Epoch)
-	buf = buf[:len(buf)+respFixedSize]
+	buf = buf[:len(buf)+RespFixedSize]
 	for _, n := range r.Loc.Nodes {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 	}
-	buf = append(buf, r.Err...)
-	buf = append(buf, r.Data...)
-	return buf
+	return append(buf, r.Err...)
+}
+
+// RespSections reads the section lengths an encoded Resp declares in its
+// fixed prefix (b holds at least RespFixedSize bytes of the encoding):
+// header is the length of what AppendHeaderTo wrote, data the length of
+// the Data payload that follows it. A stream reader peeks the prefix to
+// learn how much header to decode before the payload starts.
+func RespSections(b []byte) (header, data int, err error) {
+	if len(b) < RespFixedSize {
+		return 0, 0, fmt.Errorf("wire: response frame of %d bytes, need at least %d", len(b), RespFixedSize)
+	}
+	if b[0] != FormatVersion {
+		return 0, 0, fmt.Errorf("wire: response frame declares format %d, this build speaks %d: %w", b[0], FormatVersion, ErrBadFormat)
+	}
+	nodes := int(binary.BigEndian.Uint16(b[2:4]))
+	errLen := int(binary.BigEndian.Uint32(b[4:8]))
+	return RespFixedSize + 4*nodes + errLen, int(binary.BigEndian.Uint32(b[8:12])), nil
 }
 
 // Decode parses a v1 encoding into r, replacing every field. Data
 // aliases b; see Msg.Decode for the validation and allocation contract.
 func (r *Resp) Decode(b []byte) error {
-	if len(b) < respFixedSize {
-		return fmt.Errorf("wire: response frame of %d bytes, need at least %d", len(b), respFixedSize)
+	header, data, err := RespSections(b)
+	if err != nil {
+		return err
 	}
-	if b[0] != FormatVersion {
-		return fmt.Errorf("wire: response frame declares format %d, this build speaks %d: %w", b[0], FormatVersion, ErrBadFormat)
-	}
-	nodes := int(binary.BigEndian.Uint16(b[2:4]))
-	errLen := int(binary.BigEndian.Uint32(b[4:8]))
-	dataLen := int(binary.BigEndian.Uint32(b[8:12]))
-	need := respFixedSize + 4*nodes
-	if need > len(b) || errLen > len(b)-need || dataLen > len(b)-need-errLen {
+	if header > len(b) || data > len(b)-header {
 		return fmt.Errorf("wire: response sections exceed frame of %d bytes", len(b))
 	}
-	if need+errLen+dataLen != len(b) {
-		return fmt.Errorf("wire: response frame of %d bytes carries %d trailing bytes", len(b), len(b)-need-errLen-dataLen)
+	if header+data != len(b) {
+		return fmt.Errorf("wire: response frame of %d bytes carries %d trailing bytes", len(b), len(b)-header-data)
 	}
+	r.decodeHeader(b[:header])
+	if data > 0 {
+		r.Data = b[header:len(b):len(b)]
+	}
+	return nil
+}
+
+// DecodeHeader parses exactly the header of an encoding — the bytes
+// AppendHeaderTo wrote — into r, replacing every field. Data is left
+// nil: the payload (RespSections gives its length) follows on the
+// stream, for the caller to read wherever it wants it. Nothing in r
+// aliases b.
+func (r *Resp) DecodeHeader(b []byte) error {
+	header, _, err := RespSections(b)
+	if err != nil {
+		return err
+	}
+	if header != len(b) {
+		return fmt.Errorf("wire: response header of %d bytes declares %d", len(b), header)
+	}
+	r.decodeHeader(b)
+	return nil
+}
+
+// decodeHeader fills r from a header whose section lengths are
+// validated against len(b).
+func (r *Resp) decodeHeader(b []byte) {
+	nodes := int(binary.BigEndian.Uint16(b[2:4]))
 	*r = Resp{
 		Code: Status(b[1]),
 		Ino:  binary.BigEndian.Uint64(b[12:20]),
 		Val:  int64(binary.BigEndian.Uint64(b[20:28])),
 		Cost: time.Duration(int64(binary.BigEndian.Uint64(b[28:36]))),
 	}
-	off := respFixedSize
+	off := RespFixedSize
 	if nodes > 0 {
 		r.Loc.Nodes = make([]NodeID, nodes)
 		for i := range r.Loc.Nodes {
@@ -263,14 +327,9 @@ func (r *Resp) Decode(b []byte) error {
 		}
 	}
 	r.Loc.Epoch = binary.BigEndian.Uint64(b[36:44])
-	if errLen > 0 {
-		r.Err = string(b[off : off+errLen])
-		off += errLen
+	if off < len(b) {
+		r.Err = string(b[off:])
 	}
-	if dataLen > 0 {
-		r.Data = b[off : off+dataLen : off+dataLen]
-	}
-	return nil
 }
 
 // growBuf ensures buf has capacity for need more bytes.

@@ -190,7 +190,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Fatal("inflated data length must fail")
 	}
 	rEnc := fullResp().AppendTo(nil)
-	for _, n := range []int{0, respFixedSize - 1, len(rEnc) - 1} {
+	for _, n := range []int{0, RespFixedSize - 1, len(rEnc) - 1} {
 		var r Resp
 		if err := r.Decode(rEnc[:n]); err == nil {
 			t.Fatalf("resp truncation to %d bytes must fail", n)
@@ -247,7 +247,7 @@ func FuzzRespDecode(f *testing.F) {
 	f.Add((&Resp{}).AppendTo(nil))
 	f.Add([]byte{})
 	f.Add([]byte{FormatVersion})
-	f.Add(make([]byte, respFixedSize))
+	f.Add(make([]byte, RespFixedSize))
 	inflated := (&Resp{}).AppendTo(nil)
 	inflated[4] = 0xFF
 	f.Add(inflated)

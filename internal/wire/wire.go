@@ -202,7 +202,25 @@ type Msg struct {
 	// which this request was issued. The timing model uses it for log
 	// residence statistics and stall accounting.
 	V int64
+
+	// replyBuf is where the caller wants the reply's Data; see
+	// SetReplyBuf. Never encoded: like Resp's release hook, it is a
+	// local ownership concern, not a wire one.
+	replyBuf []byte
 }
+
+// SetReplyBuf names dst as the buffer the reply's Data should land in.
+// A transport that reads replies off a stream (TCP) then reads a payload
+// that fits straight into dst, and the reply's Data is dst[:n]; a
+// transport that cannot (in-process), or a payload that does not fit,
+// leaves Data wherever the transport put it — so the caller compares
+// before copying. dst belongs to the transport for the duration of the
+// call only: nothing writes it after the call returns. One reply buffer
+// serves one call at a time.
+func (m *Msg) SetReplyBuf(dst []byte) { m.replyBuf = dst }
+
+// ReplyBuf returns the buffer named by SetReplyBuf (nil if none).
+func (m *Msg) ReplyBuf() []byte { return m.replyBuf }
 
 // TrafficClass resolves the class this message is priced under: the
 // explicit Class tag when set, the kind's default otherwise.
@@ -215,8 +233,8 @@ func (m *Msg) TrafficClass() sim.Class {
 
 // WireSize returns the exact number of bytes this message occupies on
 // the wire — precisely len(m.AppendTo(nil)) — used by the simulated
-// transport for pricing and by the TCP transport to size encode
-// buffers. The fixed header (msgFixedSize bytes, including the 8-byte
+// transport for pricing and by the TCP transport as the frame length.
+// The fixed header (msgFixedSize bytes, including the 8-byte
 // placement epoch) is always paid; the placement nodes, name and
 // payloads add their own bytes.
 func (m *Msg) WireSize() int64 {
@@ -375,7 +393,7 @@ func (r *Resp) IsNotFound() bool { return r.Code == StatusNotFound }
 // WireSize returns the exact number of bytes this reply occupies on the
 // wire — precisely len(r.AppendTo(nil)); see Msg.WireSize.
 func (r *Resp) WireSize() int64 {
-	return respFixedSize + 4*int64(len(r.Loc.Nodes)) + int64(len(r.Err)) + int64(len(r.Data))
+	return RespFixedSize + 4*int64(len(r.Loc.Nodes)) + int64(len(r.Err)) + int64(len(r.Data))
 }
 
 // OK reports whether the response carries no error.
