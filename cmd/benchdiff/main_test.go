@@ -114,6 +114,32 @@ func TestSmokeModeGatesAllocsOnly(t *testing.T) {
 	}
 }
 
+// foreground_MBps is report-only: the repair rows' hot reads race the
+// rebuild, so a several-fold drop beside a held repair_MBps is
+// surfaced, not fatal.
+func TestForegroundMBpsReportOnly(t *testing.T) {
+	repair := func(name, repairMBps, fgMBps string) string {
+		doc := `{"reports":[{"ID":"repair","Title":"repair","Header":["row","repair_MBps","foreground_MBps"],"Rows":[` +
+			`["recover/prio","` + repairMBps + `","` + fgMBps + `"]],"Notes":null}]}`
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := repair("base.json", "400", "752")
+	code, out, _ := diff(t, "-base", base, "-new", repair("fg.json", "400", "104"))
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0 (foreground_MBps is report-only)", code)
+	}
+	if !strings.Contains(out, "repair / recover/prio / foreground_MBps") {
+		t.Errorf("the foreground_MBps swing is not reported:\n%s", out)
+	}
+	if code, _, _ := diff(t, "-base", base, "-new", repair("rb.json", "100", "752")); code != 1 {
+		t.Fatalf("exit = %d, want 1 (repair_MBps stays gated)", code)
+	}
+}
+
 func TestBadInputsExitTwo(t *testing.T) {
 	good := snapshot(t, "good.json", [][]string{{"encode/binary", "1", "1", "0", "0"}})
 	if code, _, _ := diff(t); code != 2 {

@@ -1,16 +1,12 @@
 // Command ecfscli is a minimal client for a TCP-deployed ECFS cluster
 // (see cmd/ecfsd).
 //
-// The self-discovering mode needs only the MDS address — geometry,
-// block size and node addresses come from wire.KResolveAddr:
+// It needs only the MDS address — geometry, block size and node
+// addresses come from wire.KResolveAddr:
 //
 //	ecfscli -mds :7000 put <name> <localfile>
 //	ecfscli -mds :7000 get <name> <off> <len>
 //	ecfscli -mds :7000 update <name> <off> <hexbytes>
-//
-// The static mode predating address discovery still works:
-//
-//	ecfscli -nodes 0=:7000,1=:7001,... -k 2 -m 1 put <name> <localfile>
 package main
 
 import (
@@ -20,55 +16,28 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/ecfs"
-	"repro/internal/erasure"
-	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 func main() {
-	var (
-		mdsAddr = flag.String("mds", "", "MDS address: self-discover nodes, geometry and block size (preferred)")
-		nodes   = flag.String("nodes", "", "static node address map: 0=host:port,1=host:port,...")
-		k       = flag.Int("k", 6, "data blocks per stripe (static mode)")
-		m       = flag.Int("m", 4, "parity blocks per stripe (static mode)")
-		block   = flag.Int("block", 1<<20, "block size in bytes (static mode)")
-	)
+	mdsAddr := flag.String("mds", "", "MDS address: nodes, geometry and block size are discovered through it")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 2 {
 		usage()
 	}
-	ctx := context.Background()
-
-	var cli *ecfs.Client
-	switch {
-	case *mdsAddr != "":
-		rc, err := ecfs.Dial(ctx, *mdsAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer rc.Close()
-		cli = rc.Client
-	case *nodes != "":
-		addrs, err := parseNodes(*nodes)
-		if err != nil {
-			fatal(err)
-		}
-		rpc := transport.NewTCPClient(addrs)
-		defer rpc.Close()
-		code, err := erasure.New(*k, *m, erasure.Vandermonde)
-		if err != nil {
-			fatal(err)
-		}
-		cli = ecfs.NewClient(wire.ClientIDBase, rpc, code, *block)
-	default:
-		fatal(fmt.Errorf("-mds or -nodes required"))
+	if *mdsAddr == "" {
+		fatal(fmt.Errorf("-mds required"))
 	}
+	ctx := context.Background()
+	rc, err := ecfs.Dial(ctx, *mdsAddr)
+	if err != nil {
+		fatal(err)
+	}
+	defer rc.Close()
 
-	f, err := cli.Open(ctx, args[1])
+	f, err := rc.Client.Open(ctx, args[1])
 	if err != nil {
 		fatal(err)
 	}
@@ -119,25 +88,6 @@ func main() {
 	}
 }
 
-func parseNodes(s string) (map[wire.NodeID]string, error) {
-	if s == "" {
-		return nil, fmt.Errorf("-nodes required")
-	}
-	out := make(map[wire.NodeID]string)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad -nodes entry %q", part)
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad node id %q", kv[0])
-		}
-		out[wire.NodeID(id)] = kv[1]
-	}
-	return out, nil
-}
-
 func parseI64(s string) int64 {
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
@@ -147,7 +97,7 @@ func parseI64(s string) int64 {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ecfscli -mds host:port | -nodes 0=addr,... [-k K -m M -block N]  put|get|update ...")
+	fmt.Fprintln(os.Stderr, "usage: ecfscli -mds host:port put|get|update ...")
 	os.Exit(2)
 }
 

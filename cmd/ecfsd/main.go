@@ -16,9 +16,6 @@
 //	ecfsd -role osd -id 2 -listen :7002 -mds :7000 &
 //	ecfsd -role osd -id 3 -listen :7003 -mds :7000 &
 //	ecfscli -mds :7000 put file.bin
-//
-// A static -nodes map is still accepted as a seed (and for clusters
-// predating address heartbeats).
 package main
 
 import (
@@ -27,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -48,7 +44,6 @@ func main() {
 		listen    = flag.String("listen", ":7000", "listen address")
 		advertise = flag.String("advertise", "", "address to report in heartbeats (defaults to the bound listen address)")
 		mdsAddr   = flag.String("mds", "", "MDS address (OSD role); peer addresses are then resolved through the MDS address map")
-		nodes     = flag.String("nodes", "", "static node address map seed: 0=host:port,1=host:port,...")
 		method    = flag.String("method", "tsue", "update method: "+strings.Join(update.AllMethods, ", "))
 		k         = flag.Int("k", 6, "data blocks per stripe")
 		m         = flag.Int("m", 4, "parity blocks per stripe")
@@ -113,15 +108,8 @@ func main() {
 			fmt.Printf("ecfsd: mds checkpointed %s\n", *mdsDir)
 		}
 	case "osd":
-		addrs, err := parseNodes(*nodes)
-		if err != nil {
-			fatal(err)
-		}
-		if *mdsAddr != "" {
-			addrs[wire.MDSNode] = *mdsAddr
-		}
-		if _, ok := addrs[wire.MDSNode]; !ok {
-			fatal(fmt.Errorf("OSD role needs the MDS address: pass -mds host:port (or a -nodes map containing node 0)"))
+		if *mdsAddr == "" {
+			fatal(fmt.Errorf("OSD role needs the MDS address: pass -mds host:port"))
 		}
 		prof := device.ChameleonSSD()
 		if *hdd {
@@ -129,10 +117,9 @@ func main() {
 		}
 		cfg := update.DefaultConfig()
 		cfg.BlockSize = *block
-		rpc := transport.NewTCPClient(addrs)
+		rpc := transport.NewTCPClient(map[wire.NodeID]string{wire.MDSNode: *mdsAddr})
 		defer rpc.Close()
-		// Peer addresses resolve through the MDS address map, so a
-		// static -nodes list is only ever a seed.
+		// Peer addresses resolve through the MDS address map.
 		rpc.SetResolver(func(ctx context.Context) (map[wire.NodeID]string, error) {
 			r, err := rpc.Call(ctx, wire.MDSNode, &wire.Msg{Kind: wire.KResolveAddr})
 			if err != nil {
@@ -188,25 +175,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown role %q", *role))
 	}
-}
-
-func parseNodes(s string) (map[wire.NodeID]string, error) {
-	out := make(map[wire.NodeID]string)
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("ecfsd: bad -nodes entry %q", part)
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("ecfsd: bad node id %q", kv[0])
-		}
-		out[wire.NodeID(id)] = kv[1]
-	}
-	return out, nil
 }
 
 func waitSignal() {

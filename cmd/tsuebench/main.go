@@ -11,7 +11,7 @@
 //	tsuebench -exp repair -max-rebuild-mbps 50   # explicit scheduler cap for the capped drain row
 //	tsuebench -exp fig8b -fig8b-workers 1,4,16
 //	tsuebench -exp mds-scale          # metadata sharding: lookup/create + StripesOn vs shard count
-//	tsuebench -exp codec              # wire codec + transport microbenchmarks (gob vs binary)
+//	tsuebench -exp codec              # wire codec + transport microbenchmarks
 //	tsuebench -exp scenario           # multi-tenant soak with scheduled fault injection + invariant checks
 //	tsuebench -exp storage            # durable OSD storage engine: WAL sync policies, warm/cold reads, crash-reopen redo
 //	tsuebench -exp scenario -scenario churn -tenants 4 -fault-seed 7 -soak-duration 30s

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -28,11 +26,10 @@ func codecBenchMsg() *wire.Msg {
 	}
 }
 
-// Codec is the PR-6 extension: the wire-format trajectory. It compares
-// the retired gob encoding against the hand-rolled binary codec on the
-// 64 KiB KWriteBlock frame (encode and decode ns/op and allocs/op), and
-// measures real loopback round-trips/s on the multiplexed TCP transport,
-// sequential and pipelined.
+// Codec is the wire-format trajectory: the binary codec's encode and
+// decode ns/op and allocs/op on the 64 KiB KWriteBlock frame, real
+// loopback round-trips/s on the multiplexed TCP transport (sequential
+// and pipelined), and multi-stripe file writes over it.
 func Codec(ctx context.Context, _ Scale) (*Report, error) {
 	rep := &Report{
 		ID:     "codec",
@@ -46,10 +43,6 @@ func Codec(ctx context.Context, _ Scale) (*Report, error) {
 		name string
 		fn   func(b *testing.B)
 	}
-	var gobSeed bytes.Buffer
-	if err := gob.NewEncoder(&gobSeed).Encode(msg); err != nil {
-		return nil, err
-	}
 	binSeed := msg.AppendTo(nil)
 	rows := []row{
 		{"encode/binary", func(b *testing.B) {
@@ -57,18 +50,6 @@ func Codec(ctx context.Context, _ Scale) (*Report, error) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf = msg.AppendTo(buf[:0])
-			}
-		}},
-		{"encode/gob", func(b *testing.B) {
-			var buf bytes.Buffer
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				// A fresh encoder per frame, as the retired transport
-				// required: gob stream state cannot span frames.
-				if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}},
 		{"decode/binary", func(b *testing.B) {
@@ -80,23 +61,12 @@ func Codec(ctx context.Context, _ Scale) (*Report, error) {
 				}
 			}
 		}},
-		{"decode/gob", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var m wire.Msg
-				if err := gob.NewDecoder(bytes.NewReader(gobSeed.Bytes())).Decode(&m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 	}
-	results := make(map[string]testing.BenchmarkResult, len(rows))
 	for _, r := range rows {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		res := testing.Benchmark(r.fn)
-		results[r.name] = res
 		nsOp := float64(res.NsPerOp())
 		rep.Rows = append(rep.Rows, []string{
 			r.name,
@@ -163,32 +133,7 @@ func Codec(ctx context.Context, _ Scale) (*Report, error) {
 			writeFileBenchStripes, float64(seq)/float64(co), co, seq))
 	}
 
-	encBin, encGob := results["encode/binary"], results["encode/gob"]
-	decBin, decGob := results["decode/binary"], results["decode/gob"]
-	sumBin := encBin.NsPerOp() + decBin.NsPerOp()
-	sumGob := encGob.NsPerOp() + decGob.NsPerOp()
-	allocBin := encBin.AllocsPerOp() + decBin.AllocsPerOp()
-	allocGob := encGob.AllocsPerOp() + decGob.AllocsPerOp()
-	speedup := float64(sumGob) / float64(sumBin)
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("binary vs gob, encode+decode of the 64 KiB KWriteBlock frame: %.1fx faster (%d vs %d ns/op), %dx fewer allocs (%d vs %d allocs/op)",
-			speedup, sumBin, sumGob, safeRatio(allocGob, allocBin), allocBin, allocGob),
-		"acceptance gate (ISSUE 6): >=5x fewer allocs/op and >=2x faster encode+decode than gob",
-	)
-	if speedup < 2 || (allocBin > 0 && allocGob/allocBin < 5) {
-		return nil, fmt.Errorf("bench: codec regression: %.1fx speedup, %d vs %d allocs/op (gate: >=2x, >=5x fewer allocs)",
-			speedup, allocBin, allocGob)
-	}
 	return rep, nil
-}
-
-// safeRatio returns a/b, treating b==0 as "infinitely fewer" (capped to
-// a so the note stays printable).
-func safeRatio(a, b int64) int64 {
-	if b == 0 {
-		return a
-	}
-	return a / b
 }
 
 // writeFileBenchStripes is the stripe count of the writefile trajectory

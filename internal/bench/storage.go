@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/framelog"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -63,10 +64,10 @@ func Storage(ctx context.Context, s Scale) (*Report, error) {
 	var warmEng *store.Engine
 	for _, pol := range []struct {
 		label string
-		sync  store.SyncPolicy
+		sync  framelog.SyncPolicy
 	}{
-		{"write sync=batched", store.SyncBatched},
-		{"write sync=every-record", store.SyncEveryRecord},
+		{"write sync=batched", framelog.SyncBatched},
+		{"write sync=every-record", framelog.SyncEveryRecord},
 	} {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -85,7 +86,7 @@ func Storage(ctx context.Context, s Scale) (*Report, error) {
 			return nil, err
 		}
 		row(pol.label, total, time.Since(start))
-		if pol.sync == store.SyncBatched {
+		if pol.sync == framelog.SyncBatched {
 			warmEng = eng // reads below run against this populated engine
 		} else {
 			eng.Close()

@@ -1,13 +1,16 @@
 // Package mdslog is the MDS's durability layer: a mutation op log of
-// fixed-layout binary records (CRC-32C framed, in the internal/wire
-// codec style) plus a checkpointed namespace snapshot, following the
-// internal/store WAL idiom. The contract is log-before-ack: the MDS
-// appends the record for a namespace mutation with plain write(2)
-// before applying it in memory and acknowledging the caller, so a
-// process-level crash (kill -9) loses at most a torn tail no caller was
-// ever told about. Recovery loads the snapshot, scans the log tail,
-// discards everything at and after the first bad CRC, and redoes the
-// committed records through the MDS's unlogged apply path.
+// fixed-layout binary records (in the internal/wire codec style) plus a
+// checkpointed namespace snapshot. The op log is an internal/framelog
+// log and the snapshot a framelog checksummed file, exactly like the
+// internal/store WAL and checkpoint; this package owns the record
+// catalog, its codecs and the snapshot layout. The contract is
+// log-before-ack: the MDS appends the record for a namespace mutation
+// with plain write(2) before applying it in memory and acknowledging
+// the caller, so a process-level crash (kill -9) loses at most a torn
+// tail no caller was ever told about. Recovery loads the snapshot,
+// scans the log tail, discards everything at and after the first bad
+// or undecodable record, and redoes the committed records through the
+// MDS's unlogged apply path.
 //
 // Crash model and invariants:
 //
@@ -24,48 +27,21 @@
 package mdslog
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/framelog"
 )
 
 // ErrCrashed is returned by every mutator after the log froze — either
 // Crash simulating kill -9, or a failed append tripping fail-stop.
 var ErrCrashed = errors.New("mdslog: log crashed")
 
-// frameHeader is the framing overhead per record: payload length (u32),
-// CRC-32C over kind+payload (u32), kind (u8) — the internal/store WAL
-// frame.
-const frameHeader = 9
-
-// maxRecord bounds a single record so a corrupt length prefix in a torn
-// tail cannot drive a giant allocation during replay.
-const maxRecord = 1 << 20 // 1 MiB; records are name-sized, not data-sized
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// SyncPolicy says when the op log fsyncs.
-type SyncPolicy int
-
-const (
-	// SyncBatched fsyncs on checkpoint only (group commit). The
-	// default: appends are still write(2)-visible immediately, which is
-	// what the process-crash model preserves.
-	SyncBatched SyncPolicy = iota
-	// SyncEveryRecord fsyncs after every append — the per-record
-	// durability row in the mds-scale bench.
-	SyncEveryRecord
-)
-
 // Options configures a Log.
 type Options struct {
-	// Sync selects the fsync policy (default SyncBatched).
-	Sync SyncPolicy
 	// SnapshotBytes is the log size beyond which NeedsCompact asks for
 	// a checkpoint; <= 0 selects 4 MiB.
 	SnapshotBytes int64
@@ -82,8 +58,7 @@ type Log struct {
 	opts Options
 
 	mu      sync.Mutex
-	f       *os.File
-	off     int64
+	log     *framelog.Log
 	crashed bool
 	// failAfter is the kill-point test hook: >= 0 means that many more
 	// appends succeed, then appends fail and the log freezes.
@@ -93,10 +68,6 @@ type Log struct {
 	// crash-between-rename-and-truncate window recovery must converge
 	// through.
 	skipTruncates int
-
-	records int64
-	bytes   int64
-	syncs   int64
 }
 
 // Open opens (or creates) the log directory, loads the snapshot if one
@@ -115,71 +86,28 @@ func Open(dir string, opts Options) (*Log, *State, []Record, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, "oplog.bin"), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	recs, tail, err := scanLog(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	// Discard the torn tail now, so the next committed record never
-	// lands after garbage.
-	if err := f.Truncate(tail); err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	l := &Log{dir: dir, opts: opts, f: f, off: tail, failAfter: -1}
-	return l, st, recs, nil
-}
-
-// scanLog walks the op log from the start, returning every committed
-// record and the offset of the first torn or corrupt one. A short
-// header, an implausible length, a short payload, a CRC mismatch, or a
-// CRC-valid record that fails strict decoding all end the scan:
-// everything before is committed, everything at and after never
-// finished.
-func scanLog(f *os.File) (recs []Record, tail int64, err error) {
-	info, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	size := info.Size()
-	var off int64
-	hdr := make([]byte, frameHeader)
-	for {
-		if size-off < frameHeader {
-			return recs, off, nil
-		}
-		if _, err := f.ReadAt(hdr, off); err != nil {
-			return recs, off, nil
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if n > maxRecord || size-off-frameHeader < n {
-			return recs, off, nil
-		}
-		body := make([]byte, 1+n)
-		body[0] = hdr[8]
-		if _, err := f.ReadAt(body[1:], off+frameHeader); err != nil && err != io.EOF {
-			return recs, off, nil
-		}
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return recs, off, nil
-		}
-		rec, err := decodeRecord(body[0], body[1:])
+	// A CRC-valid record that fails strict decoding also ends the
+	// committed prefix: decodeRecord accepts exactly what encodeRecord
+	// writes.
+	var recs []Record
+	log, err := framelog.Open(filepath.Join(dir, "oplog.bin"), framelog.SyncBatched, func(kind byte, payload []byte) bool {
+		r, err := decodeRecord(kind, payload)
 		if err != nil {
-			return recs, off, nil
+			return false
 		}
-		recs = append(recs, rec)
-		off += frameHeader + n
+		recs = append(recs, r)
+		return true
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	return &Log{dir: dir, opts: opts, log: log, failAfter: -1}, st, recs, nil
 }
 
 // Append frames and writes one record with a single write(2) — a crash
 // can tear the record (detected by CRC at replay) but never interleave
-// two — returning only once the bytes are handed to the kernel (and,
-// under SyncEveryRecord, the media). Any failure freezes the log.
+// two — returning only once the bytes are handed to the kernel. Any
+// failure freezes the log.
 func (l *Log) Append(r Record) error {
 	payload, err := encodeRecord(r)
 	if err != nil {
@@ -197,24 +125,9 @@ func (l *Log) Append(r Record) error {
 		}
 		l.failAfter--
 	}
-	rec := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	rec[8] = byte(r.Kind)
-	copy(rec[frameHeader:], payload)
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
-	if _, err := l.f.WriteAt(rec, l.off); err != nil {
+	if err := l.log.Append(byte(r.Kind), payload); err != nil {
 		l.crashed = true
 		return fmt.Errorf("mdslog: append: %w", err)
-	}
-	l.off += int64(len(rec))
-	l.records++
-	l.bytes += int64(len(rec))
-	if l.opts.Sync == SyncEveryRecord {
-		l.syncs++
-		if err := l.f.Sync(); err != nil {
-			l.crashed = true
-			return fmt.Errorf("mdslog: append sync: %w", err)
-		}
 	}
 	return nil
 }
@@ -224,11 +137,11 @@ func (l *Log) Append(r Record) error {
 func (l *Log) NeedsCompact() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return !l.crashed && l.off > l.opts.SnapshotBytes
+	return !l.crashed && l.log.Size() > l.opts.SnapshotBytes
 }
 
-// Compact checkpoints: the state is written as a snapshot — temp file,
-// fsync, atomic rename, directory fsync — and the log truncated. The
+// Compact checkpoints: the state is written as a snapshot (a framelog
+// checksummed file, replaced atomically) and the log truncated. The
 // caller must exclude concurrent appends (the MDS holds its mutation
 // gate exclusively). A crash after the rename but before the truncate
 // leaves the new snapshot plus a stale log prefix; replay converges
@@ -246,11 +159,7 @@ func (l *Log) Compact(st *State) error {
 		l.skipTruncates--
 		return nil
 	}
-	if err := l.f.Truncate(0); err != nil {
-		return err
-	}
-	l.off = 0
-	return nil
+	return l.log.Reset()
 }
 
 // Sync flushes the log file to the media (group commit's commit point).
@@ -260,8 +169,7 @@ func (l *Log) Sync() error {
 	if l.crashed {
 		return ErrCrashed
 	}
-	l.syncs++
-	return l.f.Sync()
+	return l.log.Sync()
 }
 
 // Crash freezes the log, simulating kill -9: every subsequent append
@@ -285,7 +193,7 @@ func (l *Log) Crashed() bool {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.log.Close()
 }
 
 // FailAppends arms the kill-point hook: after n more successful
@@ -314,12 +222,12 @@ func (l *Log) Dir() string { return l.dir }
 func (l *Log) Stats() (records, bytes, syncs int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.records, l.bytes, l.syncs
+	return l.log.Stats()
 }
 
 // Size returns the current log length in bytes.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.off
+	return l.log.Size()
 }

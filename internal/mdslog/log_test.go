@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/framelog"
 	"repro/internal/wire"
 )
 
@@ -97,7 +98,7 @@ func TestTornTailDiscarded(t *testing.T) {
 	l.Close()
 	// Tear the last record mid-payload.
 	path := filepath.Join(dir, "oplog.bin")
-	if err := os.Truncate(path, size+frameHeader+4); err != nil {
+	if err := os.Truncate(path, size+framelog.HeaderSize+4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -241,7 +242,7 @@ func TestFailAppendsFailStop(t *testing.T) {
 
 func TestHugeLengthPrefixBounded(t *testing.T) {
 	dir := t.TempDir()
-	hdr := make([]byte, frameHeader)
+	hdr := make([]byte, framelog.HeaderSize)
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xff, 0xff, 0xff, 0x7f
 	if err := os.WriteFile(filepath.Join(dir, "oplog.bin"), hdr, 0o644); err != nil {
 		t.Fatal(err)

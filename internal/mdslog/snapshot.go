@@ -2,11 +2,12 @@ package mdslog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
+	"io/fs"
 	"path/filepath"
 
+	"repro/internal/framelog"
 	"repro/internal/wire"
 )
 
@@ -97,19 +98,10 @@ func encodeSnapshot(st *State) []byte {
 	for _, n := range st.Draining {
 		u32(uint32(n))
 	}
-	// CRC trailer over everything above.
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	return b
 }
 
-func decodeSnapshot(b []byte) (*State, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("mdslog: snapshot too short (%d bytes)", len(b))
-	}
-	body, tail := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.Checksum(body, castagnoli) != tail {
-		return nil, fmt.Errorf("mdslog: snapshot checksum mismatch")
-	}
+func decodeSnapshot(body []byte) (*State, error) {
 	var off int
 	need := func(n int) error {
 		if len(body)-off < n {
@@ -199,42 +191,16 @@ func decodeSnapshot(b []byte) (*State, error) {
 	return st, nil
 }
 
-// writeSnapshot persists the state atomically: write to a temp file,
-// fsync, rename over the live name, fsync the directory. A crash leaves
-// either the old snapshot or the new one, never a torn mix.
+// writeSnapshot persists the state atomically as snapshot.bin.
 func writeSnapshot(dir string, st *State) error {
-	path := filepath.Join(dir, "snapshot.bin")
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(encodeSnapshot(st)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return framelog.WriteFile(filepath.Join(dir, "snapshot.bin"), encodeSnapshot(st))
 }
 
 // readSnapshot loads the snapshot; a missing file means a fresh data
 // directory and returns nil.
 func readSnapshot(dir string) (*State, error) {
-	b, err := os.ReadFile(filepath.Join(dir, "snapshot.bin"))
-	if os.IsNotExist(err) {
+	b, err := framelog.ReadFile(filepath.Join(dir, "snapshot.bin"))
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {

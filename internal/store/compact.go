@@ -5,6 +5,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/framelog"
 	"repro/internal/wire"
 )
 
@@ -37,13 +38,12 @@ func (l *Layer) AppendEntry(gen uint64, block wire.BlockID, off uint32, v int64,
 	}
 	seq := e.seq
 	e.seq++
-	noff, err := appendRecord(sf.f, sf.off, segEntry, encodeSegEntry(seq, block, off, v, data))
-	if err != nil {
+	before := sf.log.Size()
+	if sf.log.Append(segEntry, encodeSegEntry(seq, block, off, v, data)) != nil {
 		return
 	}
 	e.stats.SegAppends++
-	e.stats.SegBytes += noff - sf.off
-	sf.off = noff
+	e.stats.SegBytes += sf.log.Size() - before
 }
 
 // FoldBlock marks every entry for block in (layer, gen) as folded:
@@ -61,9 +61,7 @@ func (l *Layer) FoldBlock(gen uint64, block wire.BlockID) {
 	}
 	var p [blockIDLen]byte
 	putBlockID(p[:], block)
-	if noff, err := appendRecord(sf.f, sf.off, segFoldBlock, p[:]); err == nil {
-		sf.off = noff
-	}
+	sf.log.Append(segFoldBlock, p[:])
 }
 
 // FoldUnit marks the whole generation folded; the file becomes
@@ -79,8 +77,7 @@ func (l *Layer) FoldUnit(gen uint64) {
 	if !ok {
 		return
 	}
-	if noff, err := appendRecord(sf.f, sf.off, segFoldUnit, nil); err == nil {
-		sf.off = noff
+	if sf.log.Append(segFoldUnit, nil) == nil {
 		sf.unit = true
 	}
 }
@@ -93,17 +90,15 @@ func (e *Engine) segFor(layer string, gen uint64) (*segFile, error) {
 		return sf, nil
 	}
 	path := segPath(e.dir, e.era, layer, gen)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	log, err := framelog.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	sf := &segFile{f: f, path: path}
-	off, err := appendRecord(f, 0, segHeader, encodeSegHeader(layer, gen))
-	if err != nil {
-		f.Close()
+	if err := log.Append(segHeader, encodeSegHeader(layer, gen)); err != nil {
+		log.Close()
 		return nil, err
 	}
-	sf.off = off
+	sf := &segFile{log: log, path: path}
 	e.segs[k] = sf
 	return sf, nil
 }
@@ -165,13 +160,13 @@ func (e *Engine) CompactNow(ctx context.Context, gate CompactGate) (int64, error
 	e.mu.Unlock()
 	var total int64
 	for _, sf := range dead {
-		size := sf.off
+		size := sf.log.Size()
 		if gate != nil {
 			if err := gate(ctx, size); err != nil {
 				return total, err
 			}
 		}
-		sf.f.Close()
+		sf.log.Close()
 		os.Remove(sf.path)
 		total += size
 		e.mu.Lock()

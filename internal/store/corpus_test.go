@@ -1,43 +1,74 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"repro/internal/framelog"
 )
 
-// TestWriteSeedCorpus regenerates the committed fuzz seed corpus under
-// testdata/fuzz/FuzzWALReplay (run with STORE_WRITE_CORPUS=1 after
-// changing the record formats). The corpus keeps CI's non-fuzzing
-// `go test -run Fuzz` step exercising real torn-log shapes.
-func TestWriteSeedCorpus(t *testing.T) {
-	if os.Getenv("STORE_WRITE_CORPUS") == "" {
-		t.Skip("set STORE_WRITE_CORPUS=1 to regenerate the seed corpus")
-	}
+// seedCorpus is the committed fuzz seed corpus under
+// testdata/fuzz/FuzzWALReplay, rendered by today's encoders.
+func seedCorpus() map[string][]byte {
 	b := bid(3, 2, 1)
-	valid := frameRecord(opWrite, encodeWrite(b, 64, 0, []byte("payload")))
-	valid = append(valid, frameRecord(opEpoch, encodeEpoch(3, 2, 9))...)
-	flipped := append([]byte(nil), valid...)
-	flipped[walHeader+2] ^= 0x40
-	seg := frameRecord(segHeader, encodeSegHeader("tsue-data/osd1/0", 7))
-	seg = append(seg, frameRecord(segEntry, encodeSegEntry(12, b, 8, 99, []byte("delta")))...)
-	seg = append(seg, frameRecord(segFoldBlock, encodeDelete(b))...)
-	seeds := map[string][]byte{
+	valid := frames(
+		rec(opWrite, encodeWrite(b, 64, 0, []byte("payload"))),
+		rec(opEpoch, encodeEpoch(3, 2, 9)),
+	)
+	flipped := bytes.Clone(valid)
+	flipped[framelog.HeaderSize+2] ^= 0x40
+	seg := frames(
+		rec(segHeader, encodeSegHeader("tsue-data/osd1/0", 7)),
+		rec(segEntry, encodeSegEntry(12, b, 8, 99, []byte("delta"))),
+		rec(segFoldBlock, encodeDelete(b)),
+	)
+	return map[string][]byte{
 		"wal-valid":     valid,
 		"wal-torn":      valid[:len(valid)-5],
 		"wal-bitflip":   flipped,
 		"seg-valid":     seg,
-		"seg-torn-head": seg[:walHeader+3],
+		"seg-torn-head": seg[:framelog.HeaderSize+3],
+	}
+}
+
+func corpusFile(data []byte) []byte {
+	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data))))
+}
+
+// TestSeedCorpusUnchanged pins the WAL and segment on-disk format: the
+// committed corpus, written by an earlier build, must be byte-identical
+// to what the current encoders and framelog produce.
+func TestSeedCorpusUnchanged(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzWALReplay")
+	for name, data := range seedCorpus() {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, corpusFile(data)) {
+			t.Errorf("%s: committed seed differs from today's encoding", name)
+		}
+	}
+}
+
+// TestWriteSeedCorpus regenerates the committed fuzz seed corpus (run
+// with STORE_WRITE_CORPUS=1 after a deliberate record-format change).
+// The corpus keeps CI's non-fuzzing `go test -run Fuzz` step exercising
+// real torn-log shapes.
+func TestWriteSeedCorpus(t *testing.T) {
+	if os.Getenv("STORE_WRITE_CORPUS") == "" {
+		t.Skip("set STORE_WRITE_CORPUS=1 to regenerate the seed corpus")
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzWALReplay")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+	for name, data := range seedCorpus() {
+		if err := os.WriteFile(filepath.Join(dir, name), corpusFile(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/framelog"
 	"repro/internal/wire"
 )
 
@@ -23,8 +24,8 @@ type Options struct {
 	PageSize int
 	// Frames is the buffer-pool capacity in pages (default 2048).
 	Frames int
-	// Sync is the WAL fsync policy (default SyncBatched).
-	Sync SyncPolicy
+	// Sync is the WAL fsync policy (default framelog.SyncBatched).
+	Sync framelog.SyncPolicy
 }
 
 func (o Options) withDefaults() Options {
@@ -66,7 +67,7 @@ type Engine struct {
 
 	mu      sync.Mutex
 	crashed bool
-	wal     *wal
+	wal     *framelog.Log
 	pf      *pageFile
 	blocks  map[wire.BlockID]*blockMeta
 	epochs  map[stripeKey]uint64
@@ -122,26 +123,15 @@ func Open(dir string, opts Options) (*Engine, error) {
 		pf.close()
 		return nil, err
 	}
-	w, err := openWAL(filepath.Join(dir, "wal.bin"), opts.Sync)
+	e.wal, err = framelog.Open(filepath.Join(dir, "wal.bin"), opts.Sync, func(kind byte, payload []byte) bool {
+		e.redo(kind, payload)
+		e.stats.RedoneRecords++
+		return true
+	})
 	if err != nil {
 		pf.close()
 		return nil, err
 	}
-	e.wal = w
-	recs, tail, err := replayWAL(w.f)
-	if err != nil {
-		e.closeFiles()
-		return nil, err
-	}
-	for _, r := range recs {
-		e.redo(r)
-	}
-	e.stats.RedoneRecords = int64(len(recs))
-	if err := w.f.Truncate(tail); err != nil {
-		e.closeFiles()
-		return nil, err
-	}
-	w.off = tail
 	ents, files, err := scanSegments(dir)
 	if err != nil {
 		e.closeFiles()
@@ -161,26 +151,26 @@ func Open(dir string, opts Options) (*Engine, error) {
 // path. Redo is idempotent: records are absolute (no deltas), so pages
 // already written back before the crash are rewritten with identical
 // bytes.
-func (e *Engine) redo(r walRecord) {
-	switch r.kind {
+func (e *Engine) redo(kind byte, payload []byte) {
+	switch kind {
 	case opWrite:
-		if id, blockLen, off, data, err := decodeWrite(r.payload); err == nil {
+		if id, blockLen, off, data, err := decodeWrite(payload); err == nil {
 			e.applyWrite(id, blockLen, off, data)
 		}
 	case opDelete:
-		if len(r.payload) >= blockIDLen {
-			e.applyDelete(getBlockID(r.payload))
+		if len(payload) >= blockIDLen {
+			e.applyDelete(getBlockID(payload))
 		}
 	case opEnsure:
-		if id, size, err := decodeEnsure(r.payload); err == nil {
+		if id, size, err := decodeEnsure(payload); err == nil {
 			e.applyEnsure(id, size)
 		}
 	case opEpoch:
-		if ino, stripe, epoch, err := decodeEpoch(r.payload); err == nil {
+		if ino, stripe, epoch, err := decodeEpoch(payload); err == nil {
 			e.applyEpoch(ino, stripe, epoch)
 		}
 	case opPlacement:
-		if ino, stripe, p, err := decodePlacement(r.payload); err == nil {
+		if ino, stripe, p, err := decodePlacement(payload); err == nil {
 			e.applyPlacement(ino, stripe, p)
 		}
 	}
@@ -253,10 +243,8 @@ func (e *Engine) Delete(id wire.BlockID) error {
 }
 
 func (e *Engine) logAppend(kind byte, payload []byte) error {
-	_, err := e.wal.append(kind, payload)
-	e.stats.WALRecords = e.wal.records
-	e.stats.WALBytes = e.wal.bytes
-	e.stats.WALSyncs = e.wal.syncs
+	err := e.wal.Append(kind, payload)
+	e.stats.WALRecords, e.stats.WALBytes, e.stats.WALSyncs = e.wal.Stats()
 	return err
 }
 
@@ -541,7 +529,7 @@ func (e *Engine) checkpointLocked() error {
 	if err := writeMeta(e.dir, m); err != nil {
 		return err
 	}
-	if err := e.wal.reset(); err != nil {
+	if err := e.wal.Reset(); err != nil {
 		return err
 	}
 	e.stats.Checkpoints++
@@ -582,13 +570,13 @@ func (e *Engine) Close() error {
 
 func (e *Engine) closeFiles() {
 	if e.wal != nil {
-		e.wal.close()
+		e.wal.Close()
 	}
 	if e.pf != nil {
 		e.pf.close()
 	}
 	for _, sf := range e.segs {
-		sf.f.Close()
+		sf.log.Close()
 	}
 }
 

@@ -1,86 +1,74 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/framelog"
 	"repro/internal/wire"
 )
 
-// frameRecord builds one well-formed framed record (shared WAL/segment
-// framing) for seeding the fuzzer.
-func frameRecord(kind byte, payload []byte) []byte {
-	rec := make([]byte, walHeader+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	rec[8] = kind
-	copy(rec[walHeader:], payload)
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
-	return rec
+// frames concatenates framed records the way the WAL and segment files
+// lay them down.
+func frames(recs ...[]byte) []byte {
+	var b []byte
+	for _, r := range recs {
+		b = framelog.AppendFrame(b, r[0], r[1:])
+	}
+	return b
 }
 
+// rec prefixes a payload with its kind, for frames.
+func rec(kind byte, payload []byte) []byte { return append([]byte{kind}, payload...) }
+
 // FuzzWALReplay feeds arbitrary byte streams — including truncated and
-// bit-flipped tails of valid logs — through both recovery scanners:
-// replayWAL (the WAL path) and scanSegmentFile (the segment path).
-// Neither may panic, over-read, or return records past the first
-// corruption.
+// bit-flipped tails of valid logs — to the store's record decoders and
+// to scanSegmentFile. The framing itself (committed prefix, torn-tail
+// truncation) is framelog's FuzzScan; here the decoders must fail
+// cleanly on any payload, and the segment scan must net folds exactly:
+// nothing from a file without an intact header or with a unit fold,
+// otherwise every decodable entry whose block was not folded.
 func FuzzWALReplay(f *testing.F) {
 	b := bid(3, 2, 1)
-	valid := frameRecord(opWrite, encodeWrite(b, 64, 0, []byte("payload")))
-	valid = append(valid, frameRecord(opEpoch, encodeEpoch(3, 2, 9))...)
-	valid = append(valid, frameRecord(opEnsure, encodeEnsure(b, 4096))...)
+	valid := frames(
+		rec(opWrite, encodeWrite(b, 64, 0, []byte("payload"))),
+		rec(opEpoch, encodeEpoch(3, 2, 9)),
+		rec(opEnsure, encodeEnsure(b, 4096)),
+	)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5]) // torn tail
-	flipped := append([]byte(nil), valid...)
-	flipped[walHeader+2] ^= 0x40 // bit flip inside the first payload
+	flipped := bytes.Clone(valid)
+	flipped[framelog.HeaderSize+2] ^= 0x40 // bit flip inside the first payload
 	f.Add(flipped)
 
-	seg := frameRecord(segHeader, encodeSegHeader("tsue-data/osd1/0", 7))
-	seg = append(seg, frameRecord(segEntry, encodeSegEntry(12, b, 8, 99, []byte("delta")))...)
-	seg = append(seg, frameRecord(segFoldBlock, encodeDelete(b))...)
-	seg = append(seg, frameRecord(segFoldUnit, nil)...)
+	seg := frames(
+		rec(segHeader, encodeSegHeader("tsue-data/osd1/0", 7)),
+		rec(segEntry, encodeSegEntry(12, b, 8, 99, []byte("delta"))),
+		rec(segFoldBlock, encodeDelete(b)),
+		rec(segFoldUnit, nil),
+	)
 	f.Add(seg)
-	f.Add(seg[:walHeader+3]) // torn header
+	f.Add(seg[:framelog.HeaderSize+3]) // torn header
 	f.Add([]byte{})
 	// Implausible length prefix: must not drive a giant allocation.
-	huge := make([]byte, walHeader)
+	huge := make([]byte, framelog.HeaderSize)
 	binary.LittleEndian.PutUint32(huge, 1<<31)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "log.bin")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		type record struct {
+			kind    byte
+			payload []byte
 		}
-		fh, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, tail, err := replayWAL(fh)
-		fh.Close()
-		if err != nil {
-			t.Fatalf("replayWAL errored on arbitrary input: %v", err)
-		}
-		if tail < 0 || tail > int64(len(data)) {
-			t.Fatalf("tail %d out of range [0,%d]", tail, len(data))
-		}
-		// Every returned record must round-trip from the bytes before
-		// the tail; re-walking the committed prefix must agree.
-		var off int64
-		for i, r := range recs {
-			n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-			if data[off+8] != r.kind || int64(len(r.payload)) != n {
-				t.Fatalf("record %d does not match committed prefix", i)
-			}
-			off += walHeader + n
-		}
-		if off != tail {
-			t.Fatalf("records cover %d bytes, tail %d", off, tail)
-		}
-		// Decoders on arbitrary payloads must fail cleanly, not panic.
+		var recs []record
+		framelog.Scan(bytes.NewReader(data), int64(len(data)), func(kind byte, p []byte) bool {
+			recs = append(recs, record{kind, p})
+			return true
+		})
 		// WAL and segment kinds share values (separate files in real
 		// use), so exercise both families on every record.
 		for _, r := range recs {
@@ -101,16 +89,49 @@ func FuzzWALReplay(f *testing.F) {
 				decodeSegHeader(r.payload)
 			}
 		}
-		// The segment scanner shares the framing but nets folds; it
-		// must also survive anything.
-		ents, err := scanSegmentFile(path)
+
+		// The fold netting the segment scan must reproduce.
+		var want []SegEntry
+		if len(recs) > 0 && recs[0].kind == segHeader {
+			if layer, _, err := decodeSegHeader(recs[0].payload); err == nil {
+				folded := map[wire.BlockID]bool{}
+				for _, r := range recs[1:] {
+					switch r.kind {
+					case segEntry:
+						if seq, block, off, v, d, err := decodeSegEntry(r.payload); err == nil {
+							want = append(want, SegEntry{layer, seq, block, off, v, d})
+						}
+					case segFoldBlock:
+						if len(r.payload) >= blockIDLen {
+							folded[getBlockID(r.payload)] = true
+						}
+					}
+				}
+				live := want[:0]
+				for _, e := range want {
+					if !folded[e.Block] {
+						live = append(live, e)
+					}
+				}
+				want = live
+				for _, r := range recs[1:] {
+					if r.kind == segFoldUnit {
+						want = nil
+						break
+					}
+				}
+			}
+		}
+		path := filepath.Join(t.TempDir(), "log.seg")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := scanSegmentFile(path)
 		if err != nil {
 			t.Fatalf("scanSegmentFile errored: %v", err)
 		}
-		for _, se := range ents {
-			if se.Block == (wire.BlockID{}) && se.Layer == "" {
-				t.Fatal("segment entry with empty identity")
-			}
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("segment scan kept %d entries, want %d", len(got), len(want))
 		}
 	})
 }

@@ -2,11 +2,12 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
+	"io/fs"
 	"path/filepath"
 
+	"repro/internal/framelog"
 	"repro/internal/wire"
 )
 
@@ -14,9 +15,9 @@ import (
 const metaVersion = 1
 
 // meta is the engine's checkpointed state: everything the WAL carries
-// between checkpoints, in its folded form. Writing it atomically
-// (tmp + rename, CRC over the whole body) and then truncating the WAL
-// is the checkpoint.
+// between checkpoints, in its folded form. Writing it as meta.bin, a
+// framelog checksummed file, and then truncating the WAL is the
+// checkpoint.
 type meta struct {
 	era    uint32
 	seq    uint64
@@ -88,19 +89,10 @@ func encodeMeta(m *meta) []byte {
 			u32(uint32(n))
 		}
 	}
-	// CRC trailer over everything above.
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	return b
 }
 
-func decodeMeta(b []byte) (*meta, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("store: meta too short (%d bytes)", len(b))
-	}
-	body, tail := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.Checksum(body, castagnoli) != tail {
-		return nil, fmt.Errorf("store: meta checksum mismatch")
-	}
+func decodeMeta(body []byte) (*meta, error) {
 	var off int
 	need := func(n int) error {
 		if len(body)-off < n {
@@ -184,41 +176,15 @@ func decodeMeta(b []byte) (*meta, error) {
 	return m, nil
 }
 
-// writeMeta persists m atomically: write to a temp file, fsync, rename
-// over the live name, fsync the directory. A crash leaves either the
-// old meta or the new one, never a torn mix.
+// writeMeta persists m atomically as meta.bin.
 func writeMeta(dir string, m *meta) error {
-	path := filepath.Join(dir, "meta.bin")
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(encodeMeta(m)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return framelog.WriteFile(filepath.Join(dir, "meta.bin"), encodeMeta(m))
 }
 
 // readMeta loads the checkpoint; a missing file is a fresh data dir.
 func readMeta(dir string) (*meta, error) {
-	b, err := os.ReadFile(filepath.Join(dir, "meta.bin"))
-	if os.IsNotExist(err) {
+	b, err := framelog.ReadFile(filepath.Join(dir, "meta.bin"))
+	if errors.Is(err, fs.ErrNotExist) {
 		return &meta{
 			era:    0,
 			blocks: make(map[wire.BlockID]*blockMeta),

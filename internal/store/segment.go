@@ -3,20 +3,20 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"repro/internal/framelog"
 	"repro/internal/wire"
 )
 
 // Log pools persist as append-only segment files under <dir>/seg, one
 // file per (layer, generation): a layer is one pool's stable name
 // ("tsue-data/osd3/0"), a generation one incarnation of a log unit.
-// Records reuse the WAL framing (length, CRC-32C, kind), so the same
-// torn-tail scan recovers both. A header record names the layer and
+// Each file is a framelog log like the WAL, so the same torn-tail scan
+// recovers both. A header record names the layer and
 // generation (filenames are only for humans); entry records carry a
 // global sequence number so replay across every file preserves append
 // order; fold records mark a block's (or a whole unit's) entries as
@@ -39,8 +39,7 @@ type segKey struct {
 // unit-level fold record lands: every entry is dead and the compactor
 // may delete the file.
 type segFile struct {
-	f    *os.File
-	off  int64
+	log  *framelog.Log
 	path string
 	unit bool
 }
@@ -98,20 +97,6 @@ func segPath(dir string, era uint32, layer string, gen uint64) string {
 	return filepath.Join(dir, "seg", fmt.Sprintf("e%04d-%s-g%06d.seg", era, san, gen))
 }
 
-// appendRecord writes one framed record (identical framing to the WAL)
-// at off and returns the next offset.
-func appendRecord(f *os.File, off int64, kind byte, payload []byte) (int64, error) {
-	rec := make([]byte, walHeader+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	rec[8] = kind
-	copy(rec[walHeader:], payload)
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
-	if _, err := f.WriteAt(rec, off); err != nil {
-		return off, err
-	}
-	return off + int64(len(rec)), nil
-}
-
 // scanSegments reads every segment file under <dir>/seg, nets folds
 // against entries, and returns the surviving entries in global append
 // order plus the scanned file paths (all garbage once replayed).
@@ -139,42 +124,51 @@ func scanSegments(dir string) (entries []SegEntry, files []string, err error) {
 	return entries, files, nil
 }
 
-// scanSegmentFile recovers one file's unfolded entries. Torn tails are
-// truncated by the shared framing scan; a file without an intact
-// header is treated as fully torn (it held nothing committed).
+// scanSegmentFile recovers one file's unfolded entries. The framelog
+// scan stops at a torn tail; a file without an intact header is treated
+// as fully torn (it held nothing committed), and a unit fold kills the
+// whole generation.
 func scanSegmentFile(path string) ([]SegEntry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	recs, _, err := replayWAL(f)
-	if err != nil || len(recs) == 0 || recs[0].kind != segHeader {
+	info, err := f.Stat()
+	if err != nil {
 		return nil, err
 	}
-	layer, _, err := decodeSegHeader(recs[0].payload)
-	if err != nil {
-		return nil, nil
-	}
 	var (
+		layer  string
+		header bool
+		dead   bool
 		ents   []SegEntry
 		folded = make(map[wire.BlockID]bool)
 	)
-	for _, r := range recs[1:] {
-		switch r.kind {
+	framelog.Scan(f, info.Size(), func(kind byte, p []byte) bool {
+		if !header {
+			var err error
+			layer, _, err = decodeSegHeader(p)
+			header = kind == segHeader && err == nil
+			return header
+		}
+		switch kind {
 		case segEntry:
-			seq, block, off, v, data, err := decodeSegEntry(r.payload)
-			if err != nil {
-				continue
+			if seq, block, off, v, data, err := decodeSegEntry(p); err == nil {
+				ents = append(ents, SegEntry{Layer: layer, Seq: seq, Block: block, Off: off, V: v, Data: data})
 			}
-			ents = append(ents, SegEntry{Layer: layer, Seq: seq, Block: block, Off: off, V: v, Data: append([]byte(nil), data...)})
 		case segFoldBlock:
-			if len(r.payload) >= blockIDLen {
-				folded[getBlockID(r.payload)] = true
+			if len(p) >= blockIDLen {
+				folded[getBlockID(p)] = true
 			}
 		case segFoldUnit:
-			return nil, nil // everything in this generation is dead
+			dead = true // everything in this generation is dead
+			return false
 		}
+		return true
+	})
+	if dead {
+		return nil, nil
 	}
 	live := ents[:0]
 	for _, e := range ents {

@@ -1,9 +1,11 @@
 // Package store is the persistent per-OSD storage engine: a
 // page/extent-based block file behind a fixed-size buffer pool with a
-// write-ahead log (WAL-before-data, checksummed length-prefixed
-// records), plus append-only on-disk segment files that back the
-// parity/data log pools (one active segment per stripe, generation
-// indexed, folded and compacted in place). The engine is selected by
+// write-ahead log (WAL-before-data), plus append-only on-disk segment
+// files that back the parity/data log pools (one active segment per
+// stripe, generation indexed, folded and compacted in place). The WAL
+// and the segments are internal/framelog logs and the checkpoint
+// (meta.bin) a framelog checksummed file; this package owns only their
+// record kinds, payload codecs and redo. The engine is selected by
 // ecfs.Options.DataDir; with no data dir the OSD keeps today's
 // in-memory stores and nothing in this package runs.
 //
@@ -11,16 +13,14 @@
 // write(2) before acknowledging, so a process-level crash (Engine.Crash
 // freezes all I/O mid-flight, simulating kill -9) loses at most the
 // tail the kernel never saw — which recovery detects by checksum and
-// truncates. fsync placement is a policy knob (SyncPolicy): batched
-// group-commit by default, per-record for the durability bench rows.
+// truncates. fsync placement is a policy knob (framelog.SyncPolicy):
+// batched group-commit by default, per-record for the durability bench
+// rows.
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 
 	"repro/internal/wire"
 )
@@ -36,133 +36,6 @@ const (
 	opEnsure    = 4 // zero-filled block creation: id, size
 	opPlacement = 5 // stripe placement: ino, stripe, epoch, k, m, nodes
 )
-
-// walHeader is the framing overhead per record: payload length (u32),
-// CRC-32C over kind+payload (u32), kind (u8).
-const walHeader = 9
-
-// maxWALRecord bounds a single record so a corrupt length prefix in a
-// torn tail cannot drive a giant allocation during replay.
-const maxWALRecord = 1 << 26 // 64 MiB
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// SyncPolicy says when the WAL fsyncs.
-type SyncPolicy int
-
-const (
-	// SyncBatched fsyncs on checkpoint/flush only (group commit). The
-	// default: appends are still write(2)-visible immediately, which is
-	// what the in-process crash model preserves.
-	SyncBatched SyncPolicy = iota
-	// SyncEveryRecord fsyncs after every append — the per-record
-	// durability row in the storage bench.
-	SyncEveryRecord
-)
-
-// wal is the write-ahead log: an append-only file of checksummed,
-// length-prefixed records. The engine's mutex serializes all access.
-type wal struct {
-	f      *os.File
-	off    int64 // append offset == LSN of the next record
-	policy SyncPolicy
-
-	records int64
-	bytes   int64
-	syncs   int64
-}
-
-func openWAL(path string, policy SyncPolicy) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &wal{f: f, policy: policy}, nil
-}
-
-// append frames and writes one record, returning the LSN past it. The
-// write is a single write(2): a crash can tear the record (detected by
-// length/CRC at replay) but never interleave two records.
-func (w *wal) append(kind byte, payload []byte) (int64, error) {
-	rec := make([]byte, walHeader+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	rec[8] = kind
-	copy(rec[walHeader:], payload)
-	crc := crc32.Checksum(rec[8:], castagnoli)
-	binary.LittleEndian.PutUint32(rec[4:8], crc)
-	if _, err := w.f.WriteAt(rec, w.off); err != nil {
-		return w.off, err
-	}
-	w.off += int64(len(rec))
-	w.records++
-	w.bytes += int64(len(rec))
-	if w.policy == SyncEveryRecord {
-		if err := w.sync(); err != nil {
-			return w.off, err
-		}
-	}
-	return w.off, nil
-}
-
-func (w *wal) sync() error {
-	w.syncs++
-	return w.f.Sync()
-}
-
-// reset truncates the log after a checkpoint has made its records
-// redundant.
-func (w *wal) reset() error {
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	w.off = 0
-	return nil
-}
-
-func (w *wal) close() error { return w.f.Close() }
-
-// walRecord is one decoded replay record.
-type walRecord struct {
-	kind    byte
-	payload []byte
-}
-
-// replayWAL scans the log from the start, returning every intact record
-// and the offset of the first torn or corrupt one — the point the
-// caller truncates to. A short header, an implausible length, a short
-// payload, or a CRC mismatch all end the scan: everything before it is
-// committed, everything at and after it never finished.
-func replayWAL(f *os.File) (recs []walRecord, tail int64, err error) {
-	info, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	size := info.Size()
-	var off int64
-	hdr := make([]byte, walHeader)
-	for {
-		if size-off < walHeader {
-			return recs, off, nil
-		}
-		if _, err := f.ReadAt(hdr, off); err != nil {
-			return recs, off, nil
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if n > maxWALRecord || size-off-walHeader < n {
-			return recs, off, nil
-		}
-		body := make([]byte, 1+n)
-		body[0] = hdr[8]
-		if _, err := f.ReadAt(body[1:], off+walHeader); err != nil && err != io.EOF {
-			return recs, off, nil
-		}
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return recs, off, nil
-		}
-		recs = append(recs, walRecord{kind: body[0], payload: body[1:]})
-		off += walHeader + n
-	}
-}
 
 // Block id and record payload codecs. Thirteen bytes identify a block
 // (ino u64, stripe u32, idx u8); the remaining fields are fixed-width

@@ -139,6 +139,24 @@ func TestNewRejectsUnknownMethod(t *testing.T) {
 	}
 }
 
+// TestNewConstructsEveryMethod: every registered method builds under
+// its own name.
+func TestNewConstructsEveryMethod(t *testing.T) {
+	for _, name := range AllMethods {
+		cfg := DefaultConfig()
+		cfg.BlockSize = 4 << 10
+		dev := device.New("solo", device.ChameleonSSD())
+		s, err := New(name, cfg, &soloEnv{store: blockstore.New(dev), dev: dev})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Name() != name {
+			t.Fatalf("New(%q) built %q", name, s.Name())
+		}
+		s.Close()
+	}
+}
+
 func TestMethodLists(t *testing.T) {
 	if len(Methods) != 6 || Methods[len(Methods)-1] != "tsue" {
 		t.Fatalf("Methods = %v", Methods)
@@ -216,6 +234,17 @@ func (f *fakeEnv) Call(_ context.Context, to wire.NodeID, msg *wire.Msg) (*wire.
 func (f *fakeEnv) Code(k, m int) (*erasure.Code, error) {
 	return erasure.New(k, m, erasure.Vandermonde)
 }
+
+// soloEnv is a one-node environment with a real store: enough to
+// construct a strategy.
+type soloEnv struct {
+	fakeEnv
+	store *blockstore.Store
+	dev   *device.Device
+}
+
+func (e *soloEnv) Store() *blockstore.Store { return e.store }
+func (e *soloEnv) Dev() *device.Device      { return e.dev }
 
 func TestFanoutEmpty(t *testing.T) {
 	cost, err := fanout(context.Background(), &fakeEnv{}, nil, nil)

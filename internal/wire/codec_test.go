@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"reflect"
 	"strings"
@@ -140,8 +139,9 @@ func TestAppendToExtends(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsBadFormat: any leading byte but FormatVersion — a gob
-// stream, a future format — fails with ErrBadFormat.
+// TestDecodeRejectsBadFormat: any leading byte but FormatVersion — a
+// stream from the retired gob framing, a future format — fails with
+// ErrBadFormat.
 func TestDecodeRejectsBadFormat(t *testing.T) {
 	enc := fullMsg(KPing).AppendTo(nil)
 	enc[0] = FormatVersion + 1
@@ -149,16 +149,11 @@ func TestDecodeRejectsBadFormat(t *testing.T) {
 	if err := m.Decode(enc); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("want ErrBadFormat, got %v", err)
 	}
-	// A gob encoding of the old framing starts with a type descriptor,
-	// never 0x01.
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(fullMsg(KPing)); err != nil {
-		t.Fatal(err)
-	}
-	if gobBuf.Bytes()[0] == FormatVersion {
-		t.Skip("gob stream happens to start with the format byte")
-	}
-	if err := m.Decode(gobBuf.Bytes()); !errors.Is(err, ErrBadFormat) {
+	// A frame-sized stream opening with the bytes the retired gob
+	// framing sent for a Msg: a length-prefixed type descriptor, never
+	// the format byte.
+	gobStream := append([]byte("\xff\x98\x7f\x03\x01\x01\x03Msg\x01\xff\x80\x00\x01\x10"), make([]byte, len(enc))...)
+	if err := m.Decode(gobStream); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("gob stream: want ErrBadFormat, got %v", err)
 	}
 	r := fullResp().AppendTo(nil)
@@ -325,38 +320,6 @@ func BenchmarkMsgDecodeBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.Decode(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMsgEncodeGob(b *testing.B) {
-	m := benchMsg()
-	var buf bytes.Buffer
-	b.SetBytes(m.WireSize())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		// A fresh encoder per frame is what the retired transport did:
-		// stream state cannot be reused across independent frames.
-		if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMsgDecodeGob(b *testing.B) {
-	var seed bytes.Buffer
-	if err := gob.NewEncoder(&seed).Encode(benchMsg()); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(seed.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var m Msg
-		if err := gob.NewDecoder(bytes.NewReader(seed.Bytes())).Decode(&m); err != nil {
 			b.Fatal(err)
 		}
 	}
