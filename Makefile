@@ -88,8 +88,9 @@ e2e-pairs:
 	$(GO) run ./benchmark -compare $(E2E_DIR)/base.jsonl $(E2E_DIR)/head.jsonl
 
 # docs-check lints the documentation: every relative Markdown link must
-# resolve, and every exported repair/scheduler symbol must carry godoc
-# (see cmd/docscheck). Part of make verify and the CI verify job.
+# resolve, and every exported client, file-handle, repair and scheduler
+# symbol must carry godoc (see cmd/docscheck). Part of make verify and
+# the CI verify job.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

@@ -88,13 +88,14 @@ func BenchmarkUpdateOp(b *testing.B) {
 			opts.BlockSize = 64 << 10
 			cluster := tsue.MustNewCluster(opts)
 			defer cluster.Close()
+			ctx := context.Background()
 			cli := cluster.NewClient()
-			ino, err := cli.Create("bench")
+			f, err := cli.Open(ctx, "bench")
 			if err != nil {
 				b.Fatal(err)
 			}
 			data := make([]byte, cli.StripeSpan())
-			if _, err := cli.WriteFile(ino, data); err != nil {
+			if _, err := f.WriteAt(data, 0); err != nil {
 				b.Fatal(err)
 			}
 			payload := make([]byte, 4096)
@@ -102,7 +103,7 @@ func BenchmarkUpdateOp(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				off := int64(i*4096) % int64(len(data)-4096)
-				if _, err := cli.Update(ino, off, payload, 0); err != nil {
+				if _, err := f.UpdateAt(ctx, off, payload, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,7 +7,7 @@
 //
 // Cells are keyed by (report ID, row label, column name), where the row
 // label is the first cell of the row — "encode/binary", "recover/prio",
-// "writefile/coalesced". Every column name maps to a metric class that
+// "tcp-roundtrip/pipelined". Every column name maps to a metric class that
 // decides the comparison direction and the tolerance band:
 //
 //   - time  (ns/op, time_ms, snapshot_ms, reopen_ms) — lower is better

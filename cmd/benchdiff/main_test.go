@@ -83,7 +83,7 @@ func TestAddedAndRemovedRowsAreNotFatal(t *testing.T) {
 	})
 	grown := snapshot(t, "new.json", [][]string{
 		{"encode/binary", "1500", "43000", "0", "0"},
-		{"writefile/coalesced", "900000", "145", "30000", "200"},
+		{"added/bench", "900000", "145", "30000", "200"},
 	})
 	code, out, _ := diff(t, "-base", base, "-new", grown)
 	if code != 0 {

@@ -2,10 +2,12 @@
 //
 //  1. Markdown link check — every relative link in the repository's
 //     *.md files must point at a file or directory that exists.
-//  2. Godoc lint — every exported symbol of the repair subsystem
-//     (internal/ecfs: repair.go, recovery.go, scheduler.go) must carry
-//     a doc comment, so the operator-facing surface documented in
-//     docs/OPERATIONS.md cannot silently grow undocumented knobs.
+//  2. Godoc lint — every exported symbol of the client surface
+//     (internal/ecfs: client.go, file.go, dial.go) and of the repair
+//     subsystem (repair.go, recovery.go, scheduler.go) must carry a doc
+//     comment, so neither the one data API nor the operator-facing
+//     surface documented in docs/OPERATIONS.md can silently grow
+//     undocumented symbols.
 //
 // It runs from the repository root (CI wires it into the verify job)
 // and exits non-zero listing every violation.
@@ -22,9 +24,12 @@ import (
 	"strings"
 )
 
-// repairFiles is the godoc-linted surface: the repair/drain engines and
-// the cluster-level scheduler.
-var repairFiles = map[string]bool{
+// lintedFiles is the godoc-linted surface: the client and its File
+// handle, and the repair/drain engines with the cluster-level scheduler.
+var lintedFiles = map[string]bool{
+	"client.go":    true,
+	"file.go":      true,
+	"dial.go":      true,
 	"repair.go":    true,
 	"recovery.go":  true,
 	"scheduler.go": true,
@@ -132,7 +137,7 @@ func checkGodoc(dir string) []string {
 	}
 	for _, pkg := range pkgs {
 		for path, file := range pkg.Files {
-			if !repairFiles[filepath.Base(path)] {
+			if !lintedFiles[filepath.Base(path)] {
 				continue
 			}
 			for _, decl := range file.Decls {

@@ -51,11 +51,11 @@ func replay(traceName, method string, fileSize int64, ops, clients int) (float64
 		tr = tsue.TenCloudTrace(fileSize, ops, 7)
 	}
 	rep := tsue.NewReplayer(cluster, clients)
-	ino, err := rep.Prepare(ctx, traceName, fileSize)
+	f, err := rep.Prepare(ctx, traceName, fileSize)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := rep.Run(ctx, tr, ino)
+	res, err := rep.Run(ctx, tr, f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func replay(traceName, method string, fileSize int64, ops, clients int) (float64
 	if err := cluster.Flush(ctx); err != nil {
 		log.Fatal(err)
 	}
-	if err := cluster.VerifyStripes(ino, nil); err != nil {
+	if err := cluster.VerifyStripes(f, nil); err != nil {
 		log.Fatal(err)
 	}
 	return rep.Throughput(res), res.AvgLatency.String()

@@ -38,11 +38,11 @@ func main() {
 
 		tr := tsue.TenCloudTrace(fileSize, ops, 3)
 		rep := tsue.NewReplayer(cluster, 16)
-		ino, err := rep.Prepare(ctx, "wear", fileSize)
+		f, err := rep.Prepare(ctx, "wear", fileSize)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := rep.Run(ctx, tr, ino); err != nil {
+		if _, err := rep.Run(ctx, tr, f); err != nil {
 			log.Fatal(err)
 		}
 		// Include the deferred recycle bill: all methods must leave the
@@ -50,7 +50,7 @@ func main() {
 		if err := cluster.Flush(ctx); err != nil {
 			log.Fatal(err)
 		}
-		if err := cluster.VerifyStripes(ino, nil); err != nil {
+		if err := cluster.VerifyStripes(f, nil); err != nil {
 			log.Fatal(err)
 		}
 		st := cluster.DeviceStats()

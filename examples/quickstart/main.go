@@ -1,5 +1,5 @@
 // Quickstart: bring up an in-process ECFS cluster running TSUE, open a
-// file handle (the v2 context-aware API), write a striped+encoded file
+// file handle (the client's one data surface), write a striped+encoded file
 // through io.WriterAt, apply partial updates through the two-stage
 // update path, read them back immediately (read-your-writes via the
 // DataLog), then flush the three log layers and verify that every stripe
@@ -25,7 +25,7 @@ func main() {
 
 	// OpenFile returns a *tsue.File: io.ReaderAt + io.WriterAt +
 	// io.Closer, plus UpdateAt for the paper's two-stage updates.
-	f, err := cluster.CreateFile(ctx, "demo-volume")
+	f, err := cluster.OpenFile(ctx, "demo-volume")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func main() {
 	if err := cluster.Flush(ctx); err != nil {
 		log.Fatal(err)
 	}
-	if err := cluster.VerifyStripes(f.Ino(), data); err != nil {
+	if err := cluster.VerifyStripes(f, data); err != nil {
 		log.Fatalf("stripe verification failed: %v", err)
 	}
 	fmt.Println("all stripes verify: data matches and parity is consistent")

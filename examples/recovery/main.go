@@ -49,15 +49,16 @@ func main() {
 	defer cluster.Close()
 
 	client := cluster.NewClient()
-	ino, err := client.Create("vol")
+	f, err := client.Open(ctx, "vol")
 	if err != nil {
 		log.Fatal(err)
 	}
+	ino := f.Ino()
 	fileSize := 2 * client.StripeSpan()
 	mirror := make([]byte, fileSize)
 	rng := rand.New(rand.NewSource(9))
 	rng.Read(mirror)
-	if _, err := client.WriteFile(ino, mirror); err != nil {
+	if _, err := f.WriteAt(mirror, 0); err != nil {
 		log.Fatal(err)
 	}
 
@@ -66,7 +67,7 @@ func main() {
 			off := int64(rng.Intn(fileSize - 256))
 			data := make([]byte, 1+rng.Intn(256))
 			rng.Read(data)
-			if _, err := client.Update(ino, off, data, 0); err != nil {
+			if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 				log.Fatal(err)
 			}
 			copy(mirror[off:], data)
@@ -74,8 +75,8 @@ func main() {
 		fmt.Printf("%d updates acknowledged; none recycled yet (units not full)\n", n)
 	}
 	verify := func() {
-		got, _, err := client.Read(ino, 0, fileSize)
-		if err != nil {
+		got := make([]byte, fileSize)
+		if _, err := f.ReadAt(got, 0); err != nil {
 			log.Fatal(err)
 		}
 		if !bytes.Equal(got, mirror) {

@@ -223,11 +223,11 @@ func run(ctx context.Context, rc runConfig) (*runResult, error) {
 	}
 	defer c.Close()
 	rep := trace.NewReplayer(c, rc.Scale.ReplayCli)
-	ino, err := rep.Prepare(ctx, rc.Trace.Name, rc.Trace.FileSize)
+	f, err := rep.Prepare(ctx, rc.Trace.Name, rc.Trace.FileSize)
 	if err != nil {
 		return nil, err
 	}
-	res, err := rep.Run(ctx, rc.Trace, ino)
+	res, err := rep.Run(ctx, rc.Trace, f)
 	if err != nil {
 		return nil, err
 	}

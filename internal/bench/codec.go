@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/ecfs"
-	"repro/internal/erasure"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -29,7 +27,7 @@ func codecBenchMsg() *wire.Msg {
 // Codec is the wire-format trajectory: the binary codec's encode and
 // decode ns/op and allocs/op on the 64 KiB KWriteBlock frame, real
 // loopback round-trips/s on the multiplexed TCP transport (sequential
-// and pipelined), and multi-stripe file writes over it.
+// and pipelined).
 func Codec(ctx context.Context, _ Scale) (*Report, error) {
 	rep := &Report{
 		ID:     "codec",
@@ -101,135 +99,7 @@ func Codec(ctx context.Context, _ Scale) (*Report, error) {
 		})
 	}
 
-	// Multi-stripe file writes on the real transport: the cross-stripe
-	// coalescing trajectory (ISSUE 8). One stub cluster and one warm
-	// client serve both rows so the comparison is dial- and cache-fair;
-	// "per-stripe" drives one WriteStripeContext per stripe (each stripe
-	// its own batch), "coalesced" drives WriteFileContext (all stripes'
-	// shard frames grouped per destination in one flush window).
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	seqRes, coRes, wfBytes, err := benchWriteFile()
-	if err != nil {
-		return nil, err
-	}
-	for _, wf := range []struct {
-		name string
-		res  testing.BenchmarkResult
-	}{{"writefile/per-stripe", seqRes}, {"writefile/coalesced", coRes}} {
-		nsOp := float64(wf.res.NsPerOp())
-		rep.Rows = append(rep.Rows, []string{
-			wf.name,
-			fmt.Sprintf("%.0f", nsOp),
-			fmt.Sprintf("%.0f", float64(wfBytes)/nsOp*1e3),
-			fmt.Sprintf("%d", wf.res.AllocedBytesPerOp()),
-			fmt.Sprintf("%d", wf.res.AllocsPerOp()),
-		})
-	}
-	if seq, co := seqRes.NsPerOp(), coRes.NsPerOp(); seq > 0 && co > 0 {
-		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"cross-stripe write coalescing: %d-stripe file write %.2fx vs per-stripe (%d vs %d ns/op); single-core runners understate the win (the coalesced fan-out also overlaps per-destination flushes)",
-			writeFileBenchStripes, float64(seq)/float64(co), co, seq))
-	}
-
 	return rep, nil
-}
-
-// writeFileBenchStripes is the stripe count of the writefile trajectory
-// row — two full coalescing windows of small (8 KiB) blocks, so the
-// comparison is round-trip-structure-bound: the per-stripe loop pays 16
-// sequential batch flushes per destination, the coalesced path 2.
-const writeFileBenchStripes = 16
-
-// benchWriteFile measures a multi-stripe file write against a stub TCP
-// cluster (an MDS that answers create/lookup with a fixed placement,
-// K+M OSDs that ack KWriteBlock), both as a per-stripe
-// WriteStripeContext loop and coalesced through WriteFileContext. One
-// cluster, one client, and one warm-up write serve both modes, so
-// neither row pays the connection dials or the cold placement lookup.
-// Returns (per-stripe, coalesced, file bytes moved per op).
-func benchWriteFile() (seq, co testing.BenchmarkResult, bytes int64, err error) {
-	const (
-		k, m      = 2, 1
-		blockSize = 8 << 10
-	)
-	osdIDs := []wire.NodeID{1, 2, 3}
-	loc := wire.StripeLoc{Nodes: osdIDs, Epoch: 1}
-	addrs := make(map[wire.NodeID]string, k+m+1)
-	var servers []*transport.TCPServer
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	mds, err := transport.ServeTCP(wire.MDSNode, "127.0.0.1:0", func(_ context.Context, msg *wire.Msg) *wire.Resp {
-		switch msg.Kind {
-		case wire.KMDSCreate:
-			return &wire.Resp{Ino: 1}
-		case wire.KMDSLookup:
-			return &wire.Resp{Loc: loc}
-		default:
-			return &wire.Resp{}
-		}
-	})
-	if err != nil {
-		return seq, co, 0, err
-	}
-	servers = append(servers, mds)
-	addrs[wire.MDSNode] = mds.Addr()
-	for _, id := range osdIDs {
-		osd, err := transport.ServeTCP(id, "127.0.0.1:0", func(_ context.Context, _ *wire.Msg) *wire.Resp {
-			return &wire.Resp{}
-		})
-		if err != nil {
-			return seq, co, 0, err
-		}
-		servers = append(servers, osd)
-		addrs[id] = osd.Addr()
-	}
-	rpc := transport.NewTCPClient(addrs)
-	defer rpc.Close()
-	code, err := erasure.New(k, m, erasure.Vandermonde)
-	if err != nil {
-		return seq, co, 0, err
-	}
-	cli := ecfs.NewClient(wire.ClientIDBase, rpc, code, blockSize)
-	ctx := context.Background()
-	ino, err := cli.CreateContext(ctx, "bench-writefile")
-	if err != nil {
-		return seq, co, 0, err
-	}
-	span := cli.StripeSpan()
-	data := make([]byte, writeFileBenchStripes*span)
-	if _, err := cli.WriteFileContext(ctx, ino, data); err != nil {
-		return seq, co, 0, err
-	}
-	var failed error
-	seq = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for s := 0; s < writeFileBenchStripes; s++ {
-				if _, err := cli.WriteStripeContext(ctx, ino, uint32(s), data[s*span:(s+1)*span]); err != nil {
-					failed = err
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	if failed != nil {
-		return seq, co, 0, failed
-	}
-	co = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cli.WriteFileContext(ctx, ino, data); err != nil {
-				failed = err
-				b.Fatal(err)
-			}
-		}
-	})
-	return seq, co, int64(len(data)), failed
 }
 
 // benchLoopback measures one Call round trip on a real loopback TCP

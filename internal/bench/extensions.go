@@ -31,12 +31,12 @@ func Latency(ctx context.Context, s Scale) (*Report, error) {
 			return nil, err
 		}
 		r := trace.NewReplayer(c, s.ReplayCli)
-		ino, err := r.Prepare(ctx, tr.Name, tr.FileSize)
+		f, err := r.Prepare(ctx, tr.Name, tr.FileSize)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		if _, err := r.Run(ctx, tr, ino); err != nil {
+		if _, err := r.Run(ctx, tr, f); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -108,11 +108,11 @@ func runCompression(ctx context.Context, tr *trace.Trace, s Scale, compress, red
 	if !redundant {
 		rep.RandomPayload(s.Seed)
 	}
-	ino, err := rep.Prepare(ctx, tr.Name, tr.FileSize)
+	f, err := rep.Prepare(ctx, tr.Name, tr.FileSize)
 	if err != nil {
 		return nil, err
 	}
-	res, err := rep.Run(ctx, tr, ino)
+	res, err := rep.Run(ctx, tr, f)
 	if err != nil {
 		return nil, err
 	}

@@ -73,7 +73,7 @@ func Fig6a(ctx context.Context, s Scale) (*Report, error) {
 	}
 	defer c.Close()
 	rep := trace.NewReplayer(c, s.ReplayCli)
-	ino, err := rep.Prepare(ctx, tr.Name, tr.FileSize)
+	f, err := rep.Prepare(ctx, tr.Name, tr.FileSize)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func Fig6a(ctx context.Context, s Scale) (*Report, error) {
 		}
 		sub := &trace.Trace{Name: tr.Name, FileSize: tr.FileSize, Ops: tr.Ops[lo:hi]}
 		before := snapshotBusy(c)
-		res, err := rep.Run(ctx, sub, ino)
+		res, err := rep.Run(ctx, sub, f)
 		if err != nil {
 			return nil, err
 		}

@@ -20,13 +20,13 @@ var defaultRecoveryWorkerSweep = []int{1, 2, 4, 8}
 var recoveryMethods = []string{"fo", "pl", "parix", "tsue"}
 
 // loadedCluster is a cluster with one trace replayed onto it, ready for
-// failure injection. The replayer and ino allow further update rounds
+// failure injection. The replayer and file allow further update rounds
 // (multi-failure scenarios) without re-preparing the file.
 type loadedCluster struct {
 	c    *ecfs.Cluster
 	opts ecfs.Options
 	rep  *trace.Replayer
-	ino  uint64
+	f    *ecfs.File
 }
 
 // loadCluster builds a cluster for rc, replays its trace, settles
@@ -42,12 +42,12 @@ func loadCluster(ctx context.Context, rc runConfig) (*loadedCluster, error) {
 		return nil, err
 	}
 	rep := trace.NewReplayer(c, rc.Scale.ReplayCli)
-	ino, err := rep.Prepare(ctx, rc.Trace.Name, rc.Trace.FileSize)
+	f, err := rep.Prepare(ctx, rc.Trace.Name, rc.Trace.FileSize)
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	if _, err := rep.Run(ctx, rc.Trace, ino); err != nil {
+	if _, err := rep.Run(ctx, rc.Trace, f); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func loadCluster(ctx context.Context, rc runConfig) (*loadedCluster, error) {
 			}
 		}
 	}
-	return &loadedCluster{c: c, opts: opts, rep: rep, ino: ino}, nil
+	return &loadedCluster{c: c, opts: opts, rep: rep, f: f}, nil
 }
 
 // failAndRecover fails the OSD at position pos and rebuilds it with the
@@ -158,7 +158,7 @@ func RecoveryMulti(ctx context.Context, s Scale) (*Report, error) {
 		if round > 0 {
 			// Fresh updates between failures, so the second recovery
 			// also replays pending state.
-			if _, err := lc.rep.Run(ctx, tr, lc.ino); err != nil {
+			if _, err := lc.rep.Run(ctx, tr, lc.f); err != nil {
 				return nil, err
 			}
 			settleCluster(c)

@@ -193,6 +193,10 @@ func repairReadRow(ctx context.Context, s Scale, fifo bool) ([]string, error) {
 	}
 
 	cli := c.NewClient()
+	f, err := cli.Open(ctx, lc.f.Name())
+	if err != nil {
+		return nil, fmt.Errorf("repair %s: %w", scenario, err)
+	}
 	span := int64(cli.StripeSpan())
 	var (
 		stop     atomic.Bool
@@ -205,7 +209,7 @@ func repairReadRow(ctx context.Context, s Scale, fifo bool) ([]string, error) {
 			for _, ref := range hot {
 				off := int64(ref.Stripe)*span + int64(ref.Idx)*int64(c.Opts.BlockSize)
 				before := cli.Stats().DegradedReads
-				if _, _, err := cli.ReadContext(ctx, lc.ino, off, 256); err != nil {
+				if _, _, err := f.ReadRange(ctx, off, 256); err != nil {
 					readerDone <- err
 					return
 				}
@@ -283,8 +287,11 @@ func repairDrainRow(ctx context.Context, s Scale, decommission bool) ([]string, 
 		return nil, fmt.Errorf("repair %s: %w", scenario, err)
 	}
 	// The cluster keeps serving: prove it with a post-migration read.
-	cli := c.NewClient()
-	if _, _, err := cli.ReadContext(ctx, lc.ino, 0, 4096); err != nil {
+	f, err := c.NewClient().Open(ctx, lc.f.Name())
+	if err == nil {
+		_, _, err = f.ReadRange(ctx, 0, 4096)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("repair %s: post-migration read: %w", scenario, err)
 	}
 	return []string{
@@ -351,7 +358,12 @@ func repairCapRow(ctx context.Context, s Scale, capMBps float64) ([]string, floa
 		go func(r int, cli *ecfs.Client) {
 			defer wg.Done()
 			span := int64(cli.StripeSpan())
-			stripes, err := cli.Stripes(ctx, lc.ino)
+			f, err := cli.Open(ctx, lc.f.Name())
+			if err != nil {
+				readerErrs <- err
+				return
+			}
+			stripes, err := f.Stripes(ctx)
 			if err != nil {
 				readerErrs <- err
 				return
@@ -362,7 +374,7 @@ func repairCapRow(ctx context.Context, s Scale, capMBps float64) ([]string, floa
 				if off+4096 > size {
 					off = 0
 				}
-				if _, _, err := cli.ReadContext(ctx, lc.ino, off, 4096); err != nil {
+				if _, _, err := f.ReadRange(ctx, off, 4096); err != nil {
 					readerErrs <- err
 					return
 				}

@@ -101,21 +101,17 @@ func (s *Store) Lock(id wire.BlockID, size int) func() {
 	return b.mu.Unlock
 }
 
-// WriteFull stores a whole block. seq selects sequential pricing (the
-// initial stripe write); a rewrite of an existing block is an overwrite.
-func (s *Store) WriteFull(id wire.BlockID, data []byte, seq bool) time.Duration {
-	return s.WriteFullClass(sim.ClassOther, id, data, seq)
-}
-
-// WriteFullClass is WriteFull with the device charge traffic-classified.
-func (s *Store) WriteFullClass(class sim.Class, id wire.BlockID, data []byte, seq bool) time.Duration {
+// WriteFull stores a whole block, charging the device under class. seq
+// selects sequential pricing (the initial stripe write); a rewrite of an
+// existing block is an overwrite.
+func (s *Store) WriteFull(class sim.Class, id wire.BlockID, data []byte, seq bool) time.Duration {
 	if s.eng != nil {
 		existed := s.eng.Has(id)
 		b := s.lockTable(id)
 		b.mu.Lock()
 		s.eng.WriteFull(id, data)
 		b.mu.Unlock()
-		return s.dev.WriteClass(class, int64(len(data)), !seq, existed)
+		return s.dev.Write(class, int64(len(data)), !seq, existed)
 	}
 	s.mu.Lock()
 	b := s.blocks[id]
@@ -128,24 +124,19 @@ func (s *Store) WriteFullClass(class sim.Class, id wire.BlockID, data []byte, se
 	b.mu.Lock()
 	b.data = append(b.data[:0], data...)
 	b.mu.Unlock()
-	return s.dev.WriteClass(class, int64(len(data)), !seq, existed)
+	return s.dev.Write(class, int64(len(data)), !seq, existed)
 }
 
-// ReadRange reads [off, off+size) of a block. random selects the random
-// access cost. Reading an absent block returns an error; reading beyond
-// the block's size returns an error.
-func (s *Store) ReadRange(id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
-	return s.ReadRangeClass(sim.ClassOther, id, off, size, random)
-}
-
-// ReadRangeClass is ReadRange with the device charge traffic-classified.
-func (s *Store) ReadRangeClass(class sim.Class, id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
+// ReadRange reads [off, off+size) of a block, charging the device under
+// class. random selects the random access cost. Reading an absent block
+// returns an error; reading beyond the block's size returns an error.
+func (s *Store) ReadRange(class sim.Class, id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
 	if s.eng != nil {
 		out, err := s.eng.ReadRange(id, off, size)
 		if err != nil {
 			return nil, 0, err
 		}
-		return out, s.dev.ReadClass(class, int64(size), random), nil
+		return out, s.dev.Read(class, int64(size), random), nil
 	}
 	b := s.get(id)
 	if b == nil {
@@ -157,24 +148,18 @@ func (s *Store) ReadRangeClass(class sim.Class, id wire.BlockID, off uint32, siz
 		return nil, 0, fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+size, id, len(b.data))
 	}
 	out := append([]byte(nil), b.data[off:int(off)+size]...)
-	cost := s.dev.ReadClass(class, int64(size), random)
+	cost := s.dev.Read(class, int64(size), random)
 	return out, cost, nil
 }
 
 // ReadRangeNoLock is ReadRange for callers already holding Lock(id).
-func (s *Store) ReadRangeNoLock(id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
-	return s.ReadRangeNoLockClass(sim.ClassOther, id, off, size, random)
-}
-
-// ReadRangeNoLockClass is ReadRangeNoLock with the device charge
-// traffic-classified.
-func (s *Store) ReadRangeNoLockClass(class sim.Class, id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
+func (s *Store) ReadRangeNoLock(class sim.Class, id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
 	if s.eng != nil {
 		out, err := s.eng.ReadRange(id, off, size)
 		if err != nil {
 			return nil, 0, err
 		}
-		return out, s.dev.ReadClass(class, int64(size), random), nil
+		return out, s.dev.Read(class, int64(size), random), nil
 	}
 	b := s.get(id)
 	if b == nil {
@@ -184,19 +169,15 @@ func (s *Store) ReadRangeNoLockClass(class sim.Class, id wire.BlockID, off uint3
 		return nil, 0, fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+size, id, len(b.data))
 	}
 	out := append([]byte(nil), b.data[off:int(off)+size]...)
-	cost := s.dev.ReadClass(class, int64(size), random)
+	cost := s.dev.Read(class, int64(size), random)
 	return out, cost, nil
 }
 
-// WriteRange overwrites [off, off+len(data)) in place — always an
-// overwrite for wear accounting. The block is created zero-filled at
-// blockSize if absent (an update may precede the full write in replays).
-func (s *Store) WriteRange(id wire.BlockID, off uint32, data []byte, random bool, blockSize int) (time.Duration, error) {
-	return s.WriteRangeClass(sim.ClassOther, id, off, data, random, blockSize)
-}
-
-// WriteRangeClass is WriteRange with the device charge traffic-classified.
-func (s *Store) WriteRangeClass(class sim.Class, id wire.BlockID, off uint32, data []byte, random bool, blockSize int) (time.Duration, error) {
+// WriteRange overwrites [off, off+len(data)) in place, charging the
+// device under class — always an overwrite for wear accounting. The
+// block is created zero-filled at blockSize if absent (an update may
+// precede the full write in replays).
+func (s *Store) WriteRange(class sim.Class, id wire.BlockID, off uint32, data []byte, random bool, blockSize int) (time.Duration, error) {
 	need := int(off) + len(data)
 	if blockSize < need {
 		blockSize = need
@@ -208,7 +189,7 @@ func (s *Store) WriteRangeClass(class sim.Class, id wire.BlockID, off uint32, da
 		if err := s.eng.WriteRange(id, off, data); err != nil {
 			return 0, err
 		}
-		return s.dev.WriteClass(class, int64(len(data)), random, true), nil
+		return s.dev.Write(class, int64(len(data)), random, true), nil
 	}
 	if need > len(b.data) {
 		grown := make([]byte, need)
@@ -216,17 +197,11 @@ func (s *Store) WriteRangeClass(class sim.Class, id wire.BlockID, off uint32, da
 		b.data = grown
 	}
 	copy(b.data[off:], data)
-	return s.dev.WriteClass(class, int64(len(data)), random, true), nil
+	return s.dev.Write(class, int64(len(data)), random, true), nil
 }
 
 // WriteRangeNoLock is WriteRange for callers already holding Lock(id).
-func (s *Store) WriteRangeNoLock(id wire.BlockID, off uint32, data []byte, random bool) (time.Duration, error) {
-	return s.WriteRangeNoLockClass(sim.ClassOther, id, off, data, random)
-}
-
-// WriteRangeNoLockClass is WriteRangeNoLock with the device charge
-// traffic-classified.
-func (s *Store) WriteRangeNoLockClass(class sim.Class, id wire.BlockID, off uint32, data []byte, random bool) (time.Duration, error) {
+func (s *Store) WriteRangeNoLock(class sim.Class, id wire.BlockID, off uint32, data []byte, random bool) (time.Duration, error) {
 	if s.eng != nil {
 		if !s.eng.Has(id) {
 			return 0, fmt.Errorf("blockstore: %v not found", id)
@@ -234,7 +209,7 @@ func (s *Store) WriteRangeNoLockClass(class sim.Class, id wire.BlockID, off uint
 		if err := s.eng.WriteRange(id, off, data); err != nil {
 			return 0, err
 		}
-		return s.dev.WriteClass(class, int64(len(data)), random, true), nil
+		return s.dev.Write(class, int64(len(data)), random, true), nil
 	}
 	b := s.get(id)
 	if b == nil {
@@ -247,7 +222,7 @@ func (s *Store) WriteRangeNoLockClass(class sim.Class, id wire.BlockID, off uint
 		b.data = grown
 	}
 	copy(b.data[off:], data)
-	return s.dev.WriteClass(class, int64(len(data)), random, true), nil
+	return s.dev.Write(class, int64(len(data)), random, true), nil
 }
 
 // Snapshot returns a copy of the block's content without device charge

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -18,10 +19,10 @@ func bid(i int) wire.BlockID { return wire.BlockID{Ino: 1, Stripe: uint32(i)} }
 func TestWriteFullReadBack(t *testing.T) {
 	s := newStore()
 	data := []byte("hello block store")
-	if cost := s.WriteFull(bid(1), data, true); cost <= 0 {
+	if cost := s.WriteFull(sim.ClassOther, bid(1), data, true); cost <= 0 {
 		t.Fatal("write must cost device time")
 	}
-	got, cost, err := s.ReadRange(bid(1), 6, 5, true)
+	got, cost, err := s.ReadRange(sim.ClassOther, bid(1), 6, 5, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,33 +33,33 @@ func TestWriteFullReadBack(t *testing.T) {
 
 func TestReadMissingBlock(t *testing.T) {
 	s := newStore()
-	if _, _, err := s.ReadRange(bid(9), 0, 4, true); err == nil {
+	if _, _, err := s.ReadRange(sim.ClassOther, bid(9), 0, 4, true); err == nil {
 		t.Fatal("reading absent block must fail")
 	}
 }
 
 func TestReadBeyondEnd(t *testing.T) {
 	s := newStore()
-	s.WriteFull(bid(1), make([]byte, 10), true)
-	if _, _, err := s.ReadRange(bid(1), 8, 4, true); err == nil {
+	s.WriteFull(sim.ClassOther, bid(1), make([]byte, 10), true)
+	if _, _, err := s.ReadRange(sim.ClassOther, bid(1), 8, 4, true); err == nil {
 		t.Fatal("read past end must fail")
 	}
 }
 
 func TestWriteRangeCreatesAndGrows(t *testing.T) {
 	s := newStore()
-	if _, err := s.WriteRange(bid(2), 100, []byte{1, 2, 3}, true, 256); err != nil {
+	if _, err := s.WriteRange(sim.ClassOther, bid(2), 100, []byte{1, 2, 3}, true, 256); err != nil {
 		t.Fatal(err)
 	}
 	if s.Size(bid(2)) != 256 {
 		t.Fatalf("size = %d, want 256 (zero-filled to blockSize)", s.Size(bid(2)))
 	}
-	got, _, err := s.ReadRange(bid(2), 100, 3, true)
+	got, _, err := s.ReadRange(sim.ClassOther, bid(2), 100, 3, true)
 	if err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("range content wrong: %v %v", got, err)
 	}
 	// A write past the current size grows the block.
-	if _, err := s.WriteRange(bid(2), 300, []byte{9}, true, 256); err != nil {
+	if _, err := s.WriteRange(sim.ClassOther, bid(2), 300, []byte{9}, true, 256); err != nil {
 		t.Fatal(err)
 	}
 	if s.Size(bid(2)) != 301 {
@@ -69,15 +70,15 @@ func TestWriteRangeCreatesAndGrows(t *testing.T) {
 func TestOverwriteAccounting(t *testing.T) {
 	dev := device.New("d", device.ChameleonSSD())
 	s := New(dev)
-	s.WriteFull(bid(1), make([]byte, 100), true) // fresh: not an overwrite
+	s.WriteFull(sim.ClassOther, bid(1), make([]byte, 100), true) // fresh: not an overwrite
 	if dev.Stats().Overwrites != 0 {
 		t.Fatal("fresh full write must not count as overwrite")
 	}
-	s.WriteFull(bid(1), make([]byte, 100), true) // rewrite: overwrite
+	s.WriteFull(sim.ClassOther, bid(1), make([]byte, 100), true) // rewrite: overwrite
 	if dev.Stats().Overwrites != 1 {
 		t.Fatal("rewrite must count as overwrite")
 	}
-	s.WriteRange(bid(1), 0, []byte{1}, true, 100) // in-place: overwrite
+	s.WriteRange(sim.ClassOther, bid(1), 0, []byte{1}, true, 100) // in-place: overwrite
 	if dev.Stats().Overwrites != 2 {
 		t.Fatal("range write must count as overwrite")
 	}
@@ -86,7 +87,7 @@ func TestOverwriteAccounting(t *testing.T) {
 func TestLockCreatesBlock(t *testing.T) {
 	s := newStore()
 	unlock := s.Lock(bid(3), 64)
-	data, _, err := s.ReadRangeNoLock(bid(3), 0, 64, true)
+	data, _, err := s.ReadRangeNoLock(sim.ClassOther, bid(3), 0, 64, true)
 	unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -98,23 +99,23 @@ func TestLockCreatesBlock(t *testing.T) {
 
 func TestNoLockVariantsRequireExistence(t *testing.T) {
 	s := newStore()
-	if _, _, err := s.ReadRangeNoLock(bid(9), 0, 1, true); err == nil {
+	if _, _, err := s.ReadRangeNoLock(sim.ClassOther, bid(9), 0, 1, true); err == nil {
 		t.Fatal("ReadRangeNoLock of absent block must fail")
 	}
-	if _, err := s.WriteRangeNoLock(bid(9), 0, []byte{1}, true); err == nil {
+	if _, err := s.WriteRangeNoLock(sim.ClassOther, bid(9), 0, []byte{1}, true); err == nil {
 		t.Fatal("WriteRangeNoLock of absent block must fail")
 	}
 }
 
 func TestSnapshotIsCopy(t *testing.T) {
 	s := newStore()
-	s.WriteFull(bid(1), []byte{1, 2, 3}, true)
+	s.WriteFull(sim.ClassOther, bid(1), []byte{1, 2, 3}, true)
 	snap, ok := s.Snapshot(bid(1))
 	if !ok {
 		t.Fatal("snapshot missing")
 	}
 	snap[0] = 99
-	got, _, _ := s.ReadRange(bid(1), 0, 1, true)
+	got, _, _ := s.ReadRange(sim.ClassOther, bid(1), 0, 1, true)
 	if got[0] != 1 {
 		t.Fatal("snapshot must not alias stored data")
 	}
@@ -125,8 +126,8 @@ func TestSnapshotIsCopy(t *testing.T) {
 
 func TestDeleteAndEnumerate(t *testing.T) {
 	s := newStore()
-	s.WriteFull(bid(1), []byte{1}, true)
-	s.WriteFull(bid(2), []byte{2}, true)
+	s.WriteFull(sim.ClassOther, bid(1), []byte{1}, true)
+	s.WriteFull(sim.ClassOther, bid(2), []byte{2}, true)
 	if len(s.Blocks()) != 2 {
 		t.Fatal("enumeration wrong")
 	}
@@ -141,7 +142,7 @@ func TestDeleteAndEnumerate(t *testing.T) {
 
 func TestConcurrentRangeWrites(t *testing.T) {
 	s := newStore()
-	s.WriteFull(bid(1), make([]byte, 4096), true)
+	s.WriteFull(sim.ClassOther, bid(1), make([]byte, 4096), true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -150,7 +151,7 @@ func TestConcurrentRangeWrites(t *testing.T) {
 			payload := bytes.Repeat([]byte{byte(g + 1)}, 64)
 			for i := 0; i < 50; i++ {
 				off := uint32(g * 512)
-				if _, err := s.WriteRange(bid(1), off, payload, true, 4096); err != nil {
+				if _, err := s.WriteRange(sim.ClassOther, bid(1), off, payload, true, 4096); err != nil {
 					t.Error(err)
 					return
 				}
@@ -159,7 +160,7 @@ func TestConcurrentRangeWrites(t *testing.T) {
 	}
 	wg.Wait()
 	for g := 0; g < 8; g++ {
-		got, _, err := s.ReadRange(bid(1), uint32(g*512), 64, true)
+		got, _, err := s.ReadRange(sim.ClassOther, bid(1), uint32(g*512), 64, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -188,16 +188,10 @@ func (d *Device) throttle(lat time.Duration) time.Duration {
 func (d *Device) Resource() *sim.Resource { return d.res }
 
 // Read charges a read of size bytes and returns its modeled latency.
-// random selects the random-access cost model. The busy time lands in
-// sim.ClassOther; traffic-classified paths use ReadClass.
-func (d *Device) Read(size int64, random bool) time.Duration {
-	return d.ReadClass(sim.ClassOther, size, random)
-}
-
-// ReadClass is Read with the busy time accounted to a traffic class,
-// so device charges separate foreground from maintenance work the same
-// way NIC charges do.
-func (d *Device) ReadClass(class sim.Class, size int64, random bool) time.Duration {
+// random selects the random-access cost model. The busy time is
+// accounted to class, so device charges separate foreground from
+// maintenance work the same way NIC charges do.
+func (d *Device) Read(class sim.Class, size int64, random bool) time.Duration {
 	if size < 0 {
 		panic("device: negative read size")
 	}
@@ -213,21 +207,16 @@ func (d *Device) ReadClass(class sim.Class, size int64, random bool) time.Durati
 	d.stats.ReadBytes += size
 	d.countKind(random)
 	d.mu.Unlock()
-	d.res.ChargeClass(class, lat/time.Duration(d.profile.Parallelism))
+	d.res.Charge(class, lat/time.Duration(d.profile.Parallelism))
 	return lat
 }
 
 // Write charges a write and returns its modeled latency. random selects
 // the random-access cost model; overwrite marks an in-place update of
 // previously written space (the paper's "write penalty"), which feeds the
-// SSD wear model with whole-page programming. The busy time lands in
-// sim.ClassOther; traffic-classified paths use WriteClass.
-func (d *Device) Write(size int64, random, overwrite bool) time.Duration {
-	return d.WriteClass(sim.ClassOther, size, random, overwrite)
-}
-
-// WriteClass is Write with the busy time accounted to a traffic class.
-func (d *Device) WriteClass(class sim.Class, size int64, random, overwrite bool) time.Duration {
+// SSD wear model with whole-page programming. The busy time is
+// accounted to class.
+func (d *Device) Write(class sim.Class, size int64, random, overwrite bool) time.Duration {
 	if size < 0 {
 		panic("device: negative write size")
 	}
@@ -257,7 +246,7 @@ func (d *Device) WriteClass(class sim.Class, size int64, random, overwrite bool)
 		d.stats.ProgrammedBytes += programmed
 	}
 	d.mu.Unlock()
-	d.res.ChargeClass(class, lat/time.Duration(d.profile.Parallelism))
+	d.res.Charge(class, lat/time.Duration(d.profile.Parallelism))
 	return lat
 }
 

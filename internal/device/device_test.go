@@ -3,18 +3,20 @@ package device
 import (
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func TestRandomCostsMoreThanSequential(t *testing.T) {
 	for _, p := range []Profile{ChameleonSSD(), Datacenter2TBHDD()} {
 		d := New("t", p)
-		seq := d.Read(4096, false)
-		rnd := d.Read(4096, true)
+		seq := d.Read(sim.ClassOther, 4096, false)
+		rnd := d.Read(sim.ClassOther, 4096, true)
 		if rnd <= seq {
 			t.Errorf("%v: random read (%v) should cost more than sequential (%v)", p.Kind, rnd, seq)
 		}
-		seqW := d.Write(4096, false, false)
-		rndW := d.Write(4096, true, true)
+		seqW := d.Write(sim.ClassOther, 4096, false, false)
+		rndW := d.Write(sim.ClassOther, 4096, true, true)
 		if rndW <= seqW {
 			t.Errorf("%v: random write (%v) should cost more than sequential (%v)", p.Kind, rndW, seqW)
 		}
@@ -23,7 +25,7 @@ func TestRandomCostsMoreThanSequential(t *testing.T) {
 
 func TestHDDSeekDominates(t *testing.T) {
 	d := New("hdd", Datacenter2TBHDD())
-	lat := d.Read(4096, true)
+	lat := d.Read(sim.ClassOther, 4096, true)
 	if lat < 8*time.Millisecond {
 		t.Fatalf("HDD random read %v should include ~8ms seek", lat)
 	}
@@ -31,10 +33,10 @@ func TestHDDSeekDominates(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	d := New("ssd", ChameleonSSD())
-	d.Read(1000, true)
-	d.Read(2000, false)
-	d.Write(3000, false, false)
-	d.Write(500, true, true)
+	d.Read(sim.ClassOther, 1000, true)
+	d.Read(sim.ClassOther, 2000, false)
+	d.Write(sim.ClassOther, 3000, false, false)
+	d.Write(sim.ClassOther, 500, true, true)
 	s := d.Stats()
 	if s.Reads != 2 || s.ReadBytes != 3000 {
 		t.Fatalf("reads = %d/%d bytes", s.Reads, s.ReadBytes)
@@ -53,14 +55,14 @@ func TestCounters(t *testing.T) {
 func TestWearModel(t *testing.T) {
 	d := New("ssd", ChameleonSSD())
 	// A 512-byte in-place overwrite programs a whole 4 KiB page.
-	d.Write(512, true, true)
+	d.Write(sim.ClassOther, 512, true, true)
 	s := d.Stats()
 	if s.ProgrammedBytes != 4096 {
 		t.Fatalf("programmed = %d, want 4096 (whole page)", s.ProgrammedBytes)
 	}
 	// A sequential log append programs only its own bytes.
 	d.Reset()
-	d.Write(512, false, false)
+	d.Write(sim.ClassOther, 512, false, false)
 	s = d.Stats()
 	if s.ProgrammedBytes != 512 {
 		t.Fatalf("programmed = %d, want 512", s.ProgrammedBytes)
@@ -73,13 +75,13 @@ func TestEraseDerivation(t *testing.T) {
 		t.Fatal("fresh device must have zero erases")
 	}
 	// 256 KiB erase blocks: 1 MiB programmed -> 4 erases.
-	d.Write(1<<20, false, false)
+	d.Write(sim.ClassOther, 1<<20, false, false)
 	if got := d.Stats().EraseOps; got != 4 {
 		t.Fatalf("erases = %d, want 4", got)
 	}
 	// HDD has no wear model.
 	h := New("hdd", Datacenter2TBHDD())
-	h.Write(1<<20, true, true)
+	h.Write(sim.ClassOther, 1<<20, true, true)
 	if h.Stats().EraseOps != 0 {
 		t.Fatal("HDD must not accumulate erases")
 	}
@@ -90,8 +92,8 @@ func TestOverwriteWearAmplification(t *testing.T) {
 	rndDev := New("b", ChameleonSSD())
 	// Same volume: 1024 x 512 B. Sequential appends vs random overwrites.
 	for i := 0; i < 1024; i++ {
-		seqDev.Write(512, false, false)
-		rndDev.Write(512, true, true)
+		seqDev.Write(sim.ClassOther, 512, false, false)
+		rndDev.Write(sim.ClassOther, 512, true, true)
 	}
 	se, re := seqDev.Stats().EraseOps, rndDev.Stats().EraseOps
 	if re < 7*se {
@@ -101,13 +103,13 @@ func TestOverwriteWearAmplification(t *testing.T) {
 
 func TestBusyTimeAccounted(t *testing.T) {
 	d := New("ssd", ChameleonSSD())
-	lat := d.Write(64<<10, false, false)
+	lat := d.Write(sim.ClassOther, 64<<10, false, false)
 	want := lat / time.Duration(ChameleonSSD().Parallelism)
 	if d.Resource().Busy() != want {
 		t.Fatalf("resource busy %v != lat/parallelism %v", d.Resource().Busy(), want)
 	}
 	h := New("hdd", Datacenter2TBHDD())
-	hlat := h.Read(4096, true)
+	hlat := h.Read(sim.ClassOther, 4096, true)
 	if h.Resource().Busy() != hlat {
 		t.Fatalf("HDD busy %v != full latency %v", h.Resource().Busy(), hlat)
 	}
@@ -124,7 +126,7 @@ func TestStatsAdd(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	d := New("ssd", ChameleonSSD())
-	d.Write(4096, true, true)
+	d.Write(sim.ClassOther, 4096, true, true)
 	d.Reset()
 	s := d.Stats()
 	if s.Writes != 0 || s.ProgrammedBytes != 0 || d.Resource().Busy() != 0 {
@@ -135,8 +137,8 @@ func TestReset(t *testing.T) {
 func TestNegativeSizePanics(t *testing.T) {
 	d := New("ssd", ChameleonSSD())
 	for name, fn := range map[string]func(){
-		"read":  func() { d.Read(-1, true) },
-		"write": func() { d.Write(-1, true, false) },
+		"read":  func() { d.Read(sim.ClassOther, -1, true) },
+		"write": func() { d.Write(sim.ClassOther, -1, true, false) },
 	} {
 		func() {
 			defer func() {

@@ -26,7 +26,7 @@ const maxStaleRetries = 3
 const stripeWriteBudget = 2 * time.Minute
 
 // writeCoalesceStripes is the coalescing window of the striped write
-// path: WriteFileContext / File.WriteAt encode up to this many stripes
+// path: File.WriteAt encodes up to this many stripes
 // at once and fan out *all* of their shard frames in a single batch, so
 // a batch-capable transport flushes every same-destination frame of the
 // window in one writev. The window bounds the memory pinned per write
@@ -39,13 +39,10 @@ const writeCoalesceStripes = 8
 // writes into stripes, distinguishes writes from updates, routes updates
 // to the data block's OSD, and reads with location caching.
 //
-// The v2 surface is context-first: Open returns a *File handle
-// (io.ReaderAt / io.WriterAt / io.Closer plus UpdateAt), and the
-// *Context methods take an explicit context.Context that is honored at
-// every priced step of the call chain. The context-free Create /
-// WriteStripe / WriteFile / Update / Read methods are deprecated
-// wrappers over their *Context equivalents, kept so existing bench and
-// trace code migrates incrementally.
+// Files are reached only through handles: Open returns a *File
+// (io.ReaderAt / io.WriterAt / io.Closer plus UpdateAt and ReadRange),
+// and every context the caller gives is honored at every priced step of
+// the call chain.
 //
 // Cancellation semantics: updates and reads abort between priced steps
 // (an aborted multi-part update may be torn across blocks, like any
@@ -53,7 +50,7 @@ const writeCoalesceStripes = 8
 // coalescing-window granularity — the context is checked before each
 // window of up to writeCoalesceStripes stripes is placed, and once a
 // window's shard fan-out begins it runs to completion (bounded only by
-// the stripeWriteBudget liveness backstop) — so a cancelled WriteFile
+// the stripeWriteBudget liveness backstop) — so a cancelled WriteAt
 // never leaves a stripe bound at the MDS without all its shards stored.
 //
 // Cached placements carry their epoch (wire.StripeLoc.Epoch). When an
@@ -111,34 +108,23 @@ func (c *Client) StripeSpan() int { return c.code.K * c.blockSize }
 // handle's io.ReaderAt/io.WriterAt methods, which cannot accept a
 // context, use the one given here).
 func (c *Client) Open(ctx context.Context, name string) (*File, error) {
-	ino, err := c.CreateContext(ctx, name)
+	resp, err := c.rpc.Call(ctx, wire.MDSNode, &wire.Msg{Kind: wire.KMDSCreate, Name: name})
 	if err != nil {
 		return nil, err
 	}
-	return &File{cli: c, ino: ino, name: name, ctx: ctx}, nil
-}
-
-// CreateContext opens-or-creates a file and returns its ino.
-func (c *Client) CreateContext(ctx context.Context, name string) (uint64, error) {
-	resp, err := c.rpc.Call(ctx, wire.MDSNode, &wire.Msg{Kind: wire.KMDSCreate, Name: name})
-	if err != nil {
-		return 0, err
-	}
 	defer resp.Release()
 	if err := resp.Error(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	return resp.Ino, nil
+	return &File{cli: c, ino: resp.Ino, name: name, ctx: ctx}, nil
 }
 
-// Create opens-or-creates a file and returns its ino.
-//
-// Deprecated: use CreateContext (or Open, which returns a *File handle).
-func (c *Client) Create(name string) (uint64, error) {
-	return c.CreateContext(context.Background(), name)
-}
-
-func (c *Client) lookup(ctx context.Context, ino uint64, stripe uint32) (wire.StripeLoc, error) {
+// lookup resolves one stripe's placement, serving the cache first. With
+// bind the MDS places an unplaced stripe on first touch (writes and
+// updates — an update may arrive before the stripe's full write);
+// without it an unplaced stripe fails with wire.ErrNotFound and nothing
+// changes at the MDS, which is what a read past the written end needs.
+func (c *Client) lookup(ctx context.Context, ino uint64, stripe uint32, bind bool) (wire.StripeLoc, error) {
 	key := stripeAddr{ino, stripe}
 	c.locMu.RLock()
 	loc, ok := c.locs[key]
@@ -146,7 +132,11 @@ func (c *Client) lookup(ctx context.Context, ino uint64, stripe uint32) (wire.St
 	if ok {
 		return loc, nil
 	}
-	resp, err := c.rpc.Call(ctx, wire.MDSNode, &wire.Msg{Kind: wire.KMDSLookup, Block: wire.BlockID{Ino: ino, Stripe: stripe}})
+	msg := &wire.Msg{Kind: wire.KMDSLookup, Block: wire.BlockID{Ino: ino, Stripe: stripe}}
+	if !bind {
+		msg.Flag = wire.LookupNoBind
+	}
+	resp, err := c.rpc.Call(ctx, wire.MDSNode, msg)
 	if err != nil {
 		return wire.StripeLoc{}, err
 	}
@@ -185,7 +175,7 @@ func (c *Client) refreshLoc(ctx context.Context, ino uint64, stripe uint32, stal
 	}
 	delete(c.locs, key)
 	c.locMu.Unlock()
-	return c.lookup(ctx, ino, stripe)
+	return c.lookup(ctx, ino, stripe, true)
 }
 
 // InvalidateLocations clears the placement cache. With placement epochs
@@ -196,28 +186,6 @@ func (c *Client) InvalidateLocations() {
 	c.locMu.Lock()
 	c.locs = make(map[stripeAddr]wire.StripeLoc)
 	c.locMu.Unlock()
-}
-
-// WriteStripeContext encodes and distributes one full stripe of file
-// data (len(data) must be K*blockSize). Returns the modeled latency:
-// blocks are transferred concurrently, so the cost is the slowest
-// member.
-//
-// Cancellation is checked once at entry; past that point the write
-// ignores the caller's ctx (cancel and deadline alike), so a stripe is
-// never placed at the MDS with only some of its shards stored. The
-// detached fan-out still runs under the stripeWriteBudget liveness
-// backstop — should that fire (a hung OSD), the write errors out and
-// the stripe may be left short of shards for Scrub to flag.
-func (c *Client) WriteStripeContext(ctx context.Context, ino uint64, stripe uint32, data []byte) (time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if len(data) != c.StripeSpan() {
-		return 0, fmt.Errorf("ecfs: stripe write of %d bytes, want %d", len(data), c.StripeSpan())
-	}
-	costs, errs := c.writeWindow(ctx, ino, stripe, data, 1)
-	return costs[0], errs[0]
 }
 
 // lookupWindow resolves placements for n consecutive stripes, serving
@@ -398,13 +366,6 @@ func (c *Client) writeWindow(ctx context.Context, ino uint64, first uint32, data
 	return costs, errs
 }
 
-// WriteStripe encodes and distributes one full stripe.
-//
-// Deprecated: use WriteStripeContext.
-func (c *Client) WriteStripe(ino uint64, stripe uint32, data []byte) (time.Duration, error) {
-	return c.WriteStripeContext(context.Background(), ino, stripe, data)
-}
-
 // sendWithReresolve delivers one block-addressed request, re-resolving
 // the placement and retrying when the target rejects a stale epoch or
 // is unreachable. send is invoked with the placement to use for the
@@ -490,21 +451,12 @@ func (c *Client) writeShard(ctx context.Context, b wire.BlockID, shard []byte, l
 	return cost, nil
 }
 
-// WriteFileContext stripes data from file offset 0, zero-padding the
-// tail stripe, and returns the number of stripes written. Stripes are
-// written in coalescing windows (writeCoalesceStripes at a time, all
-// shard frames of a window batched per destination); the context is
-// checked before every window: a cancelled write stops at a window
-// boundary, with every already-written stripe complete and no partial
-// stripe bound at the MDS.
-func (c *Client) WriteFileContext(ctx context.Context, ino uint64, data []byte) (int, error) {
-	return c.writeStripes(ctx, ino, 0, data)
-}
-
 // writeStripes chunks data into stripes starting at stripe `first`
 // (zero-padding the tail) and writes them in coalescing windows of
-// writeCoalesceStripes through writeWindow — the shared striping loop
-// behind WriteFileContext and File.WriteAt. It returns the number of
+// writeCoalesceStripes through writeWindow — the striping loop behind
+// File.WriteAt. The context is checked before every window: a cancelled
+// write stops at a window boundary, with every already-written stripe
+// complete and no partial stripe bound at the MDS. It returns the number of
 // contiguous stripes completed from the start: on error, every stripe
 // before the reported count is fully stored (later stripes of the same
 // window may also have landed, but the count never skips a failure).
@@ -528,58 +480,6 @@ func (c *Client) writeStripes(ctx context.Context, ino uint64, first uint32, dat
 		done += n
 	}
 	return done, nil
-}
-
-// WriteFile stripes data from file offset 0.
-//
-// Deprecated: use WriteFileContext (or File.WriteAt via Open).
-func (c *Client) WriteFile(ino uint64, data []byte) (int, error) {
-	return c.WriteFileContext(context.Background(), ino, data)
-}
-
-// UpdateContext applies a partial update at a file byte offset,
-// splitting it across data blocks as needed. v is the virtual workload
-// time of the request. Returns the synchronous update latency (max
-// across split parts, which proceed concurrently). A cancelled ctx
-// aborts unsent parts at the next priced step; like any interrupted
-// POSIX write, a multi-part update may be torn (parity stays consistent
-// per part — each part's two-stage update is atomic at its OSD).
-func (c *Client) UpdateContext(ctx context.Context, ino uint64, off int64, data []byte, v time.Duration) (time.Duration, error) {
-	parts, err := c.split(ctx, ino, off, len(data))
-	if err != nil {
-		return 0, err
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		max  time.Duration
-		rerr error
-	)
-	for _, p := range parts {
-		wg.Add(1)
-		go func(p part) {
-			defer wg.Done()
-			cost, err := c.updatePart(ctx, p, data[p.src:p.src+p.n], v)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				rerr = err
-				return
-			}
-			if cost > max {
-				max = cost
-			}
-		}(p)
-	}
-	wg.Wait()
-	return max, rerr
-}
-
-// Update applies a partial update at a file byte offset.
-//
-// Deprecated: use UpdateContext (or File.UpdateAt via Open).
-func (c *Client) Update(ino uint64, off int64, data []byte, v time.Duration) (time.Duration, error) {
-	return c.UpdateContext(context.Background(), ino, off, data, v)
 }
 
 // updatePart routes one split of an update to its data block's OSD with
@@ -608,20 +508,6 @@ func (c *Client) updatePart(ctx context.Context, p part, payload []byte, v time.
 	return cost, nil
 }
 
-// ReadContext fetches [off, off+size) of a file into a buffer of its
-// own.
-func (c *Client) ReadContext(ctx context.Context, ino uint64, off int64, size int) ([]byte, time.Duration, error) {
-	if size < 0 {
-		return nil, 0, fmt.Errorf("ecfs: negative range")
-	}
-	out := make([]byte, size)
-	cost, err := c.readInto(ctx, ino, off, out)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, cost, nil
-}
-
 // readInto fills p from [off, off+len(p)) of a file and returns the
 // modeled latency (the slowest part; parts proceed concurrently). Every
 // part's reply is read straight into its own slice of p. A one-part
@@ -631,7 +517,7 @@ func (c *Client) ReadContext(ctx context.Context, ino uint64, off int64, size in
 // readPart's re-resolve and degraded path, concurrently. On error p may
 // be partly filled.
 func (c *Client) readInto(ctx context.Context, ino uint64, off int64, p []byte) (time.Duration, error) {
-	parts, err := c.split(ctx, ino, off, len(p))
+	parts, err := c.split(ctx, ino, off, len(p), false)
 	if err != nil {
 		return 0, err
 	}
@@ -699,26 +585,6 @@ func fillFrom(dst []byte, resp *wire.Resp) {
 	resp.Release()
 }
 
-// Read fetches [off, off+size) of a file.
-//
-// Deprecated: use ReadContext (or File.ReadAt via Open).
-func (c *Client) Read(ino uint64, off int64, size int) ([]byte, time.Duration, error) {
-	return c.ReadContext(context.Background(), ino, off, size)
-}
-
-// Stripes returns the number of placed stripes of a file (KMDSStat).
-func (c *Client) Stripes(ctx context.Context, ino uint64) (int, error) {
-	resp, err := c.rpc.Call(ctx, wire.MDSNode, &wire.Msg{Kind: wire.KMDSStat, Block: wire.BlockID{Ino: ino}})
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Release()
-	if err := resp.Error(); err != nil {
-		return 0, err
-	}
-	return int(resp.Val), nil
-}
-
 // readPart serves one block-range read into dst (len(dst) == p.n). The
 // normal path ships the cached placement so the holder can epoch-check
 // it: a stale-epoch rejection or an unreachable holder re-resolves at
@@ -753,7 +619,7 @@ func (c *Client) readPart(ctx context.Context, p part, dst []byte) (time.Duratio
 	// the block is mid-migration), so rebuild the requested range from K
 	// surviving blocks — under the freshest placement the retry loop
 	// left in the cache.
-	if nl, lerr := c.lookup(ctx, p.block.Ino, p.block.Stripe); lerr == nil {
+	if nl, lerr := c.lookup(ctx, p.block.Ino, p.block.Stripe, false); lerr == nil {
 		p.loc = nl
 	}
 	cost, derr := c.degradedRead(ctx, p, dst)
@@ -863,7 +729,9 @@ type part struct {
 	n     int
 }
 
-func (c *Client) split(ctx context.Context, ino uint64, off int64, size int) ([]part, error) {
+// split maps [off, off+size) of a file onto its data blocks, resolving
+// each stripe's placement through lookup (bind as there).
+func (c *Client) split(ctx context.Context, ino uint64, off int64, size int, bind bool) ([]part, error) {
 	if off < 0 || size < 0 {
 		return nil, fmt.Errorf("ecfs: negative range")
 	}
@@ -876,7 +744,7 @@ func (c *Client) split(ctx context.Context, ino uint64, off int64, size int) ([]
 		blockIdx := int(inStripe) / c.blockSize
 		blockOff := uint32(int(inStripe) % c.blockSize)
 		n := min(size, c.blockSize-int(blockOff))
-		loc, err := c.lookup(ctx, ino, stripe)
+		loc, err := c.lookup(ctx, ino, stripe, bind)
 		if err != nil {
 			return nil, err
 		}

@@ -84,8 +84,8 @@ type Cluster struct {
 	cfg     update.Config // resolved strategy config every OSD was built with
 	nextCli atomic.Int32  // next client node id offset from ClientIDBase
 
-	// handleCli is the shared client behind OpenFile/CreateFile handles
-	// (lazily provisioned; Client is safe for concurrent use).
+	// handleCli is the shared client behind OpenFile handles (lazily
+	// provisioned; Client is safe for concurrent use).
 	handleMu  sync.Mutex
 	handleCli *Client
 
@@ -273,17 +273,12 @@ func (c *Cluster) handleClient() *Client {
 }
 
 // OpenFile opens-or-creates a file and returns a *File handle bound to
-// ctx — the v2 entry point of the in-process cluster. The handle
-// implements io.ReaderAt, io.WriterAt and io.Closer, plus UpdateAt for
-// two-stage TSUE updates.
+// ctx, on a client the cluster shares between the handles it hands out.
+// The handle implements io.ReaderAt, io.WriterAt and io.Closer, plus
+// UpdateAt for two-stage TSUE updates. Callers that need a client of
+// their own (its own node id, NIC and placement cache) use
+// NewClient().Open.
 func (c *Cluster) OpenFile(ctx context.Context, name string) (*File, error) {
-	return c.handleClient().Open(ctx, name)
-}
-
-// CreateFile is OpenFile spelled for the creation path; the MDS has
-// open-or-create semantics, so both succeed whether or not the file
-// exists.
-func (c *Cluster) CreateFile(ctx context.Context, name string) (*File, error) {
 	return c.handleClient().Open(ctx, name)
 }
 
@@ -635,7 +630,7 @@ func (c *Cluster) Scrub() (int, error) {
 	checked := 0
 	for _, ino := range c.MDS.Files() {
 		stripes := c.MDS.Stripes(ino)
-		if err := c.VerifyStripes(ino, nil); err != nil {
+		if err := c.verifyStripes(ino, nil); err != nil {
 			return checked, err
 		}
 		checked += stripes
@@ -643,10 +638,13 @@ func (c *Cluster) Scrub() (int, error) {
 	return checked, nil
 }
 
-// VerifyStripes checks every placed stripe of a file: data blocks versus
-// the expected mirror and parity consistency via re-encode. It returns
-// the first inconsistency found. Call Flush first.
-func (c *Cluster) VerifyStripes(ino uint64, mirror []byte) error {
+// VerifyStripes checks every placed stripe of f's file: data blocks
+// versus the expected mirror (nil skips that comparison) and parity
+// consistency via re-encode. It reads the OSDs' stores directly and
+// returns the first inconsistency found. Call Flush first.
+func (c *Cluster) VerifyStripes(f *File, mirror []byte) error { return c.verifyStripes(f.ino, mirror) }
+
+func (c *Cluster) verifyStripes(ino uint64, mirror []byte) error {
 	span := c.Opts.K * c.Opts.BlockSize
 	stripes := c.MDS.Stripes(ino)
 	for s := 0; s < stripes; s++ {

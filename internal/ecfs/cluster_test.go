@@ -39,40 +39,51 @@ func testOptions(method string) Options {
 	}
 }
 
-func writeTestFile(t *testing.T, c *Cluster, cli *Client, size int, seed int64) (uint64, []byte) {
+// openFile opens name on cli under a background context, failing the
+// test on error.
+func openFile(t *testing.T, cli *Client, name string) *File {
 	t.Helper()
-	ino, err := cli.Create("f1")
+	f, err := cli.Open(context.Background(), name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+// writeTestFile writes size random bytes to "f1" through a handle on cli
+// and returns the handle plus the file image padded to full stripes.
+func writeTestFile(t *testing.T, c *Cluster, cli *Client, size int, seed int64) (*File, []byte) {
+	t.Helper()
+	f := openFile(t, cli, "f1")
 	mirror := make([]byte, size)
 	rand.New(rand.NewSource(seed)).Read(mirror)
-	if _, err := cli.WriteFile(ino, mirror); err != nil {
+	if _, err := f.WriteAt(mirror, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Pad the mirror to full stripes (WriteFile zero-pads).
+	// Pad the mirror to full stripes (WriteAt zero-pads).
 	span := cli.StripeSpan()
 	padded := make([]byte, (size+span-1)/span*span)
 	copy(padded, mirror)
-	return ino, padded
+	return f, padded
 }
 
 func TestWriteVerify(t *testing.T) {
 	c := MustNewCluster(testOptions("tsue"))
 	defer c.Close()
 	cli := c.NewClient()
-	ino, mirror := writeTestFile(t, c, cli, 64<<10, 1)
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	f, mirror := writeTestFile(t, c, cli, 64<<10, 1)
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReadBack(t *testing.T) {
+	ctx := context.Background()
 	c := MustNewCluster(testOptions("tsue"))
 	defer c.Close()
 	cli := c.NewClient()
-	ino, mirror := writeTestFile(t, c, cli, 48<<10, 2)
-	got, lat, err := cli.Read(ino, 1000, 5000)
+	f, mirror := writeTestFile(t, c, cli, 48<<10, 2)
+	got, lat, err := f.ReadRange(ctx, 1000, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +100,7 @@ func TestReadBack(t *testing.T) {
 // identical data blocks AND parity consistent with a re-encode — i.e. all
 // seven update paths compute the same mathematics (Eq. 1-5).
 func TestUpdateEquivalenceAllMethods(t *testing.T) {
+	ctx := context.Background()
 	for _, method := range update.AllMethods {
 		method := method
 		t.Run(method, func(t *testing.T) {
@@ -97,7 +109,7 @@ func TestUpdateEquivalenceAllMethods(t *testing.T) {
 			defer c.Close()
 			cli := c.NewClient()
 			fileSize := 96 << 10 // 6 stripes of 16 KiB
-			ino, mirror := writeTestFile(t, c, cli, fileSize, 42)
+			f, mirror := writeTestFile(t, c, cli, fileSize, 42)
 
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 400; i++ {
@@ -105,7 +117,7 @@ func TestUpdateEquivalenceAllMethods(t *testing.T) {
 				n := 1 + rng.Intn(512)
 				data := make([]byte, n)
 				rng.Read(data)
-				if _, err := cli.Update(ino, off, data, time.Duration(i)*time.Millisecond); err != nil {
+				if _, err := f.UpdateAt(ctx, off, data, time.Duration(i)*time.Millisecond); err != nil {
 					t.Fatalf("update %d: %v", i, err)
 				}
 				copy(mirror[off:], data)
@@ -113,7 +125,7 @@ func TestUpdateEquivalenceAllMethods(t *testing.T) {
 			if err := c.Flush(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.VerifyStripes(ino, mirror); err != nil {
+			if err := c.VerifyStripes(f, mirror); err != nil {
 				t.Fatalf("method %s: %v", method, err)
 			}
 		})
@@ -123,6 +135,7 @@ func TestUpdateEquivalenceAllMethods(t *testing.T) {
 // TestReadYourWrites: reads must observe updates immediately, before any
 // flush, under every method.
 func TestReadYourWrites(t *testing.T) {
+	ctx := context.Background()
 	for _, method := range update.AllMethods {
 		method := method
 		t.Run(method, func(t *testing.T) {
@@ -130,12 +143,12 @@ func TestReadYourWrites(t *testing.T) {
 			c := MustNewCluster(testOptions(method))
 			defer c.Close()
 			cli := c.NewClient()
-			ino, _ := writeTestFile(t, c, cli, 32<<10, 3)
+			f, _ := writeTestFile(t, c, cli, 32<<10, 3)
 			payload := []byte("fresh-update-payload")
-			if _, err := cli.Update(ino, 777, payload, 0); err != nil {
+			if _, err := f.UpdateAt(ctx, 777, payload, 0); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := cli.Read(ino, 777, len(payload))
+			got, _, err := f.ReadRange(ctx, 777, len(payload))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,11 +160,12 @@ func TestReadYourWrites(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
+	ctx := context.Background()
 	c := MustNewCluster(testOptions("tsue"))
 	defer c.Close()
 	setup := c.NewClient()
 	fileSize := 64 << 10
-	ino, mirror := writeTestFile(t, c, setup, fileSize, 5)
+	f, mirror := writeTestFile(t, c, setup, fileSize, 5)
 
 	// Partition the file: each client owns a disjoint region, so the
 	// final state is deterministic.
@@ -160,9 +174,9 @@ func TestConcurrentClients(t *testing.T) {
 	region := fileSize / nClients
 	var mu sync.Mutex
 	for ci := 0; ci < nClients; ci++ {
-		cli := c.NewClient()
+		cf := openFile(t, c.NewClient(), f.Name())
 		wg.Add(1)
-		go func(ci int, cli *Client) {
+		go func(ci int, cf *File) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + ci)))
 			base := int64(ci * region)
@@ -170,7 +184,7 @@ func TestConcurrentClients(t *testing.T) {
 				off := base + int64(rng.Intn(region-64))
 				data := make([]byte, 1+rng.Intn(64))
 				rng.Read(data)
-				if _, err := cli.Update(ino, off, data, time.Duration(i)*time.Millisecond); err != nil {
+				if _, err := cf.UpdateAt(ctx, off, data, time.Duration(i)*time.Millisecond); err != nil {
 					t.Errorf("client %d: %v", ci, err)
 					return
 				}
@@ -178,38 +192,39 @@ func TestConcurrentClients(t *testing.T) {
 				copy(mirror[off:], data)
 				mu.Unlock()
 			}
-		}(ci, cli)
+		}(ci, cf)
 	}
 	wg.Wait()
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTSUEReadCacheHit(t *testing.T) {
+	ctx := context.Background()
 	c := MustNewCluster(testOptions("tsue"))
 	defer c.Close()
 	cli := c.NewClient()
-	ino, _ := writeTestFile(t, c, cli, 32<<10, 9)
+	f, _ := writeTestFile(t, c, cli, 32<<10, 9)
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = 0xAB
 	}
-	if _, err := cli.Update(ino, 512, payload, 0); err != nil {
+	if _, err := f.UpdateAt(ctx, 512, payload, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A read fully covered by the data log must cost zero device time.
-	_, lat, err := cli.Read(ino, 512, 256)
+	_, lat, err := f.ReadRange(ctx, 512, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Latency includes only network, which the client-side call adds on
 	// top of resp.Cost; resp.Cost itself must show zero device read.
 	// Reading uncached data costs the random-read latency (~80us).
-	_, lat2, err := cli.Read(ino, 20<<10, 256)
+	_, lat2, err := f.ReadRange(ctx, 20<<10, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +234,7 @@ func TestTSUEReadCacheHit(t *testing.T) {
 }
 
 func TestRecoveryAfterUpdates(t *testing.T) {
+	ctx := context.Background()
 	for _, method := range []string{"tsue", "pl", "fo"} {
 		method := method
 		t.Run(method, func(t *testing.T) {
@@ -227,13 +243,13 @@ func TestRecoveryAfterUpdates(t *testing.T) {
 			defer c.Close()
 			cli := c.NewClient()
 			fileSize := 64 << 10
-			ino, mirror := writeTestFile(t, c, cli, fileSize, 11)
+			f, mirror := writeTestFile(t, c, cli, fileSize, 11)
 			rng := rand.New(rand.NewSource(13))
 			for i := 0; i < 200; i++ {
 				off := int64(rng.Intn(fileSize - 256))
 				data := make([]byte, 1+rng.Intn(256))
 				rng.Read(data)
-				if _, err := cli.Update(ino, off, data, time.Duration(i)*time.Millisecond); err != nil {
+				if _, err := f.UpdateAt(ctx, off, data, time.Duration(i)*time.Millisecond); err != nil {
 					t.Fatal(err)
 				}
 				copy(mirror[off:], data)
@@ -274,14 +290,14 @@ func TestRecoveryAfterUpdates(t *testing.T) {
 			// Reinstate the replacement under the victim's id: reads
 			// must match the mirror and stripes must verify end to end.
 			c.Reinstate(repl)
-			got, _, err := cli.Read(ino, 0, fileSize)
+			got, _, err := f.ReadRange(ctx, 0, fileSize)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, mirror[:fileSize]) {
 				t.Fatal("post-recovery read mismatch")
 			}
-			if err := c.VerifyStripes(ino, mirror); err != nil {
+			if err := c.VerifyStripes(f, mirror); err != nil {
 				t.Fatalf("post-recovery stripe verify: %v", err)
 			}
 		})
@@ -289,6 +305,7 @@ func TestRecoveryAfterUpdates(t *testing.T) {
 }
 
 func TestTSUEDeltaCopyPromotion(t *testing.T) {
+	ctx := context.Background()
 	// Fail the OSD hosting a stripe's first parity block while deltas
 	// are still buffered in its DeltaLog: the copies at the second
 	// parity OSD must be promoted so parity stays consistent.
@@ -303,13 +320,13 @@ func TestTSUEDeltaCopyPromotion(t *testing.T) {
 	defer c.Close()
 	cli := c.NewClient()
 	fileSize := 16 << 10 // one stripe
-	ino, mirror := writeTestFile(t, c, cli, fileSize, 17)
+	f, mirror := writeTestFile(t, c, cli, fileSize, 17)
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 50; i++ {
 		off := int64(rng.Intn(fileSize - 128))
 		data := make([]byte, 1+rng.Intn(128))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, 0); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 			t.Fatal(err)
 		}
 		copy(mirror[off:], data)
@@ -321,7 +338,7 @@ func TestTSUEDeltaCopyPromotion(t *testing.T) {
 		}
 	}
 	// Fail the first parity OSD of stripe 0 (the DeltaLog primary).
-	loc, err := c.MDS.Lookup(ino, 0)
+	loc, err := c.MDS.Lookup(f.Ino(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +354,7 @@ func TestTSUEDeltaCopyPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Reinstate(repl)
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -406,10 +423,11 @@ func TestMDSLiveness(t *testing.T) {
 }
 
 func TestClientSplitSpansBlocks(t *testing.T) {
+	ctx := context.Background()
 	c := MustNewCluster(testOptions("fo"))
 	defer c.Close()
 	cli := c.NewClient()
-	ino, mirror := writeTestFile(t, c, cli, 64<<10, 21)
+	f, mirror := writeTestFile(t, c, cli, 64<<10, 21)
 	// Update crossing a block boundary and a stripe boundary.
 	span := cli.StripeSpan()
 	off := int64(span - 1000)
@@ -417,14 +435,14 @@ func TestClientSplitSpansBlocks(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	if _, err := cli.Update(ino, off, data, 0); err != nil {
+	if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 		t.Fatal(err)
 	}
 	copy(mirror[off:], data)
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,8 +16,8 @@ import (
 var dialClientSeq atomic.Int32
 
 // RemoteClient is a client of a TCP-deployed ECFS cluster, obtained
-// from Dial. It embeds a *Client (so every client operation and the
-// File-handle surface are available) and owns the underlying connection
+// from Dial. It embeds a *Client (so Open and the File handles it
+// returns are available) and owns the underlying connection
 // pool, which re-resolves node addresses through the MDS
 // (wire.KResolveAddr) whenever a node is unreachable or unknown — a
 // replacement OSD that announced itself via heartbeats is found with no
@@ -105,18 +105,6 @@ func (r *RemoteClient) MDSAddr() string { return r.mdsAddr }
 
 // Transport exposes the underlying TCP pool (tests, diagnostics).
 func (r *RemoteClient) Transport() *transport.TCPClient { return r.rpc }
-
-// OpenFile opens-or-creates a file and returns a handle bound to ctx.
-func (r *RemoteClient) OpenFile(ctx context.Context, name string) (*File, error) {
-	return r.Open(ctx, name)
-}
-
-// CreateFile is OpenFile under the name the creation path reads
-// naturally by; the MDS has open-or-create semantics, so both succeed
-// whether or not the file exists.
-func (r *RemoteClient) CreateFile(ctx context.Context, name string) (*File, error) {
-	return r.Open(ctx, name)
-}
 
 // Close releases the connection pool. Open File handles share it and
 // become unusable.

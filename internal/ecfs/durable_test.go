@@ -16,15 +16,16 @@ func durableOptions(t *testing.T, method string) Options {
 }
 
 // applyUpdates issues n small random in-place updates through the
-// client and mirrors them locally.
-func applyUpdates(t *testing.T, cli *Client, ino uint64, mirror []byte, n int, seed int64) {
+// handle and mirrors them locally.
+func applyUpdates(t *testing.T, f *File, mirror []byte, n int, seed int64) {
 	t.Helper()
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		off := rng.Intn(len(mirror) - 256)
 		buf := make([]byte, 64+rng.Intn(192))
 		rng.Read(buf)
-		if _, err := cli.Update(ino, int64(off), buf, time.Duration(i+1)); err != nil {
+		if _, err := f.UpdateAt(ctx, int64(off), buf, time.Duration(i+1)); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 		copy(mirror[off:], buf)
@@ -37,12 +38,12 @@ func TestDurableWriteVerify(t *testing.T) {
 	c := MustNewCluster(durableOptions(t, "tsue"))
 	defer c.Close()
 	cli := c.NewClient()
-	ino, mirror := writeTestFile(t, c, cli, 64<<10, 11)
-	applyUpdates(t, cli, ino, mirror, 16, 12)
+	f, mirror := writeTestFile(t, c, cli, 64<<10, 11)
+	applyUpdates(t, f, mirror, 16, 12)
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,10 +58,10 @@ func TestKillRestartQuiesced(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 	cli := c.NewClient()
-	ino, mirror := writeTestFile(t, c, cli, 64<<10, 21)
+	f, mirror := writeTestFile(t, c, cli, 64<<10, 21)
 	// No Flush: the updates' effects live only in (persisted) logs when
 	// the crash hits.
-	applyUpdates(t, cli, ino, mirror, 24, 22)
+	applyUpdates(t, f, mirror, 24, 22)
 
 	victim := c.OSDs[0].id
 	c.CrashOSD(victim)
@@ -81,7 +82,7 @@ func TestKillRestartQuiesced(t *testing.T) {
 	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Scrub(); err != nil {
@@ -98,7 +99,7 @@ func TestKillRestartStaleRebuild(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 	cli := c.NewClient()
-	ino, mirror := writeTestFile(t, c, cli, 64<<10, 31)
+	f, mirror := writeTestFile(t, c, cli, 64<<10, 31)
 	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestKillRestartStaleRebuild(t *testing.T) {
 	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }

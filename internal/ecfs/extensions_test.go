@@ -7,12 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
 // TestCompressionEquivalence: the §7 compression extension must not
 // change any byte of the final state.
 func TestCompressionEquivalence(t *testing.T) {
+	ctx := context.Background()
 	opts := testOptions("tsue")
 	cfg := *opts.Strategy
 	cfg.CompressDeltas = true
@@ -21,13 +23,13 @@ func TestCompressionEquivalence(t *testing.T) {
 	defer c.Close()
 	cli := c.NewClient()
 	fileSize := 64 << 10
-	ino, mirror := writeTestFile(t, c, cli, fileSize, 31)
+	f, mirror := writeTestFile(t, c, cli, fileSize, 31)
 	rng := rand.New(rand.NewSource(33))
 	for i := 0; i < 300; i++ {
 		off := int64(rng.Intn(fileSize - 512))
 		data := make([]byte, 1+rng.Intn(512))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, time.Duration(i)*time.Millisecond); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, time.Duration(i)*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		copy(mirror[off:], data)
@@ -35,7 +37,7 @@ func TestCompressionEquivalence(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -43,6 +45,7 @@ func TestCompressionEquivalence(t *testing.T) {
 // TestCompressionReducesTraffic: compressible update payloads must shrink
 // inter-OSD traffic when the extension is enabled.
 func TestCompressionReducesTraffic(t *testing.T) {
+	ctx := context.Background()
 	traffic := func(compress bool) int64 {
 		opts := testOptions("tsue")
 		cfg := *opts.Strategy
@@ -52,19 +55,19 @@ func TestCompressionReducesTraffic(t *testing.T) {
 		defer c.Close()
 		cli := c.NewClient()
 		fileSize := 64 << 10
-		ino, _ := writeTestFile(t, c, cli, fileSize, 35)
+		f, _ := writeTestFile(t, c, cli, fileSize, 35)
 		payload := bytes.Repeat([]byte("compressible! "), 64) // ~900 B, highly redundant
 		rng := rand.New(rand.NewSource(37))
 		for i := 0; i < 150; i++ {
 			off := int64(rng.Intn(fileSize - len(payload)))
-			if _, err := cli.Update(ino, off, payload, 0); err != nil {
+			if _, err := f.UpdateAt(ctx, off, payload, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := c.Flush(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.VerifyStripes(ino, nil); err != nil {
+		if err := c.VerifyStripes(f, nil); err != nil {
 			t.Fatal(err)
 		}
 		return c.OSDTraffic()
@@ -82,6 +85,7 @@ func TestCompressionReducesTraffic(t *testing.T) {
 // TestDegradedRead: with one OSD down and no recovery yet, reads of its
 // blocks must be served by on-the-fly reconstruction from survivors.
 func TestDegradedRead(t *testing.T) {
+	ctx := context.Background()
 	for _, method := range []string{"tsue", "fo"} {
 		method := method
 		t.Run(method, func(t *testing.T) {
@@ -90,13 +94,13 @@ func TestDegradedRead(t *testing.T) {
 			defer c.Close()
 			cli := c.NewClient()
 			fileSize := 48 << 10
-			ino, mirror := writeTestFile(t, c, cli, fileSize, 41)
+			f, mirror := writeTestFile(t, c, cli, fileSize, 41)
 			rng := rand.New(rand.NewSource(43))
 			for i := 0; i < 100; i++ {
 				off := int64(rng.Intn(fileSize - 128))
 				data := make([]byte, 1+rng.Intn(128))
 				rng.Read(data)
-				if _, err := cli.Update(ino, off, data, 0); err != nil {
+				if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 					t.Fatal(err)
 				}
 				copy(mirror[off:], data)
@@ -105,10 +109,10 @@ func TestDegradedRead(t *testing.T) {
 			if err := c.Flush(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			loc, _ := c.MDS.Lookup(ino, 0)
+			loc, _ := c.MDS.Lookup(f.Ino(), 0)
 			c.FailOSD(loc.Nodes[1])
 
-			got, _, err := cli.Read(ino, 0, fileSize)
+			got, _, err := f.ReadRange(ctx, 0, fileSize)
 			if err != nil {
 				t.Fatalf("degraded read failed: %v", err)
 			}
@@ -123,19 +127,20 @@ func TestDegradedRead(t *testing.T) {
 // survivor fetches fails and the decode must draw on the holder the
 // first wave left out — for an unaligned range inside a lost block.
 func TestDegradedReadFallbackWave(t *testing.T) {
+	ctx := context.Background()
 	c := MustNewCluster(testOptions("fo")) // K=4, M=2
 	defer c.Close()
 	cli := c.NewClient()
-	ino, mirror := writeTestFile(t, c, cli, 48<<10, 44)
+	f, mirror := writeTestFile(t, c, cli, 48<<10, 44)
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	loc, _ := c.MDS.Lookup(ino, 0)
+	loc, _ := c.MDS.Lookup(f.Ino(), 0)
 	c.FailOSD(loc.Nodes[1])
 	c.FailOSD(loc.Nodes[2])
 	bs := int64(c.Opts.BlockSize)
 	for _, r := range []struct{ off, n int64 }{{bs + 5, 333}, {2*bs + 1, bs - 2}, {bs - 7, 2*bs + 9}} {
-		got, _, err := cli.Read(ino, r.off, int(r.n))
+		got, _, err := f.ReadRange(ctx, r.off, int(r.n))
 		if err != nil {
 			t.Fatalf("degraded read [%d,+%d): %v", r.off, r.n, err)
 		}
@@ -149,18 +154,19 @@ func TestDegradedReadFallbackWave(t *testing.T) {
 }
 
 func TestDegradedReadTooManyFailures(t *testing.T) {
+	ctx := context.Background()
 	c := MustNewCluster(testOptions("fo")) // K=4, M=2: three failures is fatal
 	defer c.Close()
 	cli := c.NewClient()
-	ino, _ := writeTestFile(t, c, cli, 48<<10, 45)
+	f, _ := writeTestFile(t, c, cli, 48<<10, 45)
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	loc, _ := c.MDS.Lookup(ino, 0)
+	loc, _ := c.MDS.Lookup(f.Ino(), 0)
 	c.FailOSD(loc.Nodes[0])
 	c.FailOSD(loc.Nodes[1])
 	c.FailOSD(loc.Nodes[2])
-	if _, _, err := cli.Read(ino, 0, 4096); err == nil {
+	if _, _, err := f.ReadRange(ctx, 0, 4096); err == nil {
 		t.Fatal("read must fail with more than M nodes down")
 	}
 }
@@ -169,13 +175,10 @@ func TestScrub(t *testing.T) {
 	c := MustNewCluster(testOptions("tsue"))
 	defer c.Close()
 	cli := c.NewClient()
-	ino1, _ := writeTestFile(t, c, cli, 32<<10, 47)
-	ino2, err := cli.Create("second")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, cli.StripeSpan())
-	if _, err := cli.WriteFile(ino2, data); err != nil {
+	f1, _ := writeTestFile(t, c, cli, 32<<10, 47)
+	ino1 := f1.Ino()
+	f2 := openFile(t, cli, "second")
+	if _, err := f2.WriteAt(make([]byte, cli.StripeSpan()), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(context.Background()); err != nil {
@@ -185,7 +188,7 @@ func TestScrub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := c.MDS.Stripes(ino1) + c.MDS.Stripes(ino2)
+	want := c.MDS.Stripes(ino1) + c.MDS.Stripes(f2.Ino())
 	if n != want {
 		t.Fatalf("scrubbed %d stripes, want %d", n, want)
 	}
@@ -195,7 +198,7 @@ func TestScrub(t *testing.T) {
 	pb := wireBlock(ino1, 0, uint8(c.Opts.K))
 	snap, _ := pNode.Store().Snapshot(pb)
 	snap[0] ^= 0xff
-	pNode.Store().WriteFull(pb, snap, true)
+	pNode.Store().WriteFull(sim.ClassOther, pb, snap, true)
 	if _, err := c.Scrub(); err == nil {
 		t.Fatal("scrub missed a corrupted parity block")
 	}
@@ -204,12 +207,13 @@ func TestScrub(t *testing.T) {
 // TestCrashRecoveryBattery alternates workload bursts with node failures
 // and recoveries, verifying full consistency after each round.
 func TestCrashRecoveryBattery(t *testing.T) {
+	ctx := context.Background()
 	opts := testOptions("tsue")
 	c := MustNewCluster(opts)
 	defer c.Close()
 	cli := c.NewClient()
 	fileSize := 64 << 10
-	ino, mirror := writeTestFile(t, c, cli, fileSize, 51)
+	f, mirror := writeTestFile(t, c, cli, fileSize, 51)
 	rng := rand.New(rand.NewSource(53))
 
 	for round := 0; round < 3; round++ {
@@ -217,7 +221,7 @@ func TestCrashRecoveryBattery(t *testing.T) {
 			off := int64(rng.Intn(fileSize - 200))
 			data := make([]byte, 1+rng.Intn(200))
 			rng.Read(data)
-			if _, err := cli.Update(ino, off, data, time.Duration(i)*time.Millisecond); err != nil {
+			if _, err := f.UpdateAt(ctx, off, data, time.Duration(i)*time.Millisecond); err != nil {
 				t.Fatalf("round %d update: %v", round, err)
 			}
 			copy(mirror[off:], data)
@@ -235,7 +239,7 @@ func TestCrashRecoveryBattery(t *testing.T) {
 			t.Fatalf("round %d recover: %v", round, err)
 		}
 		c.Reinstate(repl)
-		got, _, err := cli.Read(ino, 0, fileSize)
+		got, _, err := f.ReadRange(ctx, 0, fileSize)
 		if err != nil {
 			t.Fatalf("round %d read: %v", round, err)
 		}
@@ -245,7 +249,7 @@ func TestCrashRecoveryBattery(t *testing.T) {
 		if err := c.Flush(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.VerifyStripes(ino, mirror); err != nil {
+		if err := c.VerifyStripes(f, mirror); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}

@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
-// File is a handle on one ECFS file — the v2 client surface. It is
-// obtained from Client.Open (or Cluster.OpenFile / RemoteClient.OpenFile)
-// and implements io.ReaderAt, io.WriterAt and io.Closer, plus UpdateAt
+// File is a handle on one ECFS file — the only way to read, write and
+// update one. It is obtained from Client.Open (or Cluster.OpenFile) and
+// implements io.ReaderAt, io.WriterAt and io.Closer, plus UpdateAt
 // for the paper's two-stage TSUE updates. The distinction mirrors §4 of
 // the paper: WriteAt is the "normal write" path (full stripes, freshly
 // encoded), UpdateAt is the "data update" path (partial, routed to the
@@ -73,12 +76,21 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // ReadRange is ReadAt with an explicit context, returning the modeled
-// synchronous latency alongside the data.
+// synchronous latency alongside the data, which lands in a buffer of its
+// own.
 func (f *File) ReadRange(ctx context.Context, off int64, size int) ([]byte, time.Duration, error) {
 	if err := f.guard(); err != nil {
 		return nil, 0, err
 	}
-	return f.cli.ReadContext(ctx, f.ino, off, size)
+	if size < 0 {
+		return nil, 0, fmt.Errorf("ecfs: negative range")
+	}
+	out := make([]byte, size)
+	cost, err := f.cli.readInto(ctx, f.ino, off, out)
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, cost, nil
 }
 
 // WriteAt implements io.WriterAt for the normal-write path: data is
@@ -103,22 +115,61 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 
 // UpdateAt applies a partial update at a file byte offset through the
 // cluster's update strategy — for TSUE, the two-stage log-structured
-// path (§3). v is the virtual workload time used by the timing model
-// (0 outside replay harnesses). Returns the modeled synchronous update
-// latency.
+// path (§3) — splitting it across data blocks as needed. v is the
+// virtual workload time used by the timing model (0 outside replay
+// harnesses). Returns the modeled synchronous update latency (max
+// across split parts, which proceed concurrently). A cancelled ctx
+// aborts unsent parts at the next priced step; like any interrupted
+// POSIX write, a multi-part update may be torn (parity stays consistent
+// per part — each part's two-stage update is atomic at its OSD).
 func (f *File) UpdateAt(ctx context.Context, off int64, data []byte, v time.Duration) (time.Duration, error) {
 	if err := f.guard(); err != nil {
 		return 0, err
 	}
-	return f.cli.UpdateContext(ctx, f.ino, off, data, v)
+	parts, err := f.cli.split(ctx, f.ino, off, len(data), true)
+	if err != nil {
+		return 0, err
+	}
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		max  time.Duration
+		rerr error
+	)
+	for _, p := range parts {
+		wg.Add(1)
+		go func(p part) {
+			defer wg.Done()
+			cost, err := f.cli.updatePart(ctx, p, data[p.src:p.src+p.n], v)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				rerr = err
+				return
+			}
+			if cost > max {
+				max = cost
+			}
+		}(p)
+	}
+	wg.Wait()
+	return max, rerr
 }
 
-// Stripes returns the number of placed stripes of the file.
+// Stripes returns the number of placed stripes of the file (KMDSStat).
 func (f *File) Stripes(ctx context.Context) (int, error) {
 	if err := f.guard(); err != nil {
 		return 0, err
 	}
-	return f.cli.Stripes(ctx, f.ino)
+	resp, err := f.cli.rpc.Call(ctx, wire.MDSNode, &wire.Msg{Kind: wire.KMDSStat, Block: wire.BlockID{Ino: f.ino}})
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Release()
+	if err := resp.Error(); err != nil {
+		return 0, err
+	}
+	return int(resp.Val), nil
 }
 
 // Size returns the written span of the file in bytes (placed stripes

@@ -30,15 +30,15 @@ func (c *cancelAfterRPC) Call(ctx context.Context, to wire.NodeID, msg *wire.Msg
 	return c.inner.Call(ctx, to, msg)
 }
 
-// TestFileHandleRoundTrip drives the v2 handle surface end to end on
-// the in-process cluster: OpenFile, io.WriterAt, UpdateAt, io.ReaderAt,
+// TestFileHandleRoundTrip drives the handle surface end to end on the
+// in-process cluster: OpenFile, io.WriterAt, UpdateAt, io.ReaderAt,
 // Stripes/Size, Close semantics.
 func TestFileHandleRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	c := MustNewCluster(testOptions("tsue"))
 	defer c.Close()
 
-	f, err := c.CreateFile(ctx, "handles")
+	f, err := c.OpenFile(ctx, "handles")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFileHandleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f2.Ino() != f.Ino() {
-		t.Fatalf("OpenFile ino %d != CreateFile ino %d", f2.Ino(), f.Ino())
+		t.Fatalf("second OpenFile ino %d != first %d", f2.Ino(), f.Ino())
 	}
 
 	// Close invalidates this handle only.
@@ -107,13 +107,14 @@ func TestFileHandleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCancelMidWriteFileInproc is the cancellation-safety satellite on
-// the in-process transport: a context cancelled mid-WriteFile stops the
+// TestCancelMidWriteFileInproc pins cancellation safety on the
+// in-process transport: a handle context cancelled mid-WriteAt stops the
 // write at a coalescing-window boundary — every placed stripe has all
-// its shards stored (Scrub verifies it), and no partial stripe is bound
-// at the MDS. The file spans two windows so the cancel (fired inside
-// the first window's detached fan-out) is observed before the second
-// window binds anything.
+// its shards stored (Scrub verifies it), no partial stripe is bound at
+// the MDS, and the short count WriteAt returns is exactly the bound
+// stripes' bytes. The file spans two windows so the cancel (fired
+// inside the first window's detached fan-out) is observed before the
+// second window binds anything.
 func TestCancelMidWriteFileInproc(t *testing.T) {
 	c := MustNewCluster(testOptions("tsue"))
 	defer c.Close()
@@ -129,7 +130,7 @@ func TestCancelMidWriteFileInproc(t *testing.T) {
 	}
 	cli := NewClient(wire.ClientIDBase+500, rpc, c.code, c.Opts.BlockSize)
 
-	ino, err := cli.CreateContext(ctx, "cancelled-write")
+	f, err := cli.Open(ctx, "cancelled-write")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +138,16 @@ func TestCancelMidWriteFileInproc(t *testing.T) {
 	stripes := 2 * writeCoalesceStripes
 	data := make([]byte, stripes*span)
 	rand.New(rand.NewSource(41)).Read(data)
-	n, err := cli.WriteFileContext(ctx, ino, data)
+	written, err := f.WriteAt(data, 0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("WriteFileContext = %d, %v; want context.Canceled", n, err)
+		t.Fatalf("WriteAt = %d, %v; want context.Canceled", written, err)
 	}
+	n := c.MDS.Stripes(f.Ino())
 	if n == 0 || n >= stripes {
-		t.Fatalf("cancel landed outside the file: %d stripes written", n)
+		t.Fatalf("cancel landed outside the file: %d stripes bound", n)
+	}
+	if written != n*span {
+		t.Fatalf("WriteAt returned %d bytes, want %d bound stripes x %d = %d", written, n, span, n*span)
 	}
 
 	// The invariant: every stripe the MDS has bound is fully stored.
@@ -155,17 +160,17 @@ func TestCancelMidWriteFileInproc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scrub after cancelled write: %v", err)
 	}
-	if placed := c.MDS.Stripes(ino); placed != n {
-		t.Fatalf("MDS has %d stripes bound, client completed %d", placed, n)
-	}
 	if checked < n {
 		t.Fatalf("scrub checked %d stripes, want >= %d", checked, n)
 	}
 	// The completed prefix reads back intact with a fresh, uncancelled
 	// client.
-	cli2 := c.NewClient()
-	got, _, err := cli2.ReadContext(context.Background(), ino, 0, n*span)
+	f2, err := c.NewClient().Open(context.Background(), "cancelled-write")
 	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, n*span)
+	if _, err := f2.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data[:n*span]) {
@@ -174,8 +179,9 @@ func TestCancelMidWriteFileInproc(t *testing.T) {
 }
 
 // TestCancelMidWriteFileTCP is the same invariant over real sockets:
-// the cancelled write stops at a coalescing-window boundary and every
-// bound stripe is complete on its (remote) OSDs.
+// the cancelled WriteAt stops at a coalescing-window boundary, reports
+// exactly the bound stripes' bytes, and every bound stripe is complete
+// on its (remote) OSDs.
 func TestCancelMidWriteFileTCP(t *testing.T) {
 	const (
 		k, m      = 2, 1
@@ -192,23 +198,25 @@ func TestCancelMidWriteFileTCP(t *testing.T) {
 	}
 	cli := NewClient(wire.ClientIDBase+600, rpc, h.code, blockSize)
 
-	ino, err := cli.CreateContext(ctx, "tcp-cancelled-write")
+	f, err := cli.Open(ctx, "tcp-cancelled-write")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ino := f.Ino()
 	span := cli.StripeSpan()
 	stripes := 2 * writeCoalesceStripes
 	data := make([]byte, stripes*span)
 	rand.New(rand.NewSource(43)).Read(data)
-	n, err := cli.WriteFileContext(ctx, ino, data)
+	written, err := f.WriteAt(data, 0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("WriteFileContext over TCP = %d, %v; want context.Canceled", n, err)
+		t.Fatalf("WriteAt over TCP = %d, %v; want context.Canceled", written, err)
 	}
+	n := h.mds.Stripes(ino)
 	if n == 0 || n >= stripes {
-		t.Fatalf("cancel landed outside the file: %d stripes written", n)
+		t.Fatalf("cancel landed outside the file: %d stripes bound", n)
 	}
-	if placed := h.mds.Stripes(ino); placed != n {
-		t.Fatalf("MDS has %d stripes bound, client completed %d", placed, n)
+	if written != n*span {
+		t.Fatalf("WriteAt returned %d bytes, want %d bound stripes x %d = %d", written, n, span, n*span)
 	}
 	// Every bound stripe is fully stored on its OSDs and parity-
 	// consistent — the remote equivalent of Scrub for this file.
@@ -241,32 +249,49 @@ func TestCancelMidWriteFileTCP(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillWork pins the migration contract: the
-// context-free Create/WriteFile/Update/Read keep working as before.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	c := MustNewCluster(testOptions("tsue"))
+// TestReadPastEndChangesNothing: a read of a stripe that was never
+// written fails with ErrNotFound and leaves the namespace as it was — no
+// stripe placed at the MDS, no bind record in the durable op log, no
+// degraded reconstruction attempted.
+func TestReadPastEndChangesNothing(t *testing.T) {
+	ctx := context.Background()
+	opts := testOptions("tsue")
+	opts.MDSDataDir = t.TempDir()
+	c := MustNewCluster(opts)
 	defer c.Close()
 	cli := c.NewClient()
-	ino, err := cli.Create("v1-compat")
+	f, err := cli.Open(ctx, "past-end")
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, cli.StripeSpan())
-	rand.New(rand.NewSource(47)).Read(data)
-	if _, err := cli.WriteFile(ino, data); err != nil {
+	span := cli.StripeSpan()
+	if _, err := f.WriteAt(make([]byte, span), 0); err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte("compat")
-	if _, err := cli.Update(ino, 10, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	copy(data[10:], payload)
-	got, _, err := cli.Read(ino, 0, len(data))
+	size, err := f.Size(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("deprecated wrapper round trip mismatch")
+	records, _, _ := c.MDS.Log().Stats()
+
+	buf := make([]byte, 16)
+	if _, err := f.ReadAt(buf, int64(span)); !errors.Is(err, wire.ErrNotFound) {
+		t.Fatalf("ReadAt one stripe past the end = %v, want ErrNotFound", err)
+	}
+	if _, _, err := f.ReadRange(ctx, int64(2*span), 16); !errors.Is(err, wire.ErrNotFound) {
+		t.Fatalf("ReadRange two stripes past the end = %v, want ErrNotFound", err)
+	}
+	if got, err := f.Size(ctx); err != nil || got != size {
+		t.Fatalf("Size after failed reads = %d, %v; want %d", got, err, size)
+	}
+	if got := c.MDS.Stripes(f.Ino()); got != 1 {
+		t.Fatalf("MDS.Stripes after failed reads = %d, want 1", got)
+	}
+	if got := cli.Stats().DegradedReads; got != 0 {
+		t.Fatalf("failed reads went degraded %d times", got)
+	}
+	if got, _, _ := c.MDS.Log().Stats(); got != records {
+		t.Fatalf("op log grew from %d to %d records on failed reads", records, got)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // TestCoalescedWriteFlushesOncePerDestinationPerWindow is the
 // acceptance gate for cross-stripe write coalescing: a multi-stripe
-// WriteFileContext must reach each destination OSD in at most one
+// File.WriteAt must reach each destination OSD in at most one
 // writer flush per coalescing window, where the pre-coalescing client
 // paid one flush per destination per *stripe*. Measured over real TCP
 // loopback with the transport's per-destination flush counters.
@@ -30,7 +30,7 @@ func TestCoalescedWriteFlushesOncePerDestinationPerWindow(t *testing.T) {
 	cli := NewClient(wire.ClientIDBase, rpc, h.code, blockSize)
 	ctx := context.Background()
 
-	ino, err := cli.CreateContext(ctx, "coalesce-flush-count")
+	f, err := cli.Open(ctx, "coalesce-flush-count")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestCoalescedWriteFlushesOncePerDestinationPerWindow(t *testing.T) {
 
 	// Warm-up pass: dials every connection and fills the placement
 	// cache, so the measured pass counts data-plane flushes only.
-	if _, err := cli.WriteFileContext(ctx, ino, data); err != nil {
+	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,8 +54,8 @@ func TestCoalescedWriteFlushesOncePerDestinationPerWindow(t *testing.T) {
 	}
 
 	before := flushes()
-	if n, err := cli.WriteFileContext(ctx, ino, data); err != nil || n != stripes {
-		t.Fatalf("coalesced write: n=%d stripes err=%v, want %d", n, err, stripes)
+	if n, err := f.WriteAt(data, 0); err != nil || n != len(data) {
+		t.Fatalf("coalesced write: n=%d bytes err=%v, want %d", n, err, len(data))
 	}
 	windows := (stripes + writeCoalesceStripes - 1) / writeCoalesceStripes
 	for id, b := range before {
@@ -68,11 +68,12 @@ func TestCoalescedWriteFlushesOncePerDestinationPerWindow(t *testing.T) {
 		}
 	}
 
-	// Contrast: the per-stripe path pays at least one flush per stripe
-	// per destination — what coalescing buys is stripes/window fewer.
+	// Contrast: one WriteAt per stripe pays at least one flush per
+	// stripe per destination — what coalescing buys is stripes/window
+	// fewer.
 	before = flushes()
 	for s := 0; s < stripes; s++ {
-		if _, err := cli.WriteStripeContext(ctx, ino, uint32(s), data[s*span:(s+1)*span]); err != nil {
+		if _, err := f.WriteAt(data[s*span:(s+1)*span], int64(s*span)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +83,7 @@ func TestCoalescedWriteFlushesOncePerDestinationPerWindow(t *testing.T) {
 		}
 	}
 
-	out, _, err := cli.ReadContext(ctx, ino, 0, len(data))
+	out, _, err := f.ReadRange(ctx, 0, len(data))
 	if err != nil || !bytes.Equal(out, data) {
 		t.Fatalf("read-back mismatch after flush-count passes: err=%v", err)
 	}
@@ -110,7 +111,7 @@ func TestPooledRespBalanceAcrossErrorPaths(t *testing.T) {
 	defer transport.SetPoolDebug(false)
 	base := transport.PoolDebugOutstanding()
 
-	ino, err := cli.CreateContext(ctx, "pool-balance")
+	f, err := cli.Open(ctx, "pool-balance")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +122,10 @@ func TestPooledRespBalanceAcrossErrorPaths(t *testing.T) {
 
 	// Healthy paths: coalesced write, overwrite (delta updates through
 	// the OSD-side update fan-out), partial-block update, full read.
-	if _, err := cli.WriteFileContext(ctx, ino, data); err != nil {
+	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.WriteFileContext(ctx, ino, data); err != nil {
-		t.Fatal(err)
-	}
-	f, err := cli.Open(ctx, "pool-balance")
-	if err != nil {
+	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
 	patch := []byte("pooled-buffer ownership patch")
@@ -136,7 +133,7 @@ func TestPooledRespBalanceAcrossErrorPaths(t *testing.T) {
 	if _, err := f.UpdateAt(ctx, 137, patch, 0); err != nil {
 		t.Fatal(err)
 	}
-	if out, _, err := cli.ReadContext(ctx, ino, 0, len(data)); err != nil || !bytes.Equal(out, data) {
+	if out, _, err := f.ReadRange(ctx, 0, len(data)); err != nil || !bytes.Equal(out, data) {
 		t.Fatalf("healthy read-back: err=%v", err)
 	}
 	// A read into the caller's buffer: every reply lands in p itself.
@@ -150,10 +147,10 @@ func TestPooledRespBalanceAcrossErrorPaths(t *testing.T) {
 	// and the coalesced fan-out harvest); reads reconstruct via the
 	// degraded path, which collects k responses and releases them all.
 	h.fail(1)
-	if n, err := cli.WriteFileContext(ctx, ino, data); err == nil {
+	if n, err := f.WriteAt(data, 0); err == nil {
 		t.Logf("write after OSD failure unexpectedly clean (n=%d); error paths not exercised", n)
 	}
-	if out, _, err := cli.ReadContext(ctx, ino, 0, len(data)); err != nil || !bytes.Equal(out, data) {
+	if out, _, err := f.ReadRange(ctx, 0, len(data)); err != nil || !bytes.Equal(out, data) {
 		t.Fatalf("degraded read-back: err=%v", err)
 	}
 	clear(p)
@@ -230,7 +227,7 @@ func (r *readCountingRPC) checkLanded(msg *wire.Msg, resp *wire.Resp, err error)
 func refRead(t *testing.T, cli *Client, rpc transport.RPC, ino uint64, off int64, size int) []byte {
 	t.Helper()
 	ctx := context.Background()
-	parts, err := cli.split(ctx, ino, off, size)
+	parts, err := cli.split(ctx, ino, off, size, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +288,7 @@ func TestReadAtSpanningStripesIsOneBatch(t *testing.T) {
 	if !bytes.Equal(want, data[off:off+size]) {
 		t.Fatal("reference read disagrees with the written bytes")
 	}
-	parts, err := cli.split(ctx, f.Ino(), int64(off), size)
+	parts, err := cli.split(ctx, f.Ino(), int64(off), size, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +367,7 @@ func TestStage2RepliesReleased(t *testing.T) {
 	if got := transport.PoolDebugOutstanding(); got != base {
 		t.Fatalf("pooled reply buffers outstanding after stage 2 and the drain: %d, want %d", got, base)
 	}
-	if out, _, err := cli.ReadContext(ctx, f.Ino(), 0, len(data)); err != nil || !bytes.Equal(out, data) {
+	if out, _, err := f.ReadRange(ctx, 0, len(data)); err != nil || !bytes.Equal(out, data) {
 		t.Fatalf("read-back after the drain: err=%v", err)
 	}
 }

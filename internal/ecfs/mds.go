@@ -979,6 +979,13 @@ func (m *MDS) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		}
 		return &wire.Resp{Ino: ino}
 	case wire.KMDSLookup:
+		if msg.Flag&wire.LookupNoBind != 0 {
+			loc, ok := m.PlacementOf(msg.Block.Ino, msg.Block.Stripe)
+			if !ok {
+				return wire.ErrorResp(fmt.Errorf("ecfs: ino %d stripe %d not placed: %w", msg.Block.Ino, msg.Block.Stripe, wire.ErrNotFound))
+			}
+			return &wire.Resp{Loc: loc}
+		}
 		loc, err := m.Lookup(msg.Block.Ino, msg.Block.Stripe)
 		if err != nil {
 			return wire.ErrorResp(err)

@@ -360,12 +360,14 @@ func TestDurableMDSGeometryMismatchRefused(t *testing.T) {
 // survive, data written before the crash verifies, the repair
 // scheduler's ledger carries across, and new writes land after.
 func TestClusterMDSCrashRestart(t *testing.T) {
+	ctx := context.Background()
 	opts := testOptions("tsue")
 	opts.MDSDataDir = t.TempDir()
 	c := MustNewCluster(opts)
 	defer c.Close()
 	cli := c.NewClient()
-	ino, mirror := writeTestFile(t, c, cli, 64<<10, 9)
+	f, mirror := writeTestFile(t, c, cli, 64<<10, 9)
+	ino := f.Ino()
 
 	files := c.MDS.Files()
 	stripes := c.MDS.Stripes(ino)
@@ -379,7 +381,7 @@ func TestClusterMDSCrashRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Metadata plane down: an uncached create cannot be acknowledged.
-	if _, err := cli.Create("during-outage"); err == nil {
+	if _, err := cli.Open(ctx, "during-outage"); err == nil {
 		t.Fatal("create succeeded against a crashed MDS")
 	}
 	md, err := c.RestartMDS()
@@ -413,13 +415,13 @@ func TestClusterMDSCrashRestart(t *testing.T) {
 	}
 
 	// Acknowledged data still reads back through the reopened metadata.
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Scrub(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,15 +430,15 @@ func TestClusterMDSCrashRestart(t *testing.T) {
 	}
 
 	// And the metadata plane is fully writable again.
-	ino2, err := cli.Create("after-restart")
+	f2, err := cli.Open(ctx, "after-restart")
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte{0xA5}, cli.StripeSpan())
-	if _, err := cli.WriteFile(ino2, data); err != nil {
+	if _, err := f2.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino2, data); err != nil {
+	if err := c.VerifyStripes(f2, data); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -453,12 +455,12 @@ func TestStaleReadDuringMDSOutageFails(t *testing.T) {
 	defer c.Close()
 	cli := c.NewClient()
 	ctx := context.Background()
-	ino, mirror := writeTestFile(t, c, cli, 64<<10, 11)
+	f, mirror := writeTestFile(t, c, cli, 64<<10, 11)
 	// Cache every placement, then retire stripe 0's first holder.
-	if got, _, err := cli.ReadContext(ctx, ino, 0, len(mirror)); err != nil || !bytes.Equal(got, mirror) {
+	if got, _, err := f.ReadRange(ctx, 0, len(mirror)); err != nil || !bytes.Equal(got, mirror) {
 		t.Fatalf("warm read: %v", err)
 	}
-	loc, _ := c.MDS.PlacementOf(ino, 0)
+	loc, _ := c.MDS.PlacementOf(f.Ino(), 0)
 	if _, err := c.DrainWith(ctx, loc.Nodes[0], 0); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +468,7 @@ func TestStaleReadDuringMDSOutageFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	degraded := cli.Stats().DegradedReads
-	if _, _, err := cli.ReadContext(ctx, ino, 0, 512); !errors.Is(err, wire.ErrStaleEpoch) {
+	if _, _, err := f.ReadRange(ctx, 0, 512); !errors.Is(err, wire.ErrStaleEpoch) {
 		t.Fatalf("read under a retired placement with the MDS down: %v, want a stale-epoch error", err)
 	}
 	if got := cli.Stats().DegradedReads; got != degraded {
@@ -475,7 +477,7 @@ func TestStaleReadDuringMDSOutageFails(t *testing.T) {
 	if _, err := c.RestartMDS(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err := cli.ReadContext(ctx, ino, 0, len(mirror)); err != nil || !bytes.Equal(got, mirror) {
+	if got, _, err := f.ReadRange(ctx, 0, len(mirror)); err != nil || !bytes.Equal(got, mirror) {
 		t.Fatalf("read after the MDS restart: %v", err)
 	}
 }

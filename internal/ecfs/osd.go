@@ -178,8 +178,7 @@ func (o *OSD) Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) (*wire.Re
 // CallBatch delivers a set of peer calls together. On a batch-capable
 // transport (the TCP client) same-destination frames enter their
 // connection's write queue in one flush; otherwise the calls simply run
-// concurrently. Strategy fan-outs pick this up through the optional
-// batchCaller extension of update.Env.
+// concurrently.
 func (o *OSD) CallBatch(ctx context.Context, calls []*transport.BatchCall) {
 	transport.Fanout(ctx, o.rpc, calls)
 }
@@ -339,7 +338,7 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 			return stale
 		}
 		o.noteOverwrite(key, msg.Loc.Epoch)
-		cost := o.store.WriteFullClass(msg.TrafficClass(), msg.Block, msg.Data, true)
+		cost := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, true)
 		return &wire.Resp{Cost: cost}
 	case wire.KUpdate:
 		key := stripeKey{msg.Block.Ino, msg.Block.Stripe}
@@ -396,7 +395,7 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 			}
 			return &wire.Resp{Data: data, Cost: cost}
 		}
-		data, cost, err := o.store.ReadRangeClass(msg.TrafficClass(), msg.Block, 0, size, false)
+		data, cost, err := o.store.ReadRange(msg.TrafficClass(), msg.Block, 0, size, false)
 		if err != nil {
 			return wire.ErrorResp(err)
 		}
@@ -413,7 +412,7 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 				return &wire.Resp{Val: 1} // acknowledged, intentionally not applied
 			}
 		}
-		cost := o.store.WriteFullClass(msg.TrafficClass(), msg.Block, msg.Data, true)
+		cost := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, true)
 		return &wire.Resp{Cost: cost}
 	case wire.KDrainLogs:
 		dead := decodeDeadList(msg.Data)

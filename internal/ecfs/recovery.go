@@ -366,7 +366,7 @@ func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 		sr.Replayed = replayed
 		sr.Replay = cost
 	}
-	sr.Write = r.repl.store.WriteFullClass(sim.ClassRebuild, lost, data, true)
+	sr.Write = r.repl.store.WriteFull(sim.ClassRebuild, lost, data, true)
 	sr.Bytes = len(data)
 	if r.rebind {
 		_, ok, err := r.rebindStripe(ref)

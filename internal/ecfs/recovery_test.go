@@ -15,23 +15,24 @@ import (
 // buildRecoveryCluster assembles a cluster with a written + updated file.
 // Everything is driven from one client with a fixed seed, so two calls
 // produce byte-identical cluster states.
-func buildRecoveryCluster(t *testing.T, method string, updates int) (*Cluster, *Client, uint64, []byte) {
+func buildRecoveryCluster(t *testing.T, method string, updates int) (*Cluster, *Client, *File, []byte) {
 	t.Helper()
+	ctx := context.Background()
 	c := MustNewCluster(testOptions(method))
 	cli := c.NewClient()
 	fileSize := 64 << 10
-	ino, mirror := writeTestFile(t, c, cli, fileSize, 23)
+	f, mirror := writeTestFile(t, c, cli, fileSize, 23)
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < updates; i++ {
 		off := int64(rng.Intn(fileSize - 256))
 		data := make([]byte, 1+rng.Intn(256))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, time.Duration(i)*time.Millisecond); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, time.Duration(i)*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		copy(mirror[off:], data)
 	}
-	return c, cli, ino, mirror
+	return c, cli, f, mirror
 }
 
 // failAndRecover fails the OSD at position pos, rebuilds it with the
@@ -124,7 +125,8 @@ func TestRecoveryDeterministicAcrossWorkers(t *testing.T) {
 // must fall back to the remaining live holders (here including parity
 // shards) instead of aborting or silently skipping stripes.
 func TestRecoveryFetchErrorFallback(t *testing.T) {
-	c, cli, ino, mirror := buildRecoveryCluster(t, "tsue", 150)
+	ctx := context.Background()
+	c, _, f, mirror := buildRecoveryCluster(t, "tsue", 150)
 	defer c.Close()
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -176,14 +178,14 @@ func TestRecoveryFetchErrorFallback(t *testing.T) {
 	// Restore the flaky node's real handler and verify end to end.
 	c.Tr.Register(flaky.ID(), flaky.Handler)
 	c.Reinstate(repl)
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, mirror) {
 		t.Fatal("post-recovery read mismatch")
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -247,7 +249,8 @@ func TestRecoveryNodeDiesMidRebuild(t *testing.T) {
 // with pending updates, and both are rebuilt one after the other while
 // the other is still down.
 func TestRecoveryDoubleFailure(t *testing.T) {
-	c, cli, ino, mirror := buildRecoveryCluster(t, "tsue", 200)
+	ctx := context.Background()
+	c, _, f, mirror := buildRecoveryCluster(t, "tsue", 200)
 	defer c.Close()
 
 	first, second := c.OSDs[1], c.OSDs[4]
@@ -270,7 +273,7 @@ func TestRecoveryDoubleFailure(t *testing.T) {
 		}
 		c.Reinstate(repl)
 	}
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +283,7 @@ func TestRecoveryDoubleFailure(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -288,13 +291,14 @@ func TestRecoveryDoubleFailure(t *testing.T) {
 // TestRecoveryNeverWrittenStripes: stripes that were placed but never
 // written (no block exists anywhere) are skipped, not treated as errors.
 func TestRecoveryNeverWrittenStripes(t *testing.T) {
-	c, cli, ino, mirror := buildRecoveryCluster(t, "tsue", 50)
+	ctx := context.Background()
+	c, _, f, mirror := buildRecoveryCluster(t, "tsue", 50)
 	defer c.Close()
 	// Place (but never write) several additional stripes; with 8 OSDs
 	// and 6 nodes per stripe, every OSD appears in some placement.
-	written := c.MDS.Stripes(ino)
+	written := c.MDS.Stripes(f.Ino())
 	for s := written; s < written+8; s++ {
-		if _, err := c.MDS.Lookup(ino, uint32(s)); err != nil {
+		if _, err := c.MDS.Lookup(f.Ino(), uint32(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +320,7 @@ func TestRecoveryNeverWrittenStripes(t *testing.T) {
 		}
 	}
 	c.Reinstate(repl)
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +333,8 @@ func TestRecoveryNeverWrittenStripes(t *testing.T) {
 // reconstruction for blocks of the dead node) while the rebuild engine
 // runs with multiple workers.
 func TestRecoveryConcurrentWithReads(t *testing.T) {
-	c, cli, ino, mirror := buildRecoveryCluster(t, "tsue", 150)
+	ctx := context.Background()
+	c, _, f, mirror := buildRecoveryCluster(t, "tsue", 150)
 	defer c.Close()
 	// Drain first so degraded reads see fully recycled state.
 	if err := c.Flush(context.Background()); err != nil {
@@ -346,7 +351,7 @@ func TestRecoveryConcurrentWithReads(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			off := int64(rng.Intn(len(mirror) - 512))
 			n := 1 + rng.Intn(512)
-			got, _, err := cli.Read(ino, off, n)
+			got, _, err := f.ReadRange(ctx, off, n)
 			if err != nil {
 				done <- err
 				return
@@ -366,7 +371,7 @@ func TestRecoveryConcurrentWithReads(t *testing.T) {
 		t.Fatalf("concurrent read: %v", err)
 	}
 	c.Reinstate(repl)
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -418,11 +423,12 @@ func TestRecoveryErrorReturnsPromptly(t *testing.T) {
 // re-resolves — reads, updates and writes all succeed with no manual
 // cache invalidation.
 func TestRecoveryOntoFreshNode(t *testing.T) {
-	c, cli, ino, mirror := buildRecoveryCluster(t, "tsue", 200)
+	ctx := context.Background()
+	c, cli, f, mirror := buildRecoveryCluster(t, "tsue", 200)
 	defer c.Close()
 
 	// Warm the client's placement cache across the whole file.
-	if _, _, err := cli.Read(ino, 0, len(mirror)); err != nil {
+	if _, _, err := f.ReadRange(ctx, 0, len(mirror)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -462,7 +468,7 @@ func TestRecoveryOntoFreshNode(t *testing.T) {
 	if refs := c.MDS.StripesOn(victim.ID()); len(refs) != 0 {
 		t.Fatalf("victim still holds %d placements after fresh-node recovery", len(refs))
 	}
-	loc, err := c.MDS.Lookup(ino, 0)
+	loc, err := c.MDS.Lookup(f.Ino(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +479,7 @@ func TestRecoveryOntoFreshNode(t *testing.T) {
 	// The stale client: reads re-resolve the moved block (its cached
 	// node is gone), updates to surviving holders are rejected with
 	// the structured stale-epoch reply and retried transparently.
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatalf("stale client read: %v", err)
 	}
@@ -485,7 +491,7 @@ func TestRecoveryOntoFreshNode(t *testing.T) {
 		off := int64(rng.Intn(len(mirror) - 128))
 		data := make([]byte, 1+rng.Intn(128))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, 0); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 			t.Fatalf("stale client update: %v", err)
 		}
 		copy(mirror[off:], data)
@@ -498,19 +504,19 @@ func TestRecoveryOntoFreshNode(t *testing.T) {
 	}
 	span := cli.StripeSpan()
 	rng.Read(mirror[:span])
-	if _, err := cli.WriteStripe(ino, 0, mirror[:span]); err != nil {
+	if _, err := f.WriteAt(mirror[:span], 0); err != nil {
 		t.Fatalf("stale client write: %v", err)
 	}
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 
 	// A second, fresh client resolves the rebound placements directly.
-	cli2 := c.NewClient()
-	got, _, err = cli2.Read(ino, 0, len(mirror))
+	f2 := openFile(t, c.NewClient(), f.Name())
+	got, _, err = f2.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +531,7 @@ func TestRecoveryOntoFreshNode(t *testing.T) {
 // *DataLossError instead of silently skipping the stripe, while still
 // rebuilding everything that *is* recoverable.
 func TestRecoveryDataLossError(t *testing.T) {
-	c, _, ino, _ := buildRecoveryCluster(t, "tsue", 100)
+	c, _, f, _ := buildRecoveryCluster(t, "tsue", 100)
 	defer c.Close()
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -534,7 +540,7 @@ func TestRecoveryDataLossError(t *testing.T) {
 	// Pick the victims from one stripe's placement so at least that
 	// stripe is short of K: the victim plus M more members that answer
 	// fetches with a generic (non-not-found) failure.
-	loc, err := c.MDS.Lookup(ino, 0)
+	loc, err := c.MDS.Lookup(f.Ino(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,13 +64,14 @@ func TestRepairQueueOrdering(t *testing.T) {
 // served by the replacement via the normal read path — no K-way decode —
 // while the rest of the recovery is still running.
 func TestPrioritizedRepairReordersQueue(t *testing.T) {
-	c, cli, ino, mirror := buildRecoveryCluster(t, "tsue", 150)
+	ctx := context.Background()
+	c, cli, f, mirror := buildRecoveryCluster(t, "tsue", 150)
 	defer c.Close()
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the client's placement cache across the whole file.
-	if _, _, err := cli.Read(ino, 0, len(mirror)); err != nil {
+	if _, _, err := f.ReadRange(ctx, 0, len(mirror)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,7 +164,7 @@ func TestPrioritizedRepairReordersQueue(t *testing.T) {
 	// client decodes from survivors — and promotes the stripe.
 	span := int64(cli.StripeSpan())
 	hotOff := int64(hot.Stripe)*span + int64(hot.Idx)*int64(c.Opts.BlockSize)
-	got, _, err := cli.Read(ino, hotOff, 64)
+	got, _, err := f.ReadRange(ctx, hotOff, 64)
 	if err != nil {
 		t.Fatalf("degraded read of the hot stripe: %v", err)
 	}
@@ -196,7 +197,7 @@ func TestPrioritizedRepairReordersQueue(t *testing.T) {
 	if loc.Nodes[hot.Idx] != repl.ID() {
 		t.Fatalf("hot block hosted by %d, want replacement %d", loc.Nodes[hot.Idx], repl.ID())
 	}
-	got, _, err = cli.Read(ino, hotOff, 64)
+	got, _, err = f.ReadRange(ctx, hotOff, 64)
 	if err != nil {
 		t.Fatalf("post-cutover read of the hot stripe: %v", err)
 	}
@@ -230,7 +231,7 @@ func TestPrioritizedRepairReordersQueue(t *testing.T) {
 	}
 
 	// And the recovery is complete and correct.
-	got, _, err = cli.Read(ino, 0, len(mirror))
+	got, _, err = f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +278,9 @@ func newFreshReplacement(t *testing.T, c *Cluster, id wire.NodeID) *OSD {
 // buildDrainCluster assembles a cluster whose log units are too large to
 // recycle mid-test (the drain contract quiesces logs up front; the
 // read-through fence carries anything that lands after).
-func buildDrainCluster(t *testing.T, updates int) (*Cluster, *Client, uint64, []byte) {
+func buildDrainCluster(t *testing.T, updates int) (*Cluster, *File, []byte) {
 	t.Helper()
+	ctx := context.Background()
 	opts := testOptions("tsue")
 	cfg := *opts.Strategy
 	cfg.UnitSize = 16 << 20
@@ -286,25 +288,26 @@ func buildDrainCluster(t *testing.T, updates int) (*Cluster, *Client, uint64, []
 	c := MustNewCluster(opts)
 	cli := c.NewClient()
 	fileSize := 64 << 10
-	ino, mirror := writeTestFile(t, c, cli, fileSize, 61)
+	f, mirror := writeTestFile(t, c, cli, fileSize, 61)
 	rng := rand.New(rand.NewSource(67))
 	for i := 0; i < updates; i++ {
 		off := int64(rng.Intn(fileSize - 256))
 		data := make([]byte, 1+rng.Intn(256))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, 0); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 			t.Fatal(err)
 		}
 		copy(mirror[off:], data)
 	}
-	return c, cli, ino, mirror
+	return c, f, mirror
 }
 
 // TestDrainMigratesLiveNode drains a live node while clients keep
 // reading and updating: no client operation may fail, every stripe must
 // leave the node, and the final content must verify byte-for-byte.
 func TestDrainMigratesLiveNode(t *testing.T) {
-	c, cli, ino, mirror := buildDrainCluster(t, 150)
+	ctx := context.Background()
+	c, f, mirror := buildDrainCluster(t, 150)
 	defer c.Close()
 
 	node := c.OSDs[2].ID()
@@ -323,9 +326,9 @@ func TestDrainMigratesLiveNode(t *testing.T) {
 	)
 	region := len(mirror) / 8
 	for u := 0; u < 2; u++ {
-		ucli := c.NewClient()
+		uf := openFile(t, c.NewClient(), f.Name())
 		wg.Add(1)
-		go func(u int, ucli *Client) {
+		go func(u int, uf *File) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(200 + u)))
 			base := u * region
@@ -338,7 +341,7 @@ func TestDrainMigratesLiveNode(t *testing.T) {
 				off := int64(base + rng.Intn(region-64))
 				data := make([]byte, 1+rng.Intn(64))
 				rng.Read(data)
-				if _, err := ucli.Update(ino, off, data, 0); err != nil {
+				if _, err := uf.UpdateAt(ctx, off, data, 0); err != nil {
 					opErrs <- err
 					return
 				}
@@ -346,13 +349,13 @@ func TestDrainMigratesLiveNode(t *testing.T) {
 				copy(mirror[off:], data)
 				mirMu.Unlock()
 			}
-		}(u, ucli)
+		}(u, uf)
 	}
 	quiet := mirror[6*region : 7*region]
 	for r := 0; r < 2; r++ {
-		rcli := c.NewClient()
+		rf := openFile(t, c.NewClient(), f.Name())
 		wg.Add(1)
-		go func(r int, rcli *Client) {
+		go func(r int, rf *File) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(300 + r)))
 			for {
@@ -363,7 +366,7 @@ func TestDrainMigratesLiveNode(t *testing.T) {
 				}
 				off := rng.Intn(region - 128)
 				n := 1 + rng.Intn(128)
-				got, _, err := rcli.Read(ino, int64(6*region+off), n)
+				got, _, err := rf.ReadRange(ctx, int64(6*region+off), n)
 				if err != nil {
 					opErrs <- err
 					return
@@ -373,7 +376,7 @@ func TestDrainMigratesLiveNode(t *testing.T) {
 					return
 				}
 			}
-		}(r, rcli)
+		}(r, rf)
 	}
 
 	res, err := c.Drain(context.Background(), node)
@@ -409,7 +412,7 @@ func TestDrainMigratesLiveNode(t *testing.T) {
 	}
 
 	// The stale client and a fresh one both see the migrated content.
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +425,7 @@ func TestDrainMigratesLiveNode(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, snap); err != nil {
+	if err := c.VerifyStripes(f, snap); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -431,7 +434,8 @@ func TestDrainMigratesLiveNode(t *testing.T) {
 // path: Decommission drains the node and removes it from the topology,
 // after which every client operation keeps working.
 func TestDecommissionRetiresNode(t *testing.T) {
-	c, cli, ino, mirror := buildDrainCluster(t, 100)
+	ctx := context.Background()
+	c, f, mirror := buildDrainCluster(t, 100)
 	defer c.Close()
 
 	node := c.OSDs[1].ID()
@@ -458,12 +462,12 @@ func TestDecommissionRetiresNode(t *testing.T) {
 		off := int64(rng.Intn(len(mirror) - 128))
 		data := make([]byte, 1+rng.Intn(128))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, 0); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 			t.Fatalf("post-decommission update: %v", err)
 		}
 		copy(mirror[off:], data)
 	}
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +477,7 @@ func TestDecommissionRetiresNode(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -485,17 +489,18 @@ func TestDecommissionRetiresNode(t *testing.T) {
 // parity block's final copy — here exercised deterministically by
 // migrating with *pending* parity logs (no pre-drain flush).
 func TestDrainParityPendingLogsPL(t *testing.T) {
+	ctx := context.Background()
 	c := MustNewCluster(testOptions("pl"))
 	defer c.Close()
 	cli := c.NewClient()
 	fileSize := 64 << 10
-	ino, mirror := writeTestFile(t, c, cli, fileSize, 83)
+	f, mirror := writeTestFile(t, c, cli, fileSize, 83)
 	rng := rand.New(rand.NewSource(89))
 	for i := 0; i < 200; i++ {
 		off := int64(rng.Intn(fileSize - 256))
 		data := make([]byte, 1+rng.Intn(256))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, 0); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 			t.Fatal(err)
 		}
 		copy(mirror[off:], data)
@@ -519,7 +524,7 @@ func TestDrainParityPendingLogsPL(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatalf("parity lost in migration: %v", err)
 	}
 }
@@ -527,7 +532,7 @@ func TestDrainParityPendingLogsPL(t *testing.T) {
 // TestDrainRollsBackPoolOnFailure: a drain that aborts partway must
 // re-admit the (still live, still hosting) node to the placement pool.
 func TestDrainRollsBackPoolOnFailure(t *testing.T) {
-	c, _, ino, _ := buildDrainCluster(t, 50)
+	c, f, _ := buildDrainCluster(t, 50)
 	defer c.Close()
 	node := c.OSDs[2].ID()
 
@@ -560,7 +565,7 @@ func TestDrainRollsBackPoolOnFailure(t *testing.T) {
 	for _, o := range c.Alive() {
 		c.Tr.Register(o.ID(), o.Handler)
 	}
-	if _, _, err := c.NewClient().Read(ino, 0, 4096); err != nil {
+	if _, _, err := openFile(t, c.NewClient(), f.Name()).ReadRange(context.Background(), 0, 4096); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // buildResumeCluster is buildDrainCluster with a bigger file, so a
 // drained node hosts enough stripes that cancelling partway leaves
 // meaningful work for the resume.
-func buildResumeCluster(t *testing.T, updates int) (*Cluster, *Client, uint64, []byte) {
+func buildResumeCluster(t *testing.T, updates int) (*Cluster, *File, []byte) {
 	t.Helper()
+	ctx := context.Background()
 	opts := testOptions("tsue")
 	cfg := *opts.Strategy
 	cfg.UnitSize = 16 << 20 // no mid-test recycling; the drain quiesces logs up front
@@ -26,18 +27,18 @@ func buildResumeCluster(t *testing.T, updates int) (*Cluster, *Client, uint64, [
 	c := MustNewCluster(opts)
 	cli := c.NewClient()
 	fileSize := 256 << 10
-	ino, mirror := writeTestFile(t, c, cli, fileSize, 101)
+	f, mirror := writeTestFile(t, c, cli, fileSize, 101)
 	rng := rand.New(rand.NewSource(103))
 	for i := 0; i < updates; i++ {
 		off := int64(rng.Intn(fileSize - 256))
 		data := make([]byte, 1+rng.Intn(256))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, 0); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 			t.Fatal(err)
 		}
 		copy(mirror[off:], data)
 	}
-	return c, cli, ino, mirror
+	return c, f, mirror
 }
 
 // poolSnapshot returns the placement pool as a set.
@@ -56,7 +57,8 @@ func poolSnapshot(c *Cluster) map[wire.NodeID]bool {
 // DrainWith on the same node completes from the remaining stripes with
 // no stripe migrated twice.
 func TestDrainCancelResume(t *testing.T) {
-	c, cli, ino, mirror := buildResumeCluster(t, 150)
+	ctx := context.Background()
+	c, f, mirror := buildResumeCluster(t, 150)
 	defer c.Close()
 
 	node := c.OSDs[2].ID()
@@ -167,7 +169,7 @@ func TestDrainCancelResume(t *testing.T) {
 	if poolSnapshot(c)[node] {
 		t.Fatal("completed resume re-admitted the drained node")
 	}
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestDrainCancelResume(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,7 +188,7 @@ func TestDrainCancelResume(t *testing.T) {
 // abandons it gets the node back in the placement pool with the
 // draining mark cleared.
 func TestAbortDrainRestoresPool(t *testing.T) {
-	c, _, _, _ := buildResumeCluster(t, 50)
+	c, _, _ := buildResumeCluster(t, 50)
 	defer c.Close()
 	node := c.OSDs[2].ID()
 
@@ -316,7 +318,7 @@ func TestAbandonedDrainSkipsDeadNode(t *testing.T) {
 // second DrainWith on a node whose drain is still executing fails
 // instead of racing the first engine over the same stripes.
 func TestConcurrentDrainRejected(t *testing.T) {
-	c, _, _, _ := buildResumeCluster(t, 20)
+	c, _, _ := buildResumeCluster(t, 20)
 	defer c.Close()
 	node := c.OSDs[2].ID()
 	src := c.OSD(node)
@@ -371,7 +373,7 @@ func TestConcurrentDrainRejected(t *testing.T) {
 // operator cancels at the same moment, because the resume's StripesOn
 // re-seed could not revisit the stranded stripe.
 func TestDrainStrandedCutoverHardAborts(t *testing.T) {
-	c, _, _, _ := buildResumeCluster(t, 20)
+	c, _, _ := buildResumeCluster(t, 20)
 	defer c.Close()
 	node := c.OSDs[2].ID()
 	before := len(c.MDS.StripesOnSorted(node))
@@ -444,7 +446,7 @@ func TestSchedulerLedgerSurvivesRebase(t *testing.T) {
 // completes, no client operation fails, and the measured rebuild
 // bandwidth lands at or under the cap.
 func TestDrainHonorsRebuildCap(t *testing.T) {
-	c, _, ino, mirror := buildResumeCluster(t, 100)
+	c, f, mirror := buildResumeCluster(t, 100)
 	defer c.Close()
 	const capMBps = 0.05 // far below the uncapped copy rate, so the cap must bite
 	c.SetRebuildCap(capMBps)
@@ -458,9 +460,9 @@ func TestDrainHonorsRebuildCap(t *testing.T) {
 	region := len(mirror) / 4
 	quiet := mirror[3*region:]
 	for r := 0; r < 2; r++ {
-		rcli := c.NewClient()
+		rf := openFile(t, c.NewClient(), f.Name())
 		wg.Add(1)
-		go func(r int, rcli *Client) {
+		go func(r int, rf *File) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(400 + r)))
 			for {
@@ -471,7 +473,7 @@ func TestDrainHonorsRebuildCap(t *testing.T) {
 				}
 				off := rng.Intn(region - 128)
 				n := 1 + rng.Intn(128)
-				got, _, err := rcli.Read(ino, int64(3*region+off), n)
+				got, _, err := rf.ReadRange(context.Background(), int64(3*region+off), n)
 				if err != nil {
 					opErrs <- err
 					return
@@ -481,7 +483,7 @@ func TestDrainHonorsRebuildCap(t *testing.T) {
 					return
 				}
 			}
-		}(r, rcli)
+		}(r, rf)
 	}
 
 	trafficBefore := c.Net.TrafficByClass(sim.ClassDrain)
@@ -521,7 +523,7 @@ func TestDrainHonorsRebuildCap(t *testing.T) {
 // TestMigrateNodePerRunCap: RepairOptions.MaxRebuildMBps caps a single
 // run on an otherwise uncapped cluster.
 func TestMigrateNodePerRunCap(t *testing.T) {
-	c, _, ino, mirror := buildResumeCluster(t, 50)
+	c, f, mirror := buildResumeCluster(t, 50)
 	defer c.Close()
 	node := c.OSDs[1].ID()
 	const capMBps = 0.1
@@ -543,7 +545,7 @@ func TestMigrateNodePerRunCap(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, mirror); err != nil {
+	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/wire"
 )
 
-// TestDialSelfDiscovery is the v2 acceptance test for the dialable
+// TestDialSelfDiscovery is the acceptance test for the dialable
 // transport: a client built from nothing but the MDS address completes
 // create/write/update/read against a real TCP cluster, survives an OSD
 // restart on a fresh port, and keeps working through a fresh-id
@@ -43,7 +43,7 @@ func TestDialSelfDiscovery(t *testing.T) {
 	}
 
 	// Create / write / update / read through the handle surface.
-	f, err := rc.CreateFile(ctx, "dial-vol")
+	f, err := rc.Open(ctx, "dial-vol")
 	if err != nil {
 		t.Fatal(err)
 	}

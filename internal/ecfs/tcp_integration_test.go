@@ -17,6 +17,7 @@ import (
 // the same wiring cmd/ecfsd uses — and runs writes, updates, flush and
 // reads through actual sockets with binary-codec frames.
 func TestTCPClusterEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	const (
 		k, m      = 2, 1
 		nOSDs     = 4
@@ -77,13 +78,11 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	code := erasure.MustNew(k, m, erasure.Vandermonde)
 	cli := NewClient(wire.ClientIDBase, cliRPC, code, blockSize)
 
-	ino, err := cli.Create("tcp-vol")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFile(t, cli, "tcp-vol")
+	ino := f.Ino()
 	mirror := make([]byte, 2*cli.StripeSpan())
 	rand.New(rand.NewSource(5)).Read(mirror)
-	if _, err := cli.WriteFile(ino, mirror); err != nil {
+	if _, err := f.WriteAt(mirror, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,13 +91,13 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		off := int64(rng.Intn(len(mirror) - 128))
 		data := make([]byte, 1+rng.Intn(128))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, 0); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 			t.Fatalf("update over TCP: %v", err)
 		}
 		copy(mirror[off:], data)
 	}
 
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}

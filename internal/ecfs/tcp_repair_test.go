@@ -174,6 +174,7 @@ func (h *tcpHarness) flushOver(rpc transport.RPC, down map[wire.NodeID]bool) fun
 // pre-failure placements re-resolves via structured stale-epoch
 // rejections — the real framed wire path, not the in-process transport.
 func TestTCPRecoveryStaleEpochReresolve(t *testing.T) {
+	ctx := context.Background()
 	const (
 		k, m      = 2, 1
 		nOSDs     = 4
@@ -182,13 +183,11 @@ func TestTCPRecoveryStaleEpochReresolve(t *testing.T) {
 	h := newTCPHarness(t, k, m, nOSDs, blockSize)
 
 	cli := NewClient(wire.ClientIDBase, h.newRPC(), h.code, blockSize)
-	ino, err := cli.Create("tcp-repair-vol")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFile(t, cli, "tcp-repair-vol")
+	ino := f.Ino()
 	mirror := make([]byte, 2*cli.StripeSpan())
 	rand.New(rand.NewSource(15)).Read(mirror)
-	if _, err := cli.WriteFile(ino, mirror); err != nil {
+	if _, err := f.WriteAt(mirror, 0); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(16))
@@ -196,13 +195,13 @@ func TestTCPRecoveryStaleEpochReresolve(t *testing.T) {
 		off := int64(rng.Intn(len(mirror) - 128))
 		data := make([]byte, 1+rng.Intn(128))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, 0); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 			t.Fatalf("update over TCP: %v", err)
 		}
 		copy(mirror[off:], data)
 	}
 	// Warm the placement cache so the client is maximally stale later.
-	if _, _, err := cli.Read(ino, 0, len(mirror)); err != nil {
+	if _, _, err := f.ReadRange(ctx, 0, len(mirror)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,7 +243,7 @@ func TestTCPRecoveryStaleEpochReresolve(t *testing.T) {
 	// block hit a dead socket and re-resolve; reads and updates to
 	// surviving members carry the old epoch and are rejected with the
 	// structured wire.StatusStaleEpoch reply, re-resolved, and retried.
-	got, _, err := cli.Read(ino, 0, len(mirror))
+	got, _, err := f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatalf("stale client read over TCP: %v", err)
 	}
@@ -258,12 +257,12 @@ func TestTCPRecoveryStaleEpochReresolve(t *testing.T) {
 		off := int64(rng.Intn(len(mirror) - 128))
 		data := make([]byte, 1+rng.Intn(128))
 		rng.Read(data)
-		if _, err := cli.Update(ino, off, data, 0); err != nil {
+		if _, err := f.UpdateAt(ctx, off, data, 0); err != nil {
 			t.Fatalf("stale client update over TCP: %v", err)
 		}
 		copy(mirror[off:], data)
 	}
-	got, _, err = cli.Read(ino, 0, len(mirror))
+	got, _, err = f.ReadRange(ctx, 0, len(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,7 +318,7 @@ func (p *Pool) Append(block wire.BlockID, off uint32, data []byte, v time.Durati
 
 	var cost time.Duration
 	if p.cfg.Device != nil {
-		cost = p.cfg.Device.WriteClass(p.cfg.Class, int64(len(data))+entryHeader, false, false)
+		cost = p.cfg.Device.Write(p.cfg.Class, int64(len(data))+entryHeader, false, false)
 	}
 	p.mu.Lock()
 	p.stats.AppendCost += cost

@@ -134,13 +134,7 @@ func (nw *Network) Reset() {
 // transfer itself (interrupt + protocol processing).
 const perMessageCPU = 2 * time.Microsecond
 
-// Transfer prices a message of size bytes from src to dst under
-// sim.ClassOther and returns its one-way latency. See TransferClass.
-func (nw *Network) Transfer(src, dst *NIC, size int64) time.Duration {
-	return nw.TransferClass(src, dst, size, sim.ClassOther)
-}
-
-// TransferClass prices a message of size bytes from src to dst under a
+// Transfer prices a message of size bytes from src to dst under a
 // traffic class and returns its one-way latency. The propagation/base
 // latency contributes to latency only; NIC *occupancy* is the
 // serialization time plus a small per-message processing cost, so
@@ -150,7 +144,7 @@ func (nw *Network) Transfer(src, dst *NIC, size int64) time.Duration {
 // the sender/cluster byte counters, which is what lets the repair bench
 // report rebuild and foreground bandwidth separately over one shared
 // network.
-func (nw *Network) TransferClass(src, dst *NIC, size int64, class sim.Class) time.Duration {
+func (nw *Network) Transfer(class sim.Class, src, dst *NIC, size int64) time.Duration {
 	if size < 0 {
 		panic("netsim: negative transfer size")
 	}
@@ -162,8 +156,8 @@ func (nw *Network) TransferClass(src, dst *NIC, size int64, class sim.Class) tim
 	}
 	wire := time.Duration(float64(size) / nw.prof.Bandwidth * float64(time.Second))
 	busy := wire + perMessageCPU
-	src.res.ChargeClass(class, busy)
-	dst.res.ChargeClass(class, busy)
+	src.res.Charge(class, busy)
+	dst.res.Charge(class, busy)
 	src.sent.Add(size)
 	src.sentClass[class].Add(size)
 	dst.rcvd.Add(size)

@@ -11,7 +11,7 @@ func TestTransferCost(t *testing.T) {
 	nw := New(Ethernet25G())
 	a, b := nw.AddNIC("a"), nw.AddNIC("b")
 	// 3.125 GB/s: 3.125 MB transfers in 1 ms + 25us base.
-	cost := nw.Transfer(a, b, 3_125_000)
+	cost := nw.Transfer(sim.ClassOther, a, b, 3_125_000)
 	want := time.Millisecond + 25*time.Microsecond
 	if diff := cost - want; diff < -time.Microsecond || diff > time.Microsecond {
 		t.Fatalf("cost = %v, want ~%v", cost, want)
@@ -21,8 +21,8 @@ func TestTransferCost(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	nw := New(Ethernet25G())
 	a, b := nw.AddNIC("a"), nw.AddNIC("b")
-	nw.Transfer(a, b, 1000)
-	nw.Transfer(b, a, 500)
+	nw.Transfer(sim.ClassOther, a, b, 1000)
+	nw.Transfer(sim.ClassOther, b, a, 500)
 	if nw.TotalTraffic() != 1500 {
 		t.Fatalf("traffic = %d, want 1500", nw.TotalTraffic())
 	}
@@ -37,7 +37,7 @@ func TestTrafficAccounting(t *testing.T) {
 func TestLoopbackFree(t *testing.T) {
 	nw := New(Ethernet25G())
 	a := nw.AddNIC("a")
-	if cost := nw.Transfer(a, a, 1<<20); cost != 0 {
+	if cost := nw.Transfer(sim.ClassOther, a, a, 1<<20); cost != 0 {
 		t.Fatalf("loopback cost = %v, want 0", cost)
 	}
 	if nw.TotalTraffic() != 0 {
@@ -48,7 +48,7 @@ func TestLoopbackFree(t *testing.T) {
 func TestBothNICsBusy(t *testing.T) {
 	nw := New(Ethernet25G())
 	a, b := nw.AddNIC("a"), nw.AddNIC("b")
-	nw.Transfer(a, b, 1<<20)
+	nw.Transfer(sim.ClassOther, a, b, 1<<20)
 	if a.Resource().Busy() == 0 || a.Resource().Busy() != b.Resource().Busy() {
 		t.Fatal("transfer must occupy both endpoints equally")
 	}
@@ -56,7 +56,7 @@ func TestBothNICsBusy(t *testing.T) {
 	// latency (which includes the base latency).
 	nw2 := New(Ethernet25G())
 	x, y := nw2.AddNIC("x"), nw2.AddNIC("y")
-	lat := nw2.Transfer(x, y, 1<<20)
+	lat := nw2.Transfer(sim.ClassOther, x, y, 1<<20)
 	if x.Resource().Busy() >= lat {
 		t.Fatalf("occupancy %v should be below latency %v", x.Resource().Busy(), lat)
 	}
@@ -67,7 +67,7 @@ func TestInfinibandFaster(t *testing.T) {
 	i := New(Infiniband40G())
 	ea, eb := e.AddNIC("a"), e.AddNIC("b")
 	ia, ib := i.AddNIC("a"), i.AddNIC("b")
-	if i.Transfer(ia, ib, 1<<20) >= e.Transfer(ea, eb, 1<<20) {
+	if i.Transfer(sim.ClassOther, ia, ib, 1<<20) >= e.Transfer(sim.ClassOther, ea, eb, 1<<20) {
 		t.Fatal("40G InfiniBand should beat 25G Ethernet")
 	}
 }
@@ -75,7 +75,7 @@ func TestInfinibandFaster(t *testing.T) {
 func TestReset(t *testing.T) {
 	nw := New(Ethernet25G())
 	a, b := nw.AddNIC("a"), nw.AddNIC("b")
-	nw.Transfer(a, b, 1000)
+	nw.Transfer(sim.ClassOther, a, b, 1000)
 	nw.Reset()
 	if nw.TotalTraffic() != 0 || a.SentBytes() != 0 || b.Resource().Busy() != 0 {
 		t.Fatal("Reset incomplete")
@@ -99,15 +99,15 @@ func TestNegativeSizePanics(t *testing.T) {
 			t.Fatal("negative size must panic")
 		}
 	}()
-	nw.Transfer(a, b, -5)
+	nw.Transfer(sim.ClassOther, a, b, -5)
 }
 
 func TestTransferClassSplitsAccounting(t *testing.T) {
 	nw := New(Ethernet25G())
 	a, b := nw.AddNIC("a"), nw.AddNIC("b")
-	nw.TransferClass(a, b, 1000, sim.ClassRebuild)
-	nw.TransferClass(a, b, 500, sim.ClassForegroundRead)
-	nw.Transfer(a, b, 250) // untagged → ClassOther
+	nw.Transfer(sim.ClassRebuild, a, b, 1000)
+	nw.Transfer(sim.ClassForegroundRead, a, b, 500)
+	nw.Transfer(sim.ClassOther, a, b, 250)
 	if got := nw.TotalTraffic(); got != 1750 {
 		t.Fatalf("total traffic = %d", got)
 	}

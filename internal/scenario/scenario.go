@@ -163,7 +163,7 @@ type tenantState struct {
 // tenantRun is one tenant's per-pass state.
 type tenantRun struct {
 	st     *tenantState
-	ino    uint64
+	f      *ecfs.File
 	sh     *shadow
 	rep    *trace.Replayer
 	phases []*trace.Trace
@@ -374,11 +374,11 @@ func (e *Engine) prepareTenant(ctx context.Context, c *ecfs.Cluster, i int, st *
 
 	rep := trace.NewReplayer(c, e.spec.Clients)
 	rep.PerOpPayload(st.seed)
-	ino, err := rep.Prepare(ctx, fmt.Sprintf("%s-pass%d", st.name, pass), fileSize)
+	f, err := rep.Prepare(ctx, fmt.Sprintf("%s-pass%d", st.name, pass), fileSize)
 	if err != nil {
 		return nil, err
 	}
-	sh := newShadow(ino, fileSize, span, st.seed)
+	sh := newShadow(f.Ino(), fileSize, span, st.seed)
 	rep.Around = func(op trace.Op, do func() trace.OpResult) trace.OpResult {
 		before := e.memClock.Load()
 		checkable := func() bool {
@@ -396,7 +396,7 @@ func (e *Engine) prepareTenant(ctx context.Context, c *ecfs.Cluster, i int, st *
 		return out
 	}
 
-	run := &tenantRun{st: st, ino: ino, sh: sh, rep: rep}
+	run := &tenantRun{st: st, f: f, sh: sh, rep: rep}
 	n := len(t.Ops)
 	for p := 0; p < e.spec.Phases; p++ {
 		lo, hi := p*n/e.spec.Phases, (p+1)*n/e.spec.Phases
@@ -428,7 +428,7 @@ func (e *Engine) runPhase(ctx context.Context, c *ecfs.Cluster, runs []*tenantRu
 		wg.Add(1)
 		go func(tr *tenantRun) {
 			defer wg.Done()
-			rres, rerr := tr.rep.Run(ctx, tr.phases[phase], tr.ino)
+			rres, rerr := tr.rep.Run(ctx, tr.phases[phase], tr.f)
 			mu.Lock()
 			defer mu.Unlock()
 			tr.st.ops += rres.Ops
@@ -638,7 +638,11 @@ func (e *Engine) fire(ctx context.Context, c *ecfs.Cluster, ev Event, phaseOps i
 func (e *Engine) checkpoint(ctx context.Context, c *ecfs.Cluster, runs []*tenantRun, epochs map[uint64][]uint64, ledger *int64, res *Result) error {
 	cli := c.NewClient()
 	for _, tr := range runs {
-		n, err := tr.sh.heal(ctx, cli)
+		f, err := cli.Open(ctx, tr.f.Name())
+		if err != nil {
+			return fmt.Errorf("scenario: checkpoint open %s: %w", tr.st.name, err)
+		}
+		n, err := tr.sh.heal(ctx, f)
 		if err != nil {
 			return err
 		}
@@ -653,15 +657,16 @@ func (e *Engine) checkpoint(ctx context.Context, c *ecfs.Cluster, runs []*tenant
 	}
 	res.StripesScrubbed += n
 	for _, tr := range runs {
-		if err := c.VerifyStripes(tr.ino, tr.sh.data); err != nil {
+		if err := c.VerifyStripes(tr.f, tr.sh.data); err != nil {
 			return fmt.Errorf("invariant no-lost-acknowledged-write (%s): %w", tr.st.name, err)
 		}
 	}
 	for _, tr := range runs {
-		stripes := c.MDS.Stripes(tr.ino)
-		prev := epochs[tr.ino]
+		ino := tr.f.Ino()
+		stripes := c.MDS.Stripes(ino)
+		prev := epochs[ino]
 		for s := 0; s < stripes; s++ {
-			loc, err := c.MDS.Lookup(tr.ino, uint32(s))
+			loc, err := c.MDS.Lookup(ino, uint32(s))
 			if err != nil {
 				return fmt.Errorf("scenario: checkpoint lookup %s stripe %d: %w", tr.st.name, s, err)
 			}
@@ -675,7 +680,7 @@ func (e *Engine) checkpoint(ctx context.Context, c *ecfs.Cluster, runs []*tenant
 				prev = append(prev, loc.Epoch)
 			}
 		}
-		epochs[tr.ino] = prev
+		epochs[ino] = prev
 	}
 	cur := c.Scheduler().TotalSpentBytes()
 	if cur < *ledger {

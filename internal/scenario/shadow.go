@@ -172,8 +172,9 @@ func (sh *shadow) checkRead(op trace.Op, got []byte) error {
 // clears the dirty marks. Run between phases with the workload
 // quiesced (no concurrent clients), so no range locks are taken. It
 // returns the number of ops healed; any re-execution error is final —
-// the fault window is over, so the cluster must accept writes.
-func (sh *shadow) heal(ctx context.Context, cli *ecfs.Client) (int, error) {
+// the fault window is over, so the cluster must accept writes. f is a
+// handle on the shadowed file.
+func (sh *shadow) heal(ctx context.Context, f *ecfs.File) (int, error) {
 	sh.mu.Lock()
 	failed := sh.failed
 	sh.failed = nil
@@ -185,7 +186,7 @@ func (sh *shadow) heal(ctx context.Context, cli *ecfs.Client) (int, error) {
 		}
 		data := buf[:op.Size]
 		trace.Payload(sh.seed, op, data)
-		if _, err := cli.UpdateContext(ctx, sh.ino, op.Off, data, op.At); err != nil {
+		if _, err := f.UpdateAt(ctx, op.Off, data, op.At); err != nil {
 			return 0, fmt.Errorf("scenario: heal of failed update off=%d size=%d: %w", op.Off, op.Size, err)
 		}
 		copy(sh.data[op.Off:], data)

@@ -78,16 +78,11 @@ func NewResource(name string) *Resource {
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
 
-// Charge accounts d of busy time under ClassOther and returns d
-// unchanged, so call sites can simultaneously account the resource and
-// extend a latency path.
-func (r *Resource) Charge(d time.Duration) time.Duration {
-	return r.ChargeClass(ClassOther, d)
-}
-
-// ChargeClass accounts d of busy time under the given traffic class and
-// returns d unchanged. The total Busy always includes every class.
-func (r *Resource) ChargeClass(c Class, d time.Duration) time.Duration {
+// Charge accounts d of busy time under the given traffic class and
+// returns d unchanged, so call sites can simultaneously account the
+// resource and extend a latency path. The total Busy always includes
+// every class.
+func (r *Resource) Charge(c Class, d time.Duration) time.Duration {
 	if d < 0 {
 		panic("sim: negative charge")
 	}

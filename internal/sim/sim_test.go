@@ -11,10 +11,10 @@ func TestResourceCharge(t *testing.T) {
 	if r.Name() != "ssd0" {
 		t.Fatal("name lost")
 	}
-	if got := r.Charge(5 * time.Microsecond); got != 5*time.Microsecond {
+	if got := r.Charge(ClassOther, 5*time.Microsecond); got != 5*time.Microsecond {
 		t.Fatal("Charge must return its argument")
 	}
-	r.Charge(10 * time.Microsecond)
+	r.Charge(ClassOther, 10*time.Microsecond)
 	if r.Busy() != 15*time.Microsecond {
 		t.Fatalf("busy = %v, want 15us", r.Busy())
 	}
@@ -33,7 +33,7 @@ func TestResourceNegativePanics(t *testing.T) {
 			t.Fatal("negative charge must panic")
 		}
 	}()
-	NewResource("x").Charge(-1)
+	NewResource("x").Charge(ClassOther, -1)
 }
 
 func TestResourceConcurrent(t *testing.T) {
@@ -44,7 +44,7 @@ func TestResourceConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.Charge(time.Nanosecond)
+				r.Charge(ClassOther, time.Nanosecond)
 			}
 		}()
 	}
@@ -102,7 +102,7 @@ func TestThroughputClientBound(t *testing.T) {
 
 func TestThroughputResourceBound(t *testing.T) {
 	r := NewResource("ssd")
-	r.Charge(10 * time.Second) // resource is the bottleneck
+	r.Charge(ClassOther, 10*time.Second) // resource is the bottleneck
 	got := Throughput(1000, 64, time.Microsecond, []*Resource{r})
 	if got < 99 || got > 101 {
 		t.Fatalf("resource-bound throughput = %v, want ~100", got)
@@ -166,20 +166,20 @@ func TestLatencyPercentilesBatch(t *testing.T) {
 
 func TestSnapshotAndMaxBusyDelta(t *testing.T) {
 	a, b := NewResource("a"), NewResource("b")
-	a.Charge(5 * time.Millisecond)
+	a.Charge(ClassOther, 5*time.Millisecond)
 	rs := []*Resource{a, b}
 	before := SnapshotBusy(rs)
 	if len(before) != 2 || before[0] != 5*time.Millisecond || before[1] != 0 {
 		t.Fatalf("snapshot = %v", before)
 	}
-	a.Charge(time.Millisecond)
-	b.Charge(3 * time.Millisecond)
+	a.Charge(ClassOther, time.Millisecond)
+	b.Charge(ClassOther, 3*time.Millisecond)
 	if d := MaxBusyDelta(rs, before); d != 3*time.Millisecond {
 		t.Fatalf("delta = %v", d)
 	}
 	// A resource provisioned after the snapshot counts in full.
 	c := NewResource("c")
-	c.Charge(10 * time.Millisecond)
+	c.Charge(ClassOther, 10*time.Millisecond)
 	if d := MaxBusyDelta(append(rs, c), before); d != 10*time.Millisecond {
 		t.Fatalf("delta with new resource = %v", d)
 	}
@@ -191,9 +191,9 @@ func TestSnapshotAndMaxBusyDelta(t *testing.T) {
 
 func TestClassAccounting(t *testing.T) {
 	r := NewResource("nic")
-	r.ChargeClass(ClassForegroundRead, 2*time.Millisecond)
-	r.ChargeClass(ClassRebuild, 3*time.Millisecond)
-	r.Charge(time.Millisecond) // untagged lands in ClassOther
+	r.Charge(ClassForegroundRead, 2*time.Millisecond)
+	r.Charge(ClassRebuild, 3*time.Millisecond)
+	r.Charge(ClassOther, time.Millisecond)
 	if got := r.Busy(); got != 6*time.Millisecond {
 		t.Fatalf("total busy = %v", got)
 	}
@@ -223,14 +223,14 @@ func TestClassAccounting(t *testing.T) {
 func TestClassSnapshotDelta(t *testing.T) {
 	a, b := NewResource("a"), NewResource("b")
 	rs := []*Resource{a, b}
-	a.ChargeClass(ClassForegroundWrite, 4*time.Millisecond)
-	a.ChargeClass(ClassDrain, 100*time.Millisecond) // must not count below
+	a.Charge(ClassForegroundWrite, 4*time.Millisecond)
+	a.Charge(ClassDrain, 100*time.Millisecond) // must not count below
 	before := SnapshotBusyClasses(rs, ForegroundClasses...)
 	if before[0] != 4*time.Millisecond || before[1] != 0 {
 		t.Fatalf("snapshot = %v", before)
 	}
-	b.ChargeClass(ClassForegroundRead, 7*time.Millisecond)
-	a.ChargeClass(ClassRebuild, time.Second) // rebuild does not advance the fg clock
+	b.Charge(ClassForegroundRead, 7*time.Millisecond)
+	a.Charge(ClassRebuild, time.Second) // rebuild does not advance the fg clock
 	if d := MaxBusyDeltaClasses(rs, before, ForegroundClasses...); d != 7*time.Millisecond {
 		t.Fatalf("fg delta = %v", d)
 	}

@@ -48,7 +48,7 @@ func TestReplayErrorAccounting(t *testing.T) {
 	defer c.Close()
 	r := NewReplayer(c, 2)
 	fileSize := int64(512 << 10)
-	ino, err := r.Prepare(context.Background(), "vol", fileSize)
+	f, err := r.Prepare(context.Background(), "vol", fileSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestReplayErrorAccounting(t *testing.T) {
 			tr.Ops[i].Size = 8 << 10
 		}
 	}
-	res, rerr := r.Run(context.Background(), tr, ino)
+	res, rerr := r.Run(context.Background(), tr, f)
 	if res.Errors == 0 {
 		t.Fatal("no ops failed with a node down and unrepaired")
 	}

@@ -111,24 +111,25 @@ func NewReplayer(c *ecfs.Cluster, clients int) *Replayer {
 }
 
 // Prepare creates and prepopulates the backing file so every trace op
-// targets written stripes, and returns the ino. Content is a fixed
-// pattern (cheap, deterministic); trace payloads overwrite it. A
-// cancelled ctx stops at a stripe boundary.
-func (r *Replayer) Prepare(ctx context.Context, name string, fileSize int64) (uint64, error) {
+// targets written stripes, and returns a handle on it bound to ctx.
+// Content is a fixed pattern (cheap, deterministic), written one stripe
+// per WriteAt; trace payloads overwrite it. A cancelled ctx stops at a
+// stripe boundary.
+func (r *Replayer) Prepare(ctx context.Context, name string, fileSize int64) (*ecfs.File, error) {
 	cli := r.Cluster.NewClient()
-	ino, err := cli.CreateContext(ctx, name)
+	f, err := cli.Open(ctx, name)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	span := int64(cli.StripeSpan())
 	stripes := (fileSize + span - 1) / span
 	chunk := PrepareChunk(int(span))
 	for s := int64(0); s < stripes; s++ {
-		if _, err := cli.WriteStripeContext(ctx, ino, uint32(s), chunk); err != nil {
-			return 0, err
+		if _, err := f.WriteAt(chunk, s*span); err != nil {
+			return nil, err
 		}
 	}
-	return ino, nil
+	return f, nil
 }
 
 // PrepareChunk returns the fixed per-stripe pattern Prepare writes, so
@@ -141,17 +142,25 @@ func PrepareChunk(span int) []byte {
 	return chunk
 }
 
-// Run replays the trace: ops are dealt round-robin to Clients concurrent
-// clients, preserving per-client order. Returns aggregate results. The
+// Run replays the trace against f's file: ops are dealt round-robin to
+// Clients concurrent clients, each opening its own handle by name,
+// preserving per-client order. Returns aggregate results. The
 // context is checked before every request, so a cancelled ctx aborts an
 // in-flight replay (and thereby an in-flight experiment) within one
 // operation. An op error does not stop the replay — it is counted
 // (ReplayResult.Errors, split by class in ErrorsBy) and the first one
 // is returned alongside the aggregate result, so callers tolerant of
 // transient fault-window errors can inspect ErrorsBy instead.
-func (r *Replayer) Run(ctx context.Context, t *Trace, ino uint64) (*ReplayResult, error) {
+func (r *Replayer) Run(ctx context.Context, t *Trace, f *ecfs.File) (*ReplayResult, error) {
 	if len(t.Ops) == 0 {
 		return &ReplayResult{}, nil
+	}
+	files := make([]*ecfs.File, r.Clients)
+	for ci := range files {
+		var err error
+		if files[ci], err = r.Cluster.NewClient().Open(ctx, f.Name()); err != nil {
+			return &ReplayResult{}, err
+		}
 	}
 	res := &ReplayResult{}
 	var (
@@ -167,10 +176,9 @@ func (r *Replayer) Run(ctx context.Context, t *Trace, ino uint64) (*ReplayResult
 			payload[i] = byte(i*131 + 7)
 		}
 	}
-	for ci := 0; ci < r.Clients; ci++ {
-		cli := r.Cluster.NewClient()
+	for ci, cf := range files {
 		wg.Add(1)
-		go func(ci int, cli *ecfs.Client) {
+		go func() {
 			defer wg.Done()
 			var nOps, nUpd, nRead, nErr int64
 			var total, maxL time.Duration
@@ -193,9 +201,9 @@ func (r *Replayer) Run(ctx context.Context, t *Trace, ino uint64) (*ReplayResult
 							data = scratch[:op.Size]
 							Payload(r.payloadSeed, op, data)
 						}
-						out.Lat, out.Err = cli.UpdateContext(ctx, ino, op.Off, data, op.At)
+						out.Lat, out.Err = cf.UpdateAt(ctx, op.Off, data, op.At)
 					case OpRead:
-						out.Data, out.Lat, out.Err = cli.ReadContext(ctx, ino, op.Off, op.Size)
+						out.Data, out.Lat, out.Err = cf.ReadRange(ctx, op.Off, op.Size)
 					}
 					return out
 				}
@@ -249,7 +257,7 @@ func (r *Replayer) Run(ctx context.Context, t *Trace, ino uint64) (*ReplayResult
 				res.ErrorsBy[cls] += n
 			}
 			mu.Unlock()
-		}(ci, cli)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil && userErr == nil {

@@ -230,7 +230,7 @@ func TestReplayAgainstCluster(t *testing.T) {
 	defer c.Close()
 	r := NewReplayer(c, 4)
 	fileSize := int64(512 << 10)
-	ino, err := r.Prepare(context.Background(), "vol", fileSize)
+	f, err := r.Prepare(context.Background(), "vol", fileSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestReplayAgainstCluster(t *testing.T) {
 			tr.Ops[i].Size = 8 << 10
 		}
 	}
-	res, err := r.Run(context.Background(), tr, ino)
+	res, err := r.Run(context.Background(), tr, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestReplayAgainstCluster(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.VerifyStripes(ino, nil); err != nil {
+	if err := c.VerifyStripes(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -270,7 +270,7 @@ func TestReplayLatencySamples(t *testing.T) {
 	c := ecfs.MustNewCluster(testClusterOptions("fo"))
 	defer c.Close()
 	r := NewReplayer(c, 2)
-	ino, err := r.Prepare(context.Background(), "vol", 256<<10)
+	f, err := r.Prepare(context.Background(), "vol", 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestReplayLatencySamples(t *testing.T) {
 			tr.Ops[i].Size = 4 << 10
 		}
 	}
-	if _, err := r.Run(context.Background(), tr, ino); err != nil {
+	if _, err := r.Run(context.Background(), tr, f); err != nil {
 		t.Fatal(err)
 	}
 	if r.Latency.Count() != 100 {

@@ -218,7 +218,7 @@ func (c *inprocCaller) Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) 
 	var cost time.Duration
 	if t.net != nil {
 		src := t.ensureNIC(c.from)
-		cost = t.net.TransferClass(src, dstNIC, msg.WireSize(), cls)
+		cost = t.net.Transfer(cls, src, dstNIC, msg.WireSize())
 	}
 	resp := h(ctx, msg)
 	if resp == nil {
@@ -226,7 +226,7 @@ func (c *inprocCaller) Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) 
 	}
 	if t.net != nil {
 		dst := t.ensureNIC(c.from)
-		cost += t.net.TransferClass(dstNIC, dst, resp.WireSize(), cls)
+		cost += t.net.Transfer(cls, dstNIC, dst, resp.WireSize())
 	}
 	resp.Cost += cost
 	return resp, nil

@@ -75,12 +75,12 @@ func (c *cord) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 	store := c.env.Store()
 	b := msg.Block
 	unlock := store.Lock(b, c.cfg.BlockSize)
-	old, rc, err := store.ReadRangeNoLockClass(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
+	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
 	if err != nil {
 		unlock()
 		return 0, err
 	}
-	wc, err := store.WriteRangeNoLockClass(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
+	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
 	unlock()
 	if err != nil {
 		return 0, err
@@ -219,13 +219,13 @@ func (c *cord) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.
 	unlock := store.Lock(be.Block, c.cfg.BlockSize)
 	defer unlock()
 	for _, e := range be.Extents {
-		cost += dev.Read(int64(len(e.Data))+32, true)
-		old, rc, err := store.ReadRangeNoLock(be.Block, e.Off, len(e.Data), true)
+		cost += dev.Read(sim.ClassOther, int64(len(e.Data))+32, true)
+		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(e.Data), true)
 		if err != nil {
 			continue
 		}
 		erasure.ApplyParityDelta(old, e.Data)
-		wc, err := store.WriteRangeNoLock(be.Block, e.Off, old, true)
+		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, old, true)
 		if err != nil {
 			continue
 		}
@@ -235,7 +235,7 @@ func (c *cord) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.
 }
 
 func (c *cord) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
-	return c.env.Store().ReadRangeClass(sim.ClassForegroundRead, b, off, size, true)
+	return c.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
 }
 
 func (c *cord) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {

@@ -66,12 +66,12 @@ func (f *fl) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Dura
 	var cost time.Duration
 	for _, e := range be.Extents {
 		unlock := store.Lock(be.Block, f.cfg.BlockSize)
-		old, rc, err := store.ReadRangeNoLock(be.Block, e.Off, len(e.Data), true)
+		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(e.Data), true)
 		if err != nil {
 			unlock()
 			continue
 		}
-		wc, err := store.WriteRangeNoLock(be.Block, e.Off, e.Data, true)
+		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, e.Data, true)
 		unlock()
 		if err != nil {
 			continue
@@ -115,7 +115,7 @@ func (f *fl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 func (f *fl) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
 	// The log must merge with the old data on reads (FL's read penalty):
 	// base read plus overlay of all pending records.
-	data, cost, err := f.env.Store().ReadRangeClass(sim.ClassForegroundRead, b, off, size, true)
+	data, cost, err := f.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -27,12 +27,12 @@ func (f *fo) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	store := f.env.Store()
 	b := msg.Block
 	unlock := store.Lock(b, f.cfg.BlockSize)
-	old, rc, err := store.ReadRangeNoLockClass(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
+	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
 	if err != nil {
 		unlock()
 		return 0, err
 	}
-	wc, err := store.WriteRangeNoLockClass(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
+	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
 	unlock()
 	if err != nil {
 		return 0, err
@@ -102,12 +102,12 @@ func applyParityDeltaInPlace(env Env, cfg Config, msg *wire.Msg) (time.Duration,
 	store := env.Store()
 	unlock := store.Lock(msg.Block, cfg.BlockSize)
 	defer unlock()
-	old, rc, err := store.ReadRangeNoLockClass(sim.ClassForegroundWrite, msg.Block, msg.Off, len(pd), true)
+	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, msg.Block, msg.Off, len(pd), true)
 	if err != nil {
 		return 0, err
 	}
 	erasure.ApplyParityDelta(old, pd)
-	wc, err := store.WriteRangeNoLockClass(sim.ClassForegroundWrite, msg.Block, msg.Off, old, true)
+	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, msg.Block, msg.Off, old, true)
 	if err != nil {
 		return 0, err
 	}
@@ -115,7 +115,7 @@ func applyParityDeltaInPlace(env Env, cfg Config, msg *wire.Msg) (time.Duration,
 }
 
 func (f *fo) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
-	return f.env.Store().ReadRangeClass(sim.ClassForegroundRead, b, off, size, true)
+	return f.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
 }
 
 func (f *fo) Drain(ctx context.Context, phase int, dead []wire.NodeID) error { return nil }

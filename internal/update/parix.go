@@ -85,7 +85,7 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	}
 	var origins []origin
 	for _, g := range gaps {
-		old, rc, err := store.ReadRangeNoLockClass(sim.ClassForegroundWrite, b, g.lo, int(g.hi-g.lo), true)
+		old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, g.lo, int(g.hi-g.lo), true)
 		if err != nil {
 			return 0, err
 		}
@@ -94,7 +94,7 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	}
 	// In-place overwrite with NO read for already-speculated ranges —
 	// PARIX's saving over PL/FO.
-	wc, err := store.WriteRangeNoLockClass(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
+	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
 	if err != nil {
 		return 0, err
 	}
@@ -173,7 +173,7 @@ func (p *parix) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		}
 		p.logMu.Unlock()
 		// Sequential log append on the parity OSD's device.
-		cost += p.env.Dev().Write(int64(len(msg.Data))+32, false, false)
+		cost += p.env.Dev().Write(sim.ClassOther, int64(len(msg.Data))+32, false, false)
 		return okResp(cost)
 	default:
 		return errResp(fmt.Errorf("parix: unexpected message %v", msg.Kind))
@@ -181,7 +181,7 @@ func (p *parix) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 }
 
 func (p *parix) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
-	return p.env.Store().ReadRangeClass(sim.ClassForegroundRead, b, off, size, true)
+	return p.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
 }
 
 // Drain recycles the parity logs: for every logged extent the delta is
@@ -246,7 +246,7 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 		unlock := store.Lock(pb, p.cfg.BlockSize)
 		for _, e := range ni.Extents() {
 			// Random re-read of new+old log records.
-			total += dev.Read(int64(len(e.Data))+32, true)
+			total += dev.Read(sim.ClassOther, int64(len(e.Data))+32, true)
 			var orig []byte
 			if oi != nil {
 				if o, ok := oi.Lookup(e.Off, uint32(len(e.Data))); ok {
@@ -258,16 +258,16 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 				// the range as zero-originated.
 				orig = make([]byte, len(e.Data))
 			} else {
-				total += dev.Read(int64(len(orig))+32, true)
+				total += dev.Read(sim.ClassOther, int64(len(orig))+32, true)
 			}
 			delta := erasure.DataDelta(orig, e.Data)
 			pd := code.ParityDelta(j, int(dataBlock.Idx), delta)
-			oldP, rc, err := store.ReadRangeNoLock(pb, e.Off, len(pd), true)
+			oldP, rc, err := store.ReadRangeNoLock(sim.ClassOther, pb, e.Off, len(pd), true)
 			if err != nil {
 				continue
 			}
 			erasure.ApplyParityDelta(oldP, pd)
-			wc, err := store.WriteRangeNoLock(pb, e.Off, oldP, true)
+			wc, err := store.WriteRangeNoLock(sim.ClassOther, pb, e.Off, oldP, true)
 			if err != nil {
 				continue
 			}

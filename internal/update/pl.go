@@ -55,12 +55,12 @@ func (p *pl) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	store := p.env.Store()
 	b := msg.Block
 	unlock := store.Lock(b, p.cfg.BlockSize)
-	old, rc, err := store.ReadRangeNoLockClass(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
+	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
 	if err != nil {
 		unlock()
 		return 0, err
 	}
-	wc, err := store.WriteRangeNoLockClass(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
+	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
 	unlock()
 	if err != nil {
 		return 0, err
@@ -138,14 +138,14 @@ func (p *pl) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Du
 	for _, e := range be.Extents {
 		src, delta := decodeDeltaRecord(e.Data)
 		// Random re-read of the log record from disk.
-		cost += dev.Read(int64(len(e.Data))+32, true)
+		cost += dev.Read(sim.ClassOther, int64(len(e.Data))+32, true)
 		pd := code.ParityDelta(j, int(src), delta)
-		old, rc, err := store.ReadRangeNoLock(be.Block, e.Off, len(pd), true)
+		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(pd), true)
 		if err != nil {
 			continue
 		}
 		erasure.ApplyParityDelta(old, pd)
-		wc, err := store.WriteRangeNoLock(be.Block, e.Off, old, true)
+		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, old, true)
 		if err != nil {
 			continue
 		}
@@ -156,7 +156,7 @@ func (p *pl) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Du
 
 func (p *pl) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
 	// Data blocks are updated in place; no log on the read path.
-	return p.env.Store().ReadRangeClass(sim.ClassForegroundRead, b, off, size, true)
+	return p.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
 }
 
 func (p *pl) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {

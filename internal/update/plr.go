@@ -55,12 +55,12 @@ func (p *plr) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) 
 	store := p.env.Store()
 	b := msg.Block
 	unlock := store.Lock(b, p.cfg.BlockSize)
-	old, rc, err := store.ReadRangeNoLockClass(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
+	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
 	if err != nil {
 		unlock()
 		return 0, err
 	}
-	wc, err := store.WriteRangeNoLockClass(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
+	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
 	unlock()
 	if err != nil {
 		return 0, err
@@ -110,7 +110,7 @@ func (p *plr) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		l.bytes += int64(len(msg.Data)) + 32
 		// The reserved region is adjacent to *this* parity block, far
 		// from other blocks' regions: the append is a random write.
-		cost := p.env.Dev().Write(int64(len(msg.Data))+32, true, false)
+		cost := p.env.Dev().Write(sim.ClassOther, int64(len(msg.Data))+32, true, false)
 		var full bool
 		if l.bytes >= p.cfg.ReservedSpace {
 			full = true
@@ -148,7 +148,7 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 	dev := p.env.Dev()
 	// Sequential replay of the adjacent log region — PLR's one saving
 	// over PL (no random log re-reads).
-	cost := dev.Read(l.bytes, false)
+	cost := dev.Read(sim.ClassOther, l.bytes, false)
 	unlock := store.Lock(b, p.cfg.BlockSize)
 	defer unlock()
 	// The parity span itself sits wherever this parity block landed on
@@ -163,7 +163,7 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 			hi = end
 		}
 	}
-	span, rc, err := store.ReadRangeNoLock(b, lo, int(hi-lo), true)
+	span, rc, err := store.ReadRangeNoLock(sim.ClassOther, b, lo, int(hi-lo), true)
 	if err != nil {
 		l.entries, l.bytes = nil, 0
 		return cost
@@ -173,7 +173,7 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 		pd := code.ParityDelta(j, int(e.src), e.delta)
 		gf256.XorSlice(span[e.off-lo:e.off-lo+uint32(len(pd))], pd)
 	}
-	wc, err := store.WriteRangeNoLock(b, lo, span, true)
+	wc, err := store.WriteRangeNoLock(sim.ClassOther, b, lo, span, true)
 	if err == nil {
 		cost += wc
 	}
@@ -182,7 +182,7 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 }
 
 func (p *plr) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
-	return p.env.Store().ReadRangeClass(sim.ClassForegroundRead, b, off, size, true)
+	return p.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
 }
 
 func (p *plr) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {

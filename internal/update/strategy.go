@@ -51,6 +51,10 @@ type Env interface {
 	// pass context.Background() — background work completes regardless
 	// of any client's lifetime.
 	Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) (*wire.Resp, error)
+	// CallBatch delivers a set of peer calls together, with Call's
+	// per-call semantics: on a batch-capable transport same-destination
+	// frames leave in one flush.
+	CallBatch(ctx context.Context, calls []*transport.BatchCall)
 	// Code returns the (cached) RS code for the given geometry.
 	Code(k, m int) (*erasure.Code, error)
 }
@@ -247,20 +251,12 @@ func (si stripeInfo) parityNode(j int) wire.NodeID { return si.Loc.Nodes[si.K+j]
 // parityBlock returns the BlockID of parity j for a block in the stripe.
 func parityBlock(b wire.BlockID, k, j int) wire.BlockID { return b.WithIdx(uint8(k + j)) }
 
-// batchCaller is the optional Env extension for batch-capable
-// environments (an OSD whose transport implements transport.BatchRPC):
-// a fan-out's same-destination frames are flushed together instead of
-// one write per call.
-type batchCaller interface {
-	CallBatch(ctx context.Context, calls []*transport.BatchCall)
-}
-
-// fanout issues one call per target concurrently — batched through the
-// environment's transport when it supports it — and returns the largest
-// response cost (the latency of parallel synchronous hops) plus the
-// first error encountered. Fan-out callers only consume Cost and the
-// status, never Data, so every response buffer is released back to the
-// transport pool here.
+// fanout issues one call per target concurrently — one batch through
+// the environment's transport — and returns the largest response cost
+// (the latency of parallel synchronous hops) plus the first error
+// encountered. Fan-out callers only consume Cost and the status, never
+// Data, so every response buffer is released back to the transport pool
+// here.
 func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(to wire.NodeID) *wire.Msg) (time.Duration, error) {
 	switch len(targets) {
 	case 0:
@@ -276,62 +272,29 @@ func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(to wire
 		}
 		return resp.Cost, nil
 	}
-	if bc, ok := env.(batchCaller); ok {
-		calls := make([]*transport.BatchCall, len(targets))
-		for i, to := range targets {
-			calls[i] = &transport.BatchCall{To: to, Msg: mk(to)}
-		}
-		bc.CallBatch(ctx, calls)
-		var (
-			maxCost time.Duration
-			firstE  error
-		)
-		for _, call := range calls {
-			if call.Err != nil {
-				if firstE == nil {
-					firstE = call.Err
-				}
-				continue
-			}
-			if err := call.Resp.Error(); err != nil && firstE == nil {
-				firstE = err
-			}
-			if call.Resp.Cost > maxCost {
-				maxCost = call.Resp.Cost
-			}
-			call.Resp.Release()
-		}
-		return maxCost, firstE
+	calls := make([]*transport.BatchCall, len(targets))
+	for i, to := range targets {
+		calls[i] = &transport.BatchCall{To: to, Msg: mk(to)}
 	}
-	type result struct {
-		cost time.Duration
-		err  error
-	}
-	results := make(chan result, len(targets))
-	for _, to := range targets {
-		go func(to wire.NodeID) {
-			resp, err := env.Call(ctx, to, mk(to))
-			if err != nil {
-				results <- result{0, err}
-				return
-			}
-			cost, rerr := resp.Cost, resp.Error()
-			resp.Release()
-			results <- result{cost, rerr}
-		}(to)
-	}
+	env.CallBatch(ctx, calls)
 	var (
 		maxCost time.Duration
 		firstE  error
 	)
-	for range targets {
-		r := <-results
-		if r.err != nil && firstE == nil {
-			firstE = r.err
+	for _, call := range calls {
+		if call.Err != nil {
+			if firstE == nil {
+				firstE = call.Err
+			}
+			continue
 		}
-		if r.cost > maxCost {
-			maxCost = r.cost
+		if err := call.Resp.Error(); err != nil && firstE == nil {
+			firstE = err
 		}
+		if call.Resp.Cost > maxCost {
+			maxCost = call.Resp.Cost
+		}
+		call.Resp.Release()
 	}
 	return maxCost, firstE
 }

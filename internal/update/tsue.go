@@ -197,11 +197,11 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 	var outs []deltaOut
 	unlock := store.Lock(be.Block, t.cfg.BlockSize)
 	for _, e := range be.Extents {
-		old, rc, err := store.ReadRangeNoLock(be.Block, e.Off, len(e.Data), true)
+		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(e.Data), true)
 		if err != nil {
 			continue
 		}
-		wc, err := store.WriteRangeNoLock(be.Block, e.Off, e.Data, true)
+		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, e.Data, true)
 		if err != nil {
 			continue
 		}
@@ -385,12 +385,12 @@ func (t *tsue) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.
 	unlock := store.Lock(be.Block, t.cfg.BlockSize)
 	defer unlock()
 	for _, e := range be.Extents {
-		old, rc, err := store.ReadRangeNoLock(be.Block, e.Off, len(e.Data), true)
+		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(e.Data), true)
 		if err != nil {
 			continue
 		}
 		gf256.XorSlice(old, e.Data)
-		wc, err := store.WriteRangeNoLock(be.Block, e.Off, old, true)
+		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, old, true)
 		if err != nil {
 			continue
 		}
@@ -415,7 +415,7 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		if t.repPersist != nil {
 			t.repPersist.AppendEntry(0, msg.Block, msg.Off, msg.V, msg.Data)
 		}
-		cost := t.env.Dev().WriteClass(sim.ClassForegroundWrite, int64(len(msg.Data))+32, false, false)
+		cost := t.env.Dev().Write(sim.ClassForegroundWrite, int64(len(msg.Data))+32, false, false)
 		return okResp(cost)
 	case wire.KReplicaFetch:
 		// Recovery replay: return the replicated log extents for the
@@ -432,7 +432,7 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		payload := EncodeExtents(recs)
 		var cost time.Duration
 		if len(payload) > 0 {
-			cost = t.env.Dev().Read(int64(len(payload)), false)
+			cost = t.env.Dev().Read(sim.ClassOther, int64(len(payload)), false)
 		}
 		return &wire.Resp{Data: payload, Cost: cost}
 	case wire.KDeltaLogAdd:
@@ -468,7 +468,7 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 			}
 			ci.Insert(msg.Off, data, time.Duration(msg.V))
 			t.copyMu.Unlock()
-			cost := t.env.Dev().Write(int64(len(msg.Data))+32, false, false)
+			cost := t.env.Dev().Write(sim.ClassOther, int64(len(msg.Data))+32, false, false)
 			return okResp(cost)
 		}
 		if t.deltaLogs == nil {
@@ -499,7 +499,7 @@ func (t *tsue) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration
 	if data, ok := t.dataLogs.Lookup(b, off, uint32(size)); ok {
 		return data, 0, nil // Lookup's copy is ours
 	}
-	data, cost, err := t.env.Store().ReadRangeClass(sim.ClassForegroundRead, b, off, size, true)
+	data, cost, err := t.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
 	if err != nil {
 		return nil, 0, err
 	}

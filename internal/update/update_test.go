@@ -11,6 +11,7 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/device"
 	"repro/internal/erasure"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -220,7 +221,8 @@ func TestDefaultConfigSane(t *testing.T) {
 	}
 }
 
-// fakeEnv routes Call through a stub for fanout tests.
+// fakeEnv routes Call through a stub for fanout tests; CallBatch fans
+// the stub out through transport.Fanout's concurrent-call path.
 type fakeEnv struct {
 	call func(to wire.NodeID, msg *wire.Msg) (*wire.Resp, error)
 }
@@ -230,6 +232,11 @@ func (f *fakeEnv) Store() *blockstore.Store { return nil }
 func (f *fakeEnv) Dev() *device.Device      { return nil }
 func (f *fakeEnv) Call(_ context.Context, to wire.NodeID, msg *wire.Msg) (*wire.Resp, error) {
 	return f.call(to, msg)
+}
+func (f *fakeEnv) CallBatch(ctx context.Context, calls []*transport.BatchCall) {
+	// The anonymous struct exposes only Call, so Fanout runs one
+	// concurrent Call per target instead of recursing into CallBatch.
+	transport.Fanout(ctx, struct{ transport.RPC }{f}, calls)
 }
 func (f *fakeEnv) Code(k, m int) (*erasure.Code, error) {
 	return erasure.New(k, m, erasure.Vandermonde)

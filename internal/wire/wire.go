@@ -121,6 +121,12 @@ const FetchReadThrough uint8 = 1
 // must never clobber a write acknowledged under the new placement.
 const StoreUnlessOverwritten uint8 = 2
 
+// LookupNoBind, set in Msg.Flag on a KMDSLookup, asks only for an
+// existing placement: an unplaced stripe answers ErrNotFound instead of
+// being placed on first touch. Reads set it, so a read past a file's
+// written end changes nothing at the MDS.
+const LookupNoBind uint8 = 1
+
 var kindNames = map[Kind]string{
 	KInvalid: "invalid", KWriteBlock: "write-block", KUpdate: "update",
 	KRead: "read", KMDSCreate: "mds-create", KMDSLookup: "mds-lookup",

@@ -5,12 +5,12 @@
 // cloud/MSR trace workloads, and the benchmark harness that regenerates
 // every table and figure of the paper's evaluation.
 //
-// The v2 surface is context-aware and handle-based:
+// A file is read, written and updated only through a *File handle:
 //
 //	ctx := context.Background()
 //	cluster := tsue.MustNewCluster(tsue.DefaultOptions())
 //	defer cluster.Close()
-//	f, _ := cluster.CreateFile(ctx, "volume0")
+//	f, _ := cluster.OpenFile(ctx, "volume0")
 //	f.WriteAt(data, 0)                      // io.WriterAt: striped + encoded
 //	f.UpdateAt(ctx, off, newBytes, 0)       // two-stage TSUE update
 //	buf := make([]byte, n)
@@ -24,15 +24,15 @@
 //
 //	rc, _ := tsue.Dial(ctx, "10.0.0.1:7000")
 //	defer rc.Close()
-//	f, _ := rc.OpenFile(ctx, "volume0")
+//	f, _ := rc.Open(ctx, "volume0")
 //
 // Everything in-process is deterministic: devices and the network are
 // priced by models (see internal/device, internal/netsim) while block
 // contents, logs and parity are real and verified.
 //
 // Failure handling surfaces as an errors.Is-able taxonomy: ErrStaleEpoch
-// (placement moved; retried internally), ErrNotFound (block never
-// written), ErrNodeUnreachable (transport-level delivery failure), and
+// (placement moved; retried internally), ErrNotFound (block or stripe
+// never written — a read past a file's end), ErrNodeUnreachable (transport-level delivery failure), and
 // *DataLossError (recovery could not reassemble a stripe).
 package tsue
 
@@ -51,15 +51,14 @@ import (
 )
 
 // Cluster is an assembled in-process ECFS deployment. Files are opened
-// through Cluster.OpenFile/CreateFile, which return *File handles.
+// through Cluster.OpenFile, which returns *File handles.
 type Cluster = ecfs.Cluster
 
 // Options configures a cluster.
 type Options = ecfs.Options
 
-// Client is the POSIX-facing access component. Its context-free
-// Read/WriteFile/Update methods are deprecated wrappers; new code uses
-// *File handles or the *Context methods.
+// Client is the POSIX-facing access component: its Open returns the
+// *File handles every read, write and update goes through.
 type Client = ecfs.Client
 
 // File is a handle on one ECFS file: io.ReaderAt, io.WriterAt,
@@ -82,7 +81,7 @@ var (
 	// internally; it surfaces only from raw wire access.
 	ErrStaleEpoch = wire.ErrStaleEpoch
 	// ErrNotFound reports a block that has never been written on the
-	// serving node.
+	// serving node, or a read of a stripe past a file's written end.
 	ErrNotFound = wire.ErrNotFound
 	// ErrNodeUnreachable wraps every transport-level delivery failure —
 	// a failed node in-process, a refused dial or dead connection on

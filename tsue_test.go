@@ -12,13 +12,14 @@ import (
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	opts := tsue.DefaultOptions()
 	opts.BlockSize = 16 << 10
 	cluster := tsue.MustNewCluster(opts)
 	defer cluster.Close()
 
 	cli := cluster.NewClient()
-	ino, err := cli.Create("api-test")
+	f, err := cli.Open(ctx, "api-test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,25 +27,25 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	if _, err := cli.WriteFile(ino, data); err != nil {
+	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
 	payload := []byte("public api update")
-	if _, err := cli.Update(ino, 100, payload, 0); err != nil {
+	if _, err := f.UpdateAt(ctx, 100, payload, 0); err != nil {
 		t.Fatal(err)
 	}
 	copy(data[100:], payload)
-	got, _, err := cli.Read(ino, 100, len(payload))
+	got, _, err := f.ReadRange(ctx, 100, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("read = %q", got)
 	}
-	if err := cluster.Flush(context.Background()); err != nil {
+	if err := cluster.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.VerifyStripes(ino, data); err != nil {
+	if err := cluster.VerifyStripes(f, data); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := cluster.Scrub(); err != nil || n == 0 {
@@ -95,8 +96,8 @@ func TestRunExperimentCancelled(t *testing.T) {
 	}
 }
 
-// TestPublicHandleAPI drives the v2 surface through the re-exports: a
-// *tsue.File from Cluster.CreateFile satisfies the io interfaces and
+// TestPublicHandleAPI drives the handle surface through the re-exports:
+// a *tsue.File from Cluster.OpenFile satisfies the io interfaces and
 // round-trips writes, updates and reads.
 func TestPublicHandleAPI(t *testing.T) {
 	ctx := context.Background()
@@ -105,7 +106,7 @@ func TestPublicHandleAPI(t *testing.T) {
 	cluster := tsue.MustNewCluster(opts)
 	defer cluster.Close()
 
-	f, err := cluster.CreateFile(ctx, "v2-api")
+	f, err := cluster.OpenFile(ctx, "handle-api")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestPublicHandleAPI(t *testing.T) {
 	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte("v2 public api update")
+	payload := []byte("public handle update")
 	if _, err := f.UpdateAt(ctx, 321, payload, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPublicHandleAPI(t *testing.T) {
 	if err := cluster.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.VerifyStripes(f.Ino(), data); err != nil {
+	if err := cluster.VerifyStripes(f, data); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
