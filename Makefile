@@ -1,12 +1,10 @@
 GO ?= go
 
-# BENCH_ID names the combined trajectory file bench-json writes
-# (BENCH_$(BENCH_ID).json); bump it per PR so trajectories accumulate.
-# BENCH_BASE is the previous snapshot bench-diff gates against.
-BENCH_ID ?= pr10
-BENCH_BASE ?= pr9
+# BENCH_ID names the one committed bench snapshot, BENCH_$(BENCH_ID).json.
+BENCH_ID ?= pr21
+BENCH_EXPS := repair,fig8b,fig5
 
-.PHONY: verify verify-race build vet test race bench bench-json bench-diff bench-diff-ci e2e-pairs example-recovery docs-check scenario-smoke
+.PHONY: verify verify-race build vet test race bench bench-json bench-diff e2e-pairs example-recovery docs-check scenario-smoke
 
 # bench is part of verify as a smoke run (-benchtime 1x): benchmark code
 # must keep compiling and running between trajectory snapshots.
@@ -33,28 +31,21 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...
 
-# bench-json regenerates the benchmark trajectory snapshot checked in at
-# the repo root: the repair and fig8b experiments, the wire-codec /
-# transport microbenchmarks, the storage engine, and the MDS scale table
-# (with its durable op-log rows), all in one combined JSON file.
+# bench-json regenerates the committed bench snapshot: the repair,
+# fig8b and fig5 experiments, every number in modeled (virtual) time, in
+# one combined JSON file.
 bench-json:
-	$(GO) run ./cmd/tsuebench -exp repair,fig8b,codec,storage,mds-scale -combined BENCH_$(BENCH_ID).json
+	$(GO) run ./cmd/tsuebench -exp $(BENCH_EXPS) -combined BENCH_$(BENCH_ID).json
 
-# bench-diff gates the committed trajectory: the current snapshot
-# (BENCH_$(BENCH_ID).json, from make bench-json) must not regress beyond
-# tight same-machine tolerance against the previous one. See
-# cmd/benchdiff and docs/OPERATIONS.md for how to read the output.
+# bench-diff is the one bench gate (CI runs it): regenerate the snapshot
+# into a temporary file and diff it against the committed one with
+# cmd/benchdiff's tolerance band. See docs/OPERATIONS.md for how to read
+# the output.
 bench-diff:
-	$(GO) run ./cmd/benchdiff -base BENCH_$(BENCH_BASE).json -new BENCH_$(BENCH_ID).json
-
-# bench-diff-ci is the CI flavor: regenerate the trajectory on whatever
-# hardware the runner provides, then diff against the committed snapshot
-# with wide smoke tolerances (time/rate bands absorb hardware deltas;
-# B/op and allocs/op stay gated because they are machine-independent).
-bench-diff-ci:
-	$(GO) run ./cmd/tsuebench -exp repair,fig8b,codec,storage,mds-scale -combined BENCH_ci.json
-	$(GO) run ./cmd/benchdiff -mode smoke -base BENCH_$(BENCH_ID).json -new BENCH_ci.json
-	rm -f BENCH_ci.json
+	@tmp=$$(mktemp); \
+	$(GO) run ./cmd/tsuebench -exp $(BENCH_EXPS) -combined $$tmp >/dev/null && \
+	$(GO) run ./cmd/benchdiff -base BENCH_$(BENCH_ID).json -new $$tmp; \
+	status=$$?; rm -f $$tmp; exit $$status
 
 # e2e-pairs is the pairing rule for a wall-clock claim in one command:
 # build ./benchmark at BASE (in a throwaway git worktree) and at the

@@ -1,40 +1,25 @@
-// Command benchdiff compares two combined bench-trajectory snapshots
-// (the BENCH_*.json files written by `tsuebench -combined`) and fails
-// when the newer one regressed beyond tolerance.
+// Command benchdiff compares two combined bench snapshots (the
+// BENCH_*.json files written by `tsuebench -combined`) and fails when
+// the newer one regressed beyond tolerance.
 //
-//	benchdiff -base BENCH_pr6.json -new BENCH_pr8.json
-//	benchdiff -mode smoke -base BENCH_pr8.json -new BENCH_ci.json
+//	benchdiff -base BENCH_pr21.json -new /tmp/bench.json
 //
-// Cells are keyed by (report ID, row label, column name), where the row
-// label is the first cell of the row — "encode/binary", "recover/prio",
-// "tcp-roundtrip/pipelined". Every column name maps to a metric class that
-// decides the comparison direction and the tolerance band:
+// The committed snapshot holds only modeled-time reports (repair, fig8b,
+// fig5), so one tolerance band fits every gated cell. Cells are keyed by
+// (report ID, row label, column name), where the row label is the row's
+// leading text cells joined by "/" — "RS(6,4)/ten/tsue", "plr",
+// "recover/prio". Each column is one of:
 //
-//   - time  (ns/op, time_ms, snapshot_ms, reopen_ms) — lower is better
-//   - rate  (MB/s, repair_MBps, lookups_per_s,
-//     creates_per_s)                             — higher is better
-//   - bytes (B/op)                               — lower is better
-//   - allocs (allocs/op)                         — lower is better, with
-//     absolute slack so a 0-alloc baseline does not make any nonzero
-//     measurement an infinite-ratio failure
+//   - gated, higher is better: fig5's c=N columns (update IOPS), fig8b's
+//     per-trace columns (recovery MB/s) and repair_MBps
+//   - gated, lower is better: time_ms
+//   - informational: everything else, printed when it moves a lot and
+//     never fatal. The repair rows' hot_reads, degraded, last_degr_% and
+//     foreground_MBps are here on purpose: their readers race the rebuild
+//     in wall time, so same-commit runs of them span several-fold.
 //
-// Columns outside the table (workload-shape counters like blocks or
-// hot_reads, per-trace fig8b throughputs) are informational: printed
-// when they move a lot, never fatal. foreground_MBps is one of them on
-// purpose: the repair rows' hot reads race the rebuild, so
-// same-commit runs of it span several-fold. Likewise rows or reports present
-// in only one snapshot are reported as added/removed, never fatal —
-// the trajectory is expected to grow new rows over time.
-//
-// Two tolerance modes:
-//
-//   - tight (default): both snapshots come from the same machine via
-//     `make bench-json`; catches real same-host regressions while
-//     absorbing ordinary run-to-run noise.
-//   - smoke: the new snapshot was regenerated on whatever hardware CI
-//     happened to land on. Time and rate bands widen to
-//     catastrophic-only; the allocation metrics stay meaningful because
-//     B/op and allocs/op are machine-independent.
+// Rows or reports present in only one snapshot are reported as
+// added/removed, never fatal.
 //
 // Exit codes: 0 no regression, 1 regression beyond tolerance, 2 usage
 // or input error.
@@ -68,54 +53,39 @@ type metricClass int
 
 const (
 	classInfo   metricClass = iota // report-only, never fatal
-	classTime                      // lower is better
-	classRate                      // higher is better
-	classBytes                     // lower is better
-	classAllocs                    // lower is better, absolute slack
+	classLower                     // gated, lower is better
+	classHigher                    // gated, higher is better
 )
 
-func classify(column string) metricClass {
-	switch column {
-	case "ns/op", "time_ms", "snapshot_ms", "reopen_ms":
-		return classTime
-	case "MB/s", "repair_MBps", "lookups_per_s", "creates_per_s":
-		return classRate
-	case "B/op":
-		return classBytes
-	case "allocs/op":
-		return classAllocs
+func classify(reportID, column string) metricClass {
+	switch {
+	case column == "time_ms":
+		return classLower
+	case column == "repair_MBps", strings.HasPrefix(column, "c="):
+		return classHigher
+	case reportID == "fig8b" && column != "workers": // one column per trace
+		return classHigher
 	}
 	return classInfo
 }
 
-// band is the accepted worsening: for lower-is-better metrics a new
-// value regresses when new > base*ratio + abs, for higher-is-better
-// when new < base/ratio - abs. The absolute term keeps tiny baselines
-// (0 allocs/op, sub-millisecond timings) from turning measurement
-// jitter into infinite ratios.
-type band struct {
-	ratio float64
-	abs   float64
-}
-
-type tolerances map[metricClass]band
-
-var tolTight = tolerances{
-	classTime:   {ratio: 2.0, abs: 0.5},
-	classRate:   {ratio: 2.0, abs: 0.5},
-	classBytes:  {ratio: 1.5, abs: 512},
-	classAllocs: {ratio: 1.25, abs: 2},
-}
-
-var tolSmoke = tolerances{
-	classTime:   {ratio: 8.0, abs: 2},
-	classRate:   {ratio: 8.0, abs: 2},
-	classBytes:  {ratio: 2.5, abs: 4096},
-	classAllocs: {ratio: 1.5, abs: 4},
-}
+// The tolerance band: a lower-is-better cell regresses when new >
+// base*tolRatio + tolAbs, a higher-is-better one when new <
+// base/tolRatio - tolAbs. Across twelve same-commit runs on a 2-core
+// host, fig5 cells spread by up to 1.13x (max/min) and the fig8b plr
+// row by up to 1.47x (it is bimodal: about 9 MB/s, now and then 10.6 or
+// 13.1); every other fig8b cell and repair's gated cells did not move.
+// The ratio covers the plr spread whichever mode the committed snapshot
+// caught. tolAbs keeps the near-zero fig8b cells (pl and parix at
+// 0.02–0.5 MB/s, printed to two decimals) from turning a rounding step
+// into a ratio.
+const (
+	tolRatio = 1.5
+	tolAbs   = 0.05
+)
 
 // parseCell extracts the leading numeric value of a table cell.
-// "1962.6" parses; "60599 rt/s" parses its prefix; "-" and labels skip.
+// "1962.6" parses; "157us" parses its prefix; "-" and labels skip.
 func parseCell(s string) (float64, bool) {
 	s = strings.TrimSpace(s)
 	end := 0
@@ -135,6 +105,19 @@ func parseCell(s string) (float64, bool) {
 		return 0, false
 	}
 	return v, true
+}
+
+// rowLabel joins the row's leading text cells: everything before its
+// first number or "-" placeholder.
+func rowLabel(row []string) string {
+	n := 0
+	for n < len(row) {
+		if _, num := parseCell(row[n]); num || row[n] == "-" {
+			break
+		}
+		n++
+	}
+	return strings.Join(row[:n], "/")
 }
 
 type cellKey struct {
@@ -158,18 +141,19 @@ func index(snap *combined) map[cellKey]cell {
 			if len(row) == 0 {
 				continue
 			}
-			label := row[0]
-			if n := seen[label]; n > 0 {
-				label = fmt.Sprintf("%s#%d", label, n)
+			first := rowLabel(row)
+			label := first
+			if n := seen[first]; n > 0 {
+				label = fmt.Sprintf("%s#%d", first, n)
 			}
-			seen[row[0]]++
+			seen[first]++
 			for i := 1; i < len(row) && i < len(rep.Header); i++ {
 				v, ok := parseCell(row[i])
 				if !ok {
 					continue
 				}
 				col := rep.Header[i]
-				out[cellKey{rep.ID, label, col}] = cell{class: classify(col), value: v}
+				out[cellKey{rep.ID, label, col}] = cell{class: classify(rep.ID, col), value: v}
 			}
 		}
 	}
@@ -179,7 +163,6 @@ func index(snap *combined) map[cellKey]cell {
 type finding struct {
 	key        cellKey
 	base, new  float64
-	class      metricClass
 	regression bool // beyond tolerance (fatal); false = informational move
 }
 
@@ -197,36 +180,23 @@ func (f finding) String() string {
 }
 
 // compare walks every cell present in both snapshots and flags moves.
-// Gated classes produce fatal findings beyond their band; informational
-// columns are surfaced (not failed) when they moved by more than 2x,
-// just so a wildly different run shape is visible in the log.
-// diskBoundReports name experiments whose gated metrics are real disk
-// I/O rather than modeled time: their rates swing with the machine's
-// storage stack (page cache state, fs, media), so they get twice the
-// tolerance ratio of the modeled metrics in either mode.
-// mds-scale qualifies through its durable rows: snapshot_ms and
-// reopen_ms are real fsync-and-replay disk work, and the durable
-// lookup/create rates sit behind the same storage stack.
-var diskBoundReports = map[string]bool{"storage": true, "mds-scale": true}
-
-func compare(base, new map[cellKey]cell, tol tolerances) (findings []finding, onlyBase, onlyNew []cellKey) {
+// Gated cells produce fatal findings beyond the band; informational
+// cells are surfaced (not failed) when they moved by more than 2x, just
+// so a wildly different run shape is visible in the log.
+func compare(base, new map[cellKey]cell) (findings []finding, onlyBase, onlyNew []cellKey) {
 	for k, b := range base {
 		n, ok := new[k]
 		if !ok {
 			onlyBase = append(onlyBase, k)
 			continue
 		}
-		f := finding{key: k, base: b.value, new: n.value, class: b.class}
-		band, gated := tol[b.class]
-		if diskBoundReports[k.report] {
-			band.ratio *= 2
-		}
+		f := finding{key: k, base: b.value, new: n.value}
 		switch {
-		case gated && lowerBetter(b.class) && n.value > b.value*band.ratio+band.abs:
+		case b.class == classLower && n.value > b.value*tolRatio+tolAbs:
 			f.regression = true
-		case gated && !lowerBetter(b.class) && n.value < b.value/band.ratio-band.abs:
+		case b.class == classHigher && n.value < b.value/tolRatio-tolAbs:
 			f.regression = true
-		case !gated && movedWildly(b.value, n.value):
+		case b.class == classInfo && movedWildly(b.value, n.value):
 			// informational column; fall through with regression=false
 		default:
 			continue
@@ -240,8 +210,6 @@ func compare(base, new map[cellKey]cell, tol tolerances) (findings []finding, on
 	}
 	return findings, onlyBase, onlyNew
 }
-
-func lowerBetter(c metricClass) bool { return c != classRate }
 
 func movedWildly(base, new float64) bool {
 	lo, hi := base, new
@@ -272,25 +240,14 @@ func load(path string) (*combined, error) {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	basePath := fs.String("base", "", "baseline trajectory snapshot (BENCH_*.json)")
-	newPath := fs.String("new", "", "candidate trajectory snapshot to gate")
-	mode := fs.String("mode", "tight", "tolerance mode: tight (same-machine) or smoke (CI hardware, wide time/rate bands)")
+	basePath := fs.String("base", "", "baseline snapshot (BENCH_*.json)")
+	newPath := fs.String("new", "", "candidate snapshot to gate")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *basePath == "" || *newPath == "" {
 		fmt.Fprintln(stderr, "benchdiff: -base and -new are required")
 		fs.Usage()
-		return 2
-	}
-	var tol tolerances
-	switch *mode {
-	case "tight":
-		tol = tolTight
-	case "smoke":
-		tol = tolSmoke
-	default:
-		fmt.Fprintf(stderr, "benchdiff: unknown -mode %q (want tight or smoke)\n", *mode)
 		return 2
 	}
 
@@ -306,17 +263,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	baseCells, newCells := index(baseSnap), index(newSnap)
-	findings, onlyBase, onlyNew := compare(baseCells, newCells, tol)
+	findings, onlyBase, onlyNew := compare(baseCells, newCells)
 
-	shared := 0
-	for k := range baseCells {
-		if _, ok := newCells[k]; ok {
-			shared++
-		}
-	}
-	fmt.Fprintf(stdout, "benchdiff %s: %s -> %s, %d cells compared\n", *mode, *basePath, *newPath, shared)
+	shared := len(baseCells) - len(onlyBase)
+	fmt.Fprintf(stdout, "benchdiff: %s -> %s, %d cells compared (band %.2fx + %g)\n", *basePath, *newPath, shared, tolRatio, tolAbs)
 	if len(onlyNew) > 0 {
-		fmt.Fprintf(stdout, "  %d cells only in %s (new rows are fine: the trajectory grows)\n", len(onlyNew), *newPath)
+		fmt.Fprintf(stdout, "  %d cells only in %s (new rows are fine)\n", len(onlyNew), *newPath)
 	}
 	if len(onlyBase) > 0 {
 		fmt.Fprintf(stdout, "  %d cells only in %s (rows dropped from the suite)\n", len(onlyBase), *basePath)
@@ -332,7 +284,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if fatal > 0 {
-		fmt.Fprintf(stderr, "benchdiff: %d regression(s) beyond %s tolerance\n", fatal, *mode)
+		fmt.Fprintf(stderr, "benchdiff: %d regression(s) beyond tolerance\n", fatal)
 		return 1
 	}
 	fmt.Fprintln(stdout, "  no regressions beyond tolerance")

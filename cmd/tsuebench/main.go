@@ -11,13 +11,11 @@
 //	tsuebench -exp repair -max-rebuild-mbps 50   # explicit scheduler cap for the capped drain row
 //	tsuebench -exp fig8b -fig8b-workers 1,4,16
 //	tsuebench -exp mds-scale          # metadata sharding: lookup/create + StripesOn vs shard count
-//	tsuebench -exp codec              # wire codec + transport microbenchmarks
 //	tsuebench -exp scenario           # multi-tenant soak with scheduled fault injection + invariant checks
-//	tsuebench -exp storage            # durable OSD storage engine: WAL sync policies, warm/cold reads, crash-reopen redo
 //	tsuebench -exp scenario -scenario churn -tenants 4 -fault-seed 7 -soak-duration 30s
 //	tsuebench -exp fig5 -json         # also write machine-readable BENCH_fig5.json
-//	tsuebench -exp repair,fig8b,codec -combined BENCH_pr6.json
-//	                                  # several experiments, one combined JSON trajectory file
+//	tsuebench -exp repair,fig8b,fig5 -combined BENCH_pr21.json
+//	                                  # several experiments, one combined JSON snapshot (make bench-json)
 //
 // A SIGINT/SIGTERM cancels the run context: the in-flight experiment
 // aborts at its next operation instead of running to completion.
@@ -57,7 +55,7 @@ func main() {
 		soak       = flag.Duration("soak-duration", 0, "wall-clock soak budget for the scenario experiment (e.g. 30s); 0 runs exactly one pass")
 		jsonOut    = flag.Bool("json", false, "additionally write each report as machine-readable BENCH_<id>.json")
 		outDir     = flag.String("out", ".", "directory for -json output files")
-		combined   = flag.String("combined", "", "additionally write every selected report into one combined JSON file (a bench trajectory snapshot)")
+		combined   = flag.String("combined", "", "additionally write every selected report into one combined JSON file (a bench snapshot for cmd/benchdiff)")
 	)
 	flag.Parse()
 
@@ -176,7 +174,7 @@ func writeJSON(dir string, rep *bench.Report) error {
 }
 
 // writeCombined writes every selected report into one JSON file — the
-// shape future PRs append to for a benchmark trajectory across PRs.
+// bench snapshot that make bench-json commits and cmd/benchdiff gates.
 func writeCombined(path string, reports []*bench.Report) error {
 	data, err := json.MarshalIndent(map[string]any{"reports": reports}, "", "  ")
 	if err != nil {

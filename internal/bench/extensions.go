@@ -139,7 +139,5 @@ var Extensions = map[string]func(context.Context, Scale) (*Report, error){
 	"recovery-multi": RecoveryMulti,
 	"repair":         Repair,
 	"mds-scale":      MDSScale,
-	"codec":          Codec,
 	"scenario":       ScenarioSoak,
-	"storage":        Storage,
 }

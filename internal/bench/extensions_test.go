@@ -125,7 +125,7 @@ func TestRepairExtension(t *testing.T) {
 	// The scheduler-cap sweep: the capped drain row must report a
 	// rebuild bandwidth at or under the cap it ran with (deterministic:
 	// the scheduler floors the makespan at budget-bytes/cap).
-	capScenario := "drain/fg/cap=2.0"
+	capScenario := "drain/fg/capped"
 	capBW, ok := getCell(rep, func(r []string) bool { return r[0] == capScenario }, 7)
 	if !ok {
 		t.Fatalf("missing capped drain row %q", capScenario)
@@ -152,12 +152,12 @@ func TestExtensionRegistry(t *testing.T) {
 			t.Fatalf("extension %s nil", id)
 		}
 	}
-	for _, id := range []string{"latency", "compression", "recovery", "recovery-multi", "repair", "mds-scale", "codec", "scenario", "storage"} {
+	for _, id := range []string{"latency", "compression", "recovery", "recovery-multi", "repair", "mds-scale", "scenario"} {
 		if Extensions[id] == nil {
 			t.Fatalf("extension %s missing", id)
 		}
 	}
-	if len(Extensions) != 9 {
+	if len(Extensions) != 7 {
 		t.Fatalf("extensions = %d", len(Extensions))
 	}
 	_ = strconv.Itoa

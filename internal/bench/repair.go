@@ -82,7 +82,7 @@ func Repair(ctx context.Context, s Scale) (*Report, error) {
 
 	rep.Notes = append(rep.Notes,
 		"expected shape: prioritized repair ends the degraded-read tail earlier than FIFO (lower last_degr_%); drain moves blocks at copy bandwidth (no K-way decode)",
-		"drain/fg/cap=N: repair_MBps stays at or under N (scheduler token bucket + makespan floor) while foreground_MBps beats the uncapped row (the throttled drain yields wall time to the readers)",
+		fmt.Sprintf("drain/fg/capped ran under a %.1f MB/s rebuild cap: repair_MBps stays at or under it (scheduler token bucket + makespan floor) while foreground_MBps beats the uncapped row (the throttled drain yields wall time to the readers)", capMBps),
 		"repair_MBps = tagged rebuild+drain bytes / virtual makespan; foreground_MBps = tagged foreground bytes / bottleneck busy time of the window (operational law); read counts race the rebuild in wall time and vary run to run",
 	)
 	return rep, nil
@@ -314,7 +314,7 @@ func repairDrainRow(ctx context.Context, s Scale, decommission bool) ([]string, 
 func repairCapRow(ctx context.Context, s Scale, capMBps float64) ([]string, float64, error) {
 	scenario := "drain/fg/uncapped"
 	if capMBps > 0 {
-		scenario = fmt.Sprintf("drain/fg/cap=%.1f", capMBps)
+		scenario = "drain/fg/capped"
 	}
 	tr, err := makeTrace("ten", s)
 	if err != nil {

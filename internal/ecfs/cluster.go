@@ -31,9 +31,6 @@ type Options struct {
 	// RecoveryWorkers is the number of stripes Recover rebuilds in
 	// parallel; <= 0 selects DefaultRecoveryWorkers.
 	RecoveryWorkers int
-	// MDSShards is the metadata namespace shard count (rounded up to a
-	// power of two); <= 0 selects DefaultMDSShards.
-	MDSShards int
 	// MaxRebuildMBps is the cluster-level rebuild-bandwidth cap (decimal
 	// MB per virtual second) the repair scheduler enforces across every
 	// concurrent repair and drain; 0 leaves rebuild traffic uncapped.
@@ -122,11 +119,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	for i := range ids {
 		ids[i] = wire.NodeID(i + 1)
 	}
-	shards := opts.MDSShards
-	if shards <= 0 {
-		shards = DefaultMDSShards
-	}
-	mds, err := c.openMDS(ids, shards)
+	mds, err := c.openMDS(ids)
 	if err != nil {
 		return nil, err
 	}
@@ -158,15 +151,16 @@ func NewCluster(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// openMDS builds the cluster's metadata server: in-memory by default,
-// or reopened from Options.MDSDataDir — a directory that already holds
-// a namespace serves it as-is (same geometry required), so a restarted
-// cluster keeps its files.
-func (c *Cluster) openMDS(ids []wire.NodeID, shards int) (*MDS, error) {
+// openMDS builds the cluster's metadata server with DefaultMDSShards
+// namespace shards: in-memory by default, or reopened from
+// Options.MDSDataDir — a directory that already holds a namespace
+// serves it as-is (same geometry required), so a restarted cluster
+// keeps its files.
+func (c *Cluster) openMDS(ids []wire.NodeID) (*MDS, error) {
 	if c.Opts.MDSDataDir == "" {
-		return NewMDSWithShards(ids, c.Opts.K, c.Opts.M, shards)
+		return NewMDS(ids, c.Opts.K, c.Opts.M)
 	}
-	return OpenDurableMDS(c.Opts.MDSDataDir, ids, c.Opts.K, c.Opts.M, shards, mdslog.Options{})
+	return OpenDurableMDS(c.Opts.MDSDataDir, ids, c.Opts.K, c.Opts.M, DefaultMDSShards, mdslog.Options{})
 }
 
 // CrashMDS simulates a process kill of the durable MDS: the op log
@@ -203,11 +197,7 @@ func (c *Cluster) RestartMDS() (*MDS, error) {
 	for i := range ids {
 		ids[i] = wire.NodeID(i + 1)
 	}
-	shards := c.Opts.MDSShards
-	if shards <= 0 {
-		shards = DefaultMDSShards
-	}
-	md, err := OpenDurableMDS(c.Opts.MDSDataDir, ids, c.Opts.K, c.Opts.M, shards, mdslog.Options{})
+	md, err := c.openMDS(ids)
 	if err != nil {
 		return nil, err
 	}

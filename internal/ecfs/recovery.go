@@ -239,9 +239,11 @@ func (r *recoverer) rebindStripe(ref StripeRef) (wire.StripeLoc, bool, error) {
 		// MDS remains the placement authority. Geometry rides along so
 		// the member's strategy can refresh its stripe table and route
 		// future deltas to the replacement.
-		_, _ = r.caller.Call(r.ctx, node, &wire.Msg{
+		if resp, err := r.caller.Call(r.ctx, node, &wire.Msg{
 			Kind: wire.KEpochUpdate, Block: b, Loc: nl, K: uint8(r.k), M: uint8(r.m), Class: sim.ClassRebuild,
-		})
+		}); err == nil {
+			resp.Release()
+		}
 	}
 	return nl, true, nil
 }
@@ -249,7 +251,8 @@ func (r *recoverer) rebindStripe(ref StripeRef) (wire.StripeLoc, bool, error) {
 // rebuildStripe reconstructs one lost block: fetch K surviving shards
 // (concurrently, with fallback to further shard holders on error),
 // decode, replay the replica log for a data block, and write the result
-// to the replacement.
+// to the replacement. The fetched shards are pooled reply buffers, held
+// until the decoded block has been written and then released.
 func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 	sr := StripeRecovery{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx}
 	k := r.k
@@ -269,12 +272,17 @@ func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 
 	type fetched struct {
 		idx         int
-		data        []byte
-		cost        time.Duration
+		resp        *wire.Resp
 		ok          bool
 		unreachable bool
 		notFound    bool
 	}
+	var held []*wire.Resp
+	defer func() {
+		for _, resp := range held {
+			resp.Release()
+		}
+	}()
 	have := 0
 	for have < k && len(cands) > 0 {
 		wave := cands[:min(k-have, len(cands))]
@@ -289,10 +297,15 @@ func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 					// another holder. A structured not-found is the
 					// normal state of a never-fully-written stripe and
 					// is classified separately from transport errors.
-					ch <- fetched{idx: idx, unreachable: err != nil, notFound: err == nil && resp.IsNotFound()}
+					f := fetched{idx: idx, unreachable: err != nil}
+					if err == nil {
+						f.notFound = resp.IsNotFound()
+						resp.Release()
+					}
+					ch <- f
 					return
 				}
-				ch <- fetched{idx: idx, data: resp.Data, cost: resp.Cost, ok: true}
+				ch <- fetched{idx: idx, resp: resp, ok: true}
 			}(idx)
 		}
 		var waveMax time.Duration
@@ -308,10 +321,11 @@ func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 				}
 				continue
 			}
-			shards[f.idx] = f.data
+			held = append(held, f.resp)
+			shards[f.idx] = f.resp.Data
 			have++
-			if f.cost > waveMax {
-				waveMax = f.cost
+			if f.resp.Cost > waveMax {
+				waveMax = f.resp.Cost
 			}
 		}
 		// Fetches within a wave run concurrently, so the wave costs its
@@ -397,11 +411,16 @@ func (r *recoverer) replayReplica(ref StripeRef, lost wire.BlockID, data []byte)
 			continue
 		}
 		resp, err := r.caller.Call(r.ctx, node, &wire.Msg{Kind: wire.KReplicaFetch, Block: lost, Class: sim.ClassRebuild})
-		if err != nil || !resp.OK() || len(resp.Data) == 0 {
+		if err != nil {
+			continue
+		}
+		if !resp.OK() || len(resp.Data) == 0 {
+			resp.Release()
 			continue
 		}
 		cost += resp.Cost
-		recs, err = update.DecodeExtents(resp.Data)
+		recs, err = update.DecodeExtents(resp.Data) // copies out of the reply
+		resp.Release()
 		if err != nil {
 			return 0, cost, err
 		}
@@ -443,10 +462,12 @@ func (r *recoverer) replayReplica(ref StripeRef, lost wire.BlockID, data []byte)
 			if err != nil {
 				return replayed, cost, err
 			}
-			if err := resp.Error(); err != nil {
+			c, err := resp.Cost, resp.Error()
+			resp.Release()
+			if err != nil {
 				return replayed, cost, err
 			}
-			cost += resp.Cost
+			cost += c
 		}
 	}
 	return replayed, cost, nil

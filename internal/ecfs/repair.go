@@ -737,6 +737,9 @@ func (mg *migrator) migrateStripe(ref StripeRef) (StripeMove, error) {
 	if err != nil {
 		return mv, fmt.Errorf("ecfs: drain fetch %v from %d: %w", b, mg.node, err)
 	}
+	// data aliases the pooled reply until the cutover's refetch has
+	// compared against it.
+	defer resp.Release()
 	var data []byte
 	switch {
 	case resp.OK():
@@ -758,10 +761,12 @@ func (mg *migrator) migrateStripe(ref StripeRef) (StripeMove, error) {
 		if err != nil {
 			return mv, fmt.Errorf("ecfs: drain store %v on %d: %w", b, dest, err)
 		}
-		if e := sresp.Error(); e != nil {
+		cost, e := sresp.Cost, sresp.Error()
+		sresp.Release()
+		if e != nil {
 			return mv, e
 		}
-		mv.Cost += sresp.Cost
+		mv.Cost += cost
 		mv.Bytes = len(data)
 	}
 
@@ -809,10 +814,12 @@ func (mg *migrator) finishCutover(ctx context.Context, mv *StripeMove, ref Strip
 	if err != nil {
 		return fmt.Errorf("ecfs: drain fence %v at %d: %w", b, mg.node, err)
 	}
-	if e := fr.Error(); e != nil {
+	cost, e := fr.Cost, fr.Error()
+	fr.Release()
+	if e != nil {
 		return e
 	}
-	mv.Cost += fr.Cost
+	mv.Cost += cost
 
 	// Broadcast to the remaining members and the new holder *before* the
 	// refetch, exactly like recovery's rebind but at this point in the
@@ -825,9 +832,11 @@ func (mg *migrator) finishCutover(ctx context.Context, mv *StripeMove, ref Strip
 		if member == mg.node || mg.down[member] {
 			continue
 		}
-		_, _ = mg.caller.Call(ctx, member, &wire.Msg{
+		if resp, err := mg.caller.Call(ctx, member, &wire.Msg{
 			Kind: wire.KEpochUpdate, Block: b, Loc: nl, K: uint8(mg.k), M: uint8(mg.m), Class: sim.ClassDrain,
-		})
+		}); err == nil {
+			resp.Release()
+		}
 	}
 
 	// A parity block's pending state lives in the source's parity log as
@@ -854,6 +863,7 @@ func (mg *migrator) finishCutover(ctx context.Context, mv *StripeMove, ref Strip
 	if err != nil {
 		return fmt.Errorf("ecfs: drain refetch %v from %d: %w", b, mg.node, err)
 	}
+	defer r2.Release()
 	switch {
 	case r2.OK():
 		mv.Cost += r2.Cost
@@ -865,13 +875,15 @@ func (mg *migrator) finishCutover(ctx context.Context, mv *StripeMove, ref Strip
 			if serr != nil {
 				return fmt.Errorf("ecfs: drain refresh %v on %d: %w", b, dest, serr)
 			}
-			if e := sresp.Error(); e != nil {
+			cost, e := sresp.Cost, sresp.Error()
+			sresp.Release()
+			if e != nil {
 				return e
 			}
 			mv.Refreshed = true
 			mv.Skipped = false // content appeared inside the window
 			mv.Bytes = len(r2.Data)
-			mv.Cost += sresp.Cost
+			mv.Cost += cost
 		}
 	case r2.IsNotFound():
 		// Still never written: nothing to carry.
@@ -891,10 +903,12 @@ func (mg *migrator) drainSourceLogs(ctx context.Context, mv *StripeMove) error {
 		if err != nil {
 			return fmt.Errorf("ecfs: drain source logs at %d: %w", mg.node, err)
 		}
-		if e := resp.Error(); e != nil {
+		cost, e := resp.Cost, resp.Error()
+		resp.Release()
+		if e != nil {
 			return e
 		}
-		mv.Cost += resp.Cost
+		mv.Cost += cost
 	}
 	return nil
 }

@@ -43,20 +43,6 @@ const maxPayload = 1 << 26 // 64 MiB
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SyncPolicy says when a Log fsyncs.
-type SyncPolicy int
-
-const (
-	// SyncBatched fsyncs only when the owner calls Sync (group commit,
-	// typically at a checkpoint). The default: appends are still
-	// write(2)-visible immediately, which is what the process-crash
-	// model preserves.
-	SyncBatched SyncPolicy = iota
-	// SyncEveryRecord fsyncs after every append — the per-record
-	// durability rows in the storage bench.
-	SyncEveryRecord
-)
-
 // AppendFrame appends one framed record to dst.
 func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
 	at := len(dst)
@@ -97,11 +83,13 @@ func Scan(r io.ReaderAt, size int64, fn func(kind byte, payload []byte) bool) in
 }
 
 // Log is an append-only file of frames. It is not safe for concurrent
-// use; its owner serializes access.
+// use; its owner serializes access. A Log fsyncs only when its owner
+// calls Sync (group commit, typically at a checkpoint); appends are
+// write(2)-visible immediately, which is what the process-crash model
+// preserves.
 type Log struct {
-	f      *os.File
-	off    int64 // append offset: the end of the committed prefix
-	policy SyncPolicy
+	f   *os.File
+	off int64 // append offset: the end of the committed prefix
 
 	records, bytes, syncs int64
 }
@@ -110,7 +98,7 @@ type Log struct {
 // committed frame to fn in order, and truncates the torn or rejected
 // tail, leaving the log positioned to append after the committed
 // prefix.
-func Open(path string, policy SyncPolicy, fn func(kind byte, payload []byte) bool) (*Log, error) {
+func Open(path string, fn func(kind byte, payload []byte) bool) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
@@ -125,10 +113,10 @@ func Open(path string, policy SyncPolicy, fn func(kind byte, payload []byte) boo
 		f.Close()
 		return nil, err
 	}
-	return &Log{f: f, off: tail, policy: policy}, nil
+	return &Log{f: f, off: tail}, nil
 }
 
-// Create creates an empty SyncBatched log at path, discarding any
+// Create creates an empty log at path, discarding any
 // previous file.
 func Create(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -139,8 +127,7 @@ func Create(path string) (*Log, error) {
 }
 
 // Append frames and writes one record with a single WriteAt, returning
-// once the bytes are handed to the kernel (and, under SyncEveryRecord,
-// the media).
+// once the bytes are handed to the kernel.
 func (l *Log) Append(kind byte, payload []byte) error {
 	frame := AppendFrame(make([]byte, 0, HeaderSize+len(payload)), kind, payload)
 	if _, err := l.f.WriteAt(frame, l.off); err != nil {
@@ -149,9 +136,6 @@ func (l *Log) Append(kind byte, payload []byte) error {
 	l.off += int64(len(frame))
 	l.records++
 	l.bytes += int64(len(frame))
-	if l.policy == SyncEveryRecord {
-		return l.Sync()
-	}
 	return nil
 }
 

@@ -146,7 +146,7 @@ func TestHugeLengthPrefixBounded(t *testing.T) {
 func TestLogAppendReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.bin")
 	want, _ := sampleFrames()
-	l, err := Open(path, SyncEveryRecord, func(byte, []byte) bool { t.Fatal("fresh log has frames"); return false })
+	l, err := Open(path, func(byte, []byte) bool { t.Fatal("fresh log has frames"); return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,10 @@ func TestLogAppendReopen(t *testing.T) {
 	if l.Size() != ends[len(ends)-1] {
 		t.Fatalf("size %d, want %d", l.Size(), ends[len(ends)-1])
 	}
-	if recs, b, syncs := l.Stats(); recs != int64(len(want)) || b != l.Size() || syncs != int64(len(want)) {
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if recs, b, syncs := l.Stats(); recs != int64(len(want)) || b != l.Size() || syncs != 1 {
 		t.Fatalf("stats %d/%d/%d", recs, b, syncs)
 	}
 	l.Close()
@@ -169,7 +172,7 @@ func TestLogAppendReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []frame
-	l, err = Open(path, SyncBatched, func(kind byte, p []byte) bool {
+	l, err = Open(path, func(kind byte, p []byte) bool {
 		got = append(got, frame{kind, p})
 		return true
 	})
@@ -267,7 +270,7 @@ func FuzzScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		var got []frame
-		l, err := Open(path, SyncBatched, func(kind byte, p []byte) bool {
+		l, err := Open(path, func(kind byte, p []byte) bool {
 			got = append(got, frame{kind, p})
 			return true
 		})
@@ -291,7 +294,7 @@ func FuzzScan(f *testing.F) {
 		l.Close()
 
 		var again []frame
-		l, err = Open(path, SyncBatched, func(kind byte, p []byte) bool {
+		l, err = Open(path, func(kind byte, p []byte) bool {
 			again = append(again, frame{kind, p})
 			return true
 		})

@@ -90,7 +90,7 @@ func Open(dir string, opts Options) (*Log, *State, []Record, error) {
 	// committed prefix: decodeRecord accepts exactly what encodeRecord
 	// writes.
 	var recs []Record
-	log, err := framelog.Open(filepath.Join(dir, "oplog.bin"), framelog.SyncBatched, func(kind byte, payload []byte) bool {
+	log, err := framelog.Open(filepath.Join(dir, "oplog.bin"), func(kind byte, payload []byte) bool {
 		r, err := decodeRecord(kind, payload)
 		if err != nil {
 			return false

@@ -24,8 +24,6 @@ type Options struct {
 	PageSize int
 	// Frames is the buffer-pool capacity in pages (default 2048).
 	Frames int
-	// Sync is the WAL fsync policy (default framelog.SyncBatched).
-	Sync framelog.SyncPolicy
 }
 
 func (o Options) withDefaults() Options {
@@ -123,7 +121,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 		pf.close()
 		return nil, err
 	}
-	e.wal, err = framelog.Open(filepath.Join(dir, "wal.bin"), opts.Sync, func(kind byte, payload []byte) bool {
+	e.wal, err = framelog.Open(filepath.Join(dir, "wal.bin"), func(kind byte, payload []byte) bool {
 		e.redo(kind, payload)
 		e.stats.RedoneRecords++
 		return true
@@ -578,21 +576,6 @@ func (e *Engine) closeFiles() {
 	for _, sf := range e.segs {
 		sf.log.Close()
 	}
-}
-
-// DropCaches flushes dirty pages and empties the buffer pool — the
-// cold-cache benchmark hook.
-func (e *Engine) DropCaches() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crashed {
-		return ErrCrashed
-	}
-	if err := e.pf.flush(); err != nil {
-		return err
-	}
-	e.pf.dropClean()
-	return nil
 }
 
 // Stats returns a snapshot of the engine's I/O counters.

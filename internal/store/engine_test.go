@@ -243,24 +243,3 @@ func TestEngineEpochAndPlacementSurviveCrash(t *testing.T) {
 		t.Fatalf("placements after crash: %d", seen)
 	}
 }
-
-func TestEngineDropCaches(t *testing.T) {
-	dir := t.TempDir()
-	e := openT(t, dir, Options{PageSize: 64, Frames: 32})
-	defer e.Close()
-	b := bid(9, 0, 0)
-	if err := e.WriteFull(b, bytes.Repeat([]byte{3}, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before := e.Stats().PageMisses
-	snap, ok := e.Snapshot(b)
-	if !ok || snap[200] != 3 {
-		t.Fatal("cold read wrong")
-	}
-	if e.Stats().PageMisses == before {
-		t.Fatal("cold read did not fault pages")
-	}
-}

@@ -154,17 +154,6 @@ func (p *pageFile) flush() error {
 	return nil
 }
 
-// dropClean empties the buffer pool without touching dirty pages
-// (cold-cache benchmark hook; call after flush for a fully cold pool).
-func (p *pageFile) dropClean() {
-	for pg, fr := range p.frames {
-		if !fr.dirty && fr.pins == 0 {
-			p.lru.Remove(fr.elem)
-			delete(p.frames, pg)
-		}
-	}
-}
-
 func (p *pageFile) sync() error  { return p.f.Sync() }
 func (p *pageFile) close() error { return p.f.Close() }
 

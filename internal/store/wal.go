@@ -13,9 +13,8 @@
 // write(2) before acknowledging, so a process-level crash (Engine.Crash
 // freezes all I/O mid-flight, simulating kill -9) loses at most the
 // tail the kernel never saw — which recovery detects by checksum and
-// truncates. fsync placement is a policy knob (framelog.SyncPolicy):
-// batched group-commit by default, per-record for the durability bench
-// rows.
+// truncates. Nothing is fsynced per record: a checkpoint fsyncs the
+// block file and the metadata, then truncates the WAL.
 package store
 
 import (
