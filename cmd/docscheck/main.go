@@ -3,10 +3,12 @@
 //  1. Markdown link check — every relative link in the repository's
 //     *.md files must point at a file or directory that exists.
 //  2. Godoc lint — every exported symbol of the client surface
-//     (internal/ecfs: client.go, file.go, dial.go) and of the repair
-//     subsystem (repair.go, recovery.go, scheduler.go) must carry a doc
-//     comment, so neither the one data API nor the operator-facing
-//     surface documented in docs/OPERATIONS.md can silently grow
+//     (internal/ecfs: client.go, file.go, dial.go), of the repair
+//     subsystem (repair.go, recovery.go, scheduler.go) and of the block
+//     store every update method is built from
+//     (internal/blockstore/blockstore.go) must carry a doc comment, so
+//     neither the one data API, the operator-facing surface documented
+//     in docs/OPERATIONS.md, nor the storage seam can silently grow
 //     undocumented symbols.
 //
 // It runs from the repository root (CI wires it into the verify job)
@@ -24,20 +26,22 @@ import (
 	"strings"
 )
 
-// lintedFiles is the godoc-linted surface: the client and its File
-// handle, and the repair/drain engines with the cluster-level scheduler.
-var lintedFiles = map[string]bool{
-	"client.go":    true,
-	"file.go":      true,
-	"dial.go":      true,
-	"repair.go":    true,
-	"recovery.go":  true,
-	"scheduler.go": true,
+// lintedFiles is the godoc-linted surface, relative to the repository
+// root: the client and its File handle, the repair/drain engines with
+// the cluster-level scheduler, and the block store.
+var lintedFiles = []string{
+	"internal/ecfs/client.go",
+	"internal/ecfs/file.go",
+	"internal/ecfs/dial.go",
+	"internal/ecfs/repair.go",
+	"internal/ecfs/recovery.go",
+	"internal/ecfs/scheduler.go",
+	"internal/blockstore/blockstore.go",
 }
 
 func main() {
 	problems := checkLinks(".")
-	problems = append(problems, checkGodoc(filepath.Join("internal", "ecfs"))...)
+	problems = append(problems, checkGodoc(lintedFiles)...)
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, "docscheck:", p)
 	}
@@ -118,46 +122,40 @@ func receiverExported(d *ast.FuncDecl) bool {
 	return true
 }
 
-// checkGodoc parses the given package directory and reports every
-// exported symbol in the linted files that lacks a doc comment:
-// functions and methods, types, and the individual specs of const/var
-// blocks (a doc comment on the enclosing block covers its specs).
-func checkGodoc(dir string) []string {
+// checkGodoc parses the given Go files and reports every exported
+// symbol that lacks a doc comment: functions and methods, types, and the
+// individual specs of const/var blocks (a doc comment on the enclosing
+// block covers its specs).
+func checkGodoc(paths []string) []string {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		return []string{fmt.Sprintf("godoc parse %s: %v", dir, err)}
-	}
 	var problems []string
 	report := func(pos token.Pos, what, name string) {
 		p := fset.Position(pos)
 		problems = append(problems, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", p.Filename, p.Line, what, name))
 	}
-	for _, pkg := range pkgs {
-		for path, file := range pkg.Files {
-			if !lintedFiles[filepath.Base(path)] {
-				continue
-			}
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Name.IsExported() && d.Doc == nil && receiverExported(d) {
-						report(d.Pos(), "function", d.Name.Name)
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch sp := spec.(type) {
-						case *ast.TypeSpec:
-							if sp.Name.IsExported() && d.Doc == nil && sp.Doc == nil {
-								report(sp.Pos(), "type", sp.Name.Name)
-							}
-						case *ast.ValueSpec:
-							for _, name := range sp.Names {
-								if name.IsExported() && d.Doc == nil && sp.Doc == nil && sp.Comment == nil {
-									report(sp.Pos(), "value", name.Name)
-								}
+	for _, path := range paths {
+		file, err := parser.ParseFile(fset, filepath.FromSlash(path), nil, parser.ParseComments)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("godoc parse %s: %v", path, err))
+			continue
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && d.Doc == nil && receiverExported(d) {
+					report(d.Pos(), "function", d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() && d.Doc == nil && sp.Doc == nil {
+							report(sp.Pos(), "type", sp.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, name := range sp.Names {
+							if name.IsExported() && d.Doc == nil && sp.Doc == nil && sp.Comment == nil {
+								report(sp.Pos(), "value", name.Name)
 							}
 						}
 					}

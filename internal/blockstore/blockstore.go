@@ -8,6 +8,12 @@
 // read/write/overwrite workload counters in the paper's Table 1 fall
 // out of actually executing the update algorithms; with the durable
 // backend the priced charges correspond to real file I/O.
+//
+// Every update method is built from the two in-place operations the
+// store offers: Overwrite (write a data range, yield its delta
+// Δd = d′ ⊕ d) and Fold (fold a parity delta into a parity range,
+// p′ = p ⊕ coeff·Δd, Eq. 2). The methods differ only in when and where
+// they schedule them.
 package blockstore
 
 import (
@@ -16,222 +22,290 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/gf256"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
-// Store is the per-OSD block container. Safe for concurrent use; it also
-// exposes per-block mutexes so strategies can make read-modify-write
-// sequences atomic.
-type Store struct {
-	dev *device.Device
-	eng *store.Engine // nil: in-memory backend
-
-	mu     sync.RWMutex
-	blocks map[wire.BlockID]*block
+// backend holds block contents. The in-memory map (memBackend) and the
+// durable engine (*store.Engine) implement it; every call is atomic on
+// its own, and the Store's block mutexes make batches atomic.
+type backend interface {
+	Ensure(id wire.BlockID, size uint32) error
+	ReadRange(id wire.BlockID, off uint32, size int) ([]byte, error)
+	WriteRange(id wire.BlockID, off uint32, data []byte) error
+	WriteFull(id wire.BlockID, data []byte) error
+	Delete(id wire.BlockID) error
+	Snapshot(id wire.BlockID) ([]byte, bool)
+	Has(id wire.BlockID) bool
+	Size(id wire.BlockID) int
+	Blocks() []wire.BlockID
 }
 
-// block holds in-memory contents, or (durable backend) only the
-// per-block mutex — the bytes then live in the engine.
-type block struct {
-	mu   sync.Mutex
-	data []byte
+// Store is the per-OSD block container. Safe for concurrent use: every
+// mutation runs under its block's mutex, then the backend, then the
+// device charge.
+type Store struct {
+	dev *device.Device
+	be  backend
+
+	mu    sync.RWMutex
+	locks map[wire.BlockID]*sync.Mutex
+}
+
+// Extent is one byte range of a block: the payload of an Overwrite or
+// Fold, and the delta Overwrite returns.
+type Extent struct {
+	Off  uint32
+	Data []byte
 }
 
 // New creates an in-memory store charging the given device.
-func New(dev *device.Device) *Store {
-	return &Store{dev: dev, blocks: make(map[wire.BlockID]*block)}
-}
+func New(dev *device.Device) *Store { return newStore(dev, newMemBackend()) }
 
 // NewDurable creates a store backed by the persistent engine: contents
 // survive process crashes, device charges stay identical.
-func NewDurable(dev *device.Device, eng *store.Engine) *Store {
-	return &Store{dev: dev, eng: eng, blocks: make(map[wire.BlockID]*block)}
+func NewDurable(dev *device.Device, eng *store.Engine) *Store { return newStore(dev, eng) }
+
+func newStore(dev *device.Device, be backend) *Store {
+	return &Store{dev: dev, be: be, locks: make(map[wire.BlockID]*sync.Mutex)}
 }
 
-// Device returns the backing device model.
-func (s *Store) Device() *device.Device { return s.dev }
-
-// Engine returns the durable engine, or nil for the in-memory backend.
-func (s *Store) Engine() *store.Engine { return s.eng }
-
-func (s *Store) get(id wire.BlockID) *block {
+// lock acquires the block's mutex and returns its unlock function.
+// Entries are never removed, so two holders of one block always share
+// one mutex.
+func (s *Store) lock(id wire.BlockID) func() {
 	s.mu.RLock()
-	b := s.blocks[id]
+	m := s.locks[id]
 	s.mu.RUnlock()
-	return b
-}
-
-func (s *Store) getOrCreate(id wire.BlockID, size int) *block {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.blocks[id]
-	if b == nil {
-		b = &block{}
-		if s.eng != nil {
-			s.eng.Ensure(id, uint32(size))
-		} else {
-			b.data = make([]byte, size)
+	if m == nil {
+		s.mu.Lock()
+		if m = s.locks[id]; m == nil {
+			m = new(sync.Mutex)
+			s.locks[id] = m
 		}
-		s.blocks[id] = b
+		s.mu.Unlock()
 	}
-	return b
+	m.Lock()
+	return m.Unlock
 }
 
-// lockTable returns the mutex holder for an engine-backed block that
-// already exists durably (e.g. recovered from a previous run).
-func (s *Store) lockTable(id wire.BlockID) *block {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.blocks[id]
-	if b == nil {
-		b = &block{}
-		s.blocks[id] = b
+// Overwrite writes each extent into the block in place and returns, per
+// extent, its delta old ⊕ new at the same offset. The block's mutex is
+// held for the whole batch, and an absent block is first created
+// zero-filled at blockSize. Each extent is charged one random read and
+// one random overwrite of its length under class. On error Overwrite
+// stops: it returns the deltas and cost of the extents already applied.
+func (s *Store) Overwrite(class sim.Class, id wire.BlockID, blockSize int, extents []Extent) ([]Extent, time.Duration, error) {
+	unlock := s.lock(id)
+	defer unlock()
+	if err := s.be.Ensure(id, uint32(blockSize)); err != nil {
+		return nil, 0, err
 	}
-	return b
+	deltas := make([]Extent, 0, len(extents))
+	var cost time.Duration
+	for _, e := range extents {
+		old, err := s.be.ReadRange(id, e.Off, len(e.Data))
+		if err == nil {
+			err = s.be.WriteRange(id, e.Off, e.Data)
+		}
+		if err != nil {
+			return deltas, cost, err
+		}
+		cost += s.chargeInPlace(class, len(e.Data))
+		gf256.XorSlice(old, e.Data) // old is this call's own read buffer: now the delta
+		deltas = append(deltas, Extent{Off: e.Off, Data: old})
+	}
+	return deltas, cost, nil
 }
 
-// Lock acquires the block's mutex (creating a zero-filled block of the
-// given size if absent) and returns the unlock function. Strategies wrap
-// read-modify-write cycles with it.
-func (s *Store) Lock(id wire.BlockID, size int) func() {
-	b := s.getOrCreate(id, size)
-	b.mu.Lock()
-	return b.mu.Unlock
+// Fold XORs each extent into the block in place: the parity update
+// p′ = p ⊕ Δp. Locking, creation and per-extent charges are
+// Overwrite's. On error Fold stops and returns the cost of the extents
+// already folded.
+func (s *Store) Fold(class sim.Class, id wire.BlockID, blockSize int, extents []Extent) (time.Duration, error) {
+	unlock := s.lock(id)
+	defer unlock()
+	if err := s.be.Ensure(id, uint32(blockSize)); err != nil {
+		return 0, err
+	}
+	var cost time.Duration
+	for _, e := range extents {
+		p, err := s.be.ReadRange(id, e.Off, len(e.Data))
+		if err == nil {
+			gf256.XorSlice(p, e.Data)
+			err = s.be.WriteRange(id, e.Off, p)
+		}
+		if err != nil {
+			return cost, err
+		}
+		cost += s.chargeInPlace(class, len(e.Data))
+	}
+	return cost, nil
+}
+
+// chargeInPlace prices one in-place read-modify-write of n bytes: a
+// random read and a random overwrite.
+func (s *Store) chargeInPlace(class sim.Class, n int) time.Duration {
+	return s.dev.Read(class, int64(n), true) + s.dev.Write(class, int64(n), true, true)
 }
 
 // WriteFull stores a whole block, charging the device under class. seq
 // selects sequential pricing (the initial stripe write); a rewrite of an
 // existing block is an overwrite.
-func (s *Store) WriteFull(class sim.Class, id wire.BlockID, data []byte, seq bool) time.Duration {
-	if s.eng != nil {
-		existed := s.eng.Has(id)
-		b := s.lockTable(id)
-		b.mu.Lock()
-		s.eng.WriteFull(id, data)
-		b.mu.Unlock()
-		return s.dev.Write(class, int64(len(data)), !seq, existed)
+func (s *Store) WriteFull(class sim.Class, id wire.BlockID, data []byte, seq bool) (time.Duration, error) {
+	unlock := s.lock(id)
+	existed := s.be.Has(id)
+	err := s.be.WriteFull(id, data)
+	unlock()
+	if err != nil {
+		return 0, err
 	}
-	s.mu.Lock()
-	b := s.blocks[id]
-	existed := b != nil
-	if b == nil {
-		b = &block{}
-		s.blocks[id] = b
-	}
-	s.mu.Unlock()
-	b.mu.Lock()
-	b.data = append(b.data[:0], data...)
-	b.mu.Unlock()
-	return s.dev.Write(class, int64(len(data)), !seq, existed)
+	return s.dev.Write(class, int64(len(data)), !seq, existed), nil
 }
 
 // ReadRange reads [off, off+size) of a block, charging the device under
 // class. random selects the random access cost. Reading an absent block
 // returns an error; reading beyond the block's size returns an error.
 func (s *Store) ReadRange(class sim.Class, id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
-	if s.eng != nil {
-		out, err := s.eng.ReadRange(id, off, size)
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, s.dev.Read(class, int64(size), random), nil
+	unlock := s.lock(id)
+	out, err := s.be.ReadRange(id, off, size)
+	unlock()
+	if err != nil {
+		return nil, 0, err
 	}
-	b := s.get(id)
-	if b == nil {
-		return nil, 0, fmt.Errorf("blockstore: %v not found", id)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if int(off)+size > len(b.data) {
-		return nil, 0, fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+size, id, len(b.data))
-	}
-	out := append([]byte(nil), b.data[off:int(off)+size]...)
-	cost := s.dev.Read(class, int64(size), random)
-	return out, cost, nil
-}
-
-// ReadRangeNoLock is ReadRange for callers already holding Lock(id).
-func (s *Store) ReadRangeNoLock(class sim.Class, id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
-	if s.eng != nil {
-		out, err := s.eng.ReadRange(id, off, size)
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, s.dev.Read(class, int64(size), random), nil
-	}
-	b := s.get(id)
-	if b == nil {
-		return nil, 0, fmt.Errorf("blockstore: %v not found", id)
-	}
-	if int(off)+size > len(b.data) {
-		return nil, 0, fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+size, id, len(b.data))
-	}
-	out := append([]byte(nil), b.data[off:int(off)+size]...)
-	cost := s.dev.Read(class, int64(size), random)
-	return out, cost, nil
+	return out, s.dev.Read(class, int64(size), random), nil
 }
 
 // WriteRange overwrites [off, off+len(data)) in place, charging the
 // device under class — always an overwrite for wear accounting. The
 // block is created zero-filled at blockSize if absent (an update may
-// precede the full write in replays).
+// precede the full write in replays) and grows to cover the range.
 func (s *Store) WriteRange(class sim.Class, id wire.BlockID, off uint32, data []byte, random bool, blockSize int) (time.Duration, error) {
-	need := int(off) + len(data)
-	if blockSize < need {
+	if need := int(off) + len(data); blockSize < need {
 		blockSize = need
 	}
-	b := s.getOrCreate(id, blockSize)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if s.eng != nil {
-		if err := s.eng.WriteRange(id, off, data); err != nil {
-			return 0, err
-		}
-		return s.dev.Write(class, int64(len(data)), random, true), nil
+	unlock := s.lock(id)
+	err := s.be.Ensure(id, uint32(blockSize))
+	if err == nil {
+		err = s.be.WriteRange(id, off, data)
 	}
-	if need > len(b.data) {
-		grown := make([]byte, need)
-		copy(grown, b.data)
-		b.data = grown
+	unlock()
+	if err != nil {
+		return 0, err
 	}
-	copy(b.data[off:], data)
-	return s.dev.Write(class, int64(len(data)), random, true), nil
-}
-
-// WriteRangeNoLock is WriteRange for callers already holding Lock(id).
-func (s *Store) WriteRangeNoLock(class sim.Class, id wire.BlockID, off uint32, data []byte, random bool) (time.Duration, error) {
-	if s.eng != nil {
-		if !s.eng.Has(id) {
-			return 0, fmt.Errorf("blockstore: %v not found", id)
-		}
-		if err := s.eng.WriteRange(id, off, data); err != nil {
-			return 0, err
-		}
-		return s.dev.Write(class, int64(len(data)), random, true), nil
-	}
-	b := s.get(id)
-	if b == nil {
-		return 0, fmt.Errorf("blockstore: %v not found", id)
-	}
-	need := int(off) + len(data)
-	if need > len(b.data) {
-		grown := make([]byte, need)
-		copy(grown, b.data)
-		b.data = grown
-	}
-	copy(b.data[off:], data)
 	return s.dev.Write(class, int64(len(data)), random, true), nil
 }
 
 // Snapshot returns a copy of the block's content without device charge
 // (verification/introspection only).
-func (s *Store) Snapshot(id wire.BlockID) ([]byte, bool) {
-	if s.eng != nil {
-		return s.eng.Snapshot(id)
+func (s *Store) Snapshot(id wire.BlockID) ([]byte, bool) { return s.be.Snapshot(id) }
+
+// Has reports whether the block exists.
+func (s *Store) Has(id wire.BlockID) bool { return s.be.Has(id) }
+
+// Delete removes a block (node failure simulation / cleanup).
+func (s *Store) Delete(id wire.BlockID) error {
+	unlock := s.lock(id)
+	defer unlock()
+	return s.be.Delete(id)
+}
+
+// Blocks returns the IDs of all stored blocks (recovery enumeration).
+func (s *Store) Blocks() []wire.BlockID { return s.be.Blocks() }
+
+// Size returns the byte length of a block, or -1 if absent.
+func (s *Store) Size(id wire.BlockID) int { return s.be.Size(id) }
+
+// memBackend keeps block contents in memory, the default backend. The
+// map lock guards membership; each block's own lock guards its bytes,
+// so accesses to different blocks copy in parallel.
+type memBackend struct {
+	mu     sync.RWMutex
+	blocks map[wire.BlockID]*memBlock
+}
+
+type memBlock struct {
+	mu   sync.Mutex
+	data []byte
+}
+
+func newMemBackend() *memBackend {
+	return &memBackend{blocks: make(map[wire.BlockID]*memBlock)}
+}
+
+func (m *memBackend) get(id wire.BlockID) *memBlock {
+	m.mu.RLock()
+	b := m.blocks[id]
+	m.mu.RUnlock()
+	return b
+}
+
+// getOrCreate returns the block, creating it zero-filled at size when
+// absent.
+func (m *memBackend) getOrCreate(id wire.BlockID, size int) *memBlock {
+	if b := m.get(id); b != nil {
+		return b
 	}
-	b := s.get(id)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b := m.blocks[id]
+	if b == nil {
+		b = &memBlock{data: make([]byte, size)}
+		m.blocks[id] = b
+	}
+	return b
+}
+
+func (m *memBackend) Ensure(id wire.BlockID, size uint32) error {
+	m.getOrCreate(id, int(size))
+	return nil
+}
+
+func (m *memBackend) ReadRange(id wire.BlockID, off uint32, size int) ([]byte, error) {
+	b := m.get(id)
+	if b == nil {
+		return nil, fmt.Errorf("blockstore: %v not found", id)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if int(off)+size > len(b.data) {
+		return nil, fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+size, id, len(b.data))
+	}
+	return append([]byte(nil), b.data[off:int(off)+size]...), nil
+}
+
+func (m *memBackend) WriteRange(id wire.BlockID, off uint32, data []byte) error {
+	b := m.getOrCreate(id, 0)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if need := int(off) + len(data); need > len(b.data) {
+		grown := make([]byte, need)
+		copy(grown, b.data)
+		b.data = grown
+	}
+	copy(b.data[off:], data)
+	return nil
+}
+
+func (m *memBackend) WriteFull(id wire.BlockID, data []byte) error {
+	b := m.getOrCreate(id, 0)
+	b.mu.Lock()
+	b.data = append(b.data[:0], data...)
+	b.mu.Unlock()
+	return nil
+}
+
+func (m *memBackend) Delete(id wire.BlockID) error {
+	m.mu.Lock()
+	delete(m.blocks, id)
+	m.mu.Unlock()
+	return nil
+}
+
+func (m *memBackend) Snapshot(id wire.BlockID) ([]byte, bool) {
+	b := m.get(id)
 	if b == nil {
 		return nil, false
 	}
@@ -240,48 +314,24 @@ func (s *Store) Snapshot(id wire.BlockID) ([]byte, bool) {
 	return append([]byte(nil), b.data...), true
 }
 
-// Has reports whether the block exists.
-func (s *Store) Has(id wire.BlockID) bool {
-	if s.eng != nil {
-		return s.eng.Has(id)
-	}
-	return s.get(id) != nil
-}
+func (m *memBackend) Has(id wire.BlockID) bool { return m.get(id) != nil }
 
-// Delete removes a block (node failure simulation / cleanup).
-func (s *Store) Delete(id wire.BlockID) {
-	if s.eng != nil {
-		s.eng.Delete(id)
-	}
-	s.mu.Lock()
-	delete(s.blocks, id)
-	s.mu.Unlock()
-}
-
-// Blocks returns the IDs of all stored blocks (recovery enumeration).
-func (s *Store) Blocks() []wire.BlockID {
-	if s.eng != nil {
-		return s.eng.Blocks()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]wire.BlockID, 0, len(s.blocks))
-	for id := range s.blocks {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Size returns the byte length of a block, or -1 if absent.
-func (s *Store) Size(id wire.BlockID) int {
-	if s.eng != nil {
-		return s.eng.Size(id)
-	}
-	b := s.get(id)
+func (m *memBackend) Size(id wire.BlockID) int {
+	b := m.get(id)
 	if b == nil {
 		return -1
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.data)
+}
+
+func (m *memBackend) Blocks() []wire.BlockID {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := make([]wire.BlockID, 0, len(m.blocks))
+	for id := range m.blocks {
+		out = append(out, id)
+	}
+	return out
 }

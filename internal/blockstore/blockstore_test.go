@@ -2,170 +2,318 @@ package blockstore
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
-func newStore() *Store {
-	return New(device.New("test", device.ChameleonSSD()))
+// eachBackend runs fn against both backends: in memory, and on the
+// durable engine in a fresh directory.
+func eachBackend(t *testing.T, fn func(t *testing.T, s *Store, dev *device.Device)) {
+	t.Run("mem", func(t *testing.T) {
+		dev := device.New("test", device.ChameleonSSD())
+		fn(t, New(dev), dev)
+	})
+	t.Run("durable", func(t *testing.T) {
+		eng, err := store.Open(t.TempDir(), store.Options{Frames: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		dev := device.New("test", device.ChameleonSSD())
+		fn(t, NewDurable(dev, eng), dev)
+	})
 }
 
 func bid(i int) wire.BlockID { return wire.BlockID{Ino: 1, Stripe: uint32(i)} }
 
-func TestWriteFullReadBack(t *testing.T) {
-	s := newStore()
-	data := []byte("hello block store")
-	if cost := s.WriteFull(sim.ClassOther, bid(1), data, true); cost <= 0 {
-		t.Fatal("write must cost device time")
-	}
-	got, cost, err := s.ReadRange(sim.ClassOther, bid(1), 6, 5, true)
-	if err != nil {
+func mustWriteFull(t *testing.T, s *Store, id wire.BlockID, data []byte) {
+	t.Helper()
+	if _, err := s.WriteFull(sim.ClassOther, id, data, true); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "block" || cost <= 0 {
-		t.Fatalf("read = %q, cost %v", got, cost)
-	}
+}
+
+func TestWriteFullReadBack(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		data := []byte("hello block store")
+		if cost, err := s.WriteFull(sim.ClassOther, bid(1), data, true); err != nil || cost <= 0 {
+			t.Fatalf("write must cost device time: %v %v", cost, err)
+		}
+		got, cost, err := s.ReadRange(sim.ClassOther, bid(1), 6, 5, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "block" || cost <= 0 {
+			t.Fatalf("read = %q, cost %v", got, cost)
+		}
+	})
 }
 
 func TestReadMissingBlock(t *testing.T) {
-	s := newStore()
-	if _, _, err := s.ReadRange(sim.ClassOther, bid(9), 0, 4, true); err == nil {
-		t.Fatal("reading absent block must fail")
-	}
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		if _, _, err := s.ReadRange(sim.ClassOther, bid(9), 0, 4, true); err == nil {
+			t.Fatal("reading absent block must fail")
+		}
+	})
 }
 
 func TestReadBeyondEnd(t *testing.T) {
-	s := newStore()
-	s.WriteFull(sim.ClassOther, bid(1), make([]byte, 10), true)
-	if _, _, err := s.ReadRange(sim.ClassOther, bid(1), 8, 4, true); err == nil {
-		t.Fatal("read past end must fail")
-	}
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		mustWriteFull(t, s, bid(1), make([]byte, 10))
+		if _, _, err := s.ReadRange(sim.ClassOther, bid(1), 8, 4, true); err == nil {
+			t.Fatal("read past end must fail")
+		}
+	})
 }
 
 func TestWriteRangeCreatesAndGrows(t *testing.T) {
-	s := newStore()
-	if _, err := s.WriteRange(sim.ClassOther, bid(2), 100, []byte{1, 2, 3}, true, 256); err != nil {
-		t.Fatal(err)
-	}
-	if s.Size(bid(2)) != 256 {
-		t.Fatalf("size = %d, want 256 (zero-filled to blockSize)", s.Size(bid(2)))
-	}
-	got, _, err := s.ReadRange(sim.ClassOther, bid(2), 100, 3, true)
-	if err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("range content wrong: %v %v", got, err)
-	}
-	// A write past the current size grows the block.
-	if _, err := s.WriteRange(sim.ClassOther, bid(2), 300, []byte{9}, true, 256); err != nil {
-		t.Fatal(err)
-	}
-	if s.Size(bid(2)) != 301 {
-		t.Fatalf("size = %d after growth", s.Size(bid(2)))
-	}
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		if _, err := s.WriteRange(sim.ClassOther, bid(2), 100, []byte{1, 2, 3}, true, 256); err != nil {
+			t.Fatal(err)
+		}
+		if s.Size(bid(2)) != 256 {
+			t.Fatalf("size = %d, want 256 (zero-filled to blockSize)", s.Size(bid(2)))
+		}
+		got, _, err := s.ReadRange(sim.ClassOther, bid(2), 100, 3, true)
+		if err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
+			t.Fatalf("range content wrong: %v %v", got, err)
+		}
+		// A write past the current size grows the block.
+		if _, err := s.WriteRange(sim.ClassOther, bid(2), 300, []byte{9}, true, 256); err != nil {
+			t.Fatal(err)
+		}
+		if s.Size(bid(2)) != 301 {
+			t.Fatalf("size = %d after growth", s.Size(bid(2)))
+		}
+	})
 }
 
 func TestOverwriteAccounting(t *testing.T) {
-	dev := device.New("d", device.ChameleonSSD())
-	s := New(dev)
-	s.WriteFull(sim.ClassOther, bid(1), make([]byte, 100), true) // fresh: not an overwrite
-	if dev.Stats().Overwrites != 0 {
-		t.Fatal("fresh full write must not count as overwrite")
-	}
-	s.WriteFull(sim.ClassOther, bid(1), make([]byte, 100), true) // rewrite: overwrite
-	if dev.Stats().Overwrites != 1 {
-		t.Fatal("rewrite must count as overwrite")
-	}
-	s.WriteRange(sim.ClassOther, bid(1), 0, []byte{1}, true, 100) // in-place: overwrite
-	if dev.Stats().Overwrites != 2 {
-		t.Fatal("range write must count as overwrite")
-	}
+	eachBackend(t, func(t *testing.T, s *Store, dev *device.Device) {
+		mustWriteFull(t, s, bid(1), make([]byte, 100)) // fresh: not an overwrite
+		if dev.Stats().Overwrites != 0 {
+			t.Fatal("fresh full write must not count as overwrite")
+		}
+		mustWriteFull(t, s, bid(1), make([]byte, 100)) // rewrite: overwrite
+		if dev.Stats().Overwrites != 1 {
+			t.Fatal("rewrite must count as overwrite")
+		}
+		s.WriteRange(sim.ClassOther, bid(1), 0, []byte{1}, true, 100) // in-place: overwrite
+		if dev.Stats().Overwrites != 2 {
+			t.Fatal("range write must count as overwrite")
+		}
+	})
 }
 
-func TestLockCreatesBlock(t *testing.T) {
-	s := newStore()
-	unlock := s.Lock(bid(3), 64)
-	data, _, err := s.ReadRangeNoLock(sim.ClassOther, bid(3), 0, 64, true)
-	unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, make([]byte, 64)) {
-		t.Fatal("lock-created block must be zero-filled")
-	}
+// TestOverwriteReturnsDelta: Overwrite leaves the new bytes in place and
+// returns old ⊕ new per extent, at the extent's offset.
+func TestOverwriteReturnsDelta(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		old := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		mustWriteFull(t, s, bid(1), old)
+		deltas, cost, err := s.Overwrite(sim.ClassOther, bid(1), len(old), []Extent{
+			{Off: 1, Data: []byte{9, 9}},
+			{Off: 6, Data: []byte{0xF0}},
+		})
+		if err != nil || cost <= 0 {
+			t.Fatalf("overwrite: cost %v err %v", cost, err)
+		}
+		want := []Extent{{Off: 1, Data: []byte{2 ^ 9, 3 ^ 9}}, {Off: 6, Data: []byte{7 ^ 0xF0}}}
+		if len(deltas) != len(want) {
+			t.Fatalf("%d deltas, want %d", len(deltas), len(want))
+		}
+		for i := range want {
+			if deltas[i].Off != want[i].Off || !bytes.Equal(deltas[i].Data, want[i].Data) {
+				t.Fatalf("delta %d = %+v, want %+v", i, deltas[i], want[i])
+			}
+		}
+		if got, _ := s.Snapshot(bid(1)); !bytes.Equal(got, []byte{1, 9, 9, 4, 5, 6, 0xF0, 8}) {
+			t.Fatalf("block after overwrite = %v", got)
+		}
+	})
 }
 
-func TestNoLockVariantsRequireExistence(t *testing.T) {
-	s := newStore()
-	if _, _, err := s.ReadRangeNoLock(sim.ClassOther, bid(9), 0, 1, true); err == nil {
-		t.Fatal("ReadRangeNoLock of absent block must fail")
-	}
-	if _, err := s.WriteRangeNoLock(sim.ClassOther, bid(9), 0, []byte{1}, true); err == nil {
-		t.Fatal("WriteRangeNoLock of absent block must fail")
-	}
+// TestFoldCreatesBlock: folding into an absent block creates it
+// zero-filled at blockSize, so the fold leaves exactly the extent.
+func TestFoldCreatesBlock(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		if _, err := s.Fold(sim.ClassOther, bid(3), 64, []Extent{{Off: 10, Data: []byte{5, 6}}}); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, 64)
+		want[10], want[11] = 5, 6
+		if got, ok := s.Snapshot(bid(3)); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("fold-created block = %v (ok %v)", got, ok)
+		}
+	})
+}
+
+// TestInPlaceCharges pins the Table 1 pricing of both operations: each
+// extent costs exactly one random read and one random overwrite of its
+// length.
+func TestInPlaceCharges(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s *Store, dev *device.Device) {
+		mustWriteFull(t, s, bid(1), make([]byte, 1024))
+		exts := []Extent{{Off: 0, Data: make([]byte, 100)}, {Off: 512, Data: make([]byte, 300)}}
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"overwrite", func() error { _, _, err := s.Overwrite(sim.ClassOther, bid(1), 1024, exts); return err }},
+			{"fold", func() error { _, err := s.Fold(sim.ClassOther, bid(1), 1024, exts); return err }},
+		} {
+			before := dev.Stats()
+			if err := op.run(); err != nil {
+				t.Fatal(err)
+			}
+			after := dev.Stats()
+			got := device.Stats{
+				Reads: after.Reads - before.Reads, ReadBytes: after.ReadBytes - before.ReadBytes,
+				Writes: after.Writes - before.Writes, WriteBytes: after.WriteBytes - before.WriteBytes,
+				Overwrites: after.Overwrites - before.Overwrites, OverwriteBytes: after.OverwriteBytes - before.OverwriteBytes,
+				RandomOps: after.RandomOps - before.RandomOps, SeqOps: after.SeqOps - before.SeqOps,
+			}
+			want := device.Stats{Reads: 2, ReadBytes: 400, Writes: 2, WriteBytes: 400,
+				Overwrites: 2, OverwriteBytes: 400, RandomOps: 4}
+			if got != want {
+				t.Fatalf("%s charged %+v, want %+v", op.name, got, want)
+			}
+		}
+	})
+}
+
+// TestConcurrentFolds: folds into one block from many goroutines never
+// lose an update — the block ends as the XOR of every input.
+func TestConcurrentFolds(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		const size, workers, rounds = 256, 8, 25
+		want := make([]byte, size)
+		inputs := make([][][]byte, workers)
+		rng := rand.New(rand.NewSource(1))
+		for g := range inputs {
+			for i := 0; i < rounds; i++ {
+				in := make([]byte, size)
+				rng.Read(in)
+				for j := range in {
+					want[j] ^= in[j]
+				}
+				inputs[g] = append(inputs[g], in)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for _, in := range inputs[g] {
+					// Two halves per fold: a batch must stay atomic too.
+					exts := []Extent{{Off: 0, Data: in[:size/2]}, {Off: size / 2, Data: in[size/2:]}}
+					if _, err := s.Fold(sim.ClassOther, bid(1), size, exts); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if got, _ := s.Snapshot(bid(1)); !bytes.Equal(got, want) {
+			t.Fatal("concurrent folds lost an update")
+		}
+	})
 }
 
 func TestSnapshotIsCopy(t *testing.T) {
-	s := newStore()
-	s.WriteFull(sim.ClassOther, bid(1), []byte{1, 2, 3}, true)
-	snap, ok := s.Snapshot(bid(1))
-	if !ok {
-		t.Fatal("snapshot missing")
-	}
-	snap[0] = 99
-	got, _, _ := s.ReadRange(sim.ClassOther, bid(1), 0, 1, true)
-	if got[0] != 1 {
-		t.Fatal("snapshot must not alias stored data")
-	}
-	if _, ok := s.Snapshot(bid(9)); ok {
-		t.Fatal("snapshot of absent block must report !ok")
-	}
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		mustWriteFull(t, s, bid(1), []byte{1, 2, 3})
+		snap, ok := s.Snapshot(bid(1))
+		if !ok {
+			t.Fatal("snapshot missing")
+		}
+		snap[0] = 99
+		got, _, _ := s.ReadRange(sim.ClassOther, bid(1), 0, 1, true)
+		if got[0] != 1 {
+			t.Fatal("snapshot must not alias stored data")
+		}
+		if _, ok := s.Snapshot(bid(9)); ok {
+			t.Fatal("snapshot of absent block must report !ok")
+		}
+	})
 }
 
 func TestDeleteAndEnumerate(t *testing.T) {
-	s := newStore()
-	s.WriteFull(sim.ClassOther, bid(1), []byte{1}, true)
-	s.WriteFull(sim.ClassOther, bid(2), []byte{2}, true)
-	if len(s.Blocks()) != 2 {
-		t.Fatal("enumeration wrong")
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		mustWriteFull(t, s, bid(1), []byte{1})
+		mustWriteFull(t, s, bid(2), []byte{2})
+		if len(s.Blocks()) != 2 {
+			t.Fatal("enumeration wrong")
+		}
+		if err := s.Delete(bid(1)); err != nil {
+			t.Fatal(err)
+		}
+		if s.Has(bid(1)) || !s.Has(bid(2)) {
+			t.Fatal("delete wrong")
+		}
+		if s.Size(bid(1)) != -1 {
+			t.Fatal("size of absent block must be -1")
+		}
+	})
+}
+
+// TestEngineErrorsSurface: a crashed engine's refusals reach the
+// caller instead of being acknowledged.
+func TestEngineErrorsSurface(t *testing.T) {
+	eng, err := store.Open(t.TempDir(), store.Options{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.Delete(bid(1))
-	if s.Has(bid(1)) || !s.Has(bid(2)) {
-		t.Fatal("delete wrong")
+	defer eng.Close()
+	s := NewDurable(device.New("test", device.ChameleonSSD()), eng)
+	mustWriteFull(t, s, bid(1), make([]byte, 16))
+	eng.Crash()
+	if _, err := s.WriteFull(sim.ClassOther, bid(1), make([]byte, 16), true); err == nil {
+		t.Fatal("WriteFull on a crashed engine must fail")
 	}
-	if s.Size(bid(1)) != -1 {
-		t.Fatal("size of absent block must be -1")
+	if _, err := s.Fold(sim.ClassOther, bid(2), 16, nil); err == nil {
+		t.Fatal("Fold creating a block on a crashed engine must fail")
+	}
+	if err := s.Delete(bid(1)); err == nil {
+		t.Fatal("Delete on a crashed engine must fail")
 	}
 }
 
 func TestConcurrentRangeWrites(t *testing.T) {
-	s := newStore()
-	s.WriteFull(sim.ClassOther, bid(1), make([]byte, 4096), true)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			payload := bytes.Repeat([]byte{byte(g + 1)}, 64)
-			for i := 0; i < 50; i++ {
-				off := uint32(g * 512)
-				if _, err := s.WriteRange(sim.ClassOther, bid(1), off, payload, true, 4096); err != nil {
-					t.Error(err)
-					return
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		mustWriteFull(t, s, bid(1), make([]byte, 4096))
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				payload := bytes.Repeat([]byte{byte(g + 1)}, 64)
+				for i := 0; i < 50; i++ {
+					off := uint32(g * 512)
+					if _, err := s.WriteRange(sim.ClassOther, bid(1), off, payload, true, 4096); err != nil {
+						t.Error(err)
+						return
+					}
 				}
+			}(g)
+		}
+		wg.Wait()
+		for g := 0; g < 8; g++ {
+			got, _, err := s.ReadRange(sim.ClassOther, bid(1), uint32(g*512), 64, true)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < 8; g++ {
-		got, _, err := s.ReadRange(sim.ClassOther, bid(1), uint32(g*512), 64, true)
-		if err != nil {
-			t.Fatal(err)
+			if got[0] != byte(g+1) {
+				t.Fatalf("region %d corrupted: %d", g, got[0])
+			}
 		}
-		if got[0] != byte(g+1) {
-			t.Fatalf("region %d corrupted: %d", g, got[0])
-		}
-	}
+	})
 }

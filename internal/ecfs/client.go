@@ -178,16 +178,6 @@ func (c *Client) refreshLoc(ctx context.Context, ino uint64, stripe uint32, stal
 	return c.lookup(ctx, ino, stripe, true)
 }
 
-// InvalidateLocations clears the placement cache. With placement epochs
-// this is no longer required for correctness after a recovery — stale
-// entries are detected and re-resolved per stripe — but it remains
-// useful to reset a client wholesale.
-func (c *Client) InvalidateLocations() {
-	c.locMu.Lock()
-	c.locs = make(map[stripeAddr]wire.StripeLoc)
-	c.locMu.Unlock()
-}
-
 // lookupWindow resolves placements for n consecutive stripes, serving
 // cache hits locally and batching every miss into one KMDSLookup
 // fan-out — a cold multi-stripe write pays one coalesced MDS flush, not

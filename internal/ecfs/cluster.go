@@ -31,11 +31,6 @@ type Options struct {
 	// RecoveryWorkers is the number of stripes Recover rebuilds in
 	// parallel; <= 0 selects DefaultRecoveryWorkers.
 	RecoveryWorkers int
-	// MaxRebuildMBps is the cluster-level rebuild-bandwidth cap (decimal
-	// MB per virtual second) the repair scheduler enforces across every
-	// concurrent repair and drain; 0 leaves rebuild traffic uncapped.
-	// Adjustable at runtime via Cluster.SetRebuildCap.
-	MaxRebuildMBps float64
 	// Update strategy tunables; zero value uses update.DefaultConfig()
 	// with BlockSize applied.
 	Strategy *update.Config
@@ -139,9 +134,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 	// resources, and its budget ledger the network's tagged rebuild and
 	// drain byte counters (priced bytes — fetches, stores and fences all
 	// count against the cap); configure both once everything that
-	// charges them exists.
+	// charges them exists. The cluster starts uncapped (SetRebuildCap).
 	sched := mds.Scheduler()
-	sched.Configure(c.resources(), opts.MaxRebuildMBps)
+	sched.Configure(c.resources(), 0)
 	sched.SetTrafficSource(c.RebuildTraffic)
 	// Segment compaction is admitted through the scheduler so it
 	// shares the rebuild budget instead of competing unaccounted.
@@ -281,12 +276,11 @@ func (c *Cluster) Code() *erasure.Code { return c.code }
 // victims.
 func (c *Cluster) Scheduler() *RepairScheduler { return c.MDS.Scheduler() }
 
-// SetRebuildCap changes the cluster rebuild-bandwidth cap (decimal
-// MB/s; 0 removes it) for all subsequent repair/drain admissions. The
-// live cap is owned by the scheduler — read it back with
-// Scheduler().RebuildCap(); c.Opts keeps its construction-time value
-// (Opts fields are read concurrently by running repairs and must stay
-// immutable after NewCluster).
+// SetRebuildCap sets the cluster rebuild-bandwidth cap (decimal MB per
+// virtual second of foreground time; 0, the default, removes it) for
+// all subsequent repair/drain admissions, and restarts the budget's
+// zero point. It is the one way to cap rebuild traffic; the repair
+// scheduler owns the live cap.
 func (c *Cluster) SetRebuildCap(maxMBps float64) {
 	c.MDS.Scheduler().SetRebuildCap(maxMBps)
 }
@@ -471,7 +465,9 @@ func (c *Cluster) Resilver(ctx context.Context, id wire.NodeID) (*ResilverResult
 	for _, b := range o.store.Blocks() {
 		loc, err := c.MDS.Lookup(b.Ino, b.Stripe)
 		if err != nil || int(b.Idx) >= len(loc.Nodes) || loc.Nodes[b.Idx] != id {
-			o.store.Delete(b)
+			if err := o.store.Delete(b); err != nil {
+				return res, fmt.Errorf("ecfs: resilver osd %d: drop %v: %w", id, b, err)
+			}
 			res.Dropped++
 		}
 	}

@@ -24,9 +24,8 @@ var dialClientSeq atomic.Int32
 // manual SetAddr.
 type RemoteClient struct {
 	*Client
-	rpc     *transport.TCPClient
-	mdsAddr string
-	k, m    int
+	rpc  *transport.TCPClient
+	k, m int
 }
 
 // Dial connects to a TCP-deployed ECFS cluster knowing only the MDS
@@ -90,18 +89,14 @@ func Dial(ctx context.Context, mdsAddr string) (*RemoteClient, error) {
 	}
 	id := wire.ClientIDBase + wire.NodeID(dialClientSeq.Add(1))
 	return &RemoteClient{
-		Client:  NewClient(id, rpc, code, blockSize),
-		rpc:     rpc,
-		mdsAddr: mdsAddr,
-		k:       k, m: m,
+		Client: NewClient(id, rpc, code, blockSize),
+		rpc:    rpc,
+		k:      k, m: m,
 	}, nil
 }
 
 // Geometry returns the discovered stripe geometry (K, M).
 func (r *RemoteClient) Geometry() (int, int) { return r.k, r.m }
-
-// MDSAddr returns the address the client was dialed against.
-func (r *RemoteClient) MDSAddr() string { return r.mdsAddr }
 
 // Transport exposes the underlying TCP pool (tests, diagnostics).
 func (r *RemoteClient) Transport() *transport.TCPClient { return r.rpc }

@@ -5,6 +5,11 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/device"
+	"repro/internal/erasure"
+	"repro/internal/update"
+	"repro/internal/wire"
 )
 
 // durableOptions is testOptions backed by an on-disk storage engine.
@@ -133,5 +138,29 @@ func TestKillRestartStaleRebuild(t *testing.T) {
 	}
 	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrashedEngineRefusesWrites: once a durable OSD's engine stops
+// persisting, a full-block write is answered with an error instead of
+// being acknowledged — both when the block write itself is refused and
+// when journaling the request's placement epoch is.
+func TestCrashedEngineRefusesWrites(t *testing.T) {
+	cfg := update.DefaultConfig()
+	cfg.BlockSize = 4 << 10
+	o, err := NewOSDAt(1, device.ChameleonSSD(), nil, "fo", cfg, erasure.Vandermonde, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	o.Engine().Crash()
+	for _, loc := range []wire.StripeLoc{{}, {Nodes: []wire.NodeID{1, 2, 3}, Epoch: 1}} {
+		resp := o.Handler(context.Background(), &wire.Msg{
+			Kind: wire.KWriteBlock, Block: wire.BlockID{Ino: 1}, Loc: loc, K: 2, M: 1,
+			Data: make([]byte, cfg.BlockSize),
+		})
+		if resp.OK() {
+			t.Fatalf("KWriteBlock (placement %+v) on a crashed engine was acknowledged", loc)
+		}
 	}
 }

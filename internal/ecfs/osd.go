@@ -209,37 +209,42 @@ func (o *OSD) Code(k, m int) (*erasure.Code, error) {
 func (o *OSD) Strategy() update.Strategy { return o.strategy }
 
 // noteEpoch records a placement epoch for a stripe if it is newer than
-// the one already known.
-func (o *OSD) noteEpoch(ino uint64, stripe uint32, epoch uint64) {
+// the one already known. A durable OSD journals the epoch first and
+// returns the engine's error without learning it.
+func (o *OSD) noteEpoch(ino uint64, stripe uint32, epoch uint64) error {
 	if epoch == 0 {
-		return
+		return nil
 	}
 	key := stripeKey{ino, stripe}
 	o.epochMu.RLock()
 	cur := o.epochs[key]
 	o.epochMu.RUnlock()
 	if epoch <= cur {
-		return
+		return nil
 	}
 	o.epochMu.Lock()
-	if epoch > o.epochs[key] {
-		o.epochs[key] = epoch
-		if o.eng != nil {
-			// Durable OSDs journal the epoch too: after a kill-restart
-			// the resilver pass compares these against the MDS to decide
-			// which local stripes are still current.
-			o.eng.NoteEpoch(ino, stripe, epoch)
+	defer o.epochMu.Unlock()
+	if epoch <= o.epochs[key] {
+		return nil
+	}
+	if o.eng != nil {
+		// Durable OSDs journal the epoch too: after a kill-restart the
+		// resilver pass compares these against the MDS to decide which
+		// local stripes are still current.
+		if err := o.eng.NoteEpoch(ino, stripe, epoch); err != nil {
+			return err
 		}
 	}
-	o.epochMu.Unlock()
+	o.epochs[key] = epoch
+	return nil
 }
 
 // persistPlacement records a stripe placement in the storage engine so
 // a reopened OSD can re-seed its strategy's stripe table before log
 // replay. In-memory OSDs and messages without placements are no-ops.
-func (o *OSD) persistPlacement(msg *wire.Msg) {
+func (o *OSD) persistPlacement(msg *wire.Msg) error {
 	if o.eng == nil || len(msg.Loc.Nodes) == 0 {
-		return
+		return nil
 	}
 	k, m := int(msg.K), int(msg.M)
 	if k == 0 {
@@ -248,14 +253,23 @@ func (o *OSD) persistPlacement(msg *wire.Msg) {
 		// to remember yet.
 		p, ok := o.eng.PlacementOf(msg.Block.Ino, msg.Block.Stripe)
 		if !ok {
-			return
+			return nil
 		}
 		k, m = p.K, p.M
 	}
-	o.eng.RememberPlacement(msg.Block.Ino, msg.Block.Stripe, store.Placement{
+	return o.eng.RememberPlacement(msg.Block.Ino, msg.Block.Stripe, store.Placement{
 		K: k, M: m, Epoch: msg.Loc.Epoch,
 		Nodes: append([]wire.NodeID(nil), msg.Loc.Nodes...),
 	})
+}
+
+// learnPlacement notes a message's placement epoch and persists its
+// placement: the two steps both an epoch check and an epoch fence take.
+func (o *OSD) learnPlacement(msg *wire.Msg) error {
+	if err := o.noteEpoch(msg.Block.Ino, msg.Block.Stripe, msg.Loc.Epoch); err != nil {
+		return err
+	}
+	return o.persistPlacement(msg)
 }
 
 // beginMutation registers an in-flight client-boundary mutation for the
@@ -303,8 +317,9 @@ func (o *OSD) awaitQuiescent(key stripeKey) {
 
 // checkEpoch validates a client-boundary request's placement epoch
 // against the stripe epochs this OSD has learned. It returns a
-// structured stale reply for an outdated placement, nil otherwise; a
-// newer epoch in the request is learned in passing. Strategy-internal
+// structured stale reply for an outdated placement, an error reply when
+// a durable OSD cannot journal the placement, nil otherwise; a newer
+// epoch in the request is learned in passing. Strategy-internal
 // forwards are exempt (see the package comment).
 func (o *OSD) checkEpoch(msg *wire.Msg) *wire.Resp {
 	if len(msg.Loc.Nodes) == 0 {
@@ -317,8 +332,9 @@ func (o *OSD) checkEpoch(msg *wire.Msg) *wire.Resp {
 	if msg.Loc.Epoch < cur {
 		return wire.StaleEpochResp(msg.Block, msg.Loc.Epoch, cur)
 	}
-	o.noteEpoch(msg.Block.Ino, msg.Block.Stripe, msg.Loc.Epoch)
-	o.persistPlacement(msg)
+	if err := o.learnPlacement(msg); err != nil {
+		return wire.ErrorResp(err)
+	}
 	return nil
 }
 
@@ -338,7 +354,10 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 			return stale
 		}
 		o.noteOverwrite(key, msg.Loc.Epoch)
-		cost := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, true)
+		cost, err := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, true)
+		if err != nil {
+			return wire.ErrorResp(err)
+		}
 		return &wire.Resp{Cost: cost}
 	case wire.KUpdate:
 		key := stripeKey{msg.Block.Ino, msg.Block.Stripe}
@@ -366,8 +385,9 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		}
 		return &wire.Resp{Data: data, Cost: cost}
 	case wire.KEpochUpdate:
-		o.noteEpoch(msg.Block.Ino, msg.Block.Stripe, msg.Loc.Epoch)
-		o.persistPlacement(msg)
+		if err := o.learnPlacement(msg); err != nil {
+			return wire.ErrorResp(err)
+		}
 		// Fence semantics: once the epoch is bumped, wait for any
 		// mutation that passed the old epoch check to finish. When this
 		// reply goes out, the stripe's client-visible state on this OSD
@@ -412,7 +432,10 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 				return &wire.Resp{Val: 1} // acknowledged, intentionally not applied
 			}
 		}
-		cost := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, true)
+		cost, err := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, true)
+		if err != nil {
+			return wire.ErrorResp(err)
+		}
 		return &wire.Resp{Cost: cost}
 	case wire.KDrainLogs:
 		dead := decodeDeadList(msg.Data)
@@ -448,16 +471,6 @@ func (o *OSD) Crash() {
 		o.eng.Crash()
 	}
 	o.Close()
-}
-
-// DrainAll runs all drain phases locally (single-node tests).
-func (o *OSD) DrainAll() error {
-	for phase := 1; phase <= update.DrainPhases; phase++ {
-		if err := o.strategy.Drain(context.Background(), phase, nil); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // encodeDeadList/decodeDeadList pack failed node ids into a byte payload

@@ -228,7 +228,9 @@ func (r *recoverer) rebindStripe(ref StripeRef) (wire.StripeLoc, bool, error) {
 		}
 		return wire.StripeLoc{}, false, fmt.Errorf("ecfs: rebind %d/%d: %w", ref.Ino, ref.Stripe, err)
 	}
-	r.repl.noteEpoch(ref.Ino, ref.Stripe, nl.Epoch)
+	if err := r.repl.noteEpoch(ref.Ino, ref.Stripe, nl.Epoch); err != nil {
+		return wire.StripeLoc{}, false, fmt.Errorf("ecfs: rebind %d/%d: %w", ref.Ino, ref.Stripe, err)
+	}
 	b := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}
 	for _, node := range nl.Nodes {
 		if node == r.repl.id || node == r.failed || r.down[node] {
@@ -380,7 +382,11 @@ func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 		sr.Replayed = replayed
 		sr.Replay = cost
 	}
-	sr.Write = r.repl.store.WriteFull(sim.ClassRebuild, lost, data, true)
+	cost, err := r.repl.store.WriteFull(sim.ClassRebuild, lost, data, true)
+	if err != nil {
+		return sr, fmt.Errorf("ecfs: store rebuilt %v: %w", lost, err)
+	}
+	sr.Write = cost
 	sr.Bytes = len(data)
 	if r.rebind {
 		_, ok, err := r.rebindStripe(ref)

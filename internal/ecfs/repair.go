@@ -171,11 +171,6 @@ type RepairOptions struct {
 	// NoPromote disables degraded-read promotion, turning the queue into
 	// a strict FIFO — the baseline the repair benchmark compares against.
 	NoPromote bool
-	// MaxRebuildMBps caps this run's rebuild traffic (decimal MB per
-	// virtual second of foreground time; see RepairScheduler). 0 defers
-	// to the cluster-level cap configured on the scheduler
-	// (Options.MaxRebuildMBps), which may itself be 0 — uncapped.
-	MaxRebuildMBps float64
 }
 
 func (o *RepairOptions) sanitize() {
@@ -244,7 +239,7 @@ func runRepairWorkers(ctx context.Context, mds *MDS, o RepairOptions, q *repairQ
 				// Admission precedes the pop so a promotion arriving
 				// while this worker is throttled can still reorder the
 				// stripe it is about to take.
-				if err := sched.admit(ctx, q, o.MaxRebuildMBps); err != nil {
+				if err := sched.admit(ctx, q); err != nil {
 					fail(err)
 					continue
 				}
@@ -297,11 +292,6 @@ func repairWindow(stripeTime time.Duration, workers int, resources []*sim.Resour
 func RepairNode(ctx context.Context, mds *MDS, caller transport.RPC, code *erasure.Code, o RepairOptions, failed wire.NodeID, repl *OSD) (*RecoveryResult, error) {
 	o.sanitize()
 	sched := mds.Scheduler()
-	if o.MaxRebuildMBps > 0 {
-		// A per-run cap starts metering now, not from the scheduler's
-		// historical budget base.
-		sched.RebaseBudget()
-	}
 	throttleBase := sched.Throttled()
 	spentBase := sched.TotalSpentBytes()
 	start := sim.SnapshotBusyClasses(o.Resources, maintenanceClasses...)
@@ -397,7 +387,7 @@ func RepairNode(ctx context.Context, mds *MDS, caller transport.RPC, code *erasu
 	// A capped run can never report bandwidth above its cap: the budget
 	// bytes this run consumed floor the modeled makespan regardless of
 	// worker interleaving.
-	if floor := res.DrainTime + sched.capFloor(o.MaxRebuildMBps, sched.TotalSpentBytes()-spentBase); res.VirtualTime < floor {
+	if floor := res.DrainTime + sched.capFloor(sched.TotalSpentBytes()-spentBase); res.VirtualTime < floor {
 		res.VirtualTime = floor
 	}
 	if res.VirtualTime > 0 {
@@ -567,11 +557,6 @@ func MigrateNode(ctx context.Context, mds *MDS, caller transport.RPC, o RepairOp
 		}
 	}
 
-	if o.MaxRebuildMBps > 0 {
-		// A per-run cap starts metering now, not from the scheduler's
-		// historical budget base.
-		sched.RebaseBudget()
-	}
 	throttleBase := sched.Throttled()
 	spentBase := sched.TotalSpentBytes()
 	start := sim.SnapshotBusyClasses(o.Resources, maintenanceClasses...)
@@ -667,7 +652,7 @@ func finishDrainResult(res *DrainResult, o RepairOptions, drainedAt []time.Durat
 	res.VirtualTime = res.DrainTime + repairWindow(res.StripeTime, o.Workers, o.Resources, drainedAt, sched.Throttled()-throttleBase)
 	// As in RepairNode: a capped run never reports bandwidth above its
 	// cap — the budget bytes it consumed floor the modeled makespan.
-	if floor := res.DrainTime + sched.capFloor(o.MaxRebuildMBps, sched.TotalSpentBytes()-spentBase); res.VirtualTime < floor {
+	if floor := res.DrainTime + sched.capFloor(sched.TotalSpentBytes()-spentBase); res.VirtualTime < floor {
 		res.VirtualTime = floor
 	}
 	if res.VirtualTime > 0 {

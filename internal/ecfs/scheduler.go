@@ -4,8 +4,7 @@
 // queues into coordinated maintenance:
 //
 //   - Bandwidth budget. An optional rebuild-bandwidth cap
-//     (RepairOptions.MaxRebuildMBps / Options.MaxRebuildMBps) is
-//     enforced as a token bucket over priced bytes: tokens accrue as
+//     (Cluster.SetRebuildCap) is enforced as a token bucket over priced bytes: tokens accrue as
 //     *foreground* busy time accumulates on the cluster's resources
 //     (sim.ForegroundClasses — the scheduler's virtual clock), and
 //     every migrated or rebuilt block spends its byte count. A worker
@@ -85,8 +84,8 @@ type RepairScheduler struct {
 	charged     int64
 	// chargedTotal is the monotonic lifetime sum of charge() bytes. It
 	// is never rebased: engines snapshot per-run deltas of the lifetime
-	// ledger (TotalSpentBytes), which must stay correct even when a
-	// concurrent per-run cap rebases the budget-relative ledger above.
+	// ledger (TotalSpentBytes), which must stay correct even when
+	// SetRebuildCap rebases the budget-relative ledger above mid-run.
 	chargedTotal int64
 	// throttled is the monotonic published counter of injected virtual
 	// idle (engines snapshot deltas of it); balThrottle is the same
@@ -144,25 +143,6 @@ func (s *RepairScheduler) rebaseLocked() {
 	}
 }
 
-// RebaseBudget restarts the budget's zero point without touching the
-// rate: foreground history stops counting as an initial token balance.
-// The engines call it when a per-run cap (RepairOptions.MaxRebuildMBps)
-// takes effect; with a concurrent run in flight this is conservative —
-// tokens the other run had accrued are forfeited, never duplicated.
-func (s *RepairScheduler) RebaseBudget() {
-	s.mu.Lock()
-	s.rebaseLocked()
-	s.mu.Unlock()
-}
-
-// RebuildCap returns the cluster rebuild-bandwidth cap in MB/s (0 when
-// uncapped).
-func (s *RepairScheduler) RebuildCap() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rate / 1e6
-}
-
 // SetTrafficSource installs the priced-byte ledger: a function
 // returning the cumulative rebuild+drain bytes the network has carried
 // (the in-process cluster wires it to the tagged netsim counters). The
@@ -190,8 +170,8 @@ func (s *RepairScheduler) spentLocked() int64 {
 // since the scheduler was configured (or the budget last rebased):
 // priced wire bytes with a traffic source installed, per-stripe
 // payload charges otherwise. The reading is budget-relative — it
-// restarts at zero on Configure/SetRebuildCap/RebaseBudget; use
-// TotalSpentBytes for per-run deltas.
+// restarts at zero on Configure/SetRebuildCap; use TotalSpentBytes for
+// per-run deltas.
 func (s *RepairScheduler) SpentBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -202,8 +182,8 @@ func (s *RepairScheduler) SpentBytes() int64 {
 // ledger: the raw traffic-source reading when one is installed, the
 // cumulative charge() sum otherwise. Unlike SpentBytes it is never
 // rebased, so engines can snapshot it around a run and trust the delta
-// to be non-negative even when a concurrent run's per-run cap rebases
-// the budget's zero point mid-flight.
+// to be non-negative even when SetRebuildCap rebases the budget's zero
+// point mid-flight.
 func (s *RepairScheduler) TotalSpentBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,13 +254,9 @@ func (s *RepairScheduler) unregister(q *repairQueue) {
 	s.mu.Unlock()
 }
 
-// effectiveRate resolves the budget an admission runs against: the
-// per-run override when set, else the cluster cap. Bytes per virtual
-// second; 0 means uncapped.
-func (s *RepairScheduler) effectiveRate(runMBps float64) float64 {
-	if runMBps > 0 {
-		return runMBps * 1e6
-	}
+// capRate returns the cluster cap an admission runs against, in bytes
+// per virtual second; 0 means uncapped.
+func (s *RepairScheduler) capRate() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rate
@@ -325,8 +301,8 @@ func (s *RepairScheduler) bestWaiterLocked() *repairQueue {
 // goroutines); if the foreground clock cannot cover the debt after
 // admitMaxPolls polls, the scheduler injects the shortfall as throttle
 // time — virtual idle the engines fold into their makespan.
-func (s *RepairScheduler) admit(ctx context.Context, q *repairQueue, runMBps float64) error {
-	rate := s.effectiveRate(runMBps)
+func (s *RepairScheduler) admit(ctx context.Context, q *repairQueue) error {
+	rate := s.capRate()
 	if rate <= 0 {
 		return ctx.Err()
 	}
@@ -404,7 +380,7 @@ func (s *RepairScheduler) admit(ctx context.Context, q *repairQueue, runMBps flo
 // bytes so sustained maintenance still eats into the budget the next
 // admission sees. With no cap configured it admits immediately.
 func (s *RepairScheduler) AdmitMaintenance(ctx context.Context, bytes int64) error {
-	rate := s.effectiveRate(0)
+	rate := s.capRate()
 	if rate <= 0 {
 		s.charge(bytes)
 		return ctx.Err()
@@ -450,8 +426,8 @@ func (s *RepairScheduler) charge(bytes int64) {
 // includes the others' traffic and its floor over-estimates — the
 // conservative direction: the combined traffic is what the cap bounds,
 // and every individual report stays at or under it.
-func (s *RepairScheduler) capFloor(runMBps float64, bytes int64) time.Duration {
-	rate := s.effectiveRate(runMBps)
+func (s *RepairScheduler) capFloor(bytes int64) time.Duration {
+	rate := s.capRate()
 	if rate <= 0 || bytes <= 0 {
 		return 0
 	}

@@ -419,15 +419,15 @@ func TestDrainStrandedCutoverHardAborts(t *testing.T) {
 }
 
 // TestSchedulerLedgerSurvivesRebase pins the monotonic lifetime
-// ledger: a per-run cap's RebaseBudget zeroes the budget-relative
-// ledger, but another in-flight run's spent-byte deltas come from
-// TotalSpentBytes, which never rebases — so its capFloor clamp cannot
-// collapse to zero and report bandwidth above the cap.
+// ledger: SetRebuildCap zeroes the budget-relative ledger, but an
+// in-flight run's spent-byte deltas come from TotalSpentBytes, which
+// never rebases — so its capFloor clamp cannot collapse to zero and
+// report bandwidth above the cap.
 func TestSchedulerLedgerSurvivesRebase(t *testing.T) {
 	s := NewRepairScheduler(nil, 1.0)
-	base := s.TotalSpentBytes() // run A snapshots its base
+	base := s.TotalSpentBytes() // the run snapshots its base
 	s.charge(100_000)
-	s.RebaseBudget() // run B starts with a per-run cap mid-flight
+	s.SetRebuildCap(1.0) // the cap is re-set mid-flight
 	s.charge(50_000)
 	if d := s.TotalSpentBytes() - base; d != 150_000 {
 		t.Fatalf("lifetime delta = %d across a rebase, want 150000", d)
@@ -435,7 +435,7 @@ func TestSchedulerLedgerSurvivesRebase(t *testing.T) {
 	if got := s.SpentBytes(); got != 50_000 {
 		t.Fatalf("budget-relative SpentBytes = %d after rebase, want 50000", got)
 	}
-	if f := s.capFloor(1.0, s.TotalSpentBytes()-base); f != 150*time.Millisecond {
+	if f := s.capFloor(s.TotalSpentBytes() - base); f != 150*time.Millisecond {
 		t.Fatalf("capFloor over the lifetime delta = %v, want 150ms", f)
 	}
 }
@@ -520,36 +520,6 @@ func TestDrainHonorsRebuildCap(t *testing.T) {
 	}
 }
 
-// TestMigrateNodePerRunCap: RepairOptions.MaxRebuildMBps caps a single
-// run on an otherwise uncapped cluster.
-func TestMigrateNodePerRunCap(t *testing.T) {
-	c, f, mirror := buildResumeCluster(t, 50)
-	defer c.Close()
-	node := c.OSDs[1].ID()
-	const capMBps = 0.1
-	res, err := MigrateNode(context.Background(), c.MDS, c.Tr.Caller(wire.MDSNode), RepairOptions{
-		K: c.Opts.K, M: c.Opts.M, Workers: 2,
-		Resources:      c.Resources(),
-		Flush:          c.Flush,
-		MaxRebuildMBps: capMBps,
-	}, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bytes == 0 {
-		t.Fatal("nothing migrated")
-	}
-	if capBps := capMBps * 1e6; res.Bandwidth > capBps*1.001 {
-		t.Fatalf("per-run capped bandwidth %.0f B/s exceeds the %.0f B/s cap", res.Bandwidth, capBps)
-	}
-	if err := c.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.VerifyStripes(f, mirror); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSchedulerRoutesHintsAcrossQueues pins the concurrent-victims fix:
 // with two queues registered (two simultaneous repairs), a promotion
 // finds its stripe in whichever queue holds it, and FIFO-baseline
@@ -595,11 +565,11 @@ func TestSchedulerThrottleAccounting(t *testing.T) {
 	defer s.unregister(q)
 
 	ctx := context.Background()
-	if err := s.admit(ctx, q, 0); err != nil {
+	if err := s.admit(ctx, q); err != nil {
 		t.Fatal(err) // first admission rides the zero debt
 	}
 	s.charge(500_000) // half a virtual second of budget at 1 MB/s
-	if err := s.admit(ctx, q, 0); err != nil {
+	if err := s.admit(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	th := s.Throttled()
@@ -612,16 +582,13 @@ func TestSchedulerThrottleAccounting(t *testing.T) {
 
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.admit(cctx, q, 0); !errors.Is(err, context.Canceled) {
+	if err := s.admit(cctx, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("admit under a cancelled ctx returned %v", err)
 	}
 
 	// capFloor converts a run's bytes into the cap-imposed makespan.
-	if f := s.capFloor(0, 2_000_000); f != 2*time.Second {
+	if f := s.capFloor(2_000_000); f != 2*time.Second {
 		t.Fatalf("capFloor = %v, want 2s", f)
-	}
-	if f := s.capFloor(2.0, 2_000_000); f != time.Second {
-		t.Fatalf("per-run capFloor = %v, want 1s", f)
 	}
 }
 

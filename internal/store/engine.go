@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +11,11 @@ import (
 )
 
 // ErrCrashed is returned by every mutator after Crash froze the engine.
-var ErrCrashed = errors.New("store: engine crashed")
+// It wraps wire.ErrUnreachable: a crashed engine belongs to a node that
+// is going down, so a request it refuses is classified across the wire
+// (wire.ErrorResp) the way the node's transport failure is a moment
+// later — a transient outage the caller re-resolves around.
+var ErrCrashed = fmt.Errorf("store: engine crashed: %w", wire.ErrUnreachable)
 
 // pageNil marks a block page that was never written: its logical
 // content is zeros and it has no backing page in the file.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/erasure"
 	"repro/internal/logpool"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -72,20 +71,11 @@ func (c *cord) Name() string { return "cord" }
 func (c *cord) RefreshPlacement(msg *wire.Msg) { c.stripes.remember(msg) }
 
 func (c *cord) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
-	store := c.env.Store()
 	b := msg.Block
-	unlock := store.Lock(b, c.cfg.BlockSize)
-	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
-	if err != nil {
-		unlock()
-		return 0, err
-	}
-	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
-	unlock()
+	delta, cost, err := overwriteMsg(c.env, c.cfg, msg)
 	if err != nil {
 		return 0, err
 	}
-	delta := erasure.DataDelta(old, msg.Data)
 
 	// One hop: the delta goes to the stripe collector only.
 	k := int(msg.K)
@@ -101,7 +91,7 @@ func (c *cord) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 	if err := resp.Error(); err != nil {
 		return 0, err
 	}
-	return rc + wc + resp.Cost, nil
+	return cost + resp.Cost, nil
 }
 
 func (c *cord) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
@@ -213,25 +203,15 @@ func (r *collectorRecycler) recycleUnit(u *logpool.Unit) (cost, wall time.Durati
 // recycleParity folds merged parity deltas into the parity block (random
 // read-modify-write per logged extent, after a random log re-read).
 func (c *cord) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Duration {
-	store := c.env.Store()
 	dev := c.env.Dev()
 	var cost time.Duration
-	unlock := store.Lock(be.Block, c.cfg.BlockSize)
-	defer unlock()
 	for _, e := range be.Extents {
 		cost += dev.Read(sim.ClassOther, int64(len(e.Data))+32, true)
-		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(e.Data), true)
-		if err != nil {
-			continue
-		}
-		erasure.ApplyParityDelta(old, e.Data)
-		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, old, true)
-		if err != nil {
-			continue
-		}
-		cost += rc + wc
 	}
-	return cost
+	// A recycle has no caller to report a refused fold to; it is
+	// charged nothing.
+	fc, _ := c.env.Store().Fold(sim.ClassOther, be.Block, c.cfg.BlockSize, storeExtents(be.Extents))
+	return cost + fc
 }
 
 func (c *cord) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {

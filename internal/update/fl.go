@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/erasure"
 	"repro/internal/logpool"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -62,30 +61,18 @@ func (f *fl) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Dura
 	if !ok {
 		return 0
 	}
-	store := f.env.Store()
-	var cost time.Duration
-	for _, e := range be.Extents {
-		unlock := store.Lock(be.Block, f.cfg.BlockSize)
-		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(e.Data), true)
-		if err != nil {
-			unlock()
-			continue
-		}
-		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, e.Data, true)
-		unlock()
-		if err != nil {
-			continue
-		}
-		cost += rc + wc
-		delta := erasure.DataDelta(old, e.Data)
-		targets := si.Loc.Nodes[si.K : si.K+si.M]
+	// A recycle has no caller to report a store error to: the deltas of
+	// the extents written before it still go out.
+	deltas, cost, _ := f.env.Store().Overwrite(sim.ClassOther, be.Block, f.cfg.BlockSize, storeExtents(be.Extents))
+	targets := si.Loc.Nodes[si.K : si.K+si.M]
+	for _, d := range deltas {
 		fanCost, err := fanout(context.Background(), f.env, targets, func(to wire.NodeID) *wire.Msg {
 			j := indexOfNode(si.Loc.Nodes[si.K:], to)
 			return &wire.Msg{
 				Kind:  wire.KParityDelta,
 				Block: parityBlock(be.Block, si.K, j),
-				Off:   e.Off,
-				Data:  delta,
+				Off:   d.Off,
+				Data:  d.Data,
 				Idx:   be.Block.Idx,
 				K:     uint8(si.K),
 				M:     uint8(si.M),

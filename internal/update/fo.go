@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/erasure"
+	"repro/internal/blockstore"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -24,43 +24,8 @@ func newFO(cfg Config, env Env) *fo { return &fo{cfg: cfg, env: env} }
 func (f *fo) Name() string { return "fo" }
 
 func (f *fo) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
-	store := f.env.Store()
-	b := msg.Block
-	unlock := store.Lock(b, f.cfg.BlockSize)
-	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
-	if err != nil {
-		unlock()
-		return 0, err
-	}
-	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
-	unlock()
-	if err != nil {
-		return 0, err
-	}
-	delta := erasure.DataDelta(old, msg.Data)
-	lat := rc + wc
-
 	// In-place parity updates at every parity OSD, synchronously.
-	k, m := int(msg.K), int(msg.M)
-	targets := msg.Loc.Nodes[k : k+m]
-	src := msg.Block.Idx
-	fanCost, err := fanout(ctx, f.env, targets, func(to wire.NodeID) *wire.Msg {
-		j := indexOfNode(msg.Loc.Nodes[k:], to)
-		return &wire.Msg{
-			Kind:  wire.KParityDelta,
-			Block: parityBlock(b, k, j),
-			Off:   msg.Off,
-			Data:  delta,
-			Idx:   src,
-			K:     msg.K,
-			M:     msg.M,
-			V:     msg.V,
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return lat + fanCost, nil
+	return updateInPlace(ctx, f.env, f.cfg, msg, wire.KParityDelta)
 }
 
 // indexOfNode returns the position of `to` in nodes; stripes place every
@@ -99,19 +64,7 @@ func applyParityDeltaInPlace(env Env, cfg Config, msg *wire.Msg) (time.Duration,
 		return 0, fmt.Errorf("parity delta for non-parity block %v", msg.Block)
 	}
 	pd := code.ParityDelta(j, int(msg.Idx), msg.Data)
-	store := env.Store()
-	unlock := store.Lock(msg.Block, cfg.BlockSize)
-	defer unlock()
-	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, msg.Block, msg.Off, len(pd), true)
-	if err != nil {
-		return 0, err
-	}
-	erasure.ApplyParityDelta(old, pd)
-	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, msg.Block, msg.Off, old, true)
-	if err != nil {
-		return 0, err
-	}
-	return rc + wc, nil
+	return env.Store().Fold(sim.ClassForegroundWrite, msg.Block, cfg.BlockSize, []blockstore.Extent{{Off: msg.Off, Data: pd}})
 }
 
 func (f *fo) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/erasure"
 	"repro/internal/logpool"
 	"repro/internal/sim"
@@ -31,6 +32,12 @@ type parix struct {
 	specMu sync.Mutex
 	spec   map[wire.BlockID]*intervalSet
 
+	// order holds one ordering lock per hosted data block, taken across
+	// an update's speculation check, overwrite and forwarding. Entries
+	// are never dropped: two updates of one block always share a lock.
+	orderMu sync.Mutex
+	order   map[wire.BlockID]*sync.Mutex
+
 	// Parity-OSD side: per source data block, the newest updated bytes
 	// and the original bytes, both device-persisted as log appends.
 	// loggedBytes tracks the log footprint; crossing the recycle
@@ -46,9 +53,10 @@ type parix struct {
 func newPARIX(cfg Config, env Env) *parix {
 	return &parix{
 		cfg: cfg, env: env, stripes: newStripeTable(),
-		spec: make(map[wire.BlockID]*intervalSet),
-		news: make(map[wire.BlockID]*logpool.Index),
-		olds: make(map[wire.BlockID]*logpool.Index),
+		spec:  make(map[wire.BlockID]*intervalSet),
+		order: make(map[wire.BlockID]*sync.Mutex),
+		news:  make(map[wire.BlockID]*logpool.Index),
+		olds:  make(map[wire.BlockID]*logpool.Index),
 	}
 }
 
@@ -62,12 +70,12 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	b := msg.Block
 	end := msg.Off + uint32(len(msg.Data))
 
-	// The block lock is held across speculation check, in-place write
-	// AND forwarding: a same-block update must not overtake another's
-	// origin shipment, or the parity log could recycle a new value
-	// without its baseline (per-block ordered appends, §3.4).
+	// The ordering lock is held across speculation check, in-place
+	// write AND forwarding: a same-block update must not overtake
+	// another's origin shipment, or the parity log could recycle a new
+	// value without its baseline (per-block ordered appends, §3.4).
 	var lat time.Duration
-	unlock := store.Lock(b, p.cfg.BlockSize)
+	unlock := p.lockOrder(b)
 	defer unlock()
 
 	p.specMu.Lock()
@@ -85,7 +93,7 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	}
 	var origins []origin
 	for _, g := range gaps {
-		old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, g.lo, int(g.hi-g.lo), true)
+		old, rc, err := store.ReadRange(sim.ClassForegroundWrite, b, g.lo, int(g.hi-g.lo), true)
 		if err != nil {
 			return 0, err
 		}
@@ -94,7 +102,7 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	}
 	// In-place overwrite with NO read for already-speculated ranges —
 	// PARIX's saving over PL/FO.
-	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
+	wc, err := store.WriteRange(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true, p.cfg.BlockSize)
 	if err != nil {
 		return 0, err
 	}
@@ -129,6 +137,20 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 		return 0, err
 	}
 	return lat + fanCost, nil
+}
+
+// lockOrder acquires the data block's ordering lock and returns its
+// unlock function.
+func (p *parix) lockOrder(b wire.BlockID) func() {
+	p.orderMu.Lock()
+	m := p.order[b]
+	if m == nil {
+		m = new(sync.Mutex)
+		p.order[b] = m
+	}
+	p.orderMu.Unlock()
+	m.Lock()
+	return m.Unlock
 }
 
 func (p *parix) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
@@ -243,8 +265,9 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 			continue
 		}
 		pb := parityBlock(dataBlock, si.K, j)
-		unlock := store.Lock(pb, p.cfg.BlockSize)
-		for _, e := range ni.Extents() {
+		extents := ni.Extents()
+		pds := make([]blockstore.Extent, len(extents))
+		for i, e := range extents {
 			// Random re-read of new+old log records.
 			total += dev.Read(sim.ClassOther, int64(len(e.Data))+32, true)
 			var orig []byte
@@ -261,19 +284,12 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 				total += dev.Read(sim.ClassOther, int64(len(orig))+32, true)
 			}
 			delta := erasure.DataDelta(orig, e.Data)
-			pd := code.ParityDelta(j, int(dataBlock.Idx), delta)
-			oldP, rc, err := store.ReadRangeNoLock(sim.ClassOther, pb, e.Off, len(pd), true)
-			if err != nil {
-				continue
-			}
-			erasure.ApplyParityDelta(oldP, pd)
-			wc, err := store.WriteRangeNoLock(sim.ClassOther, pb, e.Off, oldP, true)
-			if err != nil {
-				continue
-			}
-			total += rc + wc
+			pds[i] = blockstore.Extent{Off: e.Off, Data: code.ParityDelta(j, int(dataBlock.Idx), delta)}
 		}
-		unlock()
+		// A recycle has no caller to report a refused fold to; it is
+		// charged nothing.
+		fc, _ := store.Fold(sim.ClassOther, pb, p.cfg.BlockSize, pds)
+		total += fc
 	}
 	return total
 }

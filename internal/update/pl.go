@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/erasure"
+	"repro/internal/blockstore"
 	"repro/internal/logpool"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -51,43 +51,9 @@ func (p *pl) RefreshPlacement(msg *wire.Msg) { p.stripes.remember(msg) }
 
 func (p *pl) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	// In-place data-block read-modify-write (the expensive
-	// write-after-read the paper highlights).
-	store := p.env.Store()
-	b := msg.Block
-	unlock := store.Lock(b, p.cfg.BlockSize)
-	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
-	if err != nil {
-		unlock()
-		return 0, err
-	}
-	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
-	unlock()
-	if err != nil {
-		return 0, err
-	}
-	delta := erasure.DataDelta(old, msg.Data)
-
-	// Forward the data delta to every parity OSD's parity log.
-	k, m := int(msg.K), int(msg.M)
-	targets := msg.Loc.Nodes[k : k+m]
-	fanCost, err := fanout(ctx, p.env, targets, func(to wire.NodeID) *wire.Msg {
-		j := indexOfNode(msg.Loc.Nodes[k:], to)
-		return &wire.Msg{
-			Kind:  wire.KParityLogAdd,
-			Block: parityBlock(b, k, j),
-			Off:   msg.Off,
-			Data:  delta,
-			Idx:   msg.Block.Idx,
-			K:     msg.K,
-			M:     msg.M,
-			Loc:   msg.Loc,
-			V:     msg.V,
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return rc + wc + fanCost, nil
+	// write-after-read the paper highlights), then the data delta to
+	// every parity OSD's parity log.
+	return updateInPlace(ctx, p.env, p.cfg, msg, wire.KParityLogAdd)
 }
 
 func (p *pl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
@@ -130,28 +96,19 @@ func (p *pl) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Du
 		return 0
 	}
 	j := int(be.Block.Idx) - si.K
-	store := p.env.Store()
 	dev := p.env.Dev()
 	var cost time.Duration
-	unlock := store.Lock(be.Block, p.cfg.BlockSize)
-	defer unlock()
-	for _, e := range be.Extents {
+	pds := make([]blockstore.Extent, len(be.Extents))
+	for i, e := range be.Extents {
 		src, delta := decodeDeltaRecord(e.Data)
 		// Random re-read of the log record from disk.
 		cost += dev.Read(sim.ClassOther, int64(len(e.Data))+32, true)
-		pd := code.ParityDelta(j, int(src), delta)
-		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(pd), true)
-		if err != nil {
-			continue
-		}
-		erasure.ApplyParityDelta(old, pd)
-		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, old, true)
-		if err != nil {
-			continue
-		}
-		cost += rc + wc
+		pds[i] = blockstore.Extent{Off: e.Off, Data: code.ParityDelta(j, int(src), delta)}
 	}
-	return cost
+	// A recycle has no caller to report a refused fold to; it is
+	// charged nothing.
+	fc, _ := p.env.Store().Fold(sim.ClassOther, be.Block, p.cfg.BlockSize, pds)
+	return cost + fc
 }
 
 func (p *pl) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/erasure"
+	"repro/internal/blockstore"
 	"repro/internal/gf256"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -52,41 +52,7 @@ func (p *plr) Name() string { return "plr" }
 func (p *plr) RefreshPlacement(msg *wire.Msg) { p.stripes.remember(msg) }
 
 func (p *plr) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
-	store := p.env.Store()
-	b := msg.Block
-	unlock := store.Lock(b, p.cfg.BlockSize)
-	old, rc, err := store.ReadRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, len(msg.Data), true)
-	if err != nil {
-		unlock()
-		return 0, err
-	}
-	wc, err := store.WriteRangeNoLock(sim.ClassForegroundWrite, b, msg.Off, msg.Data, true)
-	unlock()
-	if err != nil {
-		return 0, err
-	}
-	delta := erasure.DataDelta(old, msg.Data)
-
-	k, m := int(msg.K), int(msg.M)
-	targets := msg.Loc.Nodes[k : k+m]
-	fanCost, err := fanout(ctx, p.env, targets, func(to wire.NodeID) *wire.Msg {
-		j := indexOfNode(msg.Loc.Nodes[k:], to)
-		return &wire.Msg{
-			Kind:  wire.KParityLogAdd,
-			Block: parityBlock(b, k, j),
-			Off:   msg.Off,
-			Data:  delta,
-			Idx:   msg.Block.Idx,
-			K:     msg.K,
-			M:     msg.M,
-			Loc:   msg.Loc,
-			V:     msg.V,
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return rc + wc + fanCost, nil
+	return updateInPlace(ctx, p.env, p.cfg, msg, wire.KParityLogAdd)
 }
 
 func (p *plr) logFor(b wire.BlockID) *plrLog {
@@ -144,16 +110,12 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 		return 0
 	}
 	j := int(b.Idx) - si.K
-	store := p.env.Store()
-	dev := p.env.Dev()
 	// Sequential replay of the adjacent log region — PLR's one saving
 	// over PL (no random log re-reads).
-	cost := dev.Read(sim.ClassOther, l.bytes, false)
-	unlock := store.Lock(b, p.cfg.BlockSize)
-	defer unlock()
+	cost := p.env.Dev().Read(sim.ClassOther, l.bytes, false)
 	// The parity span itself sits wherever this parity block landed on
 	// the device, far from other blocks being recycled concurrently: the
-	// read-modify-write of the span is random access.
+	// whole span folds as one random read-modify-write.
 	lo, hi := l.entries[0].off, l.entries[0].off+uint32(len(l.entries[0].delta))
 	for _, e := range l.entries[1:] {
 		if e.off < lo {
@@ -163,22 +125,16 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 			hi = end
 		}
 	}
-	span, rc, err := store.ReadRangeNoLock(sim.ClassOther, b, lo, int(hi-lo), true)
-	if err != nil {
-		l.entries, l.bytes = nil, 0
-		return cost
-	}
-	cost += rc
+	span := make([]byte, hi-lo)
 	for _, e := range l.entries {
 		pd := code.ParityDelta(j, int(e.src), e.delta)
 		gf256.XorSlice(span[e.off-lo:e.off-lo+uint32(len(pd))], pd)
 	}
-	wc, err := store.WriteRangeNoLock(sim.ClassOther, b, lo, span, true)
-	if err == nil {
-		cost += wc
-	}
+	// A recycle has no caller to report a refused fold to; it is
+	// charged nothing.
+	fc, _ := p.env.Store().Fold(sim.ClassOther, b, p.cfg.BlockSize, []blockstore.Extent{{Off: lo, Data: span}})
 	l.entries, l.bytes = nil, 0
-	return cost
+	return cost + fc
 }
 
 func (p *plr) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {

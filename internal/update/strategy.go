@@ -33,6 +33,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/erasure"
 	"repro/internal/logpool"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -297,6 +298,56 @@ func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(to wire
 		call.Resp.Release()
 	}
 	return maxCost, firstE
+}
+
+// updateInPlace is the synchronous update path FO, PL and PLR share:
+// overwrite the data range in place, then send the data delta to every
+// parity OSD of the stripe as a kind message — an in-place parity fold
+// (FO) or a parity-log append (PL, PLR).
+func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind wire.Kind) (time.Duration, error) {
+	delta, cost, err := overwriteMsg(env, cfg, msg)
+	if err != nil {
+		return 0, err
+	}
+	k, m := int(msg.K), int(msg.M)
+	fanCost, err := fanout(ctx, env, msg.Loc.Nodes[k:k+m], func(to wire.NodeID) *wire.Msg {
+		j := indexOfNode(msg.Loc.Nodes[k:], to)
+		return &wire.Msg{
+			Kind:  kind,
+			Block: parityBlock(msg.Block, k, j),
+			Off:   msg.Off,
+			Data:  delta,
+			Idx:   msg.Block.Idx,
+			K:     msg.K,
+			M:     msg.M,
+			Loc:   msg.Loc,
+			V:     msg.V,
+		}
+	})
+	if err != nil {
+		return 0, err
+	}
+	return cost + fanCost, nil
+}
+
+// overwriteMsg overwrites a client update's range in place on the
+// foreground path and returns its data delta and modeled cost.
+func overwriteMsg(env Env, cfg Config, msg *wire.Msg) ([]byte, time.Duration, error) {
+	deltas, cost, err := env.Store().Overwrite(sim.ClassForegroundWrite, msg.Block, cfg.BlockSize,
+		[]blockstore.Extent{{Off: msg.Off, Data: msg.Data}})
+	if err != nil {
+		return nil, 0, err
+	}
+	return deltas[0].Data, cost, nil
+}
+
+// storeExtents views recycled log extents as block-store extents.
+func storeExtents(exts []logpool.Extent) []blockstore.Extent {
+	out := make([]blockstore.Extent, len(exts))
+	for i, e := range exts {
+		out[i] = blockstore.Extent{Off: e.Off, Data: e.Data}
+	}
+	return out
 }
 
 // errResp wraps an error into a response, keeping any structured

@@ -188,28 +188,9 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 	if !ok {
 		return 0
 	}
-	store := t.env.Store()
-	var cost time.Duration
-	type deltaOut struct {
-		off   uint32
-		delta []byte
-	}
-	var outs []deltaOut
-	unlock := store.Lock(be.Block, t.cfg.BlockSize)
-	for _, e := range be.Extents {
-		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(e.Data), true)
-		if err != nil {
-			continue
-		}
-		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, e.Data, true)
-		if err != nil {
-			continue
-		}
-		cost += rc + wc
-		gf256.XorSlice(old, e.Data) // old is this call's own read buffer: now the delta
-		outs = append(outs, deltaOut{off: e.Off, delta: old})
-	}
-	unlock()
+	// A recycle has no caller to report a store error to: the deltas of
+	// the extents written before it still go out.
+	outs, cost, _ := t.env.Store().Overwrite(sim.ClassOther, be.Block, t.cfg.BlockSize, storeExtents(be.Extents))
 	if si.M == 0 {
 		return cost
 	}
@@ -224,15 +205,15 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 			if si.M >= 2 {
 				targets = append(targets, si.parityNode(1))
 			}
-			payload, flag := o.delta, uint8(0)
+			payload, flag := o.Data, uint8(0)
 			if t.cfg.CompressDeltas {
-				if c, ok := compressDelta(o.delta); ok {
+				if c, ok := compressDelta(o.Data); ok {
 					payload, flag = c, deltaCompressFlag
 				}
 			}
 			for i, to := range targets {
 				resp, err := t.env.Call(context.Background(), to, &wire.Msg{
-					Kind: wire.KDeltaLogAdd, Block: be.Block, Off: o.off, Data: payload,
+					Kind: wire.KDeltaLogAdd, Block: be.Block, Off: o.Off, Data: payload,
 					Idx: be.Block.Idx, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
 					Flag: uint8(i) | flag, // low bits: 0 = primary, 1 = copy
 					V:    int64(sealV),
@@ -248,10 +229,10 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 			// O5 disabled (or HDD profile): per-parity deltas straight
 			// to the parity logs.
 			for j := 0; j < si.M; j++ {
-				pd := code.ParityDelta(j, int(be.Block.Idx), o.delta)
+				pd := code.ParityDelta(j, int(be.Block.Idx), o.Data)
 				resp, err := t.env.Call(context.Background(), si.parityNode(j), &wire.Msg{
 					Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, si.K, j),
-					Off: o.off, Data: pd, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
+					Off: o.Off, Data: pd, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
 					V: int64(sealV),
 				})
 				if err == nil {
@@ -380,22 +361,9 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 // read-modify-write per merged extent — by now repeated and adjacent
 // updates have collapsed, so these are few and large.
 func (t *tsue) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Duration {
-	store := t.env.Store()
-	var cost time.Duration
-	unlock := store.Lock(be.Block, t.cfg.BlockSize)
-	defer unlock()
-	for _, e := range be.Extents {
-		old, rc, err := store.ReadRangeNoLock(sim.ClassOther, be.Block, e.Off, len(e.Data), true)
-		if err != nil {
-			continue
-		}
-		gf256.XorSlice(old, e.Data)
-		wc, err := store.WriteRangeNoLock(sim.ClassOther, be.Block, e.Off, old, true)
-		if err != nil {
-			continue
-		}
-		cost += rc + wc
-	}
+	// A recycle has no caller to report a refused fold to; it is
+	// charged nothing.
+	cost, _ := t.env.Store().Fold(sim.ClassOther, be.Block, t.cfg.BlockSize, storeExtents(be.Extents))
 	return cost
 }
 

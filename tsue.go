@@ -38,7 +38,6 @@ package tsue
 
 import (
 	"context"
-	"io"
 	"sort"
 	"strings"
 
@@ -198,18 +197,6 @@ func RunExperiment(ctx context.Context, id string, s Scale) (*Report, error) {
 		return fn(ctx, s)
 	}
 	return nil, errUnknownExperiment(id)
-}
-
-// RunAll regenerates every table and figure, writing each report to w.
-func RunAll(ctx context.Context, s Scale, w io.Writer) error {
-	for _, id := range bench.Order {
-		rep, err := RunExperiment(ctx, id, s)
-		if err != nil {
-			return err
-		}
-		rep.Fprint(w)
-	}
-	return nil
 }
 
 type errUnknownExperiment string
