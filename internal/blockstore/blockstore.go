@@ -23,14 +23,16 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/gf256"
+	"repro/internal/keylock"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 // backend holds block contents. The in-memory map (memBackend) and the
-// durable engine (*store.Engine) implement it; every call is atomic on
-// its own, and the Store's block mutexes make batches atomic.
+// durable engine (*store.Engine) implement it. The Store calls every
+// method that touches a block's bytes under that block's mutex, which
+// also makes its batches atomic.
 type backend interface {
 	Ensure(id wire.BlockID, size uint32) error
 	ReadRange(id wire.BlockID, off uint32, size int) ([]byte, error)
@@ -44,14 +46,12 @@ type backend interface {
 }
 
 // Store is the per-OSD block container. Safe for concurrent use: every
-// mutation runs under its block's mutex, then the backend, then the
-// device charge.
+// access to a block's bytes runs under its block's mutex, then the
+// backend, then the device charge.
 type Store struct {
-	dev *device.Device
-	be  backend
-
-	mu    sync.RWMutex
-	locks map[wire.BlockID]*sync.Mutex
+	dev   *device.Device
+	be    backend
+	locks keylock.Table[wire.BlockID]
 }
 
 // Extent is one byte range of a block: the payload of an Overwrite or
@@ -62,34 +62,13 @@ type Extent struct {
 }
 
 // New creates an in-memory store charging the given device.
-func New(dev *device.Device) *Store { return newStore(dev, newMemBackend()) }
+func New(dev *device.Device) *Store {
+	return &Store{dev: dev, be: &memBackend{blocks: make(map[wire.BlockID][]byte)}}
+}
 
 // NewDurable creates a store backed by the persistent engine: contents
 // survive process crashes, device charges stay identical.
-func NewDurable(dev *device.Device, eng *store.Engine) *Store { return newStore(dev, eng) }
-
-func newStore(dev *device.Device, be backend) *Store {
-	return &Store{dev: dev, be: be, locks: make(map[wire.BlockID]*sync.Mutex)}
-}
-
-// lock acquires the block's mutex and returns its unlock function.
-// Entries are never removed, so two holders of one block always share
-// one mutex.
-func (s *Store) lock(id wire.BlockID) func() {
-	s.mu.RLock()
-	m := s.locks[id]
-	s.mu.RUnlock()
-	if m == nil {
-		s.mu.Lock()
-		if m = s.locks[id]; m == nil {
-			m = new(sync.Mutex)
-			s.locks[id] = m
-		}
-		s.mu.Unlock()
-	}
-	m.Lock()
-	return m.Unlock
-}
+func NewDurable(dev *device.Device, eng *store.Engine) *Store { return &Store{dev: dev, be: eng} }
 
 // Overwrite writes each extent into the block in place and returns, per
 // extent, its delta old ⊕ new at the same offset. The block's mutex is
@@ -98,8 +77,8 @@ func (s *Store) lock(id wire.BlockID) func() {
 // one random overwrite of its length under class. On error Overwrite
 // stops: it returns the deltas and cost of the extents already applied.
 func (s *Store) Overwrite(class sim.Class, id wire.BlockID, blockSize int, extents []Extent) ([]Extent, time.Duration, error) {
-	unlock := s.lock(id)
-	defer unlock()
+	s.locks.Lock(id)
+	defer s.locks.Unlock(id)
 	if err := s.be.Ensure(id, uint32(blockSize)); err != nil {
 		return nil, 0, err
 	}
@@ -122,11 +101,12 @@ func (s *Store) Overwrite(class sim.Class, id wire.BlockID, blockSize int, exten
 
 // Fold XORs each extent into the block in place: the parity update
 // p′ = p ⊕ Δp. Locking, creation and per-extent charges are
-// Overwrite's. On error Fold stops and returns the cost of the extents
+// Overwrite's, so a Fold of no extents only creates the block,
+// uncharged. On error Fold stops and returns the cost of the extents
 // already folded.
 func (s *Store) Fold(class sim.Class, id wire.BlockID, blockSize int, extents []Extent) (time.Duration, error) {
-	unlock := s.lock(id)
-	defer unlock()
+	s.locks.Lock(id)
+	defer s.locks.Unlock(id)
 	if err := s.be.Ensure(id, uint32(blockSize)); err != nil {
 		return 0, err
 	}
@@ -155,10 +135,10 @@ func (s *Store) chargeInPlace(class sim.Class, n int) time.Duration {
 // selects sequential pricing (the initial stripe write); a rewrite of an
 // existing block is an overwrite.
 func (s *Store) WriteFull(class sim.Class, id wire.BlockID, data []byte, seq bool) (time.Duration, error) {
-	unlock := s.lock(id)
+	s.locks.Lock(id)
 	existed := s.be.Has(id)
 	err := s.be.WriteFull(id, data)
-	unlock()
+	s.locks.Unlock(id)
 	if err != nil {
 		return 0, err
 	}
@@ -169,9 +149,9 @@ func (s *Store) WriteFull(class sim.Class, id wire.BlockID, data []byte, seq boo
 // class. random selects the random access cost. Reading an absent block
 // returns an error; reading beyond the block's size returns an error.
 func (s *Store) ReadRange(class sim.Class, id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
-	unlock := s.lock(id)
+	s.locks.Lock(id)
 	out, err := s.be.ReadRange(id, off, size)
-	unlock()
+	s.locks.Unlock(id)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -186,12 +166,12 @@ func (s *Store) WriteRange(class sim.Class, id wire.BlockID, off uint32, data []
 	if need := int(off) + len(data); blockSize < need {
 		blockSize = need
 	}
-	unlock := s.lock(id)
+	s.locks.Lock(id)
 	err := s.be.Ensure(id, uint32(blockSize))
 	if err == nil {
 		err = s.be.WriteRange(id, off, data)
 	}
-	unlock()
+	s.locks.Unlock(id)
 	if err != nil {
 		return 0, err
 	}
@@ -200,15 +180,19 @@ func (s *Store) WriteRange(class sim.Class, id wire.BlockID, off uint32, data []
 
 // Snapshot returns a copy of the block's content without device charge
 // (verification/introspection only).
-func (s *Store) Snapshot(id wire.BlockID) ([]byte, bool) { return s.be.Snapshot(id) }
+func (s *Store) Snapshot(id wire.BlockID) ([]byte, bool) {
+	s.locks.Lock(id)
+	defer s.locks.Unlock(id)
+	return s.be.Snapshot(id)
+}
 
 // Has reports whether the block exists.
 func (s *Store) Has(id wire.BlockID) bool { return s.be.Has(id) }
 
 // Delete removes a block (node failure simulation / cleanup).
 func (s *Store) Delete(id wire.BlockID) error {
-	unlock := s.lock(id)
-	defer unlock()
+	s.locks.Lock(id)
+	defer s.locks.Unlock(id)
 	return s.be.Delete(id)
 }
 
@@ -218,82 +202,64 @@ func (s *Store) Blocks() []wire.BlockID { return s.be.Blocks() }
 // Size returns the byte length of a block, or -1 if absent.
 func (s *Store) Size(id wire.BlockID) int { return s.be.Size(id) }
 
-// memBackend keeps block contents in memory, the default backend. The
-// map lock guards membership; each block's own lock guards its bytes,
-// so accesses to different blocks copy in parallel.
+// memBackend keeps block contents in memory, the default backend. Its
+// lock guards the map and the slice headers in it; a block's bytes are
+// guarded by the Store's block mutex, which every caller of a content
+// method holds, so accesses to different blocks copy in parallel.
 type memBackend struct {
 	mu     sync.RWMutex
-	blocks map[wire.BlockID]*memBlock
+	blocks map[wire.BlockID][]byte
 }
 
-type memBlock struct {
-	mu   sync.Mutex
-	data []byte
-}
-
-func newMemBackend() *memBackend {
-	return &memBackend{blocks: make(map[wire.BlockID]*memBlock)}
-}
-
-func (m *memBackend) get(id wire.BlockID) *memBlock {
+func (m *memBackend) get(id wire.BlockID) ([]byte, bool) {
 	m.mu.RLock()
-	b := m.blocks[id]
+	b, ok := m.blocks[id]
 	m.mu.RUnlock()
-	return b
+	return b, ok
 }
 
-// getOrCreate returns the block, creating it zero-filled at size when
-// absent.
-func (m *memBackend) getOrCreate(id wire.BlockID, size int) *memBlock {
-	if b := m.get(id); b != nil {
-		return b
-	}
+func (m *memBackend) put(id wire.BlockID, b []byte) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	b := m.blocks[id]
-	if b == nil {
-		b = &memBlock{data: make([]byte, size)}
-		m.blocks[id] = b
-	}
-	return b
+	m.blocks[id] = b
+	m.mu.Unlock()
 }
 
 func (m *memBackend) Ensure(id wire.BlockID, size uint32) error {
-	m.getOrCreate(id, int(size))
+	if _, ok := m.get(id); !ok {
+		m.put(id, make([]byte, size))
+	}
 	return nil
 }
 
 func (m *memBackend) ReadRange(id wire.BlockID, off uint32, size int) ([]byte, error) {
-	b := m.get(id)
-	if b == nil {
+	b, ok := m.get(id)
+	if !ok {
 		return nil, fmt.Errorf("blockstore: %v not found", id)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if int(off)+size > len(b.data) {
-		return nil, fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+size, id, len(b.data))
+	if int(off)+size > len(b) {
+		return nil, fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+size, id, len(b))
 	}
-	return append([]byte(nil), b.data[off:int(off)+size]...), nil
+	return append([]byte(nil), b[off:int(off)+size]...), nil
 }
 
 func (m *memBackend) WriteRange(id wire.BlockID, off uint32, data []byte) error {
-	b := m.getOrCreate(id, 0)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if need := int(off) + len(data); need > len(b.data) {
+	b, _ := m.get(id)
+	if need := int(off) + len(data); need > len(b) {
 		grown := make([]byte, need)
-		copy(grown, b.data)
-		b.data = grown
+		copy(grown, b)
+		b = grown
+		m.put(id, b)
 	}
-	copy(b.data[off:], data)
+	copy(b[off:], data)
 	return nil
 }
 
 func (m *memBackend) WriteFull(id wire.BlockID, data []byte) error {
-	b := m.getOrCreate(id, 0)
-	b.mu.Lock()
-	b.data = append(b.data[:0], data...)
-	b.mu.Unlock()
+	if b, ok := m.get(id); ok && len(b) == len(data) {
+		copy(b, data)
+		return nil
+	}
+	m.put(id, append([]byte(nil), data...))
 	return nil
 }
 
@@ -305,25 +271,24 @@ func (m *memBackend) Delete(id wire.BlockID) error {
 }
 
 func (m *memBackend) Snapshot(id wire.BlockID) ([]byte, bool) {
-	b := m.get(id)
-	if b == nil {
+	b, ok := m.get(id)
+	if !ok {
 		return nil, false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]byte(nil), b.data...), true
+	return append([]byte(nil), b...), true
 }
 
-func (m *memBackend) Has(id wire.BlockID) bool { return m.get(id) != nil }
+func (m *memBackend) Has(id wire.BlockID) bool {
+	_, ok := m.get(id)
+	return ok
+}
 
 func (m *memBackend) Size(id wire.BlockID) int {
-	b := m.get(id)
-	if b == nil {
+	b, ok := m.get(id)
+	if !ok {
 		return -1
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.data)
+	return len(b)
 }
 
 func (m *memBackend) Blocks() []wire.BlockID {

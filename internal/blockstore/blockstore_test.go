@@ -154,6 +154,22 @@ func TestFoldCreatesBlock(t *testing.T) {
 	})
 }
 
+// TestEmptyFoldOnlyCreates: a Fold of no extents creates the absent
+// block zero-filled and charges the device nothing.
+func TestEmptyFoldOnlyCreates(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s *Store, dev *device.Device) {
+		if cost, err := s.Fold(sim.ClassOther, bid(4), 32, nil); err != nil || cost != 0 {
+			t.Fatalf("empty fold: cost %v err %v", cost, err)
+		}
+		if got, ok := s.Snapshot(bid(4)); !ok || !bytes.Equal(got, make([]byte, 32)) {
+			t.Fatalf("empty fold left %v (ok %v)", got, ok)
+		}
+		if st := dev.Stats(); st != (device.Stats{}) {
+			t.Fatalf("empty fold charged %+v", st)
+		}
+	})
+}
+
 // TestInPlaceCharges pins the Table 1 pricing of both operations: each
 // extent costs exactly one random read and one random overwrite of its
 // length.

@@ -159,6 +159,36 @@ func TestReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestUpdateBeforeWrite: an update may reach a stripe before any full
+// write (UpdateAt binds it on first touch). Every method accepts it, and
+// the bytes read back once the logs drain.
+func TestUpdateBeforeWrite(t *testing.T) {
+	ctx := context.Background()
+	for _, method := range update.AllMethods {
+		method := method
+		t.Run(method, func(t *testing.T) {
+			t.Parallel()
+			c := MustNewCluster(testOptions(method))
+			defer c.Close()
+			f := openFile(t, c.NewClient(), "unwritten")
+			payload := []byte("update-before-write")
+			if _, err := f.UpdateAt(ctx, 333, payload, 0); err != nil {
+				t.Fatalf("update of an unwritten stripe: %v", err)
+			}
+			if err := c.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := f.ReadRange(ctx, 333, len(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("read %q", got)
+			}
+		})
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	ctx := context.Background()
 	c := MustNewCluster(testOptions("tsue"))

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/erasure"
+	"repro/internal/keylock"
 	"repro/internal/logpool"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -33,10 +34,8 @@ type parix struct {
 	spec   map[wire.BlockID]*intervalSet
 
 	// order holds one ordering lock per hosted data block, taken across
-	// an update's speculation check, overwrite and forwarding. Entries
-	// are never dropped: two updates of one block always share a lock.
-	orderMu sync.Mutex
-	order   map[wire.BlockID]*sync.Mutex
+	// an update's speculation check, overwrite and forwarding.
+	order keylock.Table[wire.BlockID]
 
 	// Parity-OSD side: per source data block, the newest updated bytes
 	// and the original bytes, both device-persisted as log appends.
@@ -53,10 +52,9 @@ type parix struct {
 func newPARIX(cfg Config, env Env) *parix {
 	return &parix{
 		cfg: cfg, env: env, stripes: newStripeTable(),
-		spec:  make(map[wire.BlockID]*intervalSet),
-		order: make(map[wire.BlockID]*sync.Mutex),
-		news:  make(map[wire.BlockID]*logpool.Index),
-		olds:  make(map[wire.BlockID]*logpool.Index),
+		spec: make(map[wire.BlockID]*intervalSet),
+		news: make(map[wire.BlockID]*logpool.Index),
+		olds: make(map[wire.BlockID]*logpool.Index),
 	}
 }
 
@@ -74,17 +72,17 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	// write AND forwarding: a same-block update must not overtake
 	// another's origin shipment, or the parity log could recycle a new
 	// value without its baseline (per-block ordered appends, §3.4).
-	var lat time.Duration
-	unlock := p.lockOrder(b)
-	defer unlock()
+	p.order.Lock(b)
+	defer p.order.Unlock(b)
 
-	p.specMu.Lock()
-	cov := p.spec[b]
-	if cov == nil {
-		cov = &intervalSet{}
-		p.spec[b] = cov
+	// An update may reach a stripe before its full write: create the
+	// block zero-filled, uncharged, so the gap reads see zero originals.
+	if _, err := store.Fold(sim.ClassForegroundWrite, b, p.cfg.BlockSize, nil); err != nil {
+		return 0, err
 	}
-	gaps := cov.addGaps(msg.Off, end)
+	var lat time.Duration
+	p.specMu.Lock()
+	gaps := p.coverage(b).gaps(msg.Off, end)
 	p.specMu.Unlock()
 	// Read originals only for first-touched ranges, before overwriting.
 	type origin struct {
@@ -107,6 +105,13 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 		return 0, err
 	}
 	lat += wc
+	// The block now holds the new bytes, so the originals read above are
+	// the only copy left: mark the range covered. An update that failed
+	// before this point left the block as it was, so its retry reads and
+	// ships the originals again.
+	p.specMu.Lock()
+	p.coverage(b).addGaps(msg.Off, end)
+	p.specMu.Unlock()
 
 	k, m := int(msg.K), int(msg.M)
 	targets := msg.Loc.Nodes[k : k+m]
@@ -139,18 +144,15 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	return lat + fanCost, nil
 }
 
-// lockOrder acquires the data block's ordering lock and returns its
-// unlock function.
-func (p *parix) lockOrder(b wire.BlockID) func() {
-	p.orderMu.Lock()
-	m := p.order[b]
-	if m == nil {
-		m = new(sync.Mutex)
-		p.order[b] = m
+// coverage returns the data block's speculation state, creating it
+// empty. The caller holds specMu.
+func (p *parix) coverage(b wire.BlockID) *intervalSet {
+	cov := p.spec[b]
+	if cov == nil {
+		cov = &intervalSet{}
+		p.spec[b] = cov
 	}
-	p.orderMu.Unlock()
-	m.Lock()
-	return m.Unlock
+	return cov
 }
 
 func (p *parix) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {

@@ -303,11 +303,16 @@ func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(to wire
 // updateInPlace is the synchronous update path FO, PL and PLR share:
 // overwrite the data range in place, then send the data delta to every
 // parity OSD of the stripe as a kind message — an in-place parity fold
-// (FO) or a parity-log append (PL, PLR).
+// (FO) or a parity-log append (PL, PLR). Only a log append carries the
+// stripe placement, which its recycle needs; a fold needs none.
 func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind wire.Kind) (time.Duration, error) {
 	delta, cost, err := overwriteMsg(env, cfg, msg)
 	if err != nil {
 		return 0, err
+	}
+	var loc wire.StripeLoc
+	if kind != wire.KParityDelta {
+		loc = msg.Loc
 	}
 	k, m := int(msg.K), int(msg.M)
 	fanCost, err := fanout(ctx, env, msg.Loc.Nodes[k:k+m], func(to wire.NodeID) *wire.Msg {
@@ -320,7 +325,7 @@ func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind
 			Idx:   msg.Block.Idx,
 			K:     msg.K,
 			M:     msg.M,
-			Loc:   msg.Loc,
+			Loc:   loc,
 			V:     msg.V,
 		}
 	})
@@ -397,6 +402,13 @@ func (s *intervalSet) addGaps(lo, hi uint32) []ival {
 	merged := append(s.ivs[:i:i], ival{newLo, newHi})
 	s.ivs = append(merged, s.ivs[j:]...)
 	return gaps
+}
+
+// gaps returns the sub-ranges of [lo, hi) the set does not cover,
+// leaving the set unchanged.
+func (s *intervalSet) gaps(lo, hi uint32) []ival {
+	probe := intervalSet{ivs: append([]ival(nil), s.ivs...)}
+	return probe.addGaps(lo, hi)
 }
 
 // covered reports whether [lo, hi) is fully covered.

@@ -47,6 +47,20 @@ func TestIntervalSetAdjacencyMerges(t *testing.T) {
 	}
 }
 
+// TestIntervalSetGapsLeavesSet: gaps reports what addGaps would, and
+// covers nothing.
+func TestIntervalSetGapsLeavesSet(t *testing.T) {
+	var s intervalSet
+	s.addGaps(10, 20)
+	gaps := s.gaps(5, 25)
+	if len(gaps) != 2 || gaps[0] != (ival{5, 10}) || gaps[1] != (ival{20, 25}) {
+		t.Fatalf("gaps = %v", gaps)
+	}
+	if len(s.ivs) != 1 || s.ivs[0] != (ival{10, 20}) {
+		t.Fatalf("gaps changed the set: %v", s.ivs)
+	}
+}
+
 func TestIntervalSetEmptyRange(t *testing.T) {
 	var s intervalSet
 	if gaps := s.addGaps(5, 5); gaps != nil {
