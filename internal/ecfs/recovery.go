@@ -1,9 +1,12 @@
 package ecfs
 
 import (
+	"bytes"
 	"context"
+	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/erasure"
@@ -425,7 +428,7 @@ func (r *recoverer) replayReplica(ref StripeRef, lost wire.BlockID, data []byte)
 			continue
 		}
 		cost += resp.Cost
-		recs, err = update.DecodeExtents(resp.Data) // copies out of the reply
+		recs, err = update.DecodeExtents(bytes.Clone(resp.Data)) // outlives the reply
 		resp.Release()
 		if err != nil {
 			return 0, cost, err
@@ -435,46 +438,52 @@ func (r *recoverer) replayReplica(ref StripeRef, lost wire.BlockID, data []byte)
 	if len(recs) == 0 {
 		return 0, cost, nil
 	}
-	var replayed int64
+	// Apply every record, keeping the deltas of those that change the
+	// block; each live parity then gets one extent list of its deltas.
+	var (
+		replayed int64
+		deltas   []update.ExtentRec
+	)
 	for _, rec := range recs {
 		end := int(rec.Off) + len(rec.Data)
 		if end > len(data) {
 			continue
 		}
 		delta := make([]byte, len(rec.Data))
-		changed := false
-		for i, b := range rec.Data {
-			delta[i] = data[int(rec.Off)+i] ^ b
-			if delta[i] != 0 {
-				changed = true
-			}
-		}
+		subtle.XORBytes(delta, data[rec.Off:end], rec.Data)
 		copy(data[rec.Off:], rec.Data)
-		if !changed {
+		if !slices.ContainsFunc(delta, func(b byte) bool { return b != 0 }) {
 			continue // already recycled before the failure: idempotent
 		}
 		replayed += int64(len(rec.Data))
-		for j := 0; j < r.m; j++ {
-			pNode := ref.Loc.Nodes[r.k+j]
-			if pNode == r.failed || r.down[pNode] {
-				continue
-			}
-			pd := r.code.ParityDelta(j, int(ref.Idx), delta)
-			pb := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: uint8(r.k + j)}
-			resp, err := r.caller.Call(r.ctx, pNode, &wire.Msg{
-				Kind: wire.KParityLogAdd, Block: pb, Off: rec.Off, Data: pd,
-				K: uint8(r.k), M: uint8(r.m), Loc: ref.Loc, Class: sim.ClassRebuild,
-			})
-			if err != nil {
-				return replayed, cost, err
-			}
-			c, err := resp.Cost, resp.Error()
-			resp.Release()
-			if err != nil {
-				return replayed, cost, err
-			}
-			cost += c
+		deltas = append(deltas, update.ExtentRec{Off: rec.Off, Data: delta})
+	}
+	if len(deltas) == 0 {
+		return 0, cost, nil
+	}
+	for j := 0; j < r.m; j++ {
+		pNode := ref.Loc.Nodes[r.k+j]
+		if pNode == r.failed || r.down[pNode] {
+			continue
 		}
+		pds := make([]update.ExtentRec, len(deltas))
+		for i, d := range deltas {
+			pds[i] = update.ExtentRec{Off: d.Off, Data: r.code.ParityDelta(j, int(ref.Idx), d.Data)}
+		}
+		pb := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: uint8(r.k + j)}
+		resp, err := r.caller.Call(r.ctx, pNode, &wire.Msg{
+			Kind: wire.KParityLogAdd, Block: pb, Data: update.EncodeExtents(pds),
+			K: uint8(r.k), M: uint8(r.m), Loc: ref.Loc, Class: sim.ClassRebuild,
+		})
+		if err != nil {
+			return replayed, cost, err
+		}
+		c, err := resp.Cost, resp.Error()
+		resp.Release()
+		if err != nil {
+			return replayed, cost, err
+		}
+		cost += c
 	}
 	return replayed, cost, nil
 }

@@ -100,9 +100,15 @@ func (c *Code) Encode(data [][]byte) ([][]byte, error) {
 	for p := range parity {
 		parity[p] = make([]byte, len(data[0]))
 	}
-	c.parity.Apply(parity, data)
+	c.EncodeTo(parity, data)
 	return parity, nil
 }
+
+// EncodeTo writes the M parity shards of the K data shards into parity,
+// overwriting it, in one pass per four parity shards and without
+// allocating. Encoding is linear, so data deltas encode to the parity
+// deltas of Eq. 5. It panics unless every shard has the same length.
+func (c *Code) EncodeTo(parity, data [][]byte) { c.parity.Apply(parity, data) }
 
 // Verify reports whether parity is consistent with data.
 func (c *Code) Verify(data, parity [][]byte) (bool, error) {
@@ -224,32 +230,5 @@ func DataDelta(oldData, newData []byte) []byte {
 func (c *Code) ParityDelta(p, d int, dataDelta []byte) []byte {
 	out := make([]byte, len(dataDelta))
 	gf256.MulSlice(c.Coeff(p, d), out, dataDelta)
-	return out
-}
-
-// ApplyParityDelta folds a parity delta into a parity block in place:
-// P^n = P^{n-1} + delta.
-func ApplyParityDelta(parity, delta []byte) {
-	gf256.XorSlice(parity, delta)
-}
-
-// Fold XORs b into a in place (Equation 3: deltas of the same address
-// accumulate by field addition, so only the combined delta survives).
-func Fold(a, b []byte) {
-	gf256.XorSlice(a, b)
-}
-
-// MergeDeltas implements Equation 5: given data deltas for several data
-// blocks of one stripe, all covering the same intra-block address range,
-// it produces the single parity delta for parity block p.
-// deltas maps data-block index -> delta bytes (all equal length).
-func (c *Code) MergeDeltas(p int, deltas map[int][]byte) []byte {
-	var out []byte
-	for d, delta := range deltas {
-		if out == nil {
-			out = make([]byte, len(delta))
-		}
-		gf256.MulAddSlice(c.Coeff(p, d), out, delta)
-	}
 	return out
 }

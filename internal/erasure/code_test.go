@@ -367,7 +367,7 @@ func TestIncrementalUpdateEquivalence(t *testing.T) {
 			delta := DataDelta(old, newData)
 			for p := 0; p < c.M; p++ {
 				pd := c.ParityDelta(p, d, delta)
-				ApplyParityDelta(parity[p][off:off+n], pd)
+				gf256.XorSlice(parity[p][off:off+n], pd) // P^n = P^{n-1} + delta
 			}
 		}
 		want, _ := c.Encode(data)
@@ -390,7 +390,7 @@ func TestFoldEquivalence(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		next := make([]byte, 64)
 		rng.Read(next)
-		Fold(acc, DataDelta(cur, next))
+		gf256.XorSlice(acc, DataDelta(cur, next))
 		cur = next
 	}
 	want := DataDelta(orig, cur)
@@ -399,26 +399,32 @@ func TestFoldEquivalence(t *testing.T) {
 	}
 }
 
-// TestMergeDeltasEquivalence checks Equation 5: merging deltas across data
-// blocks produces the same parity as applying each delta individually.
+// TestMergeDeltasEquivalence checks Equation 5: encoding the deltas of
+// several data blocks (zero for the others) in one EncodeTo produces the
+// same parity deltas as applying each block's delta individually.
 func TestMergeDeltasEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	c := MustNew(6, 4, Vandermonde)
 	size := 96
-	deltas := map[int][]byte{}
-	for _, d := range []int{0, 2, 5} {
-		b := make([]byte, size)
-		rng.Read(b)
-		deltas[d] = b
+	deltas := make([][]byte, c.K)
+	for d := range deltas {
+		deltas[d] = make([]byte, size)
 	}
+	for _, d := range []int{0, 2, 5} {
+		rng.Read(deltas[d])
+	}
+	merged := make([][]byte, c.M)
+	for p := range merged {
+		merged[p] = make([]byte, size)
+	}
+	c.EncodeTo(merged, deltas)
 	for p := 0; p < c.M; p++ {
-		merged := c.MergeDeltas(p, deltas)
 		want := make([]byte, size)
 		for d, delta := range deltas {
-			ApplyParityDelta(want, c.ParityDelta(p, d, delta))
+			gf256.XorSlice(want, c.ParityDelta(p, d, delta))
 		}
-		if !bytes.Equal(merged, want) {
-			t.Fatalf("MergeDeltas parity %d mismatch", p)
+		if !bytes.Equal(merged[p], want) {
+			t.Fatalf("merged parity delta %d mismatch", p)
 		}
 	}
 }

@@ -10,9 +10,11 @@
 // update primitives every update strategy in the paper relies on:
 //
 //   - ParityDelta:  parity_delta = coeff * data_delta          (Eq. 2)
-//   - Fold:         folding repeated updates of one address    (Eq. 3–4)
-//   - MergeDeltas:  combining deltas of several data blocks of
-//     one stripe into a single per-parity delta   (Eq. 5)
+//   - EncodeTo:     encoding is linear, so the data deltas of several
+//     blocks of one stripe encode to all M merged parity deltas (Eq. 5)
+//
+// Folding repeated deltas of one address (Eq. 3–4) is a plain XOR
+// (gf256.XorSlice).
 package erasure
 
 import (

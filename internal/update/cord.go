@@ -28,7 +28,7 @@ type cord struct {
 	// collector buffer log: XOR-folding per source data block, single
 	// pool, single unit — the serialization point.
 	collector *logpool.Pool
-	collRec   *collectorRecycler
+	collDone  chan struct{}
 
 	// parity log of merged deltas for parity blocks hosted here;
 	// deferred recycle like PL.
@@ -60,7 +60,8 @@ func newCoRD(cfg Config, env Env) (*cord, error) {
 		return nil, err
 	}
 	c.parityLog = plog
-	c.collRec = startCollectorRecycler(c)
+	c.collDone = make(chan struct{})
+	go c.collectLoop()
 	c.parityRec = logpool.StartRecycler(plog, cfg.Workers, c.recycleParity)
 	return c, nil
 }
@@ -102,102 +103,49 @@ func (c *cord) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		return okResp(cost)
 	case wire.KParityLogAdd:
 		c.stripes.remember(msg)
-		cost := c.parityLog.Append(msg.Block, msg.Off, msg.Data, time.Duration(msg.V))
+		recs, err := unpackList(msg)
+		if err != nil {
+			return errResp(err)
+		}
+		var cost time.Duration
+		for _, r := range recs {
+			cost += c.parityLog.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
+		}
 		return okResp(cost)
 	default:
 		return errResp(fmt.Errorf("cord: unexpected message %v", msg.Kind))
 	}
 }
 
-// collectorRecycler drains collector units stripe-by-stripe, merging the
+// collectLoop drains collector units stripe-by-stripe, merging the
 // per-block deltas into per-parity deltas (Eq. 5) before forwarding.
-type collectorRecycler struct {
-	c    *cord
-	done chan struct{}
-}
-
-func startCollectorRecycler(c *cord) *collectorRecycler {
-	r := &collectorRecycler{c: c, done: make(chan struct{})}
-	go r.loop()
-	return r
-}
-
-func (r *collectorRecycler) loop() {
-	defer close(r.done)
+func (c *cord) collectLoop() {
+	defer close(c.collDone)
 	for {
-		u := r.c.collector.TakeRecyclable(true)
+		u := c.collector.TakeRecyclable(true)
 		if u == nil {
 			return
 		}
-		cost, wall, extents, bytes := r.recycleUnit(u)
+		// A single-threaded collector: wall time is the full cost.
+		cost, extents, bytes := c.recycleCollector(u)
 		var entries int64 // per-unit appended records not exposed; extents suffice
-		r.c.collector.FinishRecycle(u, cost, wall, entries, extents, bytes)
+		c.collector.FinishRecycle(u, cost, cost, entries, extents, bytes)
 	}
 }
 
-func (r *collectorRecycler) recycleUnit(u *logpool.Unit) (cost, wall time.Duration, extents, bytes int64) {
-	c := r.c
-	// Group per-source-block extents by stripe for Eq. 5 merging.
-	type stripeWork struct {
-		si     stripeInfo
-		blocks map[int][]logpool.Extent // data idx -> extents
-		anyB   wire.BlockID
-	}
-	work := make(map[stripeKey]*stripeWork)
-	for _, be := range u.Blocks() {
-		extents += int64(len(be.Extents))
-		for _, e := range be.Extents {
-			bytes += int64(len(e.Data))
-		}
-		si, ok := c.stripes.get(be.Block)
-		if !ok {
-			continue
-		}
-		k := keyOf(be.Block)
-		sw := work[k]
-		if sw == nil {
-			sw = &stripeWork{si: si, blocks: make(map[int][]logpool.Extent), anyB: be.Block}
-			work[k] = sw
-		}
-		sw.blocks[int(be.Block.Idx)] = be.Extents
-	}
+func (c *cord) recycleCollector(u *logpool.Unit) (cost time.Duration, extents, bytes int64) {
+	work, extents, bytes := groupByStripe(c.stripes, u.Blocks())
 	for _, sw := range work {
 		code, err := c.env.Code(sw.si.K, sw.si.M)
 		if err != nil {
 			continue
 		}
-		for j := 0; j < sw.si.M; j++ {
-			// Eq. 5: fold coeff-scaled deltas of all blocks into one
-			// per-parity delta index; adjacency concatenates.
-			merged := logpool.NewIndex(logpool.XorFold)
-			for src, exts := range sw.blocks {
-				coeff := code.Coeff(j, src)
-				for _, e := range exts {
-					merged.InsertScaled(coeff, e.Off, e.Data, e.V)
-				}
-			}
-			target := sw.si.parityNode(j)
-			pb := parityBlock(sw.anyB, sw.si.K, j)
-			for _, e := range merged.Extents() {
-				resp, err := c.env.Call(context.Background(), target, &wire.Msg{
-					Kind: wire.KParityLogAdd, Block: pb, Off: e.Off, Data: e.Data,
-					Idx: 0, K: uint8(sw.si.K), M: uint8(sw.si.M), Loc: sw.si.Loc, V: int64(e.V),
-				})
-				if err == nil {
-					if resp.OK() {
-						cost += resp.Cost
-						if resp.Cost > wall {
-							wall = resp.Cost
-						}
-					}
-					resp.Release()
-				}
-			}
-		}
+		// Eq. 5: one delta list per parity, the stripe's M in one batch.
+		calls := parityAppends(code, sw, false, nil)
+		sent, _, _ := deliver(context.Background(), c.env, calls)
+		cost += sent
 	}
-	// A single-threaded collector: wall time is the full cost.
-	wall = cost
-	return cost, wall, extents, bytes
+	return cost, extents, bytes
 }
 
 // recycleParity folds merged parity deltas into the parity block (random
@@ -231,7 +179,7 @@ func (c *cord) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
 func (c *cord) Close() {
 	c.collector.Close()
 	c.parityLog.Close()
-	<-c.collRec.done
+	<-c.collDone
 	c.parityRec.Wait()
 }
 

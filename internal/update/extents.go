@@ -1,50 +1,119 @@
 package update
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
+	"time"
+
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
-// ExtentRec is one (offset, bytes) pair shipped over the wire during
-// replica replay at recovery time.
+// ExtentRec is one record of an extent list: a byte range of a block,
+// the virtual time it was logged at, and its bytes. Extent lists are the
+// payload of every log append between OSDs (KDeltaLogAdd,
+// KParityLogAdd) and of a KReplicaFetch reply; a single extent is a list
+// of one.
 type ExtentRec struct {
 	Off  uint32
+	V    int64
 	Data []byte
 }
 
+// extentHeaderSize is the per-record header: [off u32][len u32][v i64].
+const extentHeaderSize = 16
+
+func putExtentHeader(dst []byte, off uint32, n int, v int64) {
+	binary.LittleEndian.PutUint32(dst[0:], off)
+	binary.LittleEndian.PutUint32(dst[4:], uint32(n))
+	binary.LittleEndian.PutUint64(dst[8:], uint64(v))
+}
+
 // EncodeExtents packs extent records into a flat payload:
-// repeated [off u32][len u32][bytes].
+// repeated [off u32][len u32][v i64][bytes].
 func EncodeExtents(exts []ExtentRec) []byte {
 	n := 0
 	for _, e := range exts {
-		n += 8 + len(e.Data)
+		n += extentHeaderSize + len(e.Data)
 	}
-	out := make([]byte, 0, n)
-	var hdr [8]byte
+	out := make([]byte, n)
+	pos := 0
 	for _, e := range exts {
-		binary.LittleEndian.PutUint32(hdr[0:], e.Off)
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(e.Data)))
-		out = append(out, hdr[:]...)
-		out = append(out, e.Data...)
+		putExtentHeader(out[pos:], e.Off, len(e.Data), e.V)
+		pos += extentHeaderSize
+		pos += copy(out[pos:], e.Data)
 	}
 	return out
 }
 
-// DecodeExtents unpacks a payload produced by EncodeExtents.
+// DecodeExtents unpacks a payload produced by EncodeExtents. Each
+// record's Data aliases b; copy what must outlive b.
 func DecodeExtents(b []byte) ([]ExtentRec, error) {
 	var out []ExtentRec
 	for len(b) > 0 {
-		if len(b) < 8 {
+		if len(b) < extentHeaderSize {
 			return nil, fmt.Errorf("update: truncated extent header")
 		}
 		off := binary.LittleEndian.Uint32(b[0:])
 		n := binary.LittleEndian.Uint32(b[4:])
-		b = b[8:]
-		if uint32(len(b)) < n {
-			return nil, fmt.Errorf("update: truncated extent body")
+		v := int64(binary.LittleEndian.Uint64(b[8:]))
+		b = b[extentHeaderSize:]
+		if uint64(n) > uint64(len(b)) {
+			return nil, fmt.Errorf("update: extent of %d bytes overruns its %d-byte list", n, len(b))
 		}
-		out = append(out, ExtentRec{Off: off, Data: append([]byte(nil), b[:n]...)})
+		out = append(out, ExtentRec{Off: off, V: v, Data: b[:n:n]})
 		b = b[n:]
 	}
 	return out, nil
+}
+
+// pack deflates an encoded extent list when compress is set and
+// deflating shrinks it; flag marks a deflated payload for unpackList.
+func pack(list []byte, compress bool) (payload []byte, flag uint8) {
+	if compress {
+		if c, ok := compressDelta(list); ok {
+			return c, deltaCompressFlag
+		}
+	}
+	return list, 0
+}
+
+// unpackList decodes the extent list a log-append message carries,
+// inflating it first if its flag says so.
+func unpackList(msg *wire.Msg) ([]ExtentRec, error) {
+	data := msg.Data
+	if msg.Flag&deltaCompressFlag != 0 {
+		var err error
+		if data, err = decompressDelta(data); err != nil {
+			return nil, err
+		}
+	}
+	return DecodeExtents(data)
+}
+
+// deliver sends calls as one batch (a lone call directly) and returns
+// the summed and the largest cost of the successful replies, and the
+// first transport or remote error. Every reply is released here: its
+// callers consume only Cost and the status.
+func deliver(ctx context.Context, env Env, calls []*transport.BatchCall) (sum, most time.Duration, err error) {
+	if len(calls) == 1 {
+		calls[0].Resp, calls[0].Err = env.Call(ctx, calls[0].To, calls[0].Msg)
+	} else if len(calls) > 1 {
+		env.CallBatch(ctx, calls)
+	}
+	for _, call := range calls {
+		e := call.Err
+		if e == nil {
+			if e = call.Resp.Error(); e == nil {
+				sum += call.Resp.Cost
+				most = max(most, call.Resp.Cost)
+			}
+			call.Resp.Release()
+		}
+		if err == nil {
+			err = e
+		}
+	}
+	return sum, most, err
 }

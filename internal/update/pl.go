@@ -60,11 +60,17 @@ func (p *pl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KParityLogAdd:
 		p.stripes.remember(msg)
-		// Sequential append of the delta record; the source data index
+		recs, err := unpackList(msg)
+		if err != nil {
+			return errResp(err)
+		}
+		// Sequential append of each delta record; the source data index
 		// rides in the first payload byte position via a tiny header so
 		// recycle can recover the coefficient.
-		rec := encodeDeltaRecord(msg.Idx, msg.Data)
-		cost := p.parityLog.Append(msg.Block, msg.Off, rec, time.Duration(msg.V))
+		var cost time.Duration
+		for _, r := range recs {
+			cost += p.parityLog.Append(msg.Block, r.Off, encodeDeltaRecord(msg.Idx, r.Data), time.Duration(r.V))
+		}
 		return okResp(cost)
 	default:
 		return errResp(fmt.Errorf("pl: unexpected message %v", msg.Kind))

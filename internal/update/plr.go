@@ -1,6 +1,7 @@
 package update
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -70,21 +71,24 @@ func (p *plr) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KParityLogAdd:
 		p.stripes.remember(msg)
+		recs, err := unpackList(msg)
+		if err != nil {
+			return errResp(err)
+		}
 		l := p.logFor(msg.Block)
 		l.mu.Lock()
-		l.entries = append(l.entries, plrEntry{off: msg.Off, src: msg.Idx, delta: append([]byte(nil), msg.Data...)})
-		l.bytes += int64(len(msg.Data)) + 32
-		// The reserved region is adjacent to *this* parity block, far
-		// from other blocks' regions: the append is a random write.
-		cost := p.env.Dev().Write(sim.ClassOther, int64(len(msg.Data))+32, true, false)
-		var full bool
-		if l.bytes >= p.cfg.ReservedSpace {
-			full = true
-		}
-		if full {
-			// Inline recycle: the update that fills the region pays
-			// for draining it.
-			cost += p.recycleLocked(msg.Block, l)
+		var cost time.Duration
+		for _, r := range recs {
+			l.entries = append(l.entries, plrEntry{off: r.Off, src: msg.Idx, delta: bytes.Clone(r.Data)})
+			l.bytes += int64(len(r.Data)) + 32
+			// The reserved region is adjacent to *this* parity block, far
+			// from other blocks' regions: the append is a random write.
+			cost += p.env.Dev().Write(sim.ClassOther, int64(len(r.Data))+32, true, false)
+			if l.bytes >= p.cfg.ReservedSpace {
+				// Inline recycle: the update that fills the region pays
+				// for draining it.
+				cost += p.recycleLocked(msg.Block, l)
+			}
 		}
 		l.mu.Unlock()
 		return okResp(cost)

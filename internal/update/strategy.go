@@ -245,6 +245,39 @@ func (t *stripeTable) get(b wire.BlockID) (stripeInfo, bool) {
 	return si, ok
 }
 
+// stripeWork is one stripe's share of a recycled log unit: the data
+// deltas of its source blocks, by data-block index, ready for Eq. 5.
+type stripeWork struct {
+	si     stripeInfo
+	anyB   wire.BlockID
+	blocks map[int][]logpool.Extent
+}
+
+// groupByStripe groups a recycled unit's blocks by stripe and counts the
+// unit's extents and bytes. A block whose stripe has no known placement
+// is counted but not grouped: there is nowhere to send its deltas.
+func groupByStripe(st *stripeTable, bes []logpool.BlockExtents) (work map[stripeKey]*stripeWork, extents, bytes int64) {
+	work = make(map[stripeKey]*stripeWork)
+	for _, be := range bes {
+		extents += int64(len(be.Extents))
+		for _, e := range be.Extents {
+			bytes += int64(len(e.Data))
+		}
+		si, ok := st.get(be.Block)
+		if !ok {
+			continue
+		}
+		k := keyOf(be.Block)
+		sw := work[k]
+		if sw == nil {
+			sw = &stripeWork{si: si, anyB: be.Block, blocks: make(map[int][]logpool.Extent)}
+			work[k] = sw
+		}
+		sw.blocks[int(be.Block.Idx)] = be.Extents
+	}
+	return work, extents, bytes
+}
+
 // parityNode returns the node hosting parity block j (0-based) of the
 // stripe described by si.
 func (si stripeInfo) parityNode(j int) wire.NodeID { return si.Loc.Nodes[si.K+j] }
@@ -254,57 +287,26 @@ func parityBlock(b wire.BlockID, k, j int) wire.BlockID { return b.WithIdx(uint8
 
 // fanout issues one call per target concurrently — one batch through
 // the environment's transport — and returns the largest response cost
-// (the latency of parallel synchronous hops) plus the first error
-// encountered. Fan-out callers only consume Cost and the status, never
-// Data, so every response buffer is released back to the transport pool
-// here.
+// (the latency of parallel synchronous hops), or the first error
+// encountered.
 func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(to wire.NodeID) *wire.Msg) (time.Duration, error) {
-	switch len(targets) {
-	case 0:
-		return 0, nil
-	case 1:
-		resp, err := env.Call(ctx, targets[0], mk(targets[0]))
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Release()
-		if err := resp.Error(); err != nil {
-			return 0, err
-		}
-		return resp.Cost, nil
-	}
 	calls := make([]*transport.BatchCall, len(targets))
 	for i, to := range targets {
 		calls[i] = &transport.BatchCall{To: to, Msg: mk(to)}
 	}
-	env.CallBatch(ctx, calls)
-	var (
-		maxCost time.Duration
-		firstE  error
-	)
-	for _, call := range calls {
-		if call.Err != nil {
-			if firstE == nil {
-				firstE = call.Err
-			}
-			continue
-		}
-		if err := call.Resp.Error(); err != nil && firstE == nil {
-			firstE = err
-		}
-		if call.Resp.Cost > maxCost {
-			maxCost = call.Resp.Cost
-		}
-		call.Resp.Release()
+	_, most, err := deliver(ctx, env, calls)
+	if err != nil {
+		return 0, err
 	}
-	return maxCost, firstE
+	return most, nil
 }
 
 // updateInPlace is the synchronous update path FO, PL and PLR share:
 // overwrite the data range in place, then send the data delta to every
 // parity OSD of the stripe as a kind message — an in-place parity fold
-// (FO) or a parity-log append (PL, PLR). Only a log append carries the
-// stripe placement, which its recycle needs; a fold needs none.
+// (FO) or a parity-log append (PL, PLR). A log append carries the delta
+// as an extent list of one, and the stripe placement its recycle
+// needs; a fold carries the bare delta and no placement.
 func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind wire.Kind) (time.Duration, error) {
 	delta, cost, err := overwriteMsg(env, cfg, msg)
 	if err != nil {
@@ -313,6 +315,7 @@ func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind
 	var loc wire.StripeLoc
 	if kind != wire.KParityDelta {
 		loc = msg.Loc
+		delta = EncodeExtents([]ExtentRec{{Off: msg.Off, V: msg.V, Data: delta}})
 	}
 	k, m := int(msg.K), int(msg.M)
 	fanCost, err := fanout(ctx, env, msg.Loc.Nodes[k:k+m], func(to wire.NodeID) *wire.Msg {
@@ -409,15 +412,6 @@ func (s *intervalSet) addGaps(lo, hi uint32) []ival {
 func (s *intervalSet) gaps(lo, hi uint32) []ival {
 	probe := intervalSet{ivs: append([]ival(nil), s.ivs...)}
 	return probe.addGaps(lo, hi)
-}
-
-// covered reports whether [lo, hi) is fully covered.
-func (s *intervalSet) covered(lo, hi uint32) bool {
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].hi >= hi })
-	if i >= len(s.ivs) {
-		return false
-	}
-	return s.ivs[i].lo <= lo
 }
 
 func minU32i(a, b uint32) uint32 {

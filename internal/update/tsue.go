@@ -8,9 +8,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/gf256"
 	"repro/internal/logpool"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -51,8 +51,9 @@ type tsue struct {
 	parityLogs *logpool.PoolSet
 	parityRecs []*logpool.Recycler
 
-	// deltaCopy holds the second-parity-OSD copies of data deltas
-	// (recovery source only; dropped, not recycled, on drain).
+	// deltaCopy holds the second-parity-OSD copies of data deltas not
+	// yet trimmed by their primary (recovery source only: promoted when
+	// the primary dies, never recycled).
 	copyMu    sync.Mutex
 	deltaCopy map[wire.BlockID]*logpool.Index
 
@@ -181,8 +182,9 @@ func (t *tsue) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 }
 
 // recycleData is the DataLog recycle function: one read-modify-write per
-// merged extent, then delta forwarding to the DeltaLog layer (or, with O5
-// disabled, straight to every ParityLog).
+// merged extent, then the block's data deltas go out as one extent list
+// per target: to the DeltaLog layer (or, with O5 disabled, to every
+// ParityLog), all targets in one batch.
 func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Duration {
 	si, ok := t.stripes.get(be.Block)
 	if !ok {
@@ -191,66 +193,45 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 	// A recycle has no caller to report a store error to: the deltas of
 	// the extents written before it still go out.
 	outs, cost, _ := t.env.Store().Overwrite(sim.ClassOther, be.Block, t.cfg.BlockSize, storeExtents(be.Extents))
-	if si.M == 0 {
+	if si.M == 0 || len(outs) == 0 {
 		return cost
 	}
 	code, err := t.env.Code(si.K, si.M)
 	if err != nil {
 		return cost
 	}
-	for _, o := range outs {
-		if t.cfg.UseDeltaLog && t.deltaLogsAvailable(si) {
-			// Primary delta to parity OSD 1, copy to parity OSD 2.
-			targets := []wire.NodeID{si.parityNode(0)}
-			if si.M >= 2 {
-				targets = append(targets, si.parityNode(1))
+	var calls []*transport.BatchCall
+	if t.cfg.UseDeltaLog {
+		// Primary delta to parity OSD 1, copy to parity OSD 2.
+		recs := make([]ExtentRec, len(outs))
+		for i, o := range outs {
+			recs[i] = ExtentRec{Off: o.Off, V: int64(sealV), Data: o.Data}
+		}
+		payload, flag := pack(EncodeExtents(recs), t.cfg.CompressDeltas)
+		for role := 0; role < min(si.M, 2); role++ {
+			calls = append(calls, &transport.BatchCall{To: si.parityNode(role), Msg: &wire.Msg{
+				Kind: wire.KDeltaLogAdd, Block: be.Block, Data: payload,
+				Idx: be.Block.Idx, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
+				Flag: uint8(role) | flag, // rolePrimary, then roleCopy
+			}})
+		}
+	} else {
+		// O5 disabled (or HDD profile): per-parity deltas straight
+		// to the parity logs.
+		for j := 0; j < si.M; j++ {
+			recs := make([]ExtentRec, len(outs))
+			for i, o := range outs {
+				recs[i] = ExtentRec{Off: o.Off, V: int64(sealV), Data: code.ParityDelta(j, int(be.Block.Idx), o.Data)}
 			}
-			payload, flag := o.Data, uint8(0)
-			if t.cfg.CompressDeltas {
-				if c, ok := compressDelta(o.Data); ok {
-					payload, flag = c, deltaCompressFlag
-				}
-			}
-			for i, to := range targets {
-				resp, err := t.env.Call(context.Background(), to, &wire.Msg{
-					Kind: wire.KDeltaLogAdd, Block: be.Block, Off: o.Off, Data: payload,
-					Idx: be.Block.Idx, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
-					Flag: uint8(i) | flag, // low bits: 0 = primary, 1 = copy
-					V:    int64(sealV),
-				})
-				if err == nil {
-					if resp.OK() {
-						cost += resp.Cost
-					}
-					resp.Release()
-				}
-			}
-		} else {
-			// O5 disabled (or HDD profile): per-parity deltas straight
-			// to the parity logs.
-			for j := 0; j < si.M; j++ {
-				pd := code.ParityDelta(j, int(be.Block.Idx), o.Data)
-				resp, err := t.env.Call(context.Background(), si.parityNode(j), &wire.Msg{
-					Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, si.K, j),
-					Off: o.Off, Data: pd, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
-					V: int64(sealV),
-				})
-				if err == nil {
-					if resp.OK() {
-						cost += resp.Cost
-					}
-					resp.Release()
-				}
-			}
+			calls = append(calls, &transport.BatchCall{To: si.parityNode(j), Msg: &wire.Msg{
+				Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, si.K, j), Data: EncodeExtents(recs),
+				K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
+			}})
 		}
 	}
-	return cost
+	sent, _, _ := deliver(context.Background(), t.env, calls)
+	return cost + sent
 }
-
-// deltaLogsAvailable reports whether this cluster's configuration routes
-// deltas through DeltaLogs (the receiving OSDs run the same strategy, so
-// local configuration decides).
-func (t *tsue) deltaLogsAvailable(si stripeInfo) bool { return si.M >= 1 }
 
 // deltaLoop drains DeltaLog units stripe-by-stripe: Eq. 3 folding already
 // happened in the XOR index; here deltas of different data blocks merge
@@ -267,31 +248,13 @@ func (t *tsue) deltaLoop(p *logpool.Pool, done chan struct{}) {
 	}
 }
 
+// recycleDeltaUnit merges a sealed DeltaLog unit stripe by stripe: each
+// stripe's M parity deltas (Eq. 5) leave as one batch of M extent lists,
+// and once the parity logs have acknowledged them, each source block's
+// copy at the second parity OSD is trimmed by one list of the recycled
+// deltas.
 func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, extents, bytes int64) {
-	type stripeWork struct {
-		si     stripeInfo
-		blocks map[int][]logpool.Extent
-		anyB   wire.BlockID
-		sealV  time.Duration
-	}
-	work := make(map[stripeKey]*stripeWork)
-	for _, be := range u.Blocks() {
-		extents += int64(len(be.Extents))
-		for _, e := range be.Extents {
-			bytes += int64(len(e.Data))
-		}
-		si, ok := t.stripes.get(be.Block)
-		if !ok {
-			continue
-		}
-		k := keyOf(be.Block)
-		sw := work[k]
-		if sw == nil {
-			sw = &stripeWork{si: si, blocks: make(map[int][]logpool.Extent), anyB: be.Block}
-			work[k] = sw
-		}
-		sw.blocks[int(be.Block.Idx)] = be.Extents
-	}
+	work, extents, bytes := groupByStripe(t.stripes, u.Blocks())
 	// Stripes merge independently; model wall time as the largest
 	// per-stripe cost (stripes recycle in parallel across workers).
 	for _, sw := range work {
@@ -299,60 +262,33 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 		if err != nil {
 			continue
 		}
-		var stripeCost time.Duration
-		for j := 0; j < sw.si.M; j++ {
-			merged := logpool.NewIndex(logpool.XorFold)
-			for src, exts := range sw.blocks {
-				coeff := code.Coeff(j, src)
-				for _, e := range exts {
-					merged.InsertScaled(coeff, e.Off, e.Data, e.V)
-				}
-			}
-			pb := parityBlock(sw.anyB, sw.si.K, j)
-			for _, e := range merged.Extents() {
-				payload, flag := e.Data, uint8(0)
-				if t.cfg.CompressDeltas {
-					if c, ok := compressDelta(e.Data); ok {
-						payload, flag = c, deltaCompressFlag
-					}
-				}
-				resp, err := t.env.Call(context.Background(), sw.si.parityNode(j), &wire.Msg{
-					Kind: wire.KParityLogAdd, Block: pb, Off: e.Off, Data: payload, Flag: flag,
-					K: uint8(sw.si.K), M: uint8(sw.si.M), Loc: sw.si.Loc, V: int64(e.V),
-				})
-				if err == nil {
-					if resp.OK() {
-						stripeCost += resp.Cost
-					}
-					resp.Release()
-				}
-			}
-		}
+		calls := parityAppends(code, sw, t.cfg.CompressDeltas, nil)
+		stripeCost, _, _ := deliver(context.Background(), t.env, calls)
 		cost += stripeCost
-		if stripeCost > wall {
-			wall = stripeCost
-		}
+		wall = max(wall, stripeCost)
 		// Trim the copies at the second parity OSD: the recycled deltas
 		// are now durable in the ParityLogs, so their copies must stop
-		// contributing to a future promotion. The trim message carries
-		// only the range; the copy holder cancels locally (§4.2).
-		if sw.si.M >= 2 {
-			for src, exts := range sw.blocks {
-				b := sw.anyB.WithIdx(uint8(src))
-				for _, e := range exts {
-					resp, err := t.env.Call(context.Background(), sw.si.parityNode(1), &wire.Msg{
-						Kind: wire.KDeltaLogAdd, Block: b, Off: e.Off,
-						Size: uint32(len(e.Data)), Flag: 2,
-					})
-					if err == nil {
-						if resp.OK() {
-							cost += resp.Cost
-						}
-						resp.Release()
-					}
-				}
-			}
+		// contributing to a future promotion. The trim carries the
+		// recycled deltas themselves and the holder XOR-inserts them,
+		// cancelling exactly what this unit recycled — a newer copy of
+		// the same range survives, in whichever order copy and trim
+		// arrive (§4.2).
+		if sw.si.M < 2 {
+			continue
 		}
+		calls = calls[:0]
+		for src, exts := range sw.blocks {
+			recs := make([]ExtentRec, len(exts))
+			for i, e := range exts {
+				recs[i] = ExtentRec{Off: e.Off, V: int64(e.V), Data: e.Data}
+			}
+			payload, flag := pack(EncodeExtents(recs), t.cfg.CompressDeltas)
+			calls = append(calls, &transport.BatchCall{To: sw.si.parityNode(1), Msg: &wire.Msg{
+				Kind: wire.KDeltaLogAdd, Block: sw.anyB.WithIdx(uint8(src)), Data: payload, Flag: roleTrim | flag,
+			}})
+		}
+		trimCost, _, _ := deliver(context.Background(), t.env, calls)
+		cost += trimCost
 	}
 	return cost, wall, extents, bytes
 }
@@ -367,22 +303,19 @@ func (t *tsue) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.
 	return cost
 }
 
+// KDeltaLogAdd roles, in the low bits of Msg.Flag.
+const (
+	rolePrimary = 0 // append to the DeltaLog of the stripe's first parity OSD
+	roleCopy    = 1 // the copy at the second parity OSD (§4.1)
+	roleTrim    = 2 // cancel copies whose primary deltas were recycled
+)
+
 func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KDataLogReplica:
 		// Replica is persisted to SSD (§4.1) and retained so the
 		// primary's pending updates survive its failure (§4.2).
-		t.repMu.Lock()
-		ri := t.replicas[msg.Block]
-		if ri == nil {
-			ri = logpool.NewIndex(logpool.Overwrite)
-			t.replicas[msg.Block] = ri
-		}
-		ri.Insert(msg.Off, msg.Data, time.Duration(msg.V))
-		t.repMu.Unlock()
-		if t.repPersist != nil {
-			t.repPersist.AppendEntry(0, msg.Block, msg.Off, msg.V, msg.Data)
-		}
+		t.insertReplica(msg.Block, msg.Off, msg.V, msg.Data)
 		cost := t.env.Dev().Write(sim.ClassForegroundWrite, int64(len(msg.Data))+32, false, false)
 		return okResp(cost)
 	case wire.KReplicaFetch:
@@ -393,11 +326,11 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		var recs []ExtentRec
 		if ri != nil {
 			for _, e := range ri.Extents() {
-				recs = append(recs, ExtentRec{Off: e.Off, Data: append([]byte(nil), e.Data...)})
+				recs = append(recs, ExtentRec{Off: e.Off, V: int64(e.V), Data: e.Data})
 			}
 		}
+		payload := EncodeExtents(recs) // copies out before inserts resume
 		t.repMu.Unlock()
-		payload := EncodeExtents(recs)
 		var cost time.Duration
 		if len(payload) > 0 {
 			cost = t.env.Dev().Read(sim.ClassOther, int64(len(payload)), false)
@@ -405,55 +338,52 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		return &wire.Resp{Data: payload, Cost: cost}
 	case wire.KDeltaLogAdd:
 		t.stripes.remember(msg)
-		role := msg.Flag &^ deltaCompressFlag
-		data := msg.Data
-		if msg.Flag&deltaCompressFlag != 0 {
-			var err error
-			if data, err = decompressDelta(msg.Data); err != nil {
-				return errResp(err)
-			}
+		recs, err := unpackList(msg)
+		if err != nil {
+			return errResp(err)
 		}
-		if role == 2 {
-			// Copy trim: cancel the recycled range by XOR-inserting its
-			// own current content (zero-cost local cancellation).
-			t.copyMu.Lock()
-			if ci := t.deltaCopy[msg.Block]; ci != nil && msg.Size > 0 {
-				buf := make([]byte, msg.Size)
-				ci.Overlay(msg.Off, buf)
-				ci.Insert(msg.Off, buf, 0)
-			}
-			t.copyMu.Unlock()
-			return okResp(0)
-		}
-		if role == 1 {
-			// Copy for reliability at the second parity OSD: persist
-			// and index for recovery, but never recycle.
+		var cost time.Duration
+		switch msg.Flag &^ deltaCompressFlag {
+		case roleCopy, roleTrim:
+			// A copy for reliability at the second parity OSD is indexed
+			// for recovery, never recycled. A trim XOR-inserts the deltas
+			// its primary recycled, and XOR is its own inverse: it
+			// cancels exactly those, whichever arrives first.
 			t.copyMu.Lock()
 			ci := t.deltaCopy[msg.Block]
 			if ci == nil {
 				ci = logpool.NewIndex(logpool.XorFold)
 				t.deltaCopy[msg.Block] = ci
 			}
-			ci.Insert(msg.Off, data, time.Duration(msg.V))
+			for _, r := range recs {
+				ci.Insert(r.Off, r.Data, time.Duration(r.V))
+			}
 			t.copyMu.Unlock()
-			cost := t.env.Dev().Write(sim.ClassOther, int64(len(msg.Data))+32, false, false)
-			return okResp(cost)
+			if msg.Flag&^deltaCompressFlag == roleTrim {
+				return okResp(0) // a local cancellation: no device write
+			}
+			for _, r := range recs {
+				cost += t.env.Dev().Write(sim.ClassOther, int64(len(r.Data))+32, false, false)
+			}
+		default:
+			if t.deltaLogs == nil {
+				return errResp(fmt.Errorf("tsue: delta log disabled on node %d", t.env.ID()))
+			}
+			for _, r := range recs {
+				cost += t.deltaLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
+			}
 		}
-		if t.deltaLogs == nil {
-			return errResp(fmt.Errorf("tsue: delta log disabled on node %d", t.env.ID()))
-		}
-		cost := t.deltaLogs.Append(msg.Block, msg.Off, data, time.Duration(msg.V))
 		return okResp(cost)
 	case wire.KParityLogAdd:
 		t.stripes.remember(msg)
-		data := msg.Data
-		if msg.Flag&deltaCompressFlag != 0 {
-			var err error
-			if data, err = decompressDelta(msg.Data); err != nil {
-				return errResp(err)
-			}
+		recs, err := unpackList(msg)
+		if err != nil {
+			return errResp(err)
 		}
-		cost := t.parityLogs.Append(msg.Block, msg.Off, data, time.Duration(msg.V))
+		var cost time.Duration
+		for _, r := range recs {
+			cost += t.parityLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
+		}
 		return okResp(cost)
 	default:
 		return errResp(fmt.Errorf("tsue: unexpected message %v", msg.Kind))
@@ -490,17 +420,22 @@ func (t *tsue) ReplayPersisted(layer string, block wire.BlockID, off uint32, v i
 	case strings.HasPrefix(layer, "tsue-parity/"):
 		t.parityLogs.Append(block, off, data, time.Duration(v))
 	case strings.HasPrefix(layer, "tsue-replica/"):
-		t.repMu.Lock()
-		ri := t.replicas[block]
-		if ri == nil {
-			ri = logpool.NewIndex(logpool.Overwrite)
-			t.replicas[block] = ri
-		}
-		ri.Insert(off, data, time.Duration(v))
-		t.repMu.Unlock()
-		if t.repPersist != nil {
-			t.repPersist.AppendEntry(0, block, off, v, data)
-		}
+		t.insertReplica(block, off, v, data)
+	}
+}
+
+// insertReplica indexes a DataLog replica record and logs it durably.
+func (t *tsue) insertReplica(block wire.BlockID, off uint32, v int64, data []byte) {
+	t.repMu.Lock()
+	ri := t.replicas[block]
+	if ri == nil {
+		ri = logpool.NewIndex(logpool.Overwrite)
+		t.replicas[block] = ri
+	}
+	ri.Insert(off, data, time.Duration(v))
+	t.repMu.Unlock()
+	if t.repPersist != nil {
+		t.repPersist.AppendEntry(0, block, off, v, data)
 	}
 }
 
@@ -521,29 +456,23 @@ func (t *tsue) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
 				return err
 			}
 		}
-		t.copyMu.Lock()
-		t.deltaCopy = make(map[wire.BlockID]*logpool.Index)
-		t.copyMu.Unlock()
 	case 3:
+		// Every node's phase-2 trims have landed: a cluster-wide drain
+		// leaves the copies of live primaries all zero.
+		t.pruneCopies()
 		t.parityLogs.Drain(0)
 	}
 	return nil
 }
 
 // promoteCopies recycles delta copies for stripes whose first parity OSD
-// (the primary DeltaLog host) is dead, sending merged parity deltas to
-// the surviving parity logs (§4.2 log reliability).
+// (the primary DeltaLog host) is dead, sending each copied block's
+// parity deltas to every surviving parity log as one extent list, and
+// then cancels what it promoted: the dead primary will never trim it
+// (§4.2 log reliability).
 func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
-	isDead := func(n wire.NodeID) bool {
-		for _, d := range dead {
-			if d == n {
-				return true
-			}
-		}
-		return false
-	}
-	// Snapshot under the lock: role-1 KDeltaLogAdd inserts keep arriving
-	// and XOR-fold into the copies' extents in place.
+	// Snapshot under the lock: copy and trim inserts keep arriving and
+	// XOR-fold into the copies' extents in place.
 	type promotion struct {
 		b    wire.BlockID
 		si   stripeInfo
@@ -553,7 +482,7 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 	t.copyMu.Lock()
 	for b, ci := range t.deltaCopy {
 		si, ok := t.stripes.get(b)
-		if !ok || !isDead(si.parityNode(0)) {
+		if !ok || !slices.Contains(dead, si.parityNode(0)) || zeroIndex(ci) {
 			continue
 		}
 		exts := slices.Clone(ci.Extents())
@@ -569,31 +498,41 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 		if err != nil {
 			return err
 		}
-		for j := 0; j < si.M; j++ {
-			target := si.parityNode(j)
-			if isDead(target) {
-				continue
-			}
-			pb := parityBlock(b, si.K, j)
+		sw := &stripeWork{si: si, anyB: b, blocks: map[int][]logpool.Extent{int(b.Idx): w.exts}}
+		calls := parityAppends(code, sw, false, func(n wire.NodeID) bool { return slices.Contains(dead, n) })
+		if _, _, err := deliver(ctx, t.env, calls); err != nil {
+			return err
+		}
+		// Cancel what was promoted, as a trim would: a copy that
+		// arrived since the snapshot stays for the next promotion.
+		t.copyMu.Lock()
+		if ci := t.deltaCopy[b]; ci != nil {
 			for _, e := range w.exts {
-				pd := make([]byte, len(e.Data))
-				gf256.MulSlice(code.Coeff(j, int(b.Idx)), pd, e.Data)
-				resp, err := t.env.Call(ctx, target, &wire.Msg{
-					Kind: wire.KParityLogAdd, Block: pb, Off: e.Off, Data: pd,
-					K: uint8(si.K), M: uint8(si.M), Loc: si.Loc, V: int64(e.V),
-				})
-				if err != nil {
-					return err
-				}
-				err = resp.Error()
-				resp.Release()
-				if err != nil {
-					return err
-				}
+				ci.Insert(e.Off, e.Data, e.V)
 			}
 		}
+		t.copyMu.Unlock()
 	}
 	return nil
+}
+
+// pruneCopies drops the copies whose every byte is zero: trims have
+// cancelled all they held, so they would promote nothing.
+func (t *tsue) pruneCopies() {
+	t.copyMu.Lock()
+	defer t.copyMu.Unlock()
+	for b, ci := range t.deltaCopy {
+		if zeroIndex(ci) {
+			delete(t.deltaCopy, b)
+		}
+	}
+}
+
+// zeroIndex reports whether every indexed byte is zero.
+func zeroIndex(x *logpool.Index) bool {
+	return !slices.ContainsFunc(x.Extents(), func(e logpool.Extent) bool {
+		return slices.ContainsFunc(e.Data, func(c byte) bool { return c != 0 })
+	})
 }
 
 func (t *tsue) Close() {

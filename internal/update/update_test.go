@@ -30,10 +30,10 @@ func TestIntervalSetBasic(t *testing.T) {
 	if len(gaps) != 2 || gaps[0] != (ival{5, 10}) || gaps[1] != (ival{20, 25}) {
 		t.Fatalf("straddling add gaps = %v", gaps)
 	}
-	if !s.covered(5, 25) {
+	if len(s.gaps(5, 25)) != 0 {
 		t.Fatal("range should now be covered")
 	}
-	if s.covered(4, 6) || s.covered(24, 26) {
+	if len(s.gaps(4, 6)) == 0 || len(s.gaps(24, 26)) == 0 {
 		t.Fatal("uncovered edges reported covered")
 	}
 }
