@@ -362,12 +362,16 @@ func (c *Cluster) FailOSD(id wire.NodeID) {
 	c.Tr.Deregister(id)
 	c.MDS.MarkDead(id)
 	c.MDS.RemoveNode(id)
-	if o := c.OSD(id); o != nil && o.eng != nil {
-		// A failed durable node's disk is gone with it: release the
-		// engine and wipe the directory so a same-id replacement starts
-		// empty, as the rebuild path assumes.
+	if o := c.OSD(id); o != nil {
+		// The node stops before anything is rebuilt: Crash closes its
+		// strategy, whose recyclers finish the log units already sealed
+		// and exit, so no late delta of the dead node races the rebuild.
+		// A durable node's disk is gone with it: wipe the directory so a
+		// same-id replacement starts empty, as the rebuild path assumes.
 		o.Crash()
-		os.RemoveAll(c.osdDataDir(id))
+		if o.eng != nil {
+			os.RemoveAll(c.osdDataDir(id))
+		}
 	}
 }
 

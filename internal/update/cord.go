@@ -103,15 +103,9 @@ func (c *cord) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		return okResp(cost)
 	case wire.KParityLogAdd:
 		c.stripes.remember(msg)
-		recs, err := unpackList(msg)
-		if err != nil {
-			return errResp(err)
-		}
-		var cost time.Duration
-		for _, r := range recs {
-			cost += c.parityLog.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
-		}
-		return okResp(cost)
+		return applyList(msg, func(r ExtentRec) time.Duration {
+			return c.parityLog.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
+		})
 	default:
 		return errResp(fmt.Errorf("cord: unexpected message %v", msg.Kind))
 	}

@@ -1,12 +1,7 @@
 package update
 
 import (
-	"cmp"
-	"slices"
-	"time"
-
 	"repro/internal/erasure"
-	"repro/internal/gf256"
 	"repro/internal/logpool"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -34,63 +29,54 @@ func parityAppends(code *erasure.Code, sw *stripeWork, compress bool, skip func(
 // index to its data-delta extents, and list p of the result is parity
 // p's delta, encoded as the extent list its KParityLogAdd carries.
 //
-// The union layout of all source extents is computed once (extents that
-// overlap or touch merge, keeping the smallest V), then one pass of the
-// code's parity matrix per union extent (erasure.Code.EncodeTo) writes
-// all M parity deltas straight into their lists — byte for byte what M
-// XorFold indexes fed coefficient-scaled inserts would hold.
+// One XorFold index fed every source extent lays out the union once —
+// the extents, and the smallest V of each, that M indexes fed
+// coefficient-scaled inserts would hold. Then one pass of the code's
+// parity matrix per union extent (erasure.Code.EncodeTo) writes all M
+// parity deltas straight into their lists.
 func parityDeltaLists(code *erasure.Code, blocks map[int][]logpool.Extent) [][]byte {
-	type member struct {
-		src int
-		e   logpool.Extent
-	}
-	var all []member
+	union := logpool.NewIndex(logpool.XorFold)
+	folded := make([]*logpool.Index, code.K) // each source's deltas; nil for none
 	for src, exts := range blocks {
+		if src < 0 || src >= code.K || len(exts) == 0 {
+			continue // a data block's deltas only
+		}
+		folded[src] = logpool.NewIndex(logpool.XorFold)
 		for _, e := range exts {
-			if len(e.Data) > 0 && src >= 0 && src < code.K { // a data block's deltas only
-				all = append(all, member{src, e})
-			}
+			folded[src].Insert(e.Off, e.Data, e.V)
+			union.Insert(e.Off, e.Data, e.V)
 		}
 	}
-	slices.SortFunc(all, func(a, b member) int { return cmp.Compare(a.e.Off, b.e.Off) })
-	// Each span is a run all[i:j] of overlapping or touching extents.
-	type span struct {
-		i, j   int
-		lo, hi uint32
-		v      time.Duration
-	}
-	var spans []span
 	size, widest := 0, 0
-	for i := 0; i < len(all); i = spans[len(spans)-1].j {
-		s := span{i: i, lo: all[i].e.Off, hi: all[i].e.End(), v: all[i].e.V}
-		for s.j = i + 1; s.j < len(all) && all[s.j].e.Off <= s.hi; s.j++ {
-			s.hi, s.v = max(s.hi, all[s.j].e.End()), min(s.v, all[s.j].e.V)
-		}
-		spans = append(spans, s)
-		size += extentHeaderSize + int(s.hi-s.lo)
-		widest = max(widest, int(s.hi-s.lo))
+	for _, s := range union.Extents() {
+		size += extentHeaderSize + len(s.Data)
+		widest = max(widest, len(s.Data))
 	}
 	lists := make([][]byte, code.M)
 	for p := range lists {
 		lists[p] = make([]byte, size)
 	}
-	zero := make([]byte, widest) // the input of a source with no delta in a span
-	in, out := make([][]byte, code.K), make([][]byte, code.M)
-	folded := make([]bool, code.K)
-	pos := 0
-	for _, s := range spans {
-		n := int(s.hi - s.lo)
-		for c := range in {
-			in[c], folded[c] = zero[:n], false
+	zero := make([]byte, widest) // the input of a source with no deltas
+	bufs := make([][]byte, code.K)
+	for c, x := range folded {
+		if x != nil {
+			bufs[c] = make([]byte, widest)
 		}
-		for _, m := range all[s.i:s.j] {
-			if !folded[m.src] {
-				in[m.src], folded[m.src] = make([]byte, n), true
+	}
+	in, out := make([][]byte, code.K), make([][]byte, code.M)
+	pos := 0
+	for _, s := range union.Extents() {
+		n := len(s.Data)
+		for c, x := range folded {
+			in[c] = zero[:n]
+			if x != nil {
+				in[c] = bufs[c][:n]
+				clear(in[c])
+				x.Overlay(s.Off, in[c])
 			}
-			gf256.XorSlice(in[m.src][m.e.Off-s.lo:][:len(m.e.Data)], m.e.Data)
 		}
 		for p, list := range lists {
-			putExtentHeader(list[pos:], s.lo, n, int64(s.v))
+			putExtentHeader(list[pos:], s.Off, n, int64(s.V))
 			out[p] = list[pos+extentHeaderSize:][:n]
 		}
 		code.EncodeTo(out, in)

@@ -92,6 +92,20 @@ func unpackList(msg *wire.Msg) ([]ExtentRec, error) {
 	return DecodeExtents(data)
 }
 
+// applyList applies each record of msg's extent list with apply and
+// answers with the summed cost.
+func applyList(msg *wire.Msg, apply func(ExtentRec) time.Duration) *wire.Resp {
+	recs, err := unpackList(msg)
+	if err != nil {
+		return errResp(err)
+	}
+	var cost time.Duration
+	for _, r := range recs {
+		cost += apply(r)
+	}
+	return okResp(cost)
+}
+
 // deliver sends calls as one batch (a lone call directly) and returns
 // the summed and the largest cost of the successful replies, and the
 // first transport or remote error. Every reply is released here: its

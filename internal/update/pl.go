@@ -60,18 +60,12 @@ func (p *pl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KParityLogAdd:
 		p.stripes.remember(msg)
-		recs, err := unpackList(msg)
-		if err != nil {
-			return errResp(err)
-		}
 		// Sequential append of each delta record; the source data index
 		// rides in the first payload byte position via a tiny header so
 		// recycle can recover the coefficient.
-		var cost time.Duration
-		for _, r := range recs {
-			cost += p.parityLog.Append(msg.Block, r.Off, encodeDeltaRecord(msg.Idx, r.Data), time.Duration(r.V))
-		}
-		return okResp(cost)
+		return applyList(msg, func(r ExtentRec) time.Duration {
+			return p.parityLog.Append(msg.Block, r.Off, encodeDeltaRecord(msg.Idx, r.Data), time.Duration(r.V))
+		})
 	default:
 		return errResp(fmt.Errorf("pl: unexpected message %v", msg.Kind))
 	}

@@ -71,27 +71,22 @@ func (p *plr) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KParityLogAdd:
 		p.stripes.remember(msg)
-		recs, err := unpackList(msg)
-		if err != nil {
-			return errResp(err)
-		}
 		l := p.logFor(msg.Block)
 		l.mu.Lock()
-		var cost time.Duration
-		for _, r := range recs {
+		defer l.mu.Unlock()
+		return applyList(msg, func(r ExtentRec) time.Duration {
 			l.entries = append(l.entries, plrEntry{off: r.Off, src: msg.Idx, delta: bytes.Clone(r.Data)})
 			l.bytes += int64(len(r.Data)) + 32
 			// The reserved region is adjacent to *this* parity block, far
 			// from other blocks' regions: the append is a random write.
-			cost += p.env.Dev().Write(sim.ClassOther, int64(len(r.Data))+32, true, false)
+			cost := p.env.Dev().Write(sim.ClassOther, int64(len(r.Data))+32, true, false)
 			if l.bytes >= p.cfg.ReservedSpace {
 				// Inline recycle: the update that fills the region pays
 				// for draining it.
 				cost += p.recycleLocked(msg.Block, l)
 			}
-		}
-		l.mu.Unlock()
-		return okResp(cost)
+			return cost
+		})
 	default:
 		return errResp(fmt.Errorf("plr: unexpected message %v", msg.Kind))
 	}

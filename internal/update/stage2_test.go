@@ -3,7 +3,9 @@ package update
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -149,7 +151,9 @@ func handleOK(t *testing.T, s *tsue, msg *wire.Msg) {
 // TestCopyTrimKeepsNewerCopy: the second parity OSD holds copies A and
 // then B of one range and gets the trim for A alone (the primary
 // recycled a unit sealed before B arrived). When the primary dies,
-// promotion must send coeff·B — in either arrival order of the trim.
+// promotion must send coeff·B, whether the trim arrives before or after
+// B. A trim for a block with no copies (the holder restarted after
+// taking A) cancels nothing.
 func TestCopyTrimKeepsNewerCopy(t *testing.T) {
 	const k, m = 2, 2
 	loc := wire.StripeLoc{Nodes: []wire.NodeID{10, 11, 12, 1}} // parity 0 on 12, parity 1 here
@@ -167,7 +171,7 @@ func TestCopyTrimKeepsNewerCopy(t *testing.T) {
 
 	for name, order := range map[string][]*wire.Msg{
 		"copies then trim": {msg(roleCopy, a), msg(roleCopy, bb), msg(roleTrim, a)},
-		"trim first":       {msg(roleTrim, a), msg(roleCopy, a), msg(roleCopy, bb)},
+		"trim of no copy":  {msg(roleTrim, a), msg(roleCopy, bb)},
 		"trim between":     {msg(roleCopy, a), msg(roleTrim, a), msg(roleCopy, bb)},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -204,6 +208,77 @@ func TestCopyTrimKeepsNewerCopy(t *testing.T) {
 				t.Fatalf("%d copies left after promotion and prune", n)
 			}
 		})
+	}
+}
+
+// nodeEnv is one node of a small in-process cluster of TSUE instances;
+// its call stub routes a call to the destination's Handle.
+type nodeEnv struct {
+	soloEnv
+	id wire.NodeID
+}
+
+func (e *nodeEnv) ID() wire.NodeID { return e.id }
+
+// TestRefusedCopyIsNeverTrimmed: when the second parity OSD refuses a
+// delta's copy, the data OSD bypasses the DeltaLog and sends the
+// per-parity deltas to the parity logs. No primary takes the delta, so
+// no trim reaches the holder, and promoting its copies after the first
+// parity OSD dies sends nothing.
+func TestRefusedCopyIsNeverTrimmed(t *testing.T) {
+	const k, m = 2, 2
+	const data, primary, holder = 1, 3, 4
+	loc := wire.StripeLoc{Nodes: []wire.NodeID{data, 2, primary, holder}}
+	nodes := map[wire.NodeID]*tsue{}
+	var mu sync.Mutex
+	sent := map[wire.NodeID][]wire.Kind{} // what each node sent, in order
+	for _, id := range []wire.NodeID{data, primary, holder} {
+		cfg := DefaultConfig()
+		cfg.BlockSize = 64 << 10
+		cfg.Pools = 1
+		cfg.DataLogReplicas = 0
+		dev := device.New("osd", device.ChameleonSSD())
+		env := &nodeEnv{id: id, soloEnv: soloEnv{store: blockstore.New(dev), dev: dev}}
+		env.call = func(to wire.NodeID, msg *wire.Msg) (*wire.Resp, error) {
+			mu.Lock()
+			sent[id] = append(sent[id], msg.Kind)
+			mu.Unlock()
+			if msg.Kind == wire.KDeltaLogAdd && msg.Flag&^deltaCompressFlag == roleCopy {
+				return nil, errors.New("copy refused")
+			}
+			return nodes[to].Handle(context.Background(), msg), nil
+		}
+		s, err := newTSUE(cfg, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		nodes[id] = s
+	}
+	b := wire.BlockID{Ino: 5, Stripe: 0, Idx: 0}
+	u := &wire.Msg{Kind: wire.KUpdate, Block: b, Off: 512, Data: bytes.Repeat([]byte{0xC3}, 700), K: k, M: m, Loc: loc}
+	if _, err := nodes[data].Update(context.Background(), u); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for phase := 1; phase <= DrainPhases; phase++ {
+		for _, id := range []wire.NodeID{data, primary} {
+			if err := nodes[id].Drain(ctx, phase, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := []wire.Kind{wire.KDeltaLogAdd, wire.KParityLogAdd, wire.KParityLogAdd}; !slices.Equal(sent[data], want) {
+		t.Fatalf("data OSD sent %v, want the refused copy, then M parity appends: %v", sent[data], want)
+	}
+	if len(sent[primary]) != 0 {
+		t.Fatalf("first parity OSD sent %v, but it never took the delta", sent[primary])
+	}
+	if err := nodes[holder].promoteCopies(ctx, []wire.NodeID{primary}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sent[holder]) != 0 {
+		t.Fatalf("promotion sent %v for a copy the holder never took", sent[holder])
 	}
 }
 

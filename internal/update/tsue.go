@@ -183,8 +183,8 @@ func (t *tsue) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 
 // recycleData is the DataLog recycle function: one read-modify-write per
 // merged extent, then the block's data deltas go out as one extent list
-// per target: to the DeltaLog layer (or, with O5 disabled, to every
-// ParityLog), all targets in one batch.
+// per target: to the DeltaLog layer, or, with O5 disabled, to every
+// ParityLog in one batch.
 func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Duration {
 	si, ok := t.stripes.get(be.Block)
 	if !ok {
@@ -200,36 +200,46 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 	if err != nil {
 		return cost
 	}
-	var calls []*transport.BatchCall
+	ctx := context.Background()
 	if t.cfg.UseDeltaLog {
-		// Primary delta to parity OSD 1, copy to parity OSD 2.
+		// Primary delta to parity OSD 1, copy to parity OSD 2. The copy
+		// goes first: the primary's trim cancels its copy, so the
+		// primary takes only deltas whose copy is in place.
 		recs := make([]ExtentRec, len(outs))
 		for i, o := range outs {
 			recs[i] = ExtentRec{Off: o.Off, V: int64(sealV), Data: o.Data}
 		}
 		payload, flag := pack(EncodeExtents(recs), t.cfg.CompressDeltas)
-		for role := 0; role < min(si.M, 2); role++ {
-			calls = append(calls, &transport.BatchCall{To: si.parityNode(role), Msg: &wire.Msg{
+		add := func(role uint8) []*transport.BatchCall {
+			return []*transport.BatchCall{{To: si.parityNode(int(role)), Msg: &wire.Msg{
 				Kind: wire.KDeltaLogAdd, Block: be.Block, Data: payload,
-				Idx: be.Block.Idx, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
-				Flag: uint8(role) | flag, // rolePrimary, then roleCopy
-			}})
+				Idx: be.Block.Idx, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc, Flag: role | flag,
+			}}}
 		}
-	} else {
-		// O5 disabled (or HDD profile): per-parity deltas straight
-		// to the parity logs.
-		for j := 0; j < si.M; j++ {
-			recs := make([]ExtentRec, len(outs))
-			for i, o := range outs {
-				recs[i] = ExtentRec{Off: o.Off, V: int64(sealV), Data: code.ParityDelta(j, int(be.Block.Idx), o.Data)}
-			}
-			calls = append(calls, &transport.BatchCall{To: si.parityNode(j), Msg: &wire.Msg{
-				Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, si.K, j), Data: EncodeExtents(recs),
-				K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
-			}})
+		var copied time.Duration
+		if si.M >= 2 {
+			copied, _, err = deliver(ctx, t.env, add(roleCopy))
 		}
+		if err == nil {
+			sent, _, _ := deliver(ctx, t.env, add(rolePrimary))
+			return cost + copied + sent
+		}
+		// The copy was refused: bypass the DeltaLog as O5-off does, so
+		// no trim can cancel a copy the holder does not have.
 	}
-	sent, _, _ := deliver(context.Background(), t.env, calls)
+	// Per-parity deltas straight to the parity logs.
+	calls := make([]*transport.BatchCall, si.M)
+	for j := range calls {
+		recs := make([]ExtentRec, len(outs))
+		for i, o := range outs {
+			recs[i] = ExtentRec{Off: o.Off, V: int64(sealV), Data: code.ParityDelta(j, int(be.Block.Idx), o.Data)}
+		}
+		calls[j] = &transport.BatchCall{To: si.parityNode(j), Msg: &wire.Msg{
+			Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, si.K, j), Data: EncodeExtents(recs),
+			K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
+		}}
+	}
+	sent, _, _ := deliver(ctx, t.env, calls)
 	return cost + sent
 }
 
@@ -303,7 +313,8 @@ func (t *tsue) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.
 	return cost
 }
 
-// KDeltaLogAdd roles, in the low bits of Msg.Flag.
+// KDeltaLogAdd roles, in the low bits of Msg.Flag. A primary and a copy
+// go to the parity OSD of their own number.
 const (
 	rolePrimary = 0 // append to the DeltaLog of the stripe's first parity OSD
 	roleCopy    = 1 // the copy at the second parity OSD (§4.1)
@@ -338,56 +349,63 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		return &wire.Resp{Data: payload, Cost: cost}
 	case wire.KDeltaLogAdd:
 		t.stripes.remember(msg)
-		recs, err := unpackList(msg)
-		if err != nil {
-			return errResp(err)
+		if msg.Flag&^deltaCompressFlag != rolePrimary {
+			return t.holdCopy(msg)
 		}
-		var cost time.Duration
-		switch msg.Flag &^ deltaCompressFlag {
-		case roleCopy, roleTrim:
-			// A copy for reliability at the second parity OSD is indexed
-			// for recovery, never recycled. A trim XOR-inserts the deltas
-			// its primary recycled, and XOR is its own inverse: it
-			// cancels exactly those, whichever arrives first.
-			t.copyMu.Lock()
-			ci := t.deltaCopy[msg.Block]
-			if ci == nil {
-				ci = logpool.NewIndex(logpool.XorFold)
-				t.deltaCopy[msg.Block] = ci
-			}
-			for _, r := range recs {
-				ci.Insert(r.Off, r.Data, time.Duration(r.V))
-			}
-			t.copyMu.Unlock()
-			if msg.Flag&^deltaCompressFlag == roleTrim {
-				return okResp(0) // a local cancellation: no device write
-			}
-			for _, r := range recs {
-				cost += t.env.Dev().Write(sim.ClassOther, int64(len(r.Data))+32, false, false)
-			}
-		default:
-			if t.deltaLogs == nil {
-				return errResp(fmt.Errorf("tsue: delta log disabled on node %d", t.env.ID()))
-			}
-			for _, r := range recs {
-				cost += t.deltaLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
-			}
+		if t.deltaLogs == nil {
+			return errResp(fmt.Errorf("tsue: delta log disabled on node %d", t.env.ID()))
 		}
-		return okResp(cost)
+		return applyList(msg, func(r ExtentRec) time.Duration {
+			return t.deltaLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
+		})
 	case wire.KParityLogAdd:
 		t.stripes.remember(msg)
-		recs, err := unpackList(msg)
-		if err != nil {
-			return errResp(err)
-		}
-		var cost time.Duration
-		for _, r := range recs {
-			cost += t.parityLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
-		}
-		return okResp(cost)
+		return applyList(msg, func(r ExtentRec) time.Duration {
+			return t.parityLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
+		})
 	default:
 		return errResp(fmt.Errorf("tsue: unexpected message %v", msg.Kind))
 	}
+}
+
+// holdCopy serves a copy or a trim at the second parity OSD. A copy for
+// reliability is indexed for recovery, never recycled. A trim
+// XOR-inserts the deltas its primary recycled, and XOR is its own
+// inverse: it cancels exactly those. A copy is acknowledged before its
+// primary is sent, so a trim for a block with no copies (the holder
+// restarted since) has nothing to cancel.
+func (t *tsue) holdCopy(msg *wire.Msg) *wire.Resp {
+	recs, err := unpackList(msg)
+	if err != nil {
+		return errResp(err)
+	}
+	role := msg.Flag &^ deltaCompressFlag
+	t.copyMu.Lock()
+	ci := t.deltaCopy[msg.Block]
+	if ci == nil && role == roleCopy {
+		ci = logpool.NewIndex(logpool.XorFold)
+		t.deltaCopy[msg.Block] = ci
+	}
+	if ci != nil {
+		for _, r := range recs {
+			ci.Insert(r.Off, r.Data, time.Duration(r.V))
+		}
+	}
+	t.copyMu.Unlock()
+	if role == roleTrim {
+		return okResp(0) // a local cancellation: no device write
+	}
+	// One log write per record of its bytes on the wire (its share of a
+	// deflated list), plus a 32-byte record header.
+	raw := 0
+	for _, r := range recs {
+		raw += extentHeaderSize + len(r.Data)
+	}
+	var cost time.Duration
+	for _, r := range recs {
+		cost += t.env.Dev().Write(sim.ClassOther, int64(len(r.Data)*len(msg.Data)/raw)+32, false, false)
+	}
+	return okResp(cost)
 }
 
 // Read serves client reads: the DataLog doubles as a read cache
@@ -516,13 +534,15 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 	return nil
 }
 
-// pruneCopies drops the copies whose every byte is zero: trims have
-// cancelled all they held, so they would promote nothing.
+// pruneCopies drops the copies whose every byte is zero — trims have
+// cancelled all they held, so they would promote nothing — and those of
+// stripes whose second parity OSD is no longer this node: their trims
+// now go to the new holder.
 func (t *tsue) pruneCopies() {
 	t.copyMu.Lock()
 	defer t.copyMu.Unlock()
 	for b, ci := range t.deltaCopy {
-		if zeroIndex(ci) {
+		if si, ok := t.stripes.get(b); !ok || si.M < 2 || si.parityNode(1) != t.env.ID() || zeroIndex(ci) {
 			delete(t.deltaCopy, b)
 		}
 	}
