@@ -155,6 +155,9 @@ type runConfig struct {
 	HDD     bool
 	Mutate  func(*update.Config) // optional feature-gate tweaks
 	NoFlush bool                 // skip the final flush (throughput-only runs)
+	// RecoveryWorkers is the cluster's rebuild parallelism (<= 0 selects
+	// ecfs.DefaultRecoveryWorkers).
+	RecoveryWorkers int
 }
 
 // runResult captures the measurements of one execution.
@@ -200,6 +203,8 @@ func (rc runConfig) clusterOptions() ecfs.Options {
 		Device:    device.ChameleonSSD(),
 		Net:       netsim.Ethernet25G(),
 		Kind:      erasure.Vandermonde,
+
+		RecoveryWorkers: rc.RecoveryWorkers,
 	}
 	if rc.HDD {
 		opts.Device = device.Datacenter2TBHDD()

@@ -108,15 +108,12 @@ func recoveryRun(ctx context.Context, method, vol string, s Scale, workers int) 
 	if err != nil {
 		return 0, err
 	}
-	lc, err := loadCluster(ctx, runConfig{Method: method, K: 6, M: 4, Trace: tr, Scale: s, HDD: true, Mutate: hddTune(s)})
+	lc, err := loadCluster(ctx, runConfig{Method: method, K: 6, M: 4, Trace: tr, Scale: s, HDD: true, Mutate: hddTune(s), RecoveryWorkers: workers})
 	if err != nil {
 		return 0, err
 	}
 	defer lc.c.Close()
-	if workers <= 0 {
-		workers = lc.c.Opts.RecoveryWorkers
-	}
-	res, err := failAndRecover(ctx, lc.c, lc.opts, method, 1, workers)
+	res, err := failAndRecover(ctx, lc.c, lc.opts, method, 1)
 	if err != nil {
 		return 0, err
 	}

@@ -66,9 +66,9 @@ func loadCluster(ctx context.Context, rc runConfig) (*loadedCluster, error) {
 }
 
 // failAndRecover fails the OSD at position pos and rebuilds it with the
-// given worker count. The replacement is returned reinstated, so
+// cluster's worker count. The replacement is returned reinstated, so
 // multi-failure scenarios can keep going on the same cluster.
-func failAndRecover(ctx context.Context, c *ecfs.Cluster, opts ecfs.Options, method string, pos, workers int) (*ecfs.RecoveryResult, error) {
+func failAndRecover(ctx context.Context, c *ecfs.Cluster, opts ecfs.Options, method string, pos int) (*ecfs.RecoveryResult, error) {
 	victim := c.OSDs[pos]
 	c.FailOSD(victim.ID())
 	cfg := *opts.Strategy
@@ -76,7 +76,7 @@ func failAndRecover(ctx context.Context, c *ecfs.Cluster, opts ecfs.Options, met
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.RecoverWith(ctx, victim.ID(), repl, workers)
+	res, err := c.Recover(ctx, victim.ID(), repl)
 	if err != nil {
 		repl.Close()
 		return nil, err
@@ -107,11 +107,11 @@ func Recovery(ctx context.Context, s Scale) (*Report, error) {
 	}
 	for _, method := range recoveryMethods {
 		for _, w := range sweep {
-			lc, err := loadCluster(ctx, runConfig{Method: method, K: 6, M: 4, Trace: tr, Scale: s})
+			lc, err := loadCluster(ctx, runConfig{Method: method, K: 6, M: 4, Trace: tr, Scale: s, RecoveryWorkers: w})
 			if err != nil {
 				return nil, fmt.Errorf("recovery %s w=%d: %w", method, w, err)
 			}
-			res, err := failAndRecover(ctx, lc.c, lc.opts, method, 1, w)
+			res, err := failAndRecover(ctx, lc.c, lc.opts, method, 1)
 			if err != nil {
 				lc.c.Close()
 				return nil, fmt.Errorf("recovery %s w=%d: %w", method, w, err)
@@ -164,7 +164,7 @@ func RecoveryMulti(ctx context.Context, s Scale) (*Report, error) {
 			settleCluster(c)
 		}
 		victim := c.OSDs[pos].ID()
-		res, err := failAndRecover(ctx, c, lc.opts, "tsue", pos, c.Opts.RecoveryWorkers)
+		res, err := failAndRecover(ctx, c, lc.opts, "tsue", pos)
 		if err != nil {
 			return nil, fmt.Errorf("recovery-multi round %d: %w", round+1, err)
 		}

@@ -222,12 +222,12 @@ func repairReadRow(ctx context.Context, s Scale, fifo bool) ([]string, error) {
 		readerDone <- nil
 	}()
 
-	rebuild := c.RecoverWith
+	rebuild := c.Recover
 	if fifo {
 		rebuild = c.RecoverFIFO
 	}
 	win := openClassWindow(c)
-	res, err := rebuild(ctx, victim.ID(), repl, c.Opts.RecoveryWorkers)
+	res, err := rebuild(ctx, victim.ID(), repl)
 	stop.Store(true)
 	fgMBps := win.foregroundMBps()
 	if rerr := <-readerDone; rerr != nil {

@@ -403,8 +403,11 @@ type ResilverResult struct {
 // the MDS's are kept as-is (the fast path that makes kill-restart cheap
 // — zero traffic for anything untouched during the outage); stripes the
 // cluster moved on from (a repair or drain bumped their epoch while the
-// node was down) are rebuilt in place through the repair scheduler; and
-// local blocks the MDS no longer places here at all are dropped.
+// node was down) are rebuilt in place by RepairNode's rebuild, through
+// the repair scheduler; and local blocks the MDS no longer places here
+// at all are dropped. If stale stripes cannot be rebuilt, Resilver
+// returns a *DataLossError counting every one of them and drops
+// nothing.
 func (c *Cluster) Resilver(ctx context.Context, id wire.NodeID) (*ResilverResult, error) {
 	o := c.OSD(id)
 	res := &ResilverResult{}
@@ -422,46 +425,22 @@ func (c *Cluster) Resilver(ctx context.Context, id wire.NodeID) (*ResilverResult
 		stale = append(stale, ref)
 	}
 	if len(stale) > 0 {
-		opts := c.repairOptions(c.Opts.RecoveryWorkers, false)
+		// The recovery rebuild with the node as its own victim, so the
+		// stale local copy never sources itself: same id, so nothing is
+		// rebound, and no log drain around it.
+		opts := c.repairOptions(false)
 		opts.Down = c.deadSnapshot()
-		if opts.Workers > len(stale) {
-			opts.Workers = len(stale)
-		}
-		r := &recoverer{
-			ctx:      ctx,
-			mds:      c.MDS,
-			caller:   c.Tr.Caller(wire.MDSNode),
-			code:     c.code,
-			k:        opts.K,
-			m:        opts.M,
-			replicas: opts.DataLogReplicas,
-			failed:   id, // the stale local copy must not source itself
-			repl:     o,
-			down:     opts.Down,
-			rebind:   false,
-		}
-		srs := make([]StripeRecovery, len(stale))
-		q := newRepairQueue(stale)
-		err := runRepairWorkers(ctx, c.MDS, opts, q, func(ref StripeRef, seed, order int) (int64, error) {
-			sr, err := r.rebuildStripe(ref)
-			srs[seed] = sr
-			return int64(sr.Bytes), err
-		})
+		opts.Flush = nil
+		run, err := startRepair(ctx, c.MDS, opts)
 		if err != nil {
 			return res, err
 		}
-		for _, sr := range srs {
-			if sr.Lost {
-				return res, &DataLossError{
-					Ino: sr.Ino, Stripe: sr.Stripe,
-					Need: opts.K, Have: sr.Obtained,
-					Unreachable: sr.Unreachable, NotFound: sr.NotFound,
-					Stripes: 1,
-				}
-			}
-			if !sr.Skipped {
-				res.Rebuilt++
-			}
+		rec, err := run.rebuild(ctx, c.Tr.Caller(wire.MDSNode), c.code, id, o, stale)
+		if rec != nil {
+			res.Rebuilt = rec.Blocks
+		}
+		if err != nil {
+			return res, err
 		}
 	}
 	// Drop blocks the MDS no longer places on this node (the stripe was

@@ -2,7 +2,9 @@ package ecfs
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -138,6 +140,65 @@ func TestKillRestartStaleRebuild(t *testing.T) {
 	}
 	if err := c.VerifyStripes(f, mirror); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResilverReportsEveryLostStripe: a restarted OSD whose stale
+// stripes cannot be rebuilt reports every one of them in the
+// DataLossError, not just the first.
+func TestResilverReportsEveryLostStripe(t *testing.T) {
+	c := MustNewCluster(durableOptions(t, "tsue"))
+	defer c.Close()
+	ctx := context.Background()
+	cli := c.NewClient()
+	f, _ := writeTestFile(t, c, cli, 2*cli.StripeSpan(), 41)
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The sleeper and the drained peer both hold both stripes, so the
+	// drain bumps both of the sleeper's epochs while it is down.
+	loc0, _ := c.MDS.PlacementOf(f.Ino(), 0)
+	loc1, _ := c.MDS.PlacementOf(f.Ino(), 1)
+	var both []wire.NodeID
+	for _, n := range loc0.Nodes {
+		if slices.Contains(loc1.Nodes, n) {
+			both = append(both, n)
+		}
+	}
+	sleeper, peer := both[0], both[1]
+	c.CrashOSD(sleeper)
+	if _, err := c.Drain(ctx, peer); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	// Fail M+1 of the other holders both stripes still share: neither
+	// stripe keeps K sources besides the sleeper's stale copy.
+	loc0, _ = c.MDS.PlacementOf(f.Ino(), 0)
+	loc1, _ = c.MDS.PlacementOf(f.Ino(), 1)
+	var failed []wire.NodeID
+	for _, n := range loc0.Nodes {
+		if n != sleeper && slices.Contains(loc1.Nodes, n) && len(failed) <= c.Opts.M {
+			failed = append(failed, n)
+		}
+	}
+	if len(failed) <= c.Opts.M {
+		t.Fatalf("stripes share only %v besides the sleeper", failed)
+	}
+	for _, n := range failed {
+		c.FailOSD(n)
+	}
+
+	_, res, err := c.RestartOSD(ctx, sleeper)
+	var loss *DataLossError
+	if !errors.As(err, &loss) {
+		t.Fatalf("restart: err = %v, want a *DataLossError", err)
+	}
+	if loss.Stripes != 2 {
+		t.Fatalf("DataLossError.Stripes = %d, want 2 (%v)", loss.Stripes, loss)
+	}
+	if res.Rebuilt != 0 {
+		t.Fatalf("Rebuilt = %d, want 0", res.Rebuilt)
 	}
 }
 

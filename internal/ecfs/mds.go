@@ -112,7 +112,7 @@ type MDS struct {
 	// draining tracks nodes with a drain in progress. The state
 	// distinguishes a drain actively executing (drainActive) from one
 	// interrupted by cancellation (drainInterrupted): an interrupted
-	// node stays marked so a second DrainWith resumes without the node
+	// node stays marked so a second Drain resumes without the node
 	// transiting back through the placement pool, while a running one
 	// rejects a concurrent BeginDrain outright.
 	drainMu  sync.Mutex
@@ -672,7 +672,7 @@ func (m *MDS) RepairPending() int {
 // placement pool. resumed reports the pick-up of an earlier
 // *interrupted* drain — pool membership is then left exactly as the
 // cancelled run put it, so a node never transits back through the pool
-// between a Ctrl-C and the DrainWith that resumes the work. A node
+// between a Ctrl-C and the Drain that resumes the work. A node
 // whose drain is still running is rejected with an error: two engines
 // migrating the same stripes would race their rebind/fence/refetch
 // sequences, so only an interrupted drain is resumable.

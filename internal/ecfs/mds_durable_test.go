@@ -461,7 +461,7 @@ func TestStaleReadDuringMDSOutageFails(t *testing.T) {
 		t.Fatalf("warm read: %v", err)
 	}
 	loc, _ := c.MDS.PlacementOf(f.Ino(), 0)
-	if _, err := c.DrainWith(ctx, loc.Nodes[0], 0); err != nil {
+	if _, err := c.Drain(ctx, loc.Nodes[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CrashMDS(); err != nil {

@@ -88,26 +88,12 @@ type RecoveryResult struct {
 	// bumped epoch (fresh-id recovery only; a same-id replacement
 	// reuses the victim's placements unchanged).
 	Rebound int
-	// Promoted counts degraded-read hints that reordered the repair
-	// queue (a hint for a stripe already rebuilt or in flight is not
-	// counted).
-	Promoted int
 	// FetchErrors counts shard fetches that failed because the holder was
 	// unreachable (transport error). Absent-block replies — the normal
 	// state of a never-fully-written stripe — fall back too but are
 	// counted only in the per-stripe Retries and NotFound.
 	FetchErrors int
-	Workers     int // stripe-rebuild parallelism used
-	DrainTime   time.Duration
-	// StripeTime sums the per-stripe rebuild latencies — the cost a
-	// single sequential walker would experience.
-	StripeTime time.Duration
-	// VirtualTime is the modeled recovery makespan: the forced log drain
-	// plus the rebuild window, where Workers stripes proceed in parallel
-	// but the window can never beat the busiest resource
-	// (operational-law bound, as in sim.Throughput).
-	VirtualTime time.Duration
-	Bandwidth   float64 // bytes/second over VirtualTime
+	repairTiming
 	// Stripes holds per-stripe timing in deterministic
 	// (Ino, Stripe, Idx) order.
 	Stripes []StripeRecovery
@@ -144,36 +130,34 @@ type RecoveryResult struct {
 // legitimate state of a never-fully-written stripe. The reconstructed
 // bytes are independent of the worker count: any K shards of an RS
 // stripe decode to the same content.
+//
+// Recover wraps the deployment-agnostic RepairNode engine with this
+// cluster's MDS, transport and virtual-time resources; while the
+// rebuild runs, degraded client reads promote their stripe to the front
+// of the repair queue (send wire.KRepairHint) so hot stripes repair
+// first.
 func (c *Cluster) Recover(ctx context.Context, failed wire.NodeID, replacement *OSD) (*RecoveryResult, error) {
-	return c.RecoverWith(ctx, failed, replacement, c.Opts.RecoveryWorkers)
+	return c.recover(ctx, failed, replacement, false)
 }
 
-// RecoverWith is Recover with an explicit worker count (<= 0 selects
-// DefaultRecoveryWorkers), the knob the recovery benchmark sweeps. It
-// wraps the deployment-agnostic RepairNode engine with this cluster's
-// MDS, transport and virtual-time resources; while the rebuild runs,
-// degraded client reads promote their stripe to the front of the repair
-// queue (send wire.KRepairHint) so hot stripes repair first.
-func (c *Cluster) RecoverWith(ctx context.Context, failed wire.NodeID, replacement *OSD, workers int) (*RecoveryResult, error) {
-	o := c.repairOptions(workers, false)
-	o.Down = c.deadSet(failed)
-	return RepairNode(ctx, c.MDS, c.Tr.Caller(replacement.id), c.code, o, failed, replacement)
-}
-
-// RecoverFIFO is RecoverWith with degraded-read promotion disabled: the
+// RecoverFIFO is Recover with degraded-read promotion disabled: the
 // rebuild order is strictly the deterministic FIFO seed order. It is
 // the baseline the repair benchmark compares prioritized repair
 // against.
-func (c *Cluster) RecoverFIFO(ctx context.Context, failed wire.NodeID, replacement *OSD, workers int) (*RecoveryResult, error) {
-	o := c.repairOptions(workers, true)
+func (c *Cluster) RecoverFIFO(ctx context.Context, failed wire.NodeID, replacement *OSD) (*RecoveryResult, error) {
+	return c.recover(ctx, failed, replacement, true)
+}
+
+func (c *Cluster) recover(ctx context.Context, failed wire.NodeID, replacement *OSD, fifo bool) (*RecoveryResult, error) {
+	o := c.repairOptions(fifo)
 	o.Down = c.deadSet(failed)
 	return RepairNode(ctx, c.MDS, c.Tr.Caller(replacement.id), c.code, o, failed, replacement)
 }
 
 // repairOptions assembles the RepairOptions for this cluster's
-// geometry, strategy and timing model. Down is filled by the caller
-// (recovery forces the victim in; drain must not).
-func (c *Cluster) repairOptions(workers int, fifo bool) RepairOptions {
+// geometry, strategy, worker count and timing model. Down is filled by
+// the caller (recovery forces the victim in; drain must not).
+func (c *Cluster) repairOptions(fifo bool) RepairOptions {
 	reps := 1
 	if c.Opts.Strategy != nil && c.Opts.Strategy.DataLogReplicas > 0 {
 		reps = c.Opts.Strategy.DataLogReplicas
@@ -181,7 +165,7 @@ func (c *Cluster) repairOptions(workers int, fifo bool) RepairOptions {
 	return RepairOptions{
 		K:               c.Opts.K,
 		M:               c.Opts.M,
-		Workers:         workers,
+		Workers:         c.Opts.RecoveryWorkers,
 		DataLogReplicas: reps,
 		Resources:       c.resources(),
 		Flush:           c.Flush,
@@ -234,22 +218,9 @@ func (r *recoverer) rebindStripe(ref StripeRef) (wire.StripeLoc, bool, error) {
 	if err := r.repl.noteEpoch(ref.Ino, ref.Stripe, nl.Epoch); err != nil {
 		return wire.StripeLoc{}, false, fmt.Errorf("ecfs: rebind %d/%d: %w", ref.Ino, ref.Stripe, err)
 	}
-	b := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}
-	for _, node := range nl.Nodes {
-		if node == r.repl.id || node == r.failed || r.down[node] {
-			continue
-		}
-		// Best effort: a member that misses the broadcast simply keeps
-		// accepting the old epoch, which is only a liveness hint; the
-		// MDS remains the placement authority. Geometry rides along so
-		// the member's strategy can refresh its stripe table and route
-		// future deltas to the replacement.
-		if resp, err := r.caller.Call(r.ctx, node, &wire.Msg{
-			Kind: wire.KEpochUpdate, Block: b, Loc: nl, K: uint8(r.k), M: uint8(r.m), Class: sim.ClassRebuild,
-		}); err == nil {
-			resp.Release()
-		}
-	}
+	broadcastEpoch(r.ctx, r.caller, wire.Msg{
+		Kind: wire.KEpochUpdate, Block: wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}, Loc: nl, K: uint8(r.k), M: uint8(r.m), Class: sim.ClassRebuild,
+	}, r.down, r.repl.id, r.failed)
 	return nl, true, nil
 }
 
@@ -471,15 +442,10 @@ func (r *recoverer) replayReplica(ref StripeRef, lost wire.BlockID, data []byte)
 			pds[i] = update.ExtentRec{Off: d.Off, Data: r.code.ParityDelta(j, int(ref.Idx), d.Data)}
 		}
 		pb := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: uint8(r.k + j)}
-		resp, err := r.caller.Call(r.ctx, pNode, &wire.Msg{
+		c, err := callCost(r.ctx, r.caller, pNode, &wire.Msg{
 			Kind: wire.KParityLogAdd, Block: pb, Data: update.EncodeExtents(pds),
 			K: uint8(r.k), M: uint8(r.m), Loc: ref.Loc, Class: sim.ClassRebuild,
 		})
-		if err != nil {
-			return replayed, cost, err
-		}
-		c, err := resp.Cost, resp.Error()
-		resp.Release()
 		if err != nil {
 			return replayed, cost, err
 		}

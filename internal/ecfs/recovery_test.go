@@ -43,7 +43,8 @@ func failAndRecover(t *testing.T, c *Cluster, pos int, workers int) (*OSD, *Reco
 	victim := c.OSDs[pos]
 	c.FailOSD(victim.ID())
 	repl := newTestReplacement(t, c, victim.ID())
-	res, err := c.RecoverWith(context.Background(), victim.ID(), repl, workers)
+	c.Opts.RecoveryWorkers = workers
+	res, err := c.Recover(context.Background(), victim.ID(), repl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +337,7 @@ func TestRecoveryConcurrentWithReads(t *testing.T) {
 	ctx := context.Background()
 	c, _, f, mirror := buildRecoveryCluster(t, "tsue", 150)
 	defer c.Close()
+	c.Opts.RecoveryWorkers = 8
 	// Drain first so degraded reads see fully recycled state.
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -364,7 +366,7 @@ func TestRecoveryConcurrentWithReads(t *testing.T) {
 		done <- nil
 	}()
 
-	if _, err := c.RecoverWith(context.Background(), victim.ID(), repl, 8); err != nil {
+	if _, err := c.Recover(context.Background(), victim.ID(), repl); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -384,6 +386,7 @@ func TestRecoveryErrorReturnsPromptly(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c, _, _, _ := buildRecoveryCluster(t, "tsue", 100)
 		defer c.Close()
+		c.Opts.RecoveryWorkers = workers
 		victim := c.OSDs[2]
 		c.FailOSD(victim.ID())
 		// Every replica-log fetch answers garbage that DecodeExtents
@@ -402,7 +405,7 @@ func TestRecoveryErrorReturnsPromptly(t *testing.T) {
 
 		errCh := make(chan error, 1)
 		go func() {
-			_, err := c.RecoverWith(context.Background(), victim.ID(), repl, workers)
+			_, err := c.Recover(context.Background(), victim.ID(), repl)
 			errCh <- err
 		}()
 		select {

@@ -1,8 +1,9 @@
 // The repair subsystem: a prioritized queue of pending stripe
-// migrations shared by failure recovery (RepairNode) and planned
-// drain/decommission (MigrateNode).
+// migrations shared by failure recovery (RepairNode), the resilver of a
+// restarted node (Cluster.Resilver) and planned drain/decommission
+// (MigrateNode), all three driven by one repairRun.
 //
-// Both engines seed the queue with a node's stripes in deterministic
+// Each engine seeds the queue with a node's stripes in deterministic
 // FIFO order and let a worker pool consume it. While a repair runs, the
 // queue is registered with the MDS: a client whose degraded read just
 // paid the K-fetch decode price sends a wire.KRepairHint, and the named
@@ -21,6 +22,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -182,19 +185,112 @@ func (o *RepairOptions) sanitize() {
 	}
 }
 
-// runRepairWorkers drains the queue with o.Workers concurrent workers,
-// registering it with the cluster's RepairScheduler for hint promotion
-// (unless o.NoPromote) and bandwidth admission. work is called once per
-// popped stripe with its seed slot and execution order and returns the
-// priced bytes the stripe moved, which are charged against the rebuild
-// budget; the first error aborts (remaining items are discarded, not
-// executed). Cancellation is honored between stripes — the scheduler's
-// admission gate returns ctx.Err() — so a cancelled repair or drain
-// stops cleanly at a stripe boundary (completed stripes stay rebound;
-// pending ones keep their old placement).
-func runRepairWorkers(ctx context.Context, mds *MDS, o RepairOptions, q *repairQueue, work func(ref StripeRef, seed, order int) (int64, error)) error {
-	q.noPromote = o.NoPromote
+// callCost issues one engine RPC and returns the reply's priced cost,
+// releasing the reply; a transport error or an error reply fails it.
+func callCost(ctx context.Context, caller transport.RPC, node wire.NodeID, msg *wire.Msg) (time.Duration, error) {
+	resp, err := caller.Call(ctx, node, msg)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Release()
+	return resp.Cost, resp.Error()
+}
+
+// broadcastEpoch sends the wire.KEpochUpdate msg to every member of the
+// stripe's new placement msg.Loc except the skipped and down nodes.
+// Best effort: a member that misses it keeps accepting the old epoch,
+// which is only a liveness hint — the MDS remains the placement
+// authority. The geometry in msg lets each member's strategy refresh
+// its stripe table and route future deltas to the new holder.
+func broadcastEpoch(ctx context.Context, caller transport.RPC, msg wire.Msg, down map[wire.NodeID]bool, skip ...wire.NodeID) {
+	for _, node := range msg.Loc.Nodes {
+		if down[node] || slices.Contains(skip, node) {
+			continue
+		}
+		m := msg
+		if resp, err := caller.Call(ctx, node, &m); err == nil {
+			resp.Release()
+		}
+	}
+}
+
+// maintenanceClasses are the traffic classes whose busy time bounds a
+// repair/drain makespan: the engines' own tagged traffic plus untagged
+// work (device charges, log drains, control). Foreground classes are
+// deliberately excluded — concurrent reader/writer traffic on shared
+// resources must not inflate the modeled rebuild window, which is what
+// lets the repair benchmark report a clean repair bandwidth under load.
+var maintenanceClasses = []sim.Class{sim.ClassRebuild, sim.ClassDrain, sim.ClassScrub, sim.ClassOther}
+
+// repairTiming is the timing a repair run reports; RecoveryResult and
+// DrainResult embed it.
+type repairTiming struct {
+	Workers int // stripe parallelism used
+	// Promoted counts degraded-read hints that reordered the repair
+	// queue (a hint for a stripe already handled or in flight is not
+	// counted).
+	Promoted  int
+	DrainTime time.Duration // the pre-run log drain (virtual time)
+	// StripeTime sums the per-stripe costs — the cost a single
+	// sequential walker would experience.
+	StripeTime time.Duration
+	// VirtualTime is the modeled makespan: the pre-run log drain plus
+	// the repair window, where Workers stripes proceed in parallel but
+	// the window can never beat the busiest resource (operational-law
+	// bound, as in sim.Throughput).
+	VirtualTime time.Duration
+	Bandwidth   float64 // bytes/second over VirtualTime
+}
+
+// repairRun is the run recovery, resilver and drain share around their
+// per-stripe work: the scheduler baselines, the pre-run log drain, the
+// worker pool over a prioritized queue, and the modeled makespan.
+type repairRun struct {
+	mds          *MDS
+	o            RepairOptions
+	timing       repairTiming
+	throttleBase time.Duration
+	spentBase    int64
+	flushed      []time.Duration // maintenance busy time once the pre-run flush is done
+}
+
+// startRepair sanitizes o, snapshots the scheduler's throttle and
+// spent-byte baselines, and runs o.Flush — the §2.3.2 drain — whose
+// cost becomes the run's DrainTime.
+func startRepair(ctx context.Context, mds *MDS, o RepairOptions) (*repairRun, error) {
+	o.sanitize()
 	sched := mds.Scheduler()
+	run := &repairRun{mds: mds, o: o, throttleBase: sched.Throttled(), spentBase: sched.TotalSpentBytes()}
+	start := sim.SnapshotBusyClasses(o.Resources, maintenanceClasses...)
+	if o.Flush != nil {
+		if err := o.Flush(ctx); err != nil {
+			return nil, err
+		}
+	}
+	run.flushed = sim.SnapshotBusyClasses(o.Resources, maintenanceClasses...)
+	run.timing.DrainTime = sim.MaxBusyDeltaClasses(o.Resources, start, maintenanceClasses...)
+	return run, nil
+}
+
+// work seeds the repair queue with refs and drains it with
+// RepairOptions.Workers concurrent workers (clamped to the queue
+// length), registering it with the cluster's RepairScheduler for hint
+// promotion (unless NoPromote) and bandwidth admission. stripe is called
+// once per popped stripe with its seed slot and execution order and
+// returns the priced bytes the stripe moved, which are charged against
+// the rebuild budget; the first error aborts (remaining items are
+// discarded, not executed). Cancellation is honored between stripes —
+// the scheduler's admission gate returns ctx.Err() — so a cancelled
+// repair or drain stops cleanly at a stripe boundary (completed stripes
+// stay rebound; pending ones keep their old placement).
+func (run *repairRun) work(ctx context.Context, refs []StripeRef, stripe func(ref StripeRef, seed, order int) (int64, error)) error {
+	if run.o.Workers > len(refs) && len(refs) > 0 {
+		run.o.Workers = len(refs)
+	}
+	run.timing.Workers = run.o.Workers
+	q := newRepairQueue(refs)
+	q.noPromote = run.o.NoPromote
+	sched := run.mds.Scheduler()
 	sched.register(q)
 	defer sched.unregister(q)
 	var (
@@ -215,7 +311,7 @@ func runRepairWorkers(ctx context.Context, mds *MDS, o RepairOptions, q *repairQ
 		}
 		errMu.Unlock()
 	}
-	for w := 0; w < o.Workers; w++ {
+	for w := 0; w < run.o.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -247,7 +343,7 @@ func runRepairWorkers(ctx context.Context, mds *MDS, o RepairOptions, q *repairQ
 				if !ok {
 					return
 				}
-				bytes, err := work(ref, seed, order)
+				bytes, err := stripe(ref, seed, order)
 				sched.charge(bytes)
 				if err != nil {
 					fail(err)
@@ -256,30 +352,35 @@ func runRepairWorkers(ctx context.Context, mds *MDS, o RepairOptions, q *repairQ
 		}()
 	}
 	wg.Wait()
+	run.timing.Promoted = q.promotions()
 	return firstErr
 }
 
-// maintenanceClasses are the traffic classes whose busy time bounds a
-// repair/drain makespan: the engines' own tagged traffic plus untagged
-// work (device charges, log drains, control). Foreground classes are
-// deliberately excluded — concurrent reader/writer traffic on shared
-// resources must not inflate the modeled rebuild window, which is what
-// lets the repair benchmark report a clean repair bandwidth under load.
-var maintenanceClasses = []sim.Class{sim.ClassRebuild, sim.ClassDrain, sim.ClassScrub, sim.ClassOther}
-
-// repairWindow models the pipelined repair-window makespan shared by
-// recovery and drain: workers stripes proceed in parallel, so the
-// duration is the summed per-stripe cost divided by the worker count,
-// plus whatever virtual idle the bandwidth cap injected (throttle) —
-// but never less than the additional maintenance-class busy time of the
-// bottleneck resource, which parallelism cannot compress. since must be
-// a sim.SnapshotBusyClasses(resources, maintenanceClasses...) snapshot.
-func repairWindow(stripeTime time.Duration, workers int, resources []*sim.Resource, since []time.Duration, throttle time.Duration) time.Duration {
-	w := stripeTime/time.Duration(workers) + throttle
-	if b := sim.MaxBusyDeltaClasses(resources, since, maintenanceClasses...); b > w {
-		w = b
+// finish returns the run's timing for stripeTime summed stripe cost and
+// bytes moved. The makespan is the drain plus the pipelined window:
+// the summed cost divided by the worker count, plus whatever virtual
+// idle the bandwidth cap injected (throttle), but never less than the
+// additional maintenance-class busy time of the bottleneck resource,
+// which parallelism cannot compress.
+func (run *repairRun) finish(stripeTime time.Duration, bytes int64) repairTiming {
+	t := run.timing
+	sched := run.mds.Scheduler()
+	t.StripeTime = stripeTime
+	window := stripeTime/time.Duration(t.Workers) + sched.Throttled() - run.throttleBase
+	if b := sim.MaxBusyDeltaClasses(run.o.Resources, run.flushed, maintenanceClasses...); b > window {
+		window = b
 	}
-	return w
+	t.VirtualTime = t.DrainTime + window
+	// A capped run can never report bandwidth above its cap: the budget
+	// bytes this run consumed floor the modeled makespan regardless of
+	// worker interleaving.
+	if floor := t.DrainTime + sched.capFloor(sched.TotalSpentBytes()-run.spentBase); t.VirtualTime < floor {
+		t.VirtualTime = floor
+	}
+	if t.VirtualTime > 0 {
+		t.Bandwidth = float64(bytes) / t.VirtualTime.Seconds()
+	}
+	return t
 }
 
 // RepairNode rebuilds a failed node's blocks onto the replacement OSD
@@ -290,31 +391,28 @@ func repairWindow(stripeTime time.Duration, workers int, resources []*sim.Resour
 // everything else — shard fetches, replica replay, epoch broadcasts —
 // travels through caller. See Cluster.Recover for the full semantics.
 func RepairNode(ctx context.Context, mds *MDS, caller transport.RPC, code *erasure.Code, o RepairOptions, failed wire.NodeID, repl *OSD) (*RecoveryResult, error) {
-	o.sanitize()
-	sched := mds.Scheduler()
-	throttleBase := sched.Throttled()
-	spentBase := sched.TotalSpentBytes()
-	start := sim.SnapshotBusyClasses(o.Resources, maintenanceClasses...)
-	if o.Flush != nil {
-		if err := o.Flush(ctx); err != nil {
-			return nil, fmt.Errorf("ecfs: pre-recovery drain: %w", err)
-		}
+	run, err := startRepair(ctx, mds, o)
+	if err != nil {
+		return nil, fmt.Errorf("ecfs: pre-recovery drain: %w", err)
 	}
-	drained := sim.SnapshotBusyClasses(o.Resources, maintenanceClasses...)
-
-	rebind := repl.id != failed
-	if rebind {
+	if repl.id != failed {
 		// Permanent replacement under a fresh id: the victim must not
 		// receive new placements while its stripes are rebound.
 		mds.RemoveNode(failed)
 	}
-	refs := mds.StripesOnSorted(failed)
-	if o.Workers > len(refs) && len(refs) > 0 {
-		o.Workers = len(refs)
-	}
+	return run.rebuild(ctx, caller, code, failed, repl, mds.StripesOnSorted(failed))
+}
+
+// rebuild is RepairNode's rebuild-and-aggregate step, which Resilver
+// shares: it rebuilds refs onto repl (rebinding them when repl carries
+// a fresh id), drains the parity deltas replica replay appended, and
+// returns a *DataLossError counting every unrebuildable stripe
+// alongside the result.
+func (run *repairRun) rebuild(ctx context.Context, caller transport.RPC, code *erasure.Code, failed wire.NodeID, repl *OSD, refs []StripeRef) (*RecoveryResult, error) {
+	o := run.o
 	r := &recoverer{
 		ctx:      ctx,
-		mds:      mds,
+		mds:      run.mds,
 		caller:   caller,
 		code:     code,
 		k:        o.K,
@@ -323,16 +421,10 @@ func RepairNode(ctx context.Context, mds *MDS, caller transport.RPC, code *erasu
 		failed:   failed,
 		repl:     repl,
 		down:     o.Down,
-		rebind:   rebind,
+		rebind:   repl.id != failed,
 	}
-	res := &RecoveryResult{
-		Workers:   o.Workers,
-		DrainTime: sim.MaxBusyDeltaClasses(o.Resources, start, maintenanceClasses...),
-		Stripes:   make([]StripeRecovery, len(refs)),
-	}
-
-	q := newRepairQueue(refs)
-	err := runRepairWorkers(ctx, mds, o, q, func(ref StripeRef, seed, order int) (int64, error) {
+	res := &RecoveryResult{Stripes: make([]StripeRecovery, len(refs))}
+	err := run.work(ctx, refs, func(ref StripeRef, seed, order int) (int64, error) {
 		sr, err := r.rebuildStripe(ref)
 		sr.Order = order
 		res.Stripes[seed] = sr
@@ -341,11 +433,13 @@ func RepairNode(ctx context.Context, mds *MDS, caller transport.RPC, code *erasu
 	if err != nil {
 		return nil, err
 	}
-	res.Promoted = q.promotions()
 
-	var lossErr *DataLossError
+	var (
+		lossErr    *DataLossError
+		stripeTime time.Duration
+	)
 	for _, sr := range res.Stripes {
-		res.StripeTime += sr.Time()
+		stripeTime += sr.Time()
 		res.FetchErrors += sr.Unreachable
 		if sr.Rebound {
 			res.Rebound++
@@ -371,9 +465,6 @@ func RepairNode(ctx context.Context, mds *MDS, caller transport.RPC, code *erasu
 		res.Bytes += int64(sr.Bytes)
 		res.ReplayedBytes += sr.Replayed
 	}
-	if lossErr != nil {
-		lossErr.Stripes = res.Lost
-	}
 
 	// Replica replay appends parity deltas to surviving parity logs;
 	// drain them so parity is fully consistent before service resumes.
@@ -382,18 +473,9 @@ func RepairNode(ctx context.Context, mds *MDS, caller transport.RPC, code *erasu
 			return nil, fmt.Errorf("ecfs: post-replay drain: %w", err)
 		}
 	}
-
-	res.VirtualTime = res.DrainTime + repairWindow(res.StripeTime, o.Workers, o.Resources, drained, sched.Throttled()-throttleBase)
-	// A capped run can never report bandwidth above its cap: the budget
-	// bytes this run consumed floor the modeled makespan regardless of
-	// worker interleaving.
-	if floor := res.DrainTime + sched.capFloor(sched.TotalSpentBytes()-spentBase); res.VirtualTime < floor {
-		res.VirtualTime = floor
-	}
-	if res.VirtualTime > 0 {
-		res.Bandwidth = float64(res.Bytes) / res.VirtualTime.Seconds()
-	}
+	res.repairTiming = run.finish(stripeTime, res.Bytes)
 	if lossErr != nil {
+		lossErr.Stripes = res.Lost
 		return res, lossErr
 	}
 	return res, nil
@@ -432,17 +514,9 @@ type DrainResult struct {
 	Skipped   int // placed-but-never-written slots rebound without data
 	Refreshed int // racing updates caught by the post-fence refetch
 	Rebound   int // placements rewritten under a bumped epoch (= Moved+Skipped)
-	Promoted  int // read-through hints that reordered the queue
 	Bytes     int64
-	Workers   int
-	DrainTime time.Duration // pre-migration log drain (virtual time)
-	// StripeTime sums per-stripe migration costs; VirtualTime is the
-	// modeled makespan (drain + pipelined migration window, bounded by
-	// the busiest resource) and Bandwidth the byte rate over it.
-	StripeTime  time.Duration
-	VirtualTime time.Duration
-	Bandwidth   float64
-	Moves       []StripeMove // deterministic (Ino, Stripe, Idx) order
+	repairTiming
+	Moves []StripeMove // deterministic (Ino, Stripe, Idx) order
 }
 
 // MigrateNode moves every stripe off a *live* node onto the survivor
@@ -475,7 +549,7 @@ type DrainResult struct {
 // the partial DrainResult (completed moves only) *alongside* ctx's
 // error, keeps the node marked draining at the MDS, and leaves it out
 // of the placement pool — no evicted-then-restored flap. A second
-// MigrateNode (or Cluster.DrainWith) on the same node re-seeds its
+// MigrateNode (or Cluster.Drain) on the same node re-seeds its
 // queue from the stripes still placed there, so nothing already cut
 // over migrates twice; a stripe interrupted mid-migration before its
 // rebind is simply migrated again (the copy is idempotent), while one
@@ -494,24 +568,18 @@ type DrainResult struct {
 // unmigrated stripes); an operator who cancels and then changes course
 // calls Cluster.AbortDrain for the same effect.
 func MigrateNode(ctx context.Context, mds *MDS, caller transport.RPC, o RepairOptions, node wire.NodeID) (*DrainResult, error) {
-	o.sanitize()
 	if o.Down[node] {
 		return nil, fmt.Errorf("ecfs: drain: node %d is down (use Recover for failed nodes)", node)
 	}
 	live := 0
 	for _, id := range mds.Nodes() {
-		if id == node {
-			continue
-		}
-		if !o.Down[id] {
+		if id != node && !o.Down[id] {
 			live++
 		}
 	}
 	if live < o.K+o.M {
 		return nil, fmt.Errorf("ecfs: drain node %d: %d live survivors < K+M = %d", node, live, o.K+o.M)
 	}
-
-	sched := mds.Scheduler()
 
 	// Mark the node draining and evict it from the placement pool — or,
 	// when resuming an interrupted drain, observe that both already
@@ -522,12 +590,7 @@ func MigrateNode(ctx context.Context, mds *MDS, caller transport.RPC, o RepairOp
 	// cleared with a pool restore on a hard failure, and downgraded to
 	// interrupted on cancellation so the resume finds the node exactly
 	// where the cancelled run left it.
-	inPool := false
-	for _, id := range mds.Nodes() {
-		if id == node {
-			inPool = true
-		}
-	}
+	inPool := slices.Contains(mds.Nodes(), node)
 	resumed, err := mds.BeginDrain(node)
 	if err != nil {
 		return nil, err
@@ -540,7 +603,7 @@ func MigrateNode(ctx context.Context, mds *MDS, caller transport.RPC, o RepairOp
 			mds.FinishDrain(node)
 		case drainResumable(ctx, runErr):
 			// Cancelled: stay out of the pool, downgrade the running
-			// mark to interrupted so a later DrainWith resumes it while
+			// mark to interrupted so a later Drain resumes it while
 			// a concurrent one is still rejected.
 			mds.InterruptDrain(node)
 		case inPool || resumed:
@@ -550,68 +613,38 @@ func MigrateNode(ctx context.Context, mds *MDS, caller transport.RPC, o RepairOp
 			mds.FinishDrain(node)
 		}
 	}()
-	for _, id := range mds.Nodes() {
-		if id == node {
-			runErr = fmt.Errorf("ecfs: drain node %d: placement pool cannot shrink below K+M", node)
-			return nil, runErr
-		}
+	if slices.Contains(mds.Nodes(), node) {
+		runErr = fmt.Errorf("ecfs: drain node %d: placement pool cannot shrink below K+M", node)
+		return nil, runErr
 	}
 
-	throttleBase := sched.Throttled()
-	spentBase := sched.TotalSpentBytes()
-	start := sim.SnapshotBusyClasses(o.Resources, maintenanceClasses...)
-	if o.Flush != nil {
-		if err := o.Flush(ctx); err != nil {
-			runErr = fmt.Errorf("ecfs: pre-drain flush: %w", err)
-			return nil, runErr
-		}
+	run, err := startRepair(ctx, mds, o)
+	if err != nil {
+		runErr = fmt.Errorf("ecfs: pre-drain flush: %w", err)
+		return nil, runErr
 	}
-	drainedAt := sim.SnapshotBusyClasses(o.Resources, maintenanceClasses...)
-
 	refs := mds.StripesOnSorted(node)
-	if o.Workers > len(refs) && len(refs) > 0 {
-		o.Workers = len(refs)
-	}
-	var deadIDs []wire.NodeID
-	for id := range o.Down {
-		deadIDs = append(deadIDs, id)
-	}
 	mg := &migrator{
 		ctx: ctx,
 		mds: mds, caller: caller, node: node, k: o.K, m: o.M,
-		down: o.Down, deadList: encodeDeadList(deadIDs),
+		down: o.Down, deadList: encodeDeadList(slices.Collect(maps.Keys(o.Down))),
 	}
-	res := &DrainResult{
-		Node:      node,
-		Resumed:   resumed,
-		Workers:   o.Workers,
-		DrainTime: sim.MaxBusyDeltaClasses(o.Resources, start, maintenanceClasses...),
-		Moves:     make([]StripeMove, len(refs)),
-	}
-
-	q := newRepairQueue(refs)
-	err = runRepairWorkers(ctx, mds, o, q, func(ref StripeRef, seed, _ int) (int64, error) {
+	res := &DrainResult{Node: node, Resumed: resumed, Moves: make([]StripeMove, len(refs))}
+	err = run.work(ctx, refs, func(ref StripeRef, seed, _ int) (int64, error) {
 		mv, err := mg.migrateStripe(ref)
 		res.Moves[seed] = mv
 		return int64(mv.Bytes), err
 	})
-	res.Promoted = q.promotions()
 	if err != nil {
 		runErr = err
-		if !drainResumable(ctx, err) {
-			if errors.Is(err, ErrStrandedCutover) {
-				// Hard abort, but not a silent one: the completed moves
-				// stay cut over, and the operator needs to see them
-				// next to the stranded stripe named in the error.
-				finishDrainResult(res, o, drainedAt, sched, throttleBase, spentBase)
-				return res, err
-			}
+		if !drainResumable(ctx, err) && !errors.Is(err, ErrStrandedCutover) {
 			return nil, err
 		}
-		// Cancelled at a stripe boundary: report what did complete (the
-		// moves below stay cut over) alongside the cancellation, so the
-		// operator sees progress and the resume picks up the rest.
-		finishDrainResult(res, o, drainedAt, sched, throttleBase, spentBase)
+		// Cancelled at a stripe boundary, or hard-aborted on a stranded
+		// cutover: the completed moves stay cut over, so report them
+		// alongside the error — the operator sees the progress a resume
+		// picks up from, or the moves next to the stranded stripe.
+		finishDrainResult(res, run)
 		return res, err
 	}
 
@@ -620,22 +653,22 @@ func MigrateNode(ctx context.Context, mds *MDS, caller transport.RPC, o RepairOp
 		return nil, runErr
 	}
 	completed = true
-	finishDrainResult(res, o, drainedAt, sched, throttleBase, spentBase)
+	finishDrainResult(res, run)
 	return res, nil
 }
 
 // finishDrainResult compacts a drain's move list to the completed
-// migrations and derives the aggregate counters and the modeled
-// makespan from them — shared by the completion and the
-// cancelled-partial return paths of MigrateNode.
-func finishDrainResult(res *DrainResult, o RepairOptions, drainedAt []time.Duration, sched *RepairScheduler, throttleBase time.Duration, spentBase int64) {
+// migrations and derives the aggregate counters and the run's timing
+// from them.
+func finishDrainResult(res *DrainResult, run *repairRun) {
+	var stripeTime time.Duration
 	done := res.Moves[:0]
 	for _, mv := range res.Moves {
 		if !mv.Done {
 			continue
 		}
 		done = append(done, mv)
-		res.StripeTime += mv.Cost
+		stripeTime += mv.Cost
 		res.Rebound++
 		if mv.Skipped {
 			res.Skipped++
@@ -648,16 +681,7 @@ func finishDrainResult(res *DrainResult, o RepairOptions, drainedAt []time.Durat
 		}
 	}
 	res.Moves = done
-
-	res.VirtualTime = res.DrainTime + repairWindow(res.StripeTime, o.Workers, o.Resources, drainedAt, sched.Throttled()-throttleBase)
-	// As in RepairNode: a capped run never reports bandwidth above its
-	// cap — the budget bytes it consumed floor the modeled makespan.
-	if floor := res.DrainTime + sched.capFloor(sched.TotalSpentBytes()-spentBase); res.VirtualTime < floor {
-		res.VirtualTime = floor
-	}
-	if res.VirtualTime > 0 {
-		res.Bandwidth = float64(res.Bytes) / res.VirtualTime.Seconds()
-	}
+	res.repairTiming = run.finish(stripeTime, res.Bytes)
 }
 
 // drainResumable reports whether a drain that failed with err should
@@ -684,7 +708,7 @@ func drainResumable(ctx context.Context, err error) bool {
 // the source's StripesOn set, so no resume will ever revisit it — but
 // its fence/refetch did not complete. It is always a hard failure
 // (drainResumable rejects it regardless of the run context's state,
-// and runRepairWorkers reports it in preference to a concurrent
+// and repairRun.work reports it in preference to a concurrent
 // cancellation), because resuming cannot repair it. The wrapped error
 // names the affected block; the partial DrainResult is returned
 // alongside so the operator sees the moves that did complete. Until
@@ -742,14 +766,9 @@ func (mg *migrator) migrateStripe(ref StripeRef) (StripeMove, error) {
 	}
 	mv.To = dest
 	if data != nil {
-		sresp, err := mg.caller.Call(mg.ctx, dest, &wire.Msg{Kind: wire.KBlockStore, Block: b, Data: data, Class: sim.ClassDrain})
+		cost, err := callCost(mg.ctx, mg.caller, dest, &wire.Msg{Kind: wire.KBlockStore, Block: b, Data: data, Class: sim.ClassDrain})
 		if err != nil {
 			return mv, fmt.Errorf("ecfs: drain store %v on %d: %w", b, dest, err)
-		}
-		cost, e := sresp.Cost, sresp.Error()
-		sresp.Release()
-		if e != nil {
-			return mv, e
 		}
 		mv.Cost += cost
 		mv.Bytes = len(data)
@@ -770,7 +789,7 @@ func (mg *migrator) migrateStripe(ref StripeRef) (StripeMove, error) {
 	// re-bounded by the drainStripeBudget backstop (a hung node must
 	// not wedge the worker forever); cancellation is honored at the
 	// next stripe boundary instead (the scheduler's admission gate in
-	// runRepairWorkers). A failure in here — backstop expiry included —
+	// repairRun.work). A failure in here — backstop expiry included —
 	// is marked ErrStrandedCutover: it can never masquerade as a
 	// resumable cancel, because no resume can revisit a stripe that is
 	// already off the node.
@@ -793,16 +812,11 @@ func (mg *migrator) finishCutover(ctx context.Context, mv *StripeMove, ref Strip
 	// Fence: unlike the recovery broadcast, the source notification must
 	// succeed — it is what stops stale clients from mutating the moved
 	// block on the old holder.
-	fr, err := mg.caller.Call(ctx, mg.node, &wire.Msg{
-		Kind: wire.KEpochUpdate, Block: b, Loc: nl, K: uint8(mg.k), M: uint8(mg.m), Class: sim.ClassDrain,
-	})
+	epoch := wire.Msg{Kind: wire.KEpochUpdate, Block: b, Loc: nl, K: uint8(mg.k), M: uint8(mg.m), Class: sim.ClassDrain}
+	fence := epoch
+	cost, err := callCost(ctx, mg.caller, mg.node, &fence)
 	if err != nil {
 		return fmt.Errorf("ecfs: drain fence %v at %d: %w", b, mg.node, err)
-	}
-	cost, e := fr.Cost, fr.Error()
-	fr.Release()
-	if e != nil {
-		return e
 	}
 	mv.Cost += cost
 
@@ -811,18 +825,8 @@ func (mg *migrator) finishCutover(ctx context.Context, mv *StripeMove, ref Strip
 	// sequence on purpose: the broadcast refreshes the members' strategy
 	// stripe tables, so asynchronous delta traffic (parity-log appends
 	// from data holders) re-routes to the destination before the final
-	// copy is taken. The MDS stays the placement authority; for members
-	// the epoch remains a best-effort hint.
-	for _, member := range nl.Nodes {
-		if member == mg.node || mg.down[member] {
-			continue
-		}
-		if resp, err := mg.caller.Call(ctx, member, &wire.Msg{
-			Kind: wire.KEpochUpdate, Block: b, Loc: nl, K: uint8(mg.k), M: uint8(mg.m), Class: sim.ClassDrain,
-		}); err == nil {
-			resp.Release()
-		}
-	}
+	// copy is taken.
+	broadcastEpoch(ctx, mg.caller, epoch, mg.down, mg.node)
 
 	// A parity block's pending state lives in the source's parity log as
 	// XOR deltas, which a read-through fetch cannot merge (only data-log
@@ -853,17 +857,12 @@ func (mg *migrator) finishCutover(ctx context.Context, mv *StripeMove, ref Strip
 	case r2.OK():
 		mv.Cost += r2.Cost
 		if data == nil || !bytes.Equal(r2.Data, data) {
-			sresp, serr := mg.caller.Call(ctx, dest, &wire.Msg{
+			cost, err := callCost(ctx, mg.caller, dest, &wire.Msg{
 				Kind: wire.KBlockStore, Block: b, Data: r2.Data,
 				Flag: wire.StoreUnlessOverwritten, Loc: nl, Class: sim.ClassDrain,
 			})
-			if serr != nil {
-				return fmt.Errorf("ecfs: drain refresh %v on %d: %w", b, dest, serr)
-			}
-			cost, e := sresp.Cost, sresp.Error()
-			sresp.Release()
-			if e != nil {
-				return e
+			if err != nil {
+				return fmt.Errorf("ecfs: drain refresh %v on %d: %w", b, dest, err)
 			}
 			mv.Refreshed = true
 			mv.Skipped = false // content appeared inside the window
@@ -884,14 +883,9 @@ func (mg *migrator) finishCutover(ctx context.Context, mv *StripeMove, ref Strip
 // rebind, so callers pass the detached (uncancellable) stripe context.
 func (mg *migrator) drainSourceLogs(ctx context.Context, mv *StripeMove) error {
 	for phase := 1; phase <= update.DrainPhases; phase++ {
-		resp, err := mg.caller.Call(ctx, mg.node, &wire.Msg{Kind: wire.KDrainLogs, Flag: uint8(phase), Data: mg.deadList, Class: sim.ClassDrain})
+		cost, err := callCost(ctx, mg.caller, mg.node, &wire.Msg{Kind: wire.KDrainLogs, Flag: uint8(phase), Data: mg.deadList, Class: sim.ClassDrain})
 		if err != nil {
 			return fmt.Errorf("ecfs: drain source logs at %d: %w", mg.node, err)
-		}
-		cost, e := resp.Cost, resp.Error()
-		resp.Release()
-		if e != nil {
-			return e
 		}
 		mv.Cost += cost
 	}
@@ -905,21 +899,17 @@ func (mg *migrator) drainSourceLogs(ctx context.Context, mv *StripeMove) error {
 // node is evicted from the placement pool but stays registered; follow
 // with RemoveOSD (or use Decommission) to retire it.
 //
-// A drain cancelled via ctx is resumable: call Drain (or DrainWith)
-// again on the same node and it completes from the stripes still
-// placed there, with no stripe migrated twice and no pool-membership
-// flap in between (see MigrateNode). AbortDrain abandons it instead.
+// Options.RecoveryWorkers stripes migrate in parallel.
+//
+// A drain cancelled via ctx is resumable: call Drain again on the same
+// node and it completes from the stripes still placed there, with no
+// stripe migrated twice and no pool-membership flap in between (see
+// MigrateNode). AbortDrain abandons it instead.
 func (c *Cluster) Drain(ctx context.Context, node wire.NodeID) (*DrainResult, error) {
-	return c.DrainWith(ctx, node, c.Opts.RecoveryWorkers)
-}
-
-// DrainWith is Drain with an explicit migration worker count (<= 0
-// selects DefaultRecoveryWorkers).
-func (c *Cluster) DrainWith(ctx context.Context, node wire.NodeID, workers int) (*DrainResult, error) {
 	if c.OSD(node) == nil {
 		return nil, fmt.Errorf("ecfs: drain: unknown node %d", node)
 	}
-	o := c.repairOptions(workers, false)
+	o := c.repairOptions(false)
 	o.Down = c.deadSnapshot()
 	return MigrateNode(ctx, c.MDS, c.Tr.Caller(wire.MDSNode), o, node)
 }

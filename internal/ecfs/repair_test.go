@@ -67,6 +67,7 @@ func TestPrioritizedRepairReordersQueue(t *testing.T) {
 	ctx := context.Background()
 	c, cli, f, mirror := buildRecoveryCluster(t, "tsue", 150)
 	defer c.Close()
+	c.Opts.RecoveryWorkers = 1
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestPrioritizedRepairReordersQueue(t *testing.T) {
 	}
 	done := make(chan recDone, 1)
 	go func() {
-		res, err := c.RecoverWith(context.Background(), victim.ID(), repl, 1)
+		res, err := c.Recover(context.Background(), victim.ID(), repl)
 		done <- recDone{res, err}
 	}()
 
@@ -246,11 +247,12 @@ func TestPrioritizedRepairReordersQueue(t *testing.T) {
 func TestRecoverFIFOKeepsSeedOrder(t *testing.T) {
 	c, _, _, _ := buildRecoveryCluster(t, "tsue", 100)
 	defer c.Close()
+	c.Opts.RecoveryWorkers = 1
 	victim := c.OSDs[2]
 	c.FailOSD(victim.ID())
 	repl := newTestReplacement(t, c, victim.ID())
 	defer repl.Close()
-	res, err := c.RecoverFIFO(context.Background(), victim.ID(), repl, 1)
+	res, err := c.RecoverFIFO(context.Background(), victim.ID(), repl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,13 @@ import (
 
 // buildResumeCluster is buildDrainCluster with a bigger file, so a
 // drained node hosts enough stripes that cancelling partway leaves
-// meaningful work for the resume.
-func buildResumeCluster(t *testing.T, updates int) (*Cluster, *File, []byte) {
+// meaningful work for the resume. workers is the drain parallelism
+// (<= 0 selects DefaultRecoveryWorkers).
+func buildResumeCluster(t *testing.T, updates, workers int) (*Cluster, *File, []byte) {
 	t.Helper()
 	ctx := context.Background()
 	opts := testOptions("tsue")
+	opts.RecoveryWorkers = workers
 	cfg := *opts.Strategy
 	cfg.UnitSize = 16 << 20 // no mid-test recycling; the drain quiesces logs up front
 	opts.Strategy = &cfg
@@ -54,11 +56,11 @@ func poolSnapshot(c *Cluster) map[wire.NodeID]bool {
 // drain cancelled mid-way (a) returns the completed moves alongside the
 // cancellation, (b) keeps the node marked draining and OUT of the
 // placement pool — no evicted-then-restored flap — and (c) a second
-// DrainWith on the same node completes from the remaining stripes with
+// Drain on the same node completes from the remaining stripes with
 // no stripe migrated twice.
 func TestDrainCancelResume(t *testing.T) {
 	ctx := context.Background()
-	c, f, mirror := buildResumeCluster(t, 150)
+	c, f, mirror := buildResumeCluster(t, 150, 1)
 	defer c.Close()
 
 	node := c.OSDs[2].ID()
@@ -83,7 +85,7 @@ func TestDrainCancelResume(t *testing.T) {
 		return src.Handler(hctx, msg)
 	})
 
-	res1, err := c.DrainWith(ctx1, node, 1)
+	res1, err := c.Drain(ctx1, node)
 	c.Tr.Register(node, src.Handler)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled drain returned %v, want context.Canceled", err)
@@ -137,7 +139,7 @@ func TestDrainCancelResume(t *testing.T) {
 
 	// Resume. The second run must complete, re-seeded from the
 	// remaining stripes only.
-	res2, err := c.DrainWith(context.Background(), node, 1)
+	res2, err := c.Drain(context.Background(), node)
 	if err != nil {
 		t.Fatalf("resumed drain: %v", err)
 	}
@@ -188,7 +190,7 @@ func TestDrainCancelResume(t *testing.T) {
 // abandons it gets the node back in the placement pool with the
 // draining mark cleared.
 func TestAbortDrainRestoresPool(t *testing.T) {
-	c, _, _ := buildResumeCluster(t, 50)
+	c, _, _ := buildResumeCluster(t, 50, 1)
 	defer c.Close()
 	node := c.OSDs[2].ID()
 
@@ -202,7 +204,7 @@ func TestAbortDrainRestoresPool(t *testing.T) {
 		}
 		return src.Handler(hctx, msg)
 	})
-	if _, err := c.DrainWith(ctx1, node, 1); !errors.Is(err, context.Canceled) {
+	if _, err := c.Drain(ctx1, node); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled drain returned %v", err)
 	}
 	c.Tr.Register(node, src.Handler)
@@ -315,10 +317,10 @@ func TestAbandonedDrainSkipsDeadNode(t *testing.T) {
 }
 
 // TestConcurrentDrainRejected drives the same guarantee end to end: a
-// second DrainWith on a node whose drain is still executing fails
+// second Drain on a node whose drain is still executing fails
 // instead of racing the first engine over the same stripes.
 func TestConcurrentDrainRejected(t *testing.T) {
-	c, _, _ := buildResumeCluster(t, 20)
+	c, _, _ := buildResumeCluster(t, 20, 1)
 	defer c.Close()
 	node := c.OSDs[2].ID()
 	src := c.OSD(node)
@@ -336,13 +338,13 @@ func TestConcurrentDrainRejected(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.DrainWith(context.Background(), node, 1)
+		_, err := c.Drain(context.Background(), node)
 		done <- err
 	}()
 	<-entered // the first drain is past BeginDrain, copying its first stripe
 
-	if _, err := c.DrainWith(context.Background(), node, 1); err == nil {
-		t.Fatal("second DrainWith on a running drain must be rejected")
+	if _, err := c.Drain(context.Background(), node); err == nil {
+		t.Fatal("second Drain on a running drain must be rejected")
 	}
 	if c.AbortDrain(node) {
 		t.Fatal("AbortDrain on a running drain must be refused")
@@ -373,7 +375,7 @@ func TestConcurrentDrainRejected(t *testing.T) {
 // operator cancels at the same moment, because the resume's StripesOn
 // re-seed could not revisit the stranded stripe.
 func TestDrainStrandedCutoverHardAborts(t *testing.T) {
-	c, _, _ := buildResumeCluster(t, 20)
+	c, _, _ := buildResumeCluster(t, 20, 1)
 	defer c.Close()
 	node := c.OSDs[2].ID()
 	before := len(c.MDS.StripesOnSorted(node))
@@ -392,7 +394,7 @@ func TestDrainStrandedCutoverHardAborts(t *testing.T) {
 		return src.Handler(hctx, msg)
 	})
 
-	res, err := c.DrainWith(ctx1, node, 1)
+	res, err := c.Drain(ctx1, node)
 	c.Tr.Register(node, src.Handler)
 	if !errors.Is(err, ErrStrandedCutover) {
 		t.Fatalf("post-rebind fence failure returned %v, want ErrStrandedCutover", err)
@@ -446,7 +448,7 @@ func TestSchedulerLedgerSurvivesRebase(t *testing.T) {
 // completes, no client operation fails, and the measured rebuild
 // bandwidth lands at or under the cap.
 func TestDrainHonorsRebuildCap(t *testing.T) {
-	c, f, mirror := buildResumeCluster(t, 100)
+	c, f, mirror := buildResumeCluster(t, 100, 0)
 	defer c.Close()
 	const capMBps = 0.05 // far below the uncapped copy rate, so the cap must bite
 	c.SetRebuildCap(capMBps)

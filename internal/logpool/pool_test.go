@@ -363,7 +363,7 @@ func TestPoolSetRouting(t *testing.T) {
 		t.Fatal("poolset lookup failed")
 	}
 	dst := make([]byte, 4)
-	ps.Overlay(b, 0, dst)
+	ps.Pick(b).Overlay(b, 0, dst)
 	if string(dst) != "data" {
 		t.Fatal("poolset overlay failed")
 	}

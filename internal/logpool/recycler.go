@@ -229,11 +229,6 @@ func (ps *PoolSet) Lookup(block wire.BlockID, off, size uint32) ([]byte, bool) {
 	return ps.Pick(block).Lookup(block, off, size)
 }
 
-// Overlay applies pending content from the owning pool.
-func (ps *PoolSet) Overlay(block wire.BlockID, off uint32, dst []byte) {
-	ps.Pick(block).Overlay(block, off, dst)
-}
-
 // Drain drains every member pool.
 func (ps *PoolSet) Drain(v time.Duration) {
 	for _, p := range ps.pools {

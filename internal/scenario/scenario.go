@@ -543,7 +543,7 @@ func (e *Engine) fire(ctx context.Context, c *ecfs.Cluster, ev Event, phaseOps i
 			return err
 		}
 		c.AddOSD(repl)
-		if _, err := c.RecoverWith(ctx, id, repl, 0); err != nil {
+		if _, err := c.Recover(ctx, id, repl); err != nil {
 			return fmt.Errorf("invariant no-lost-acknowledged-write: recovery after kill of %d: %w", id, err)
 		}
 
@@ -560,13 +560,13 @@ func (e *Engine) fire(ctx context.Context, c *ecfs.Cluster, ev Event, phaseOps i
 			e.waitClock(dctx, done, e.clock.Load()+int64(ev.Hold*float64(phaseOps)), 25*time.Millisecond)
 			cancel()
 		}()
-		_, err := c.DrainWith(dctx, id, 0)
+		_, err := c.Drain(dctx, id)
 		cancel()
 		switch {
 		case err == nil:
 			// Completed before the cancel landed — nothing to resume.
 		case errors.Is(err, context.Canceled) && ctx.Err() == nil:
-			if _, rerr := c.DrainWith(ctx, id, 0); rerr != nil {
+			if _, rerr := c.Drain(ctx, id); rerr != nil {
 				return fmt.Errorf("drain resume on %d: %w", id, rerr)
 			}
 		default:

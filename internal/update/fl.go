@@ -102,12 +102,9 @@ func (f *fl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 func (f *fl) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
 	// The log must merge with the old data on reads (FL's read penalty):
 	// base read plus overlay of all pending records.
-	data, cost, err := f.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	f.dataLog.Overlay(b, off, data)
-	return data, cost, nil
+	return readThrough(f.dataLog, b, off, func() ([]byte, time.Duration, error) {
+		return f.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
+	})
 }
 
 func (f *fl) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {

@@ -338,6 +338,28 @@ func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind
 	return cost + fanCost, nil
 }
 
+// readThrough returns base's read of block b from offset off with the
+// pending content of b's data log pool laid over it. A unit that
+// finishes recycling between the base read and the overlay is in
+// neither: its store write landed after the read, and the overlay skips
+// recycled units. So the read repeats, each base read priced, until no
+// unit of the pool finished recycling in between.
+func readThrough(pool *logpool.Pool, b wire.BlockID, off uint32, base func() ([]byte, time.Duration, error)) ([]byte, time.Duration, error) {
+	var total time.Duration
+	for {
+		recycled := pool.Stats().UnitsRecycled
+		data, cost, err := base()
+		if err != nil {
+			return nil, 0, err
+		}
+		total += cost
+		pool.Overlay(b, off, data)
+		if pool.Stats().UnitsRecycled == recycled {
+			return data, total, nil
+		}
+	}
+}
+
 // overwriteMsg overwrites a client update's range in place on the
 // foreground path and returns its data delta and modeled cost.
 func overwriteMsg(env Env, cfg Config, msg *wire.Msg) ([]byte, time.Duration, error) {

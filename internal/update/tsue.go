@@ -415,12 +415,9 @@ func (t *tsue) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration
 	if data, ok := t.dataLogs.Lookup(b, off, uint32(size)); ok {
 		return data, 0, nil // Lookup's copy is ours
 	}
-	data, cost, err := t.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	t.dataLogs.Overlay(b, off, data)
-	return data, cost, nil
+	return readThrough(t.dataLogs.Pick(b), b, off, func() ([]byte, time.Duration, error) {
+		return t.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
+	})
 }
 
 // ReplayPersisted routes a record recovered from the durable segment

@@ -11,6 +11,7 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/device"
 	"repro/internal/erasure"
+	"repro/internal/logpool"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -306,5 +307,36 @@ func TestFanoutPropagatesErrors(t *testing.T) {
 		return &wire.Msg{Kind: wire.KPing}
 	}); err == nil {
 		t.Fatal("single-target remote error must propagate")
+	}
+}
+
+// TestReadThroughSeesUnitRecycledMidRead: a unit that finishes
+// recycling after the base read but before the overlay is in neither,
+// so readThrough must read the base again and return the unit's bytes.
+func TestReadThroughSeesUnitRecycledMidRead(t *testing.T) {
+	pool := logpool.MustNewPool(logpool.Config{Name: "data", Mode: logpool.Overwrite, UnitSize: 1 << 20, MaxUnits: 2})
+	defer pool.Close()
+	b := wire.BlockID{Ino: 1}
+	pool.Append(b, 0, []byte("new"), 0)
+	pool.SealActive(0)
+	u := pool.TakeRecyclable(false)
+	stored := []byte("old")
+	reads := 0
+	got, _, err := readThrough(pool, b, 0, func() ([]byte, time.Duration, error) {
+		reads++
+		out := bytes.Clone(stored)
+		if reads == 1 {
+			// The recycle's store write lands just after this read,
+			// and the unit leaves the overlay.
+			copy(stored, "new")
+			pool.FinishRecycle(u, 0, 0, 1, 1, 3)
+		}
+		return out, 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "new" || reads != 2 {
+		t.Fatalf("read %q after %d base reads, want \"new\" after 2", got, reads)
 	}
 }
