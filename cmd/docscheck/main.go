@@ -4,12 +4,13 @@
 //     *.md files must point at a file or directory that exists.
 //  2. Godoc lint — every exported symbol of the client surface
 //     (internal/ecfs: client.go, file.go, dial.go), of the cluster
-//     entry points (cluster.go), of the repair subsystem (repair.go,
-//     recovery.go, scheduler.go) and of the block store every update
-//     method is built from (internal/blockstore/blockstore.go) must
-//     carry a doc comment, so neither the one data API, the
-//     operator-facing surface documented in docs/OPERATIONS.md, nor the
-//     storage seam can silently grow undocumented symbols.
+//     entry points (cluster.go), of the OSD server the update methods
+//     run in (osd.go), of the repair subsystem (repair.go, recovery.go,
+//     scheduler.go) and of the block store every update method is built
+//     from (internal/blockstore/blockstore.go) must carry a doc comment,
+//     so neither the one data API, the operator-facing surface
+//     documented in docs/OPERATIONS.md, nor the storage seam can
+//     silently grow undocumented symbols.
 //
 // It runs from the repository root (CI wires it into the verify job)
 // and exits non-zero listing every violation.
@@ -28,13 +29,15 @@ import (
 
 // lintedFiles is the godoc-linted surface, relative to the repository
 // root: the client and its File handle, the cluster's entry points
-// (fail, crash, restart, resilver, scrub), the repair/drain engines
-// with the cluster-level scheduler, and the block store.
+// (fail, crash, restart, resilver, scrub), the OSD server, the
+// repair/drain engines with the cluster-level scheduler, and the block
+// store.
 var lintedFiles = []string{
 	"internal/ecfs/client.go",
 	"internal/ecfs/file.go",
 	"internal/ecfs/dial.go",
 	"internal/ecfs/cluster.go",
+	"internal/ecfs/osd.go",
 	"internal/ecfs/repair.go",
 	"internal/ecfs/recovery.go",
 	"internal/ecfs/scheduler.go",

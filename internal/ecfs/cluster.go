@@ -417,8 +417,7 @@ func (c *Cluster) Resilver(ctx context.Context, id wire.NodeID) (*ResilverResult
 	refs := c.MDS.StripesOnSorted(id)
 	var stale []StripeRef
 	for _, ref := range refs {
-		ep, ok := o.eng.EpochOf(ref.Ino, ref.Stripe)
-		if (ok && ep >= ref.Loc.Epoch) || (!ok && ref.Loc.Epoch == 0) {
+		if p, _ := o.Placement(wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}); p.Loc.Epoch >= ref.Loc.Epoch {
 			res.Kept++
 			continue
 		}

@@ -143,6 +143,61 @@ func TestKillRestartStaleRebuild(t *testing.T) {
 	}
 }
 
+// TestKillRestartReplacementKeepsPendingDeltas: a recovery replacement
+// that becomes stripe 0's first parity OSD takes DataLog deltas into its
+// DeltaLog, then crash-restarts before recycling them. The replayed
+// deltas must still reach the parity logs, so the replacement must have
+// journaled the stripe's placement, not only its epoch.
+func TestKillRestartReplacementKeepsPendingDeltas(t *testing.T) {
+	c := MustNewCluster(durableOptions(t, "tsue"))
+	defer c.Close()
+	ctx := context.Background()
+	cli := c.NewClient()
+	f, mirror := writeTestFile(t, c, cli, 64<<10, 51)
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	loc, _ := c.MDS.PlacementOf(f.Ino(), 0)
+	victim := loc.Nodes[c.Opts.K]
+	c.FailOSD(victim)
+	repl, err := c.SpawnOSD(c.MaxNodeID() + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AddOSD(repl)
+	if _, err := c.Recover(ctx, victim, repl); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+
+	// Recycle the DataLogs only: the deltas now wait in the
+	// replacement's DeltaLog.
+	applyUpdates(t, f, mirror, 24, 52)
+	for _, o := range c.Alive() {
+		resp, err := c.Tr.Caller(wire.MDSNode).Call(ctx, o.id, &wire.Msg{Kind: wire.KDrainLogs, Flag: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Error(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c.CrashOSD(repl.id)
+	if _, _, err := c.RestartOSD(ctx, repl.id); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.VerifyStripes(f, mirror); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestResilverReportsEveryLostStripe: a restarted OSD whose stale
 // stripes cannot be rebuilt reports every one of them in the
 // DataLossError, not just the first.
@@ -205,7 +260,8 @@ func TestResilverReportsEveryLostStripe(t *testing.T) {
 // TestCrashedEngineRefusesWrites: once a durable OSD's engine stops
 // persisting, a full-block write is answered with an error instead of
 // being acknowledged — both when the block write itself is refused and
-// when journaling the request's placement epoch is.
+// when journaling the request's placement epoch is. An epoch fence that
+// cannot be journaled is refused too, and the old epoch stays in force.
 func TestCrashedEngineRefusesWrites(t *testing.T) {
 	cfg := update.DefaultConfig()
 	cfg.BlockSize = 4 << 10
@@ -214,14 +270,29 @@ func TestCrashedEngineRefusesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Close()
+	ctx := context.Background()
+	nodes := []wire.NodeID{1, 2, 3}
+	if resp := o.Handler(ctx, &wire.Msg{Kind: wire.KEpochUpdate, Block: wire.BlockID{Ino: 1}, Loc: wire.StripeLoc{Nodes: nodes, Epoch: 1}, K: 2, M: 1}); !resp.OK() {
+		t.Fatalf("epoch 1 fence: %s", resp.Err)
+	}
 	o.Engine().Crash()
-	for _, loc := range []wire.StripeLoc{{}, {Nodes: []wire.NodeID{1, 2, 3}, Epoch: 1}} {
-		resp := o.Handler(context.Background(), &wire.Msg{
+	for _, loc := range []wire.StripeLoc{{}, {Nodes: nodes, Epoch: 2}} {
+		resp := o.Handler(ctx, &wire.Msg{
 			Kind: wire.KWriteBlock, Block: wire.BlockID{Ino: 1}, Loc: loc, K: 2, M: 1,
 			Data: make([]byte, cfg.BlockSize),
 		})
 		if resp.OK() {
 			t.Fatalf("KWriteBlock (placement %+v) on a crashed engine was acknowledged", loc)
 		}
+	}
+	resp := o.Handler(ctx, &wire.Msg{Kind: wire.KEpochUpdate, Block: wire.BlockID{Ino: 1}, Loc: wire.StripeLoc{Nodes: nodes, Epoch: 2}, K: 2, M: 1})
+	if resp.OK() {
+		t.Fatal("epoch 2 fence on a crashed engine was acknowledged")
+	}
+	if p, _ := o.Placement(wire.BlockID{Ino: 1}); p.Loc.Epoch != 1 {
+		t.Fatalf("epoch after the refused fence = %d, want 1", p.Loc.Epoch)
+	}
+	if resp := o.Handler(ctx, &wire.Msg{Kind: wire.KRead, Block: wire.BlockID{Ino: 1}, Size: 16, Loc: wire.StripeLoc{Nodes: nodes, Epoch: 1}}); resp.IsStale() {
+		t.Fatal("a request at the old epoch was rejected as stale")
 	}
 }

@@ -23,16 +23,18 @@
 //   - A placement's Nodes slice is immutable once published; rebinding
 //     a stripe onto a replacement node installs a fresh StripeLoc with
 //     Epoch+1. Cached copies therefore never mutate under a reader.
-//   - The MDS is the epoch authority. OSDs learn epochs from the
-//     placements that reach them (writes, updates, recovery's
-//     KEpochUpdate broadcast) and reject client requests carrying an
-//     older epoch with a structured wire.StatusStaleEpoch reply, which
-//     makes a client with a stale cache re-resolve and retry instead of
+//   - The MDS is the epoch authority. Each OSD learns placements into
+//     one table from every message that carries one (writes, updates,
+//     reads, strategy forwards, the repair engines' KEpochUpdate fences
+//     and broadcasts) and rejects client requests carrying an older
+//     epoch with a structured wire.StatusStaleEpoch reply, which makes
+//     a client with a stale cache re-resolve and retry instead of
 //     silently writing through a dead placement.
 //   - Epoch checks happen only at the client→OSD boundary (KWriteBlock,
-//     KUpdate). Strategy-internal forwards inherit the already-validated
-//     placement of the triggering request, so a mid-flight epoch bump
-//     cannot split one update across two placements.
+//     KUpdate, KRead). Strategy-internal forwards inherit the
+//     already-validated placement of the triggering request, so a
+//     mid-flight epoch bump cannot split one update across two
+//     placements.
 package ecfs
 
 import (

@@ -3,6 +3,7 @@ package ecfs
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,14 +34,14 @@ type OSD struct {
 	codeMu sync.RWMutex
 	codes  map[[2]int]*erasure.Code
 
-	// epochs is the highest placement epoch this OSD has seen per
-	// stripe, learned from the placements client requests carry and
-	// from the repair engines' KEpochUpdate broadcast. Client-boundary
-	// requests (KWriteBlock, KUpdate, KRead) carrying an older epoch
-	// are rejected with a structured stale reply so the caller
-	// re-resolves at the MDS.
-	epochMu sync.RWMutex
-	epochs  map[stripeKey]uint64
+	// places is the OSD's one record per stripe, written only by learn:
+	// the newest placement seen on any inbound message and the highest
+	// epoch of a client full-block write. Client-boundary requests
+	// (KWriteBlock, KUpdate, KRead) carrying an older epoch are rejected
+	// with a structured stale reply so the caller re-resolves at the
+	// MDS; strategies route asynchronous deltas by it (Placement).
+	placeMu sync.RWMutex
+	places  map[stripeKey]stripeRecord
 
 	// inflight counts client-boundary *mutations* (KWriteBlock,
 	// KUpdate) currently executing per stripe. An epoch fence
@@ -52,15 +53,6 @@ type OSD struct {
 	inflightMu   sync.Mutex
 	inflightCond *sync.Cond
 	inflight     map[stripeKey]int
-
-	// overwrites records, per stripe, the highest placement epoch at
-	// which a client full-block write (KWriteBlock) landed here. A
-	// drain's post-fence re-store (KBlockStore with
-	// wire.StoreUnlessOverwritten) is skipped when a client has already
-	// overwritten the block at the current epoch — the old-epoch
-	// content being carried over is superseded and must not clobber it.
-	overwriteMu sync.Mutex
-	overwrites  map[stripeKey]uint64
 
 	// listenAddr is the advertised TCP listen address, reported on every
 	// heartbeat so the MDS address map can serve it (wire.KResolveAddr).
@@ -92,14 +84,13 @@ func (p enginePersist) Layer(name string) logpool.Persist { return p.eng.Layer(n
 func NewOSDAt(id wire.NodeID, prof device.Profile, rpc transport.RPC, method string, cfg update.Config, kind erasure.MatrixKind, dataDir string) (*OSD, error) {
 	dev := device.New(fmt.Sprintf("osd%d/%s", id, prof.Kind), prof)
 	o := &OSD{
-		id:         id,
-		dev:        dev,
-		rpc:        rpc,
-		codeKind:   kind,
-		codes:      make(map[[2]int]*erasure.Code),
-		epochs:     make(map[stripeKey]uint64),
-		inflight:   make(map[stripeKey]int),
-		overwrites: make(map[stripeKey]uint64),
+		id:       id,
+		dev:      dev,
+		rpc:      rpc,
+		codeKind: kind,
+		codes:    make(map[[2]int]*erasure.Code),
+		places:   make(map[stripeKey]stripeRecord),
+		inflight: make(map[stripeKey]int),
 	}
 	o.inflightCond = sync.NewCond(&o.inflightMu)
 	if dataDir != "" {
@@ -127,25 +118,26 @@ func NewOSDAt(id wire.NodeID, prof device.Profile, rpc transport.RPC, method str
 	return o, nil
 }
 
-// recoverLocal finishes a durable OSD's open: seed the in-memory epoch
-// table and the strategy's stripe placements from the engine's
-// persisted state, then replay surviving log-segment records through
-// the strategy's normal append path. Placements MUST be seeded first —
-// a recycle triggered by a replayed append routes deltas through the
-// stripe table, and an unknown stripe recycles to nothing.
+// recoverLocal finishes a durable OSD's open: seed the placement table
+// from the engine's journal, then replay surviving log-segment records
+// through the strategy's normal append path. The table MUST be seeded
+// first — a recycle triggered by a replayed append routes deltas by it,
+// and an unknown stripe recycles to nothing. A journaled epoch newer
+// than the stripe's journaled placement still fences stale clients, but
+// leaves the placement unknown until a message at that epoch names it.
 func (o *OSD) recoverLocal() {
-	o.eng.ForEachEpoch(func(ino uint64, stripe uint32, ep uint64) {
-		o.epochs[stripeKey{ino, stripe}] = ep
+	o.eng.ForEachPlacement(func(ino uint64, stripe uint32, p store.Placement) {
+		o.places[stripeKey{ino, stripe}] = stripeRecord{Placement: update.Placement{
+			K: p.K, M: p.M, Loc: wire.StripeLoc{Nodes: p.Nodes, Epoch: p.Epoch},
+		}}
 	})
-	if r, ok := o.strategy.(update.PlacementRefresher); ok {
-		o.eng.ForEachPlacement(func(ino uint64, stripe uint32, p store.Placement) {
-			r.RefreshPlacement(&wire.Msg{
-				Block: wire.BlockID{Ino: ino, Stripe: stripe},
-				K:     uint8(p.K), M: uint8(p.M),
-				Loc: wire.StripeLoc{Nodes: p.Nodes, Epoch: p.Epoch},
-			})
-		})
-	}
+	o.eng.ForEachEpoch(func(ino uint64, stripe uint32, ep uint64) {
+		key := stripeKey{ino, stripe}
+		if rec := o.places[key]; ep > rec.Loc.Epoch {
+			rec.Loc = wire.StripeLoc{Epoch: ep}
+			o.places[key] = rec
+		}
+	})
 	if rp, ok := o.strategy.(update.Replayer); ok {
 		o.eng.Replay(func(e store.SegEntry) {
 			rp.ReplayPersisted(e.Layer, e.Block, e.Off, e.V, e.Data)
@@ -208,68 +200,103 @@ func (o *OSD) Code(k, m int) (*erasure.Code, error) {
 // Strategy exposes the bound update strategy (tests, metrics).
 func (o *OSD) Strategy() update.Strategy { return o.strategy }
 
-// noteEpoch records a placement epoch for a stripe if it is newer than
-// the one already known. A durable OSD journals the epoch first and
-// returns the engine's error without learning it.
-func (o *OSD) noteEpoch(ino uint64, stripe uint32, epoch uint64) error {
-	if epoch == 0 {
-		return nil
-	}
-	key := stripeKey{ino, stripe}
-	o.epochMu.RLock()
-	cur := o.epochs[key]
-	o.epochMu.RUnlock()
-	if epoch <= cur {
-		return nil
-	}
-	o.epochMu.Lock()
-	defer o.epochMu.Unlock()
-	if epoch <= o.epochs[key] {
-		return nil
-	}
-	if o.eng != nil {
-		// Durable OSDs journal the epoch too: after a kill-restart the
-		// resilver pass compares these against the MDS to decide which
-		// local stripes are still current.
-		if err := o.eng.NoteEpoch(ino, stripe, epoch); err != nil {
-			return err
-		}
-	}
-	o.epochs[key] = epoch
-	return nil
+// stripeRecord is what an OSD knows about one stripe. Loc.Epoch is the
+// stripe's placement epoch here. Loc.Nodes is empty in an epoch-only
+// record (a journaled epoch whose placement was never journaled), and K
+// is zero until a message carrying the geometry arrives; either way the
+// placement is unknown to the strategy.
+type stripeRecord struct {
+	update.Placement
+	// overwrite is the highest placement epoch at which a client
+	// full-block write (KWriteBlock) landed here. A drain's post-fence
+	// re-store (KBlockStore with wire.StoreUnlessOverwritten) is skipped
+	// when a client has already overwritten the block at its epoch — the
+	// old-epoch content being carried over is superseded and must not
+	// clobber it.
+	overwrite uint64
 }
 
-// persistPlacement records a stripe placement in the storage engine so
-// a reopened OSD can re-seed its strategy's stripe table before log
-// replay. In-memory OSDs and messages without placements are no-ops.
-func (o *OSD) persistPlacement(msg *wire.Msg) error {
-	if o.eng == nil || len(msg.Loc.Nodes) == 0 {
-		return nil
-	}
-	k, m := int(msg.K), int(msg.M)
-	if k == 0 {
-		// Epoch fences ship a placement without geometry; keep the
-		// recorded K/M if we have one, otherwise there is nothing useful
-		// to remember yet.
-		p, ok := o.eng.PlacementOf(msg.Block.Ino, msg.Block.Stripe)
-		if !ok {
-			return nil
-		}
-		k, m = p.K, p.M
-	}
-	return o.eng.RememberPlacement(msg.Block.Ino, msg.Block.Stripe, store.Placement{
-		K: k, M: m, Epoch: msg.Loc.Epoch,
-		Nodes: append([]wire.NodeID(nil), msg.Loc.Nodes...),
-	})
+// adopts reports whether msg's placement is news to the record: a newer
+// epoch or, at the same epoch, nodes or geometry the record lacks.
+func (r stripeRecord) adopts(msg *wire.Msg) bool {
+	e := msg.Loc.Epoch
+	return e > r.Loc.Epoch || e == r.Loc.Epoch && (len(r.Loc.Nodes) == 0 || r.K == 0 && msg.K != 0)
 }
 
-// learnPlacement notes a message's placement epoch and persists its
-// placement: the two steps both an epoch check and an epoch fence take.
-func (o *OSD) learnPlacement(msg *wire.Msg) error {
-	if err := o.noteEpoch(msg.Block.Ino, msg.Block.Stripe, msg.Loc.Epoch); err != nil {
-		return err
+// overwrittenBy reports whether msg is a client full-block write that
+// raises the record's overwrite epoch.
+func (r stripeRecord) overwrittenBy(msg *wire.Msg) bool {
+	e := msg.Loc.Epoch
+	return msg.Kind == wire.KWriteBlock && e >= r.Loc.Epoch && e > r.overwrite
+}
+
+// learn is the one writer of the placement table. It folds the
+// placement msg carries into the stripe's record and returns the
+// stripe's epoch afterwards. It adopts only what adopts allows, keeping
+// the known K/M when msg carries none, so an older placement is ignored,
+// never an error. A durable OSD journals the new placement first and
+// adopts nothing if that fails; a message that changes nothing takes
+// only the read lock and never reaches the engine. Messages without a
+// placement are ignored.
+func (o *OSD) learn(msg *wire.Msg) (uint64, error) {
+	if len(msg.Loc.Nodes) == 0 {
+		return 0, nil
 	}
-	return o.persistPlacement(msg)
+	key := stripeKey{msg.Block.Ino, msg.Block.Stripe}
+	o.placeMu.RLock()
+	rec := o.places[key]
+	o.placeMu.RUnlock()
+	if !rec.adopts(msg) && !rec.overwrittenBy(msg) {
+		return rec.Loc.Epoch, nil
+	}
+	o.placeMu.Lock()
+	defer o.placeMu.Unlock()
+	rec = o.places[key]
+	if rec.adopts(msg) {
+		next := rec.Placement
+		if msg.K != 0 {
+			next.K, next.M = int(msg.K), int(msg.M)
+		}
+		next.Loc = wire.StripeLoc{Nodes: slices.Clone(msg.Loc.Nodes), Epoch: msg.Loc.Epoch}
+		if o.eng != nil {
+			if err := o.journal(key, next); err != nil {
+				return rec.Loc.Epoch, err
+			}
+		}
+		rec.Placement = next
+	}
+	if rec.overwrittenBy(msg) {
+		rec.overwrite = msg.Loc.Epoch
+	}
+	o.places[key] = rec
+	return rec.Loc.Epoch, nil
+}
+
+// journal records a stripe's new placement in the storage engine: the
+// whole placement once its geometry is known, the bare epoch before
+// that. Either epoch fences stale clients after a reopen and tells
+// Resilver whether the local copy is still current; epoch 0 without
+// geometry says nothing and is not journaled.
+func (o *OSD) journal(key stripeKey, p update.Placement) error {
+	if p.K > 0 {
+		return o.eng.RememberPlacement(key.ino, key.stripe, store.Placement{
+			K: p.K, M: p.M, Epoch: p.Loc.Epoch, Nodes: p.Loc.Nodes,
+		})
+	}
+	if p.Loc.Epoch == 0 {
+		return nil
+	}
+	return o.eng.NoteEpoch(key.ino, key.stripe, p.Loc.Epoch)
+}
+
+// Placement returns the newest placement this OSD has learned for b's
+// stripe, and whether its nodes and geometry are both known. Loc.Epoch
+// is the stripe's epoch here either way (0 if none was ever learned).
+func (o *OSD) Placement(b wire.BlockID) (update.Placement, bool) {
+	o.placeMu.RLock()
+	rec := o.places[stripeKey{b.Ino, b.Stripe}]
+	o.placeMu.RUnlock()
+	return rec.Placement, rec.K > 0 && len(rec.Loc.Nodes) > 0
 }
 
 // beginMutation registers an in-flight client-boundary mutation for the
@@ -292,17 +319,6 @@ func (o *OSD) endMutation(key stripeKey) {
 	o.inflightMu.Unlock()
 }
 
-// noteOverwrite records a client full-block write at the given epoch,
-// so a drain's guarded re-store knows its carried-over content is
-// superseded.
-func (o *OSD) noteOverwrite(key stripeKey, epoch uint64) {
-	o.overwriteMu.Lock()
-	if epoch > o.overwrites[key] {
-		o.overwrites[key] = epoch
-	}
-	o.overwriteMu.Unlock()
-}
-
 // awaitQuiescent blocks until no client-boundary mutation is executing
 // for the stripe. Called by the KEpochUpdate fence after the epoch bump,
 // so every mutation this OSD ever acknowledged for the stripe has fully
@@ -315,25 +331,18 @@ func (o *OSD) awaitQuiescent(key stripeKey) {
 	o.inflightMu.Unlock()
 }
 
-// checkEpoch validates a client-boundary request's placement epoch
-// against the stripe epochs this OSD has learned. It returns a
-// structured stale reply for an outdated placement, an error reply when
-// a durable OSD cannot journal the placement, nil otherwise; a newer
-// epoch in the request is learned in passing. Strategy-internal
-// forwards are exempt (see the package comment).
+// checkEpoch learns a client-boundary request's placement and validates
+// its epoch against the stripe's. It returns a structured stale reply
+// for an outdated placement, an error reply when a durable OSD cannot
+// journal the placement, nil otherwise. Strategy-internal forwards are
+// exempt (see the package comment).
 func (o *OSD) checkEpoch(msg *wire.Msg) *wire.Resp {
-	if len(msg.Loc.Nodes) == 0 {
-		return nil
+	cur, err := o.learn(msg)
+	if err != nil {
+		return wire.ErrorResp(err)
 	}
-	key := stripeKey{msg.Block.Ino, msg.Block.Stripe}
-	o.epochMu.RLock()
-	cur := o.epochs[key]
-	o.epochMu.RUnlock()
 	if msg.Loc.Epoch < cur {
 		return wire.StaleEpochResp(msg.Block, msg.Loc.Epoch, cur)
-	}
-	if err := o.learnPlacement(msg); err != nil {
-		return wire.ErrorResp(err)
 	}
 	return nil
 }
@@ -353,7 +362,6 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		if stale := o.checkEpoch(msg); stale != nil {
 			return stale
 		}
-		o.noteOverwrite(key, msg.Loc.Epoch)
 		cost, err := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, true)
 		if err != nil {
 			return wire.ErrorResp(err)
@@ -385,7 +393,9 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		}
 		return &wire.Resp{Data: data, Cost: cost}
 	case wire.KEpochUpdate:
-		if err := o.learnPlacement(msg); err != nil {
+		// The new placement also re-routes the strategy's asynchronous
+		// deltas to the new member: they read the same table.
+		if _, err := o.learn(msg); err != nil {
 			return wire.ErrorResp(err)
 		}
 		// Fence semantics: once the epoch is bumped, wait for any
@@ -394,11 +404,6 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		// is final — the drain engine's post-fence refetch depends on
 		// it.
 		o.awaitQuiescent(stripeKey{msg.Block.Ino, msg.Block.Stripe})
-		// Refresh the strategy's cached stripe placement as well, so
-		// asynchronous recycle paths route deltas to the new member.
-		if r, ok := o.strategy.(update.PlacementRefresher); ok {
-			r.RefreshPlacement(msg)
-		}
 		return &wire.Resp{}
 	case wire.KBlockFetch:
 		size := o.store.Size(msg.Block)
@@ -424,11 +429,10 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		if msg.Flag&wire.StoreUnlessOverwritten != 0 {
 			// A drain carrying over fenced source content: a client
 			// full write at the current epoch supersedes it.
-			key := stripeKey{msg.Block.Ino, msg.Block.Stripe}
-			o.overwriteMu.Lock()
-			superseded := o.overwrites[key] >= msg.Loc.Epoch && msg.Loc.Epoch > 0
-			o.overwriteMu.Unlock()
-			if superseded {
+			o.placeMu.RLock()
+			overwrite := o.places[stripeKey{msg.Block.Ino, msg.Block.Stripe}].overwrite
+			o.placeMu.RUnlock()
+			if msg.Loc.Epoch > 0 && overwrite >= msg.Loc.Epoch {
 				return &wire.Resp{Val: 1} // acknowledged, intentionally not applied
 			}
 		}
@@ -446,6 +450,12 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	case wire.KPing:
 		return &wire.Resp{Val: int64(o.id)}
 	default:
+		// A strategy forward carries the placement of the request that
+		// caused it: learned like any other, never rejected for its
+		// epoch.
+		if _, err := o.learn(msg); err != nil {
+			return wire.ErrorResp(err)
+		}
 		return o.strategy.Handle(ctx, msg)
 	}
 }

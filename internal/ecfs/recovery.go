@@ -199,9 +199,10 @@ type recoverer struct {
 
 // rebindStripe moves a stripe's placement from the victim to the
 // replacement at the MDS (bumping the epoch) and broadcasts the new
-// epoch to the stripe's live members, so they start rejecting requests
-// that carry the pre-recovery placement. The replacement learns the
-// epoch directly — its handler may not be registered yet.
+// placement to the stripe's live members, so they start rejecting
+// requests that carry the pre-recovery placement and route deltas to
+// the replacement. The replacement learns (and journals) the same
+// placement directly — its handler may not be registered yet.
 func (r *recoverer) rebindStripe(ref StripeRef) (wire.StripeLoc, bool, error) {
 	nl, err := r.mds.Rebind(ref.Ino, ref.Stripe, r.failed, r.repl.id)
 	if err != nil {
@@ -215,12 +216,13 @@ func (r *recoverer) rebindStripe(ref StripeRef) (wire.StripeLoc, bool, error) {
 		}
 		return wire.StripeLoc{}, false, fmt.Errorf("ecfs: rebind %d/%d: %w", ref.Ino, ref.Stripe, err)
 	}
-	if err := r.repl.noteEpoch(ref.Ino, ref.Stripe, nl.Epoch); err != nil {
+	epoch := wire.Msg{
+		Kind: wire.KEpochUpdate, Block: wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}, Loc: nl, K: uint8(r.k), M: uint8(r.m), Class: sim.ClassRebuild,
+	}
+	if _, err := r.repl.learn(&epoch); err != nil {
 		return wire.StripeLoc{}, false, fmt.Errorf("ecfs: rebind %d/%d: %w", ref.Ino, ref.Stripe, err)
 	}
-	broadcastEpoch(r.ctx, r.caller, wire.Msg{
-		Kind: wire.KEpochUpdate, Block: wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}, Loc: nl, K: uint8(r.k), M: uint8(r.m), Class: sim.ClassRebuild,
-	}, r.down, r.repl.id, r.failed)
+	broadcastEpoch(r.ctx, r.caller, epoch, r.down, r.repl.id, r.failed)
 	return nl, true, nil
 }
 

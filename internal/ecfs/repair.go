@@ -200,8 +200,8 @@ func callCost(ctx context.Context, caller transport.RPC, node wire.NodeID, msg *
 // stripe's new placement msg.Loc except the skipped and down nodes.
 // Best effort: a member that misses it keeps accepting the old epoch,
 // which is only a liveness hint — the MDS remains the placement
-// authority. The geometry in msg lets each member's strategy refresh
-// its stripe table and route future deltas to the new holder.
+// authority. The geometry in msg completes each member's placement
+// table, so its strategy routes future deltas to the new holder.
 func broadcastEpoch(ctx context.Context, caller transport.RPC, msg wire.Msg, down map[wire.NodeID]bool, skip ...wire.NodeID) {
 	for _, node := range msg.Loc.Nodes {
 		if down[node] || slices.Contains(skip, node) {
@@ -822,10 +822,10 @@ func (mg *migrator) finishCutover(ctx context.Context, mv *StripeMove, ref Strip
 
 	// Broadcast to the remaining members and the new holder *before* the
 	// refetch, exactly like recovery's rebind but at this point in the
-	// sequence on purpose: the broadcast refreshes the members' strategy
-	// stripe tables, so asynchronous delta traffic (parity-log appends
-	// from data holders) re-routes to the destination before the final
-	// copy is taken.
+	// sequence on purpose: the broadcast updates the members' placement
+	// tables, so asynchronous delta traffic (parity-log appends from
+	// data holders) re-routes to the destination before the final copy
+	// is taken.
 	broadcastEpoch(ctx, mg.caller, epoch, mg.down, mg.node)
 
 	// A parity block's pending state lives in the source's parity log as

@@ -436,22 +436,6 @@ func (e *Engine) applyEpoch(ino uint64, stripe uint32, epoch uint64) {
 	}
 }
 
-// EpochOf returns the last durably recorded epoch for a stripe.
-func (e *Engine) EpochOf(ino uint64, stripe uint32) (uint64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ep, ok := e.epochs[stripeKey{ino, stripe}]
-	return ep, ok
-}
-
-// PlacementOf returns the last durably recorded placement for a stripe.
-func (e *Engine) PlacementOf(ino uint64, stripe uint32) (Placement, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p, ok := e.places[stripeKey{ino, stripe}]
-	return p, ok
-}
-
 // ForEachEpoch visits every persisted stripe epoch.
 func (e *Engine) ForEachEpoch(fn func(ino uint64, stripe uint32, epoch uint64)) {
 	e.mu.Lock()

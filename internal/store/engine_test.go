@@ -229,8 +229,10 @@ func TestEngineEpochAndPlacementSurviveCrash(t *testing.T) {
 
 	e2 := openT(t, dir, Options{})
 	defer e2.Close()
-	if ep, ok := e2.EpochOf(3, 1); !ok || ep != 7 {
-		t.Fatalf("epoch after crash: %d %v", ep, ok)
+	epochs := map[[2]uint64]uint64{}
+	e2.ForEachEpoch(func(ino uint64, stripe uint32, ep uint64) { epochs[[2]uint64{ino, uint64(stripe)}] = ep })
+	if len(epochs) != 1 || epochs[[2]uint64{3, 1}] != 7 {
+		t.Fatalf("epochs after crash: %v", epochs)
 	}
 	var seen int
 	e2.ForEachPlacement(func(ino uint64, stripe uint32, p Placement) {

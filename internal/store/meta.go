@@ -42,7 +42,7 @@ type stripeKey struct {
 }
 
 // Placement is a persisted stripe placement: enough for a reopened OSD
-// to seed its strategy's stripe table before replaying log segments.
+// to seed its placement table before replaying log segments.
 type Placement struct {
 	K, M  int
 	Epoch uint64

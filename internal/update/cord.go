@@ -21,9 +21,8 @@ import (
 // takes no concurrency into account — recycling it stalls appends, the
 // bottleneck the paper observes.
 type cord struct {
-	cfg     Config
-	env     Env
-	stripes *stripeTable
+	cfg Config
+	env Env
 
 	// collector buffer log: XOR-folding per source data block, single
 	// pool, single unit — the serialization point.
@@ -37,7 +36,7 @@ type cord struct {
 }
 
 func newCoRD(cfg Config, env Env) (*cord, error) {
-	c := &cord{cfg: cfg, env: env, stripes: newStripeTable()}
+	c := &cord{cfg: cfg, env: env}
 	coll, err := logpool.NewPool(logpool.Config{
 		Name:     fmt.Sprintf("cord-coll/osd%d", env.ID()),
 		Mode:     logpool.XorFold,
@@ -68,9 +67,6 @@ func newCoRD(cfg Config, env Env) (*cord, error) {
 
 func (c *cord) Name() string { return "cord" }
 
-// RefreshPlacement adopts a newer placement epoch (epoch broadcast).
-func (c *cord) RefreshPlacement(msg *wire.Msg) { c.stripes.remember(msg) }
-
 func (c *cord) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	b := msg.Block
 	delta, cost, err := overwriteMsg(c.env, c.cfg, msg)
@@ -98,11 +94,9 @@ func (c *cord) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 func (c *cord) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KCordCollect:
-		c.stripes.remember(msg)
 		cost := c.collector.Append(msg.Block, msg.Off, msg.Data, time.Duration(msg.V))
 		return okResp(cost)
 	case wire.KParityLogAdd:
-		c.stripes.remember(msg)
 		return applyList(msg, func(r ExtentRec) time.Duration {
 			return c.parityLog.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
 		})
@@ -128,9 +122,9 @@ func (c *cord) collectLoop() {
 }
 
 func (c *cord) recycleCollector(u *logpool.Unit) (cost time.Duration, extents, bytes int64) {
-	work, extents, bytes := groupByStripe(c.stripes, u.Blocks())
+	work, extents, bytes := groupByStripe(c.env, u.Blocks())
 	for _, sw := range work {
-		code, err := c.env.Code(sw.si.K, sw.si.M)
+		code, err := c.env.Code(sw.place.K, sw.place.M)
 		if err != nil {
 			continue
 		}

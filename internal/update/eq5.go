@@ -12,14 +12,14 @@ import (
 func parityAppends(code *erasure.Code, sw *stripeWork, compress bool, skip func(wire.NodeID) bool) []*transport.BatchCall {
 	var calls []*transport.BatchCall
 	for j, list := range parityDeltaLists(code, sw.blocks) {
-		to := sw.si.parityNode(j)
+		to := sw.place.parityNode(j)
 		if len(list) == 0 || (skip != nil && skip(to)) {
 			continue
 		}
 		payload, flag := pack(list, compress)
 		calls = append(calls, &transport.BatchCall{To: to, Msg: &wire.Msg{
-			Kind: wire.KParityLogAdd, Block: parityBlock(sw.anyB, sw.si.K, j), Data: payload, Flag: flag,
-			K: uint8(sw.si.K), M: uint8(sw.si.M), Loc: sw.si.Loc,
+			Kind: wire.KParityLogAdd, Block: parityBlock(sw.anyB, sw.place.K, j), Data: payload, Flag: flag,
+			K: uint8(sw.place.K), M: uint8(sw.place.M), Loc: sw.place.Loc,
 		}})
 	}
 	return calls

@@ -20,13 +20,12 @@ import (
 type fl struct {
 	cfg      Config
 	env      Env
-	stripes  *stripeTable
 	dataLog  *logpool.Pool
 	recycler *logpool.Recycler
 }
 
 func newFL(cfg Config, env Env) (*fl, error) {
-	f := &fl{cfg: cfg, env: env, stripes: newStripeTable()}
+	f := &fl{cfg: cfg, env: env}
 	pool, err := logpool.NewPool(logpool.Config{
 		Name:     fmt.Sprintf("fl/osd%d", env.ID()),
 		Mode:     logpool.NoMerge, // FL exploits no locality
@@ -44,11 +43,7 @@ func newFL(cfg Config, env Env) (*fl, error) {
 
 func (f *fl) Name() string { return "fl" }
 
-// RefreshPlacement adopts a newer placement epoch (epoch broadcast).
-func (f *fl) RefreshPlacement(msg *wire.Msg) { f.stripes.remember(msg) }
-
 func (f *fl) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
-	f.stripes.remember(msg)
 	cost := f.dataLog.Append(msg.Block, msg.Off, msg.Data, time.Duration(msg.V))
 	return cost, nil
 }
@@ -57,25 +52,25 @@ func (f *fl) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 // resulting deltas straight into in-place parity updates (FL keeps no
 // parity log of its own in this formulation).
 func (f *fl) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Duration {
-	si, ok := f.stripes.get(be.Block)
+	place, ok := f.env.Placement(be.Block)
 	if !ok {
 		return 0
 	}
 	// A recycle has no caller to report a store error to: the deltas of
 	// the extents written before it still go out.
 	deltas, cost, _ := f.env.Store().Overwrite(sim.ClassOther, be.Block, f.cfg.BlockSize, storeExtents(be.Extents))
-	targets := si.Loc.Nodes[si.K : si.K+si.M]
+	targets := place.Loc.Nodes[place.K : place.K+place.M]
 	for _, d := range deltas {
 		fanCost, err := fanout(context.Background(), f.env, targets, func(to wire.NodeID) *wire.Msg {
-			j := indexOfNode(si.Loc.Nodes[si.K:], to)
+			j := indexOfNode(place.Loc.Nodes[place.K:], to)
 			return &wire.Msg{
 				Kind:  wire.KParityDelta,
-				Block: parityBlock(be.Block, si.K, j),
+				Block: parityBlock(be.Block, place.K, j),
 				Off:   d.Off,
 				Data:  d.Data,
 				Idx:   be.Block.Idx,
-				K:     uint8(si.K),
-				M:     uint8(si.M),
+				K:     uint8(place.K),
+				M:     uint8(place.M),
 				V:     int64(sealV),
 			}
 		})

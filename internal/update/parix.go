@@ -24,9 +24,8 @@ import (
 // location need only the newest value (temporal locality exploited via an
 // overwrite-mode index).
 type parix struct {
-	cfg     Config
-	env     Env
-	stripes *stripeTable
+	cfg Config
+	env Env
 
 	// Data-OSD side: which byte ranges of each hosted data block have
 	// already had their originals shipped since the last recycle.
@@ -51,7 +50,7 @@ type parix struct {
 
 func newPARIX(cfg Config, env Env) *parix {
 	return &parix{
-		cfg: cfg, env: env, stripes: newStripeTable(),
+		cfg: cfg, env: env,
 		spec: make(map[wire.BlockID]*intervalSet),
 		news: make(map[wire.BlockID]*logpool.Index),
 		olds: make(map[wire.BlockID]*logpool.Index),
@@ -59,9 +58,6 @@ func newPARIX(cfg Config, env Env) *parix {
 }
 
 func (p *parix) Name() string { return "parix" }
-
-// RefreshPlacement adopts a newer placement epoch (epoch broadcast).
-func (p *parix) RefreshPlacement(msg *wire.Msg) { p.stripes.remember(msg) }
 
 func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	store := p.env.Store()
@@ -158,7 +154,6 @@ func (p *parix) coverage(b wire.BlockID) *intervalSet {
 func (p *parix) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KParixLogAdd:
-		p.stripes.remember(msg)
 		p.logMu.Lock()
 		tbl := p.news
 		if msg.Flag == 1 {
@@ -245,11 +240,11 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 	dev := p.env.Dev()
 	var total time.Duration
 	for dataBlock, ni := range news {
-		si, ok := p.stripes.get(dataBlock)
+		place, ok := p.env.Placement(dataBlock)
 		if !ok {
 			continue
 		}
-		code, err := p.env.Code(si.K, si.M)
+		code, err := p.env.Code(place.K, place.M)
 		if err != nil {
 			continue
 		}
@@ -257,8 +252,8 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 		// This OSD hosts exactly one parity block of the stripe: find
 		// which one by matching our node id in the placement.
 		j := -1
-		for jj := 0; jj < si.M; jj++ {
-			if si.parityNode(jj) == p.env.ID() {
+		for jj := 0; jj < place.M; jj++ {
+			if place.parityNode(jj) == p.env.ID() {
 				j = jj
 				break
 			}
@@ -266,7 +261,7 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 		if j < 0 {
 			continue
 		}
-		pb := parityBlock(dataBlock, si.K, j)
+		pb := parityBlock(dataBlock, place.K, j)
 		extents := ni.Extents()
 		pds := make([]blockstore.Extent, len(extents))
 		for i, e := range extents {

@@ -18,9 +18,8 @@ import (
 // threshold (or recovery forces it), and replays the raw, unmerged log
 // with random access — the recycle inefficiency the paper calls out.
 type pl struct {
-	cfg     Config
-	env     Env
-	stripes *stripeTable
+	cfg Config
+	env Env
 	// parityLog holds incoming parity deltas for parity blocks this OSD
 	// hosts. NoMerge: PL exploits no locality.
 	parityLog *logpool.Pool
@@ -28,7 +27,7 @@ type pl struct {
 }
 
 func newPL(cfg Config, env Env) (*pl, error) {
-	p := &pl{cfg: cfg, env: env, stripes: newStripeTable()}
+	p := &pl{cfg: cfg, env: env}
 	pool, err := logpool.NewPool(logpool.Config{
 		Name:     fmt.Sprintf("pl/osd%d", env.ID()),
 		Mode:     logpool.NoMerge,
@@ -46,9 +45,6 @@ func newPL(cfg Config, env Env) (*pl, error) {
 
 func (p *pl) Name() string { return "pl" }
 
-// RefreshPlacement adopts a newer placement epoch (epoch broadcast).
-func (p *pl) RefreshPlacement(msg *wire.Msg) { p.stripes.remember(msg) }
-
 func (p *pl) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	// In-place data-block read-modify-write (the expensive
 	// write-after-read the paper highlights), then the data delta to
@@ -59,7 +55,6 @@ func (p *pl) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 func (p *pl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KParityLogAdd:
-		p.stripes.remember(msg)
 		// Sequential append of each delta record; the source data index
 		// rides in the first payload byte position via a tiny header so
 		// recycle can recover the coefficient.
@@ -87,15 +82,15 @@ func decodeDeltaRecord(rec []byte) (uint8, []byte) { return rec[0], rec[1:] }
 // re-read from the on-disk log (random), converted to a parity delta and
 // folded into the parity block with a random read-modify-write.
 func (p *pl) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Duration {
-	si, ok := p.stripes.get(be.Block)
+	place, ok := p.env.Placement(be.Block)
 	if !ok {
 		return 0
 	}
-	code, err := p.env.Code(si.K, si.M)
+	code, err := p.env.Code(place.K, place.M)
 	if err != nil {
 		return 0
 	}
-	j := int(be.Block.Idx) - si.K
+	j := int(be.Block.Idx) - place.K
 	dev := p.env.Dev()
 	var cost time.Duration
 	pds := make([]blockstore.Extent, len(be.Extents))

@@ -23,9 +23,8 @@ import (
 // update (the paper: "PLR integrates log recycle process into the update
 // process"), adding latency spikes.
 type plr struct {
-	cfg     Config
-	env     Env
-	stripes *stripeTable
+	cfg Config
+	env Env
 
 	mu   sync.Mutex
 	logs map[wire.BlockID]*plrLog
@@ -44,13 +43,10 @@ type plrEntry struct {
 }
 
 func newPLR(cfg Config, env Env) *plr {
-	return &plr{cfg: cfg, env: env, stripes: newStripeTable(), logs: make(map[wire.BlockID]*plrLog)}
+	return &plr{cfg: cfg, env: env, logs: make(map[wire.BlockID]*plrLog)}
 }
 
 func (p *plr) Name() string { return "plr" }
-
-// RefreshPlacement adopts a newer placement epoch (epoch broadcast).
-func (p *plr) RefreshPlacement(msg *wire.Msg) { p.stripes.remember(msg) }
 
 func (p *plr) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	return updateInPlace(ctx, p.env, p.cfg, msg, wire.KParityLogAdd)
@@ -70,7 +66,6 @@ func (p *plr) logFor(b wire.BlockID) *plrLog {
 func (p *plr) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KParityLogAdd:
-		p.stripes.remember(msg)
 		l := p.logFor(msg.Block)
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -99,16 +94,16 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 	if len(l.entries) == 0 {
 		return 0
 	}
-	si, ok := p.stripes.get(b)
+	place, ok := p.env.Placement(b)
 	if !ok {
 		l.entries, l.bytes = nil, 0
 		return 0
 	}
-	code, err := p.env.Code(si.K, si.M)
+	code, err := p.env.Code(place.K, place.M)
 	if err != nil {
 		return 0
 	}
-	j := int(b.Idx) - si.K
+	j := int(b.Idx) - place.K
 	// Sequential replay of the adjacent log region — PLR's one saving
 	// over PL (no random log re-reads).
 	cost := p.env.Dev().Read(sim.ClassOther, l.bytes, false)

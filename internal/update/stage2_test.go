@@ -143,9 +143,21 @@ func newRecordedTSUE(t *testing.T) (*tsue, *recorder) {
 
 func handleOK(t *testing.T, s *tsue, msg *wire.Msg) {
 	t.Helper()
-	if resp := s.Handle(context.Background(), msg); !resp.OK() {
+	if resp := handle(s, msg); !resp.OK() {
 		t.Fatalf("%v: %s", msg.Kind, resp.Err)
 	}
+}
+
+// handle and update deliver msg to s as the OSD does: its environment
+// learns the placement msg carries first.
+func handle(s *tsue, msg *wire.Msg) *wire.Resp {
+	s.env.(interface{ learn(*wire.Msg) }).learn(msg)
+	return s.Handle(context.Background(), msg)
+}
+
+func update(s *tsue, msg *wire.Msg) (time.Duration, error) {
+	s.env.(interface{ learn(*wire.Msg) }).learn(msg)
+	return s.Update(context.Background(), msg)
 }
 
 // TestCopyTrimKeepsNewerCopy: the second parity OSD holds copies A and
@@ -246,7 +258,7 @@ func TestRefusedCopyIsNeverTrimmed(t *testing.T) {
 			if msg.Kind == wire.KDeltaLogAdd && msg.Flag&^deltaCompressFlag == roleCopy {
 				return nil, errors.New("copy refused")
 			}
-			return nodes[to].Handle(context.Background(), msg), nil
+			return handle(nodes[to], msg), nil
 		}
 		s, err := newTSUE(cfg, env)
 		if err != nil {
@@ -257,7 +269,7 @@ func TestRefusedCopyIsNeverTrimmed(t *testing.T) {
 	}
 	b := wire.BlockID{Ino: 5, Stripe: 0, Idx: 0}
 	u := &wire.Msg{Kind: wire.KUpdate, Block: b, Off: 512, Data: bytes.Repeat([]byte{0xC3}, 700), K: k, M: m, Loc: loc}
-	if _, err := nodes[data].Update(context.Background(), u); err != nil {
+	if _, err := update(nodes[data], u); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -335,7 +347,7 @@ func TestStage2MessageShape(t *testing.T) {
 			for e := 0; e < perBlock; e++ {
 				u := &wire.Msg{Kind: wire.KUpdate, Block: b, Off: uint32(e) * 8192, Data: bytes.Repeat([]byte{byte(e + 1)}, 300),
 					K: k, M: m, Loc: loc}
-				if _, err := s.Update(context.Background(), u); err != nil {
+				if _, err := update(s, u); err != nil {
 					t.Fatal(err)
 				}
 			}

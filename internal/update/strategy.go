@@ -10,23 +10,23 @@
 // logs it keeps. Every byte it moves is priced through the device and
 // network models, so workload tables fall out of real execution.
 //
-// Placement handling: strategies cache the stripe placement carried on
-// update messages (stripeTable) so asynchronous recycle paths can route
-// deltas long after the triggering request returned. The cached entry
-// is refreshed whenever a message carries a newer placement epoch
-// (wire.StripeLoc.Epoch) — after recovery rebinds a stripe onto a
-// replacement node, deltas must reach the new member, not the cached
-// victim. Epoch *validation* is not a strategy concern: the OSD rejects
-// stale client requests before Strategy.Update runs, and
-// strategy-internal forwards inherit the already-validated placement of
-// the triggering request.
+// Placement handling: strategies keep no placement of their own. The
+// OSD holds one record per stripe — geometry, nodes and placement epoch
+// — learned from every inbound message that carries a placement (client
+// requests, epoch fences and broadcasts, strategy forwards) and
+// journaled on a durable OSD. Asynchronous recycle paths read it through
+// Env.Placement when they route deltas long after the triggering request
+// returned; after a repair or drain rebinds a stripe, the record already
+// names the new member. Epoch *validation* is not a strategy concern
+// either: the OSD rejects stale client requests before Strategy.Update
+// runs, and strategy-internal forwards inherit the already-validated
+// placement of the triggering request.
 package update
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/blockstore"
@@ -58,7 +58,20 @@ type Env interface {
 	CallBatch(ctx context.Context, calls []*transport.BatchCall)
 	// Code returns the (cached) RS code for the given geometry.
 	Code(k, m int) (*erasure.Code, error)
+	// Placement returns the newest placement this OSD has learned for
+	// b's stripe, and whether it is known: a stripe whose nodes or
+	// geometry no message has carried yet is not.
+	Placement(b wire.BlockID) (Placement, bool)
 }
+
+// Placement is a stripe's geometry and placement as this OSD knows it.
+type Placement struct {
+	K, M int
+	Loc  wire.StripeLoc
+}
+
+// parityNode returns the node hosting parity block j (0-based).
+func (p Placement) parityNode(j int) wire.NodeID { return p.Loc.Nodes[p.K+j] }
 
 // DrainPhases is the number of ordered cluster-wide drain rounds needed
 // to flush any strategy completely (TSUE: DataLog, DeltaLog, ParityLog).
@@ -87,20 +100,12 @@ type Strategy interface {
 	Close()
 }
 
-// PlacementRefresher is implemented by strategies that cache stripe
-// placements for asynchronous delta routing. The OSD forwards placement
-// epoch broadcasts (wire.KEpochUpdate) through it, so recycle paths
-// route deltas to the member a repair or drain just installed instead
-// of the cached predecessor.
-type PlacementRefresher interface {
-	RefreshPlacement(msg *wire.Msg)
-}
-
 // Replayer is implemented by strategies that can re-ingest durably
 // persisted log records after a restart. The OSD calls ReplayPersisted
 // once per surviving (unfolded) record, in original append order, after
-// placements have been seeded; the strategy routes the record back into
-// the layer named by the persistence key it was logged under.
+// seeding its placement table from the engine; the strategy routes the
+// record back into the layer named by the persistence key it was logged
+// under.
 type Replayer interface {
 	ReplayPersisted(layer string, block wire.BlockID, off uint32, v int64, data []byte)
 }
@@ -203,52 +208,10 @@ type stripeKey struct {
 
 func keyOf(b wire.BlockID) stripeKey { return stripeKey{Ino: b.Ino, Stripe: b.Stripe} }
 
-// stripeInfo caches the placement/geometry carried on update messages so
-// asynchronous recycle paths can route deltas.
-type stripeInfo struct {
-	K, M int
-	Loc  wire.StripeLoc
-}
-
-type stripeTable struct {
-	mu sync.RWMutex
-	m  map[stripeKey]stripeInfo
-}
-
-func newStripeTable() *stripeTable { return &stripeTable{m: make(map[stripeKey]stripeInfo)} }
-
-func (t *stripeTable) remember(msg *wire.Msg) {
-	if len(msg.Loc.Nodes) == 0 {
-		return
-	}
-	k := keyOf(msg.Block)
-	t.mu.Lock()
-	// Refresh on a newer placement epoch: after a repair or drain
-	// rebinds a stripe onto another node, asynchronous recycle paths
-	// must route deltas to the *new* member, not the cached one.
-	if cur, ok := t.m[k]; !ok || msg.Loc.Epoch > cur.Loc.Epoch {
-		kk, mm := int(msg.K), int(msg.M)
-		if kk == 0 && ok {
-			// Geometry-free refresh (an epoch broadcast): keep the
-			// known K/M, adopt only the new placement.
-			kk, mm = cur.K, cur.M
-		}
-		loc := wire.StripeLoc{Nodes: append([]wire.NodeID(nil), msg.Loc.Nodes...), Epoch: msg.Loc.Epoch}
-		t.m[k] = stripeInfo{K: kk, M: mm, Loc: loc}
-	}
-	t.mu.Unlock()
-}
-func (t *stripeTable) get(b wire.BlockID) (stripeInfo, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	si, ok := t.m[keyOf(b)]
-	return si, ok
-}
-
 // stripeWork is one stripe's share of a recycled log unit: the data
 // deltas of its source blocks, by data-block index, ready for Eq. 5.
 type stripeWork struct {
-	si     stripeInfo
+	place  Placement
 	anyB   wire.BlockID
 	blocks map[int][]logpool.Extent
 }
@@ -256,31 +219,27 @@ type stripeWork struct {
 // groupByStripe groups a recycled unit's blocks by stripe and counts the
 // unit's extents and bytes. A block whose stripe has no known placement
 // is counted but not grouped: there is nowhere to send its deltas.
-func groupByStripe(st *stripeTable, bes []logpool.BlockExtents) (work map[stripeKey]*stripeWork, extents, bytes int64) {
+func groupByStripe(env Env, bes []logpool.BlockExtents) (work map[stripeKey]*stripeWork, extents, bytes int64) {
 	work = make(map[stripeKey]*stripeWork)
 	for _, be := range bes {
 		extents += int64(len(be.Extents))
 		for _, e := range be.Extents {
 			bytes += int64(len(e.Data))
 		}
-		si, ok := st.get(be.Block)
+		place, ok := env.Placement(be.Block)
 		if !ok {
 			continue
 		}
 		k := keyOf(be.Block)
 		sw := work[k]
 		if sw == nil {
-			sw = &stripeWork{si: si, anyB: be.Block, blocks: make(map[int][]logpool.Extent)}
+			sw = &stripeWork{place: place, anyB: be.Block, blocks: make(map[int][]logpool.Extent)}
 			work[k] = sw
 		}
 		sw.blocks[int(be.Block.Idx)] = be.Extents
 	}
 	return work, extents, bytes
 }
-
-// parityNode returns the node hosting parity block j (0-based) of the
-// stripe described by si.
-func (si stripeInfo) parityNode(j int) wire.NodeID { return si.Loc.Nodes[si.K+j] }
 
 // parityBlock returns the BlockID of parity j for a block in the stripe.
 func parityBlock(b wire.BlockID, k, j int) wire.BlockID { return b.WithIdx(uint8(k + j)) }

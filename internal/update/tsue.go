@@ -40,9 +40,8 @@ import (
 // UseLogPool = O3, Pools = O4, UseDeltaLog = O5) reproduce the Fig. 7
 // contribution breakdown.
 type tsue struct {
-	cfg     Config
-	env     Env
-	stripes *stripeTable
+	cfg Config
+	env Env
 
 	dataLogs   *logpool.PoolSet
 	dataRecs   []*logpool.Recycler
@@ -75,7 +74,7 @@ type tsue struct {
 
 func newTSUE(cfg Config, env Env) (*tsue, error) {
 	t := &tsue{
-		cfg: cfg, env: env, stripes: newStripeTable(),
+		cfg: cfg, env: env,
 		deltaCopy: make(map[wire.BlockID]*logpool.Index),
 		replicas:  make(map[wire.BlockID]*logpool.Index),
 	}
@@ -152,13 +151,9 @@ func newTSUE(cfg Config, env Env) (*tsue, error) {
 
 func (t *tsue) Name() string { return "tsue" }
 
-// RefreshPlacement adopts a newer placement epoch (epoch broadcast).
-func (t *tsue) RefreshPlacement(msg *wire.Msg) { t.stripes.remember(msg) }
-
 // Update is the synchronous front end: sequential DataLog append plus
 // replica forwarding — the whole client-perceived path (§3.1.1).
 func (t *tsue) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
-	t.stripes.remember(msg)
 	v := time.Duration(msg.V)
 	lat := t.dataLogs.Append(msg.Block, msg.Off, msg.Data, v)
 
@@ -186,17 +181,17 @@ func (t *tsue) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 // per target: to the DeltaLog layer, or, with O5 disabled, to every
 // ParityLog in one batch.
 func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Duration {
-	si, ok := t.stripes.get(be.Block)
+	place, ok := t.env.Placement(be.Block)
 	if !ok {
 		return 0
 	}
 	// A recycle has no caller to report a store error to: the deltas of
 	// the extents written before it still go out.
 	outs, cost, _ := t.env.Store().Overwrite(sim.ClassOther, be.Block, t.cfg.BlockSize, storeExtents(be.Extents))
-	if si.M == 0 || len(outs) == 0 {
+	if place.M == 0 || len(outs) == 0 {
 		return cost
 	}
-	code, err := t.env.Code(si.K, si.M)
+	code, err := t.env.Code(place.K, place.M)
 	if err != nil {
 		return cost
 	}
@@ -211,13 +206,13 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 		}
 		payload, flag := pack(EncodeExtents(recs), t.cfg.CompressDeltas)
 		add := func(role uint8) []*transport.BatchCall {
-			return []*transport.BatchCall{{To: si.parityNode(int(role)), Msg: &wire.Msg{
+			return []*transport.BatchCall{{To: place.parityNode(int(role)), Msg: &wire.Msg{
 				Kind: wire.KDeltaLogAdd, Block: be.Block, Data: payload,
-				Idx: be.Block.Idx, K: uint8(si.K), M: uint8(si.M), Loc: si.Loc, Flag: role | flag,
+				Idx: be.Block.Idx, K: uint8(place.K), M: uint8(place.M), Loc: place.Loc, Flag: role | flag,
 			}}}
 		}
 		var copied time.Duration
-		if si.M >= 2 {
+		if place.M >= 2 {
 			copied, _, err = deliver(ctx, t.env, add(roleCopy))
 		}
 		if err == nil {
@@ -228,15 +223,15 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 		// no trim can cancel a copy the holder does not have.
 	}
 	// Per-parity deltas straight to the parity logs.
-	calls := make([]*transport.BatchCall, si.M)
+	calls := make([]*transport.BatchCall, place.M)
 	for j := range calls {
 		recs := make([]ExtentRec, len(outs))
 		for i, o := range outs {
 			recs[i] = ExtentRec{Off: o.Off, V: int64(sealV), Data: code.ParityDelta(j, int(be.Block.Idx), o.Data)}
 		}
-		calls[j] = &transport.BatchCall{To: si.parityNode(j), Msg: &wire.Msg{
-			Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, si.K, j), Data: EncodeExtents(recs),
-			K: uint8(si.K), M: uint8(si.M), Loc: si.Loc,
+		calls[j] = &transport.BatchCall{To: place.parityNode(j), Msg: &wire.Msg{
+			Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, place.K, j), Data: EncodeExtents(recs),
+			K: uint8(place.K), M: uint8(place.M), Loc: place.Loc,
 		}}
 	}
 	sent, _, _ := deliver(ctx, t.env, calls)
@@ -264,11 +259,11 @@ func (t *tsue) deltaLoop(p *logpool.Pool, done chan struct{}) {
 // copy at the second parity OSD is trimmed by one list of the recycled
 // deltas.
 func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, extents, bytes int64) {
-	work, extents, bytes := groupByStripe(t.stripes, u.Blocks())
+	work, extents, bytes := groupByStripe(t.env, u.Blocks())
 	// Stripes merge independently; model wall time as the largest
 	// per-stripe cost (stripes recycle in parallel across workers).
 	for _, sw := range work {
-		code, err := t.env.Code(sw.si.K, sw.si.M)
+		code, err := t.env.Code(sw.place.K, sw.place.M)
 		if err != nil {
 			continue
 		}
@@ -283,7 +278,7 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 		// cancelling exactly what this unit recycled — a newer copy of
 		// the same range survives, in whichever order copy and trim
 		// arrive (§4.2).
-		if sw.si.M < 2 {
+		if sw.place.M < 2 {
 			continue
 		}
 		calls = calls[:0]
@@ -293,7 +288,7 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 				recs[i] = ExtentRec{Off: e.Off, V: int64(e.V), Data: e.Data}
 			}
 			payload, flag := pack(EncodeExtents(recs), t.cfg.CompressDeltas)
-			calls = append(calls, &transport.BatchCall{To: sw.si.parityNode(1), Msg: &wire.Msg{
+			calls = append(calls, &transport.BatchCall{To: sw.place.parityNode(1), Msg: &wire.Msg{
 				Kind: wire.KDeltaLogAdd, Block: sw.anyB.WithIdx(uint8(src)), Data: payload, Flag: roleTrim | flag,
 			}})
 		}
@@ -348,7 +343,6 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		}
 		return &wire.Resp{Data: payload, Cost: cost}
 	case wire.KDeltaLogAdd:
-		t.stripes.remember(msg)
 		if msg.Flag&^deltaCompressFlag != rolePrimary {
 			return t.holdCopy(msg)
 		}
@@ -359,7 +353,6 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 			return t.deltaLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
 		})
 	case wire.KParityLogAdd:
-		t.stripes.remember(msg)
 		return applyList(msg, func(r ExtentRec) time.Duration {
 			return t.parityLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
 		})
@@ -489,31 +482,31 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 	// Snapshot under the lock: copy and trim inserts keep arriving and
 	// XOR-fold into the copies' extents in place.
 	type promotion struct {
-		b    wire.BlockID
-		si   stripeInfo
-		exts []logpool.Extent
+		b     wire.BlockID
+		place Placement
+		exts  []logpool.Extent
 	}
 	var work []promotion
 	t.copyMu.Lock()
 	for b, ci := range t.deltaCopy {
-		si, ok := t.stripes.get(b)
-		if !ok || !slices.Contains(dead, si.parityNode(0)) || zeroIndex(ci) {
+		place, ok := t.env.Placement(b)
+		if !ok || !slices.Contains(dead, place.parityNode(0)) || zeroIndex(ci) {
 			continue
 		}
 		exts := slices.Clone(ci.Extents())
 		for i := range exts {
 			exts[i].Data = slices.Clone(exts[i].Data)
 		}
-		work = append(work, promotion{b: b, si: si, exts: exts})
+		work = append(work, promotion{b: b, place: place, exts: exts})
 	}
 	t.copyMu.Unlock()
 	for _, w := range work {
-		b, si := w.b, w.si
-		code, err := t.env.Code(si.K, si.M)
+		b, place := w.b, w.place
+		code, err := t.env.Code(place.K, place.M)
 		if err != nil {
 			return err
 		}
-		sw := &stripeWork{si: si, anyB: b, blocks: map[int][]logpool.Extent{int(b.Idx): w.exts}}
+		sw := &stripeWork{place: place, anyB: b, blocks: map[int][]logpool.Extent{int(b.Idx): w.exts}}
 		calls := parityAppends(code, sw, false, func(n wire.NodeID) bool { return slices.Contains(dead, n) })
 		if _, _, err := deliver(ctx, t.env, calls); err != nil {
 			return err
@@ -539,7 +532,7 @@ func (t *tsue) pruneCopies() {
 	t.copyMu.Lock()
 	defer t.copyMu.Unlock()
 	for b, ci := range t.deltaCopy {
-		if si, ok := t.stripes.get(b); !ok || si.M < 2 || si.parityNode(1) != t.env.ID() || zeroIndex(ci) {
+		if place, ok := t.env.Placement(b); !ok || place.M < 2 || place.parityNode(1) != t.env.ID() || zeroIndex(ci) {
 			delete(t.deltaCopy, b)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -182,31 +183,6 @@ func TestMethodLists(t *testing.T) {
 	}
 }
 
-func TestStripeTable(t *testing.T) {
-	st := newStripeTable()
-	msg := &wire.Msg{
-		Block: wire.BlockID{Ino: 1, Stripe: 2, Idx: 0},
-		K:     2, M: 1,
-		Loc: wire.StripeLoc{Nodes: []wire.NodeID{1, 2, 3}},
-	}
-	st.remember(msg)
-	si, ok := st.get(wire.BlockID{Ino: 1, Stripe: 2, Idx: 1}) // same stripe, other block
-	if !ok || si.K != 2 || si.M != 1 {
-		t.Fatalf("lookup failed: %+v %v", si, ok)
-	}
-	if si.parityNode(0) != 3 {
-		t.Fatalf("parity node = %d", si.parityNode(0))
-	}
-	if _, ok := st.get(wire.BlockID{Ino: 9, Stripe: 9}); ok {
-		t.Fatal("unknown stripe must miss")
-	}
-	// Empty placement ignored.
-	st.remember(&wire.Msg{Block: wire.BlockID{Ino: 5}})
-	if _, ok := st.get(wire.BlockID{Ino: 5}); ok {
-		t.Fatal("empty placement must not be remembered")
-	}
-}
-
 func TestParityBlockHelper(t *testing.T) {
 	b := wire.BlockID{Ino: 1, Stripe: 2, Idx: 1}
 	pb := parityBlock(b, 6, 2)
@@ -238,8 +214,33 @@ func TestDefaultConfigSane(t *testing.T) {
 
 // fakeEnv routes Call through a stub for fanout tests; CallBatch fans
 // the stub out through transport.Fanout's concurrent-call path.
+// Placement answers from the placements learn was shown.
 type fakeEnv struct {
 	call func(to wire.NodeID, msg *wire.Msg) (*wire.Resp, error)
+
+	mu     sync.Mutex
+	places map[stripeKey]Placement
+}
+
+// learn records the placement msg carries, as the OSD does before its
+// strategy sees the message. Tests never send an older epoch.
+func (f *fakeEnv) learn(msg *wire.Msg) {
+	if len(msg.Loc.Nodes) == 0 {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.places == nil {
+		f.places = make(map[stripeKey]Placement)
+	}
+	f.places[keyOf(msg.Block)] = Placement{K: int(msg.K), M: int(msg.M), Loc: msg.Loc}
+}
+
+func (f *fakeEnv) Placement(b wire.BlockID) (Placement, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	p, ok := f.places[keyOf(b)]
+	return p, ok
 }
 
 func (f *fakeEnv) ID() wire.NodeID          { return 1 }
