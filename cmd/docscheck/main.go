@@ -30,8 +30,8 @@ import (
 // lintedFiles is the godoc-linted surface, relative to the repository
 // root: the client and its File handle, the cluster's entry points
 // (fail, crash, restart, resilver, scrub), the OSD server, the
-// repair/drain engines with the cluster-level scheduler, and the block
-// store.
+// repair/drain engines with the cluster-level scheduler, the block
+// store, and the GF(2^8) bulk kernel.
 var lintedFiles = []string{
 	"internal/ecfs/client.go",
 	"internal/ecfs/file.go",
@@ -42,6 +42,7 @@ var lintedFiles = []string{
 	"internal/ecfs/recovery.go",
 	"internal/ecfs/scheduler.go",
 	"internal/blockstore/blockstore.go",
+	"internal/gf256/apply.go",
 }
 
 func main() {

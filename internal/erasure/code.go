@@ -110,21 +110,43 @@ func (c *Code) Encode(data [][]byte) ([][]byte, error) {
 // deltas of Eq. 5. It panics unless every shard has the same length.
 func (c *Code) EncodeTo(parity, data [][]byte) { c.parity.Apply(parity, data) }
 
-// Verify reports whether parity is consistent with data.
+// verifyChunk is how many bytes of each shard Verify encodes at a time,
+// so its scratch is M chunks however long the shards are.
+const verifyChunk = 4 << 10
+
+// Verify reports whether parity is consistent with data. It re-encodes
+// the data a chunk at a time into a bounded scratch and compares as it
+// goes, stopping at the first mismatch; its allocations do not grow
+// with the shard length.
 func (c *Code) Verify(data, parity [][]byte) (bool, error) {
-	want, err := c.Encode(data)
-	if err != nil {
+	if err := c.checkDataShards(data); err != nil {
 		return false, err
 	}
 	if len(parity) != c.M {
 		return false, fmt.Errorf("erasure: got %d parity shards, want %d", len(parity), c.M)
 	}
-	for p := range want {
-		if len(parity[p]) != len(want[p]) {
-			return false, fmt.Errorf("erasure: parity shard %d has length %d, want %d", p, len(parity[p]), len(want[p]))
+	n := len(data[0])
+	for p, s := range parity {
+		if len(s) != n {
+			return false, fmt.Errorf("erasure: parity shard %d has length %d, want %d", p, len(s), n)
 		}
-		if !bytes.Equal(want[p], parity[p]) {
-			return false, nil
+	}
+	chunk := min(n, verifyChunk)
+	scratch := make([]byte, c.M*chunk)
+	want, in := make([][]byte, c.M), make([][]byte, c.K)
+	for pos := 0; pos < n; pos += chunk {
+		end := min(pos+chunk, n)
+		for j, d := range data {
+			in[j] = d[pos:end]
+		}
+		for p := range want {
+			want[p] = scratch[p*chunk:][:end-pos]
+		}
+		c.EncodeTo(want, in)
+		for p, w := range want {
+			if !bytes.Equal(w, parity[p][pos:end]) {
+				return false, nil
+			}
 		}
 	}
 	return true, nil

@@ -279,6 +279,33 @@ func TestCodeConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
+// TestVerifyAllocationsDoNotGrow gates Verify's streaming form: it
+// encodes into a bounded scratch, so a 1 MiB stripe costs the same
+// allocations as a 64-byte one. A corrupted last byte is still caught.
+func TestVerifyAllocationsDoNotGrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := MustNew(6, 4, Vandermonde)
+	var counts []float64
+	for _, size := range []int{64, verifyChunk + 1, 1 << 20} {
+		data := randShards(rng, c.K, size)
+		parity, _ := c.Encode(data)
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if ok, err := c.Verify(data, parity); err != nil || !ok {
+				t.Fatalf("%d-byte stripe: Verify = %v, %v", size, ok, err)
+			}
+		}))
+		parity[c.M-1][size-1] ^= 1
+		if ok, err := c.Verify(data, parity); err != nil || ok {
+			t.Fatalf("%d-byte stripe with its last parity byte flipped: Verify = %v, %v", size, ok, err)
+		}
+	}
+	for i, n := range counts {
+		if n != counts[0] || n > 3 {
+			t.Fatalf("Verify allocations by stripe size: %v (entry %d), want one constant of at most 3", counts, i)
+		}
+	}
+}
+
 // TestCodingAllocations gates what the coder allocates: Encode its M
 // parity buffers and the slice holding them, a single-shard Reconstruct
 // one shard-sized buffer plus bookkeeping that does not grow with the

@@ -3,19 +3,36 @@ package gf256
 import "fmt"
 
 // Tables is a coefficient matrix over GF(2^8) compiled for Apply. Output
-// rows are taken in groups of four and input columns in passes of six;
-// for each group and each column there is one 256-entry table whose
-// entry b packs the products of byte b with that column's coefficients
-// in the group's rows, one product per byte of a uint32 (the group's
-// first row in the low byte). One table load therefore advances four
-// output rows at once, where the row-at-a-time MulAddSlice needs four
-// loads and four read-modify-writes of the outputs. A Tables is
-// immutable and safe for concurrent use; it costs 1 KiB per column per
-// group, columns rounded up to a multiple of six.
+// rows are taken in groups of four, and each group reads the inputs
+// once. NewTables builds the one table form the running CPU's kernel
+// uses:
+//
+//   - AVX2 (amd64): per coefficient c, 32 bytes — the products of c with
+//     the 16 low nibbles and with the 16 high nibbles. Per 32 input
+//     bytes and coefficient the kernel does two VPSHUFB lookups and two
+//     XORs, in 64-byte steps that keep the group's sums in registers
+//     across a pass over every column, so each output byte is stored
+//     once. A length that is not a multiple of 64 ends with a step that
+//     overlaps the one before; shards under 64 bytes go through the same
+//     tables a byte at a time.
+//   - Pure Go (every other CPU): input columns in passes of six; for each
+//     group and column one 256-entry table whose entry b packs the
+//     products of byte b with that column's coefficients in the group's
+//     rows, one product per byte of a uint32 (the group's first row in
+//     the low byte). One table load advances four output rows at once.
+//     1 KiB per column per group, columns rounded up to a multiple of
+//     six.
+//
+// A Tables is immutable and safe for concurrent use.
 type Tables struct {
 	rows, cols int
-	// passes[g*npass+p] holds the tables of group g for columns
-	// 6p..6p+5; columns past the matrix have all-zero tables.
+	// nib is the AVX2 form: group g's tables start at byte
+	// 32*groupRows*g*cols and run column by column, row by row within a
+	// column. Nil when the pure-Go form is built.
+	nib []byte
+	// passes is the pure-Go form: passes[g*npass+p] holds the tables of
+	// group g for columns 6p..6p+5; columns past the matrix have
+	// all-zero tables.
 	passes [][passCols][256]uint32
 }
 
@@ -31,16 +48,41 @@ const (
 	// group before the next chunk starts, so the partial sums a later
 	// pass folds into are still in L1.
 	chunkLen = 1024
+	// nibLen is the size of one coefficient's AVX2 tables.
+	nibLen = 32
+	// kernelStep is how many byte positions one step of the AVX2 Apply
+	// kernel covers: each coefficient's tables are loaded once per step
+	// and serve two 32-byte halves.
+	kernelStep = 64
 )
 
-// NewTables compiles the rows x cols matrix m (row-major).
-func NewTables(m []byte, rows, cols int) *Tables {
+// NewTables compiles the rows x cols matrix m (row-major) for the
+// running CPU's kernel.
+func NewTables(m []byte, rows, cols int) *Tables { return newTables(m, rows, cols, hasAVX2) }
+
+// newTables compiles m into the AVX2 form when simd is set, else into
+// the pure-Go form.
+func newTables(m []byte, rows, cols int, simd bool) *Tables {
 	if rows <= 0 || cols <= 0 || len(m) != rows*cols {
 		panic(fmt.Sprintf("gf256: NewTables: %d coefficients for a %dx%d matrix", len(m), rows, cols))
 	}
+	t := &Tables{rows: rows, cols: cols}
+	if simd {
+		t.nib = make([]byte, rows*cols*nibLen)
+		for g := 0; g*groupRows < rows; g++ {
+			group := t.nib[g*groupRows*cols*nibLen:]
+			n := min(groupRows, rows-g*groupRows)
+			for c := 0; c < cols; c++ {
+				for r := 0; r < n; r++ {
+					copy(group[(c*n+r)*nibLen:], nibTable[m[(g*groupRows+r)*cols+c]][:])
+				}
+			}
+		}
+		return t
+	}
 	groups := (rows + groupRows - 1) / groupRows
 	npass := (cols + passCols - 1) / passCols
-	t := &Tables{rows: rows, cols: cols, passes: make([][passCols][256]uint32, groups*npass)}
+	t.passes = make([][passCols][256]uint32, groups*npass)
 	for r := 0; r < rows; r++ {
 		shift := 8 * uint(r%groupRows)
 		for c := 0; c < cols; c++ {
@@ -72,6 +114,10 @@ func (t *Tables) Apply(out, in [][]byte) {
 			panic("gf256: Apply output length mismatch")
 		}
 	}
+	if t.nib != nil {
+		t.applyNibbles(out, in, n)
+		return
+	}
 	npass := (t.cols + passCols - 1) / passCols
 	var spill [chunkLen]byte // takes the rows a short last group does not have
 	for g := 0; g*groupRows < t.rows; g++ {
@@ -100,6 +146,30 @@ func (t *Tables) Apply(out, in [][]byte) {
 				default:
 					xor4(o[0], o[1], o[2], o[3], tabs, c[0], c[1], c[2], c[3], c[4], c[5])
 				}
+			}
+		}
+	}
+}
+
+// applyNibbles is Apply through the AVX2 tables. The kernel takes any
+// length from one 64-byte step up; shorter shards go a byte at a time
+// through the same tables.
+func (t *Tables) applyNibbles(out, in [][]byte, n int) {
+	for g := 0; g*groupRows < t.rows; g++ {
+		rows := out[g*groupRows : min((g+1)*groupRows, t.rows)]
+		tabs := t.nib[g*groupRows*t.cols*nibLen:][:len(rows)*t.cols*nibLen]
+		if n >= kernelStep {
+			applyAVX2(tabs, rows, in, n)
+			continue
+		}
+		for i := 0; i < n; i++ {
+			for r, o := range rows {
+				var v byte
+				for c, s := range in {
+					tab := tabs[(c*len(rows)+r)*nibLen:]
+					v ^= tab[s[i]&15] ^ tab[16+s[i]>>4]
+				}
+				o[i] = v
 			}
 		}
 	}

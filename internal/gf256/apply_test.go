@@ -8,16 +8,38 @@ import (
 )
 
 // refApply is the row-at-a-time coder Apply replaced: zero each output,
-// then one MulAddSlice per coefficient. It is the reference the fused
-// kernel must match byte for byte.
+// then one pure-Go MulAddSlice per coefficient. It is the reference both
+// fused kernels must match byte for byte.
 func refApply(m []byte, rows, cols int, out, in [][]byte) {
 	for r := 0; r < rows; r++ {
 		clear(out[r])
 		for c := 0; c < cols; c++ {
-			MulAddSlice(m[r*cols+c], out[r], in[c])
+			mulAddSlice(m[r*cols+c], out[r], in[c], false)
 		}
 	}
 }
+
+// kernels lists the kernel forms this CPU runs, as newTables' simd
+// argument: the pure-Go form always, the AVX2 form where the CPU has it.
+func kernels() []bool {
+	if hasAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// kernelName names a kernel form in failure messages.
+func kernelName(simd bool) string {
+	if simd {
+		return "avx2"
+	}
+	return "pure Go"
+}
+
+// testLengths straddle the boundaries of both kernels: the AVX2 forms'
+// 32- and 64-byte steps, the pure-Go form's 1 KiB chunks, and a 4 KiB
+// block.
+var testLengths = []int{0, 1, 7, 31, 32, 33, 63, 64, 65, 1023, 1024, 1025, 4095, 4096, 4097}
 
 // oddShards cuts n shards of the given length out of one backing array
 // at odd, unaligned offsets, filled from rng.
@@ -32,8 +54,8 @@ func oddShards(rng *rand.Rand, n, length int) [][]byte {
 	return shards
 }
 
-// checkApply runs Apply on garbage-filled outputs and compares with the
-// reference.
+// checkApply runs every kernel's Apply on garbage-filled outputs and
+// compares with the reference.
 func checkApply(t testing.TB, rng *rand.Rand, rows, cols, length int) {
 	t.Helper()
 	m := make([]byte, rows*cols)
@@ -41,31 +63,34 @@ func checkApply(t testing.TB, rng *rand.Rand, rows, cols, length int) {
 	m[rng.Intn(len(m))] = 0 // zero and unit coefficients take MulAddSlice's
 	m[rng.Intn(len(m))] = 1 // shortcuts in the reference
 	in := oddShards(rng, cols, length)
-	got := oddShards(rng, rows, length) // pre-filled with garbage
 	want := oddShards(rng, rows, length)
-	NewTables(m, rows, cols).Apply(got, in)
 	refApply(m, rows, cols, want, in)
-	for r := range got {
-		if !bytes.Equal(got[r], want[r]) {
-			t.Fatalf("%dx%d matrix, %d bytes: output row %d differs from the reference", rows, cols, length, r)
+	for _, simd := range kernels() {
+		got := oddShards(rng, rows, length) // pre-filled with garbage
+		newTables(m, rows, cols, simd).Apply(got, in)
+		for r := range got {
+			if !bytes.Equal(got[r], want[r]) {
+				t.Fatalf("%s kernel, %dx%d matrix, %d bytes: output row %d differs from the reference", kernelName(simd), rows, cols, length, r)
+			}
 		}
 	}
 }
 
 func TestApplyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	lengths := []int{0, 1, 7, 1023, 1024, 1025}
 	for cols := 1; cols <= 16; cols++ {
 		for rows := 1; rows <= 8; rows++ {
-			checkApply(t, rng, rows, cols, lengths[rng.Intn(len(lengths))])
+			checkApply(t, rng, rows, cols, testLengths[rng.Intn(len(testLengths))])
 		}
 	}
-	for _, length := range lengths {
-		checkApply(t, rng, 4, 6, length)
+	for _, length := range testLengths {
+		for rows := 1; rows <= 4; rows++ {
+			checkApply(t, rng, rows, 6, length)
+		}
 		checkApply(t, rng, 8, 10, length)
 	}
 	checkApply(t, rng, 4, 6, 1<<20)
-	checkApply(t, rng, 5, 7, 1<<20)
+	checkApply(t, rng, 5, 7, 1<<20+33)
 }
 
 func FuzzApplyMatchesReference(f *testing.F) {
@@ -73,6 +98,12 @@ func FuzzApplyMatchesReference(f *testing.F) {
 	f.Add(int64(2), uint8(8), uint8(16), uint16(7))
 	f.Add(int64(3), uint8(1), uint8(1), uint16(0))
 	f.Add(int64(4), uint8(5), uint8(2), uint16(4096))
+	f.Add(int64(5), uint8(4), uint8(6), uint16(31))
+	f.Add(int64(6), uint8(1), uint8(6), uint16(32))
+	f.Add(int64(7), uint8(3), uint8(12), uint16(33))
+	f.Add(int64(8), uint8(2), uint8(6), uint16(4095))
+	f.Add(int64(9), uint8(7), uint8(9), uint16(4097))
+	f.Add(int64(10), uint8(4), uint8(6), uint16(65))
 	f.Fuzz(func(t *testing.T, seed int64, rows, cols uint8, length uint16) {
 		checkApply(t, rand.New(rand.NewSource(seed)), 1+int(rows)%8, 1+int(cols)%16, int(length))
 	})
@@ -109,10 +140,12 @@ func TestApplyDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := make([]byte, 8*10)
 	rng.Read(m)
-	tab := NewTables(m, 8, 10)
 	in, out := oddShards(rng, 10, 4096), oddShards(rng, 8, 4096)
-	if n := testing.AllocsPerRun(20, func() { tab.Apply(out, in) }); n != 0 {
-		t.Fatalf("Apply allocates %v times per call, want 0", n)
+	for _, simd := range kernels() {
+		tab := newTables(m, 8, 10, simd)
+		if n := testing.AllocsPerRun(20, func() { tab.Apply(out, in) }); n != 0 {
+			t.Fatalf("%s kernel: Apply allocates %v times per call, want 0", kernelName(simd), n)
+		}
 	}
 }
 

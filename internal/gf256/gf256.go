@@ -7,6 +7,15 @@
 // tables. Single-coefficient slice kernels (MulSlice, MulAddSlice,
 // XorSlice) serve the incremental update paths; whole-matrix products —
 // Reed-Solomon encode and decode — go through Tables.Apply.
+//
+// The bulk kernels (Apply, MulSlice, MulAddSlice) come in two forms,
+// chosen once at start-up from CPUID. On amd64 with AVX2 (and YMM state
+// enabled by the OS) they split each byte into two 4-bit nibbles and
+// look both up in 16-entry product tables with VPSHUFB, 32 bytes per
+// instruction (apply_amd64.s); what is left under one step (32 bytes
+// for the slice kernels, shards under 64 bytes for Apply) goes a byte at
+// a time. Everywhere else they are pure Go with one table lookup per
+// byte; that form is also the reference the tests hold the AVX2 one to.
 package gf256
 
 import "crypto/subtle"
@@ -22,6 +31,9 @@ var (
 	// log/exp on short operands.
 	mulTable [256][256]byte
 	invTable [256]byte
+	// nibTable[c] is the AVX2 kernels' form of multiplication by c: its
+	// first 16 bytes are c·i, its last 16 c·(i<<4), for i < 16.
+	nibTable [256][32]byte
 )
 
 func init() {
@@ -43,6 +55,12 @@ func init() {
 			mulTable[a][b] = expTable[la+int(logTable[b])]
 		}
 		invTable[a] = expTable[255-la]
+	}
+	for c := range nibTable {
+		for i := 0; i < 16; i++ {
+			nibTable[c][i] = mulTable[c][i]
+			nibTable[c][16+i] = mulTable[c][i<<4]
+		}
 	}
 }
 
@@ -93,7 +111,10 @@ func Pow(a byte, n int) byte {
 
 // MulSlice sets dst[i] = c * src[i]. dst and src must have equal length;
 // they may alias. A zero coefficient clears dst.
-func MulSlice(c byte, dst, src []byte) {
+func MulSlice(c byte, dst, src []byte) { mulSlice(c, dst, src, hasAVX2) }
+
+// mulSlice is MulSlice through the AVX2 kernel when simd is set.
+func mulSlice(c byte, dst, src []byte, simd bool) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
 	}
@@ -105,6 +126,11 @@ func MulSlice(c byte, dst, src []byte) {
 		copy(dst, src)
 		return
 	}
+	if simd {
+		n := len(src) &^ 31
+		mulAVX2(&nibTable[c], dst[:n], src[:n])
+		dst, src = dst[n:], src[n:]
+	}
 	mt := &mulTable[c]
 	for i, s := range src {
 		dst[i] = mt[s]
@@ -114,7 +140,10 @@ func MulSlice(c byte, dst, src []byte) {
 // MulAddSlice sets dst[i] ^= c * src[i] — the fundamental operation of
 // both Reed-Solomon encoding and incremental parity-delta application
 // (Equation 2 of the TSUE paper). dst and src must have equal length.
-func MulAddSlice(c byte, dst, src []byte) {
+func MulAddSlice(c byte, dst, src []byte) { mulAddSlice(c, dst, src, hasAVX2) }
+
+// mulAddSlice is MulAddSlice through the AVX2 kernel when simd is set.
+func mulAddSlice(c byte, dst, src []byte, simd bool) {
 	if len(dst) != len(src) {
 		panic("gf256: MulAddSlice length mismatch")
 	}
@@ -124,6 +153,11 @@ func MulAddSlice(c byte, dst, src []byte) {
 	if c == 1 {
 		XorSlice(dst, src)
 		return
+	}
+	if simd {
+		n := len(src) &^ 31
+		mulXorAVX2(&nibTable[c], dst[:n], src[:n])
+		dst, src = dst[n:], src[n:]
 	}
 	mt := &mulTable[c]
 	for i, s := range src {

@@ -124,45 +124,52 @@ func TestPow(t *testing.T) {
 	}
 }
 
+// testCoeffs are the coefficients the slice kernels are checked with:
+// the two shortcuts (0 clears or skips, 1 copies or XORs) and products
+// that wrap through the polynomial.
+var testCoeffs = []byte{0, 1, 2, 3, 0x57, 0x80, 0xff}
+
 func TestMulSlice(t *testing.T) {
-	src := []byte{0, 1, 2, 3, 0xff, 0x80}
-	dst := make([]byte, len(src))
-	MulSlice(3, dst, src)
-	for i := range src {
-		if dst[i] != Mul(3, src[i]) {
-			t.Fatalf("MulSlice mismatch at %d", i)
+	rng := rand.New(rand.NewSource(1))
+	for _, simd := range kernels() {
+		for _, n := range testLengths {
+			src, dst := oddShards(rng, 1, n)[0], oddShards(rng, 1, n)[0]
+			for _, c := range testCoeffs {
+				want := make([]byte, n)
+				for i := range src {
+					want[i] = Mul(c, src[i])
+				}
+				mulSlice(c, dst, src, simd)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s kernel: MulSlice(%#x) of %d bytes disagrees with the scalar loop", kernelName(simd), c, n)
+				}
+				// In place, as logpool's scaled inserts call it.
+				inPlace := append([]byte(nil), src...)
+				mulSlice(c, inPlace, inPlace, simd)
+				if !bytes.Equal(inPlace, want) {
+					t.Fatalf("%s kernel: in-place MulSlice(%#x) of %d bytes disagrees with the scalar loop", kernelName(simd), c, n)
+				}
+			}
 		}
-	}
-	MulSlice(0, dst, src)
-	if !bytes.Equal(dst, make([]byte, len(src))) {
-		t.Fatal("MulSlice with c=0 must clear dst")
-	}
-	MulSlice(1, dst, src)
-	if !bytes.Equal(dst, src) {
-		t.Fatal("MulSlice with c=1 must copy")
 	}
 }
 
 func TestMulAddSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	src := make([]byte, 1024)
-	dst := make([]byte, 1024)
-	ref := make([]byte, 1024)
-	rng.Read(src)
-	rng.Read(dst)
-	copy(ref, dst)
-	MulAddSlice(0x57, dst, src)
-	for i := range ref {
-		ref[i] ^= Mul(0x57, src[i])
-	}
-	if !bytes.Equal(dst, ref) {
-		t.Fatal("MulAddSlice disagrees with scalar reference")
-	}
-	// c=0 is a no-op.
-	copy(ref, dst)
-	MulAddSlice(0, dst, src)
-	if !bytes.Equal(dst, ref) {
-		t.Fatal("MulAddSlice with c=0 must be a no-op")
+	for _, simd := range kernels() {
+		for _, n := range testLengths {
+			src, dst := oddShards(rng, 1, n)[0], oddShards(rng, 1, n)[0]
+			for _, c := range testCoeffs {
+				want := append([]byte(nil), dst...)
+				for i := range src {
+					want[i] ^= Mul(c, src[i])
+				}
+				mulAddSlice(c, dst, src, simd)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s kernel: MulAddSlice(%#x) of %d bytes disagrees with the scalar loop", kernelName(simd), c, n)
+				}
+			}
+		}
 	}
 }
 
