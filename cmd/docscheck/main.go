@@ -31,7 +31,8 @@ import (
 // root: the client and its File handle, the cluster's entry points
 // (fail, crash, restart, resilver, scrub), the OSD server, the
 // repair/drain engines with the cluster-level scheduler, the block
-// store, and the GF(2^8) bulk kernel.
+// store, the durable storage engine and its checkpoint, and the GF(2^8)
+// bulk kernel.
 var lintedFiles = []string{
 	"internal/ecfs/client.go",
 	"internal/ecfs/file.go",
@@ -42,6 +43,8 @@ var lintedFiles = []string{
 	"internal/ecfs/recovery.go",
 	"internal/ecfs/scheduler.go",
 	"internal/blockstore/blockstore.go",
+	"internal/store/engine.go",
+	"internal/store/meta.go",
 	"internal/gf256/apply.go",
 }
 

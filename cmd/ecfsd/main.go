@@ -120,21 +120,7 @@ func main() {
 		rpc := transport.NewTCPClient(map[wire.NodeID]string{wire.MDSNode: *mdsAddr})
 		defer rpc.Close()
 		// Peer addresses resolve through the MDS address map.
-		rpc.SetResolver(func(ctx context.Context) (map[wire.NodeID]string, error) {
-			r, err := rpc.Call(ctx, wire.MDSNode, &wire.Msg{Kind: wire.KResolveAddr})
-			if err != nil {
-				return nil, err
-			}
-			if err := r.Error(); err != nil {
-				return nil, err
-			}
-			out, err := wire.DecodeAddrMap(r.Data)
-			if err != nil {
-				return nil, err
-			}
-			delete(out, wire.MDSNode) // the configured MDS address stays
-			return out, nil
-		})
+		rpc.SetResolver(ecfs.MDSResolver(rpc))
 		osd, err := ecfs.NewOSDAt(wire.NodeID(*id), prof, rpc, *method, cfg, erasure.Vandermonde, *dataDir)
 		if err != nil {
 			fatal(err)

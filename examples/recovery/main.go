@@ -84,8 +84,9 @@ func main() {
 		}
 		fmt.Println("post-recovery read matches the mirror: no acknowledged update was lost")
 	}
+	// A replacement node is built with the cluster's own configuration.
 	newOSD := func(id wire.NodeID) *ecfs.OSD {
-		repl, err := ecfs.NewOSD(id, opts.Device, cluster.Tr.Caller(id), "tsue", cfg, opts.Kind)
+		repl, err := cluster.SpawnOSD(id)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ecfs"
 	"repro/internal/trace"
 	"repro/internal/update"
-	"repro/internal/wire"
 )
 
 // fig8Methods are the methods charted on the HDD cluster (the paper
@@ -113,7 +112,7 @@ func recoveryRun(ctx context.Context, method, vol string, s Scale, workers int) 
 		return 0, err
 	}
 	defer lc.c.Close()
-	res, err := failAndRecover(ctx, lc.c, lc.opts, method, 1)
+	res, err := failAndRecover(ctx, lc.c, 1)
 	if err != nil {
 		return 0, err
 	}
@@ -127,8 +126,4 @@ func fmtBW(bw float64) string {
 		return fmt.Sprintf("%.2f", mbps)
 	}
 	return fmt.Sprintf("%.1f", mbps)
-}
-
-func newReplacement(c *ecfs.Cluster, id wire.NodeID, method string, cfg update.Config) (*ecfs.OSD, error) {
-	return ecfs.NewOSD(id, c.Opts.Device, c.Tr.Caller(id), method, cfg, c.Opts.Kind)
 }

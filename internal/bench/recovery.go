@@ -23,10 +23,9 @@ var recoveryMethods = []string{"fo", "pl", "parix", "tsue"}
 // failure injection. The replayer and file allow further update rounds
 // (multi-failure scenarios) without re-preparing the file.
 type loadedCluster struct {
-	c    *ecfs.Cluster
-	opts ecfs.Options
-	rep  *trace.Replayer
-	f    *ecfs.File
+	c   *ecfs.Cluster
+	rep *trace.Replayer
+	f   *ecfs.File
 }
 
 // loadCluster builds a cluster for rc, replays its trace, settles
@@ -62,17 +61,17 @@ func loadCluster(ctx context.Context, rc runConfig) (*loadedCluster, error) {
 			}
 		}
 	}
-	return &loadedCluster{c: c, opts: opts, rep: rep, f: f}, nil
+	return &loadedCluster{c: c, rep: rep, f: f}, nil
 }
 
 // failAndRecover fails the OSD at position pos and rebuilds it with the
-// cluster's worker count. The replacement is returned reinstated, so
-// multi-failure scenarios can keep going on the same cluster.
-func failAndRecover(ctx context.Context, c *ecfs.Cluster, opts ecfs.Options, method string, pos int) (*ecfs.RecoveryResult, error) {
+// cluster's worker count onto a Cluster.SpawnOSD replacement under the
+// victim's id. The replacement is returned reinstated, so multi-failure
+// scenarios can keep going on the same cluster.
+func failAndRecover(ctx context.Context, c *ecfs.Cluster, pos int) (*ecfs.RecoveryResult, error) {
 	victim := c.OSDs[pos]
 	c.FailOSD(victim.ID())
-	cfg := *opts.Strategy
-	repl, err := newReplacement(c, victim.ID(), method, cfg)
+	repl, err := c.SpawnOSD(victim.ID())
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +110,7 @@ func Recovery(ctx context.Context, s Scale) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("recovery %s w=%d: %w", method, w, err)
 			}
-			res, err := failAndRecover(ctx, lc.c, lc.opts, method, 1)
+			res, err := failAndRecover(ctx, lc.c, 1)
 			if err != nil {
 				lc.c.Close()
 				return nil, fmt.Errorf("recovery %s w=%d: %w", method, w, err)
@@ -164,7 +163,7 @@ func RecoveryMulti(ctx context.Context, s Scale) (*Report, error) {
 			settleCluster(c)
 		}
 		victim := c.OSDs[pos].ID()
-		res, err := failAndRecover(ctx, c, lc.opts, "tsue", pos)
+		res, err := failAndRecover(ctx, c, pos)
 		if err != nil {
 			return nil, fmt.Errorf("recovery-multi round %d: %w", round+1, err)
 		}

@@ -166,10 +166,7 @@ func repairReadRow(ctx context.Context, s Scale, fifo bool) ([]string, error) {
 
 	victim := c.OSDs[1]
 	c.FailOSD(victim.ID())
-	freshID := wire.NodeID(c.Opts.NumOSDs + 1)
-	cfg := *lc.opts.Strategy
-	cfg.BlockSize = c.Opts.BlockSize
-	repl, err := ecfs.NewOSD(freshID, c.Opts.Device, c.Tr.Caller(freshID), "tsue", cfg, c.Opts.Kind)
+	repl, err := c.SpawnOSD(wire.NodeID(c.Opts.NumOSDs + 1))
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/erasure"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -639,59 +640,21 @@ func (c *Client) hintRepair(ctx context.Context, b wire.BlockID) {
 // failed node's DataLog are only restored by recovery's replica-log
 // replay (Cluster.Recover).
 //
-// The K survivor blocks are fetched as one parallel wave over the first
-// K other holders; only the fetches that fail fall through to a further
-// wave over the holders left. Decoding is byte-wise, so just the
-// requested range of the one lost block is decoded. Survivor shards
-// alias their pooled response buffers, so those are held until the
-// decode has copied out and only then released.
+// The K survivor blocks come from gatherSurvivors. Decoding is
+// byte-wise, so just the requested range of the one lost block is
+// decoded. The survivor shards alias pooled response buffers, held
+// until the decode has copied out and only then released.
 func (c *Client) degradedRead(ctx context.Context, p part, dst []byte) (time.Duration, error) {
-	k, n := c.code.K, c.code.K+c.code.M
+	k := c.code.K
 	lost := int(p.block.Idx)
 	lo, hi := int(p.off), int(p.off)+p.n
-	shards := make([][]byte, n)
-	held := make([]*wire.Resp, 0, k)
-	defer func() {
-		for _, r := range held {
-			r.Release()
-		}
-	}()
-	cands := make([]int, 0, n-1)
-	for idx := 0; idx < n; idx++ {
-		if idx != lost {
-			cands = append(cands, idx)
-		}
+	// Untagged fetches are priced as foreground reads.
+	g := gatherSurvivors(ctx, c.rpc, p.block, p.loc, k, lost, nil, sim.ClassOther)
+	defer g.release()
+	if len(g.held) < k {
+		return 0, fmt.Errorf("ecfs: degraded read of %v: only %d of %d shards reachable", p.block, len(g.held), k)
 	}
-	var cost time.Duration
-	for len(held) < k && len(cands) > 0 {
-		wave := cands[:min(k-len(held), len(cands))]
-		cands = cands[len(wave):]
-		calls := make([]*transport.BatchCall, len(wave))
-		for i, idx := range wave {
-			calls[i] = &transport.BatchCall{To: p.loc.Nodes[idx], Msg: &wire.Msg{
-				Kind: wire.KBlockFetch, Block: p.block.WithIdx(uint8(idx)),
-			}}
-		}
-		transport.Fanout(ctx, c.rpc, calls)
-		// A wave costs its slowest fetch; fallback waves add up.
-		var waveMax time.Duration
-		for i, bc := range calls {
-			if bc.Err != nil {
-				continue
-			}
-			if !bc.Resp.OK() {
-				bc.Resp.Release()
-				continue
-			}
-			held = append(held, bc.Resp)
-			shards[wave[i]] = bc.Resp.Data
-			waveMax = max(waveMax, bc.Resp.Cost)
-		}
-		cost += waveMax
-	}
-	if len(held) < k {
-		return 0, fmt.Errorf("ecfs: degraded read of %v: only %d of %d shards reachable", p.block, len(held), k)
-	}
+	shards := g.shards
 	for idx, s := range shards {
 		if s == nil {
 			continue
@@ -705,7 +668,75 @@ func (c *Client) degradedRead(ctx context.Context, p part, dst []byte) (time.Dur
 		return 0, fmt.Errorf("ecfs: degraded read of %v: %w", p.block, err)
 	}
 	copy(dst, shards[lost])
-	return cost, nil
+	return g.cost, nil
+}
+
+// survivors is what gatherSurvivors fetched for one stripe.
+type survivors struct {
+	// shards is indexed by block index, as a decode takes it; nil where
+	// no shard was fetched. Each shard aliases a reply in held.
+	shards      [][]byte
+	held        []*wire.Resp
+	cost        time.Duration // each wave's slowest fetch, waves summed
+	retries     int           // failed fetches of any cause
+	unreachable int           // failed fetches where the holder did not answer (transport error)
+	notFound    int           // structured not-found replies from reachable holders
+}
+
+// release returns the held replies to the pool; the shards are invalid
+// afterwards.
+func (g *survivors) release() {
+	for _, r := range g.held {
+		r.Release()
+	}
+}
+
+// gatherSurvivors fetches K shards of stripe's blocks for a decode that
+// rebuilds block index lost. Candidates are loc's holders in index
+// order, skipping lost and any node in down. The first wave asks the
+// first K candidates at once, as one transport.Fanout of KBlockFetch
+// calls tagged with class; only the fetches that fail fall through to a
+// further wave over the candidates left. A wave costs its slowest fetch
+// and waves add up. The caller must release the result.
+func gatherSurvivors(ctx context.Context, rpc transport.RPC, stripe wire.BlockID, loc wire.StripeLoc, k, lost int, down map[wire.NodeID]bool, class sim.Class) *survivors {
+	g := &survivors{shards: make([][]byte, len(loc.Nodes)), held: make([]*wire.Resp, 0, k)}
+	cands := make([]int, 0, len(loc.Nodes))
+	for idx, node := range loc.Nodes {
+		if idx != lost && !down[node] {
+			cands = append(cands, idx)
+		}
+	}
+	for len(g.held) < k && len(cands) > 0 {
+		wave := cands[:min(k-len(g.held), len(cands))]
+		cands = cands[len(wave):]
+		calls := make([]*transport.BatchCall, len(wave))
+		for i, idx := range wave {
+			calls[i] = &transport.BatchCall{To: loc.Nodes[idx], Msg: &wire.Msg{
+				Kind: wire.KBlockFetch, Block: stripe.WithIdx(uint8(idx)), Class: class,
+			}}
+		}
+		transport.Fanout(ctx, rpc, calls)
+		var waveMax time.Duration
+		for i, bc := range calls {
+			if bc.Err != nil || !bc.Resp.OK() {
+				g.retries++
+				if bc.Err != nil {
+					g.unreachable++
+				} else {
+					if bc.Resp.IsNotFound() {
+						g.notFound++
+					}
+					bc.Resp.Release()
+				}
+				continue
+			}
+			g.held = append(g.held, bc.Resp)
+			g.shards[wave[i]] = bc.Resp.Data
+			waveMax = max(waveMax, bc.Resp.Cost)
+		}
+		g.cost += waveMax
+	}
+	return g
 }
 
 // part maps a byte range of a file request onto one data block. The

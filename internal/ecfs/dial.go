@@ -66,7 +66,27 @@ func Dial(ctx context.Context, mdsAddr string) (*RemoteClient, error) {
 	// map carries no (or a non-routable) self entry.
 	delete(addrs, wire.MDSNode)
 	rpc.UpdateAddrs(addrs)
-	rpc.SetResolver(func(ctx context.Context) (map[wire.NodeID]string, error) {
+	rpc.SetResolver(MDSResolver(rpc))
+	code, err := erasure.New(k, m, erasure.Vandermonde)
+	if err != nil {
+		rpc.Close()
+		return nil, err
+	}
+	id := wire.ClientIDBase + wire.NodeID(dialClientSeq.Add(1))
+	return &RemoteClient{
+		Client: NewClient(id, rpc, code, blockSize),
+		rpc:    rpc,
+		k:      k, m: m,
+	}, nil
+}
+
+// MDSResolver returns the address resolver every TCP node and client
+// uses: ask the MDS over rpc for its address map (wire.KResolveAddr).
+// The map's MDS entry is dropped, so rpc keeps the configured MDS
+// address, and the reply goes back to the pool before the resolver
+// returns.
+func MDSResolver(rpc *transport.TCPClient) transport.AddrResolver {
+	return func(ctx context.Context) (map[wire.NodeID]string, error) {
 		r, err := rpc.Call(ctx, wire.MDSNode, &wire.Msg{Kind: wire.KResolveAddr})
 		if err != nil {
 			return nil, err
@@ -81,18 +101,7 @@ func Dial(ctx context.Context, mdsAddr string) (*RemoteClient, error) {
 		}
 		delete(out, wire.MDSNode)
 		return out, nil
-	})
-	code, err := erasure.New(k, m, erasure.Vandermonde)
-	if err != nil {
-		rpc.Close()
-		return nil, err
 	}
-	id := wire.ClientIDBase + wire.NodeID(dialClientSeq.Add(1))
-	return &RemoteClient{
-		Client: NewClient(id, rpc, code, blockSize),
-		rpc:    rpc,
-		k:      k, m: m,
-	}, nil
 }
 
 // Geometry returns the discovered stripe geometry (K, M).

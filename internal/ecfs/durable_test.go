@@ -147,7 +147,7 @@ func TestKillRestartStaleRebuild(t *testing.T) {
 // that becomes stripe 0's first parity OSD takes DataLog deltas into its
 // DeltaLog, then crash-restarts before recycling them. The replayed
 // deltas must still reach the parity logs, so the replacement must have
-// journaled the stripe's placement, not only its epoch.
+// journaled the stripe's whole placement, geometry included.
 func TestKillRestartReplacementKeepsPendingDeltas(t *testing.T) {
 	c := MustNewCluster(durableOptions(t, "tsue"))
 	defer c.Close()

@@ -78,7 +78,7 @@ func (p enginePersist) Layer(name string) logpool.Persist { return p.eng.Layer(n
 // the durable storage engine: block contents go through the WAL-backed
 // page store, TSUE log records are persisted to on-disk segments, and
 // reopening an existing directory recovers all of it — redo committed
-// WAL records, re-seed placements and epochs, and replay surviving
+// WAL records, re-seed the journaled placements, and replay surviving
 // (unfolded) log records back into the strategy's pools — so a
 // kill-restarted OSD rejoins with its local data intact.
 func NewOSDAt(id wire.NodeID, prof device.Profile, rpc transport.RPC, method string, cfg update.Config, kind erasure.MatrixKind, dataDir string) (*OSD, error) {
@@ -119,24 +119,18 @@ func NewOSDAt(id wire.NodeID, prof device.Profile, rpc transport.RPC, method str
 }
 
 // recoverLocal finishes a durable OSD's open: seed the placement table
-// from the engine's journal, then replay surviving log-segment records
-// through the strategy's normal append path. The table MUST be seeded
-// first — a recycle triggered by a replayed append routes deltas by it,
-// and an unknown stripe recycles to nothing. A journaled epoch newer
-// than the stripe's journaled placement still fences stale clients, but
-// leaves the placement unknown until a message at that epoch names it.
+// with the last placement learn journaled for each stripe, then replay
+// surviving log-segment records through the strategy's normal append
+// path. The table MUST be seeded first — a recycle triggered by a
+// replayed append routes deltas by it, and an unknown stripe recycles
+// to nothing. A placement journaled before its geometry was known keeps
+// its nodes and epoch, so it still fences stale clients, but stays
+// unknown to the strategy until a message brings K.
 func (o *OSD) recoverLocal() {
 	o.eng.ForEachPlacement(func(ino uint64, stripe uint32, p store.Placement) {
 		o.places[stripeKey{ino, stripe}] = stripeRecord{Placement: update.Placement{
 			K: p.K, M: p.M, Loc: wire.StripeLoc{Nodes: p.Nodes, Epoch: p.Epoch},
 		}}
-	})
-	o.eng.ForEachEpoch(func(ino uint64, stripe uint32, ep uint64) {
-		key := stripeKey{ino, stripe}
-		if rec := o.places[key]; ep > rec.Loc.Epoch {
-			rec.Loc = wire.StripeLoc{Epoch: ep}
-			o.places[key] = rec
-		}
 	})
 	if rp, ok := o.strategy.(update.Replayer); ok {
 		o.eng.Replay(func(e store.SegEntry) {
@@ -201,10 +195,9 @@ func (o *OSD) Code(k, m int) (*erasure.Code, error) {
 func (o *OSD) Strategy() update.Strategy { return o.strategy }
 
 // stripeRecord is what an OSD knows about one stripe. Loc.Epoch is the
-// stripe's placement epoch here. Loc.Nodes is empty in an epoch-only
-// record (a journaled epoch whose placement was never journaled), and K
-// is zero until a message carrying the geometry arrives; either way the
-// placement is unknown to the strategy.
+// stripe's placement epoch here. K is zero until a message carrying the
+// geometry arrives; until then the placement is unknown to the
+// strategy.
 type stripeRecord struct {
 	update.Placement
 	// overwrite is the highest placement epoch at which a client
@@ -234,10 +227,11 @@ func (r stripeRecord) overwrittenBy(msg *wire.Msg) bool {
 // placement msg carries into the stripe's record and returns the
 // stripe's epoch afterwards. It adopts only what adopts allows, keeping
 // the known K/M when msg carries none, so an older placement is ignored,
-// never an error. A durable OSD journals the new placement first and
-// adopts nothing if that fails; a message that changes nothing takes
-// only the read lock and never reaches the engine. Messages without a
-// placement are ignored.
+// never an error. A durable OSD journals the new placement under the
+// write lock before adopting it, so journal order is adoption order,
+// and adopts nothing if that fails; a message that changes nothing
+// takes only the read lock and never reaches the engine. Messages
+// without a placement are ignored.
 func (o *OSD) learn(msg *wire.Msg) (uint64, error) {
 	if len(msg.Loc.Nodes) == 0 {
 		return 0, nil
@@ -272,21 +266,19 @@ func (o *OSD) learn(msg *wire.Msg) (uint64, error) {
 	return rec.Loc.Epoch, nil
 }
 
-// journal records a stripe's new placement in the storage engine: the
-// whole placement once its geometry is known, the bare epoch before
-// that. Either epoch fences stale clients after a reopen and tells
-// Resilver whether the local copy is still current; epoch 0 without
-// geometry says nothing and is not journaled.
+// journal records the placement learn is adopting for a stripe in the
+// storage engine, whose last record per stripe is what a reopen
+// restores. Before its geometry is known the record carries K zero; its
+// epoch still fences stale clients after a reopen and tells Resilver
+// whether the local copy is current. Epoch 0 without geometry says
+// nothing and is not journaled.
 func (o *OSD) journal(key stripeKey, p update.Placement) error {
-	if p.K > 0 {
-		return o.eng.RememberPlacement(key.ino, key.stripe, store.Placement{
-			K: p.K, M: p.M, Epoch: p.Loc.Epoch, Nodes: p.Loc.Nodes,
-		})
-	}
-	if p.Loc.Epoch == 0 {
+	if p.K == 0 && p.Loc.Epoch == 0 {
 		return nil
 	}
-	return o.eng.NoteEpoch(key.ino, key.stripe, p.Loc.Epoch)
+	return o.eng.RememberPlacement(key.ino, key.stripe, store.Placement{
+		K: p.K, M: p.M, Epoch: p.Loc.Epoch, Nodes: p.Loc.Nodes,
+	})
 }
 
 // Placement returns the newest placement this OSD has learned for b's

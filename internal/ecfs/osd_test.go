@@ -2,6 +2,7 @@ package ecfs
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -13,10 +14,11 @@ import (
 // TestOSDPlacementTable: the OSD's one placement table resolves every
 // block of a learned stripe, misses unknown stripes, ignores messages
 // without a placement and placements older than the one it holds, and
-// keeps the known geometry when a message carries none. A stripe whose
-// epoch alone was journaled — no message carried its geometry — still
-// rejects a stale client after a reopen, yet its placement is unknown
-// until a message at that epoch carries the geometry.
+// keeps the known geometry when a message carries none. A stripe
+// journaled before any message carried its geometry keeps its nodes and
+// epoch across a reopen and still rejects a stale client, yet its
+// placement is unknown until a message at that epoch carries the
+// geometry.
 func TestOSDPlacementTable(t *testing.T) {
 	cfg := update.DefaultConfig()
 	cfg.BlockSize = 4 << 10
@@ -58,8 +60,8 @@ func TestOSDPlacementTable(t *testing.T) {
 		t.Fatalf("geometry-free refresh: %+v %v", p, ok)
 	}
 
-	// A full-block write carries no geometry: only its epoch is
-	// journaled.
+	// A full-block write carries no geometry: its nodes and epoch are
+	// journaled with K zero.
 	ctx := context.Background()
 	eb := wire.BlockID{Ino: 7}
 	nodes := []wire.NodeID{1, 2, 3}
@@ -73,8 +75,8 @@ func TestOSDPlacementTable(t *testing.T) {
 	if p, ok := o.Placement(b); !ok || p.Loc.Epoch != 2 || p.Loc.Nodes[2] != 4 {
 		t.Fatalf("journaled placement after reopen: %+v %v", p, ok)
 	}
-	if p, ok := o.Placement(eb); ok {
-		t.Fatalf("epoch-only record reported a placement: %+v", p)
+	if p, ok := o.Placement(eb); ok || p.K != 0 || p.Loc.Epoch != 3 || !slices.Equal(p.Loc.Nodes, nodes) {
+		t.Fatalf("geometry-free record after reopen: %+v %v, want nodes %v at epoch 3, unknown", p, ok, nodes)
 	}
 	read := func(epoch uint64) *wire.Resp {
 		return o.Handler(ctx, &wire.Msg{Kind: wire.KRead, Block: eb, Size: 16, Loc: wire.StripeLoc{Nodes: nodes, Epoch: epoch}})

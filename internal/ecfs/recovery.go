@@ -227,89 +227,20 @@ func (r *recoverer) rebindStripe(ref StripeRef) (wire.StripeLoc, bool, error) {
 }
 
 // rebuildStripe reconstructs one lost block: fetch K surviving shards
-// (concurrently, with fallback to further shard holders on error),
+// (gatherSurvivors, with fallback to further shard holders on error),
 // decode, replay the replica log for a data block, and write the result
 // to the replacement. The fetched shards are pooled reply buffers, held
 // until the decoded block has been written and then released.
 func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 	sr := StripeRecovery{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx}
 	k := r.k
-	n := k + r.m
-	shards := make([][]byte, n)
-
-	// Candidate shard holders in index order: every live node of the
-	// stripe other than the one being rebuilt.
-	cands := make([]int, 0, n-1)
-	for idx := 0; idx < n; idx++ {
-		node := ref.Loc.Nodes[idx]
-		if node == r.failed || r.down[node] {
-			continue
-		}
-		cands = append(cands, idx)
-	}
-
-	type fetched struct {
-		idx         int
-		resp        *wire.Resp
-		ok          bool
-		unreachable bool
-		notFound    bool
-	}
-	var held []*wire.Resp
-	defer func() {
-		for _, resp := range held {
-			resp.Release()
-		}
-	}()
-	have := 0
-	for have < k && len(cands) > 0 {
-		wave := cands[:min(k-have, len(cands))]
-		cands = cands[len(wave):]
-		ch := make(chan fetched, len(wave))
-		for _, idx := range wave {
-			go func(idx int) {
-				b := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: uint8(idx)}
-				resp, err := r.caller.Call(r.ctx, ref.Loc.Nodes[idx], &wire.Msg{Kind: wire.KBlockFetch, Block: b, Class: sim.ClassRebuild})
-				if err != nil || !resp.OK() {
-					// Unreachable node or error reply: fall back to
-					// another holder. A structured not-found is the
-					// normal state of a never-fully-written stripe and
-					// is classified separately from transport errors.
-					f := fetched{idx: idx, unreachable: err != nil}
-					if err == nil {
-						f.notFound = resp.IsNotFound()
-						resp.Release()
-					}
-					ch <- f
-					return
-				}
-				ch <- fetched{idx: idx, resp: resp, ok: true}
-			}(idx)
-		}
-		var waveMax time.Duration
-		for range wave {
-			f := <-ch
-			if !f.ok {
-				sr.Retries++
-				if f.unreachable {
-					sr.Unreachable++
-				}
-				if f.notFound {
-					sr.NotFound++
-				}
-				continue
-			}
-			held = append(held, f.resp)
-			shards[f.idx] = f.resp.Data
-			have++
-			if f.resp.Cost > waveMax {
-				waveMax = f.resp.Cost
-			}
-		}
-		// Fetches within a wave run concurrently, so the wave costs its
-		// slowest member; sequential fallback waves add up.
-		sr.Fetch += waveMax
-	}
+	// The victim holds ref.Idx, so skipping the lost index skips it.
+	g := gatherSurvivors(r.ctx, r.caller, wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}, ref.Loc, k, int(ref.Idx), r.down, sim.ClassRebuild)
+	defer g.release()
+	have := len(g.held)
+	// A structured not-found is the normal state of a never-fully-written
+	// stripe and is classified separately from transport errors.
+	sr.Fetch, sr.Retries, sr.Unreachable, sr.NotFound = g.cost, g.retries, g.unreachable, g.notFound
 	sr.Obtained = have
 	if have < k {
 		if sr.Unreachable > 0 || sr.Retries > sr.NotFound || have > 0 {
@@ -341,11 +272,11 @@ func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 		return sr, nil
 	}
 
-	if err := r.code.Reconstruct(shards, int(ref.Idx)); err != nil {
+	if err := r.code.Reconstruct(g.shards, int(ref.Idx)); err != nil {
 		return sr, fmt.Errorf("ecfs: reconstruct %d/%d: %w", ref.Ino, ref.Stripe, err)
 	}
 	lost := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx}
-	data := shards[ref.Idx]
+	data := g.shards[ref.Idx]
 	// A lost *data* block may have updates that were still buffered in
 	// the dead node's DataLog. Its replica log on the next OSD(s) of the
 	// stripe holds them (§4.2): replay on top of the reconstructed

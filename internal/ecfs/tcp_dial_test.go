@@ -182,3 +182,30 @@ func TestDialUnreachable(t *testing.T) {
 		t.Fatalf("want ErrNodeUnreachable, got %v", err)
 	}
 }
+
+// TestMDSResolverReleasesReplies: the one MDS resolver — used by Dial,
+// by ecfsd's OSD role and by the TCP harness — returns every OSD's
+// address but not the MDS's, and hands each KResolveAddr reply back to
+// the pool.
+func TestMDSResolverReleasesReplies(t *testing.T) {
+	h := newTCPHarness(t, 2, 1, 3, 8<<10)
+	rpc := transport.NewTCPClient(map[wire.NodeID]string{wire.MDSNode: h.addrs[wire.MDSNode]})
+	defer rpc.Close()
+	resolve := MDSResolver(rpc)
+	balanced := armPoolDebug(t)
+	for i := 0; i < 4; i++ {
+		addrs, err := resolve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := addrs[wire.MDSNode]; ok || len(addrs) != 3 {
+			t.Fatalf("resolved %v, want the 3 OSDs and no MDS entry", addrs)
+		}
+		for id, addr := range addrs {
+			if addr != h.addrs[id] {
+				t.Fatalf("osd %d resolved to %q, want %q", id, addr, h.addrs[id])
+			}
+		}
+	}
+	balanced()
+}

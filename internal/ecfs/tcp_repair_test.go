@@ -77,7 +77,7 @@ func newTCPHarness(t *testing.T, k, m, nOSDs, blockSize int) *tcpHarness {
 func (h *tcpHarness) addOSD(id wire.NodeID) *OSD {
 	h.t.Helper()
 	rpc := transport.NewTCPClient(map[wire.NodeID]string{wire.MDSNode: h.addrs[wire.MDSNode]})
-	rpc.SetResolver(resolveVia(rpc))
+	rpc.SetResolver(MDSResolver(rpc))
 	h.rpcs = append(h.rpcs, rpc)
 	osd, err := NewOSD(id, device.ChameleonSSD(), rpc, "tsue", h.cfg, erasure.Vandermonde)
 	if err != nil {
@@ -97,27 +97,6 @@ func (h *tcpHarness) addOSD(id wire.NodeID) *OSD {
 		h.t.Fatal(err)
 	}
 	return osd
-}
-
-// resolveVia builds the AddrResolver every node and client uses: ask the
-// MDS for the address map over wire.KResolveAddr.
-func resolveVia(rpc *transport.TCPClient) transport.AddrResolver {
-	return func(ctx context.Context) (map[wire.NodeID]string, error) {
-		r, err := rpc.Call(ctx, wire.MDSNode, &wire.Msg{Kind: wire.KResolveAddr})
-		if err != nil {
-			return nil, err
-		}
-		defer r.Release()
-		if err := r.Error(); err != nil {
-			return nil, err
-		}
-		out, err := wire.DecodeAddrMap(r.Data)
-		if err != nil {
-			return nil, err
-		}
-		delete(out, wire.MDSNode)
-		return out, nil
-	}
 }
 
 // newRPC returns a TCP client pool knowing every current address.

@@ -11,13 +11,18 @@ import (
 	"repro/internal/framelog"
 )
 
+// retiredEpochRecord is a WAL record of retired kind 3 (ino 3, stripe
+// 2, epoch 9), which journaled a bare stripe epoch before placements
+// carried it. Logs written then may still hold it; redo skips it.
+var retiredEpochRecord = rec(3, []byte{3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0})
+
 // seedCorpus is the committed fuzz seed corpus under
 // testdata/fuzz/FuzzWALReplay, rendered by today's encoders.
 func seedCorpus() map[string][]byte {
 	b := bid(3, 2, 1)
 	valid := frames(
 		rec(opWrite, encodeWrite(b, 64, 0, []byte("payload"))),
-		rec(opEpoch, encodeEpoch(3, 2, 9)),
+		retiredEpochRecord,
 	)
 	flipped := bytes.Clone(valid)
 	flipped[framelog.HeaderSize+2] ^= 0x40
@@ -72,4 +77,22 @@ func TestWriteSeedCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestRetiredKindSkipped: a WAL holding the seed corpus's retired kind-3
+// record reopens with the block write redone and the retired record
+// skipped — it seeds no placement.
+func TestRetiredKindSkipped(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.bin"), seedCorpus()["wal-valid"], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := openT(t, dir, Options{})
+	defer e.Close()
+	if snap, ok := e.Snapshot(bid(3, 2, 1)); !ok || string(snap[:7]) != "payload" {
+		t.Fatalf("opWrite before the retired record not redone: ok=%v", ok)
+	}
+	e.ForEachPlacement(func(ino uint64, stripe uint32, p Placement) {
+		t.Fatalf("retired record seeded a placement: %d/%d %+v", ino, stripe, p)
+	})
 }

@@ -58,10 +58,12 @@ type Stats struct {
 }
 
 // Engine is the per-OSD durable storage engine: the paged block file
-// with its WAL (block contents), the epoch/placement tables (rejoin
-// state), and the log segment files (pool contents). One engine owns
-// one data directory; Open recovers whatever a previous incarnation
-// left there.
+// with its WAL (block contents), the journaled stripe placements
+// (rejoin state), and the log segment files (pool contents). One engine
+// owns one data directory; Open recovers whatever a previous
+// incarnation left there. The engine keeps no placement rule of its
+// own: it records the placements its owner adopted, and the last record
+// for a stripe wins.
 type Engine struct {
 	dir  string
 	opts Options
@@ -71,7 +73,6 @@ type Engine struct {
 	wal     *framelog.Log
 	pf      *pageFile
 	blocks  map[wire.BlockID]*blockMeta
-	epochs  map[stripeKey]uint64
 	places  map[stripeKey]Placement
 	era     uint32
 	seq     uint64
@@ -110,7 +111,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 		opts:   opts,
 		pf:     pf,
 		blocks: m.blocks,
-		epochs: m.epochs,
 		places: m.places,
 		era:    m.era + 1,
 		seq:    m.seq,
@@ -166,13 +166,9 @@ func (e *Engine) redo(kind byte, payload []byte) {
 		if id, size, err := decodeEnsure(payload); err == nil {
 			e.applyEnsure(id, size)
 		}
-	case opEpoch:
-		if ino, stripe, epoch, err := decodeEpoch(payload); err == nil {
-			e.applyEpoch(ino, stripe, epoch)
-		}
 	case opPlacement:
 		if ino, stripe, p, err := decodePlacement(payload); err == nil {
-			e.applyPlacement(ino, stripe, p)
+			e.places[stripeKey{ino, stripe}] = p
 		}
 	}
 }
@@ -410,65 +406,24 @@ func (e *Engine) Blocks() []wire.BlockID {
 	return out
 }
 
-// ---- rejoin state: epochs and placements ----
+// ---- rejoin state: placements ----
 
-// NoteEpoch durably records a newer placement epoch for a stripe.
-func (e *Engine) NoteEpoch(ino uint64, stripe uint32, epoch uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crashed {
-		return ErrCrashed
-	}
-	if cur, ok := e.epochs[stripeKey{ino, stripe}]; ok && cur >= epoch {
-		return nil
-	}
-	if err := e.logAppend(opEpoch, encodeEpoch(ino, stripe, epoch)); err != nil {
-		return err
-	}
-	e.applyEpoch(ino, stripe, epoch)
-	return nil
-}
-
-func (e *Engine) applyEpoch(ino uint64, stripe uint32, epoch uint64) {
-	k := stripeKey{ino, stripe}
-	if cur, ok := e.epochs[k]; !ok || epoch > cur {
-		e.epochs[k] = epoch
-	}
-}
-
-// ForEachEpoch visits every persisted stripe epoch.
-func (e *Engine) ForEachEpoch(fn func(ino uint64, stripe uint32, epoch uint64)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for k, ep := range e.epochs {
-		fn(k.Ino, k.Stripe, ep)
-	}
-}
-
-// RememberPlacement durably records a stripe placement if it is newer
-// than the one already held.
+// RememberPlacement durably records the placement its owner adopted for
+// a stripe. The record replaces whatever the stripe held before, on
+// reopen too (last record wins), so the owner decides which placement
+// is newer and journals in adoption order. A placement with K zero
+// records nodes and epoch whose geometry is not yet known.
 func (e *Engine) RememberPlacement(ino uint64, stripe uint32, p Placement) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.crashed {
 		return ErrCrashed
 	}
-	k := stripeKey{ino, stripe}
-	if cur, ok := e.places[k]; ok && cur.Epoch >= p.Epoch {
-		return nil
-	}
 	if err := e.logAppend(opPlacement, encodePlacement(ino, stripe, p)); err != nil {
 		return err
 	}
-	e.applyPlacement(ino, stripe, p)
+	e.places[stripeKey{ino, stripe}] = p
 	return nil
-}
-
-func (e *Engine) applyPlacement(ino uint64, stripe uint32, p Placement) {
-	k := stripeKey{ino, stripe}
-	if cur, ok := e.places[k]; !ok || p.Epoch > cur.Epoch {
-		e.places[k] = p
-	}
 }
 
 // ForEachPlacement visits every persisted placement.
@@ -508,7 +463,6 @@ func (e *Engine) checkpointLocked() error {
 		npages: e.pf.npages,
 		free:   e.pf.free,
 		blocks: e.blocks,
-		epochs: e.epochs,
 		places: e.places,
 	}
 	if err := writeMeta(e.dir, m); err != nil {

@@ -3,10 +3,13 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/framelog"
 	"repro/internal/wire"
 )
 
@@ -211,37 +214,70 @@ func TestEngineSegmentReplayAndFold(t *testing.T) {
 	}
 }
 
-func TestEngineEpochAndPlacementSurviveCrash(t *testing.T) {
+// TestEnginePlacementLastRecordWins: the engine keeps the last
+// placement journaled for a stripe, whatever its epoch or geometry —
+// the owner decides which placement is newer. A geometry-free record,
+// the full placement at the same epoch and then an older placement
+// leave the older one, after a crash reopen (WAL redo) and after a
+// clean reopen (meta.bin) alike.
+func TestEnginePlacementLastRecordWins(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir, Options{})
-	if err := e.NoteEpoch(3, 1, 7); err != nil {
-		t.Fatal(err)
+	last := Placement{K: 2, M: 1, Epoch: 5, Nodes: []wire.NodeID{7, 8, 9}}
+	for _, p := range []Placement{
+		{Epoch: 7, Nodes: []wire.NodeID{4, 5, 6}},
+		{K: 2, M: 1, Epoch: 7, Nodes: []wire.NodeID{4, 5, 6}},
+		last,
+	} {
+		if err := e.RememberPlacement(3, 1, p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := e.NoteEpoch(3, 1, 5); err != nil { // stale: ignored
-		t.Fatal(err)
-	}
-	pl := Placement{K: 2, M: 1, Epoch: 7, Nodes: []wire.NodeID{4, 5, 6}}
-	if err := e.RememberPlacement(3, 1, pl); err != nil {
-		t.Fatal(err)
+	check := func(e *Engine, how string) {
+		t.Helper()
+		var got []Placement
+		e.ForEachPlacement(func(ino uint64, stripe uint32, p Placement) {
+			if ino != 3 || stripe != 1 {
+				t.Fatalf("%s: placement for %d/%d", how, ino, stripe)
+			}
+			got = append(got, p)
+		})
+		if len(got) != 1 || !reflect.DeepEqual(got[0], last) {
+			t.Fatalf("%s: placements %+v, want [%+v]", how, got, last)
+		}
 	}
 	e.Crash()
 	e.Close()
 
-	e2 := openT(t, dir, Options{})
-	defer e2.Close()
-	epochs := map[[2]uint64]uint64{}
-	e2.ForEachEpoch(func(ino uint64, stripe uint32, ep uint64) { epochs[[2]uint64{ino, uint64(stripe)}] = ep })
-	if len(epochs) != 1 || epochs[[2]uint64{3, 1}] != 7 {
-		t.Fatalf("epochs after crash: %v", epochs)
+	e = openT(t, dir, Options{})
+	if e.Stats().RedoneRecords != 3 {
+		t.Fatalf("redid %d records, want the 3 placements", e.Stats().RedoneRecords)
 	}
-	var seen int
-	e2.ForEachPlacement(func(ino uint64, stripe uint32, p Placement) {
-		seen++
-		if ino != 3 || stripe != 1 || p.Epoch != 7 || p.K != 2 || p.M != 1 || len(p.Nodes) != 3 || p.Nodes[2] != 6 {
-			t.Fatalf("placement mismatch: %+v", p)
-		}
-	})
-	if seen != 1 {
-		t.Fatalf("placements after crash: %d", seen)
+	check(e, "after crash reopen")
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e = openT(t, dir, Options{})
+	defer e.Close()
+	if e.Stats().RedoneRecords != 0 {
+		t.Fatalf("clean reopen redid %d records", e.Stats().RedoneRecords)
+	}
+	check(e, "after clean reopen")
+}
+
+// TestOpenRefusesMetaVersion1: a checkpoint of layout version 1, which
+// carried a separate stripe-epoch section, is refused rather than
+// misread.
+func TestOpenRefusesMetaVersion1(t *testing.T) {
+	dir := t.TempDir()
+	body := encodeMeta(&meta{blocks: map[wire.BlockID]*blockMeta{}, places: map[stripeKey]Placement{}})
+	binary.LittleEndian.PutUint32(body, 1)
+	if err := framelog.WriteFile(filepath.Join(dir, "meta.bin"), body); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := Open(dir, Options{}); err == nil {
+		e.Close()
+		t.Fatal("Open accepted a version-1 meta.bin")
 	}
 }

@@ -36,7 +36,7 @@ func FuzzWALReplay(f *testing.F) {
 	b := bid(3, 2, 1)
 	valid := frames(
 		rec(opWrite, encodeWrite(b, 64, 0, []byte("payload"))),
-		rec(opEpoch, encodeEpoch(3, 2, 9)),
+		rec(opPlacement, encodePlacement(3, 2, Placement{Epoch: 9, Nodes: []wire.NodeID{4, 5, 6}})),
 		rec(opEnsure, encodeEnsure(b, 4096)),
 	)
 	f.Add(valid)
@@ -75,8 +75,6 @@ func FuzzWALReplay(f *testing.F) {
 			switch r.kind {
 			case opWrite:
 				decodeWrite(r.payload)
-			case opEpoch:
-				decodeEpoch(r.payload)
 			case opEnsure:
 				decodeEnsure(r.payload)
 			case opPlacement:

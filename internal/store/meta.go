@@ -12,7 +12,7 @@ import (
 )
 
 // metaVersion guards the checkpoint file layout.
-const metaVersion = 1
+const metaVersion = 2
 
 // meta is the engine's checkpointed state: everything the WAL carries
 // between checkpoints, in its folded form. Writing it as meta.bin, a
@@ -24,7 +24,6 @@ type meta struct {
 	npages uint32
 	free   []uint32
 	blocks map[wire.BlockID]*blockMeta
-	epochs map[stripeKey]uint64
 	places map[stripeKey]Placement
 }
 
@@ -42,7 +41,9 @@ type stripeKey struct {
 }
 
 // Placement is a persisted stripe placement: enough for a reopened OSD
-// to seed its placement table before replaying log segments.
+// to seed its placement table before replaying log segments. K is zero
+// while the owner knows the stripe's nodes and epoch but not its
+// geometry.
 type Placement struct {
 	K, M  int
 	Epoch uint64
@@ -71,12 +72,6 @@ func encodeMeta(m *meta) []byte {
 		for _, pg := range bm.pages {
 			u32(pg)
 		}
-	}
-	u32(uint32(len(m.epochs)))
-	for k, e := range m.epochs {
-		u64(k.Ino)
-		u32(k.Stripe)
-		u64(e)
 	}
 	u32(uint32(len(m.places)))
 	for k, p := range m.places {
@@ -110,7 +105,6 @@ func decodeMeta(body []byte) (*meta, error) {
 	}
 	m := &meta{
 		blocks: make(map[wire.BlockID]*blockMeta),
-		epochs: make(map[stripeKey]uint64),
 		places: make(map[stripeKey]Placement),
 	}
 	m.era = u32()
@@ -148,16 +142,6 @@ func decodeMeta(body []byte) (*meta, error) {
 		return nil, err
 	}
 	for n := u32(); n > 0; n-- {
-		if err := need(20); err != nil {
-			return nil, err
-		}
-		k := stripeKey{Ino: u64(), Stripe: u32()}
-		m.epochs[k] = u64()
-	}
-	if err := need(4); err != nil {
-		return nil, err
-	}
-	for n := u32(); n > 0; n-- {
 		if err := need(26); err != nil {
 			return nil, err
 		}
@@ -186,9 +170,7 @@ func readMeta(dir string) (*meta, error) {
 	b, err := framelog.ReadFile(filepath.Join(dir, "meta.bin"))
 	if errors.Is(err, fs.ErrNotExist) {
 		return &meta{
-			era:    0,
 			blocks: make(map[wire.BlockID]*blockMeta),
-			epochs: make(map[stripeKey]uint64),
 			places: make(map[stripeKey]Placement),
 		}, nil
 	}

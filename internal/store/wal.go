@@ -5,9 +5,12 @@
 // stripe, generation indexed, folded and compacted in place). The WAL
 // and the segments are internal/framelog logs and the checkpoint
 // (meta.bin) a framelog checksummed file; this package owns only their
-// record kinds, payload codecs and redo. The engine is selected by
-// ecfs.Options.DataDir; with no data dir the OSD keeps today's
-// in-memory stores and nothing in this package runs.
+// record kinds, payload codecs and redo. Beside block contents the WAL
+// journals each stripe placement the owning OSD adopted; the engine
+// keeps the last record per stripe and has no placement rule of its
+// own. The engine is selected by ecfs.Options.DataDir; with no data dir
+// the OSD keeps today's in-memory stores and nothing in this package
+// runs.
 //
 // Crash model: the engine appends WAL and segment records with plain
 // write(2) before acknowledging, so a process-level crash (Engine.Crash
@@ -27,13 +30,13 @@ import (
 // WAL record kinds. The WAL carries logical redo records: recovery
 // re-applies them through the normal (unlogged) write path, which makes
 // redo idempotent — pages written back before the crash are simply
-// rewritten with identical bytes.
+// rewritten with identical bytes. Kind 3 is retired (it carried a bare
+// per-stripe epoch); redo skips it like any unknown kind.
 const (
 	opWrite     = 1 // block range write: id, post-write length, offset, payload
 	opDelete    = 2 // block removal: id
-	opEpoch     = 3 // per-stripe placement epoch: ino, stripe, epoch
 	opEnsure    = 4 // zero-filled block creation: id, size
-	opPlacement = 5 // stripe placement: ino, stripe, epoch, k, m, nodes
+	opPlacement = 5 // stripe placement, last record wins: ino, stripe, epoch, k, m, nodes
 )
 
 // Block id and record payload codecs. Thirteen bytes identify a block
@@ -119,21 +122,4 @@ func decodePlacement(p []byte) (ino uint64, stripe uint32, pl Placement, err err
 		pl.Nodes = append(pl.Nodes, wire.NodeID(int32(binary.LittleEndian.Uint32(p[off:]))))
 	}
 	return ino, stripe, pl, nil
-}
-
-func encodeEpoch(ino uint64, stripe uint32, epoch uint64) []byte {
-	p := make([]byte, 20)
-	binary.LittleEndian.PutUint64(p[0:8], ino)
-	binary.LittleEndian.PutUint32(p[8:12], stripe)
-	binary.LittleEndian.PutUint64(p[12:20], epoch)
-	return p
-}
-
-func decodeEpoch(p []byte) (ino uint64, stripe uint32, epoch uint64, err error) {
-	if len(p) < 20 {
-		return 0, 0, 0, fmt.Errorf("store: short opEpoch payload (%d bytes)", len(p))
-	}
-	return binary.LittleEndian.Uint64(p[0:8]),
-		binary.LittleEndian.Uint32(p[8:12]),
-		binary.LittleEndian.Uint64(p[12:20]), nil
 }
