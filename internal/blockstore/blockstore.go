@@ -35,7 +35,7 @@ import (
 // also makes its batches atomic.
 type backend interface {
 	Ensure(id wire.BlockID, size uint32) error
-	ReadRange(id wire.BlockID, off uint32, size int) ([]byte, error)
+	ReadInto(id wire.BlockID, off uint32, dst []byte) error
 	WriteRange(id wire.BlockID, off uint32, data []byte) error
 	WriteFull(id wire.BlockID, data []byte) error
 	Delete(id wire.BlockID) error
@@ -85,7 +85,8 @@ func (s *Store) Overwrite(class sim.Class, id wire.BlockID, blockSize int, exten
 	deltas := make([]Extent, 0, len(extents))
 	var cost time.Duration
 	for _, e := range extents {
-		old, err := s.be.ReadRange(id, e.Off, len(e.Data))
+		old := make([]byte, len(e.Data)) // kept: it becomes the delta
+		err := s.be.ReadInto(id, e.Off, old)
 		if err == nil {
 			err = s.be.WriteRange(id, e.Off, e.Data)
 		}
@@ -93,7 +94,7 @@ func (s *Store) Overwrite(class sim.Class, id wire.BlockID, blockSize int, exten
 			return deltas, cost, err
 		}
 		cost += s.chargeInPlace(class, len(e.Data))
-		gf256.XorSlice(old, e.Data) // old is this call's own read buffer: now the delta
+		gf256.XorSlice(old, e.Data)
 		deltas = append(deltas, Extent{Off: e.Off, Data: old})
 	}
 	return deltas, cost, nil
@@ -112,7 +113,8 @@ func (s *Store) Fold(class sim.Class, id wire.BlockID, blockSize int, extents []
 	}
 	var cost time.Duration
 	for _, e := range extents {
-		p, err := s.be.ReadRange(id, e.Off, len(e.Data))
+		p := make([]byte, len(e.Data))
+		err := s.be.ReadInto(id, e.Off, p)
 		if err == nil {
 			gf256.XorSlice(p, e.Data)
 			err = s.be.WriteRange(id, e.Off, p)
@@ -145,17 +147,19 @@ func (s *Store) WriteFull(class sim.Class, id wire.BlockID, data []byte, seq boo
 	return s.dev.Write(class, int64(len(data)), !seq, existed), nil
 }
 
-// ReadRange reads [off, off+size) of a block, charging the device under
-// class. random selects the random access cost. Reading an absent block
-// returns an error; reading beyond the block's size returns an error.
-func (s *Store) ReadRange(class sim.Class, id wire.BlockID, off uint32, size int, random bool) ([]byte, time.Duration, error) {
+// ReadInto fills dst with [off, off+len(dst)) of a block, charging the
+// device under class. random selects the random access cost. Reading an
+// absent block returns an error; reading beyond the block's size
+// returns an error. The caller owns dst: a reply buffer, a decode
+// input, a read-modify-write scratch.
+func (s *Store) ReadInto(class sim.Class, id wire.BlockID, off uint32, dst []byte, random bool) (time.Duration, error) {
 	s.locks.Lock(id)
-	out, err := s.be.ReadRange(id, off, size)
+	err := s.be.ReadInto(id, off, dst)
 	s.locks.Unlock(id)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return out, s.dev.Read(class, int64(size), random), nil
+	return s.dev.Read(class, int64(len(dst)), random), nil
 }
 
 // WriteRange overwrites [off, off+len(data)) in place, charging the
@@ -231,15 +235,16 @@ func (m *memBackend) Ensure(id wire.BlockID, size uint32) error {
 	return nil
 }
 
-func (m *memBackend) ReadRange(id wire.BlockID, off uint32, size int) ([]byte, error) {
+func (m *memBackend) ReadInto(id wire.BlockID, off uint32, dst []byte) error {
 	b, ok := m.get(id)
 	if !ok {
-		return nil, fmt.Errorf("blockstore: %v not found", id)
+		return fmt.Errorf("blockstore: %v not found", id)
 	}
-	if int(off)+size > len(b) {
-		return nil, fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+size, id, len(b))
+	if int(off)+len(dst) > len(b) {
+		return fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+len(dst), id, len(b))
 	}
-	return append([]byte(nil), b[off:int(off)+size]...), nil
+	copy(dst, b[off:])
+	return nil
 }
 
 func (m *memBackend) WriteRange(id wire.BlockID, off uint32, data []byte) error {

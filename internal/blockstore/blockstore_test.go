@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/sim"
@@ -32,6 +33,13 @@ func eachBackend(t *testing.T, fn func(t *testing.T, s *Store, dev *device.Devic
 
 func bid(i int) wire.BlockID { return wire.BlockID{Ino: 1, Stripe: uint32(i)} }
 
+// readRange reads size bytes at off into a fresh buffer.
+func readRange(s *Store, id wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
+	dst := make([]byte, size)
+	cost, err := s.ReadInto(sim.ClassOther, id, off, dst, true)
+	return dst, cost, err
+}
+
 func mustWriteFull(t *testing.T, s *Store, id wire.BlockID, data []byte) {
 	t.Helper()
 	if _, err := s.WriteFull(sim.ClassOther, id, data, true); err != nil {
@@ -45,7 +53,7 @@ func TestWriteFullReadBack(t *testing.T) {
 		if cost, err := s.WriteFull(sim.ClassOther, bid(1), data, true); err != nil || cost <= 0 {
 			t.Fatalf("write must cost device time: %v %v", cost, err)
 		}
-		got, cost, err := s.ReadRange(sim.ClassOther, bid(1), 6, 5, true)
+		got, cost, err := readRange(s, bid(1), 6, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +65,7 @@ func TestWriteFullReadBack(t *testing.T) {
 
 func TestReadMissingBlock(t *testing.T) {
 	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
-		if _, _, err := s.ReadRange(sim.ClassOther, bid(9), 0, 4, true); err == nil {
+		if _, _, err := readRange(s, bid(9), 0, 4); err == nil {
 			t.Fatal("reading absent block must fail")
 		}
 	})
@@ -66,7 +74,7 @@ func TestReadMissingBlock(t *testing.T) {
 func TestReadBeyondEnd(t *testing.T) {
 	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
 		mustWriteFull(t, s, bid(1), make([]byte, 10))
-		if _, _, err := s.ReadRange(sim.ClassOther, bid(1), 8, 4, true); err == nil {
+		if _, _, err := readRange(s, bid(1), 8, 4); err == nil {
 			t.Fatal("read past end must fail")
 		}
 	})
@@ -80,7 +88,7 @@ func TestWriteRangeCreatesAndGrows(t *testing.T) {
 		if s.Size(bid(2)) != 256 {
 			t.Fatalf("size = %d, want 256 (zero-filled to blockSize)", s.Size(bid(2)))
 		}
-		got, _, err := s.ReadRange(sim.ClassOther, bid(2), 100, 3, true)
+		got, _, err := readRange(s, bid(2), 100, 3)
 		if err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
 			t.Fatalf("range content wrong: %v %v", got, err)
 		}
@@ -252,7 +260,7 @@ func TestSnapshotIsCopy(t *testing.T) {
 			t.Fatal("snapshot missing")
 		}
 		snap[0] = 99
-		got, _, _ := s.ReadRange(sim.ClassOther, bid(1), 0, 1, true)
+		got, _, _ := readRange(s, bid(1), 0, 1)
 		if got[0] != 1 {
 			t.Fatal("snapshot must not alias stored data")
 		}
@@ -323,7 +331,7 @@ func TestConcurrentRangeWrites(t *testing.T) {
 		}
 		wg.Wait()
 		for g := 0; g < 8; g++ {
-			got, _, err := s.ReadRange(sim.ClassOther, bid(1), uint32(g*512), 64, true)
+			got, _, err := readRange(s, bid(1), uint32(g*512), 64)
 			if err != nil {
 				t.Fatal(err)
 			}

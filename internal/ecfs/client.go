@@ -642,8 +642,8 @@ func (c *Client) hintRepair(ctx context.Context, b wire.BlockID) {
 //
 // The K survivor blocks come from gatherSurvivors. Decoding is
 // byte-wise, so just the requested range of the one lost block is
-// decoded. The survivor shards alias pooled response buffers, held
-// until the decode has copied out and only then released.
+// decoded, straight into dst. The survivor shards alias pooled response
+// buffers, held until the decode is done and only then released.
 func (c *Client) degradedRead(ctx context.Context, p part, dst []byte) (time.Duration, error) {
 	k := c.code.K
 	lost := int(p.block.Idx)
@@ -664,10 +664,9 @@ func (c *Client) degradedRead(ctx context.Context, p part, dst []byte) (time.Dur
 		}
 		shards[idx] = s[lo:hi]
 	}
-	if err := c.code.Reconstruct(shards, lost); err != nil {
+	if err := c.code.ReconstructTo(dst, shards, lost); err != nil {
 		return 0, fmt.Errorf("ecfs: degraded read of %v: %w", p.block, err)
 	}
-	copy(dst, shards[lost])
 	return g.cost, nil
 }
 

@@ -408,21 +408,26 @@ type ResilverResult struct {
 // at all are dropped. If stale stripes cannot be rebuilt, Resilver
 // returns a *DataLossError counting every one of them and drops
 // nothing.
-func (c *Cluster) Resilver(ctx context.Context, id wire.NodeID) (*ResilverResult, error) {
-	o := c.OSD(id)
+//
+// The stale list is taken before the node is reinstated (RestartOSD
+// calls this with the node unreachable, and passes reinstate): once it
+// is reachable, a forward or client read at a newer epoch teaches it the
+// new placement, and its stale copy would compare as current.
+func (c *Cluster) Resilver(ctx context.Context, o *OSD, reinstate func()) (*ResilverResult, error) {
 	res := &ResilverResult{}
-	if o == nil || o.eng == nil {
+	if o.eng == nil {
+		reinstate()
 		return res, nil
 	}
-	refs := c.MDS.StripesOnSorted(id)
 	var stale []StripeRef
-	for _, ref := range refs {
+	for _, ref := range c.MDS.StripesOnSorted(o.id) {
 		if p, _ := o.Placement(wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}); p.Loc.Epoch >= ref.Loc.Epoch {
 			res.Kept++
 			continue
 		}
 		stale = append(stale, ref)
 	}
+	reinstate()
 	if len(stale) > 0 {
 		// The recovery rebuild with the node as its own victim, so the
 		// stale local copy never sources itself: same id, so nothing is
@@ -434,7 +439,7 @@ func (c *Cluster) Resilver(ctx context.Context, id wire.NodeID) (*ResilverResult
 		if err != nil {
 			return res, err
 		}
-		rec, err := run.rebuild(ctx, c.Tr.Caller(wire.MDSNode), c.code, id, o, stale)
+		rec, err := run.rebuild(ctx, c.Tr.Caller(wire.MDSNode), c.code, o.id, o, stale)
 		if rec != nil {
 			res.Rebuilt = rec.Blocks
 		}
@@ -446,9 +451,9 @@ func (c *Cluster) Resilver(ctx context.Context, id wire.NodeID) (*ResilverResult
 	// rebound elsewhere while the node was down).
 	for _, b := range o.store.Blocks() {
 		loc, err := c.MDS.Lookup(b.Ino, b.Stripe)
-		if err != nil || int(b.Idx) >= len(loc.Nodes) || loc.Nodes[b.Idx] != id {
+		if err != nil || int(b.Idx) >= len(loc.Nodes) || loc.Nodes[b.Idx] != o.id {
 			if err := o.store.Delete(b); err != nil {
-				return res, fmt.Errorf("ecfs: resilver osd %d: drop %v: %w", id, b, err)
+				return res, fmt.Errorf("ecfs: resilver osd %d: drop %v: %w", o.id, b, err)
 			}
 			res.Dropped++
 		}
@@ -467,13 +472,11 @@ func (c *Cluster) RestartOSD(ctx context.Context, id wire.NodeID) (*OSD, *Resilv
 	if err != nil {
 		return nil, nil, err
 	}
-	c.Reinstate(repl)
-	c.startCompactor(repl)
-	res, err := c.Resilver(ctx, id)
-	if err != nil {
-		return repl, res, err
-	}
-	return repl, res, nil
+	res, err := c.Resilver(ctx, repl, func() {
+		c.Reinstate(repl)
+		c.startCompactor(repl)
+	})
+	return repl, res, err
 }
 
 // AddOSD admits an OSD to the cluster under a fresh node id: the

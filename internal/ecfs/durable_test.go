@@ -143,6 +143,68 @@ func TestKillRestartStaleRebuild(t *testing.T) {
 	}
 }
 
+// TestResilverStaleListPrecedesReinstate: a client read at the new
+// epoch reaches a restarting node the moment it is reachable, before
+// Resilver compares epochs. The read teaches the node the new placement,
+// so the stale list must already have been taken, or the node keeps its
+// stale stripes.
+func TestResilverStaleListPrecedesReinstate(t *testing.T) {
+	c := MustNewCluster(durableOptions(t, "tsue"))
+	defer c.Close()
+	ctx := context.Background()
+	cli := c.NewClient()
+	f, mirror := writeTestFile(t, c, cli, 64<<10, 61)
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sleeper := c.OSDs[0].id
+	c.CrashOSD(sleeper)
+	casualty := c.OSDs[1].id
+	c.FailOSD(casualty)
+	repl, err := c.SpawnOSD(c.MaxNodeID() + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AddOSD(repl)
+	if _, err := c.Recover(ctx, casualty, repl); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+
+	o, err := c.SpawnOSD(sleeper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := c.MDS.StripesOnSorted(sleeper)
+	res, err := c.Resilver(ctx, o, func() {
+		c.Reinstate(o)
+		for _, ref := range refs {
+			resp, err := c.Tr.Caller(wire.ClientIDBase).Call(ctx, sleeper, &wire.Msg{
+				Kind: wire.KRead, Block: wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx},
+				Size: 16, Loc: ref.Loc, K: uint8(c.Opts.K), M: uint8(c.Opts.M),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.OK() {
+				t.Fatalf("read in the window: %s", resp.Err)
+			}
+			resp.Release()
+		}
+	})
+	if err != nil {
+		t.Fatalf("resilver: %v", err)
+	}
+	if res.Rebuilt == 0 || res.Kept+res.Rebuilt != len(refs) {
+		t.Fatalf("kept %d, rebuilt %d of %d stripes: the stale stripes were kept", res.Kept, res.Rebuilt, len(refs))
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.VerifyStripes(f, mirror); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestKillRestartReplacementKeepsPendingDeltas: a recovery replacement
 // that becomes stripe 0's first parity OSD takes DataLog deltas into its
 // DeltaLog, then crash-restarts before recycling them. The replayed

@@ -379,11 +379,9 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		if stale := o.checkEpoch(msg); stale != nil {
 			return stale
 		}
-		data, cost, err := o.strategy.Read(msg.Block, msg.Off, int(msg.Size))
-		if err != nil {
-			return wire.ErrorResp(err)
-		}
-		return &wire.Resp{Data: data, Cost: cost}
+		return readReply(int(msg.Size), func(dst []byte) (time.Duration, error) {
+			return o.strategy.Read(msg.Block, msg.Off, dst)
+		})
 	case wire.KEpochUpdate:
 		// The new placement also re-routes the strategy's asynchronous
 		// deltas to the new member: they read the same table.
@@ -402,21 +400,15 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		if size < 0 {
 			return wire.NotFoundResp(o.id, msg.Block)
 		}
-		if msg.Flag&wire.FetchReadThrough != 0 {
-			// Drain sources a live node: serve base content plus any
-			// pending data-log overlays (read-your-writes), so the
-			// migrated copy carries updates still buffered here.
-			data, cost, err := o.strategy.Read(msg.Block, 0, size)
-			if err != nil {
-				return wire.ErrorResp(err)
+		return readReply(size, func(dst []byte) (time.Duration, error) {
+			if msg.Flag&wire.FetchReadThrough != 0 {
+				// Drain sources a live node: serve base content plus
+				// any pending data-log overlays (read-your-writes), so
+				// the migrated copy carries updates still buffered here.
+				return o.strategy.Read(msg.Block, 0, dst)
 			}
-			return &wire.Resp{Data: data, Cost: cost}
-		}
-		data, cost, err := o.store.ReadRange(msg.TrafficClass(), msg.Block, 0, size, false)
-		if err != nil {
-			return wire.ErrorResp(err)
-		}
-		return &wire.Resp{Data: data, Cost: cost}
+			return o.store.ReadInto(msg.TrafficClass(), msg.Block, 0, dst, false)
+		})
 	case wire.KBlockStore:
 		if msg.Flag&wire.StoreUnlessOverwritten != 0 {
 			// A drain carrying over fenced source content: a client
@@ -450,6 +442,22 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		}
 		return o.strategy.Handle(ctx, msg)
 	}
+}
+
+// readReply serves a read of n bytes from a transport reply buffer: read
+// fills it, and the reply carries the buffer's release, which the
+// transport runs once the payload has left (TCP) or the caller releases
+// the reply (in process).
+func readReply(n int, read func(dst []byte) (time.Duration, error)) *wire.Resp {
+	buf, release := transport.ReplyBuf(n)
+	cost, err := read(buf)
+	if err != nil {
+		release()
+		return wire.ErrorResp(err)
+	}
+	resp := &wire.Resp{Data: buf, Cost: cost}
+	resp.AttachRelease(release)
+	return resp
 }
 
 // Close stops the strategy's background workers and, for durable OSDs,

@@ -158,68 +158,107 @@ func (c *Code) Verify(data, parity [][]byte) (bool, error) {
 // slot; otherwise it rebuilds only the listed shard indices (those that
 // are missing) and leaves every other nil slot nil — a degraded read or
 // a single-block rebuild pays for the one shard it uses. Rebuilt shards
-// are freshly allocated.
-//
-// Every wanted shard is a linear combination of the first K survivors:
-// its coefficients are its encoding row times the inverted survivor
-// matrix (for a data shard, whose encoding row is a unit vector, that is
-// the inverse's own row). The rows form one (|want| x K) matrix that is
-// applied to the survivors once.
+// are freshly allocated; ReconstructTo decodes one shard into memory
+// the caller already has.
 func (c *Code) Reconstruct(shards [][]byte, want ...int) error {
 	n := c.K + c.M
-	if len(shards) != n {
-		return fmt.Errorf("erasure: got %d shards, want %d", len(shards), n)
+	size, err := c.checkShards(shards)
+	if err != nil {
+		return err
 	}
-	present := make([]int, 0, n)
 	missing := make([]int, 0, c.M)
-	size := -1
-	for i, s := range shards {
-		if s == nil {
-			missing = append(missing, i)
-			continue
+	if len(want) == 0 {
+		for i, s := range shards {
+			if s == nil {
+				missing = append(missing, i)
+			}
 		}
-		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return fmt.Errorf("erasure: shard %d has length %d, want %d", i, len(s), size)
-		}
-		present = append(present, i)
 	}
-	if len(want) > 0 {
-		missing = missing[:0]
-		for _, idx := range want {
-			if idx < 0 || idx >= n {
-				return fmt.Errorf("erasure: wanted shard %d outside [0,%d)", idx, n)
-			}
-			if shards[idx] == nil && !slices.Contains(missing, idx) {
-				missing = append(missing, idx)
-			}
+	for _, idx := range want {
+		if idx < 0 || idx >= n {
+			return fmt.Errorf("erasure: wanted shard %d outside [0,%d)", idx, n)
+		}
+		if shards[idx] == nil && !slices.Contains(missing, idx) {
+			missing = append(missing, idx)
 		}
 	}
 	if len(missing) == 0 {
 		return nil
 	}
-	if len(present) < c.K {
-		return fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(present), c.K)
+	rebuilt := make([][]byte, len(missing))
+	for i := range rebuilt {
+		rebuilt[i] = make([]byte, size)
 	}
-	rows := present[:c.K]
+	if err := c.decode(rebuilt, shards, missing); err != nil {
+		return err
+	}
+	for i, idx := range missing {
+		shards[idx] = rebuilt[i]
+	}
+	return nil
+}
+
+// ReconstructTo decodes shard lost from the shards present into dst,
+// which must have the present shards' length, and leaves shards as they
+// are. shards is laid out as for Reconstruct, with at least K present.
+func (c *Code) ReconstructTo(dst []byte, shards [][]byte, lost int) error {
+	size, err := c.checkShards(shards)
+	if err != nil {
+		return err
+	}
+	if lost < 0 || lost >= len(shards) {
+		return fmt.Errorf("erasure: lost shard %d outside [0,%d)", lost, len(shards))
+	}
+	if size >= 0 && len(dst) != size {
+		return fmt.Errorf("erasure: destination has length %d, want %d", len(dst), size)
+	}
+	return c.decode([][]byte{dst}, shards, []int{lost})
+}
+
+// checkShards validates a decode's input — K+M slots, every present
+// shard of one length — and returns that length (-1 with none present).
+func (c *Code) checkShards(shards [][]byte) (int, error) {
+	if len(shards) != c.K+c.M {
+		return 0, fmt.Errorf("erasure: got %d shards, want %d", len(shards), c.K+c.M)
+	}
+	size := -1
+	for i, s := range shards {
+		if s == nil {
+			continue
+		}
+		if size == -1 {
+			size = len(s)
+		} else if len(s) != size {
+			return 0, fmt.Errorf("erasure: shard %d has length %d, want %d", i, len(s), size)
+		}
+	}
+	return size, nil
+}
+
+// decode writes the shards at indices missing into out, one per index.
+// Every wanted shard is a linear combination of the first K survivors:
+// its coefficients are its encoding row times the inverted survivor
+// matrix (for a data shard, whose encoding row is a unit vector, that is
+// the inverse's own row). The rows form one (|missing| x K) matrix that
+// is applied to the survivors once.
+func (c *Code) decode(out, shards [][]byte, missing []int) error {
+	rows := make([]int, 0, c.K)
+	survivors := make([][]byte, 0, c.K)
+	for i, s := range shards {
+		if s != nil && len(rows) < c.K {
+			rows = append(rows, i)
+			survivors = append(survivors, s)
+		}
+	}
+	if len(rows) < c.K {
+		return fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(rows), c.K)
+	}
 	inv, err := c.enc.SubMatrix(rows).Invert()
 	if err != nil {
 		return fmt.Errorf("erasure: reconstruction matrix singular: %w", err)
 	}
 	dec := c.enc.SubMatrix(missing).Mul(inv)
-	survivors := make([][]byte, c.K)
-	for j, r := range rows {
-		survivors[j] = shards[r]
-	}
-	rebuilt := make([][]byte, len(missing))
-	for i := range rebuilt {
-		rebuilt[i] = make([]byte, size)
-	}
-	gf256.NewTables(dec.Data, dec.Rows, dec.Cols).Apply(rebuilt, survivors)
-	for i, idx := range missing {
-		shards[idx] = rebuilt[i]
-	}
+	gf256.NewTables(dec.Data, dec.Rows, dec.Cols).Apply(out, survivors)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"sync"
@@ -234,6 +235,69 @@ func TestReconstructWant(t *testing.T) {
 		if err := c.Reconstruct(lose(), idx); err == nil {
 			t.Fatalf("want index %d must be rejected", idx)
 		}
+	}
+}
+
+// TestReconstructToMatchesReconstruct: decoding one lost shard into a
+// garbage-filled buffer gives Reconstruct's shard, for every lost index
+// and a rotating choice of the other shards missing, and leaves the
+// shard slice as it was.
+func TestReconstructToMatchesReconstruct(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, c := range []*Code{MustNew(4, 2, Vandermonde), MustNew(6, 4, Cauchy)} {
+		n := c.K + c.M
+		data := randShards(rng, c.K, 300)
+		parity, _ := c.Encode(data)
+		full := append(append([][]byte{}, data...), parity...)
+		for lost := 0; lost < n; lost++ {
+			for shift := 0; shift < n; shift++ {
+				shards := append([][]byte{}, full...)
+				shards[lost] = nil
+				for i, dropped := shift, 1; dropped < c.M; i++ { // exactly K survive
+					if shards[i%n] != nil {
+						shards[i%n] = nil
+						dropped++
+					}
+				}
+				ref := append([][]byte{}, shards...)
+				if err := c.Reconstruct(ref, lost); err != nil {
+					t.Fatal(err)
+				}
+				before := append([][]byte{}, shards...)
+				dst := bytes.Repeat([]byte{0xEE}, 300)
+				if err := c.ReconstructTo(dst, shards, lost); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(dst, ref[lost]) || !bytes.Equal(dst, full[lost]) {
+					t.Fatalf("RS(%d,%d) lost %d shift %d: ReconstructTo differs from Reconstruct", c.K, c.M, lost, shift)
+				}
+				for i := range shards {
+					if (shards[i] == nil) != (before[i] == nil) {
+						t.Fatalf("RS(%d,%d) lost %d: ReconstructTo changed slot %d", c.K, c.M, lost, i)
+					}
+				}
+			}
+		}
+	}
+	c := MustNew(4, 2, Vandermonde)
+	shards := append(randShards(rng, c.K, 64), make([][]byte, c.M)...)
+	shards[0] = nil
+	if err := c.ReconstructTo(make([]byte, 63), shards, 0); err == nil {
+		t.Fatal("a destination of the wrong length must be rejected")
+	}
+	if err := c.ReconstructTo(make([]byte, 64), shards, 6); err == nil {
+		t.Fatal("a lost index out of range must be rejected")
+	}
+	if err := c.ReconstructTo(make([]byte, 64), shards, 0); !errors.Is(err, ErrTooFewShards) {
+		t.Fatalf("with %d survivors: err = %v, want ErrTooFewShards", c.K-1, err)
+	}
+	// A present shard decodes to itself.
+	full := append(randShards(rng, c.K, 64), make([][]byte, c.M)...)
+	p, _ := c.Encode(full[:c.K])
+	copy(full[c.K:], p)
+	dst := make([]byte, 64)
+	if err := c.ReconstructTo(dst, full, 5); err != nil || !bytes.Equal(dst, full[5]) {
+		t.Fatalf("decoding present shard 5: err %v, equal %v", err, bytes.Equal(dst, full[5]))
 	}
 }
 
@@ -545,6 +609,25 @@ func BenchmarkReconstructRS6_4(b *testing.B) {
 		copy(shards, full)
 		shards[0], shards[3], shards[7] = nil, nil, nil
 		if err := c.Reconstruct(shards); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReconstructToRS6_4_1MB is the degraded-read shape decoded
+// into one reused buffer.
+func BenchmarkReconstructToRS6_4_1MB(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	c := MustNew(6, 4, Vandermonde)
+	data := randShards(rng, 6, 1<<20)
+	parity, _ := c.Encode(data)
+	shards := append(append([][]byte{}, data...), parity...)
+	shards[0], shards[7], shards[8], shards[9] = nil, nil, nil, nil
+	dst := make([]byte, 1<<20)
+	b.SetBytes(int64(6 << 20))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.ReconstructTo(dst, shards, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,9 +54,10 @@ func BenchmarkLookupCacheHit(b *testing.B) {
 	defer p.Close()
 	block := wire.BlockID{Ino: 1}
 	p.Append(block, 0, make([]byte, 64<<10), 0)
+	dst := make([]byte, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := p.Lookup(block, uint32(i%60)<<10, 4096); !ok {
+		if !p.Lookup(block, uint32(i%60)<<10, dst) {
 			b.Fatal("expected hit")
 		}
 	}

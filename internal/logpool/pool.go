@@ -503,46 +503,47 @@ func (p *Pool) Close() {
 }
 
 // Lookup serves a read from the log working as a cache: it scans units
-// newest-to-oldest for a full covering of [off, off+size). A covering
-// unit is not necessarily current for every byte — a newer unit may
-// hold a partial update inside the range — so the newer units' extents
-// are overlaid, oldest to newest, before the content is returned. The
-// hit is copied under the unit lock (appends mutate an active unit's
-// extents in place), so the caller owns the returned slice.
-func (p *Pool) Lookup(block wire.BlockID, off, size uint32) ([]byte, bool) {
+// newest-to-oldest for a full covering of [off, off+len(dst)). A
+// covering unit is not necessarily current for every byte — a newer
+// unit may hold a partial update inside the range — so the newer units'
+// extents are overlaid, oldest to newest, before Lookup reports the
+// hit. The hit is copied into dst under the unit lock (appends mutate an
+// active unit's extents in place). On a miss dst is untouched.
+func (p *Pool) Lookup(block wire.BlockID, off uint32, dst []byte) bool {
 	p.mu.Lock()
 	units := make([]*Unit, len(p.queue))
 	copy(units, p.queue)
 	p.mu.Unlock()
 	for i := len(units) - 1; i >= 0; i-- {
 		u := units[i]
-		var data []byte
+		hit := false
 		u.mu.RLock()
 		if bi := u.blocks[block]; bi != nil {
-			if hit, ok := bi.lookup(off, size); ok {
-				data = append([]byte(nil), hit...)
+			var data []byte
+			if data, hit = bi.lookup(off, uint32(len(dst))); hit {
+				copy(dst, data)
 			}
 		}
 		u.mu.RUnlock()
-		if data == nil {
+		if !hit {
 			continue
 		}
 		for _, nu := range units[i+1:] {
 			nu.mu.RLock()
 			if nbi := nu.blocks[block]; nbi != nil {
-				nbi.overlay(off, data)
+				nbi.overlay(off, dst)
 			}
 			nu.mu.RUnlock()
 		}
 		p.mu.Lock()
 		p.stats.CacheHits++
 		p.mu.Unlock()
-		return data, true
+		return true
 	}
 	p.mu.Lock()
 	p.stats.CacheMisses++
 	p.mu.Unlock()
-	return nil, false
+	return false
 }
 
 // Overlay applies all *pending* (not yet recycled) log content for block

@@ -26,15 +26,21 @@ func TestPoolConfigValidation(t *testing.T) {
 	}
 }
 
+// lookup is Lookup into a fresh buffer of size bytes.
+func lookup(p *Pool, b wire.BlockID, off, size uint32) ([]byte, bool) {
+	d := make([]byte, size)
+	return d, p.Lookup(b, off, d)
+}
+
 func TestAppendAndLookup(t *testing.T) {
 	p := MustNewPool(testCfg(1<<20, 4))
 	defer p.Close()
 	p.Append(blk(1), 100, []byte("hello"), 0)
-	d, ok := p.Lookup(blk(1), 100, 5)
+	d, ok := lookup(p, blk(1), 100, 5)
 	if !ok || string(d) != "hello" {
 		t.Fatalf("lookup = %q, %v", d, ok)
 	}
-	if _, ok := p.Lookup(blk(2), 100, 5); ok {
+	if _, ok := lookup(p, blk(2), 100, 5); ok {
 		t.Fatal("lookup of unlogged block must miss")
 	}
 	s := p.Stats()
@@ -131,7 +137,7 @@ func TestOverlayPendingOnly(t *testing.T) {
 		t.Fatalf("recycled overlay must not apply: %v", dst)
 	}
 	// But the cache still serves lookups until the unit is reused.
-	if d, ok := p.Lookup(blk(1), 4, 2); !ok || d[0] != 7 {
+	if d, ok := lookup(p, blk(1), 4, 2); !ok || d[0] != 7 {
 		t.Fatal("recycled unit must serve as read cache")
 	}
 }
@@ -157,7 +163,7 @@ func TestLookupOverlaysNewerUnits(t *testing.T) {
 	// the sealed unit's stale full cover.
 	p.Append(blk(1), 0, bytes.Repeat([]byte{1}, 40), 0) // seals unit 1
 	p.Append(blk(1), 8, bytes.Repeat([]byte{2}, 4), 0)  // unit 2
-	d, ok := p.Lookup(blk(1), 0, 40)
+	d, ok := lookup(p, blk(1), 0, 40)
 	if !ok {
 		t.Fatal("full range should hit the cache")
 	}
@@ -172,7 +178,7 @@ func TestLookupOverlaysNewerUnits(t *testing.T) {
 		t.Fatal("expected recyclable unit")
 	}
 	p.FinishRecycle(u, 0, 0, 1, 1, 40)
-	if d, ok = p.Lookup(blk(1), 0, 40); !ok || !bytes.Equal(d, want) {
+	if d, ok = lookup(p, blk(1), 0, 40); !ok || !bytes.Equal(d, want) {
 		t.Fatalf("post-recycle lookup ignored newer unit: ok=%v got %v", ok, d[:16])
 	}
 }
@@ -197,7 +203,7 @@ func TestReadsOfActiveUnitAreWholeRecords(t *testing.T) {
 			dst := make([]byte, page)
 			for i := 0; !done.Load(); i++ {
 				off := uint32(i % pages * page)
-				d, ok := p.Lookup(blk(1), off, page)
+				d, ok := lookup(p, blk(1), off, page)
 				if !ok || !whole(d) {
 					t.Errorf("Lookup(page %d): hit=%v, bytes of more than one record", i%pages, ok)
 					return
@@ -359,7 +365,7 @@ func TestPoolSetRouting(t *testing.T) {
 		t.Fatal("routing must be stable")
 	}
 	ps.Append(b, 0, []byte("data"), 0)
-	if d, ok := ps.Lookup(b, 0, 4); !ok || string(d) != "data" {
+	if d := make([]byte, 4); !ps.Lookup(b, 0, d) || string(d) != "data" {
 		t.Fatal("poolset lookup failed")
 	}
 	dst := make([]byte, 4)

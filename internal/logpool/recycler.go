@@ -225,8 +225,8 @@ func (ps *PoolSet) Append(block wire.BlockID, off uint32, data []byte, v time.Du
 }
 
 // Lookup queries the owning pool's cache.
-func (ps *PoolSet) Lookup(block wire.BlockID, off, size uint32) ([]byte, bool) {
-	return ps.Pick(block).Lookup(block, off, size)
+func (ps *PoolSet) Lookup(block wire.BlockID, off uint32, dst []byte) bool {
+	return ps.Pick(block).Lookup(block, off, dst)
 }
 
 // Drain drains every member pool.

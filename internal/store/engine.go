@@ -316,19 +316,26 @@ func (e *Engine) applyDelete(id wire.BlockID) {
 
 // ---- block readers ----
 
-// ReadRange copies size bytes at off out of the block.
-func (e *Engine) ReadRange(id wire.BlockID, off uint32, size int) ([]byte, error) {
+// ReadInto fills dst with the block's bytes at off; pages never written
+// read as zeros.
+func (e *Engine) ReadInto(id wire.BlockID, off uint32, dst []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	bm := e.blocks[id]
 	if bm == nil {
-		return nil, fmt.Errorf("store: block %v not found", id)
+		return fmt.Errorf("store: block %v not found", id)
 	}
-	if off+uint32(size) > bm.length {
-		return nil, fmt.Errorf("store: read [%d,%d) past block length %d", off, off+uint32(size), bm.length)
+	if end := uint64(off) + uint64(len(dst)); end > uint64(bm.length) {
+		return fmt.Errorf("store: read [%d,%d) past block length %d", off, end, bm.length)
 	}
+	return e.readInto(bm, off, dst)
+}
+
+// ReadRange is ReadInto into a fresh buffer of size bytes (the
+// benchmark's store probe times it).
+func (e *Engine) ReadRange(id wire.BlockID, off uint32, size int) ([]byte, error) {
 	out := make([]byte, size)
-	if err := e.readInto(bm, off, out); err != nil {
+	if err := e.ReadInto(id, off, out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -97,12 +97,36 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }} // sized on fi
 
 func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
 
-func putFrameBuf(b *[]byte) {
+func putFrameBuf(b *[]byte) { putBuf(&framePool, b) }
+
+// putBuf returns a buffer to its pool, unless it is a one-off giant.
+func putBuf(pool *sync.Pool, b *[]byte) {
 	if b == nil || cap(*b) > pooledBufCap {
 		return
 	}
 	*b = (*b)[:0]
-	framePool.Put(b)
+	pool.Put(b)
+}
+
+// replyPool recycles the buffers handlers fill with reply payloads
+// (ReplyBuf). It is apart from framePool so a payload-sized reply buffer
+// is not spent on a small request body, nor the reverse.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }} // sized on first use
+
+// ReplyBuf lends a handler a buffer of n bytes from the reply pool to
+// fill with a reply's payload, and the release that returns it. The
+// handler attaches the release to the reply that carries the buffer
+// (wire.Resp.AttachRelease) and from then on the transport owns both:
+// the TCP server runs the release once the reply's frame is flushed or
+// dropped, and in process the caller's Resp.Release runs it. A handler
+// that ends up not replying with the buffer runs the release itself.
+func ReplyBuf(n int) ([]byte, func()) {
+	b := replyPool.Get().(*[]byte)
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return *b, newBufRelease(&replyPool, b)
 }
 
 // headerPool recycles the buffers outbound frames are encoded into. A
@@ -212,11 +236,11 @@ func PoolDebugOutstanding() int64 { return poolOutstanding.Load() }
 // garbage in any payload and is recognizable in a hex dump.
 const poisonByte = 0xDB
 
-// newBufRelease builds the wire.Resp release hook for one pooled
-// response buffer: the first call returns the buffer to the pool, a
-// redundant second call is absorbed (and panics under poolDebug —
-// releasing a buffer twice would hand the same memory to two owners).
-func newBufRelease(body *[]byte) func() {
+// newBufRelease builds the wire.Resp release hook for one buffer of
+// pool: the first call returns the buffer to the pool, a redundant
+// second call is absorbed (and panics under poolDebug — releasing a
+// buffer twice would hand the same memory to two owners).
+func newBufRelease(pool *sync.Pool, body *[]byte) func() {
 	if poolDebug.Load() {
 		poolOutstanding.Add(1)
 	}
@@ -235,7 +259,7 @@ func newBufRelease(body *[]byte) func() {
 				b[i] = poisonByte
 			}
 		}
-		putFrameBuf(body)
+		putBuf(pool, body)
 	}
 }
 
@@ -482,8 +506,9 @@ func (s *TCPServer) acceptLoop() {
 // A response's Data is written from the handler's own slice, and it may
 // alias the request body (an echo, a forwarded payload), so the request
 // buffer of a response carrying a payload is recycled only once the
-// response frame has been flushed —
-// the Handler contract (no retaining request payloads beyond the call,
+// response frame has been flushed; the response's own release (a reply
+// buffer from ReplyBuf) runs then too, or when the frame is dropped.
+// The Handler contract (no retaining request payloads beyond the call,
 // no touching Resp.Data after returning it) is what makes both the
 // pooling and the borrowing safe.
 func (s *TCPServer) serveConn(conn net.Conn) {
@@ -531,7 +556,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			if resp == nil {
 				resp = &wire.Resp{}
 			}
-			out := respOut{frame: respFrame(id, resp), body: body}
+			out := respOut{frame: respFrame(id, resp), body: body, resp: resp}
 			if !out.frame.borrows() {
 				// Nothing the flush reads can alias the request body.
 				putFrameBuf(body)
@@ -542,16 +567,20 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// respOut is one queued response: its frame, and the request body its
-// payload may alias, recycled together once the frame is flushed.
+// respOut is one queued response: its frame, the request body its
+// payload may alias, and the response whose release returns a reply
+// buffer the payload may be, all let go together exactly once, when the
+// frame is flushed or dropped.
 type respOut struct {
 	frame outFrame
 	body  *[]byte
+	resp  *wire.Resp
 }
 
 func (o *respOut) release() {
 	o.frame.release()
 	putFrameBuf(o.body)
+	o.resp.Release()
 }
 
 // frameWriter coalesces frames queued by concurrent goroutines into
@@ -1449,7 +1478,7 @@ func (mc *muxConn) readLoop() {
 		}
 		resp, body, err := readResp(r, mc.conn, int(hdr.n), dst)
 		if err == nil && body != nil {
-			resp.AttachRelease(newBufRelease(body))
+			resp.AttachRelease(newBufRelease(&framePool, body))
 		}
 		mc.mu.Lock()
 		if filling != nil {

@@ -26,6 +26,13 @@
 // caller's context on the in-process transport (cancellation propagates
 // through nested strategy calls) and a background context on TCP, where
 // cancellation is a client-side concern.
+//
+// A reply's payload buffer is released once, by whoever holds the
+// reply last. A handler may serve a payload from ReplyBuf and attach the
+// buffer's release to its reply; the TCP server runs that release after
+// the reply's frame is flushed or dropped, and in process the reply
+// reaches the caller as is, whose Resp.Release runs it. Replies the TCP
+// client decodes into pooled memory carry the client's own release.
 package transport
 
 import (
@@ -47,8 +54,10 @@ import (
 //     request buffer; in process they are the caller's own slices).
 //   - The returned Resp, Data included, belongs to the transport from
 //     the moment it is returned: the handler must not touch it again.
-//     Data may be fresh memory or a slice of msg's payloads; TCP keeps
-//     the request buffer alive until the response has been written.
+//     Data may be fresh memory, a slice of msg's payloads, or a buffer
+//     from ReplyBuf whose release the handler attached; TCP keeps the
+//     request buffer alive and runs the reply's release once the
+//     response has been written.
 type Handler func(ctx context.Context, msg *wire.Msg) *wire.Resp
 
 // RPC sends messages to nodes.

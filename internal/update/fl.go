@@ -94,11 +94,11 @@ func (f *fl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	}
 }
 
-func (f *fl) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
+func (f *fl) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
 	// The log must merge with the old data on reads (FL's read penalty):
 	// base read plus overlay of all pending records.
-	return readThrough(f.dataLog, b, off, func() ([]byte, time.Duration, error) {
-		return f.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
+	return readThrough(f.dataLog, b, off, dst, func(dst []byte) (time.Duration, error) {
+		return readStore(f.env, b, off, dst)
 	})
 }
 

@@ -87,7 +87,8 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	}
 	var origins []origin
 	for _, g := range gaps {
-		old, rc, err := store.ReadRange(sim.ClassForegroundWrite, b, g.lo, int(g.hi-g.lo), true)
+		old := make([]byte, g.hi-g.lo) // kept: shipped as the original
+		rc, err := store.ReadInto(sim.ClassForegroundWrite, b, g.lo, old, true)
 		if err != nil {
 			return 0, err
 		}
@@ -199,8 +200,8 @@ func (p *parix) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	}
 }
 
-func (p *parix) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
-	return p.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
+func (p *parix) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
+	return readStore(p.env, b, off, dst)
 }
 
 // Drain recycles the parity logs: for every logged extent the delta is

@@ -106,9 +106,9 @@ func (p *pl) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Du
 	return cost + fc
 }
 
-func (p *pl) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
+func (p *pl) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
 	// Data blocks are updated in place; no log on the read path.
-	return p.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
+	return readStore(p.env, b, off, dst)
 }
 
 func (p *pl) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {

@@ -1,0 +1,86 @@
+package update
+
+import (
+	"bytes"
+	"context"
+	"testing"
+
+	"repro/internal/blockstore"
+	"repro/internal/device"
+	"repro/internal/sim"
+	"repro/internal/store"
+	"repro/internal/wire"
+)
+
+// TestReadFillsCallerBuffer: every method's Read overwrites all of a
+// garbage-filled dst with what a read into fresh zeroed memory returns,
+// and both are the block's content. The block is written in one page
+// only, so on the durable engine most of it is absent pages that must
+// read as zeros, and an update is still pending in the DataLog for TSUE
+// and FL, so their reads lay it over the base.
+func TestReadFillsCallerBuffer(t *testing.T) {
+	const blockSize = 64 << 10
+	backends := map[string]func(t *testing.T, dev *device.Device) *blockstore.Store{
+		"mem": func(_ *testing.T, dev *device.Device) *blockstore.Store { return blockstore.New(dev) },
+		"durable": func(t *testing.T, dev *device.Device) *blockstore.Store {
+			eng, err := store.Open(t.TempDir(), store.Options{Frames: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { eng.Close() })
+			return blockstore.NewDurable(dev, eng)
+		},
+	}
+	for _, name := range AllMethods {
+		for be, open := range backends {
+			t.Run(name+"/"+be, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.BlockSize = blockSize
+				dev := device.New("solo", device.ChameleonSSD())
+				env := &soloEnv{store: open(t, dev), dev: dev}
+				env.call = func(wire.NodeID, *wire.Msg) (*wire.Resp, error) { return &wire.Resp{}, nil }
+				s, err := New(name, cfg, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+
+				b := wire.BlockID{Ino: 1}
+				want := make([]byte, blockSize)
+				base := bytes.Repeat([]byte{0x5A}, 3000)
+				if _, err := env.store.WriteRange(sim.ClassOther, b, 20<<10, base, true, blockSize); err != nil {
+					t.Fatal(err)
+				}
+				copy(want[20<<10:], base)
+				upd := &wire.Msg{
+					Kind: wire.KUpdate, Block: b, Off: 21 << 10, Data: bytes.Repeat([]byte{0xC3}, 700),
+					K: 2, M: 1, Loc: wire.StripeLoc{Nodes: []wire.NodeID{1, 2, 3}, Epoch: 1},
+				}
+				env.learn(upd)
+				if _, err := s.Update(context.Background(), upd); err != nil {
+					t.Fatal(err)
+				}
+				copy(want[upd.Off:], upd.Data)
+
+				// The whole block, a range the update lies inside, and
+				// exactly the update's range (a log-cache hit for TSUE).
+				for _, r := range []struct{ off, n int }{{0, blockSize}, {20 << 10, 2 << 10}, {21 << 10, 700}} {
+					fresh := make([]byte, r.n)
+					if _, err := s.Read(b, uint32(r.off), fresh); err != nil {
+						t.Fatal(err)
+					}
+					dirty := bytes.Repeat([]byte{0xEE}, r.n)
+					if _, err := s.Read(b, uint32(r.off), dirty); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(dirty, fresh) {
+						t.Fatalf("read [%d,+%d) into a garbage-filled buffer differs from a read into zeros", r.off, r.n)
+					}
+					if !bytes.Equal(fresh, want[r.off:r.off+r.n]) {
+						t.Fatalf("read [%d,+%d) differs from the block's content", r.off, r.n)
+					}
+				}
+			})
+		}
+	}
+}

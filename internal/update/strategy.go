@@ -88,10 +88,13 @@ type Strategy interface {
 	Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 	// Handle processes a strategy-internal message from a peer OSD.
 	Handle(ctx context.Context, msg *wire.Msg) *wire.Resp
-	// Read returns block bytes honoring any pending logs, with the
-	// modeled read latency (zero on a log-cache hit). Reads are local
-	// (store + resident logs) and take no context.
-	Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error)
+	// Read fills dst with block b's bytes from off, honoring any
+	// pending logs, and returns the modeled read latency (zero on a
+	// log-cache hit). dst is the caller's: whatever it held is
+	// overwritten, and Read keeps no reference to it. On error dst's
+	// content is undefined. Reads are local (store + resident logs) and
+	// take no context.
+	Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error)
 	// Drain flushes asynchronous state. It is called cluster-wide for
 	// phases 1..DrainPhases in order; dead lists failed nodes so
 	// replica/copy logs can be promoted.
@@ -297,26 +300,31 @@ func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind
 	return cost + fanCost, nil
 }
 
-// readThrough returns base's read of block b from offset off with the
-// pending content of b's data log pool laid over it. A unit that
+// readThrough fills dst with base's read of block b from offset off and
+// lays the pending content of b's data log pool over it. A unit that
 // finishes recycling between the base read and the overlay is in
 // neither: its store write landed after the read, and the overlay skips
-// recycled units. So the read repeats, each base read priced, until no
-// unit of the pool finished recycling in between.
-func readThrough(pool *logpool.Pool, b wire.BlockID, off uint32, base func() ([]byte, time.Duration, error)) ([]byte, time.Duration, error) {
+// recycled units. So the read repeats into dst, each base read priced,
+// until no unit of the pool finished recycling in between.
+func readThrough(pool *logpool.Pool, b wire.BlockID, off uint32, dst []byte, base func(dst []byte) (time.Duration, error)) (time.Duration, error) {
 	var total time.Duration
 	for {
 		recycled := pool.Stats().UnitsRecycled
-		data, cost, err := base()
+		cost, err := base(dst)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		total += cost
-		pool.Overlay(b, off, data)
+		pool.Overlay(b, off, dst)
 		if pool.Stats().UnitsRecycled == recycled {
-			return data, total, nil
+			return total, nil
 		}
 	}
+}
+
+// readStore fills dst from the block store as a foreground random read.
+func readStore(env Env, b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
+	return env.Store().ReadInto(sim.ClassForegroundRead, b, off, dst, true)
 }
 
 // overwriteMsg overwrites a client update's range in place on the

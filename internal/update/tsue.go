@@ -404,12 +404,12 @@ func (t *tsue) holdCopy(msg *wire.Msg) *wire.Resp {
 // Read serves client reads: the DataLog doubles as a read cache
 // (§3.3.3) — a fully covered range is served from memory at zero device
 // cost; otherwise the base block is read and pending log content overlaid.
-func (t *tsue) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
-	if data, ok := t.dataLogs.Lookup(b, off, uint32(size)); ok {
-		return data, 0, nil // Lookup's copy is ours
+func (t *tsue) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
+	if t.dataLogs.Lookup(b, off, dst) {
+		return 0, nil
 	}
-	return readThrough(t.dataLogs.Pick(b), b, off, func() ([]byte, time.Duration, error) {
-		return t.env.Store().ReadRange(sim.ClassForegroundRead, b, off, size, true)
+	return readThrough(t.dataLogs.Pick(b), b, off, dst, func(dst []byte) (time.Duration, error) {
+		return readStore(t.env, b, off, dst)
 	})
 }
 

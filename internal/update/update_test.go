@@ -323,16 +323,17 @@ func TestReadThroughSeesUnitRecycledMidRead(t *testing.T) {
 	u := pool.TakeRecyclable(false)
 	stored := []byte("old")
 	reads := 0
-	got, _, err := readThrough(pool, b, 0, func() ([]byte, time.Duration, error) {
+	got := make([]byte, len(stored))
+	_, err := readThrough(pool, b, 0, got, func(dst []byte) (time.Duration, error) {
 		reads++
-		out := bytes.Clone(stored)
+		copy(dst, stored)
 		if reads == 1 {
 			// The recycle's store write lands just after this read,
 			// and the unit leaves the overlay.
 			copy(stored, "new")
 			pool.FinishRecycle(u, 0, 0, 1, 1, 3)
 		}
-		return out, 0, nil
+		return 0, nil
 	})
 	if err != nil {
 		t.Fatal(err)
