@@ -399,26 +399,36 @@ type ResilverResult struct {
 }
 
 // Resilver reconciles a restarted durable OSD's recovered local state
-// against the MDS: stripes whose persisted placement epoch is at least
-// the MDS's are kept as-is (the fast path that makes kill-restart cheap
-// — zero traffic for anything untouched during the outage); stripes the
-// cluster moved on from (a repair or drain bumped their epoch while the
-// node was down) are rebuilt in place by RepairNode's rebuild, through
-// the repair scheduler; and local blocks the MDS no longer places here
-// at all are dropped. If stale stripes cannot be rebuilt, Resilver
-// returns a *DataLossError counting every one of them and drops
-// nothing.
+// against the MDS, then returns the node to service: stripes whose
+// persisted placement epoch is at least the MDS's are kept as-is (the
+// fast path that makes kill-restart cheap — zero traffic for anything
+// untouched during the outage); stripes the cluster moved on from (a
+// repair or drain bumped their epoch while the node was down) are
+// rebuilt in place by RepairNode's rebuild, through the repair
+// scheduler; and local blocks the MDS no longer places here at all are
+// dropped. If stale stripes cannot be rebuilt, Resilver returns a
+// *DataLossError counting every one of them, drops nothing, and leaves
+// the node out of service.
 //
-// The stale list is taken before the node is reinstated (RestartOSD
-// calls this with the node unreachable, and passes reinstate): once it
-// is reachable, a forward or client read at a newer epoch teaches it the
-// new placement, and its stale copy would compare as current.
-func (c *Cluster) Resilver(ctx context.Context, o *OSD, reinstate func()) (*ResilverResult, error) {
+// All of it happens while the node is unreachable, as in a same-id
+// Recover before Reinstate. A forward or client read at a newer epoch
+// would teach a reachable node the new placement, so its stale copy
+// would compare as current, and a read would be served stale bytes
+// from a stripe not yet rebuilt.
+func (c *Cluster) Resilver(ctx context.Context, o *OSD) (*ResilverResult, error) {
 	res := &ResilverResult{}
-	if o.eng == nil {
-		reinstate()
-		return res, nil
+	if o.eng != nil {
+		if err := c.reconcile(ctx, o, res); err != nil {
+			return res, err
+		}
 	}
+	c.Reinstate(o)
+	c.startCompactor(o)
+	return res, nil
+}
+
+// reconcile is Resilver's work on the unreachable node.
+func (c *Cluster) reconcile(ctx context.Context, o *OSD, res *ResilverResult) error {
 	var stale []StripeRef
 	for _, ref := range c.MDS.StripesOnSorted(o.id) {
 		if p, _ := o.Placement(wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}); p.Loc.Epoch >= ref.Loc.Epoch {
@@ -427,7 +437,6 @@ func (c *Cluster) Resilver(ctx context.Context, o *OSD, reinstate func()) (*Resi
 		}
 		stale = append(stale, ref)
 	}
-	reinstate()
 	if len(stale) > 0 {
 		// The recovery rebuild with the node as its own victim, so the
 		// stale local copy never sources itself: same id, so nothing is
@@ -437,14 +446,14 @@ func (c *Cluster) Resilver(ctx context.Context, o *OSD, reinstate func()) (*Resi
 		opts.Flush = nil
 		run, err := startRepair(ctx, c.MDS, opts)
 		if err != nil {
-			return res, err
+			return err
 		}
 		rec, err := run.rebuild(ctx, c.Tr.Caller(wire.MDSNode), c.code, o.id, o, stale)
 		if rec != nil {
 			res.Rebuilt = rec.Blocks
 		}
 		if err != nil {
-			return res, err
+			return err
 		}
 	}
 	// Drop blocks the MDS no longer places on this node (the stripe was
@@ -453,30 +462,32 @@ func (c *Cluster) Resilver(ctx context.Context, o *OSD, reinstate func()) (*Resi
 		loc, err := c.MDS.Lookup(b.Ino, b.Stripe)
 		if err != nil || int(b.Idx) >= len(loc.Nodes) || loc.Nodes[b.Idx] != o.id {
 			if err := o.store.Delete(b); err != nil {
-				return res, fmt.Errorf("ecfs: resilver osd %d: drop %v: %w", o.id, b, err)
+				return fmt.Errorf("ecfs: resilver osd %d: drop %v: %w", o.id, b, err)
 			}
 			res.Dropped++
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // RestartOSD brings a crashed durable OSD back under the same id: a
 // fresh OSD reopens the node's data directory (WAL redo + segment
-// replay happen in NewOSDAt), rejoins the cluster in the victim's
-// place, and resilvers against the MDS. The returned result reports how
+// replay happen in NewOSDAt), resilvers against the MDS, and rejoins
+// the cluster in the victim's place. The returned result reports how
 // much local state survived; for an outage during which nothing wrote
-// to the node's stripes, Rebuilt is zero.
+// to the node's stripes, Rebuilt is zero. If the resilver fails, the
+// reopened OSD is closed and the node stays down.
 func (c *Cluster) RestartOSD(ctx context.Context, id wire.NodeID) (*OSD, *ResilverResult, error) {
 	repl, err := c.SpawnOSD(id)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := c.Resilver(ctx, repl, func() {
-		c.Reinstate(repl)
-		c.startCompactor(repl)
-	})
-	return repl, res, err
+	res, err := c.Resilver(ctx, repl)
+	if err != nil {
+		repl.Close()
+		return nil, res, err
+	}
+	return repl, res, nil
 }
 
 // AddOSD admits an OSD to the cluster under a fresh node id: the

@@ -3,13 +3,16 @@ package ecfs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/device"
 	"repro/internal/erasure"
+	"repro/internal/sim"
 	"repro/internal/update"
 	"repro/internal/wire"
 )
@@ -143,12 +146,14 @@ func TestKillRestartStaleRebuild(t *testing.T) {
 	}
 }
 
-// TestResilverStaleListPrecedesReinstate: a client read at the new
-// epoch reaches a restarting node the moment it is reachable, before
-// Resilver compares epochs. The read teaches the node the new placement,
-// so the stale list must already have been taken, or the node keeps its
-// stale stripes.
-func TestResilverStaleListPrecedesReinstate(t *testing.T) {
+// TestResilverServesNothingBeforeRebuild: a restarting node must not
+// answer reads until its stale stripes are rebuilt. Were it reachable
+// during the rebuild, a read at the new epoch would be served the stale
+// copy, and would teach the node the new placement so that a stale list
+// taken after it keeps the stale stripe. Each survivor's handler probes
+// the restarting node with such reads when the rebuild first fetches
+// from it; every probe must be refused.
+func TestResilverServesNothingBeforeRebuild(t *testing.T) {
 	c := MustNewCluster(durableOptions(t, "tsue"))
 	defer c.Close()
 	ctx := context.Background()
@@ -170,32 +175,51 @@ func TestResilverStaleListPrecedesReinstate(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 
-	o, err := c.SpawnOSD(sleeper)
-	if err != nil {
-		t.Fatal(err)
-	}
 	refs := c.MDS.StripesOnSorted(sleeper)
-	res, err := c.Resilver(ctx, o, func() {
-		c.Reinstate(o)
-		for _, ref := range refs {
-			resp, err := c.Tr.Caller(wire.ClientIDBase).Call(ctx, sleeper, &wire.Msg{
-				Kind: wire.KRead, Block: wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx},
-				Size: 16, Loc: ref.Loc, K: uint8(c.Opts.K), M: uint8(c.Opts.M),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resp.OK() {
-				t.Fatalf("read in the window: %s", resp.Err)
-			}
-			resp.Release()
+	probe := c.Tr.Caller(wire.ClientIDBase)
+	var (
+		mu     sync.Mutex
+		probes int
+		served []string
+	)
+	down := c.deadSnapshot()
+	for _, o := range c.OSDs {
+		if down[o.id] {
+			continue
 		}
-	})
+		c.Tr.Register(o.id, func(ctx context.Context, msg *wire.Msg) *wire.Resp {
+			if msg.Kind == wire.KBlockFetch && msg.Class == sim.ClassRebuild {
+				for _, ref := range refs {
+					resp, err := probe.Call(ctx, sleeper, &wire.Msg{
+						Kind: wire.KRead, Block: wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx},
+						Size: 16, Loc: ref.Loc, K: uint8(c.Opts.K), M: uint8(c.Opts.M),
+					})
+					mu.Lock()
+					probes++
+					if err == nil && resp.OK() {
+						served = append(served, fmt.Sprintf("%d/%d", ref.Ino, ref.Stripe))
+					}
+					mu.Unlock()
+					if err == nil {
+						resp.Release()
+					}
+				}
+			}
+			return o.Handler(ctx, msg)
+		})
+	}
+	_, res, err := c.RestartOSD(ctx, sleeper)
 	if err != nil {
-		t.Fatalf("resilver: %v", err)
+		t.Fatalf("restart: %v", err)
+	}
+	if probes == 0 {
+		t.Fatal("the rebuild fetched nothing: no read reached the node before it was rebuilt")
+	}
+	if len(served) > 0 {
+		t.Fatalf("the node served reads of stripes %v before its rebuild finished", served)
 	}
 	if res.Rebuilt == 0 || res.Kept+res.Rebuilt != len(refs) {
-		t.Fatalf("kept %d, rebuilt %d of %d stripes: the stale stripes were kept", res.Kept, res.Rebuilt, len(refs))
+		t.Fatalf("kept %d, rebuilt %d of %d stripes", res.Kept, res.Rebuilt, len(refs))
 	}
 	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)

@@ -28,6 +28,9 @@ type OSD struct {
 	rpc      transport.RPC
 	strategy update.Strategy
 	codeKind erasure.MatrixKind
+	// blockSize bounds a KRead before a reply buffer is lent for it:
+	// the request's size comes off the wire.
+	blockSize int
 
 	closeOnce sync.Once
 
@@ -84,13 +87,14 @@ func (p enginePersist) Layer(name string) logpool.Persist { return p.eng.Layer(n
 func NewOSDAt(id wire.NodeID, prof device.Profile, rpc transport.RPC, method string, cfg update.Config, kind erasure.MatrixKind, dataDir string) (*OSD, error) {
 	dev := device.New(fmt.Sprintf("osd%d/%s", id, prof.Kind), prof)
 	o := &OSD{
-		id:       id,
-		dev:      dev,
-		rpc:      rpc,
-		codeKind: kind,
-		codes:    make(map[[2]int]*erasure.Code),
-		places:   make(map[stripeKey]stripeRecord),
-		inflight: make(map[stripeKey]int),
+		id:        id,
+		dev:       dev,
+		rpc:       rpc,
+		codeKind:  kind,
+		blockSize: cfg.BlockSize,
+		codes:     make(map[[2]int]*erasure.Code),
+		places:    make(map[stripeKey]stripeRecord),
+		inflight:  make(map[stripeKey]int),
 	}
 	o.inflightCond = sync.NewCond(&o.inflightMu)
 	if dataDir != "" {
@@ -378,6 +382,9 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		// forever — the per-stripe cutover the repair queue relies on.
 		if stale := o.checkEpoch(msg); stale != nil {
 			return stale
+		}
+		if end := uint64(msg.Off) + uint64(msg.Size); end > uint64(o.blockSize) {
+			return wire.ErrorResp(fmt.Errorf("osd%d: read [%d,%d) of %v beyond the %d-byte block", o.id, msg.Off, end, msg.Block, o.blockSize))
 		}
 		return readReply(int(msg.Size), func(dst []byte) (time.Duration, error) {
 			return o.strategy.Read(msg.Block, msg.Off, dst)

@@ -113,3 +113,30 @@ func TestWarmReadAllocatesNoPayload(t *testing.T) {
 		t.Fatal("a read from a recycled reply buffer returned the wrong bytes")
 	}
 }
+
+// TestOversizedReadRefusedBeforeBuffer: a KRead's size comes off the
+// wire, so one past the block is refused before a reply buffer is lent
+// for it. A 4 GiB request must cost an error reply, not 4 GiB.
+func TestOversizedReadRefusedBeforeBuffer(t *testing.T) {
+	const blockSize = 64 << 10
+	o, _, reads := replyOSD(t, blockSize)
+	for _, bad := range []struct{ off, size uint32 }{
+		{0, 1<<32 - 1},
+		{1<<32 - 1, 1<<32 - 1},
+		{1, blockSize},
+	} {
+		msg := *reads[0]
+		msg.Off, msg.Size = bad.off, bad.size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := o.Handler(context.Background(), &msg)
+		runtime.ReadMemStats(&after)
+		if resp.OK() {
+			resp.Release()
+			t.Fatalf("read [%d,+%d) of a %d-byte block served", bad.off, bad.size, blockSize)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > blockSize {
+			t.Errorf("refusing read [%d,+%d) allocated %d bytes", bad.off, bad.size, grew)
+		}
+	}
+}

@@ -331,8 +331,9 @@ func (e *Engine) ReadInto(id wire.BlockID, off uint32, dst []byte) error {
 	return e.readInto(bm, off, dst)
 }
 
-// ReadRange is ReadInto into a fresh buffer of size bytes (the
-// benchmark's store probe times it).
+// ReadRange is ReadInto into a fresh buffer of size bytes. Only the
+// benchmark's store probe calls it; it goes once that probe reads into
+// a reused buffer (ROADMAP, narrow items).
 func (e *Engine) ReadRange(id wire.BlockID, off uint32, size int) ([]byte, error) {
 	out := make([]byte, size)
 	if err := e.ReadInto(id, off, out); err != nil {

@@ -37,8 +37,8 @@ func TestEngineWriteReadReopen(t *testing.T) {
 	if err := e.WriteRange(b, 50, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.ReadRange(b, 40, 120)
-	if err != nil {
+	got := make([]byte, 120)
+	if err := e.ReadInto(b, 40, got); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, 120)
