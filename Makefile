@@ -79,7 +79,7 @@ e2e-pairs:
 	$(GO) run ./benchmark -compare $(E2E_DIR)/base.jsonl $(E2E_DIR)/head.jsonl
 
 # docs-check lints the documentation: every relative Markdown link must
-# resolve, and every exported client, file-handle, repair and scheduler
+# resolve, and every exported client, file-handle, MDS, repair and scheduler
 # symbol must carry godoc (see cmd/docscheck). Part of make verify and
 # the CI verify job.
 docs-check:

@@ -29,15 +29,18 @@ import (
 
 // lintedFiles is the godoc-linted surface, relative to the repository
 // root: the client and its File handle, the cluster's entry points
-// (fail, crash, restart, resilver, scrub), the OSD server, the
-// repair/drain engines with the cluster-level scheduler, the block
-// store, the durable storage engine and its checkpoint, and the GF(2^8)
-// bulk kernel.
+// (fail, crash, restart, resilver, scrub), the MDS with its durable op
+// log and record catalog, the OSD server, the repair/drain engines with
+// the cluster-level scheduler, the block store, the durable storage
+// engine and its checkpoint, and the GF(2^8) bulk kernel.
 var lintedFiles = []string{
 	"internal/ecfs/client.go",
 	"internal/ecfs/file.go",
 	"internal/ecfs/dial.go",
 	"internal/ecfs/cluster.go",
+	"internal/ecfs/mds.go",
+	"internal/ecfs/mds_durable.go",
+	"internal/mdslog/records.go",
 	"internal/ecfs/osd.go",
 	"internal/ecfs/repair.go",
 	"internal/ecfs/recovery.go",

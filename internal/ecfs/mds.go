@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -116,7 +117,8 @@ type MDS struct {
 	// interrupted by cancellation (drainInterrupted): an interrupted
 	// node stays marked so a second Drain resumes without the node
 	// transiting back through the placement pool, while a running one
-	// rejects a concurrent BeginDrain outright.
+	// rejects a concurrent BeginDrain outright. Only the mark is
+	// durable; running versus interrupted is soft state.
 	drainMu  sync.Mutex
 	draining map[wire.NodeID]drainState
 
@@ -217,9 +219,6 @@ func NewMDSWithShards(osds []wire.NodeID, k, m, shards int) (*MDS, error) {
 		md.nameShards[i] = &nameShard{files: make(map[string]uint64), idx: uint64(i), step: uint64(n)}
 		md.inoShards[i] = &inoShard{meta: make(map[uint64]*fileMeta)}
 	}
-	for _, id := range osds {
-		md.rev[id] = &nodeIndex{refs: make(map[stripeKey]uint8)}
-	}
 	return md, nil
 }
 
@@ -234,26 +233,33 @@ func (m *MDS) SetBlockSize(n int) { m.blockSize = n }
 // BlockSize returns the configured block size (0 when unset).
 func (m *MDS) BlockSize() int { return m.blockSize }
 
-// RecordAddr stores a node's advertised listen address — normally
-// learned from the address heartbeats carry, and set directly for the
-// MDS's own listener by cmd/ecfsd.
+// RecordAddr stores a node's advertised listen address and stamps its
+// freshness — set directly for the MDS's own listener by cmd/ecfsd;
+// other nodes' addresses arrive with their heartbeats (HeartbeatAddr).
 func (m *MDS) RecordAddr(id wire.NodeID, addr string) {
 	if addr == "" {
 		return
 	}
-	m.mutateLock()
-	defer m.mutateUnlock()
 	m.liveMu.Lock()
-	defer m.liveMu.Unlock()
-	// Logged on change only — freshness stamps are soft state a
-	// restarted MDS re-learns from heartbeats.
-	if m.addrs[id] != addr {
-		if err := m.logAppend(mdslog.Record{Kind: mdslog.KindAddr, Node: id, Name: addr}); err != nil {
-			return
-		}
-	}
-	m.addrs[id] = addr
 	m.addrAt[id] = time.Now()
+	m.liveMu.Unlock()
+	m.setAddr(id, addr)
+}
+
+// setAddr is the one address path of RecordAddr and HeartbeatAddr: an
+// unchanged address (the common case, every heartbeat) costs one liveMu
+// round trip; a changed one is a node-state update, logged.
+func (m *MDS) setAddr(id wire.NodeID, addr string) {
+	m.liveMu.Lock()
+	same := addr == "" || m.addrs[id] == addr
+	m.liveMu.Unlock()
+	if same {
+		return
+	}
+	m.updateNode(id, func(r *mdslog.Record) error {
+		r.Name = addr
+		return nil
+	})
 }
 
 // SetAddrTTL ages the served address map: an entry whose owner has
@@ -324,23 +330,12 @@ func (m *MDS) Create(name string) (uint64, error) {
 		return ino, nil
 	}
 	// Allocate from this shard's disjoint ino range (no shared state).
-	ino := ns.next*ns.step + ns.idx + 1
-	if err := m.logAppend(mdslog.Record{Kind: mdslog.KindCreate, Ino: ino, Name: name}); err != nil {
+	r := mdslog.Record{Kind: mdslog.KindCreate, Ino: ns.next*ns.step + ns.idx + 1, Name: name}
+	if err := m.logAppend(r); err != nil {
 		return 0, err
 	}
-	ns.next++
-	m.installFile(ns, name, ino)
-	return ino, nil
-}
-
-// installFile publishes a name → ino binding; the caller holds the name
-// shard's lock and has allocated (or replayed) the ino.
-func (m *MDS) installFile(ns *nameShard, name string, ino uint64) {
-	is := m.inoShard(ino)
-	is.mu.Lock()
-	is.meta[ino] = &fileMeta{name: name, stripes: make(map[uint32]wire.StripeLoc)}
-	is.mu.Unlock()
-	ns.files[name] = ino
+	m.applyCreateLocked(ns, r)
+	return r.Ino, nil
 }
 
 // Lookup resolves (ino, stripe) to its placement, creating the placement
@@ -375,13 +370,11 @@ func (m *MDS) Lookup(ino uint64, stripe uint32) (wire.StripeLoc, error) {
 		return loc, nil
 	}
 	loc := m.place(ino, stripe)
-	if err := m.logAppend(mdslog.Record{Kind: mdslog.KindBind, Ino: ino, Stripe: stripe, Epoch: loc.Epoch, Nodes: loc.Nodes}); err != nil {
+	r := mdslog.Record{Kind: mdslog.KindBind, Ino: ino, Stripe: stripe, Epoch: loc.Epoch, Nodes: loc.Nodes}
+	if err := m.logAppend(r); err != nil {
 		return wire.StripeLoc{}, err
 	}
-	fm.stripes[stripe] = loc
-	for idx, node := range loc.Nodes {
-		m.indexBlock(node, ino, stripe, uint8(idx))
-	}
+	m.applyBindLocked(fm, r)
 	return loc, nil
 }
 
@@ -473,35 +466,24 @@ func (m *MDS) Rebind(ino uint64, stripe uint32, from, to wire.NodeID) (wire.Stri
 	if idx < 0 {
 		return wire.StripeLoc{}, fmt.Errorf("ecfs: rebind: node %d not in placement of %d/%d", from, ino, stripe)
 	}
-	nodes := append([]wire.NodeID(nil), loc.Nodes...)
+	nodes := slices.Clone(loc.Nodes)
 	nodes[idx] = to
-	nl := wire.StripeLoc{Nodes: nodes, Epoch: loc.Epoch + 1}
-	if err := m.logAppend(mdslog.Record{Kind: mdslog.KindRebind, Ino: ino, Stripe: stripe, Epoch: nl.Epoch, Idx: uint8(idx), Node: from, To: to}); err != nil {
+	r := mdslog.Record{Kind: mdslog.KindBind, Ino: ino, Stripe: stripe, Epoch: loc.Epoch + 1, Nodes: nodes}
+	if err := m.logAppend(r); err != nil {
 		return wire.StripeLoc{}, err
 	}
-	fm.stripes[stripe] = nl
-	m.unindexBlock(from, ino, stripe)
-	m.indexBlock(to, ino, stripe, uint8(idx))
-	return nl, nil
+	m.applyBindLocked(fm, r)
+	return wire.StripeLoc{Nodes: nodes, Epoch: r.Epoch}, nil
 }
 
-// AddNode admits a node to the placement pool (no-op if present) and
-// provisions its reverse-index bucket — how a replacement OSD with a
-// fresh id becomes a rebind and placement target. The admission is
-// logged only when the node was actually absent.
+// AddNode admits a node to the placement pool (no-op if present) — how
+// a replacement OSD with a fresh id becomes a rebind and placement
+// target.
 func (m *MDS) AddNode(id wire.NodeID) {
-	m.mutateLock()
-	defer m.mutateUnlock()
-	m.topoMu.Lock()
-	if !poolContains(m.osds, id) {
-		if err := m.logAppend(mdslog.Record{Kind: mdslog.KindAddNode, Node: id}); err != nil {
-			m.topoMu.Unlock()
-			return // fail-stop: not applied, not acknowledged
-		}
-		m.poolInsertLocked(id)
-	}
-	m.topoMu.Unlock()
-	m.nodeIndexFor(id)
+	m.updateNode(id, func(r *mdslog.Record) error {
+		r.InPool = true
+		return nil
+	})
 }
 
 // RemoveNode evicts a node from the placement pool so no *new* stripe
@@ -510,60 +492,21 @@ func (m *MDS) AddNode(id wire.NodeID) {
 // untouched; recovery rebinds them stripe by stripe. A pool already at
 // its K+M minimum is left intact (a stripe must remain placeable), so
 // on a minimum-size cluster a dead node stays placeable until a
-// replacement joins. The eviction is logged only when the floor check
-// allowed it, so replay removes unconditionally.
+// replacement joins.
 func (m *MDS) RemoveNode(id wire.NodeID) {
-	m.mutateLock()
-	defer m.mutateUnlock()
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	m.removeNodeTopoLocked(id)
+	m.updateNode(id, func(r *mdslog.Record) error {
+		m.evictLocked(r)
+		return nil
+	})
 }
 
-// removeNodeTopoLocked is RemoveNode's logged body; the caller holds
-// topoMu (and the mutation gate).
-func (m *MDS) removeNodeTopoLocked(id wire.NodeID) {
-	if len(m.osds) <= m.k+m.m {
-		return // keep enough nodes to place a stripe
+// evictLocked takes r's node out of the placement pool unless the pool
+// is at its K+M floor (a stripe must stay placeable). Caller holds
+// topoMu.
+func (m *MDS) evictLocked(r *mdslog.Record) {
+	if len(m.osds) > m.k+m.m {
+		r.InPool = false
 	}
-	if !poolContains(m.osds, id) {
-		return
-	}
-	if err := m.logAppend(mdslog.Record{Kind: mdslog.KindRemoveNode, Node: id}); err != nil {
-		return
-	}
-	m.poolFilterLocked(id)
-}
-
-func poolContains(pool []wire.NodeID, id wire.NodeID) bool {
-	for _, n := range pool {
-		if n == id {
-			return true
-		}
-	}
-	return false
-}
-
-// poolInsertLocked appends a node to the placement pool (caller holds
-// topoMu and has checked absence, or tolerates a duplicate check here).
-func (m *MDS) poolInsertLocked(id wire.NodeID) {
-	if poolContains(m.osds, id) {
-		return
-	}
-	// Copy-on-write: place reads the slice under RLock only.
-	m.osds = append(append([]wire.NodeID(nil), m.osds...), id)
-}
-
-// poolFilterLocked removes a node from the placement pool (caller holds
-// topoMu).
-func (m *MDS) poolFilterLocked(id wire.NodeID) {
-	out := make([]wire.NodeID, 0, len(m.osds))
-	for _, n := range m.osds {
-		if n != id {
-			out = append(out, n)
-		}
-	}
-	m.osds = out
 }
 
 // PickRebindTarget chooses a destination for moving one block of a
@@ -596,40 +539,24 @@ func (m *MDS) PickRebindTarget(ino uint64, stripe uint32, loc wire.StripeLoc) (w
 	return 0, fmt.Errorf("ecfs: no live rebind target outside the placement of %d/%d", ino, stripe)
 }
 
-// Forget removes a retired node entirely: placement pool, liveness
-// state, and its (empty) reverse-index bucket — the final step of a
-// decommission. The node must no longer host placements.
+// Forget removes a retired node entirely: placement pool, drain mark,
+// address, liveness state, and its (empty) reverse-index bucket — the
+// final step of a decommission. The node must no longer host
+// placements.
 func (m *MDS) Forget(id wire.NodeID) {
-	m.mutateLock()
-	defer m.mutateUnlock()
-	m.drainMu.Lock()
-	m.topoMu.Lock()
-	// One record carries the whole retirement; the pool eviction
-	// decision (K+M floor) is captured so replay never re-decides.
-	removed := len(m.osds) > m.k+m.m && poolContains(m.osds, id)
-	if err := m.logAppend(mdslog.Record{Kind: mdslog.KindForget, Node: id, Removed: removed}); err != nil {
-		m.topoMu.Unlock()
-		m.drainMu.Unlock()
+	err := m.updateNode(id, func(r *mdslog.Record) error {
+		m.evictLocked(r)
+		r.Draining, r.Name = false, ""
+		return nil
+	})
+	if err != nil {
 		return
 	}
-	if removed {
-		m.poolFilterLocked(id)
-	}
-	m.topoMu.Unlock()
-	delete(m.draining, id)
-	m.drainMu.Unlock()
-	m.forgetSoftState(id)
-}
-
-// forgetSoftState clears a retired node's liveness entries and its
-// (empty) reverse-index bucket — unlogged state derived afresh on a
-// restart, shared by Forget and its replay.
-func (m *MDS) forgetSoftState(id wire.NodeID) {
+	// The rest is soft state, derived afresh on a restart: liveness and
+	// the (empty) reverse-index bucket.
 	m.liveMu.Lock()
 	delete(m.beats, id)
 	delete(m.dead, id)
-	delete(m.addrs, id)
-	delete(m.addrAt, id)
 	m.liveMu.Unlock()
 	m.revMu.Lock()
 	if ni := m.rev[id]; ni != nil {
@@ -678,70 +605,47 @@ func (m *MDS) RepairPending() int {
 // whose drain is still running is rejected with an error: two engines
 // migrating the same stripes would race their rebind/fence/refetch
 // sequences, so only an interrupted drain is resumable.
+//
+// Running versus interrupted is soft state: a resume appends nothing,
+// and a reopened MDS demotes every drain to interrupted.
 func (m *MDS) BeginDrain(id wire.NodeID) (resumed bool, err error) {
-	m.mutateLock()
-	defer m.mutateUnlock()
-	m.drainMu.Lock()
-	defer m.drainMu.Unlock()
-	switch m.draining[id] {
-	case drainActive:
-		return false, fmt.Errorf("ecfs: drain node %d: a drain is already running", id)
-	case drainInterrupted:
-		if err := m.logAppend(mdslog.Record{Kind: mdslog.KindDrainBegin, Node: id}); err != nil {
-			return false, err
+	err = m.updateNode(id, func(r *mdslog.Record) error {
+		switch m.draining[id] {
+		case drainActive:
+			return fmt.Errorf("ecfs: drain node %d: a drain is already running", id)
+		case drainInterrupted:
+			m.draining[id] = drainActive
+			resumed = true
+			return nil
 		}
-		m.draining[id] = drainActive
-		return true, nil
-	}
-	// Fresh drain. The pool eviction decision (K+M floor) is made here,
-	// under topoMu, and captured in the single DrainBegin record so
-	// replay redoes the whole op without re-deciding.
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	removed := len(m.osds) > m.k+m.m && poolContains(m.osds, id)
-	if err := m.logAppend(mdslog.Record{Kind: mdslog.KindDrainBegin, Node: id, Fresh: true, Removed: removed}); err != nil {
-		return false, err
-	}
-	m.draining[id] = drainActive
-	if removed {
-		m.poolFilterLocked(id)
-	}
-	return false, nil
+		r.Draining = true
+		m.evictLocked(r)
+		return nil
+	})
+	return resumed, err
 }
 
 // InterruptDrain downgrades a node's running drain to
 // interrupted-awaiting-resume — MigrateNode's bookkeeping when a run
 // ends on a cancelled context. The node stays out of the placement
-// pool; a later BeginDrain resumes it, AbortDrain abandons it.
+// pool; a later BeginDrain resumes it, AbortDrain abandons it. Only
+// soft state changes, so nothing is logged.
 func (m *MDS) InterruptDrain(id wire.NodeID) {
-	m.mutateLock()
-	defer m.mutateUnlock()
 	m.drainMu.Lock()
 	defer m.drainMu.Unlock()
-	if m.draining[id] != drainActive {
-		return
+	if m.draining[id] == drainActive {
+		m.draining[id] = drainInterrupted
 	}
-	if err := m.logAppend(mdslog.Record{Kind: mdslog.KindDrainInterrupt, Node: id}); err != nil {
-		return
-	}
-	m.draining[id] = drainInterrupted
 }
 
 // FinishDrain clears a node's draining mark after every stripe has
 // migrated. The node stays out of the placement pool — it hosts
 // nothing; RemoveOSD retires it, AddNode re-admits it.
 func (m *MDS) FinishDrain(id wire.NodeID) {
-	m.mutateLock()
-	defer m.mutateUnlock()
-	m.drainMu.Lock()
-	defer m.drainMu.Unlock()
-	if m.draining[id] == drainNone {
-		return
-	}
-	if err := m.logAppend(mdslog.Record{Kind: mdslog.KindDrainEnd, Node: id}); err != nil {
-		return
-	}
-	delete(m.draining, id)
+	m.updateNode(id, func(r *mdslog.Record) error {
+		r.Draining = false
+		return nil
+	})
 }
 
 // AbortDrain abandons an *interrupted* drain: the mark is cleared and
@@ -753,14 +657,15 @@ func (m *MDS) FinishDrain(id wire.NodeID) {
 // the drain's context first, then abort. Operators reach this through
 // Cluster.AbortDrain.
 func (m *MDS) AbortDrain(id wire.NodeID) bool {
-	m.mutateLock()
-	defer m.mutateUnlock()
-	m.drainMu.Lock()
-	defer m.drainMu.Unlock()
-	if m.draining[id] != drainInterrupted {
-		return false
-	}
-	return m.endDrainLocked(id)
+	aborted := false
+	err := m.updateNode(id, func(r *mdslog.Record) error {
+		if m.draining[id] == drainInterrupted {
+			aborted = true
+			m.endDrainLocked(r)
+		}
+		return nil
+	})
+	return aborted && err == nil
 }
 
 // failDrain clears a *running* drain's mark and restores the node's
@@ -768,38 +673,23 @@ func (m *MDS) AbortDrain(id wire.NodeID) bool {
 // hard (non-resumable) failure. Unlike AbortDrain it acts on the
 // active state, which only the engine itself may tear down.
 func (m *MDS) failDrain(id wire.NodeID) {
-	m.mutateLock()
-	defer m.mutateUnlock()
-	m.drainMu.Lock()
-	defer m.drainMu.Unlock()
-	m.endDrainLocked(id)
+	m.updateNode(id, func(r *mdslog.Record) error {
+		m.endDrainLocked(r)
+		return nil
+	})
 }
 
-// endDrainLocked abandons a drain and restores the node's pool
+// endDrainLocked abandons r's drain and restores the node's pool
 // membership — unless the node has been marked dead in the meantime (it
 // failed mid-drain): placement must never select a dead node, so a dead
 // one stays evicted and re-enters via recovery or an explicit AddNode
-// once it is actually back. The readmission decision is captured in the
-// single DrainEnd record (the dead set is soft state replay cannot
-// consult). Caller holds drainMu and the mutation gate.
-func (m *MDS) endDrainLocked(id wire.NodeID) bool {
-	m.liveMu.Lock()
-	dead := m.dead[id]
-	m.liveMu.Unlock()
-	m.topoMu.Lock()
-	if err := m.logAppend(mdslog.Record{Kind: mdslog.KindDrainEnd, Node: id, Readmitted: !dead}); err != nil {
-		m.topoMu.Unlock()
-		return false
+// once it is actually back. The record carries the outcome, so replay
+// never consults the dead set. Caller holds liveMu.
+func (m *MDS) endDrainLocked(r *mdslog.Record) {
+	r.Draining = false
+	if !m.dead[r.Node] {
+		r.InPool = true
 	}
-	delete(m.draining, id)
-	if !dead {
-		m.poolInsertLocked(id)
-	}
-	m.topoMu.Unlock()
-	if !dead {
-		m.nodeIndexFor(id)
-	}
-	return true
 }
 
 // Draining reports whether the node has a drain in progress (running
@@ -827,24 +717,11 @@ func (m *MDS) Heartbeat(id wire.NodeID, at time.Time) {
 
 // HeartbeatAddr records a liveness report carrying the node's advertised
 // listen address.
+// The address itself is durable (clients resolve through it after a
+// restart), so a changed one is logged — never a repeated one.
 func (m *MDS) HeartbeatAddr(id wire.NodeID, at time.Time, addr string) {
-	m.mutateLock()
-	defer m.mutateUnlock()
-	m.liveMu.Lock()
-	defer m.liveMu.Unlock()
-	m.beats[id] = at
-	delete(m.dead, id)
-	if addr == "" {
-		return
-	}
-	// The address itself is durable (clients resolve through it after a
-	// restart); logged on change only, never per heartbeat.
-	if m.addrs[id] != addr {
-		if err := m.logAppend(mdslog.Record{Kind: mdslog.KindAddr, Node: id, Name: addr}); err != nil {
-			return
-		}
-	}
-	m.addrs[id] = addr
+	m.Heartbeat(id, at)
+	m.setAddr(id, addr)
 }
 
 // LastHeartbeat returns the most recent heartbeat time for a node.

@@ -2,6 +2,7 @@ package ecfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,17 +14,21 @@ import (
 // entry points in mds.go and the internal/mdslog op log.
 //
 // The contract is log-before-ack. Every durable mutator takes the
-// mutation gate in shared mode, appends its record while holding the
-// lock that owns the mutated state, and only then applies and
-// acknowledges — so log order and apply order agree per lock, and a
-// crash can lose only mutations no caller was ever told about. Replay
-// redoes committed records through the unlogged apply* functions below,
-// which are idempotent so a stale log prefix (crash between snapshot
-// rename and log truncate) converges to the same state.
+// mutation gate in shared mode, decides under the locks that own the
+// mutated key, appends the key's new state as one record, and then
+// installs that record through the per-kind apply function below —
+// applyCreateLocked, applyBindLocked or applyNodeLocked — before
+// acknowledging. Log order and apply order agree per key, and a crash
+// can lose only mutations no caller was ever told about. Replay calls
+// the same apply functions, where the last record per key wins, so a
+// stale log prefix (crash between snapshot rename and log truncate)
+// converges to the same state. A mutation that changes no durable state
+// appends nothing.
 //
 // Soft state — heartbeat times, the dead set, address freshness stamps,
-// the repair scheduler — is never logged and is re-learned after a
-// restart; see the snapshot State doc in internal/mdslog.
+// running versus interrupted drains, the repair scheduler — is never
+// logged and is re-learned after a restart; see the snapshot State doc
+// in internal/mdslog.
 
 // OpenDurableMDS opens (or creates) a durable MDS backed by the given
 // data directory: load the snapshot if one exists, replay the committed
@@ -39,20 +44,12 @@ func OpenDurableMDS(dir string, osds []wire.NodeID, k, m, shards int, opts mdslo
 	}
 	pool := osds
 	if st != nil {
-		n := 1
-		for n < shards {
-			n <<= 1
-		}
-		if shards < 1 {
-			n = 1
-		}
-		if st.K != k || st.M != m || st.Shards != n {
-			l.Close()
-			return nil, fmt.Errorf("ecfs: mds data dir %s holds RS(%d,%d)/%d shards, asked for RS(%d,%d)/%d", dir, st.K, st.M, st.Shards, k, m, n)
-		}
 		pool = st.Pool
 	}
 	md, err := NewMDSWithShards(pool, k, m, shards)
+	if err == nil && st != nil && (st.K != k || st.M != m || st.Shards != md.Shards()) {
+		err = fmt.Errorf("ecfs: mds data dir %s holds RS(%d,%d)/%d shards, asked for RS(%d,%d)/%d", dir, st.K, st.M, st.Shards, k, m, md.Shards())
+	}
 	if err != nil {
 		l.Close()
 		return nil, err
@@ -63,16 +60,17 @@ func OpenDurableMDS(dir string, osds []wire.NodeID, k, m, shards int, opts mdslo
 	for _, r := range recs {
 		md.applyRecord(r)
 	}
-	// A drain that was running when the process died lost its engine:
-	// demote to interrupted-awaiting-resume, the same state an operator
-	// cancellation leaves.
-	md.drainMu.Lock()
-	for id, s := range md.draining {
-		if s == drainActive {
-			md.draining[id] = drainInterrupted
-		}
+	// Soft state starts afresh. A drain that was running when the
+	// process died lost its engine: demote it to interrupted-awaiting-
+	// resume, the state InterruptDrain leaves. Every address's TTL clock
+	// starts at the reopen, a grace window until its owner heartbeats.
+	now := time.Now()
+	for id := range md.draining {
+		md.draining[id] = drainInterrupted
 	}
-	md.drainMu.Unlock()
+	for id := range md.addrs {
+		md.addrAt[id] = now
+	}
 	md.log = l
 	// Fold the replayed tail into a fresh snapshot so the next open
 	// replays nothing (and a stale prefix from a torn checkpoint is
@@ -193,15 +191,11 @@ func (m *MDS) PlacementOf(ino uint64, stripe uint32) (wire.StripeLoc, bool) {
 }
 
 // snapshotState serializes the durable state, deterministically ordered
-// (files by ino, stripes by index, addrs and drains by node). Called
-// under the exclusive gate, so no mutation is mid-flight; the per-field
-// locks are still taken for the race detector's benefit.
+// (files by ino, stripes by index, nodes by id). Called under the
+// exclusive gate, so no mutation is mid-flight; the per-field locks are
+// still taken for the race detector's benefit.
 func (m *MDS) snapshotState() *mdslog.State {
 	st := &mdslog.State{K: m.k, M: m.m, Shards: len(m.inoShards)}
-	m.topoMu.RLock()
-	st.Pool = append([]wire.NodeID(nil), m.osds...)
-	m.topoMu.RUnlock()
-
 	files := m.Files()
 	names := make([]string, 0, len(files))
 	for name := range files {
@@ -226,165 +220,177 @@ func (m *MDS) snapshotState() *mdslog.State {
 		st.Files = append(st.Files, fs)
 	}
 
-	m.liveMu.Lock()
-	for id, addr := range m.addrs {
-		st.Addrs = append(st.Addrs, mdslog.AddrState{Node: id, Addr: addr})
+	m.lockNodes()
+	defer m.unlockNodes()
+	st.Pool = slices.Clone(m.osds)
+	ids := make([]wire.NodeID, 0, len(m.addrs)+len(m.draining))
+	for id := range m.addrs {
+		ids = append(ids, id)
 	}
-	m.liveMu.Unlock()
-	sort.Slice(st.Addrs, func(i, j int) bool { return st.Addrs[i].Node < st.Addrs[j].Node })
-
-	m.drainMu.Lock()
 	for id := range m.draining {
-		st.Draining = append(st.Draining, id)
+		if _, ok := m.addrs[id]; !ok {
+			ids = append(ids, id)
+		}
 	}
-	m.drainMu.Unlock()
-	sort.Slice(st.Draining, func(i, j int) bool { return st.Draining[i] < st.Draining[j] })
+	slices.Sort(ids)
+	for _, id := range ids {
+		st.Nodes = append(st.Nodes, m.nodeRecordLocked(id))
+	}
 	return st
 }
 
 // loadState installs a decoded snapshot into a freshly built MDS (whose
-// pool already came from the snapshot).
+// pool already came from the snapshot) through the apply path records
+// take.
 func (m *MDS) loadState(st *mdslog.State) {
-	now := time.Now()
 	for _, f := range st.Files {
-		m.applyCreate(f.Name, f.Ino)
+		m.applyRecord(mdslog.Record{Kind: mdslog.KindCreate, Ino: f.Ino, Name: f.Name})
 		for _, s := range f.Stripes {
-			m.applyBind(f.Ino, s.Stripe, wire.StripeLoc{Nodes: s.Nodes, Epoch: s.Epoch})
+			m.applyRecord(mdslog.Record{Kind: mdslog.KindBind, Ino: f.Ino, Stripe: s.Stripe, Epoch: s.Epoch, Nodes: s.Nodes})
 		}
 	}
-	m.liveMu.Lock()
-	for _, a := range st.Addrs {
-		m.addrs[a.Node] = a.Addr
-		// Freshness is soft state: stamp load time so a TTL grace
-		// window covers the gap until the owner heartbeats again.
-		m.addrAt[a.Node] = now
+	for _, r := range st.Nodes {
+		m.applyRecord(r)
 	}
-	m.liveMu.Unlock()
-	m.drainMu.Lock()
-	for _, id := range st.Draining {
-		m.draining[id] = drainInterrupted
-	}
-	m.drainMu.Unlock()
 }
 
-// applyRecord redoes one committed op-log record through the unlogged
-// apply path. Every case is idempotent: replaying records a snapshot
-// already folded in (the stale-prefix crash window) must converge.
+// applyRecord installs one op-log record, taking the locks the live
+// mutator held and calling the apply function it called.
 func (m *MDS) applyRecord(r mdslog.Record) {
 	switch r.Kind {
 	case mdslog.KindCreate:
-		m.applyCreate(r.Name, r.Ino)
+		ns := m.nameShard(r.Name)
+		ns.mu.Lock()
+		m.applyCreateLocked(ns, r)
+		ns.mu.Unlock()
 	case mdslog.KindBind:
-		m.applyBind(r.Ino, r.Stripe, wire.StripeLoc{Nodes: r.Nodes, Epoch: r.Epoch})
-	case mdslog.KindRebind:
-		m.applyRebind(r)
-	case mdslog.KindAddNode:
-		m.topoMu.Lock()
-		m.poolInsertLocked(r.Node)
-		m.topoMu.Unlock()
-		m.nodeIndexFor(r.Node)
-	case mdslog.KindRemoveNode:
-		// The K+M floor check gated logging, so replay removes
-		// unconditionally (a no-op when the snapshot already folded it).
-		m.topoMu.Lock()
-		m.poolFilterLocked(r.Node)
-		m.topoMu.Unlock()
-	case mdslog.KindAddr:
-		m.liveMu.Lock()
-		m.addrs[r.Node] = r.Name
-		m.addrAt[r.Node] = time.Now()
-		m.liveMu.Unlock()
-	case mdslog.KindDrainBegin:
-		m.drainMu.Lock()
-		m.draining[r.Node] = drainActive // demoted to interrupted after replay
-		m.drainMu.Unlock()
-		if r.Removed {
-			m.topoMu.Lock()
-			m.poolFilterLocked(r.Node)
-			m.topoMu.Unlock()
+		is := m.inoShard(r.Ino)
+		is.mu.Lock()
+		if fm := is.meta[r.Ino]; fm != nil {
+			m.applyBindLocked(fm, r)
 		}
-	case mdslog.KindDrainInterrupt:
-		m.drainMu.Lock()
-		if m.draining[r.Node] == drainActive {
-			m.draining[r.Node] = drainInterrupted
-		}
-		m.drainMu.Unlock()
-	case mdslog.KindDrainEnd:
-		m.drainMu.Lock()
-		delete(m.draining, r.Node)
-		m.drainMu.Unlock()
-		if r.Readmitted {
-			m.topoMu.Lock()
-			m.poolInsertLocked(r.Node)
-			m.topoMu.Unlock()
-			m.nodeIndexFor(r.Node)
-		}
-	case mdslog.KindForget:
-		if r.Removed {
-			m.topoMu.Lock()
-			m.poolFilterLocked(r.Node)
-			m.topoMu.Unlock()
-		}
-		m.drainMu.Lock()
-		delete(m.draining, r.Node)
-		m.drainMu.Unlock()
-		m.forgetSoftState(r.Node)
+		is.mu.Unlock()
+	case mdslog.KindNode:
+		m.lockNodes()
+		m.applyNodeLocked(r)
+		m.unlockNodes()
 	}
 }
 
-// applyCreate installs a name → ino binding, re-deriving the owning
-// shard's allocation counter from the ino so later creates cannot
-// collide with replayed ones.
-func (m *MDS) applyCreate(name string, ino uint64) {
-	ns := m.nameShard(name)
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	if _, ok := ns.files[name]; ok {
-		return // stale-prefix redo: already folded into the snapshot
+// applyCreateLocked installs a name → ino binding unless the name is
+// already bound, and moves the shard's allocation counter past the ino
+// so a later create cannot reuse it. Caller holds the name shard's
+// lock.
+func (m *MDS) applyCreateLocked(ns *nameShard, r mdslog.Record) {
+	if _, ok := ns.files[r.Name]; ok {
+		return
 	}
-	if n := (ino - 1 - ns.idx) / ns.step; n >= ns.next {
+	if n := (r.Ino - 1 - ns.idx) / ns.step; n >= ns.next {
 		ns.next = n + 1
 	}
-	m.installFile(ns, name, ino)
-}
-
-// applyBind installs a stripe placement exactly as recorded, skipping
-// stripes already placed (stale-prefix redo).
-func (m *MDS) applyBind(ino uint64, stripe uint32, loc wire.StripeLoc) {
-	is := m.inoShard(ino)
-	is.mu.Lock()
-	defer is.mu.Unlock()
-	fm := is.meta[ino]
-	if fm == nil {
-		return
-	}
-	if _, ok := fm.stripes[stripe]; ok {
-		return
-	}
-	fm.stripes[stripe] = loc
-	for idx, node := range loc.Nodes {
-		m.indexBlock(node, ino, stripe, uint8(idx))
-	}
-}
-
-// applyRebind redoes a recorded rebind. The record's epoch makes redo
-// idempotent: a placement already at (or past) it was bound by the
-// snapshot or an earlier record.
-func (m *MDS) applyRebind(r mdslog.Record) {
 	is := m.inoShard(r.Ino)
 	is.mu.Lock()
-	defer is.mu.Unlock()
-	fm := is.meta[r.Ino]
-	if fm == nil {
+	is.meta[r.Ino] = &fileMeta{name: r.Name, stripes: make(map[uint32]wire.StripeLoc)}
+	is.mu.Unlock()
+	ns.files[r.Name] = r.Ino
+}
+
+// applyBindLocked installs a stripe's placement when the stripe is
+// unplaced or the record's epoch is newer — so a first-touch bind
+// replayed over a later rebind changes nothing — and moves the reverse
+// index from the old node list to the new one. Caller holds the inode
+// shard's lock.
+func (m *MDS) applyBindLocked(fm *fileMeta, r mdslog.Record) {
+	old, placed := fm.stripes[r.Stripe]
+	if placed && old.Epoch >= r.Epoch {
 		return
 	}
-	loc, ok := fm.stripes[r.Stripe]
-	if !ok || loc.Epoch >= r.Epoch || int(r.Idx) >= len(loc.Nodes) {
-		return
+	fm.stripes[r.Stripe] = wire.StripeLoc{Nodes: r.Nodes, Epoch: r.Epoch}
+	for _, n := range old.Nodes {
+		if !slices.Contains(r.Nodes, n) {
+			m.unindexBlock(n, r.Ino, r.Stripe)
+		}
 	}
-	nodes := append([]wire.NodeID(nil), loc.Nodes...)
-	nodes[r.Idx] = r.To
-	fm.stripes[r.Stripe] = wire.StripeLoc{Nodes: nodes, Epoch: r.Epoch}
-	m.unindexBlock(r.Node, r.Ino, r.Stripe)
-	m.indexBlock(r.To, r.Ino, r.Stripe, r.Idx)
+	for idx, n := range r.Nodes {
+		if idx >= len(old.Nodes) || old.Nodes[idx] != n {
+			m.indexBlock(n, r.Ino, r.Stripe, uint8(idx))
+		}
+	}
+}
+
+// updateNode is the one path of every node mutator. Under the mutation
+// gate and lockNodes it reads the node's durable state as a KindNode
+// record and lets edit decide the new state (an error from edit aborts
+// with nothing logged). A changed state is appended and installed
+// through applyNodeLocked; an unchanged one appends nothing. Mutators
+// that return nothing drop the error: a failed append froze the log, so
+// every later mutation fails too.
+func (m *MDS) updateNode(id wire.NodeID, edit func(r *mdslog.Record) error) error {
+	m.mutateLock()
+	defer m.mutateUnlock()
+	m.lockNodes()
+	defer m.unlockNodes()
+	cur := m.nodeRecordLocked(id)
+	r := cur
+	if err := edit(&r); err != nil {
+		return err
+	}
+	if r.InPool == cur.InPool && r.Draining == cur.Draining && r.Name == cur.Name {
+		return nil
+	}
+	if err := m.logAppend(r); err != nil {
+		return err
+	}
+	m.applyNodeLocked(r)
+	return nil
+}
+
+// lockNodes takes the locks that own node state, in the order drainMu →
+// liveMu → topoMu.
+func (m *MDS) lockNodes() {
+	m.drainMu.Lock()
+	m.liveMu.Lock()
+	m.topoMu.Lock()
+}
+
+func (m *MDS) unlockNodes() {
+	m.topoMu.Unlock()
+	m.liveMu.Unlock()
+	m.drainMu.Unlock()
+}
+
+// nodeRecordLocked returns a node's durable state as its KindNode
+// record. Caller holds lockNodes.
+func (m *MDS) nodeRecordLocked(id wire.NodeID) mdslog.Record {
+	return mdslog.Record{
+		Kind: mdslog.KindNode, Node: id,
+		InPool:   slices.Contains(m.osds, id),
+		Draining: m.draining[id] != drainNone,
+		Name:     m.addrs[id],
+	}
+}
+
+// applyNodeLocked installs a node's durable state: pool membership (a
+// newcomer joins at the pool's end; the pool is copied on write because
+// place reads it under RLock only), the drain mark (a new mark is a
+// running drain; an existing one keeps its running or interrupted
+// state), and the address. Caller holds lockNodes.
+func (m *MDS) applyNodeLocked(r mdslog.Record) {
+	switch in := slices.Contains(m.osds, r.Node); {
+	case r.InPool && !in:
+		m.osds = append(slices.Clone(m.osds), r.Node)
+	case !r.InPool && in:
+		m.osds = slices.DeleteFunc(slices.Clone(m.osds), func(n wire.NodeID) bool { return n == r.Node })
+	}
+	if !r.Draining {
+		delete(m.draining, r.Node)
+	} else if m.draining[r.Node] == drainNone {
+		m.draining[r.Node] = drainActive
+	}
+	if r.Name == "" {
+		delete(m.addrs, r.Node)
+		delete(m.addrAt, r.Node)
+	} else {
+		m.addrs[r.Node] = r.Name
+	}
 }

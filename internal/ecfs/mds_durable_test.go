@@ -3,12 +3,18 @@ package ecfs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/framelog"
 	"repro/internal/mdslog"
 	"repro/internal/wire"
 )
@@ -352,6 +358,120 @@ func TestDurableMDSGeometryMismatchRefused(t *testing.T) {
 	}
 	if _, err := OpenDurableMDS(dir, wlPool, 6, 2, 8, mdslog.Options{}); err == nil {
 		t.Fatal("geometry mismatch opened")
+	}
+}
+
+// TestDurableMDSStaleBindKeepsRebind: a first-touch bind replayed over
+// a snapshot that already holds the stripe's later rebind — the stale
+// prefix a crash between snapshot rename and log truncate leaves — is
+// older than what it meets, so the rebind's epoch, nodes and reverse
+// index stand.
+func TestDurableMDSStaleBindKeepsRebind(t *testing.T) {
+	dir := t.TempDir()
+	md := openWorkloadMDS(t, dir, mdslog.Options{})
+	ino, err := md.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := md.Lookup(ino, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindEnd := md.Log().Size()
+	from := first.Nodes[2]
+	to, err := md.PickRebindTarget(ino, 0, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := md.Rebind(ino, 0, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md.Log().SkipNextTruncate()
+	if err := md.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	md.Crash()
+	md.Log().Close()
+	// Keep only the create and the first-touch bind in the log.
+	if err := os.Truncate(filepath.Join(dir, "oplog.bin"), bindEnd); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openWorkloadMDS(t, dir, mdslog.Options{})
+	defer re.Close()
+	got, ok := re.PlacementOf(ino, 0)
+	if !ok || got.Epoch != want.Epoch || fmt.Sprint(got.Nodes) != fmt.Sprint(want.Nodes) {
+		t.Fatalf("placement after replay %v (placed %v), want %v", got, ok, want)
+	}
+	if refs := re.StripesOn(from); len(refs) != 0 {
+		t.Fatalf("rebound-away node %d still indexed: %+v", from, refs)
+	}
+	if refs := re.StripesOn(to); len(refs) != 1 || refs[0].Idx != 2 {
+		t.Fatalf("rebind target %d indexed as %+v, want block 2", to, refs)
+	}
+}
+
+// TestDurableMDSDrainResumeLogsNothing: running versus interrupted is
+// soft state, so InterruptDrain and a resume append no record, and a
+// crash at any point reopens the node as an interrupted drain that
+// BeginDrain resumes.
+func TestDurableMDSDrainResumeLogsNothing(t *testing.T) {
+	dir := t.TempDir()
+	md := openWorkloadMDS(t, dir, mdslog.Options{})
+	if _, err := md.BeginDrain(7); err != nil {
+		t.Fatal(err)
+	}
+	begun, _, _ := md.Log().Stats()
+	md.InterruptDrain(7)
+	if resumed, err := md.BeginDrain(7); err != nil || !resumed {
+		t.Fatalf("resume = (%v, %v), want (true, nil)", resumed, err)
+	}
+	md.InterruptDrain(7)
+	if n, _, _ := md.Log().Stats(); n != begun {
+		t.Fatalf("interrupt and resume appended %d records", n-begun)
+	}
+	md.Crash()
+	md.Log().Close()
+
+	re := openWorkloadMDS(t, dir, mdslog.Options{})
+	defer re.Close()
+	if !re.Draining(7) {
+		t.Fatal("the drain mark did not survive the crash")
+	}
+	if slices.Contains(re.Nodes(), 7) {
+		t.Fatal("the draining node re-entered the placement pool")
+	}
+	if resumed, err := re.BeginDrain(7); err != nil || !resumed {
+		t.Fatalf("BeginDrain after reopen = (%v, %v), want (true, nil)", resumed, err)
+	}
+}
+
+// TestDurableMDSRefusesSnapshotVersion1: a data directory checkpointed
+// by the ten-kind op log is refused at open.
+func TestDurableMDSRefusesSnapshotVersion1(t *testing.T) {
+	dir := t.TempDir()
+	md := openWorkloadMDS(t, dir, mdslog.Options{})
+	runWorkload(t, md, mdsWorkload(3, 40))
+	if err := md.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "snapshot.bin")
+	body, err := framelog.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(body, 1)
+	if err := framelog.WriteFile(path, body); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDurableMDS(dir, wlPool, 4, 2, 8, mdslog.Options{})
+	if err == nil {
+		re.Close()
+		t.Fatal("OpenDurableMDS accepted a version-1 snapshot")
+	}
+	if !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("refusal does not name both versions: %v", err)
 	}
 }
 

@@ -15,7 +15,7 @@ func seedCorpus(t testing.TB) map[string][]byte {
 	valid := validLogBytes(t)
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/2] ^= 0x40
-	badKind := frameRecord(t, Record{Kind: KindAddNode, Node: 3})
+	badKind := frameRecord(t, Record{Kind: KindNode, Node: 3, InPool: true})
 	badKind[8] = 0xee
 	return map[string][]byte{
 		"oplog-valid":   valid,

@@ -49,7 +49,7 @@ func FuzzMDSLogReplay(f *testing.F) {
 	huge := make([]byte, framelog.HeaderSize)
 	binary.LittleEndian.PutUint32(huge[0:4], 1<<30) // implausible length
 	f.Add(huge)
-	zeroKind := bytes.Clone(frameRecord(f, Record{Kind: KindAddNode, Node: 3}))
+	zeroKind := bytes.Clone(frameRecord(f, Record{Kind: KindNode, Node: 3, InPool: true}))
 	zeroKind[8] = 0 // CRC now wrong too, but exercise the kind path
 	f.Add(zeroKind)
 	// A CRC-valid frame of an unknown kind mid-log: the cut lands on it.

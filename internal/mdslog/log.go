@@ -2,15 +2,17 @@
 // fixed-layout binary records (in the internal/wire codec style) plus a
 // checkpointed namespace snapshot. The op log is an internal/framelog
 // log and the snapshot a framelog checksummed file, exactly like the
-// internal/store WAL and checkpoint; this package owns the record
-// catalog, its codecs and the snapshot layout. The contract is
-// log-before-ack: the MDS appends the record for a namespace mutation
-// with plain write(2) before applying it in memory and acknowledging
-// the caller, so a process-level crash (kill -9) loses at most a torn
-// tail no caller was ever told about. Recovery loads the snapshot,
-// scans the log tail, discards everything at and after the first bad
-// or undecodable record, and redoes the committed records through the
-// MDS's unlogged apply path.
+// internal/store WAL and checkpoint; this package owns the three-kind
+// record catalog, its codecs and the snapshot layout. Each record is
+// the state of one key — a name, a stripe's placement, a node — after
+// a mutation. The contract is log-before-ack: the MDS appends the
+// record for a namespace mutation with plain write(2) before applying
+// it in memory and acknowledging the caller, so a process-level crash
+// (kill -9) loses at most a torn tail no caller was ever told about.
+// Recovery loads the snapshot, scans the log tail, discards everything
+// at and after the first bad or undecodable record, and installs the
+// committed records through the same per-kind apply functions the
+// MDS's live mutators call: the last record per key wins.
 //
 // Crash model and invariants:
 //
@@ -19,8 +21,9 @@
 //   - Compact writes the snapshot atomically (tmp + fsync + rename +
 //     dir fsync) and only then truncates the log. A crash between the
 //     two leaves the new snapshot plus a stale log prefix, which replay
-//     tolerates: every apply is idempotent, so redoing records the
-//     snapshot already folded in converges to the same state.
+//     tolerates: each record is a key's whole state and a placement's
+//     epoch orders its records, so redoing records the snapshot already
+//     folded in converges to the same state.
 //   - Any append failure freezes the log (fail-stop): the failing
 //     mutation was neither applied nor acknowledged, and every later
 //     mutation fails too, so memory never runs ahead of disk.

@@ -1,28 +1,29 @@
 package mdslog
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/framelog"
 	"repro/internal/wire"
 )
 
-// sampleRecords is one of every record kind, exercising every layout.
+// sampleRecords is every record kind, exercising every layout and
+// every node state bit.
 func sampleRecords() []Record {
 	return []Record{
 		{Kind: KindCreate, Ino: 17, Name: "vol0/f17"},
 		{Kind: KindBind, Ino: 17, Stripe: 3, Epoch: 0, Nodes: []wire.NodeID{1, 2, 3, 4, 5, 6}},
-		{Kind: KindRebind, Ino: 17, Stripe: 3, Epoch: 1, Idx: 2, Node: 3, To: 9},
-		{Kind: KindAddNode, Node: 9},
-		{Kind: KindRemoveNode, Node: 3},
-		{Kind: KindAddr, Node: 9, Name: "127.0.0.1:7009"},
-		{Kind: KindDrainBegin, Node: 5, Fresh: true, Removed: true},
-		{Kind: KindDrainInterrupt, Node: 5},
-		{Kind: KindDrainEnd, Node: 5, Readmitted: true},
-		{Kind: KindForget, Node: 5, Removed: false},
+		{Kind: KindBind, Ino: 17, Stripe: 3, Epoch: 1, Nodes: []wire.NodeID{1, 2, 9, 4, 5, 6}},
+		{Kind: KindNode, Node: 9, InPool: true},
+		{Kind: KindNode, Node: 3},
+		{Kind: KindNode, Node: 9, InPool: true, Name: "127.0.0.1:7009"},
+		{Kind: KindNode, Node: 5, Draining: true},
+		{Kind: KindNode, Node: 5, InPool: true, Draining: true, Name: "127.0.0.1:7005"},
 	}
 }
 
@@ -44,6 +45,14 @@ func TestRecordRoundTrip(t *testing.T) {
 		if _, err := decodeRecord(byte(want.Kind), append(p, 0)); err == nil {
 			t.Fatalf("%v decoded with a trailing byte", want.Kind)
 		}
+	}
+	p, err := encodeRecord(Record{Kind: KindNode, Node: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p[4] = 1 << 2
+	if _, err := decodeRecord(byte(KindNode), p); err == nil {
+		t.Fatal("a node record with an unknown state bit decoded")
 	}
 }
 
@@ -139,8 +148,10 @@ func TestSnapshotRoundTripAndCompact(t *testing.T) {
 			}},
 			{Name: "empty", Ino: 33},
 		},
-		Addrs:    []AddrState{{Node: 9, Addr: "127.0.0.1:7009"}},
-		Draining: []wire.NodeID{5},
+		Nodes: []Record{
+			{Kind: KindNode, Node: 5, Draining: true},
+			{Kind: KindNode, Node: 9, InPool: true, Name: "127.0.0.1:7009"},
+		},
 	}
 	if err := l.Compact(st); err != nil {
 		t.Fatal(err)
@@ -257,5 +268,28 @@ func TestHugeLengthPrefixBounded(t *testing.T) {
 	}
 	if l.Size() != 0 {
 		t.Fatalf("corrupt head not truncated: %d bytes", l.Size())
+	}
+}
+
+// TestOpenRefusesSnapshotVersion1: a directory checkpointed by the
+// ten-kind op log is refused at open, never replayed with its retired
+// record kinds cut off as a torn tail.
+func TestOpenRefusesSnapshotVersion1(t *testing.T) {
+	dir := t.TempDir()
+	body, err := encodeSnapshot(&State{K: 4, M: 2, Shards: 8, Pool: []wire.NodeID{1, 2, 3, 4, 5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(body, 1)
+	if err := framelog.WriteFile(filepath.Join(dir, "snapshot.bin"), body); err != nil {
+		t.Fatal(err)
+	}
+	l, _, _, err := Open(dir, Options{})
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted a version-1 snapshot")
+	}
+	if !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("refusal does not name both versions: %v", err)
 	}
 }

@@ -7,59 +7,30 @@ import (
 	"repro/internal/wire"
 )
 
-// Kind names one namespace-mutation record. The catalog mirrors the
-// MDS's durable mutating entry points one-to-one; soft state (heartbeat
-// times, the dead set, address freshness stamps, the repair scheduler)
-// is deliberately absent — it is re-learned after a restart.
+// Kind names one op-log record. Each record is the state of one key
+// after a mutation — a name, a stripe, or a node — so replay installs
+// it and the last record per key wins: a stale log prefix replayed over
+// a newer snapshot converges without any per-transition rule. Soft
+// state (heartbeat times, the dead set, address freshness stamps,
+// whether a drain is running or interrupted, the repair scheduler) is
+// deliberately absent — it is re-learned after a restart.
 type Kind uint8
 
 const (
-	// KindCreate registers a name → ino binding (open-or-create's
-	// create half). Replay also re-derives the owning name shard's
-	// inode-allocation counter from the ino.
+	// KindCreate binds a name to an ino (open-or-create's create half).
+	// Replay also re-derives the owning name shard's inode-allocation
+	// counter from the ino.
 	KindCreate Kind = iota + 1
-	// KindBind installs a stripe's first placement (Lookup's
-	// deterministic first-touch bind), full node list and epoch.
+	// KindBind is a stripe's whole placement: node list and epoch. It
+	// covers the first-touch bind and every rebind; replay installs it
+	// when the stripe is unplaced or the record's epoch is newer.
 	KindBind
-	// KindRebind moves one block of a placed stripe to a new node and
-	// bumps the placement epoch — the only epoch-bump record. It
-	// carries the old node too so replay can fix the reverse index.
-	KindRebind
-	// KindAddNode admits a node to the placement pool. Logged only
-	// when the node was actually absent, so replay appends
-	// unconditionally (modulo the idempotency presence check).
-	KindAddNode
-	// KindRemoveNode evicts a node from the placement pool. Logged
-	// only when the K+M floor allowed the removal, so replay removes
-	// unconditionally.
-	KindRemoveNode
-	// KindAddr records a node's advertised listen address — logged on
-	// change only, never per heartbeat. Freshness stamps are soft
-	// state: a reopened MDS re-learns them from live heartbeats.
-	KindAddr
-	// KindDrainBegin marks a drain starting on a node: Fresh
-	// distinguishes a new drain (whose pool eviction, if the floor
-	// allowed it, rides in Removed) from the resume of an interrupted
-	// one.
-	KindDrainBegin
-	// KindDrainInterrupt downgrades a running drain to
-	// interrupted-awaiting-resume (operator cancellation).
-	KindDrainInterrupt
-	// KindDrainEnd clears a node's drain mark — finish, abort, and
-	// hard failure all end here; Readmitted says whether the node
-	// returned to the placement pool (abort/failure of a live node).
-	KindDrainEnd
-	// KindForget retires a node entirely: conditional pool removal
-	// (Removed), plus its address-map and drain-registry entries.
-	KindForget
+	// KindNode is a node's durable state: placement-pool membership,
+	// the drain mark, and the advertised address ("" means none).
+	KindNode
 )
 
-var kindNames = map[Kind]string{
-	KindCreate: "create", KindBind: "bind", KindRebind: "rebind",
-	KindAddNode: "add-node", KindRemoveNode: "remove-node", KindAddr: "addr",
-	KindDrainBegin: "drain-begin", KindDrainInterrupt: "drain-interrupt",
-	KindDrainEnd: "drain-end", KindForget: "forget",
-}
+var kindNames = map[Kind]string{KindCreate: "create", KindBind: "bind", KindNode: "node"}
 
 // String returns the record kind's catalog name.
 func (k Kind) String() string {
@@ -69,38 +40,34 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Record is one decoded namespace-mutation record. Exactly the fields
-// the Kind's layout carries are meaningful; the rest are zero.
+// Record is one decoded op-log record. Exactly the fields the Kind's
+// layout carries are meaningful; the rest are zero.
 type Record struct {
 	Kind Kind
 
-	Ino    uint64 // KindCreate, KindBind, KindRebind
-	Stripe uint32 // KindBind, KindRebind
-	Epoch  uint64 // KindBind, KindRebind (the new epoch)
+	Ino    uint64 // KindCreate, KindBind
+	Stripe uint32 // KindBind
+	Epoch  uint64 // KindBind
 
-	// Name is the file name (KindCreate) or the advertised listen
-	// address (KindAddr).
+	// Name is the file name (KindCreate) or the node's advertised
+	// listen address (KindNode; "" means none).
 	Name string
 
-	Node wire.NodeID // target node; the old node for KindRebind
-	To   wire.NodeID // KindRebind: the new node
-	Idx  uint8       // KindRebind: block index within the placement
+	Nodes []wire.NodeID // KindBind: the whole placement
 
-	Nodes []wire.NodeID // KindBind: the full placement
-
-	Fresh      bool // KindDrainBegin: new drain (vs resume)
-	Removed    bool // KindDrainBegin, KindForget: pool eviction happened
-	Readmitted bool // KindDrainEnd: node returned to the pool
+	Node     wire.NodeID // KindNode
+	InPool   bool        // KindNode: member of the placement pool
+	Draining bool        // KindNode: a drain is in progress
 }
 
 // maxNameLen bounds the variable-length string fields so a corrupt
 // record cannot drive a giant allocation during replay.
 const maxNameLen = 1 << 16
 
+// KindNode state bits; any other bit set fails strict decoding.
 const (
-	flagFresh      = 1 << 0
-	flagRemoved    = 1 << 1
-	flagReadmitted = 1 << 2
+	nodeInPool   = 1 << 0
+	nodeDraining = 1 << 1
 )
 
 // encodeRecord renders a record's fixed-layout little-endian payload
@@ -126,55 +93,30 @@ func encodeRecord(r Record) ([]byte, error) {
 			binary.LittleEndian.PutUint32(p[22+4*i:], uint32(n))
 		}
 		return p, nil
-	case KindRebind:
-		p := make([]byte, 29)
-		binary.LittleEndian.PutUint64(p[0:8], r.Ino)
-		binary.LittleEndian.PutUint32(p[8:12], r.Stripe)
-		binary.LittleEndian.PutUint64(p[12:20], r.Epoch)
-		p[20] = r.Idx
-		binary.LittleEndian.PutUint32(p[21:25], uint32(r.Node))
-		binary.LittleEndian.PutUint32(p[25:29], uint32(r.To))
-		return p, nil
-	case KindAddNode, KindRemoveNode, KindDrainInterrupt:
-		p := make([]byte, 4)
-		binary.LittleEndian.PutUint32(p, uint32(r.Node))
-		return p, nil
-	case KindAddr:
+	case KindNode:
 		if len(r.Name) >= maxNameLen {
 			return nil, fmt.Errorf("mdslog: addr too long (%d bytes)", len(r.Name))
 		}
-		p := make([]byte, 6+len(r.Name))
+		p := make([]byte, 7+len(r.Name))
 		binary.LittleEndian.PutUint32(p[0:4], uint32(r.Node))
-		binary.LittleEndian.PutUint16(p[4:6], uint16(len(r.Name)))
-		copy(p[6:], r.Name)
-		return p, nil
-	case KindDrainBegin, KindDrainEnd, KindForget:
-		p := make([]byte, 5)
-		binary.LittleEndian.PutUint32(p[0:4], uint32(r.Node))
-		p[4] = r.flags()
+		if r.InPool {
+			p[4] |= nodeInPool
+		}
+		if r.Draining {
+			p[4] |= nodeDraining
+		}
+		binary.LittleEndian.PutUint16(p[5:7], uint16(len(r.Name)))
+		copy(p[7:], r.Name)
 		return p, nil
 	}
 	return nil, fmt.Errorf("mdslog: cannot encode kind %v", r.Kind)
 }
 
-func (r Record) flags() byte {
-	var f byte
-	if r.Fresh {
-		f |= flagFresh
-	}
-	if r.Removed {
-		f |= flagRemoved
-	}
-	if r.Readmitted {
-		f |= flagReadmitted
-	}
-	return f
-}
-
 // decodeRecord parses one payload. Decoding is strict — the payload
-// length must match the kind's layout exactly — so every decoded record
-// re-encodes to the identical bytes, which is what lets recovery treat
-// "CRC-valid but undecodable" as the end of the committed prefix.
+// length must match the kind's layout exactly and unused bits must be
+// zero — so every decoded record re-encodes to the identical bytes,
+// which is what lets recovery treat "CRC-valid but undecodable" as the
+// end of the committed prefix.
 func decodeRecord(kind byte, p []byte) (Record, error) {
 	r := Record{Kind: Kind(kind)}
 	switch r.Kind {
@@ -204,42 +146,21 @@ func decodeRecord(kind byte, p []byte) (Record, error) {
 			r.Nodes = append(r.Nodes, wire.NodeID(int32(binary.LittleEndian.Uint32(p[22+4*i:]))))
 		}
 		return r, nil
-	case KindRebind:
-		if len(p) != 29 {
-			return r, fmt.Errorf("mdslog: rebind payload length %d, want 29", len(p))
-		}
-		r.Ino = binary.LittleEndian.Uint64(p[0:8])
-		r.Stripe = binary.LittleEndian.Uint32(p[8:12])
-		r.Epoch = binary.LittleEndian.Uint64(p[12:20])
-		r.Idx = p[20]
-		r.Node = wire.NodeID(int32(binary.LittleEndian.Uint32(p[21:25])))
-		r.To = wire.NodeID(int32(binary.LittleEndian.Uint32(p[25:29])))
-		return r, nil
-	case KindAddNode, KindRemoveNode, KindDrainInterrupt:
-		if len(p) != 4 {
-			return r, fmt.Errorf("mdslog: %v payload length %d, want 4", r.Kind, len(p))
-		}
-		r.Node = wire.NodeID(int32(binary.LittleEndian.Uint32(p)))
-		return r, nil
-	case KindAddr:
-		if len(p) < 6 {
-			return r, fmt.Errorf("mdslog: short addr payload (%d bytes)", len(p))
+	case KindNode:
+		if len(p) < 7 {
+			return r, fmt.Errorf("mdslog: short node payload (%d bytes)", len(p))
 		}
 		r.Node = wire.NodeID(int32(binary.LittleEndian.Uint32(p[0:4])))
-		n := int(binary.LittleEndian.Uint16(p[4:6]))
-		if len(p) != 6+n {
-			return r, fmt.Errorf("mdslog: addr payload length %d, want %d", len(p), 6+n)
+		if p[4]&^(nodeInPool|nodeDraining) != 0 {
+			return r, fmt.Errorf("mdslog: node state bits %#x", p[4])
 		}
-		r.Name = string(p[6:])
-		return r, nil
-	case KindDrainBegin, KindDrainEnd, KindForget:
-		if len(p) != 5 {
-			return r, fmt.Errorf("mdslog: %v payload length %d, want 5", r.Kind, len(p))
+		r.InPool = p[4]&nodeInPool != 0
+		r.Draining = p[4]&nodeDraining != 0
+		n := int(binary.LittleEndian.Uint16(p[5:7]))
+		if len(p) != 7+n {
+			return r, fmt.Errorf("mdslog: node payload length %d, want %d", len(p), 7+n)
 		}
-		r.Node = wire.NodeID(int32(binary.LittleEndian.Uint32(p[0:4])))
-		r.Fresh = p[4]&flagFresh != 0
-		r.Removed = p[4]&flagRemoved != 0
-		r.Readmitted = p[4]&flagReadmitted != 0
+		r.Name = string(p[7:])
 		return r, nil
 	}
 	return r, fmt.Errorf("mdslog: unknown record kind %d", kind)

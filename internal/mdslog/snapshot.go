@@ -11,15 +11,18 @@ import (
 	"repro/internal/wire"
 )
 
-// snapshotVersion guards the snapshot file layout.
-const snapshotVersion = 1
+// snapshotVersion guards the snapshot file layout. Version 2 holds one
+// KindNode record per node and goes with the three-kind op log; a
+// version-1 directory is refused, never replayed with its retired
+// record kinds cut off as a torn tail.
+const snapshotVersion = 2
 
 // State is the neutral serialized form of the MDS's durable state: the
 // namespace (names, inodes, per-stripe placements with epochs), the
 // placement pool in order (placement determinism depends on pool
-// order), the address map, and the set of nodes with a drain in
-// progress. Soft state — heartbeat times, the dead set, address
-// freshness, the repair scheduler — is deliberately absent.
+// order), and the durable state of every node with an address or a
+// drain in progress. Soft state — heartbeat times, the dead set,
+// address freshness, the repair scheduler — is deliberately absent.
 type State struct {
 	// K, M, Shards pin the stripe geometry and the namespace shard
 	// count. Both feed deterministic placement (the shard choice
@@ -30,14 +33,13 @@ type State struct {
 
 	Files []FileState
 	// Pool is the placement pool in its exact order.
-	Pool  []wire.NodeID
-	Addrs []AddrState
-	// Draining lists every node with a drain in progress. Whether the
-	// drain was running or interrupted at snapshot time is not
-	// recorded: the engine executing a running drain died with the
-	// process, so a reopen demotes everything here to
-	// interrupted-awaiting-resume.
-	Draining []wire.NodeID
+	Pool []wire.NodeID
+	// Nodes holds the KindNode record of every node with an address or
+	// a drain in progress — the record the op log would replay last.
+	// Whether a drain was running or interrupted is not recorded: the
+	// engine executing a running drain died with the process, so a
+	// reopen demotes every drain to interrupted-awaiting-resume.
+	Nodes []Record
 }
 
 // FileState is one file: its name, inode, and placed stripes.
@@ -54,13 +56,7 @@ type StripeState struct {
 	Nodes  []wire.NodeID
 }
 
-// AddrState is one address-map entry.
-type AddrState struct {
-	Node wire.NodeID
-	Addr string
-}
-
-func encodeSnapshot(st *State) []byte {
+func encodeSnapshot(st *State) ([]byte, error) {
 	var b []byte
 	u16 := func(v uint16) { b = binary.LittleEndian.AppendUint16(b, v) }
 	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
@@ -88,17 +84,16 @@ func encodeSnapshot(st *State) []byte {
 			}
 		}
 	}
-	u32(uint32(len(st.Addrs)))
-	for _, a := range st.Addrs {
-		u32(uint32(a.Node))
-		u16(uint16(len(a.Addr)))
-		b = append(b, a.Addr...)
+	u32(uint32(len(st.Nodes)))
+	for _, r := range st.Nodes {
+		p, err := encodeRecord(r)
+		if err != nil {
+			return nil, err
+		}
+		u16(uint16(len(p)))
+		b = append(b, p...)
 	}
-	u32(uint32(len(st.Draining)))
-	for _, n := range st.Draining {
-		u32(uint32(n))
-	}
-	return b
+	return b, nil
 }
 
 func decodeSnapshot(body []byte) (*State, error) {
@@ -165,35 +160,31 @@ func decodeSnapshot(body []byte) (*State, error) {
 	if err := need(4); err != nil {
 		return nil, err
 	}
-	for na := u32(); na > 0; na-- {
-		if err := need(6); err != nil {
+	for nn := u32(); nn > 0; nn-- {
+		if err := need(2); err != nil {
 			return nil, err
 		}
-		a := AddrState{Node: wire.NodeID(int32(u32()))}
-		al := int(u16())
-		if err := need(al); err != nil {
+		pl := int(u16())
+		if err := need(pl); err != nil {
 			return nil, err
 		}
-		a.Addr = string(body[off : off+al])
-		off += al
-		st.Addrs = append(st.Addrs, a)
-	}
-	if err := need(4); err != nil {
-		return nil, err
-	}
-	nd := u32()
-	if err := need(int(nd) * 4); err != nil {
-		return nil, err
-	}
-	for ; nd > 0; nd-- {
-		st.Draining = append(st.Draining, wire.NodeID(int32(u32())))
+		r, err := decodeRecord(byte(KindNode), body[off:off+pl])
+		if err != nil {
+			return nil, err
+		}
+		off += pl
+		st.Nodes = append(st.Nodes, r)
 	}
 	return st, nil
 }
 
 // writeSnapshot persists the state atomically as snapshot.bin.
 func writeSnapshot(dir string, st *State) error {
-	return framelog.WriteFile(filepath.Join(dir, "snapshot.bin"), encodeSnapshot(st))
+	b, err := encodeSnapshot(st)
+	if err != nil {
+		return err
+	}
+	return framelog.WriteFile(filepath.Join(dir, "snapshot.bin"), b)
 }
 
 // readSnapshot loads the snapshot; a missing file means a fresh data
