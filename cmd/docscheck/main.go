@@ -31,8 +31,9 @@ import (
 // root: the client and its File handle, the cluster's entry points
 // (fail, crash, restart, resilver, scrub), the MDS with its durable op
 // log and record catalog, the OSD server, the repair/drain engines with
-// the cluster-level scheduler, the block store, the durable storage
-// engine and its checkpoint, and the GF(2^8) bulk kernel.
+// the cluster-level scheduler, the block store, the update strategies'
+// shared interface, the durable storage engine and its checkpoint, and
+// the GF(2^8) bulk kernel.
 var lintedFiles = []string{
 	"internal/ecfs/client.go",
 	"internal/ecfs/file.go",
@@ -46,6 +47,7 @@ var lintedFiles = []string{
 	"internal/ecfs/recovery.go",
 	"internal/ecfs/scheduler.go",
 	"internal/blockstore/blockstore.go",
+	"internal/update/strategy.go",
 	"internal/store/engine.go",
 	"internal/store/meta.go",
 	"internal/gf256/apply.go",

@@ -14,11 +14,18 @@
 // Δd = d′ ⊕ d) and Fold (fold a parity delta into a parity range,
 // p′ = p ⊕ coeff·Δd, Eq. 2). The methods differ only in when and where
 // they schedule them.
+//
+// Reads either fill the caller's bytes (ReadInto) or take a read-only
+// view with a release (View). The in-memory backend serves a view from
+// the block itself, uncopied, and keeps it intact by copy-on-write:
+// while any view of a block is lent, a write first moves the block to
+// a fresh buffer. The durable engine fills a reply buffer for a view.
 package blockstore
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/device"
@@ -26,6 +33,7 @@ import (
 	"repro/internal/keylock"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -63,7 +71,7 @@ type Extent struct {
 
 // New creates an in-memory store charging the given device.
 func New(dev *device.Device) *Store {
-	return &Store{dev: dev, be: &memBackend{blocks: make(map[wire.BlockID][]byte)}}
+	return &Store{dev: dev, be: &memBackend{blocks: make(map[wire.BlockID]*memBlock)}}
 }
 
 // NewDurable creates a store backed by the persistent engine: contents
@@ -162,6 +170,38 @@ func (s *Store) ReadInto(class sim.Class, id wire.BlockID, off uint32, dst []byt
 	return s.dev.Read(class, int64(len(dst)), random), nil
 }
 
+// View returns [off, off+n) of a block as read-only bytes and the
+// release that ends the caller's use of them, charging the device as
+// ReadInto does; its errors are ReadInto's, with nothing to release.
+// The in-memory backend lends the block's own bytes: until the release,
+// every write to the block first moves it to a fresh buffer, so the
+// view keeps the bytes it was lent. The durable engine keeps its pages
+// in frames it cannot lend as one slice, so it fills a transport reply
+// buffer instead. The caller never writes into the bytes and runs the
+// release once, after its last use of them — for a reply, by attaching
+// it (wire.Resp.AttachRelease).
+func (s *Store) View(class sim.Class, id wire.BlockID, off uint32, n int, random bool) ([]byte, func(), time.Duration, error) {
+	var (
+		view    []byte
+		release func()
+		err     error
+	)
+	s.locks.Lock(id)
+	if mem, ok := s.be.(*memBackend); ok {
+		view, release, err = mem.lend(id, off, n)
+	} else {
+		view, release = transport.ReplyBuf(n)
+		if err = s.be.ReadInto(id, off, view); err != nil {
+			release()
+		}
+	}
+	s.locks.Unlock(id)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return view, release, s.dev.Read(class, int64(n), random), nil
+}
+
 // WriteRange overwrites [off, off+len(data)) in place, charging the
 // device under class — always an overwrite for wear accounting. The
 // block is created zero-filled at blockSize if absent (an update may
@@ -207,25 +247,68 @@ func (s *Store) Blocks() []wire.BlockID { return s.be.Blocks() }
 func (s *Store) Size(id wire.BlockID) int { return s.be.Size(id) }
 
 // memBackend keeps block contents in memory, the default backend. Its
-// lock guards the map and the slice headers in it; a block's bytes are
+// lock guards the map and the block pointers in it; a block's bytes are
 // guarded by the Store's block mutex, which every caller of a content
 // method holds, so accesses to different blocks copy in parallel.
+//
+// A block's bytes may be lent (lend): while a view of them is out, no
+// write touches them. Each write first takes a buffer it may write in
+// place (own), moving the block to a fresh one while it is lent.
 type memBackend struct {
 	mu     sync.RWMutex
-	blocks map[wire.BlockID][]byte
+	blocks map[wire.BlockID]*memBlock
 }
 
-func (m *memBackend) get(id wire.BlockID) ([]byte, bool) {
+// memBlock is one buffer a block's bytes live in and the views of it
+// still lent. A write to a lent block replaces the memBlock, so a
+// view's release always counts down the buffer it was lent.
+type memBlock struct {
+	b    []byte
+	lent atomic.Int32 // raised under the block mutex, lowered by releases
+}
+
+func (m *memBackend) get(id wire.BlockID) (*memBlock, bool) {
 	m.mu.RLock()
-	b, ok := m.blocks[id]
+	blk, ok := m.blocks[id]
 	m.mu.RUnlock()
-	return b, ok
+	return blk, ok
 }
 
 func (m *memBackend) put(id wire.BlockID, b []byte) {
 	m.mu.Lock()
-	m.blocks[id] = b
+	m.blocks[id] = &memBlock{b: b}
 	m.mu.Unlock()
+}
+
+// span returns the block holding [off, off+n), or an error when it is
+// absent or shorter.
+func (m *memBackend) span(id wire.BlockID, off uint32, n int) (*memBlock, error) {
+	blk, ok := m.get(id)
+	if !ok {
+		return nil, fmt.Errorf("blockstore: %v not found", id)
+	}
+	if int(off)+n > len(blk.b) {
+		return nil, fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+n, id, len(blk.b))
+	}
+	return blk, nil
+}
+
+// own returns a buffer of at least need bytes holding the block, for a
+// write in place: the block's own, unless it is lent or too short —
+// then a fresh one holding the old bytes replaces it (copy-on-write).
+func (m *memBackend) own(id wire.BlockID, need int) []byte {
+	blk, ok := m.get(id)
+	if ok && len(blk.b) >= need && blk.lent.Load() == 0 {
+		return blk.b
+	}
+	var old []byte
+	if ok {
+		old = blk.b
+	}
+	b := make([]byte, max(need, len(old)))
+	copy(b, old)
+	m.put(id, b)
+	return b
 }
 
 func (m *memBackend) Ensure(id wire.BlockID, size uint32) error {
@@ -236,32 +319,37 @@ func (m *memBackend) Ensure(id wire.BlockID, size uint32) error {
 }
 
 func (m *memBackend) ReadInto(id wire.BlockID, off uint32, dst []byte) error {
-	b, ok := m.get(id)
-	if !ok {
-		return fmt.Errorf("blockstore: %v not found", id)
+	blk, err := m.span(id, off, len(dst))
+	if err != nil {
+		return err
 	}
-	if int(off)+len(dst) > len(b) {
-		return fmt.Errorf("blockstore: read [%d,%d) beyond %v of %d bytes", off, int(off)+len(dst), id, len(b))
-	}
-	copy(dst, b[off:])
+	copy(dst, blk.b[off:])
 	return nil
+}
+
+// lend returns [off, off+n) of the block's own bytes and the release
+// that ends the loan.
+func (m *memBackend) lend(id wire.BlockID, off uint32, n int) ([]byte, func(), error) {
+	blk, err := m.span(id, off, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	end := int(off) + n
+	view := blk.b[off:end:end]
+	blk.lent.Add(1)
+	return view, transport.LendRelease(view, func() { blk.lent.Add(-1) }), nil
 }
 
 func (m *memBackend) WriteRange(id wire.BlockID, off uint32, data []byte) error {
-	b, _ := m.get(id)
-	if need := int(off) + len(data); need > len(b) {
-		grown := make([]byte, need)
-		copy(grown, b)
-		b = grown
-		m.put(id, b)
-	}
-	copy(b[off:], data)
+	copy(m.own(id, int(off)+len(data))[off:], data)
 	return nil
 }
 
+// WriteFull replaces every byte, so a lent block takes a fresh buffer
+// without copying the old bytes into it.
 func (m *memBackend) WriteFull(id wire.BlockID, data []byte) error {
-	if b, ok := m.get(id); ok && len(b) == len(data) {
-		copy(b, data)
+	if blk, ok := m.get(id); ok && len(blk.b) == len(data) && blk.lent.Load() == 0 {
+		copy(blk.b, data)
 		return nil
 	}
 	m.put(id, append([]byte(nil), data...))
@@ -276,11 +364,11 @@ func (m *memBackend) Delete(id wire.BlockID) error {
 }
 
 func (m *memBackend) Snapshot(id wire.BlockID) ([]byte, bool) {
-	b, ok := m.get(id)
+	blk, ok := m.get(id)
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), b...), true
+	return append([]byte(nil), blk.b...), true
 }
 
 func (m *memBackend) Has(id wire.BlockID) bool {
@@ -289,11 +377,11 @@ func (m *memBackend) Has(id wire.BlockID) bool {
 }
 
 func (m *memBackend) Size(id wire.BlockID) int {
-	b, ok := m.get(id)
+	blk, ok := m.get(id)
 	if !ok {
 		return -1
 	}
-	return len(b)
+	return len(blk.b)
 }
 
 func (m *memBackend) Blocks() []wire.BlockID {

@@ -28,8 +28,8 @@ type OSD struct {
 	rpc      transport.RPC
 	strategy update.Strategy
 	codeKind erasure.MatrixKind
-	// blockSize bounds a KRead before a reply buffer is lent for it:
-	// the request's size comes off the wire.
+	// blockSize bounds a KRead before it is served: the request's size
+	// comes off the wire.
 	blockSize int
 
 	closeOnce sync.Once
@@ -386,9 +386,7 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		if end := uint64(msg.Off) + uint64(msg.Size); end > uint64(o.blockSize) {
 			return wire.ErrorResp(fmt.Errorf("osd%d: read [%d,%d) of %v beyond the %d-byte block", o.id, msg.Off, end, msg.Block, o.blockSize))
 		}
-		return readReply(int(msg.Size), func(dst []byte) (time.Duration, error) {
-			return o.strategy.Read(msg.Block, msg.Off, dst)
-		})
+		return viewResp(o.strategy.Read(msg.Block, msg.Off, int(msg.Size)))
 	case wire.KEpochUpdate:
 		// The new placement also re-routes the strategy's asynchronous
 		// deltas to the new member: they read the same table.
@@ -407,15 +405,13 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		if size < 0 {
 			return wire.NotFoundResp(o.id, msg.Block)
 		}
-		return readReply(size, func(dst []byte) (time.Duration, error) {
-			if msg.Flag&wire.FetchReadThrough != 0 {
-				// Drain sources a live node: serve base content plus
-				// any pending data-log overlays (read-your-writes), so
-				// the migrated copy carries updates still buffered here.
-				return o.strategy.Read(msg.Block, 0, dst)
-			}
-			return o.store.ReadInto(msg.TrafficClass(), msg.Block, 0, dst, false)
-		})
+		if msg.Flag&wire.FetchReadThrough != 0 {
+			// Drain sources a live node: serve base content plus any
+			// pending data-log overlays (read-your-writes), so the
+			// migrated copy carries updates still buffered here.
+			return viewResp(o.strategy.Read(msg.Block, 0, size))
+		}
+		return viewResp(o.store.View(msg.TrafficClass(), msg.Block, 0, size, false))
 	case wire.KBlockStore:
 		if msg.Flag&wire.StoreUnlessOverwritten != 0 {
 			// A drain carrying over fenced source content: a client
@@ -451,18 +447,14 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	}
 }
 
-// readReply serves a read of n bytes from a transport reply buffer: read
-// fills it, and the reply carries the buffer's release, which the
-// transport runs once the payload has left (TCP) or the caller releases
-// the reply (in process).
-func readReply(n int, read func(dst []byte) (time.Duration, error)) *wire.Resp {
-	buf, release := transport.ReplyBuf(n)
-	cost, err := read(buf)
+// viewResp replies with read bytes and attaches their release, which
+// the transport runs once the payload has left (TCP) or the caller
+// releases the reply (in process).
+func viewResp(data []byte, release func(), cost time.Duration, err error) *wire.Resp {
 	if err != nil {
-		release()
 		return wire.ErrorResp(err)
 	}
-	resp := &wire.Resp{Data: buf, Cost: cost}
+	resp := &wire.Resp{Data: data, Cost: cost}
 	resp.AttachRelease(release)
 	return resp
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -14,50 +15,65 @@ import (
 	"repro/internal/wire"
 )
 
-// replyOSD returns an in-memory TSUE OSD holding one written block of
-// blockSize random bytes, and the read requests the OSD serves from its
-// reply pool: a KRead of the whole block, a plain KBlockFetch, and a
-// read-through one.
-func replyOSD(t *testing.T, blockSize int) (*OSD, []byte, []*wire.Msg) {
+// ackRPC answers every peer call with an empty success: an OSD under
+// test forwards its stage-1 replicas into it.
+type ackRPC struct{}
+
+func (ackRPC) Call(context.Context, wire.NodeID, *wire.Msg) (*wire.Resp, error) {
+	return &wire.Resp{}, nil
+}
+
+// replyOSD returns a TSUE OSD — in memory, or durable in dataDir when
+// it is not empty — holding one written block of blockSize random
+// bytes, and the read requests the OSD serves it by: a KRead of the
+// whole block, a plain KBlockFetch, and a read-through one.
+func replyOSD(t *testing.T, blockSize int, dataDir string) (*OSD, []byte, []*wire.Msg) {
 	t.Helper()
 	cfg := update.DefaultConfig()
 	cfg.BlockSize = blockSize
-	o, err := NewOSD(1, device.ChameleonSSD(), nil, "tsue", cfg, erasure.Vandermonde)
+	o, err := NewOSDAt(1, device.ChameleonSSD(), ackRPC{}, "tsue", cfg, erasure.Vandermonde, dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(o.Close)
 	b := wire.BlockID{Ino: 1}
-	loc := wire.StripeLoc{Nodes: []wire.NodeID{1, 2, 3}, Epoch: 1}
 	content := make([]byte, blockSize)
 	rand.New(rand.NewSource(5)).Read(content)
-	if resp := o.Handler(context.Background(), &wire.Msg{Kind: wire.KWriteBlock, Block: b, Loc: loc, K: 2, M: 1, Data: content}); !resp.OK() {
+	if resp := o.Handler(context.Background(), &wire.Msg{Kind: wire.KWriteBlock, Block: b, Loc: replyLoc, K: 2, M: 1, Data: content}); !resp.OK() {
 		t.Fatal(resp.Err)
 	}
 	return o, content, []*wire.Msg{
-		{Kind: wire.KRead, Block: b, Size: uint32(blockSize), Loc: loc},
+		{Kind: wire.KRead, Block: b, Size: uint32(blockSize), Loc: replyLoc},
 		{Kind: wire.KBlockFetch, Block: b},
 		{Kind: wire.KBlockFetch, Block: b, Flag: wire.FetchReadThrough},
 	}
 }
 
-// TestOSDReplyPoolPoisonsAndPanics: under the transport's pool debug
-// mode, releasing a read or block-fetch reply poisons the buffer the
-// OSD served it from, and releasing it again panics.
-func TestOSDReplyPoolPoisonsAndPanics(t *testing.T) {
-	o, content, reads := replyOSD(t, 64<<10)
+// replyLoc is the placement of replyOSD's stripe.
+var replyLoc = wire.StripeLoc{Nodes: []wire.NodeID{1, 2, 3}, Epoch: 1}
+
+// checkReplies serves each read, checks its bytes against want, releases
+// it and checks that the release poisoned the bytes or, for a reply
+// lent the block's own bytes, left them alone; a second release panics
+// either way, and no reply stays outstanding.
+func checkReplies(t *testing.T, o *OSD, reads []*wire.Msg, want []byte, lent bool) {
+	t.Helper()
 	transport.SetPoolDebug(true)
 	defer transport.SetPoolDebug(false)
 	base := transport.PoolDebugOutstanding()
 	for _, msg := range reads {
 		resp := o.Handler(context.Background(), msg)
-		if !resp.OK() || !bytes.Equal(resp.Data, content) {
-			t.Fatalf("%v flag %d: err %q or wrong bytes", msg.Kind, msg.Flag, resp.Err)
+		w := want[msg.Off:]
+		if msg.Size > 0 {
+			w = w[:msg.Size]
+		}
+		if !resp.OK() || !bytes.Equal(resp.Data, w) {
+			t.Fatalf("%v [%d,+%d) flag %d: err %q or wrong bytes", msg.Kind, msg.Off, msg.Size, msg.Flag, resp.Err)
 		}
 		data := resp.Data
 		resp.Release()
-		if !bytes.Equal(data, bytes.Repeat([]byte{0xDB}, len(data))) {
-			t.Fatalf("%v flag %d: released reply buffer not poisoned", msg.Kind, msg.Flag)
+		if poisoned := bytes.Equal(data, bytes.Repeat([]byte{0xDB}, len(data))); poisoned == lent {
+			t.Fatalf("%v [%d,+%d) flag %d: poisoned at release %v, want lent %v", msg.Kind, msg.Off, msg.Size, msg.Flag, poisoned, lent)
 		}
 		func() {
 			defer func() {
@@ -69,8 +85,56 @@ func TestOSDReplyPoolPoisonsAndPanics(t *testing.T) {
 		}()
 	}
 	if got := transport.PoolDebugOutstanding(); got != base {
-		t.Fatalf("reply buffers outstanding: %d, want %d", got, base)
+		t.Fatalf("replies outstanding: %d, want %d", got, base)
 	}
+}
+
+// TestOSDReplyPoolPoisonsAndPanics: under the transport's pool debug
+// mode, a read or block-fetch reply the OSD fills — every read on a
+// durable OSD, whose engine cannot lend its pages, and a read of an
+// in-memory block that DataLog content is laid over or served from —
+// comes from the reply pool: releasing it poisons the buffer, and
+// releasing it again panics.
+func TestOSDReplyPoolPoisonsAndPanics(t *testing.T) {
+	o, content, reads := replyOSD(t, 64<<10, t.TempDir())
+	checkReplies(t, o, reads, content, false)
+
+	o, content, reads = replyOSD(t, 64<<10, "")
+	upd := &wire.Msg{Kind: wire.KUpdate, Block: reads[0].Block, Off: 4 << 10, Data: bytes.Repeat([]byte{0xC3}, 100), K: 2, M: 1, Loc: replyLoc}
+	if resp := o.Handler(context.Background(), upd); !resp.OK() {
+		t.Fatal(resp.Err)
+	}
+	copy(content[upd.Off:], upd.Data)
+	cached := *reads[0]
+	cached.Off, cached.Size = upd.Off, uint32(len(upd.Data)) // a DataLog cache hit
+	checkReplies(t, o, []*wire.Msg{reads[0], &cached, reads[2]}, content, false)
+}
+
+// TestMemOSDRepliesLendBlock: an in-memory OSD with nothing pending
+// replies to a read or block fetch with the block's own bytes — two
+// replies alias one buffer, and a release neither poisons them nor
+// escapes the double-release check. A full write to the block while a
+// reply holds it moves the block to a fresh buffer: the held reply keeps
+// the bytes it was lent, and the next read serves the new ones.
+func TestMemOSDRepliesLendBlock(t *testing.T) {
+	o, content, reads := replyOSD(t, 64<<10, "")
+	checkReplies(t, o, reads, content, true)
+
+	ctx := context.Background()
+	a, b := o.Handler(ctx, reads[0]), o.Handler(ctx, reads[1])
+	if &a.Data[0] != &b.Data[0] {
+		t.Fatal("two reads of one block do not share its bytes")
+	}
+	next := bytes.Repeat([]byte{0x77}, len(content))
+	if resp := o.Handler(ctx, &wire.Msg{Kind: wire.KWriteBlock, Block: reads[0].Block, Loc: replyLoc, K: 2, M: 1, Data: next}); !resp.OK() {
+		t.Fatal(resp.Err)
+	}
+	if !bytes.Equal(a.Data, content) || !bytes.Equal(b.Data, content) {
+		t.Fatal("a write changed the bytes a held reply was lent")
+	}
+	a.Release()
+	b.Release()
+	checkReplies(t, o, reads, next, true)
 }
 
 // TestWarmReadAllocatesNoPayload gates the OSD's read path: once the
@@ -81,7 +145,7 @@ func TestOSDReplyPoolPoisonsAndPanics(t *testing.T) {
 // calls miss the pool there.
 func TestWarmReadAllocatesNoPayload(t *testing.T) {
 	const blockSize = 1 << 20
-	o, content, reads := replyOSD(t, blockSize)
+	o, content, reads := replyOSD(t, blockSize, "")
 	ctx := context.Background()
 	for _, msg := range reads {
 		call := func() {
@@ -119,7 +183,7 @@ func TestWarmReadAllocatesNoPayload(t *testing.T) {
 // for it. A 4 GiB request must cost an error reply, not 4 GiB.
 func TestOversizedReadRefusedBeforeBuffer(t *testing.T) {
 	const blockSize = 64 << 10
-	o, _, reads := replyOSD(t, blockSize)
+	o, _, reads := replyOSD(t, blockSize, "")
 	for _, bad := range []struct{ off, size uint32 }{
 		{0, 1<<32 - 1},
 		{1<<32 - 1, 1<<32 - 1},
@@ -139,4 +203,93 @@ func TestOversizedReadRefusedBeforeBuffer(t *testing.T) {
 			t.Errorf("refusing read [%d,+%d) allocated %d bytes", bad.off, bad.size, grew)
 		}
 	}
+}
+
+// TestTCPLentReadsRaceWrites serves 1 MiB KReads and KBlockFetches of
+// an in-memory FO OSD's data and parity blocks over TCP while other
+// clients overwrite, fully rewrite and fold the same blocks. Every
+// write keeps all of a block's bytes equal, so a reply that mixed two
+// versions — a write landing in a lent block before its flush left —
+// shows as two byte values, and the pool debug mode checks at every
+// release that a lent view did not change. Run under -race.
+func TestTCPLentReadsRaceWrites(t *testing.T) {
+	const blockSize = 1 << 20
+	cfg := update.DefaultConfig()
+	cfg.BlockSize = blockSize
+	o, err := NewOSD(1, device.ChameleonSSD(), ackRPC{}, "fo", cfg, erasure.Vandermonde)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.Close)
+	srv, err := transport.ServeTCP(1, "127.0.0.1:0", o.Handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	settled := armPoolDebug(t)
+
+	data, parity := wire.BlockID{Ino: 1}, wire.BlockID{Ino: 1, Idx: 2}
+	for _, b := range []wire.BlockID{data, parity} {
+		if resp := o.Handler(context.Background(), &wire.Msg{Kind: wire.KWriteBlock, Block: b, Loc: replyLoc, K: 2, M: 1, Data: make([]byte, blockSize)}); !resp.OK() {
+			t.Fatal(resp.Err)
+		}
+	}
+	writes := []func(v byte) *wire.Msg{
+		func(v byte) *wire.Msg { // overwrite in place
+			return &wire.Msg{Kind: wire.KUpdate, Block: data, Loc: replyLoc, K: 2, M: 1, Data: bytes.Repeat([]byte{v}, blockSize)}
+		},
+		func(v byte) *wire.Msg { // full-block rewrite
+			return &wire.Msg{Kind: wire.KWriteBlock, Block: data, Loc: replyLoc, K: 2, M: 1, Data: bytes.Repeat([]byte{v}, blockSize)}
+		},
+		func(v byte) *wire.Msg { // parity fold
+			return &wire.Msg{Kind: wire.KParityDelta, Block: parity, Idx: 0, Loc: replyLoc, K: 2, M: 1, Data: bytes.Repeat([]byte{v}, blockSize)}
+		},
+	}
+	reads := []*wire.Msg{
+		{Kind: wire.KRead, Block: data, Size: blockSize, Loc: replyLoc},
+		{Kind: wire.KBlockFetch, Block: data},
+		{Kind: wire.KRead, Block: parity, Size: blockSize, Loc: replyLoc},
+		{Kind: wire.KBlockFetch, Block: parity, Flag: wire.FetchReadThrough},
+	}
+	addrs := map[wire.NodeID]string{1: srv.Addr()}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w, write := range writes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rpc := transport.NewTCPClient(addrs)
+			defer rpc.Close()
+			for i := 1; i <= 12; i++ {
+				resp, err := rpc.Call(ctx, 1, write(byte(w*16+i)))
+				if err != nil || !resp.OK() {
+					t.Errorf("write %d: %v %v", w, err, resp.Error())
+					return
+				}
+				resp.Release()
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rpc := transport.NewTCPClient(addrs)
+			defer rpc.Close()
+			for i := 0; i < 16; i++ {
+				msg := *reads[(r+i)%len(reads)]
+				resp, err := rpc.Call(ctx, 1, &msg)
+				if err != nil || !resp.OK() {
+					t.Errorf("%v of %v: %v %v", msg.Kind, msg.Block, err, resp.Error())
+					return
+				}
+				if len(resp.Data) != blockSize || bytes.Count(resp.Data, resp.Data[:1]) != blockSize {
+					t.Errorf("%v of %v: reply holds more than one version of the block", msg.Kind, msg.Block)
+				}
+				resp.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	settled()
 }

@@ -572,6 +572,28 @@ func (p *Pool) Overlay(block wire.BlockID, off uint32, dst []byte) {
 	}
 }
 
+// Pending reports whether a pending (not yet recycled) unit may hold
+// content for [off, off+n) of block — whether Overlay may change a read
+// of that range. It answers at the index's 4 KiB page granularity, so
+// a true may be a near miss; a false is exact.
+func (p *Pool) Pending(block wire.BlockID, off uint32, n int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, u := range p.queue {
+		if u.state == Recycled {
+			continue
+		}
+		u.mu.RLock()
+		bi := u.blocks[block]
+		hit := bi != nil && bi.mayContain(off, off+uint32(n))
+		u.mu.RUnlock()
+		if hit {
+			return true
+		}
+	}
+	return false
+}
+
 // PendingBytes returns the payload bytes awaiting recycle.
 func (p *Pool) PendingBytes() int64 {
 	p.mu.Lock()

@@ -228,3 +228,51 @@ func TestReplyBufPoisonsAndPanicsUnderPoolDebug(t *testing.T) {
 	}()
 	release()
 }
+
+// A lent view's release ends the loan once. In production a second
+// call is absorbed; under the misuse detector the loan counts as
+// outstanding until released, a second release panics, and so does the
+// release of a view whose bytes changed while it was lent.
+func TestLendReleaseEndsLoanOnce(t *testing.T) {
+	SetPoolDebug(false)
+	defer SetPoolDebug(poolPoisonBuild)
+	ended := 0
+	release := LendRelease([]byte("block"), func() { ended++ })
+	release()
+	release()
+	if ended != 1 {
+		t.Fatalf("two releases ended the loan %d times, want 1", ended)
+	}
+
+	SetPoolDebug(true)
+	start := PoolDebugOutstanding()
+	view := []byte("block bytes")
+	ended = 0
+	release = LendRelease(view, func() { ended++ })
+	if got := PoolDebugOutstanding(); got != start+1 {
+		t.Fatalf("outstanding with one view lent = %d, want %d", got, start+1)
+	}
+	release()
+	if got := PoolDebugOutstanding(); got != start || ended != 1 {
+		t.Fatalf("after release: outstanding %d (want %d), loan ended %d times", got, start, ended)
+	}
+	if string(view) != "block bytes" {
+		t.Fatalf("release changed the lent bytes to %q", view)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic under SetPoolDebug(true)", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("second release", release)
+	release = LendRelease(view, func() { ended++ })
+	view[0] = 'X'
+	mustPanic("release of a view written while lent", release)
+	if ended != 1 {
+		t.Fatal("a refused release ended the loan")
+	}
+}

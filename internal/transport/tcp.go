@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -217,9 +218,10 @@ func readBody(r *bufio.Reader, conn io.Reader, body []byte) error {
 // arms it at runtime for tests.
 var poolDebug atomic.Bool
 
-// poolOutstanding tracks pooled response buffers attached but not yet
-// released while poolDebug is armed. Toggle debug only around balanced
-// regions: buffers attached before arming are not counted.
+// poolOutstanding tracks pooled response buffers attached and views
+// lent (LendRelease) but not yet released while poolDebug is armed.
+// Toggle debug only around balanced regions: buffers attached before
+// arming are not counted.
 var poolOutstanding atomic.Int64
 
 func init() { poolDebug.Store(poolPoisonBuild) }
@@ -229,7 +231,7 @@ func init() { poolDebug.Store(poolPoisonBuild) }
 func SetPoolDebug(on bool) { poolDebug.Store(on) }
 
 // PoolDebugOutstanding reports attached-but-unreleased pooled response
-// buffers counted while the detector was armed.
+// buffers and lent views counted while the detector was armed.
 func PoolDebugOutstanding() int64 { return poolOutstanding.Load() }
 
 // poisonByte overwrites released buffers in debug mode; 0xDB reads as
@@ -260,6 +262,40 @@ func newBufRelease(pool *sync.Pool, body *[]byte) func() {
 			}
 		}
 		putBuf(pool, body)
+	}
+}
+
+// LendRelease builds the release hook for bytes their owner lends to a
+// reply rather than takes from a pool — a block store's view of a
+// block — where end ends the loan. Like a pooled buffer's release, the
+// first call runs end and a redundant second call is absorbed: ending
+// one loan twice would let the owner write in place under another live
+// one. Under poolDebug the loan counts as outstanding, a second call
+// panics, and the release panics if the bytes changed since the loan:
+// a borrower wrote into memory it was only lent, or the owner wrote in
+// place under a live loan.
+func LendRelease(view []byte, end func()) func() {
+	debug := poolDebug.Load()
+	var sum uint32
+	if debug {
+		poolOutstanding.Add(1)
+		sum = crc32.ChecksumIEEE(view)
+	}
+	var released atomic.Bool
+	return func() {
+		if !released.CompareAndSwap(false, true) {
+			if poolDebug.Load() {
+				panic("transport: lent view released twice")
+			}
+			return
+		}
+		if debug {
+			poolOutstanding.Add(-1)
+			if crc32.ChecksumIEEE(view) != sum {
+				panic("transport: lent view changed before its release")
+			}
+		}
+		end()
 	}
 }
 

@@ -28,11 +28,12 @@
 // cancellation is a client-side concern.
 //
 // A reply's payload buffer is released once, by whoever holds the
-// reply last. A handler may serve a payload from ReplyBuf and attach the
-// buffer's release to its reply; the TCP server runs that release after
-// the reply's frame is flushed or dropped, and in process the reply
-// reaches the caller as is, whose Resp.Release runs it. Replies the TCP
-// client decodes into pooled memory carry the client's own release.
+// reply last. A handler may serve a payload from ReplyBuf, or as a view
+// its owner lends (LendRelease), and attach the release to its reply;
+// the TCP server runs that release after the reply's frame is flushed
+// or dropped, and in process the reply reaches the caller as is, whose
+// Resp.Release runs it. Replies the TCP client decodes into pooled
+// memory carry the client's own release.
 package transport
 
 import (
@@ -54,10 +55,11 @@ import (
 //     request buffer; in process they are the caller's own slices).
 //   - The returned Resp, Data included, belongs to the transport from
 //     the moment it is returned: the handler must not touch it again.
-//     Data may be fresh memory, a slice of msg's payloads, or a buffer
-//     from ReplyBuf whose release the handler attached; TCP keeps the
-//     request buffer alive and runs the reply's release once the
-//     response has been written.
+//     Data may be fresh memory, a slice of msg's payloads, a buffer
+//     from ReplyBuf, or a lent view whose owner writes no byte of it
+//     until its release (LendRelease) — with the release attached;
+//     TCP keeps the request buffer alive and runs the reply's release
+//     once the response has been written.
 type Handler func(ctx context.Context, msg *wire.Msg) *wire.Resp
 
 // RPC sends messages to nodes.

@@ -150,8 +150,8 @@ func (c *cord) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.
 	return cost + fc
 }
 
-func (c *cord) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
-	return readStore(c.env, b, off, dst)
+func (c *cord) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
+	return viewStore(c.env, b, off, n)
 }
 
 func (c *cord) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {

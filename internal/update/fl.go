@@ -94,12 +94,10 @@ func (f *fl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	}
 }
 
-func (f *fl) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
+func (f *fl) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
 	// The log must merge with the old data on reads (FL's read penalty):
 	// base read plus overlay of all pending records.
-	return readThrough(f.dataLog, b, off, dst, func(dst []byte) (time.Duration, error) {
-		return readStore(f.env, b, off, dst)
-	})
+	return readThrough(f.env, f.dataLog, b, off, n)
 }
 
 func (f *fl) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {

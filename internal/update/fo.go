@@ -67,8 +67,8 @@ func applyParityDeltaInPlace(env Env, cfg Config, msg *wire.Msg) (time.Duration,
 	return env.Store().Fold(sim.ClassForegroundWrite, msg.Block, cfg.BlockSize, []blockstore.Extent{{Off: msg.Off, Data: pd}})
 }
 
-func (f *fo) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
-	return readStore(f.env, b, off, dst)
+func (f *fo) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
+	return viewStore(f.env, b, off, n)
 }
 
 func (f *fo) Drain(ctx context.Context, phase int, dead []wire.NodeID) error { return nil }

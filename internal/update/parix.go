@@ -200,8 +200,8 @@ func (p *parix) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	}
 }
 
-func (p *parix) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
-	return readStore(p.env, b, off, dst)
+func (p *parix) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
+	return viewStore(p.env, b, off, n)
 }
 
 // Drain recycles the parity logs: for every logged extent the delta is

@@ -106,9 +106,9 @@ func (p *pl) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Du
 	return cost + fc
 }
 
-func (p *pl) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
+func (p *pl) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
 	// Data blocks are updated in place; no log on the read path.
-	return readStore(p.env, b, off, dst)
+	return viewStore(p.env, b, off, n)
 }
 
 func (p *pl) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {

@@ -131,8 +131,8 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 	return cost + fc
 }
 
-func (p *plr) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
-	return readStore(p.env, b, off, dst)
+func (p *plr) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
+	return viewStore(p.env, b, off, n)
 }
 
 func (p *plr) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {

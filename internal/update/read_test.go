@@ -9,15 +9,19 @@ import (
 	"repro/internal/device"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// TestReadFillsCallerBuffer: every method's Read overwrites all of a
-// garbage-filled dst with what a read into fresh zeroed memory returns,
-// and both are the block's content. The block is written in one page
-// only, so on the durable engine most of it is absent pages that must
-// read as zeros, and an update is still pending in the DataLog for TSUE
-// and FL, so their reads lay it over the base.
+// TestReadFillsCallerBuffer: every method's Read returns the block's
+// content, from the path its state calls for. The block is written in
+// one page only, so on the durable engine most of it is absent pages
+// that must read as zeros, and an update is still pending in the
+// DataLog for TSUE and FL, so their reads of a range it touches fill a
+// reply buffer and lay it over the base. Every other read of an
+// in-memory block lends the block's own bytes. Under the pool debug
+// mode the two are told apart at release: a reply buffer is poisoned,
+// a lent view is not, and both count as outstanding until released.
 func TestReadFillsCallerBuffer(t *testing.T) {
 	const blockSize = 64 << 10
 	backends := map[string]func(t *testing.T, dev *device.Device) *blockstore.Store{
@@ -31,6 +35,8 @@ func TestReadFillsCallerBuffer(t *testing.T) {
 			return blockstore.NewDurable(dev, eng)
 		},
 	}
+	transport.SetPoolDebug(true)
+	defer transport.SetPoolDebug(false)
 	for _, name := range AllMethods {
 		for be, open := range backends {
 			t.Run(name+"/"+be, func(t *testing.T) {
@@ -61,24 +67,31 @@ func TestReadFillsCallerBuffer(t *testing.T) {
 					t.Fatal(err)
 				}
 				copy(want[upd.Off:], upd.Data)
+				logged := name == "tsue" || name == "fl" // the update is still in the DataLog
 
-				// The whole block, a range the update lies inside, and
-				// exactly the update's range (a log-cache hit for TSUE).
-				for _, r := range []struct{ off, n int }{{0, blockSize}, {20 << 10, 2 << 10}, {21 << 10, 700}} {
-					fresh := make([]byte, r.n)
-					if _, err := s.Read(b, uint32(r.off), fresh); err != nil {
+				outstanding := transport.PoolDebugOutstanding()
+				// The whole block, a range the update lies inside,
+				// exactly the update's range (a log-cache hit for TSUE),
+				// and a range the update misses.
+				for _, r := range []struct {
+					off, n  int
+					pending bool
+				}{{0, blockSize, true}, {20 << 10, 2 << 10, true}, {21 << 10, 700, true}, {40 << 10, 4 << 10, false}} {
+					data, release, _, err := s.Read(b, uint32(r.off), r.n)
+					if err != nil {
 						t.Fatal(err)
 					}
-					dirty := bytes.Repeat([]byte{0xEE}, r.n)
-					if _, err := s.Read(b, uint32(r.off), dirty); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(dirty, fresh) {
-						t.Fatalf("read [%d,+%d) into a garbage-filled buffer differs from a read into zeros", r.off, r.n)
-					}
-					if !bytes.Equal(fresh, want[r.off:r.off+r.n]) {
+					if !bytes.Equal(data, want[r.off:r.off+r.n]) {
 						t.Fatalf("read [%d,+%d) differs from the block's content", r.off, r.n)
 					}
+					release()
+					lent := be == "mem" && !(logged && r.pending)
+					if poisoned := bytes.Equal(data, bytes.Repeat([]byte{0xDB}, r.n)); poisoned == lent {
+						t.Fatalf("read [%d,+%d): poisoned at release %v, want lent %v", r.off, r.n, poisoned, lent)
+					}
+				}
+				if got := transport.PoolDebugOutstanding(); got != outstanding {
+					t.Fatalf("reads left %d views or buffers outstanding", got-outstanding)
 				}
 			})
 		}

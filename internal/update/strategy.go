@@ -88,13 +88,16 @@ type Strategy interface {
 	Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 	// Handle processes a strategy-internal message from a peer OSD.
 	Handle(ctx context.Context, msg *wire.Msg) *wire.Resp
-	// Read fills dst with block b's bytes from off, honoring any
-	// pending logs, and returns the modeled read latency (zero on a
-	// log-cache hit). dst is the caller's: whatever it held is
-	// overwritten, and Read keeps no reference to it. On error dst's
-	// content is undefined. Reads are local (store + resident logs) and
-	// take no context.
-	Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error)
+	// Read returns n bytes of block b from off, honoring any pending
+	// logs, the release that ends the caller's use of them, and the
+	// modeled read latency (zero on a log-cache hit). The bytes are
+	// read-only — the store's own block (blockstore.Store.View) when no
+	// log holds content for the range, else a transport reply buffer
+	// the log content was laid into — and the caller runs the release
+	// once, after its last use of them; on error there is nothing to
+	// release. Reads are local (store + resident logs) and take no
+	// context.
+	Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error)
 	// Drain flushes asynchronous state. It is called cluster-wide for
 	// phases 1..DrainPhases in order; dead lists failed nodes so
 	// replica/copy logs can be promoted.
@@ -300,13 +303,32 @@ func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind
 	return cost + fanCost, nil
 }
 
-// readThrough fills dst with base's read of block b from offset off and
+// readThrough reads n bytes of block b from off with the pending
+// content of b's data log pool laid over the store's, as Read returns
+// them: with nothing pending for the range it views the store, else it
+// fills a reply buffer (fillThrough).
+func readThrough(env Env, pool *logpool.Pool, b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
+	if !pool.Pending(b, off, n) {
+		return viewStore(env, b, off, n)
+	}
+	buf, release := transport.ReplyBuf(n)
+	cost, err := fillThrough(pool, b, off, buf, func(dst []byte) (time.Duration, error) {
+		return env.Store().ReadInto(sim.ClassForegroundRead, b, off, dst, true)
+	})
+	if err != nil {
+		release()
+		return nil, nil, 0, err
+	}
+	return buf, release, cost, nil
+}
+
+// fillThrough fills dst with base's read of block b from offset off and
 // lays the pending content of b's data log pool over it. A unit that
 // finishes recycling between the base read and the overlay is in
 // neither: its store write landed after the read, and the overlay skips
 // recycled units. So the read repeats into dst, each base read priced,
 // until no unit of the pool finished recycling in between.
-func readThrough(pool *logpool.Pool, b wire.BlockID, off uint32, dst []byte, base func(dst []byte) (time.Duration, error)) (time.Duration, error) {
+func fillThrough(pool *logpool.Pool, b wire.BlockID, off uint32, dst []byte, base func(dst []byte) (time.Duration, error)) (time.Duration, error) {
 	var total time.Duration
 	for {
 		recycled := pool.Stats().UnitsRecycled
@@ -322,9 +344,10 @@ func readThrough(pool *logpool.Pool, b wire.BlockID, off uint32, dst []byte, bas
 	}
 }
 
-// readStore fills dst from the block store as a foreground random read.
-func readStore(env Env, b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
-	return env.Store().ReadInto(sim.ClassForegroundRead, b, off, dst, true)
+// viewStore views n bytes of block b from off in the block store as a
+// foreground random read.
+func viewStore(env Env, b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
+	return env.Store().View(sim.ClassForegroundRead, b, off, n, true)
 }
 
 // overwriteMsg overwrites a client update's range in place on the

@@ -404,13 +404,13 @@ func (t *tsue) holdCopy(msg *wire.Msg) *wire.Resp {
 // Read serves client reads: the DataLog doubles as a read cache
 // (§3.3.3) — a fully covered range is served from memory at zero device
 // cost; otherwise the base block is read and pending log content overlaid.
-func (t *tsue) Read(b wire.BlockID, off uint32, dst []byte) (time.Duration, error) {
-	if t.dataLogs.Lookup(b, off, dst) {
-		return 0, nil
+func (t *tsue) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
+	buf, release := transport.ReplyBuf(n)
+	if t.dataLogs.Lookup(b, off, buf) {
+		return buf, release, 0, nil
 	}
-	return readThrough(t.dataLogs.Pick(b), b, off, dst, func(dst []byte) (time.Duration, error) {
-		return readStore(t.env, b, off, dst)
-	})
+	release()
+	return readThrough(t.env, t.dataLogs.Pick(b), b, off, n)
 }
 
 // ReplayPersisted routes a record recovered from the durable segment

@@ -313,7 +313,7 @@ func TestFanoutPropagatesErrors(t *testing.T) {
 
 // TestReadThroughSeesUnitRecycledMidRead: a unit that finishes
 // recycling after the base read but before the overlay is in neither,
-// so readThrough must read the base again and return the unit's bytes.
+// so fillThrough must read the base again and return the unit's bytes.
 func TestReadThroughSeesUnitRecycledMidRead(t *testing.T) {
 	pool := logpool.MustNewPool(logpool.Config{Name: "data", Mode: logpool.Overwrite, UnitSize: 1 << 20, MaxUnits: 2})
 	defer pool.Close()
@@ -324,7 +324,7 @@ func TestReadThroughSeesUnitRecycledMidRead(t *testing.T) {
 	stored := []byte("old")
 	reads := 0
 	got := make([]byte, len(stored))
-	_, err := readThrough(pool, b, 0, got, func(dst []byte) (time.Duration, error) {
+	_, err := fillThrough(pool, b, 0, got, func(dst []byte) (time.Duration, error) {
 		reads++
 		copy(dst, stored)
 		if reads == 1 {

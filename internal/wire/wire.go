@@ -346,28 +346,32 @@ type Resp struct {
 	Cost time.Duration
 
 	// release returns the pooled buffer Data aliases (if any) to its
-	// pool. Installed by AttachRelease, invoked by Release. Never
+	// pool, or ends the loan of the bytes it views. Installed by
+	// AttachRelease, invoked by Release. Never
 	// encoded: ownership is a local concern, not a wire one.
 	release func()
 }
 
 // AttachRelease installs the recycler for the pooled buffer Data
-// aliases. Transports that decode responses into pooled memory call it
-// right after Decode. A handler that serves Data from a pooled reply
-// buffer attaches that buffer's return before replying: the TCP server
-// runs it once the reply's frame is flushed or dropped, and in process
-// the caller's Release does. Everyone else leaves it nil and Release is
-// free.
+// aliases, or the end of the loan of the bytes Data views. Transports
+// that decode responses into pooled memory call it right after Decode.
+// A handler that serves Data from a pooled reply buffer or a lent view
+// attaches its release before replying: the TCP server runs it once the
+// reply's frame is flushed or dropped, and in process the caller's
+// Release does. Everyone else leaves it nil and Release is free.
 func (r *Resp) AttachRelease(f func()) { r.release = f }
 
-// Release returns the response's payload buffer to its pool. After
-// Release, Data (and anything aliasing it) must not be touched — copy
-// what you need first. Calling Release on a response with no pooled
-// buffer (error replies, most in-process replies) is a no-op; a redundant second call is absorbed by the transport's
-// release guard, and the transport's debug poison mode turns both
-// misuses (double release, use-after-release) into loud failures.
-// Releasing is an optimization, never an obligation: a dropped
-// response is collected normally, it just costs the pool a miss.
+// Release returns the response's payload buffer to its pool, or ends
+// the loan of the block bytes Data is a view of. After Release, Data
+// (and anything aliasing it) must not be touched — copy what you need
+// first — and Data is never written, before or after. Calling Release
+// on a response with no pooled buffer (error replies, most in-process
+// replies) is a no-op; a redundant second call is absorbed by the
+// transport's release guard, and the transport's debug poison mode
+// turns both misuses (double release, use-after-release) into loud
+// failures. Releasing is an optimization, never an obligation: a
+// dropped response is collected normally, it just costs the pool a
+// miss, or the lent block one copy at its next write.
 func (r *Resp) Release() {
 	if r.release != nil {
 		r.release()
