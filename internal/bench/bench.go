@@ -247,7 +247,7 @@ func run(ctx context.Context, rc runConfig) (*runResult, error) {
 				if out.Layers == nil {
 					out.Layers = make(map[string]logpool.Stats)
 				}
-				out.Layers[name] = addStats(out.Layers[name], st)
+				out.Layers[name] = out.Layers[name].Add(st)
 				out.Stalls += st.Stalls
 				out.Recycled += st.UnitsRecycled
 			}
@@ -304,24 +304,6 @@ func (r *runResult) iops(clients int) float64 {
 		return 0
 	}
 	return float64(ops) / bound.Seconds()
-}
-
-func addStats(a, b logpool.Stats) logpool.Stats {
-	a.AppendedEntries += b.AppendedEntries
-	a.AppendedBytes += b.AppendedBytes
-	a.RecycledExtents += b.RecycledExtents
-	a.RecycledBytes += b.RecycledBytes
-	a.UnitsRecycled += b.UnitsRecycled
-	a.UnitsAllocated += b.UnitsAllocated
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	a.AppendCost += b.AppendCost
-	a.BufferTime += b.BufferTime
-	a.RecycleCost += b.RecycleCost
-	a.RecycleCount += b.RecycleCount
-	a.Stalls += b.Stalls
-	a.StallTime += b.StallTime
-	return a
 }
 
 func maxI(a, b int) int {

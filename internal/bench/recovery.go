@@ -29,9 +29,9 @@ type loadedCluster struct {
 }
 
 // loadCluster builds a cluster for rc, replays its trace, settles
-// real-time recycling, and — for real-time methods, matching the paper's
-// recovery setup where the workload has terminated — drains the
-// remaining seconds-scale buffers. Threshold-driven logs (PL/PLR/PARIX)
+// real-time recycling, and — for TSUE, the one real-time method,
+// matching the paper's recovery setup where the workload has
+// terminated — drains the remaining seconds-scale buffers. Threshold-driven logs (PL/PLR/PARIX)
 // stay pending, which is exactly what their recovery pays for. The
 // caller owns Close.
 func loadCluster(ctx context.Context, rc runConfig) (*loadedCluster, error) {
@@ -51,7 +51,7 @@ func loadCluster(ctx context.Context, rc runConfig) (*loadedCluster, error) {
 		return nil, err
 	}
 	settleCluster(c)
-	if _, ok := c.OSDs[0].Strategy().(interface{ RealTimeFlush() error }); ok {
+	if rc.Method == "tsue" {
 		for phase := 1; phase <= update.DrainPhases; phase++ {
 			for _, o := range c.Alive() {
 				if err := o.Strategy().Drain(ctx, phase, nil); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +98,54 @@ func TestKillRestartQuiesced(t *testing.T) {
 	}
 	if _, err := c.Scrub(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKillRestartEveryMethod crash-restarts three durable OSDs in turn,
+// with acknowledged updates still in their logs, under every update
+// method. Every method that keeps a log must replay it, so the file
+// reads back byte-identical and every stripe's parity is consistent.
+// PLR and PARIX keep logs that cannot be persisted, so a durable OSD
+// refuses them at start.
+func TestKillRestartEveryMethod(t *testing.T) {
+	for _, method := range update.AllMethods {
+		t.Run(method, func(t *testing.T) {
+			c, err := NewCluster(durableOptions(t, method))
+			if method == "plr" || method == "parix" {
+				if err == nil {
+					c.Close()
+					t.Fatalf("durable %s cluster started; want it refused", method)
+				}
+				if !strings.Contains(err.Error(), method) {
+					t.Fatalf("refusal %q does not name %s", err, method)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx := context.Background()
+			cli := c.NewClient()
+			f, mirror := writeTestFile(t, c, cli, 64<<10, 61)
+			applyUpdates(t, f, mirror, 24, 62)
+			for _, o := range c.OSDs[:3] {
+				id := o.id
+				c.CrashOSD(id)
+				if _, _, err := c.RestartOSD(ctx, id); err != nil {
+					t.Fatalf("restart osd %d: %v", id, err)
+				}
+			}
+			if err := c.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.VerifyStripes(f, mirror); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Scrub(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

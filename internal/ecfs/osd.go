@@ -79,7 +79,8 @@ func (p enginePersist) Layer(name string) logpool.Persist { return p.eng.Layer(n
 
 // NewOSDAt is NewOSD with a data directory. A non-empty dataDir selects
 // the durable storage engine: block contents go through the WAL-backed
-// page store, TSUE log records are persisted to on-disk segments, and
+// page store, the strategy's log records are persisted to on-disk
+// segments (PLR and PARIX, whose logs cannot be, are refused), and
 // reopening an existing directory recovers all of it — redo committed
 // WAL records, re-seed the journaled placements, and replay surviving
 // (unfolded) log records back into the strategy's pools — so a

@@ -26,6 +26,7 @@ const (
 	Recycled
 )
 
+// String returns the state's name as the paper's Fig. 3 spells it.
 func (s State) String() string {
 	switch s {
 	case Empty:
@@ -134,6 +135,26 @@ type Stats struct {
 	StallTime time.Duration
 }
 
+// Add returns the field-wise sum of s and o: the counters of two pools
+// (or of one layer on two nodes) as one.
+func (s Stats) Add(o Stats) Stats {
+	s.AppendedEntries += o.AppendedEntries
+	s.AppendedBytes += o.AppendedBytes
+	s.RecycledExtents += o.RecycledExtents
+	s.RecycledBytes += o.RecycledBytes
+	s.UnitsRecycled += o.UnitsRecycled
+	s.UnitsAllocated += o.UnitsAllocated
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.AppendCost += o.AppendCost
+	s.BufferTime += o.BufferTime
+	s.RecycleCost += o.RecycleCost
+	s.RecycleCount += o.RecycleCount
+	s.Stalls += o.Stalls
+	s.StallTime += o.StallTime
+	return s
+}
+
 // Config parameterizes a pool.
 type Config struct {
 	Name     string
@@ -232,9 +253,6 @@ func MustNewPool(cfg Config) *Pool {
 	}
 	return p
 }
-
-// Config returns the pool's configuration.
-func (p *Pool) Config() Config { return p.cfg }
 
 func (p *Pool) newUnitLocked() *Unit {
 	u := &Unit{id: p.nextID, gen: p.nextGen, state: Empty, blocks: make(map[wire.BlockID]*blockIndex)}

@@ -251,6 +251,37 @@ func TestDrainWithRecycler(t *testing.T) {
 	p.Close()
 }
 
+// TestUnitRecyclerAccounts: a unit recycler hands its function the
+// whole unit and books the unit's records, extents and bytes with the
+// cost and wall the function reports.
+func TestUnitRecyclerAccounts(t *testing.T) {
+	p := MustNewPool(Config{Name: "unit", Mode: NoMerge, UnitSize: 1 << 20, MaxUnits: 2})
+	var units atomic.Int64
+	r := StartUnitRecycler(p, func(blocks []BlockExtents) (cost, wall time.Duration) {
+		units.Add(1)
+		if len(blocks) != 3 {
+			t.Errorf("unit handed over %d blocks, want 3", len(blocks))
+		}
+		return 3 * time.Millisecond, time.Millisecond
+	})
+	for i := 0; i < 6; i++ {
+		p.Append(blk(i%3), uint32(i*8), make([]byte, 8), time.Duration(i))
+	}
+	p.Drain(10)
+	p.Close()
+	r.Wait()
+	st := p.Stats()
+	if units.Load() != 1 || st.UnitsRecycled != 1 {
+		t.Fatalf("recycled %d units (stats %d), want 1", units.Load(), st.UnitsRecycled)
+	}
+	if st.RecycleCount != 6 || st.RecycledExtents != 6 || st.RecycledBytes != 48 {
+		t.Fatalf("booked %d records, %d extents, %d bytes; want 6, 6, 48", st.RecycleCount, st.RecycledExtents, st.RecycledBytes)
+	}
+	if st.RecycleCost != 3*time.Millisecond {
+		t.Fatalf("recycle cost %v, want 3ms", st.RecycleCost)
+	}
+}
+
 func TestRecyclerPerBlockOrdering(t *testing.T) {
 	p := MustNewPool(Config{Name: "ord", Mode: NoMerge, UnitSize: 80, MaxUnits: 8})
 	var mu sync.Mutex

@@ -96,6 +96,34 @@ func StartRecycler(pool *Pool, workers int, fn RecycleFunc) *Recycler {
 	return r
 }
 
+// UnitFunc recycles one whole sealed unit, given its blocks, for a
+// layer whose merge spans blocks (per-stripe merging). It returns the
+// modeled cost of the work and its modeled wall time, which may be less
+// than the cost when parts of the unit recycle in parallel.
+type UnitFunc func(blocks []BlockExtents) (cost, wall time.Duration)
+
+// StartUnitRecycler recycles pool one whole unit at a time, oldest
+// first, on a single goroutine. Stop with pool.Close() followed by
+// Wait().
+func StartUnitRecycler(pool *Pool, fn UnitFunc) *Recycler {
+	r := &Recycler{pool: pool}
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		for {
+			u := pool.TakeRecyclable(true)
+			if u == nil {
+				return
+			}
+			blocks := u.Blocks()
+			extents, bytes := countExtents(blocks)
+			cost, wall := fn(blocks)
+			pool.FinishRecycle(u, cost, wall, u.Entries(), extents, bytes)
+		}
+	}()
+	return r
+}
+
 // Wait blocks until the recycler has exited (after pool.Close()).
 func (r *Recycler) Wait() { r.wg.Wait() }
 
@@ -129,12 +157,7 @@ func (r *Recycler) dispatchUnit(u *Unit) {
 		remaining: len(blocks),
 		perWorker: make(map[int]time.Duration),
 	}
-	for _, be := range blocks {
-		tracker.extents += int64(len(be.Extents))
-		for _, e := range be.Extents {
-			tracker.bytes += int64(len(e.Data))
-		}
-	}
+	tracker.extents, tracker.bytes = countExtents(blocks)
 	sealV := u.SealV()
 	for _, be := range blocks {
 		wi := int(blockHash(be.Block)) % len(r.workers)
@@ -144,6 +167,17 @@ func (r *Recycler) dispatchUnit(u *Unit) {
 		w.cond.Signal()
 		w.mu.Unlock()
 	}
+}
+
+// countExtents counts the extents and payload bytes of a unit's blocks.
+func countExtents(blocks []BlockExtents) (extents, bytes int64) {
+	for _, be := range blocks {
+		extents += int64(len(be.Extents))
+		for _, e := range be.Extents {
+			bytes += int64(len(e.Data))
+		}
+	}
+	return extents, bytes
 }
 
 func (r *Recycler) workerLoop(w *recycleWorker) {
@@ -247,21 +281,7 @@ func (ps *PoolSet) Close() {
 func (ps *PoolSet) Stats() Stats {
 	var s Stats
 	for _, p := range ps.pools {
-		o := p.Stats()
-		s.AppendedEntries += o.AppendedEntries
-		s.AppendedBytes += o.AppendedBytes
-		s.RecycledExtents += o.RecycledExtents
-		s.RecycledBytes += o.RecycledBytes
-		s.UnitsRecycled += o.UnitsRecycled
-		s.UnitsAllocated += o.UnitsAllocated
-		s.CacheHits += o.CacheHits
-		s.CacheMisses += o.CacheMisses
-		s.AppendCost += o.AppendCost
-		s.BufferTime += o.BufferTime
-		s.RecycleCost += o.RecycleCost
-		s.RecycleCount += o.RecycleCount
-		s.Stalls += o.Stalls
-		s.StallTime += o.StallTime
+		s = s.Add(p.Stats())
 	}
 	return s
 }
@@ -280,15 +300,6 @@ func (ps *PoolSet) QuotaBytes() int64 {
 	var n int64
 	for _, p := range ps.pools {
 		n += p.QuotaBytes()
-	}
-	return n
-}
-
-// PendingBytes sums member pools' unrecycled payload.
-func (ps *PoolSet) PendingBytes() int64 {
-	var n int64
-	for _, p := range ps.pools {
-		n += p.PendingBytes()
 	}
 	return n
 }

@@ -23,46 +23,34 @@ import (
 type cord struct {
 	cfg Config
 	env Env
+	logLayers
 
 	// collector buffer log: XOR-folding per source data block, single
 	// pool, single unit — the serialization point.
-	collector *logpool.Pool
-	collDone  chan struct{}
+	collector *logpool.PoolSet
 
 	// parity log of merged deltas for parity blocks hosted here;
 	// deferred recycle like PL.
-	parityLog *logpool.Pool
-	parityRec *logpool.Recycler
+	parityLog *logpool.PoolSet
 }
 
 func newCoRD(cfg Config, env Env) (*cord, error) {
 	c := &cord{cfg: cfg, env: env}
-	coll, err := logpool.NewPool(logpool.Config{
-		Name:     fmt.Sprintf("cord-coll/osd%d", env.ID()),
-		Mode:     logpool.XorFold,
-		UnitSize: cfg.CollectorUnitSize,
-		MaxUnits: 1, // fixed-size single buffer: append and recycle exclude
-		Device:   env.Dev(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.collector = coll
-	plog, err := logpool.NewPool(logpool.Config{
-		Name:     fmt.Sprintf("cord-parity/osd%d", env.ID()),
-		Mode:     logpool.NoMerge,
-		UnitSize: cfg.RecycleThreshold,
-		MaxUnits: 2,
-		Device:   env.Dev(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.parityLog = plog
-	c.collDone = make(chan struct{})
-	go c.collectLoop()
-	c.parityRec = logpool.StartRecycler(plog, cfg.Workers, c.recycleParity)
-	return c, nil
+	return c, c.declare("cord", cfg, env,
+		layerSpec{
+			name: "collector", phase: 2, pools: 1,
+			pool: logpool.Config{
+				Mode:     logpool.XorFold,
+				UnitSize: cfg.CollectorUnitSize,
+				MaxUnits: 1, // fixed-size single buffer: append and recycle exclude
+			},
+			unit: c.recycleCollector, into: &c.collector,
+		},
+		layerSpec{
+			name: "parity", phase: 3, pools: 1,
+			pool:    logpool.Config{Mode: logpool.NoMerge, UnitSize: cfg.RecycleThreshold, MaxUnits: 2},
+			workers: cfg.Workers, block: c.recycleParity, into: &c.parityLog,
+		})
 }
 
 func (c *cord) Name() string { return "cord" }
@@ -105,25 +93,11 @@ func (c *cord) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	}
 }
 
-// collectLoop drains collector units stripe-by-stripe, merging the
-// per-block deltas into per-parity deltas (Eq. 5) before forwarding.
-func (c *cord) collectLoop() {
-	defer close(c.collDone)
-	for {
-		u := c.collector.TakeRecyclable(true)
-		if u == nil {
-			return
-		}
-		// A single-threaded collector: wall time is the full cost.
-		cost, extents, bytes := c.recycleCollector(u)
-		var entries int64 // per-unit appended records not exposed; extents suffice
-		c.collector.FinishRecycle(u, cost, cost, entries, extents, bytes)
-	}
-}
-
-func (c *cord) recycleCollector(u *logpool.Unit) (cost time.Duration, extents, bytes int64) {
-	work, extents, bytes := groupByStripe(c.env, u.Blocks())
-	for _, sw := range work {
+// recycleCollector merges a collector unit stripe by stripe: the
+// per-block deltas become per-parity deltas (Eq. 5) before forwarding.
+// The collector is single-threaded, so its wall time is the full cost.
+func (c *cord) recycleCollector(blocks []logpool.BlockExtents) (cost, wall time.Duration) {
+	for _, sw := range groupByStripe(c.env, blocks) {
 		code, err := c.env.Code(sw.place.K, sw.place.M)
 		if err != nil {
 			continue
@@ -133,7 +107,7 @@ func (c *cord) recycleCollector(u *logpool.Unit) (cost time.Duration, extents, b
 		sent, _, _ := deliver(context.Background(), c.env, calls)
 		cost += sent
 	}
-	return cost, extents, bytes
+	return cost, cost
 }
 
 // recycleParity folds merged parity deltas into the parity block (random
@@ -152,27 +126,4 @@ func (c *cord) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.
 
 func (c *cord) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
 	return viewStore(c.env, b, off, n)
-}
-
-func (c *cord) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
-	switch phase {
-	case 2:
-		c.collector.Drain(0)
-	case 3:
-		c.parityLog.Drain(0)
-	}
-	return nil
-}
-
-func (c *cord) Close() {
-	c.collector.Close()
-	c.parityLog.Close()
-	<-c.collDone
-	c.parityRec.Wait()
-}
-
-// Settle waits for the collector's sealed units to recycle.
-func (c *cord) Settle() {
-	c.collector.WaitIdle()
-	c.parityLog.WaitIdle()
 }

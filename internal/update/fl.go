@@ -18,27 +18,23 @@ import (
 // drawbacks the paper lists. FL is described in §2.2 but not charted; it
 // is included for completeness.
 type fl struct {
-	cfg      Config
-	env      Env
-	dataLog  *logpool.Pool
-	recycler *logpool.Recycler
+	cfg Config
+	env Env
+	logLayers
+	dataLog *logpool.PoolSet
 }
 
 func newFL(cfg Config, env Env) (*fl, error) {
 	f := &fl{cfg: cfg, env: env}
-	pool, err := logpool.NewPool(logpool.Config{
-		Name:     fmt.Sprintf("fl/osd%d", env.ID()),
-		Mode:     logpool.NoMerge, // FL exploits no locality
-		UnitSize: cfg.RecycleThreshold,
-		MaxUnits: 1, // a single log: append and recycle exclude each other
-		Device:   env.Dev(),
+	return f, f.declare("fl", cfg, env, layerSpec{
+		name: "data", phase: 1, pools: 1,
+		pool: logpool.Config{
+			Mode:     logpool.NoMerge, // FL exploits no locality
+			UnitSize: cfg.RecycleThreshold,
+			MaxUnits: 1, // a single log: append and recycle exclude each other
+		},
+		workers: 1, block: f.recycleData, into: &f.dataLog,
 	})
-	if err != nil {
-		return nil, err
-	}
-	f.dataLog = pool
-	f.recycler = logpool.StartRecycler(pool, 1, f.recycleData)
-	return f, nil
 }
 
 func (f *fl) Name() string { return "fl" }
@@ -97,20 +93,5 @@ func (f *fl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 func (f *fl) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
 	// The log must merge with the old data on reads (FL's read penalty):
 	// base read plus overlay of all pending records.
-	return readThrough(f.env, f.dataLog, b, off, n)
+	return readThrough(f.env, f.dataLog.Pick(b), b, off, n)
 }
-
-func (f *fl) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
-	if phase == 1 {
-		f.dataLog.Drain(0)
-	}
-	return nil
-}
-
-func (f *fl) Close() {
-	f.dataLog.Close()
-	f.recycler.Wait()
-}
-
-// Settle waits for any sealed data-log units to recycle.
-func (f *fl) Settle() { f.dataLog.WaitIdle() }

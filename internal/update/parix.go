@@ -48,13 +48,16 @@ type parix struct {
 	loggedBytes int64
 }
 
-func newPARIX(cfg Config, env Env) *parix {
+func newPARIX(cfg Config, env Env) (*parix, error) {
+	if err := refuseDurable("parix", cfg); err != nil {
+		return nil, err
+	}
 	return &parix{
 		cfg: cfg, env: env,
 		spec: make(map[wire.BlockID]*intervalSet),
 		news: make(map[wire.BlockID]*logpool.Index),
 		olds: make(map[wire.BlockID]*logpool.Index),
-	}
+	}, nil
 }
 
 func (p *parix) Name() string { return "parix" }

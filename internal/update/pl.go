@@ -20,27 +20,19 @@ import (
 type pl struct {
 	cfg Config
 	env Env
+	logLayers
 	// parityLog holds incoming parity deltas for parity blocks this OSD
 	// hosts. NoMerge: PL exploits no locality.
-	parityLog *logpool.Pool
-	recycler  *logpool.Recycler
+	parityLog *logpool.PoolSet
 }
 
 func newPL(cfg Config, env Env) (*pl, error) {
 	p := &pl{cfg: cfg, env: env}
-	pool, err := logpool.NewPool(logpool.Config{
-		Name:     fmt.Sprintf("pl/osd%d", env.ID()),
-		Mode:     logpool.NoMerge,
-		UnitSize: cfg.RecycleThreshold,
-		MaxUnits: 2,
-		Device:   env.Dev(),
+	return p, p.declare("pl", cfg, env, layerSpec{
+		name: "parity", phase: 3, pools: 1,
+		pool:    logpool.Config{Mode: logpool.NoMerge, UnitSize: cfg.RecycleThreshold, MaxUnits: 2},
+		workers: cfg.Workers, block: p.recycleParity, into: &p.parityLog,
 	})
-	if err != nil {
-		return nil, err
-	}
-	p.parityLog = pool
-	p.recycler = logpool.StartRecycler(pool, cfg.Workers, p.recycleParity)
-	return p, nil
 }
 
 func (p *pl) Name() string { return "pl" }
@@ -110,18 +102,3 @@ func (p *pl) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Durat
 	// Data blocks are updated in place; no log on the read path.
 	return viewStore(p.env, b, off, n)
 }
-
-func (p *pl) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
-	if phase == 3 {
-		p.parityLog.Drain(0)
-	}
-	return nil
-}
-
-func (p *pl) Close() {
-	p.parityLog.Close()
-	p.recycler.Wait()
-}
-
-// Settle waits for any sealed parity-log units to recycle.
-func (p *pl) Settle() { p.parityLog.WaitIdle() }

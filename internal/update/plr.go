@@ -42,8 +42,11 @@ type plrEntry struct {
 	delta []byte
 }
 
-func newPLR(cfg Config, env Env) *plr {
-	return &plr{cfg: cfg, env: env, logs: make(map[wire.BlockID]*plrLog)}
+func newPLR(cfg Config, env Env) (*plr, error) {
+	if err := refuseDurable("plr", cfg); err != nil {
+		return nil, err
+	}
+	return &plr{cfg: cfg, env: env, logs: make(map[wire.BlockID]*plrLog)}, nil
 }
 
 func (p *plr) Name() string { return "plr" }

@@ -146,9 +146,10 @@ type Config struct {
 	ReservedSpace     int64 // PLR per-block reserved log space
 	CollectorUnitSize int64 // CoRD single buffer log size
 
-	// Persist, when non-nil, durably backs TSUE's log layers: every
-	// accepted log record is written to a per-layer on-disk segment
-	// before the append returns, and recycled records are folded dead.
+	// Persist, when non-nil, durably backs every declared log layer —
+	// FL's, PL's, CoRD's and TSUE's: every accepted log record is
+	// written to a per-layer on-disk segment before the append returns,
+	// and recycled records are folded dead. PLR and PARIX refuse it.
 	// Nil (the default) keeps logs memory-only.
 	Persist logpool.PersistProvider
 }
@@ -192,9 +193,9 @@ func New(name string, cfg Config, env Env) (Strategy, error) {
 	case "pl":
 		return newPL(cfg, env)
 	case "plr":
-		return newPLR(cfg, env), nil
+		return newPLR(cfg, env)
 	case "parix":
-		return newPARIX(cfg, env), nil
+		return newPARIX(cfg, env)
 	case "cord":
 		return newCoRD(cfg, env)
 	case "tsue":
@@ -205,6 +206,16 @@ func New(name string, cfg Config, env Env) (Strategy, error) {
 }
 
 // ---- shared helpers ----
+
+// refuseDurable refuses cfg.Persist for a method whose logs are not log
+// pools and so cannot be persisted: on a durable OSD a crash would drop
+// acknowledged deltas and leave parity inconsistent.
+func refuseDurable(method string, cfg Config) error {
+	if cfg.Persist != nil {
+		return fmt.Errorf("update: %s cannot persist its logs; run it on in-memory OSDs", method)
+	}
+	return nil
+}
 
 // stripeKey identifies a stripe across blocks.
 type stripeKey struct {
@@ -222,16 +233,12 @@ type stripeWork struct {
 	blocks map[int][]logpool.Extent
 }
 
-// groupByStripe groups a recycled unit's blocks by stripe and counts the
-// unit's extents and bytes. A block whose stripe has no known placement
-// is counted but not grouped: there is nowhere to send its deltas.
-func groupByStripe(env Env, bes []logpool.BlockExtents) (work map[stripeKey]*stripeWork, extents, bytes int64) {
-	work = make(map[stripeKey]*stripeWork)
+// groupByStripe groups a recycled unit's blocks by stripe. A block
+// whose stripe has no known placement is not grouped: there is nowhere
+// to send its deltas.
+func groupByStripe(env Env, bes []logpool.BlockExtents) map[stripeKey]*stripeWork {
+	work := make(map[stripeKey]*stripeWork)
 	for _, be := range bes {
-		extents += int64(len(be.Extents))
-		for _, e := range be.Extents {
-			bytes += int64(len(e.Data))
-		}
 		place, ok := env.Placement(be.Block)
 		if !ok {
 			continue
@@ -244,7 +251,7 @@ func groupByStripe(env Env, bes []logpool.BlockExtents) (work map[stripeKey]*str
 		}
 		sw.blocks[int(be.Block.Idx)] = be.Extents
 	}
-	return work, extents, bytes
+	return work
 }
 
 // parityBlock returns the BlockID of parity j for a block in the stripe.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,13 +41,11 @@ import (
 type tsue struct {
 	cfg Config
 	env Env
+	logLayers
 
 	dataLogs   *logpool.PoolSet
-	dataRecs   []*logpool.Recycler
 	deltaLogs  *logpool.PoolSet // nil when UseDeltaLog is false
-	deltaDone  []chan struct{}
 	parityLogs *logpool.PoolSet
-	parityRecs []*logpool.Recycler
 
 	// deltaCopy holds the second-parity-OSD copies of data deltas not
 	// yet trimmed by their primary (recovery source only: promoted when
@@ -91,62 +88,41 @@ func newTSUE(cfg Config, env Env) (*tsue, error) {
 			unitSize = 16 << 10
 		}
 	}
-	dataMode, parityMode := logpool.Overwrite, logpool.XorFold
-	if !cfg.DataLogLocality {
-		dataMode = logpool.NoMerge
+	pool := func(mode logpool.MergeMode, merge bool) logpool.Config {
+		if !merge {
+			mode = logpool.NoMerge
+		}
+		return logpool.Config{Mode: mode, UnitSize: unitSize, MaxUnits: maxUnits}
 	}
-	if !cfg.ParityLogLocality {
-		parityMode = logpool.NoMerge
-	}
-
-	var err error
 	// DataLog appends sit on the client ack path, so their device
 	// charges are foreground writes; delta/parity log appends arrive on
 	// asynchronous recycle forwards and stay background-classified.
-	t.dataLogs, err = logpool.NewPoolSet(pools, logpool.Config{
-		Name: fmt.Sprintf("tsue-data/osd%d/", env.ID()), Mode: dataMode,
-		UnitSize: unitSize, MaxUnits: maxUnits, Device: env.Dev(),
-		Class: sim.ClassForegroundWrite, Persist: cfg.Persist,
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.parityLogs, err = logpool.NewPoolSet(pools, logpool.Config{
-		Name: fmt.Sprintf("tsue-parity/osd%d/", env.ID()), Mode: parityMode,
-		UnitSize: unitSize, MaxUnits: maxUnits, Device: env.Dev(),
-		Persist: cfg.Persist,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Persist != nil {
-		// Replica records are durably logged under one never-folded
-		// generation: they are the recovery source for a failed primary's
-		// pending updates and are absolute-data (idempotent to replay).
-		t.repPersist = cfg.Persist.Layer(fmt.Sprintf("tsue-replica/osd%d", env.ID()))
-	}
-	for _, p := range t.dataLogs.Pools() {
-		t.dataRecs = append(t.dataRecs, logpool.StartRecycler(p, cfg.Workers, t.recycleData))
-	}
-	for _, p := range t.parityLogs.Pools() {
-		t.parityRecs = append(t.parityRecs, logpool.StartRecycler(p, cfg.Workers, t.recycleParity))
-	}
+	data := pool(logpool.Overwrite, cfg.DataLogLocality)
+	data.Class = sim.ClassForegroundWrite
+	layers := []layerSpec{{
+		name: "data", phase: 1, pools: pools, pool: data,
+		workers: cfg.Workers, block: t.recycleData, into: &t.dataLogs,
+	}}
 	if cfg.UseDeltaLog {
-		t.deltaLogs, err = logpool.NewPoolSet(pools, logpool.Config{
-			Name: fmt.Sprintf("tsue-delta/osd%d/", env.ID()), Mode: logpool.XorFold,
-			UnitSize: unitSize, MaxUnits: maxUnits, Device: env.Dev(),
-			Persist: cfg.Persist,
+		// The DeltaLog merges across the blocks of a stripe (Eq. 5), so
+		// it recycles a whole unit at a time.
+		layers = append(layers, layerSpec{
+			name: "delta", phase: 2, pools: pools, pool: pool(logpool.XorFold, true),
+			unit: t.recycleDeltaUnit, into: &t.deltaLogs,
 		})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range t.deltaLogs.Pools() {
-			done := make(chan struct{})
-			t.deltaDone = append(t.deltaDone, done)
-			go t.deltaLoop(p, done)
-		}
 	}
-	return t, nil
+	layers = append(layers,
+		layerSpec{
+			name: "parity", phase: 3, pools: pools, pool: pool(logpool.XorFold, cfg.ParityLogLocality),
+			workers: cfg.Workers, block: t.recycleParity, into: &t.parityLogs,
+		},
+		// Replica records are durably logged under one never-folded
+		// generation: they are the recovery source for a failed
+		// primary's pending updates and are absolute-data (idempotent to
+		// replay).
+		layerSpec{name: "replica", persist: &t.repPersist, replay: t.insertReplica},
+	)
+	return t, t.declare("tsue", cfg, env, layers...)
 }
 
 func (t *tsue) Name() string { return "tsue" }
@@ -238,31 +214,15 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 	return cost + sent
 }
 
-// deltaLoop drains DeltaLog units stripe-by-stripe: Eq. 3 folding already
-// happened in the XOR index; here deltas of different data blocks merge
-// into per-parity deltas (Eq. 5) and flow to the ParityLogs.
-func (t *tsue) deltaLoop(p *logpool.Pool, done chan struct{}) {
-	defer close(done)
-	for {
-		u := p.TakeRecyclable(true)
-		if u == nil {
-			return
-		}
-		cost, wall, extents, bytes := t.recycleDeltaUnit(u)
-		p.FinishRecycle(u, cost, wall, u.Entries(), extents, bytes)
-	}
-}
-
-// recycleDeltaUnit merges a sealed DeltaLog unit stripe by stripe: each
-// stripe's M parity deltas (Eq. 5) leave as one batch of M extent lists,
-// and once the parity logs have acknowledged them, each source block's
-// copy at the second parity OSD is trimmed by one list of the recycled
-// deltas.
-func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, extents, bytes int64) {
-	work, extents, bytes := groupByStripe(t.env, u.Blocks())
+// recycleDeltaUnit merges a sealed DeltaLog unit stripe by stripe: Eq. 3
+// folding already happened in the XOR index; here each stripe's M
+// parity deltas (Eq. 5) leave as one batch of M extent lists, and once
+// the parity logs have acknowledged them, each source block's copy at
+// the second parity OSD is trimmed by one list of the recycled deltas.
+func (t *tsue) recycleDeltaUnit(blocks []logpool.BlockExtents) (cost, wall time.Duration) {
 	// Stripes merge independently; model wall time as the largest
 	// per-stripe cost (stripes recycle in parallel across workers).
-	for _, sw := range work {
+	for _, sw := range groupByStripe(t.env, blocks) {
 		code, err := t.env.Code(sw.place.K, sw.place.M)
 		if err != nil {
 			continue
@@ -295,7 +255,7 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 		trimCost, _, _ := deliver(context.Background(), t.env, calls)
 		cost += trimCost
 	}
-	return cost, wall, extents, bytes
+	return cost, wall
 }
 
 // recycleParity folds merged parity deltas into the parity block: one
@@ -413,25 +373,6 @@ func (t *tsue) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Dur
 	return readThrough(t.env, t.dataLogs.Pick(b), b, off, n)
 }
 
-// ReplayPersisted routes a record recovered from the durable segment
-// store back into its log layer. Placements are seeded before replay,
-// so subsequent recycles can route deltas; re-appending through the
-// normal path re-persists the record under the new segment era.
-func (t *tsue) ReplayPersisted(layer string, block wire.BlockID, off uint32, v int64, data []byte) {
-	switch {
-	case strings.HasPrefix(layer, "tsue-data/"):
-		t.dataLogs.Append(block, off, data, time.Duration(v))
-	case strings.HasPrefix(layer, "tsue-delta/"):
-		if t.deltaLogs != nil {
-			t.deltaLogs.Append(block, off, data, time.Duration(v))
-		}
-	case strings.HasPrefix(layer, "tsue-parity/"):
-		t.parityLogs.Append(block, off, data, time.Duration(v))
-	case strings.HasPrefix(layer, "tsue-replica/"):
-		t.insertReplica(block, off, v, data)
-	}
-}
-
 // insertReplica indexes a DataLog replica record and logs it durably.
 func (t *tsue) insertReplica(block wire.BlockID, off uint32, v int64, data []byte) {
 	t.repMu.Lock()
@@ -447,28 +388,18 @@ func (t *tsue) insertReplica(block wire.BlockID, off uint32, v int64, data []byt
 	}
 }
 
-// Drain flushes layer by layer; the cluster calls phase 1 on every node,
-// then 2, then 3, so deltas produced by one layer land before the next
-// layer drains (§3.1.2 real-time recycle, forced to completion).
+// Drain drains the phase's layers, then tends the delta copies this
+// node holds for other primaries.
 func (t *tsue) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
-	switch phase {
-	case 1:
-		t.dataLogs.Drain(0)
-	case 2:
-		if t.deltaLogs != nil {
-			t.deltaLogs.Drain(0)
-		}
+	t.drain(phase)
+	switch {
+	case phase == 2 && len(dead) > 0:
 		// Promote delta copies whose primary DeltaLog died with its OSD.
-		if len(dead) > 0 {
-			if err := t.promoteCopies(ctx, dead); err != nil {
-				return err
-			}
-		}
-	case 3:
+		return t.promoteCopies(ctx, dead)
+	case phase == 3:
 		// Every node's phase-2 trims have landed: a cluster-wide drain
 		// leaves the copies of live primaries all zero.
 		t.pruneCopies()
-		t.parityLogs.Drain(0)
 	}
 	return nil
 }
@@ -543,72 +474,4 @@ func zeroIndex(x *logpool.Index) bool {
 	return !slices.ContainsFunc(x.Extents(), func(e logpool.Extent) bool {
 		return slices.ContainsFunc(e.Data, func(c byte) bool { return c != 0 })
 	})
-}
-
-func (t *tsue) Close() {
-	t.dataLogs.Close()
-	t.parityLogs.Close()
-	if t.deltaLogs != nil {
-		t.deltaLogs.Close()
-	}
-	for _, r := range t.dataRecs {
-		r.Wait()
-	}
-	for _, r := range t.parityRecs {
-		r.Wait()
-	}
-	for _, done := range t.deltaDone {
-		<-done
-	}
-}
-
-// RealTimeFlush performs the idle-timeout seal-and-recycle that
-// real-time recycling completes within seconds of the workload going
-// quiet (Table 2: maximum receive-to-reclaim interval of 7 s). The
-// paper's recovery experiment starts after client requests terminate, so
-// TSUE enters recovery with empty logs.
-func (t *tsue) RealTimeFlush() error {
-	for phase := 1; phase <= DrainPhases; phase++ {
-		if err := t.Drain(context.Background(), phase, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Settle waits until all sealed log units across the three layers have
-// been recycled — the steady state of real-time recycling — without
-// force-sealing active units. Used by the benchmark harness to let
-// in-flight asynchronous work finish before reading counters.
-func (t *tsue) Settle() {
-	t.dataLogs.WaitIdle()
-	if t.deltaLogs != nil {
-		t.deltaLogs.WaitIdle()
-	}
-	t.parityLogs.WaitIdle()
-}
-
-// LayerStats exposes per-layer log pool statistics for the paper's
-// Table 2 and the breakdown analyses.
-func (t *tsue) LayerStats() map[string]logpool.Stats {
-	out := map[string]logpool.Stats{
-		"data":   t.dataLogs.Stats(),
-		"parity": t.parityLogs.Stats(),
-	}
-	if t.deltaLogs != nil {
-		out["delta"] = t.deltaLogs.Stats()
-	}
-	return out
-}
-
-// MemoryBytes reports the configured log-buffer budget across layers —
-// the quantity the paper's Fig. 6b sweeps (pools expand toward the quota
-// under sustained load and shrink when idle, so the budget is the
-// resident peak).
-func (t *tsue) MemoryBytes() int64 {
-	n := t.dataLogs.QuotaBytes() + t.parityLogs.QuotaBytes()
-	if t.deltaLogs != nil {
-		n += t.deltaLogs.QuotaBytes()
-	}
-	return n
 }
