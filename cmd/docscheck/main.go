@@ -32,8 +32,9 @@ import (
 // (fail, crash, restart, resilver, scrub), the MDS with its durable op
 // log and record catalog, the OSD server, the repair/drain engines with
 // the cluster-level scheduler, the block store, the update strategies'
-// shared interface, the log pools and their recyclers, the durable
-// storage engine and its checkpoint, and the GF(2^8) bulk kernel.
+// shared interface and layer table, the log pools and their recyclers,
+// the durable storage engine and its checkpoint, and the GF(2^8) bulk
+// kernel.
 var lintedFiles = []string{
 	"internal/ecfs/client.go",
 	"internal/ecfs/file.go",
@@ -48,6 +49,7 @@ var lintedFiles = []string{
 	"internal/ecfs/scheduler.go",
 	"internal/blockstore/blockstore.go",
 	"internal/update/strategy.go",
+	"internal/update/layers.go",
 	"internal/logpool/pool.go",
 	"internal/logpool/recycler.go",
 	"internal/store/engine.go",

@@ -172,15 +172,6 @@ type runResult struct {
 	Recycled int64
 }
 
-// settler lets the harness wait for real-time recycling to quiesce.
-type settler interface{ Settle() }
-
-// layered exposes per-layer log stats (TSUE).
-type layered interface {
-	LayerStats() map[string]logpool.Stats
-	MemoryBytes() int64
-}
-
 func (rc runConfig) clusterOptions() ecfs.Options {
 	s := rc.Scale
 	cfg := update.DefaultConfig()
@@ -192,7 +183,7 @@ func (rc runConfig) clusterOptions() ecfs.Options {
 	// ("PL's extensive parity log space allows recycling to be
 	// indefinitely delayed", §5.2) — generous, but finite.
 	cfg.RecycleThreshold = 64 * s.UnitSize
-	cfg.ReservedSpace = maxI64(s.UnitSize/16, 4<<10)
+	cfg.ReservedSpace = max(s.UnitSize/16, 4<<10)
 	cfg.CollectorUnitSize = s.UnitSize / 2
 	opts := ecfs.Options{
 		NumOSDs:   s.NumOSDs,
@@ -241,16 +232,15 @@ func run(ctx context.Context, rc runConfig) (*runResult, error) {
 	out := &runResult{Replay: res}
 	out.MaxBusy = maxBusyOf(c)
 	for _, o := range c.OSDs {
-		if l, ok := o.Strategy().(layered); ok {
-			out.Memory += l.MemoryBytes()
-			for name, st := range l.LayerStats() {
-				if out.Layers == nil {
-					out.Layers = make(map[string]logpool.Stats)
-				}
-				out.Layers[name] = out.Layers[name].Add(st)
-				out.Stalls += st.Stalls
-				out.Recycled += st.UnitsRecycled
+		s := o.Strategy()
+		out.Memory += s.MemoryBytes()
+		for name, st := range s.LayerStats() {
+			if out.Layers == nil {
+				out.Layers = make(map[string]logpool.Stats)
 			}
+			out.Layers[name] = out.Layers[name].Add(st)
+			out.Stalls += st.Stalls
+			out.Recycled += st.UnitsRecycled
 		}
 	}
 	if !rc.NoFlush {
@@ -265,9 +255,7 @@ func run(ctx context.Context, rc runConfig) (*runResult, error) {
 
 func settleCluster(c *ecfs.Cluster) {
 	for _, o := range c.Alive() {
-		if s, ok := o.Strategy().(settler); ok {
-			s.Settle()
-		}
+		o.Strategy().Settle()
 	}
 }
 
@@ -295,7 +283,7 @@ func (r *runResult) iops(clients int) float64 {
 	if ops == 0 {
 		return 0
 	}
-	clientTime := time.Duration(ops) * r.Replay.AvgLatency / time.Duration(maxI(clients, 1))
+	clientTime := time.Duration(ops) * r.Replay.AvgLatency / time.Duration(max(clients, 1))
 	bound := r.MaxBusy
 	if clientTime > bound {
 		bound = clientTime
@@ -304,20 +292,6 @@ func (r *runResult) iops(clients int) float64 {
 		return 0
 	}
 	return float64(ops) / bound.Seconds()
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // makeTrace builds the named workload at this scale.

@@ -85,7 +85,7 @@ func Fig6a(ctx context.Context, s Scale) (*Report, error) {
 	per := (len(tr.Ops) + windows - 1) / windows
 	clients := lastOr(s.Clients, 64)
 	for w := 0; w < windows; w++ {
-		lo, hi := w*per, minI((w+1)*per, len(tr.Ops))
+		lo, hi := w*per, min((w+1)*per, len(tr.Ops))
 		if lo >= hi {
 			break
 		}
@@ -126,7 +126,7 @@ func Fig6b(ctx context.Context, s Scale) (*Report, error) {
 	// the arrival rate is self-calibrated: a first pass with a deep
 	// quota measures the cluster's capacity, then the sweep runs at a
 	// slight overload of that capacity.
-	s.UnitSize = maxI64(s.UnitSize/4, 32<<10)
+	s.UnitSize = max(s.UnitSize/4, 32<<10)
 	clients := lastOr(s.Clients, 64)
 	tr, err := makeTrace("ten", s)
 	if err != nil {
@@ -213,11 +213,4 @@ func lastOr(xs []int, def int) int {
 		return def
 	}
 	return xs[len(xs)-1]
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -19,7 +19,7 @@ var fig8Methods = []string{"fo", "pl", "plr", "parix", "tsue"}
 func hddTune(s Scale) func(cfg *update.Config) {
 	return func(cfg *update.Config) {
 		cfg.Pools = 1
-		cfg.UnitSize = maxI64(s.UnitSize/8, 32<<10)
+		cfg.UnitSize = max(s.UnitSize/8, 32<<10)
 	}
 }
 

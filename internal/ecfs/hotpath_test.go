@@ -349,7 +349,7 @@ func TestStage2RepliesReleased(t *testing.T) {
 		copy(data[off:], patch)
 	}
 	for _, o := range h.osds {
-		o.Strategy().(interface{ Settle() }).Settle()
+		o.Strategy().Settle()
 	}
 	for phase := 1; phase <= update.DrainPhases; phase++ {
 		for id := range h.osds {

@@ -65,7 +65,8 @@ type MDS struct {
 	blockSize int
 
 	// topoMu guards the OSD placement pool, which grows when a
-	// replacement joins under a fresh node id (AddNode).
+	// replacement joins under a fresh node id (AddNode). The pool is
+	// kept in id order.
 	topoMu sync.RWMutex
 	osds   []wire.NodeID
 
@@ -184,7 +185,8 @@ type nodeIndex struct {
 // NewMDS creates a metadata server for a cluster of the given OSDs and
 // stripe geometry with DefaultMDSShards namespace shards. It requires
 // len(osds) >= k+m so every stripe can place its blocks on distinct
-// nodes.
+// nodes. Placement walks the OSDs in id order, whatever order they are
+// given in.
 func NewMDS(osds []wire.NodeID, k, m int) (*MDS, error) {
 	return NewMDSWithShards(osds, k, m, DefaultMDSShards)
 }
@@ -205,7 +207,7 @@ func NewMDSWithShards(osds []wire.NodeID, k, m, shards int) (*MDS, error) {
 	}
 	md := &MDS{
 		k: k, m: m,
-		osds:       append([]wire.NodeID(nil), osds...),
+		osds:       slices.Sorted(slices.Values(osds)),
 		nameShards: make([]*nameShard, n),
 		inoShards:  make([]*inoShard, n),
 		rev:        make(map[wire.NodeID]*nodeIndex, len(osds)),

@@ -371,16 +371,18 @@ func (m *MDS) nodeRecordLocked(id wire.NodeID) mdslog.Record {
 }
 
 // applyNodeLocked installs a node's durable state: pool membership (a
-// newcomer joins at the pool's end; the pool is copied on write because
-// place reads it under RLock only), the drain mark (a new mark is a
+// newcomer takes its place in id order, so the order place indexes is
+// a function of the membership alone, whatever prefix of the op log a
+// reopen replays; the pool is copied on write because place reads it
+// under RLock only), the drain mark (a new mark is a
 // running drain; an existing one keeps its running or interrupted
 // state), and the address. Caller holds lockNodes.
 func (m *MDS) applyNodeLocked(r mdslog.Record) {
-	switch in := slices.Contains(m.osds, r.Node); {
+	switch i, in := slices.BinarySearch(m.osds, r.Node); {
 	case r.InPool && !in:
-		m.osds = append(slices.Clone(m.osds), r.Node)
+		m.osds = slices.Insert(slices.Clone(m.osds), i, r.Node)
 	case !r.InPool && in:
-		m.osds = slices.DeleteFunc(slices.Clone(m.osds), func(n wire.NodeID) bool { return n == r.Node })
+		m.osds = slices.Delete(slices.Clone(m.osds), i, i+1)
 	}
 	if !r.Draining {
 		delete(m.draining, r.Node)

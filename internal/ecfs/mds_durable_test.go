@@ -343,6 +343,34 @@ func TestDurableMDSStalePrefixConverges(t *testing.T) {
 	compareMDS(t, "stale-prefix", re, sh)
 }
 
+// TestDurableMDSPoolOrderSurvivesStalePrefix: a node that leaves the
+// placement pool and rejoins, with a newcomer after it, then a
+// checkpoint whose log truncate never lands. Reopen replays the stale
+// join records over the snapshot, and the pool — which place indexes —
+// must come back in the order it was acknowledged in: id order.
+func TestDurableMDSPoolOrderSurvivesStalePrefix(t *testing.T) {
+	dir := t.TempDir()
+	md := openWorkloadMDS(t, dir, mdslog.Options{})
+	md.RemoveNode(1)
+	md.AddNode(1)
+	md.AddNode(11)
+	want := md.Nodes()
+	md.Log().SkipNextTruncate()
+	if err := md.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	md.Crash()
+	md.Log().Close()
+	re := openWorkloadMDS(t, dir, mdslog.Options{})
+	defer re.Close()
+	if got := re.Nodes(); !slices.Equal(got, want) {
+		t.Fatalf("pool reopened as %v, acknowledged as %v", got, want)
+	}
+	if !slices.IsSorted(want) {
+		t.Fatalf("pool %v is not in id order", want)
+	}
+}
+
 // TestDurableMDSGeometryMismatchRefused: a data directory created under
 // one geometry must refuse to open under another (shard choice and
 // placement both derive from it — silently re-placing would corrupt).

@@ -137,11 +137,9 @@ func (o *OSD) recoverLocal() {
 			K: p.K, M: p.M, Loc: wire.StripeLoc{Nodes: p.Nodes, Epoch: p.Epoch},
 		}}
 	})
-	if rp, ok := o.strategy.(update.Replayer); ok {
-		o.eng.Replay(func(e store.SegEntry) {
-			rp.ReplayPersisted(e.Layer, e.Block, e.Off, e.V, e.Data)
-		})
-	}
+	o.eng.Replay(func(e store.SegEntry) {
+		o.strategy.ReplayPersisted(e.Layer, e.Block, e.Off, e.V, e.Data)
+	})
 	// Replayed records were re-persisted under the new segment era by
 	// the appends above; the previous era's files are now dead weight.
 	o.eng.FinishReplay()

@@ -57,7 +57,7 @@ func BenchmarkLookupCacheHit(b *testing.B) {
 	dst := make([]byte, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !p.Lookup(block, uint32(i%60)<<10, dst) {
+		if _, ok := p.Lookup(block, uint32(i%60)<<10, len(dst), func() []byte { return dst }); !ok {
 			b.Fatal("expected hit")
 		}
 	}

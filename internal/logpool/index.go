@@ -154,7 +154,7 @@ func (bi *blockIndex) insertScaled(c byte, off uint32, data []byte, v time.Durat
 	}
 	if e := &bi.extents[first]; last-first == 1 && e.Off <= off {
 		// One extent, and the record does not reach below its head.
-		k := minU32(e.End(), end) - off // bytes landing on indexed content
+		k := min(e.End(), end) - off // bytes landing on indexed content
 		bi.fold(c, e.Data[off-e.Off:][:k], data[:k])
 		if rest := data[k:]; len(rest) > 0 {
 			e.Data = appendScaled(e.Data, c, rest)
@@ -260,7 +260,7 @@ func (bi *blockIndex) overlay(off uint32, dst []byte) {
 			if e.Off >= end || e.End() <= off {
 				continue
 			}
-			from, to := maxU32(e.Off, off), minU32(e.End(), end)
+			from, to := max(e.Off, off), min(e.End(), end)
 			copy(dst[from-off:to-off], e.Data[from-e.Off:to-e.Off])
 		}
 		return
@@ -268,23 +268,9 @@ func (bi *blockIndex) overlay(off uint32, dst []byte) {
 	i := sort.Search(len(bi.extents), func(i int) bool { return bi.extents[i].End() > off })
 	for ; i < len(bi.extents) && bi.extents[i].Off < end; i++ {
 		e := bi.extents[i]
-		from, to := maxU32(e.Off, off), minU32(e.End(), end)
+		from, to := max(e.Off, off), min(e.End(), end)
 		copy(dst[from-off:to-off], e.Data[from-e.Off:to-e.Off])
 	}
-}
-
-func maxU32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // BlockExtents is the per-block recycle work unit handed to RecycleFunc.

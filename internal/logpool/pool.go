@@ -520,25 +520,31 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 }
 
-// Lookup serves a read from the log working as a cache: it scans units
-// newest-to-oldest for a full covering of [off, off+len(dst)). A
-// covering unit is not necessarily current for every byte — a newer
-// unit may hold a partial update inside the range — so the newer units'
-// extents are overlaid, oldest to newest, before Lookup reports the
-// hit. The hit is copied into dst under the unit lock (appends mutate an
-// active unit's extents in place). On a miss dst is untouched.
-func (p *Pool) Lookup(block wire.BlockID, off uint32, dst []byte) bool {
+// Lookup serves a read of n bytes of block from off from the log
+// working as a cache: it scans units newest-to-oldest for a full
+// covering of [off, off+n). A covering unit is not necessarily current
+// for every byte — a newer unit may hold a partial update inside the
+// range — so the newer units' extents are overlaid, oldest to newest,
+// before Lookup returns the hit. On a hit Lookup calls buf once for the
+// n bytes to fill, and copies the hit into them under the unit lock
+// (appends mutate an active unit's extents in place); on a miss it
+// calls nothing, so a caller pays for a buffer only when it is filled.
+// buf runs under the unit's read lock, so it must not block or call
+// into the pool: it hands out a buffer, nothing more.
+func (p *Pool) Lookup(block wire.BlockID, off uint32, n int, buf func() []byte) ([]byte, bool) {
 	p.mu.Lock()
 	units := make([]*Unit, len(p.queue))
 	copy(units, p.queue)
 	p.mu.Unlock()
 	for i := len(units) - 1; i >= 0; i-- {
 		u := units[i]
+		var dst []byte
 		hit := false
 		u.mu.RLock()
 		if bi := u.blocks[block]; bi != nil {
 			var data []byte
-			if data, hit = bi.lookup(off, uint32(len(dst))); hit {
+			if data, hit = bi.lookup(off, uint32(n)); hit {
+				dst = buf()
 				copy(dst, data)
 			}
 		}
@@ -556,12 +562,12 @@ func (p *Pool) Lookup(block wire.BlockID, off uint32, dst []byte) bool {
 		p.mu.Lock()
 		p.stats.CacheHits++
 		p.mu.Unlock()
-		return true
+		return dst, true
 	}
 	p.mu.Lock()
 	p.stats.CacheMisses++
 	p.mu.Unlock()
-	return false
+	return nil, false
 }
 
 // Overlay applies all *pending* (not yet recycled) log content for block
@@ -610,23 +616,6 @@ func (p *Pool) Pending(block wire.BlockID, off uint32, n int) bool {
 		}
 	}
 	return false
-}
-
-// PendingBytes returns the payload bytes awaiting recycle.
-func (p *Pool) PendingBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var n int64
-	for _, u := range p.queue {
-		if u.state != Recycled {
-			u.mu.RLock()
-			for _, bi := range u.blocks {
-				n += bi.bytes
-			}
-			u.mu.RUnlock()
-		}
-	}
-	return n
 }
 
 // MemoryBytes returns the resident footprint: allocated units times unit

@@ -28,8 +28,7 @@ func TestPoolConfigValidation(t *testing.T) {
 
 // lookup is Lookup into a fresh buffer of size bytes.
 func lookup(p *Pool, b wire.BlockID, off, size uint32) ([]byte, bool) {
-	d := make([]byte, size)
-	return d, p.Lookup(b, off, d)
+	return p.Lookup(b, off, int(size), func() []byte { return make([]byte, size) })
 }
 
 func TestAppendAndLookup(t *testing.T) {
@@ -40,7 +39,8 @@ func TestAppendAndLookup(t *testing.T) {
 	if !ok || string(d) != "hello" {
 		t.Fatalf("lookup = %q, %v", d, ok)
 	}
-	if _, ok := lookup(p, blk(2), 100, 5); ok {
+	// A miss asks for no buffer.
+	if _, ok := p.Lookup(blk(2), 100, 5, func() []byte { t.Fatal("a miss asked for a buffer"); return nil }); ok {
 		t.Fatal("lookup of unlogged block must miss")
 	}
 	s := p.Stats()
@@ -245,8 +245,10 @@ func TestDrainWithRecycler(t *testing.T) {
 	if recycled.Load() == 0 {
 		t.Fatal("nothing recycled")
 	}
-	if pend := p.PendingBytes(); pend != 0 {
-		t.Fatalf("pending bytes after drain = %d", pend)
+	for i := 0; i < 5; i++ {
+		if p.Pending(blk(i), 0, 4096) {
+			t.Fatalf("block %d still pending after drain", i)
+		}
 	}
 	p.Close()
 }
@@ -396,7 +398,7 @@ func TestPoolSetRouting(t *testing.T) {
 		t.Fatal("routing must be stable")
 	}
 	ps.Append(b, 0, []byte("data"), 0)
-	if d := make([]byte, 4); !ps.Lookup(b, 0, d) || string(d) != "data" {
+	if d, ok := lookup(ps.Pick(b), b, 0, 4); !ok || string(d) != "data" {
 		t.Fatal("poolset lookup failed")
 	}
 	dst := make([]byte, 4)

@@ -258,11 +258,6 @@ func (ps *PoolSet) Append(block wire.BlockID, off uint32, data []byte, v time.Du
 	return ps.Pick(block).Append(block, off, data, v)
 }
 
-// Lookup queries the owning pool's cache.
-func (ps *PoolSet) Lookup(block wire.BlockID, off uint32, dst []byte) bool {
-	return ps.Pick(block).Lookup(block, off, dst)
-}
-
 // Drain drains every member pool.
 func (ps *PoolSet) Drain(v time.Duration) {
 	for _, p := range ps.pools {

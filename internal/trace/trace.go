@@ -147,9 +147,9 @@ func Generate(p Params) *Trace {
 	// the same extents are hit repeatedly (temporal locality) and
 	// neighboring sectors inside an extent cluster (spatial locality).
 	extentSize := int64(64 << 10)
-	hotExtents := max64(1, int64(float64(p.FileSize)*p.ZipfHot)/extentSize)
+	hotExtents := max(1, int64(float64(p.FileSize)*p.ZipfHot)/extentSize)
 	zipf := rand.NewZipf(rng, p.ZipfS, 1, uint64(hotExtents-1))
-	totalExtents := max64(1, p.FileSize/extentSize)
+	totalExtents := max(1, p.FileSize/extentSize)
 	// A fixed permutation scatters hot extents across the volume.
 	perm := rng.Perm(int(totalExtents))
 
@@ -202,13 +202,6 @@ func sampleSize(rng *rand.Rand, dist []SizePoint) int {
 		}
 	}
 	return dist[len(dist)-1].Size
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WriteCSV streams the trace in a simple CSV form:

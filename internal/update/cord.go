@@ -22,7 +22,6 @@ import (
 // bottleneck the paper observes.
 type cord struct {
 	cfg Config
-	env Env
 	logLayers
 
 	// collector buffer log: XOR-folding per source data block, single
@@ -35,7 +34,7 @@ type cord struct {
 }
 
 func newCoRD(cfg Config, env Env) (*cord, error) {
-	c := &cord{cfg: cfg, env: env}
+	c := &cord{cfg: cfg}
 	return c, c.declare("cord", cfg, env,
 		layerSpec{
 			name: "collector", phase: 2, pools: 1,
@@ -122,8 +121,4 @@ func (c *cord) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.
 	// charged nothing.
 	fc, _ := c.env.Store().Fold(sim.ClassOther, be.Block, c.cfg.BlockSize, storeExtents(be.Extents))
 	return cost + fc
-}
-
-func (c *cord) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
-	return viewStore(c.env, b, off, n)
 }

@@ -19,13 +19,12 @@ import (
 // is included for completeness.
 type fl struct {
 	cfg Config
-	env Env
 	logLayers
 	dataLog *logpool.PoolSet
 }
 
 func newFL(cfg Config, env Env) (*fl, error) {
-	f := &fl{cfg: cfg, env: env}
+	f := &fl{cfg: cfg}
 	return f, f.declare("fl", cfg, env, layerSpec{
 		name: "data", phase: 1, pools: 1,
 		pool: logpool.Config{
@@ -34,6 +33,9 @@ func newFL(cfg Config, env Env) (*fl, error) {
 			MaxUnits: 1, // a single log: append and recycle exclude each other
 		},
 		workers: 1, block: f.recycleData, into: &f.dataLog,
+		// The log must merge with the old data on reads (FL's read
+		// penalty): base read plus overlay of all pending records.
+		read: readOverlay,
 	})
 }
 
@@ -88,10 +90,4 @@ func (f *fl) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	default:
 		return errResp(fmt.Errorf("fl: unexpected message %v", msg.Kind))
 	}
-}
-
-func (f *fl) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
-	// The log must merge with the old data on reads (FL's read penalty):
-	// base read plus overlay of all pending records.
-	return readThrough(f.env, f.dataLog.Pick(b), b, off, n)
 }

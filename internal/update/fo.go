@@ -16,10 +16,13 @@ import (
 // path is the longest of all methods (paper Fig. 1).
 type fo struct {
 	cfg Config
-	env Env
+	logLayers
 }
 
-func newFO(cfg Config, env Env) *fo { return &fo{cfg: cfg, env: env} }
+func newFO(cfg Config, env Env) (*fo, error) {
+	f := &fo{cfg: cfg}
+	return f, f.declare("fo", cfg, env)
+}
 
 func (f *fo) Name() string { return "fo" }
 
@@ -66,11 +69,3 @@ func applyParityDeltaInPlace(env Env, cfg Config, msg *wire.Msg) (time.Duration,
 	pd := code.ParityDelta(j, int(msg.Idx), msg.Data)
 	return env.Store().Fold(sim.ClassForegroundWrite, msg.Block, cfg.BlockSize, []blockstore.Extent{{Off: msg.Off, Data: pd}})
 }
-
-func (f *fo) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
-	return viewStore(f.env, b, off, n)
-}
-
-func (f *fo) Drain(ctx context.Context, phase int, dead []wire.NodeID) error { return nil }
-
-func (f *fo) Close() {}

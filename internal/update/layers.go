@@ -7,14 +7,16 @@ import (
 	"time"
 
 	"repro/internal/logpool"
+	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // layerSpec declares one log layer of an update method: TSUE's
 // DataLog, DeltaLog and ParityLog (§3.1.2), FL's data log, PL's parity
 // log, CoRD's collector and parity log. A layer is a set of pools, the
-// Drain phase that forces them empty, and the recyclers that empty
-// them in real time.
+// Drain phase that forces them empty, the recyclers that empty them in
+// real time, and its part in reads.
 type layerSpec struct {
 	// name keys the layer in LayerStats and names what it persists:
 	// "<method>-<name>/osd<id>", and "<that>/<i>" for pool i.
@@ -42,7 +44,19 @@ type layerSpec struct {
 	persist *logpool.Persist
 	// replay takes back a side log's persisted record.
 	replay func(block wire.BlockID, off uint32, v int64, data []byte)
+	// read makes a pooled layer the one reads consult (at most one per
+	// method): its pending content is laid over the store's bytes.
+	read readRole
 }
+
+// readRole is a layer's part in reads.
+type readRole uint8
+
+const (
+	readNone    readRole = iota // reads do not consult the layer
+	readOverlay                 // pending content is laid over the store's (FL)
+	readCache                   // ...and a range a unit covers is served from memory (TSUE, §3.3.3)
+)
 
 // declaredLayer is a layerSpec with its persisted name and pools.
 type declaredLayer struct {
@@ -51,19 +65,25 @@ type declaredLayer struct {
 	set  *logpool.PoolSet // nil for a side log
 }
 
-// logLayers is an update method's layer table. Embedded in the method,
-// it derives from the declarations what every log-based method needs:
-// Drain by phase, Settle, Close, LayerStats, MemoryBytes and the crash
-// replay of persisted records (Replayer).
+// logLayers is an update method's layer table. Every method embeds
+// one, and it derives from the declarations the part of Strategy that
+// is not the method's own: Read, Drain by phase, Settle, Close,
+// LayerStats, MemoryBytes and the crash replay of persisted records. A
+// method that declares no pooled layer (FO, PLR, PARIX) reads the
+// store, drains and settles nothing, and reports no layers.
 type logLayers struct {
+	env       Env
 	layers    []declaredLayer
 	recyclers []*logpool.Recycler
+	reader    *declaredLayer // the layer reads consult, nil for none
 }
 
-// declare builds the layers of method on env in the given order — the
-// order Settle waits in — each backed by cfg.Persist when it is set,
-// then starts every recycler. On error no recycler has started.
+// declare binds the table to env and builds the layers of method in
+// the given order — the order Settle waits in — each backed by
+// cfg.Persist when it is set, then starts every recycler. On error no
+// recycler has started.
 func (l *logLayers) declare(method string, cfg Config, env Env, specs ...layerSpec) error {
+	l.env = env
 	for _, s := range specs {
 		d := declaredLayer{layerSpec: s, base: fmt.Sprintf("%s-%s/osd%d", method, s.name, env.ID())}
 		if s.pools == 0 {
@@ -80,7 +100,10 @@ func (l *logLayers) declare(method string, cfg Config, env Env, specs ...layerSp
 		}
 		l.layers = append(l.layers, d)
 	}
-	for _, d := range l.layers {
+	for i, d := range l.layers {
+		if d.read != readNone {
+			l.reader = &l.layers[i]
+		}
 		if d.set == nil {
 			continue
 		}
@@ -93,6 +116,63 @@ func (l *logLayers) declare(method string, cfg Config, env Env, specs ...layerSp
 		}
 	}
 	return nil
+}
+
+// Read returns n bytes of block b from off with read-your-writes over
+// the read layer (Strategy.Read). A range a unit of a cache layer
+// covers is served from memory at no device cost (§3.3.3); a range the
+// read layer holds pending content for is read from the store into a
+// reply buffer with that content laid over it — FL's read penalty;
+// every other range, and every read of a method without a read layer,
+// lends the store's own bytes.
+func (l *logLayers) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
+	if l.reader == nil {
+		return l.env.Store().View(sim.ClassForegroundRead, b, off, n, true)
+	}
+	pool := l.reader.set.Pick(b)
+	var release func()
+	if l.reader.read == readCache {
+		if buf, ok := pool.Lookup(b, off, n, func() (buf []byte) {
+			buf, release = transport.ReplyBuf(n)
+			return buf
+		}); ok {
+			return buf, release, 0, nil
+		}
+	}
+	if !pool.Pending(b, off, n) {
+		return l.env.Store().View(sim.ClassForegroundRead, b, off, n, true)
+	}
+	buf, release := transport.ReplyBuf(n)
+	cost, err := fillThrough(pool, b, off, buf, func(dst []byte) (time.Duration, error) {
+		return l.env.Store().ReadInto(sim.ClassForegroundRead, b, off, dst, true)
+	})
+	if err != nil {
+		release()
+		return nil, nil, 0, err
+	}
+	return buf, release, cost, nil
+}
+
+// fillThrough fills dst with base's read of block b from offset off and
+// lays the pending content of b's pool over it. A unit that finishes
+// recycling between the base read and the overlay is in neither: its
+// store write landed after the read, and the overlay skips recycled
+// units. So the read repeats into dst, each base read priced, until no
+// unit of the pool finished recycling in between.
+func fillThrough(pool *logpool.Pool, b wire.BlockID, off uint32, dst []byte, base func(dst []byte) (time.Duration, error)) (time.Duration, error) {
+	var total time.Duration
+	for {
+		recycled := pool.Stats().UnitsRecycled
+		cost, err := base(dst)
+		if err != nil {
+			return 0, err
+		}
+		total += cost
+		pool.Overlay(b, off, dst)
+		if pool.Stats().UnitsRecycled == recycled {
+			return total, nil
+		}
+	}
 }
 
 // Drain flushes the layers of one phase; the cluster calls phase 1 on

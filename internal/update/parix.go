@@ -25,7 +25,7 @@ import (
 // overwrite-mode index).
 type parix struct {
 	cfg Config
-	env Env
+	logLayers
 
 	// Data-OSD side: which byte ranges of each hosted data block have
 	// already had their originals shipped since the last recycle.
@@ -52,12 +52,13 @@ func newPARIX(cfg Config, env Env) (*parix, error) {
 	if err := refuseDurable("parix", cfg); err != nil {
 		return nil, err
 	}
-	return &parix{
-		cfg: cfg, env: env,
+	p := &parix{
+		cfg:  cfg,
 		spec: make(map[wire.BlockID]*intervalSet),
 		news: make(map[wire.BlockID]*logpool.Index),
 		olds: make(map[wire.BlockID]*logpool.Index),
-	}, nil
+	}
+	return p, p.declare("parix", cfg, env)
 }
 
 func (p *parix) Name() string { return "parix" }
@@ -203,10 +204,6 @@ func (p *parix) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	}
 }
 
-func (p *parix) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
-	return viewStore(p.env, b, off, n)
-}
-
 // Drain recycles the parity logs: for every logged extent the delta is
 // formed from (new XOR original) and folded into the parity block with a
 // random read-modify-write, after a random re-read of the log records.
@@ -294,5 +291,3 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 	}
 	return total
 }
-
-func (p *parix) Close() {}

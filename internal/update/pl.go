@@ -19,7 +19,6 @@ import (
 // with random access — the recycle inefficiency the paper calls out.
 type pl struct {
 	cfg Config
-	env Env
 	logLayers
 	// parityLog holds incoming parity deltas for parity blocks this OSD
 	// hosts. NoMerge: PL exploits no locality.
@@ -27,7 +26,7 @@ type pl struct {
 }
 
 func newPL(cfg Config, env Env) (*pl, error) {
-	p := &pl{cfg: cfg, env: env}
+	p := &pl{cfg: cfg}
 	return p, p.declare("pl", cfg, env, layerSpec{
 		name: "parity", phase: 3, pools: 1,
 		pool:    logpool.Config{Mode: logpool.NoMerge, UnitSize: cfg.RecycleThreshold, MaxUnits: 2},
@@ -96,9 +95,4 @@ func (p *pl) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Du
 	// charged nothing.
 	fc, _ := p.env.Store().Fold(sim.ClassOther, be.Block, p.cfg.BlockSize, pds)
 	return cost + fc
-}
-
-func (p *pl) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
-	// Data blocks are updated in place; no log on the read path.
-	return viewStore(p.env, b, off, n)
 }

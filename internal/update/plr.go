@@ -24,7 +24,7 @@ import (
 // process"), adding latency spikes.
 type plr struct {
 	cfg Config
-	env Env
+	logLayers
 
 	mu   sync.Mutex
 	logs map[wire.BlockID]*plrLog
@@ -46,7 +46,8 @@ func newPLR(cfg Config, env Env) (*plr, error) {
 	if err := refuseDurable("plr", cfg); err != nil {
 		return nil, err
 	}
-	return &plr{cfg: cfg, env: env, logs: make(map[wire.BlockID]*plrLog)}, nil
+	p := &plr{cfg: cfg, logs: make(map[wire.BlockID]*plrLog)}
+	return p, p.declare("plr", cfg, env)
 }
 
 func (p *plr) Name() string { return "plr" }
@@ -134,10 +135,8 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 	return cost + fc
 }
 
-func (p *plr) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
-	return viewStore(p.env, b, off, n)
-}
-
+// Drain recycles every block's reserved log in phase 3; PLR's logs are
+// not log pools, so there are no layers to drain.
 func (p *plr) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
 	if phase != 3 {
 		return nil
@@ -156,5 +155,3 @@ func (p *plr) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
 	}
 	return nil
 }
-
-func (p *plr) Close() {}

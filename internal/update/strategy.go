@@ -10,6 +10,17 @@
 // logs it keeps. Every byte it moves is priced through the device and
 // network models, so workload tables fall out of real execution.
 //
+// A method writes only what is its own: the update path, the peer
+// handler, and the recycle functions of its log layers. It declares
+// its layers once, in one table (layers.go), and the table derives the
+// rest of Strategy for every method alike: Read — which lends the
+// store's bytes unless a layer is declared the read layer (TSUE's
+// DataLog, a read cache, §3.3.3; FL's data log, an overlay) — Drain by
+// phase, Settle, Close, per-layer stats, the memory budget and the
+// crash replay of persisted records. FO, PLR and PARIX declare no
+// pooled layer; PLR, PARIX and TSUE override Drain where they do more
+// than drain pools.
+//
 // Placement handling: strategies keep no placement of their own. The
 // OSD holds one record per stripe — geometry, nodes and placement epoch
 // — learned from every inbound message that carries a placement (client
@@ -77,7 +88,9 @@ func (p Placement) parityNode(j int) wire.NodeID { return p.Loc.Nodes[p.K+j] }
 // to flush any strategy completely (TSUE: DataLog, DeltaLog, ParityLog).
 const DrainPhases = 3
 
-// Strategy is one update method instance, bound to one OSD.
+// Strategy is one update method instance, bound to one OSD. A method
+// writes its own Name, Update and Handle; the rest comes from the
+// layer table it embeds (layers.go).
 type Strategy interface {
 	// Name returns the method name ("tsue", "pl", ...).
 	Name() string
@@ -102,18 +115,25 @@ type Strategy interface {
 	// phases 1..DrainPhases in order; dead lists failed nodes so
 	// replica/copy logs can be promoted.
 	Drain(ctx context.Context, phase int, dead []wire.NodeID) error
+	// Settle waits until every sealed log unit has recycled, without
+	// forcing active units out; harnesses call it before reading
+	// counters.
+	Settle()
+	// LayerStats returns each log layer's pool statistics by layer
+	// name (empty for a method without log pools).
+	LayerStats() map[string]logpool.Stats
+	// MemoryBytes returns the log-buffer budget across layers (0
+	// without log pools).
+	MemoryBytes() int64
+	// ReplayPersisted re-ingests one durably persisted log record after
+	// a restart. The OSD calls it once per surviving (unfolded) record,
+	// in original append order, after seeding its placement table from
+	// the engine; the record goes back into the layer named by the
+	// persistence key it was logged under, and one of a layer this
+	// method does not declare is dropped.
+	ReplayPersisted(layer string, block wire.BlockID, off uint32, v int64, data []byte)
 	// Close stops background workers.
 	Close()
-}
-
-// Replayer is implemented by strategies that can re-ingest durably
-// persisted log records after a restart. The OSD calls ReplayPersisted
-// once per surviving (unfolded) record, in original append order, after
-// seeding its placement table from the engine; the strategy routes the
-// record back into the layer named by the persistence key it was logged
-// under.
-type Replayer interface {
-	ReplayPersisted(layer string, block wire.BlockID, off uint32, v int64, data []byte)
 }
 
 // Config carries the tunables shared by the strategies.
@@ -187,7 +207,7 @@ func New(name string, cfg Config, env Env) (Strategy, error) {
 	}
 	switch name {
 	case "fo":
-		return newFO(cfg, env), nil
+		return newFO(cfg, env)
 	case "fl":
 		return newFL(cfg, env)
 	case "pl":
@@ -310,53 +330,6 @@ func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind
 	return cost + fanCost, nil
 }
 
-// readThrough reads n bytes of block b from off with the pending
-// content of b's data log pool laid over the store's, as Read returns
-// them: with nothing pending for the range it views the store, else it
-// fills a reply buffer (fillThrough).
-func readThrough(env Env, pool *logpool.Pool, b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
-	if !pool.Pending(b, off, n) {
-		return viewStore(env, b, off, n)
-	}
-	buf, release := transport.ReplyBuf(n)
-	cost, err := fillThrough(pool, b, off, buf, func(dst []byte) (time.Duration, error) {
-		return env.Store().ReadInto(sim.ClassForegroundRead, b, off, dst, true)
-	})
-	if err != nil {
-		release()
-		return nil, nil, 0, err
-	}
-	return buf, release, cost, nil
-}
-
-// fillThrough fills dst with base's read of block b from offset off and
-// lays the pending content of b's data log pool over it. A unit that
-// finishes recycling between the base read and the overlay is in
-// neither: its store write landed after the read, and the overlay skips
-// recycled units. So the read repeats into dst, each base read priced,
-// until no unit of the pool finished recycling in between.
-func fillThrough(pool *logpool.Pool, b wire.BlockID, off uint32, dst []byte, base func(dst []byte) (time.Duration, error)) (time.Duration, error) {
-	var total time.Duration
-	for {
-		recycled := pool.Stats().UnitsRecycled
-		cost, err := base(dst)
-		if err != nil {
-			return 0, err
-		}
-		total += cost
-		pool.Overlay(b, off, dst)
-		if pool.Stats().UnitsRecycled == recycled {
-			return total, nil
-		}
-	}
-}
-
-// viewStore views n bytes of block b from off in the block store as a
-// foreground random read.
-func viewStore(env Env, b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
-	return env.Store().View(sim.ClassForegroundRead, b, off, n, true)
-}
-
 // overwriteMsg overwrites a client update's range in place on the
 // foreground path and returns its data delta and modeled cost.
 func overwriteMsg(env Env, cfg Config, msg *wire.Msg) ([]byte, time.Duration, error) {
@@ -406,7 +379,7 @@ func (s *intervalSet) addGaps(lo, hi uint32) []ival {
 	for ; j < len(s.ivs) && s.ivs[j].lo <= hi; j++ {
 		iv := s.ivs[j]
 		if cur < iv.lo {
-			gaps = append(gaps, ival{cur, minU32i(iv.lo, hi)})
+			gaps = append(gaps, ival{cur, min(iv.lo, hi)})
 		}
 		if iv.hi > cur {
 			cur = iv.hi
@@ -431,11 +404,4 @@ func (s *intervalSet) addGaps(lo, hi uint32) []ival {
 func (s *intervalSet) gaps(lo, hi uint32) []ival {
 	probe := intervalSet{ivs: append([]ival(nil), s.ivs...)}
 	return probe.addGaps(lo, hi)
-}
-
-func minU32i(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -40,7 +40,6 @@ import (
 // contribution breakdown.
 type tsue struct {
 	cfg Config
-	env Env
 	logLayers
 
 	dataLogs   *logpool.PoolSet
@@ -71,7 +70,7 @@ type tsue struct {
 
 func newTSUE(cfg Config, env Env) (*tsue, error) {
 	t := &tsue{
-		cfg: cfg, env: env,
+		cfg:       cfg,
 		deltaCopy: make(map[wire.BlockID]*logpool.Index),
 		replicas:  make(map[wire.BlockID]*logpool.Index),
 	}
@@ -99,9 +98,11 @@ func newTSUE(cfg Config, env Env) (*tsue, error) {
 	// asynchronous recycle forwards and stay background-classified.
 	data := pool(logpool.Overwrite, cfg.DataLogLocality)
 	data.Class = sim.ClassForegroundWrite
+	// The DataLog doubles as a read cache (§3.3.3).
 	layers := []layerSpec{{
 		name: "data", phase: 1, pools: pools, pool: data,
 		workers: cfg.Workers, block: t.recycleData, into: &t.dataLogs,
+		read: readCache,
 	}}
 	if cfg.UseDeltaLog {
 		// The DeltaLog merges across the blocks of a stripe (Eq. 5), so
@@ -359,18 +360,6 @@ func (t *tsue) holdCopy(msg *wire.Msg) *wire.Resp {
 		cost += t.env.Dev().Write(sim.ClassOther, int64(len(r.Data)*len(msg.Data)/raw)+32, false, false)
 	}
 	return okResp(cost)
-}
-
-// Read serves client reads: the DataLog doubles as a read cache
-// (§3.3.3) — a fully covered range is served from memory at zero device
-// cost; otherwise the base block is read and pending log content overlaid.
-func (t *tsue) Read(b wire.BlockID, off uint32, n int) ([]byte, func(), time.Duration, error) {
-	buf, release := transport.ReplyBuf(n)
-	if t.dataLogs.Lookup(b, off, buf) {
-		return buf, release, 0, nil
-	}
-	release()
-	return readThrough(t.env, t.dataLogs.Pick(b), b, off, n)
 }
 
 // insertReplica indexes a DataLog replica record and logs it durably.
