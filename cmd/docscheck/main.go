@@ -10,7 +10,9 @@
 //     from (internal/blockstore/blockstore.go) must carry a doc comment,
 //     so neither the one data API, the operator-facing surface
 //     documented in docs/OPERATIONS.md, nor the storage seam can
-//     silently grow undocumented symbols.
+//     silently grow undocumented symbols. Exported methods of
+//     unexported types are linted too: the layer table's strategy
+//     methods and the block store's backends are read through them.
 //
 // It runs from the repository root (CI wires it into the verify job)
 // and exits non-zero listing every violation.
@@ -122,24 +124,6 @@ func checkLinks(root string) []string {
 	return problems
 }
 
-// receiverExported reports whether a function is package API: a plain
-// function, or a method whose receiver type is itself exported (an
-// exported method on an unexported type — say a heap implementation —
-// is not reachable documentation surface).
-func receiverExported(d *ast.FuncDecl) bool {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
-	}
-	t := d.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.IsExported()
-	}
-	return true
-}
-
 // checkGodoc parses the given Go files and reports every exported
 // symbol that lacks a doc comment: functions and methods, types, and the
 // individual specs of const/var blocks (a doc comment on the enclosing
@@ -160,7 +144,10 @@ func checkGodoc(paths []string) []string {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if d.Name.IsExported() && d.Doc == nil && receiverExported(d) {
+				// Exported methods of unexported types count too: an
+				// interface implementation (a backend, a heap, the
+				// layer table's strategy methods) is read through them.
+				if d.Name.IsExported() && d.Doc == nil {
 					report(d.Pos(), "function", d.Name.Name)
 				}
 			case *ast.GenDecl:

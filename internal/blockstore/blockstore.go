@@ -20,6 +20,12 @@
 // the block itself, uncopied, and keeps it intact by copy-on-write:
 // while any view of a block is lent, a write first moves the block to
 // a fresh buffer. The durable engine fills a reply buffer for a view.
+//
+// A whole-block write may hand the store the buffer its data lives in
+// (WriteFull's free): the in-memory backend keeps that buffer as the
+// block instead of copying it, and gives it back once the block no
+// longer holds it and no view of it is lent. The durable engine copies
+// the data into its pages and gives the buffer back at once.
 package blockstore
 
 import (
@@ -144,10 +150,26 @@ func (s *Store) chargeInPlace(class sim.Class, n int) time.Duration {
 // WriteFull stores a whole block, charging the device under class. seq
 // selects sequential pricing (the initial stripe write); a rewrite of an
 // existing block is an overwrite.
-func (s *Store) WriteFull(class sim.Class, id wire.BlockID, data []byte, seq bool) (time.Duration, error) {
+//
+// A non-nil free hands the store data's buffer — a request body taken
+// from its transport (wire.Msg.TakeBody) — and gives it back: the
+// in-memory backend keeps data as the block, uncopied, and runs free
+// once the block has moved off it and its last lent view is released;
+// the durable engine copies data and runs free before returning, on
+// error too. With a nil free the data is copied, and stays the
+// caller's.
+func (s *Store) WriteFull(class sim.Class, id wire.BlockID, data []byte, free func(), seq bool) (time.Duration, error) {
+	var err error
 	s.locks.Lock(id)
 	existed := s.be.Has(id)
-	err := s.be.WriteFull(id, data)
+	if mem, ok := s.be.(*memBackend); ok && free != nil {
+		mem.put(id, &memBlock{b: data, free: free})
+	} else {
+		err = s.be.WriteFull(id, data)
+		if free != nil {
+			free()
+		}
+	}
 	s.locks.Unlock(id)
 	if err != nil {
 		return 0, err
@@ -254,6 +276,12 @@ func (s *Store) Size(id wire.BlockID) int { return s.be.Size(id) }
 // A block's bytes may be lent (lend): while a view of them is out, no
 // write touches them. Each write first takes a buffer it may write in
 // place (own), moving the block to a fresh one while it is lent.
+//
+// A block's buffer may be adopted from a transport (Store.WriteFull's
+// free). Whatever
+// replaces or deletes the block retires its memBlock, and a retired
+// adopted buffer goes back to its transport's pool with its last loan:
+// at once if none is out, else at the release of the last view.
 type memBackend struct {
 	mu     sync.RWMutex
 	blocks map[wire.BlockID]*memBlock
@@ -263,8 +291,34 @@ type memBackend struct {
 // still lent. A write to a lent block replaces the memBlock, so a
 // view's release always counts down the buffer it was lent.
 type memBlock struct {
-	b    []byte
-	lent atomic.Int32 // raised under the block mutex, lowered by releases
+	b []byte
+	// free gives an adopted buffer back to its transport; nil for the
+	// store's own buffers.
+	free func()
+	// state counts the views lent, raised under the block mutex and
+	// lowered by releases, plus retiredBit once the map no longer holds
+	// the block. Zero means a write may touch b in place.
+	state atomic.Int32
+}
+
+// retiredBit marks a memBlock no longer in the map; no view of it can
+// be lent after that.
+const retiredBit = 1 << 30
+
+// retire marks blk replaced or deleted, and frees an adopted buffer now
+// if no view of it is lent.
+func (blk *memBlock) retire() {
+	if blk.state.Or(retiredBit) == 0 && blk.free != nil {
+		blk.free()
+	}
+}
+
+// endLoan ends one view's loan, and frees a retired adopted buffer when
+// it was the last.
+func (blk *memBlock) endLoan() {
+	if blk.state.Add(-1) == retiredBit && blk.free != nil {
+		blk.free()
+	}
 }
 
 func (m *memBackend) get(id wire.BlockID) (*memBlock, bool) {
@@ -274,10 +328,15 @@ func (m *memBackend) get(id wire.BlockID) (*memBlock, bool) {
 	return blk, ok
 }
 
-func (m *memBackend) put(id wire.BlockID, b []byte) {
+// put makes blk the block's buffer and retires the one it replaces.
+func (m *memBackend) put(id wire.BlockID, blk *memBlock) {
 	m.mu.Lock()
-	m.blocks[id] = &memBlock{b: b}
+	old := m.blocks[id]
+	m.blocks[id] = blk
 	m.mu.Unlock()
+	if old != nil {
+		old.retire()
+	}
 }
 
 // span returns the block holding [off, off+n), or an error when it is
@@ -298,7 +357,7 @@ func (m *memBackend) span(id wire.BlockID, off uint32, n int) (*memBlock, error)
 // then a fresh one holding the old bytes replaces it (copy-on-write).
 func (m *memBackend) own(id wire.BlockID, need int) []byte {
 	blk, ok := m.get(id)
-	if ok && len(blk.b) >= need && blk.lent.Load() == 0 {
+	if ok && len(blk.b) >= need && blk.state.Load() == 0 {
 		return blk.b
 	}
 	var old []byte
@@ -307,17 +366,19 @@ func (m *memBackend) own(id wire.BlockID, need int) []byte {
 	}
 	b := make([]byte, max(need, len(old)))
 	copy(b, old)
-	m.put(id, b)
+	m.put(id, &memBlock{b: b})
 	return b
 }
 
+// Ensure creates a zero-filled block of size bytes if absent.
 func (m *memBackend) Ensure(id wire.BlockID, size uint32) error {
 	if _, ok := m.get(id); !ok {
-		m.put(id, make([]byte, size))
+		m.put(id, &memBlock{b: make([]byte, size)})
 	}
 	return nil
 }
 
+// ReadInto copies [off, off+len(dst)) of the block into dst.
 func (m *memBackend) ReadInto(id wire.BlockID, off uint32, dst []byte) error {
 	blk, err := m.span(id, off, len(dst))
 	if err != nil {
@@ -336,33 +397,41 @@ func (m *memBackend) lend(id wire.BlockID, off uint32, n int) ([]byte, func(), e
 	}
 	end := int(off) + n
 	view := blk.b[off:end:end]
-	blk.lent.Add(1)
-	return view, transport.LendRelease(view, func() { blk.lent.Add(-1) }), nil
+	blk.state.Add(1)
+	return view, transport.LendRelease(view, blk.endLoan), nil
 }
 
+// WriteRange writes data at off in place, growing the block to cover
+// it.
 func (m *memBackend) WriteRange(id wire.BlockID, off uint32, data []byte) error {
 	copy(m.own(id, int(off)+len(data))[off:], data)
 	return nil
 }
 
-// WriteFull replaces every byte, so a lent block takes a fresh buffer
-// without copying the old bytes into it.
+// WriteFull copies data over every byte, so a lent block takes a fresh
+// buffer without copying the old bytes into it.
 func (m *memBackend) WriteFull(id wire.BlockID, data []byte) error {
-	if blk, ok := m.get(id); ok && len(blk.b) == len(data) && blk.lent.Load() == 0 {
+	if blk, ok := m.get(id); ok && len(blk.b) == len(data) && blk.state.Load() == 0 {
 		copy(blk.b, data)
 		return nil
 	}
-	m.put(id, append([]byte(nil), data...))
+	m.put(id, &memBlock{b: append([]byte(nil), data...)})
 	return nil
 }
 
+// Delete removes the block, retiring its buffer.
 func (m *memBackend) Delete(id wire.BlockID) error {
 	m.mu.Lock()
+	old := m.blocks[id]
 	delete(m.blocks, id)
 	m.mu.Unlock()
+	if old != nil {
+		old.retire()
+	}
 	return nil
 }
 
+// Snapshot returns a copy of the block's bytes.
 func (m *memBackend) Snapshot(id wire.BlockID) ([]byte, bool) {
 	blk, ok := m.get(id)
 	if !ok {
@@ -371,11 +440,13 @@ func (m *memBackend) Snapshot(id wire.BlockID) ([]byte, bool) {
 	return append([]byte(nil), blk.b...), true
 }
 
+// Has reports whether the block exists.
 func (m *memBackend) Has(id wire.BlockID) bool {
 	_, ok := m.get(id)
 	return ok
 }
 
+// Size returns the block's length, or -1 if absent.
 func (m *memBackend) Size(id wire.BlockID) int {
 	blk, ok := m.get(id)
 	if !ok {
@@ -384,6 +455,7 @@ func (m *memBackend) Size(id wire.BlockID) int {
 	return len(blk.b)
 }
 
+// Blocks returns the ids of every block.
 func (m *memBackend) Blocks() []wire.BlockID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

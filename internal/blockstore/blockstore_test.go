@@ -42,7 +42,7 @@ func readRange(s *Store, id wire.BlockID, off uint32, size int) ([]byte, time.Du
 
 func mustWriteFull(t *testing.T, s *Store, id wire.BlockID, data []byte) {
 	t.Helper()
-	if _, err := s.WriteFull(sim.ClassOther, id, data, true); err != nil {
+	if _, err := s.WriteFull(sim.ClassOther, id, data, nil, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,7 +50,7 @@ func mustWriteFull(t *testing.T, s *Store, id wire.BlockID, data []byte) {
 func TestWriteFullReadBack(t *testing.T) {
 	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
 		data := []byte("hello block store")
-		if cost, err := s.WriteFull(sim.ClassOther, bid(1), data, true); err != nil || cost <= 0 {
+		if cost, err := s.WriteFull(sim.ClassOther, bid(1), data, nil, true); err != nil || cost <= 0 {
 			t.Fatalf("write must cost device time: %v %v", cost, err)
 		}
 		got, cost, err := readRange(s, bid(1), 6, 5)
@@ -300,7 +300,7 @@ func TestEngineErrorsSurface(t *testing.T) {
 	s := NewDurable(device.New("test", device.ChameleonSSD()), eng)
 	mustWriteFull(t, s, bid(1), make([]byte, 16))
 	eng.Crash()
-	if _, err := s.WriteFull(sim.ClassOther, bid(1), make([]byte, 16), true); err == nil {
+	if _, err := s.WriteFull(sim.ClassOther, bid(1), make([]byte, 16), nil, true); err == nil {
 		t.Fatal("WriteFull on a crashed engine must fail")
 	}
 	if _, err := s.Fold(sim.ClassOther, bid(2), 16, nil); err == nil {
@@ -374,7 +374,7 @@ func TestViewKeepsLentBytes(t *testing.T) {
 			return err
 		},
 		"write-full": func(s *Store, id wire.BlockID) error {
-			_, err := s.WriteFull(sim.ClassOther, id, bytes.Repeat([]byte{0x44}, size), false)
+			_, err := s.WriteFull(sim.ClassOther, id, bytes.Repeat([]byte{0x44}, size), nil, false)
 			return err
 		},
 		"delete": func(s *Store, id wire.BlockID) error { return s.Delete(id) },
@@ -411,7 +411,7 @@ func TestViewKeepsLentBytes(t *testing.T) {
 					release2()
 				}
 				for _, blk := range []*memBlock{lentBlk, memBlockOf(s, id)} {
-					if blk != nil && blk.lent.Load() != 0 {
+					if blk != nil && blk.state.Load()&^retiredBit != 0 {
 						t.Fatal("released views left a loan")
 					}
 				}
@@ -451,7 +451,7 @@ func TestConcurrentViewsAndWrites(t *testing.T) {
 					var err error
 					switch i % 3 {
 					case 0:
-						_, err = s.WriteFull(sim.ClassOther, id, v, false)
+						_, err = s.WriteFull(sim.ClassOther, id, v, nil, false)
 					case 1:
 						_, err = s.WriteRange(sim.ClassOther, id, 0, v, true, size)
 					case 2:
@@ -482,8 +482,66 @@ func TestConcurrentViewsAndWrites(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if blk := memBlockOf(s, id); blk != nil && blk.lent.Load() != 0 {
-			t.Fatalf("%d views still lent", blk.lent.Load())
+		if blk := memBlockOf(s, id); blk != nil && blk.state.Load() != 0 {
+			t.Fatalf("%d views still lent", blk.state.Load())
 		}
+	})
+}
+
+// TestWriteFullHandsBufferBack: a whole-block write given its buffer's
+// free keeps the data uncopied in memory and frees the buffer once the
+// block moves off it and no view of it is lent — after an overwrite or
+// a delete, or at the last view's release — while the durable engine
+// copies and frees at once. Every free runs exactly once.
+func TestWriteFullHandsBufferBack(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		freed := map[string]int{}
+		write := func(name string, id wire.BlockID, v byte) []byte {
+			t.Helper()
+			data := bytes.Repeat([]byte{v}, 64)
+			if _, err := s.WriteFull(sim.ClassOther, id, data, func() { freed[name]++ }, true); err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		_, mem := s.be.(*memBackend)
+		want := func(counts map[string]int) {
+			t.Helper()
+			if !mem { // the engine frees every buffer before WriteFull returns
+				for name := range freed {
+					counts[name] = 1
+				}
+			}
+			for name, n := range freed {
+				if counts[name] != n {
+					t.Fatalf("frees %v, want %v", freed, counts)
+				}
+			}
+		}
+		a := write("a1", bid(1), 1)
+		if snap, _ := s.Snapshot(bid(1)); !bytes.Equal(snap, a) {
+			t.Fatal("written block reads back wrong")
+		}
+		if mem && &memBlockOf(s, bid(1)).b[0] != &a[0] {
+			t.Fatal("the in-memory block copied a buffer it was handed")
+		}
+		want(map[string]int{"a1": 0})
+		write("a2", bid(1), 2)
+		want(map[string]int{"a1": 1, "a2": 0})
+		view, release, _, err := s.View(sim.ClassOther, bid(1), 0, 64, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write("a3", bid(1), 3)
+		want(map[string]int{"a1": 1, "a2": 0, "a3": 0})
+		if !bytes.Equal(view, bytes.Repeat([]byte{2}, 64)) {
+			t.Fatal("a lent view changed under a whole-block write")
+		}
+		release()
+		want(map[string]int{"a1": 1, "a2": 1, "a3": 0})
+		if err := s.Delete(bid(1)); err != nil {
+			t.Fatal(err)
+		}
+		want(map[string]int{"a1": 1, "a2": 1, "a3": 1})
 	})
 }

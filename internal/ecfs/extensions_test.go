@@ -198,7 +198,7 @@ func TestScrub(t *testing.T) {
 	pb := wireBlock(ino1, 0, uint8(c.Opts.K))
 	snap, _ := pNode.Store().Snapshot(pb)
 	snap[0] ^= 0xff
-	pNode.Store().WriteFull(sim.ClassOther, pb, snap, true)
+	pNode.Store().WriteFull(sim.ClassOther, pb, snap, nil, true)
 	if _, err := c.Scrub(); err == nil {
 		t.Fatal("scrub missed a corrupted parity block")
 	}

@@ -130,6 +130,11 @@ func (f *File) UpdateAt(ctx context.Context, off int64, data []byte, v time.Dura
 	if err != nil {
 		return 0, err
 	}
+	if len(parts) == 1 {
+		// The common single-block update runs inline.
+		p := parts[0]
+		return f.cli.updatePart(ctx, p, data[p.src:p.src+p.n], v)
+	}
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex

@@ -75,6 +75,7 @@ func NewOSD(id wire.NodeID, prof device.Profile, rpc transport.RPC, method strin
 // segment layer.
 type enginePersist struct{ eng *store.Engine }
 
+// Layer returns the engine's segment layer for the named pool.
 func (p enginePersist) Layer(name string) logpool.Persist { return p.eng.Layer(name) }
 
 // NewOSDAt is NewOSD with a data directory. A non-empty dataDir selects
@@ -357,11 +358,7 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		if stale := o.checkEpoch(msg); stale != nil {
 			return stale
 		}
-		cost, err := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, true)
-		if err != nil {
-			return wire.ErrorResp(err)
-		}
-		return &wire.Resp{Cost: cost}
+		return o.storeBlock(msg)
 	case wire.KUpdate:
 		key := stripeKey{msg.Block.Ino, msg.Block.Stripe}
 		o.beginMutation(key)
@@ -422,11 +419,7 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 				return &wire.Resp{Val: 1} // acknowledged, intentionally not applied
 			}
 		}
-		cost, err := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, true)
-		if err != nil {
-			return wire.ErrorResp(err)
-		}
-		return &wire.Resp{Cost: cost}
+		return o.storeBlock(msg)
 	case wire.KDrainLogs:
 		dead := decodeDeadList(msg.Data)
 		if err := o.strategy.Drain(ctx, int(msg.Flag), dead); err != nil {
@@ -444,6 +437,18 @@ func (o *OSD) Handler(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		}
 		return o.strategy.Handle(ctx, msg)
 	}
+}
+
+// storeBlock writes the whole block a KWriteBlock or KBlockStore
+// carries. The request's buffer becomes the block when its transport
+// offers it (wire.Msg.TakeBody) and the store is in memory; otherwise
+// the store copies the payload.
+func (o *OSD) storeBlock(msg *wire.Msg) *wire.Resp {
+	cost, err := o.store.WriteFull(msg.TrafficClass(), msg.Block, msg.Data, msg.TakeBody(), true)
+	if err != nil {
+		return wire.ErrorResp(err)
+	}
+	return &wire.Resp{Cost: cost}
 }
 
 // viewResp replies with read bytes and attaches their release, which

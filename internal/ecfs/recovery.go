@@ -289,7 +289,7 @@ func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 		sr.Replayed = replayed
 		sr.Replay = cost
 	}
-	cost, err := r.repl.store.WriteFull(sim.ClassRebuild, lost, data, true)
+	cost, err := r.repl.store.WriteFull(sim.ClassRebuild, lost, data, nil, true)
 	if err != nil {
 		return sr, fmt.Errorf("ecfs: store rebuilt %v: %w", lost, err)
 	}

@@ -63,24 +63,37 @@ type repairQueue struct {
 	promoted int
 }
 
+// repairHeap orders the queue's items for container/heap: promoted
+// stripes first, then arrival order. Each item keeps its index (pos)
+// so a promotion can heap.Fix it in place.
 type repairHeap []*repairItem
 
+// Len is the number of queued items.
 func (h repairHeap) Len() int { return len(h) }
+
+// Less puts promoted items first, the most recent promotion foremost,
+// and otherwise keeps FIFO order.
 func (h repairHeap) Less(i, j int) bool {
 	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio // promoted first, most recent promotion foremost
+		return h[i].prio > h[j].prio
 	}
-	return h[i].seed < h[j].seed // FIFO otherwise
+	return h[i].seed < h[j].seed
 }
+
+// Swap exchanges two items and their recorded positions.
 func (h repairHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].pos, h[j].pos = i, j
 }
+
+// Push appends an item, recording its position.
 func (h *repairHeap) Push(x any) {
 	it := x.(*repairItem)
 	it.pos = len(*h)
 	*h = append(*h, it)
 }
+
+// Pop removes and returns the last item.
 func (h *repairHeap) Pop() any {
 	old := *h
 	n := len(old)

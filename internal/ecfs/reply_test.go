@@ -7,9 +7,11 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/erasure"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/update"
 	"repro/internal/wire"
@@ -292,4 +294,182 @@ func TestTCPLentReadsRaceWrites(t *testing.T) {
 	}
 	wg.Wait()
 	settled()
+}
+
+// tcpFOOSD serves an in-memory FO OSD of blockSize blocks over TCP
+// with the pool debug mode armed, and returns it with a client of its
+// server.
+func tcpFOOSD(t *testing.T, blockSize int) (*OSD, *transport.TCPClient) {
+	t.Helper()
+	cfg := update.DefaultConfig()
+	cfg.BlockSize = blockSize
+	o, err := NewOSD(1, device.ChameleonSSD(), ackRPC{}, "fo", cfg, erasure.Vandermonde)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.Close)
+	srv, err := transport.ServeTCP(1, "127.0.0.1:0", o.Handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	rpc := transport.NewTCPClient(map[wire.NodeID]string{1: srv.Addr()})
+	t.Cleanup(rpc.Close)
+	transport.SetPoolDebug(true)
+	t.Cleanup(func() { transport.SetPoolDebug(false) })
+	return o, rpc
+}
+
+// awaitTaken waits for the request buffers taken since base and not
+// given back to number want. A TCP server ends a reply's loan of a
+// block after the reply's flush, so a buffer a write retired under a
+// read is given back a moment after the client saw the reply.
+func awaitTaken(t *testing.T, base, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for transport.PoolDebugTaken()-base != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d request buffers held, want %d", transport.PoolDebugTaken()-base, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// callOK makes one call and fails the test unless it succeeds.
+func callOK(t *testing.T, rpc transport.RPC, msg *wire.Msg) *wire.Resp {
+	t.Helper()
+	resp, err := rpc.Call(context.Background(), 1, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK() {
+		t.Fatal(resp.Err)
+	}
+	return resp
+}
+
+// TestTCPWriteBlockAdoptsRequestBuffer: a KWriteBlock served over TCP
+// keeps its request buffer as the in-memory block and gives the
+// block's previous buffer back to the frame pool, so later requests on
+// the connection reuse pooled buffers instead of allocating a block
+// each, and the block reads back exactly after every rewrite — with
+// released buffers poisoned by the pool debug mode. Deleting the block
+// gives its buffer back too.
+func TestTCPWriteBlockAdoptsRequestBuffer(t *testing.T) {
+	const blockSize = 1 << 20
+	o, rpc := tcpFOOSD(t, blockSize)
+	base := transport.PoolDebugTaken()
+	b := wire.BlockID{Ino: 1}
+	content := make([]byte, blockSize)
+	got := make([]byte, blockSize)
+	rng := rand.New(rand.NewSource(9))
+	write := func() {
+		rng.Read(content)
+		callOK(t, rpc, &wire.Msg{Kind: wire.KWriteBlock, Block: b, Loc: replyLoc, K: 2, M: 1, Data: content}).Release()
+	}
+	check := func() {
+		read := &wire.Msg{Kind: wire.KRead, Block: b, Size: blockSize, Loc: replyLoc}
+		read.SetReplyBuf(got)
+		resp := callOK(t, rpc, read)
+		if !bytes.Equal(resp.Data, content) {
+			t.Fatal("the block does not read back as written")
+		}
+		resp.Release()
+		awaitTaken(t, base, 1) // the block's own
+	}
+	for i := 0; i < 8; i++ {
+		write()
+		check()
+	}
+	// A write that took its buffer and gave none back would allocate a
+	// block per write. The bound is three quarters of that, not less:
+	// under the race detector sync.Pool drops a quarter of what is put
+	// back at random.
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	perWrite := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f B allocated per write", perWrite)
+	if perWrite >= blockSize*3/4 {
+		t.Errorf("%.0f bytes allocated per 1 MiB write: requests do not reuse the buffers blocks give back", perWrite)
+	}
+	check()
+	if snap, _ := o.Store().Snapshot(b); !bytes.Equal(snap, content) {
+		t.Fatal("the store holds other bytes than the last write")
+	}
+	if err := o.Store().Delete(b); err != nil {
+		t.Fatal(err)
+	}
+	awaitTaken(t, base, 0)
+}
+
+// TestTCPAdoptingWriteKeepsLentView: a view of a block lent before a
+// KWriteBlock adopts a new buffer for it keeps its bytes while later
+// requests on the connection churn the frame pool, and the block's old
+// buffer goes back to the pool only at the view's release.
+func TestTCPAdoptingWriteKeepsLentView(t *testing.T) {
+	const blockSize = 1 << 20
+	o, rpc := tcpFOOSD(t, blockSize)
+	base := transport.PoolDebugTaken()
+	a, b := wire.BlockID{Ino: 1}, wire.BlockID{Ino: 2}
+	old := bytes.Repeat([]byte{0x11}, blockSize)
+	callOK(t, rpc, &wire.Msg{Kind: wire.KWriteBlock, Block: a, Loc: replyLoc, K: 2, M: 1, Data: old}).Release()
+	view, release, _, err := o.Store().View(sim.ClassOther, a, 0, blockSize, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := bytes.Repeat([]byte{0x22}, blockSize)
+	callOK(t, rpc, &wire.Msg{Kind: wire.KWriteBlock, Block: a, Loc: replyLoc, K: 2, M: 1, Data: next}).Release()
+	for i := 0; i < 8; i++ {
+		fill := bytes.Repeat([]byte{byte(0x30 + i)}, blockSize)
+		callOK(t, rpc, &wire.Msg{Kind: wire.KWriteBlock, Block: b, Loc: replyLoc, K: 2, M: 1, Data: fill}).Release()
+		callOK(t, rpc, &wire.Msg{Kind: wire.KBlockFetch, Block: a}).Release()
+	}
+	if !bytes.Equal(view, old) {
+		t.Fatal("a lent view changed under an adopting write")
+	}
+	// a's old and new buffers and b's: the old one waits for the view.
+	if taken := transport.PoolDebugTaken() - base; taken != 3 {
+		t.Fatalf("%d request buffers held while the view is lent, want 3", taken)
+	}
+	release()
+	if taken := transport.PoolDebugTaken() - base; taken != 2 {
+		t.Fatalf("%d request buffers held after the view's release, want 2", taken)
+	}
+	if snap, _ := o.Store().Snapshot(a); !bytes.Equal(snap, next) {
+		t.Fatal("the block lost the adopting write")
+	}
+}
+
+// TestInprocWriteBlockCopiesCallerBuffer: the in-process transport
+// offers no request buffer, so the OSD copies a KWriteBlock's payload
+// and a caller that reuses its buffer after Call leaves the block
+// unchanged.
+func TestInprocWriteBlockCopiesCallerBuffer(t *testing.T) {
+	const blockSize = 64 << 10
+	cfg := update.DefaultConfig()
+	cfg.BlockSize = blockSize
+	o, err := NewOSD(1, device.ChameleonSSD(), ackRPC{}, "fo", cfg, erasure.Vandermonde)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.Close)
+	tr := transport.NewInproc(nil)
+	tr.Register(1, o.Handler)
+	rpc := tr.Caller(wire.ClientIDBase)
+	b := wire.BlockID{Ino: 1}
+	buf := bytes.Repeat([]byte{0x5a}, blockSize)
+	callOK(t, rpc, &wire.Msg{Kind: wire.KWriteBlock, Block: b, Loc: replyLoc, K: 2, M: 1, Data: buf}).Release()
+	for i := range buf {
+		buf[i] = 0xa5
+	}
+	resp := callOK(t, rpc, &wire.Msg{Kind: wire.KRead, Block: b, Size: blockSize, Loc: replyLoc})
+	defer resp.Release()
+	if !bytes.Equal(resp.Data, bytes.Repeat([]byte{0x5a}, blockSize)) {
+		t.Fatal("reusing the caller's buffer changed the block")
+	}
 }

@@ -43,12 +43,24 @@ const maxPayload = 1 << 26 // 64 MiB
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// maxRetained bounds the frame buffer a Log keeps between appends: a
+// whole 1 MiB block's WAL record fits, a one-off larger record is not
+// pinned for the log's lifetime.
+const maxRetained = 2 << 20
+
 // AppendFrame appends one framed record to dst.
 func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
+	return appendFrame(dst, kind, payload, nil)
+}
+
+// appendFrame appends one framed record whose payload is head followed
+// by data.
+func appendFrame(dst []byte, kind byte, head, data []byte) []byte {
 	at := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(head)+len(data)))
 	dst = append(dst, 0, 0, 0, 0, kind)
-	dst = append(dst, payload...)
+	dst = append(dst, head...)
+	dst = append(dst, data...)
 	binary.LittleEndian.PutUint32(dst[at+4:], crc32.Checksum(dst[at+8:], castagnoli))
 	return dst
 }
@@ -90,6 +102,8 @@ func Scan(r io.ReaderAt, size int64, fn func(kind byte, payload []byte) bool) in
 type Log struct {
 	f   *os.File
 	off int64 // append offset: the end of the committed prefix
+	// buf is the frame buffer appends reuse, kept up to maxRetained.
+	buf []byte
 
 	records, bytes, syncs int64
 }
@@ -126,10 +140,21 @@ func Create(path string) (*Log, error) {
 	return &Log{f: f}, nil
 }
 
-// Append frames and writes one record with a single WriteAt, returning
-// once the bytes are handed to the kernel.
-func (l *Log) Append(kind byte, payload []byte) error {
-	frame := AppendFrame(make([]byte, 0, HeaderSize+len(payload)), kind, payload)
+// Append frames and writes one record, whose payload is head followed
+// by data, with a single WriteAt, returning once the bytes are handed
+// to the kernel. The record's bytes are AppendFrame's for head‖data:
+// callers encode a record's fixed fields into head, typically on the
+// stack, and pass its bulk payload as data, which is copied once, into
+// the log's reused frame buffer. Neither slice is kept.
+func (l *Log) Append(kind byte, head, data []byte) error {
+	n := HeaderSize + len(head) + len(data)
+	if cap(l.buf) < n {
+		l.buf = make([]byte, 0, n)
+	}
+	frame := appendFrame(l.buf[:0], kind, head, data)
+	if cap(frame) > maxRetained {
+		l.buf = nil
+	}
 	if _, err := l.f.WriteAt(frame, l.off); err != nil {
 		return err
 	}

@@ -151,7 +151,8 @@ func TestLogAppendReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range want {
-		if err := l.Append(f.kind, f.payload); err != nil {
+		h := len(f.payload) / 2
+		if err := l.Append(f.kind, f.payload[:h], f.payload[h:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,12 +201,78 @@ func TestLogAppendReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Append(9, []byte("fresh")); err != nil {
+	if err := c.Append(9, nil, []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)
 	if !bytes.Equal(b, AppendFrame(nil, 9, []byte("fresh"))) {
 		t.Fatalf("created log holds %q", b)
+	}
+}
+
+// TestAppendPartsWritesAppendFrame: a record appended from a head and
+// a payload is, byte for byte, AppendFrame's frame of head‖data, for
+// every split of the payload and after the frame buffer has grown,
+// shrunk and been dropped for an oversized record.
+func TestAppendPartsWritesAppendFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.bin")
+	l, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var want []byte
+	payloads := [][]byte{
+		[]byte("0123456789"),
+		nil,
+		bytes.Repeat([]byte{0xa5}, 4096),
+		[]byte("short after long"),
+		bytes.Repeat([]byte{0x3c}, maxRetained+1),
+		[]byte("after the oversized record"),
+	}
+	for i, p := range payloads {
+		for _, h := range []int{0, len(p) / 3, len(p)} {
+			kind := byte(i*3 + h%7)
+			if err := l.Append(kind, p[:h], p[h:]); err != nil {
+				t.Fatal(err)
+			}
+			want = AppendFrame(want, kind, p)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("appends from parts differ from AppendFrame's frames")
+	}
+	if cap(l.buf) > maxRetained {
+		t.Fatalf("log kept a %d-byte frame buffer", cap(l.buf))
+	}
+}
+
+// TestWarmAppendAllocatesNothing gates the append path: once its frame
+// buffer has grown, an append from a head and a payload allocates
+// nothing.
+func TestWarmAppendAllocatesNothing(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "log.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	data := bytes.Repeat([]byte{7}, 4096)
+	var head [16]byte
+	if err := l.Append(1, head[:], data); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		binary.LittleEndian.PutUint64(head[:], uint64(l.Size()))
+		if err := l.Append(1, head[:], data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm append allocates %.1f times", allocs)
 	}
 }
 
@@ -288,7 +355,7 @@ func FuzzScan(f *testing.F) {
 		if info, err := os.Stat(path); err != nil || info.Size() != tail {
 			t.Fatalf("file not truncated to %d: %v %v", tail, info, err)
 		}
-		if err := l.Append(42, []byte("after recovery")); err != nil {
+		if err := l.Append(42, []byte("after "), []byte("recovery")); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		l.Close()

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // seedCorpus is the committed fuzz seed corpus under
@@ -62,5 +64,53 @@ func TestWriteSeedCorpus(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), corpusFile(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAppendWritesSeedCorpus: the op log Log.Append writes, record by
+// record, is the committed oplog-valid seed — the bytes a log written
+// by an earlier build holds, so it reopens unchanged.
+func TestAppendWritesSeedCorpus(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, r := range sampleRecords() {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "oplog.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, seedCorpus(t)["oplog-valid"]) {
+		t.Fatal("appended op log differs from the committed seed")
+	}
+}
+
+// TestWarmAppendAllocatesNothing gates the op log's append path: a
+// record is encoded on the stack and framed in the log's reused
+// buffer.
+func TestWarmAppendAllocatesNothing(t *testing.T) {
+	l, _, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	r := Record{Kind: KindBind, Ino: 17, Stripe: 3, Nodes: []wire.NodeID{1, 2, 3, 4, 5, 6, 7, 8, 9}}
+	if err := l.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Epoch++
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm op-log append allocates %.1f times", allocs)
 	}
 }

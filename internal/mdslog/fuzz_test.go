@@ -13,7 +13,7 @@ import (
 // frameRecord renders one framed record the way Append lays it down.
 func frameRecord(t testing.TB, r Record) []byte {
 	t.Helper()
-	payload, err := encodeRecord(r)
+	payload, err := appendRecord(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func Open(dir string, opts Options) (*Log, *State, []Record, error) {
 		return nil, nil, nil, err
 	}
 	// A CRC-valid record that fails strict decoding also ends the
-	// committed prefix: decodeRecord accepts exactly what encodeRecord
+	// committed prefix: decodeRecord accepts exactly what appendRecord
 	// writes.
 	var recs []Record
 	log, err := framelog.Open(filepath.Join(dir, "oplog.bin"), func(kind byte, payload []byte) bool {
@@ -112,7 +112,8 @@ func Open(dir string, opts Options) (*Log, *State, []Record, error) {
 // two — returning only once the bytes are handed to the kernel. Any
 // failure freezes the log.
 func (l *Log) Append(r Record) error {
-	payload, err := encodeRecord(r)
+	var head [recordCap]byte
+	payload, err := appendRecord(head[:0], r)
 	if err != nil {
 		return err
 	}
@@ -128,7 +129,7 @@ func (l *Log) Append(r Record) error {
 		}
 		l.failAfter--
 	}
-	if err := l.log.Append(byte(r.Kind), payload); err != nil {
+	if err := l.log.Append(byte(r.Kind), payload, nil); err != nil {
 		l.crashed = true
 		return fmt.Errorf("mdslog: append: %w", err)
 	}

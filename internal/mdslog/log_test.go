@@ -29,7 +29,7 @@ func sampleRecords() []Record {
 
 func TestRecordRoundTrip(t *testing.T) {
 	for _, want := range sampleRecords() {
-		p, err := encodeRecord(want)
+		p, err := appendRecord(nil, want)
 		if err != nil {
 			t.Fatalf("encode %v: %v", want.Kind, err)
 		}
@@ -46,7 +46,7 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("%v decoded with a trailing byte", want.Kind)
 		}
 	}
-	p, err := encodeRecord(Record{Kind: KindNode, Node: 5})
+	p, err := appendRecord(nil, Record{Kind: KindNode, Node: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,52 +64,54 @@ type Record struct {
 // record cannot drive a giant allocation during replay.
 const maxNameLen = 1 << 16
 
+// recordCap is the stack array Log.Append encodes a record into: a
+// bind record of up to 26 nodes fits, a longer record moves to the
+// heap.
+const recordCap = 128
+
 // KindNode state bits; any other bit set fails strict decoding.
 const (
 	nodeInPool   = 1 << 0
 	nodeDraining = 1 << 1
 )
 
-// encodeRecord renders a record's fixed-layout little-endian payload
-// (the framing adds kind, length, and CRC).
-func encodeRecord(r Record) ([]byte, error) {
+// appendRecord appends a record's fixed-layout little-endian payload
+// to dst (the framing adds kind, length, and CRC).
+func appendRecord(dst []byte, r Record) ([]byte, error) {
 	switch r.Kind {
 	case KindCreate:
 		if len(r.Name) >= maxNameLen {
-			return nil, fmt.Errorf("mdslog: name too long (%d bytes)", len(r.Name))
+			return dst, fmt.Errorf("mdslog: name too long (%d bytes)", len(r.Name))
 		}
-		p := make([]byte, 10+len(r.Name))
-		binary.LittleEndian.PutUint64(p[0:8], r.Ino)
-		binary.LittleEndian.PutUint16(p[8:10], uint16(len(r.Name)))
-		copy(p[10:], r.Name)
-		return p, nil
+		dst = binary.LittleEndian.AppendUint64(dst, r.Ino)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Name)))
+		return append(dst, r.Name...), nil
 	case KindBind:
-		p := make([]byte, 22+4*len(r.Nodes))
-		binary.LittleEndian.PutUint64(p[0:8], r.Ino)
-		binary.LittleEndian.PutUint32(p[8:12], r.Stripe)
-		binary.LittleEndian.PutUint64(p[12:20], r.Epoch)
-		binary.LittleEndian.PutUint16(p[20:22], uint16(len(r.Nodes)))
-		for i, n := range r.Nodes {
-			binary.LittleEndian.PutUint32(p[22+4*i:], uint32(n))
+		dst = binary.LittleEndian.AppendUint64(dst, r.Ino)
+		dst = binary.LittleEndian.AppendUint32(dst, r.Stripe)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Nodes)))
+		for _, n := range r.Nodes {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 		}
-		return p, nil
+		return dst, nil
 	case KindNode:
 		if len(r.Name) >= maxNameLen {
-			return nil, fmt.Errorf("mdslog: addr too long (%d bytes)", len(r.Name))
+			return dst, fmt.Errorf("mdslog: addr too long (%d bytes)", len(r.Name))
 		}
-		p := make([]byte, 7+len(r.Name))
-		binary.LittleEndian.PutUint32(p[0:4], uint32(r.Node))
+		var state byte
 		if r.InPool {
-			p[4] |= nodeInPool
+			state |= nodeInPool
 		}
 		if r.Draining {
-			p[4] |= nodeDraining
+			state |= nodeDraining
 		}
-		binary.LittleEndian.PutUint16(p[5:7], uint16(len(r.Name)))
-		copy(p[7:], r.Name)
-		return p, nil
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Node))
+		dst = append(dst, state)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Name)))
+		return append(dst, r.Name...), nil
 	}
-	return nil, fmt.Errorf("mdslog: cannot encode kind %v", r.Kind)
+	return dst, fmt.Errorf("mdslog: cannot encode kind %v", r.Kind)
 }
 
 // decodeRecord parses one payload. Decoding is strict — the payload

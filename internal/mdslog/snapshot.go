@@ -86,12 +86,13 @@ func encodeSnapshot(st *State) ([]byte, error) {
 	}
 	u32(uint32(len(st.Nodes)))
 	for _, r := range st.Nodes {
-		p, err := encodeRecord(r)
-		if err != nil {
+		at := len(b)
+		u16(0) // the record's length, set once it is appended
+		var err error
+		if b, err = appendRecord(b, r); err != nil {
 			return nil, err
 		}
-		u16(uint16(len(p)))
-		b = append(b, p...)
+		binary.LittleEndian.PutUint16(b[at:], uint16(len(b)-at-2))
 	}
 	return b, nil
 }

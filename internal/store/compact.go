@@ -39,7 +39,8 @@ func (l *Layer) AppendEntry(gen uint64, block wire.BlockID, off uint32, v int64,
 	seq := e.seq
 	e.seq++
 	before := sf.log.Size()
-	if sf.log.Append(segEntry, encodeSegEntry(seq, block, off, v, data)) != nil {
+	var head [headCap]byte
+	if sf.log.Append(segEntry, appendSegEntry(head[:0], seq, block, off, v), data) != nil {
 		return
 	}
 	e.stats.SegAppends++
@@ -59,9 +60,8 @@ func (l *Layer) FoldBlock(gen uint64, block wire.BlockID) {
 	if !ok {
 		return
 	}
-	var p [blockIDLen]byte
-	putBlockID(p[:], block)
-	sf.log.Append(segFoldBlock, p[:])
+	var head [headCap]byte
+	sf.log.Append(segFoldBlock, appendBlockID(head[:0], block), nil)
 }
 
 // FoldUnit marks the whole generation folded; the file becomes
@@ -77,7 +77,7 @@ func (l *Layer) FoldUnit(gen uint64) {
 	if !ok {
 		return
 	}
-	if sf.log.Append(segFoldUnit, nil) == nil {
+	if sf.log.Append(segFoldUnit, nil, nil) == nil {
 		sf.unit = true
 	}
 }
@@ -94,7 +94,7 @@ func (e *Engine) segFor(layer string, gen uint64) (*segFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := log.Append(segHeader, encodeSegHeader(layer, gen)); err != nil {
+	if err := log.Append(segHeader, appendSegHeader(nil, layer, gen), nil); err != nil {
 		log.Close()
 		return nil, err
 	}

@@ -185,7 +185,8 @@ func (e *Engine) Ensure(id wire.BlockID, size uint32) error {
 	if _, ok := e.blocks[id]; ok {
 		return nil
 	}
-	if err := e.logAppend(opEnsure, encodeEnsure(id, size)); err != nil {
+	var head [headCap]byte
+	if err := e.logAppend(opEnsure, appendEnsure(head[:0], id, size), nil); err != nil {
 		return err
 	}
 	e.applyEnsure(id, size)
@@ -203,7 +204,8 @@ func (e *Engine) WriteRange(id wire.BlockID, off uint32, data []byte) error {
 	if bm, ok := e.blocks[id]; ok && bm.length > blockLen {
 		blockLen = bm.length
 	}
-	if err := e.logAppend(opWrite, encodeWrite(id, blockLen, off, data)); err != nil {
+	var head [headCap]byte
+	if err := e.logAppend(opWrite, appendWrite(head[:0], id, blockLen, off), data); err != nil {
 		return err
 	}
 	return e.applyWrite(id, blockLen, off, data)
@@ -216,7 +218,8 @@ func (e *Engine) WriteFull(id wire.BlockID, data []byte) error {
 	if e.crashed {
 		return ErrCrashed
 	}
-	if err := e.logAppend(opWrite, encodeWrite(id, uint32(len(data)), 0, data)); err != nil {
+	var head [headCap]byte
+	if err := e.logAppend(opWrite, appendWrite(head[:0], id, uint32(len(data)), 0), data); err != nil {
 		return err
 	}
 	return e.applyWrite(id, uint32(len(data)), 0, data)
@@ -232,15 +235,17 @@ func (e *Engine) Delete(id wire.BlockID) error {
 	if _, ok := e.blocks[id]; !ok {
 		return nil
 	}
-	if err := e.logAppend(opDelete, encodeDelete(id)); err != nil {
+	var head [headCap]byte
+	if err := e.logAppend(opDelete, appendBlockID(head[:0], id), nil); err != nil {
 		return err
 	}
 	e.applyDelete(id)
 	return nil
 }
 
-func (e *Engine) logAppend(kind byte, payload []byte) error {
-	err := e.wal.Append(kind, payload)
+// logAppend appends one WAL record, head followed by data.
+func (e *Engine) logAppend(kind byte, head, data []byte) error {
+	err := e.wal.Append(kind, head, data)
 	e.stats.WALRecords, e.stats.WALBytes, e.stats.WALSyncs = e.wal.Stats()
 	return err
 }
@@ -427,7 +432,8 @@ func (e *Engine) RememberPlacement(ino uint64, stripe uint32, p Placement) error
 	if e.crashed {
 		return ErrCrashed
 	}
-	if err := e.logAppend(opPlacement, encodePlacement(ino, stripe, p)); err != nil {
+	var head [headCap]byte
+	if err := e.logAppend(opPlacement, appendPlacement(head[:0], ino, stripe, p), nil); err != nil {
 		return err
 	}
 	e.places[stripeKey{ino, stripe}] = p

@@ -22,8 +22,14 @@ func frames(recs ...[]byte) []byte {
 	return b
 }
 
-// rec prefixes a payload with its kind, for frames.
-func rec(kind byte, payload []byte) []byte { return append([]byte{kind}, payload...) }
+// rec prefixes a payload, given in parts, with its kind, for frames.
+func rec(kind byte, parts ...[]byte) []byte {
+	r := []byte{kind}
+	for _, p := range parts {
+		r = append(r, p...)
+	}
+	return r
+}
 
 // FuzzWALReplay feeds arbitrary byte streams — including truncated and
 // bit-flipped tails of valid logs — to the store's record decoders and
@@ -35,9 +41,9 @@ func rec(kind byte, payload []byte) []byte { return append([]byte{kind}, payload
 func FuzzWALReplay(f *testing.F) {
 	b := bid(3, 2, 1)
 	valid := frames(
-		rec(opWrite, encodeWrite(b, 64, 0, []byte("payload"))),
-		rec(opPlacement, encodePlacement(3, 2, Placement{Epoch: 9, Nodes: []wire.NodeID{4, 5, 6}})),
-		rec(opEnsure, encodeEnsure(b, 4096)),
+		rec(opWrite, appendWrite(nil, b, 64, 0), []byte("payload")),
+		rec(opPlacement, appendPlacement(nil, 3, 2, Placement{Epoch: 9, Nodes: []wire.NodeID{4, 5, 6}})),
+		rec(opEnsure, appendEnsure(nil, b, 4096)),
 	)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5]) // torn tail
@@ -46,10 +52,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flipped)
 
 	seg := frames(
-		rec(segHeader, encodeSegHeader("tsue-data/osd1/0", 7)),
-		rec(segEntry, encodeSegEntry(12, b, 8, 99, []byte("delta"))),
-		rec(segFoldBlock, encodeDelete(b)),
-		rec(segFoldUnit, nil),
+		rec(segHeader, appendSegHeader(nil, "tsue-data/osd1/0", 7)),
+		rec(segEntry, appendSegEntry(nil, 12, b, 8, 99), []byte("delta")),
+		rec(segFoldBlock, appendBlockID(nil, b)),
+		rec(segFoldUnit),
 	)
 	f.Add(seg)
 	f.Add(seg[:framelog.HeaderSize+3]) // torn header

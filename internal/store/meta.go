@@ -64,9 +64,7 @@ func encodeMeta(m *meta) []byte {
 	}
 	u32(uint32(len(m.blocks)))
 	for id, bm := range m.blocks {
-		var idb [blockIDLen]byte
-		putBlockID(idb[:], id)
-		b = append(b, idb[:]...)
+		b = appendBlockID(b, id)
 		u32(bm.length)
 		u32(uint32(len(bm.pages)))
 		for _, pg := range bm.pages {

@@ -55,11 +55,9 @@ type SegEntry struct {
 	Data  []byte
 }
 
-func encodeSegHeader(layer string, gen uint64) []byte {
-	p := make([]byte, 8+len(layer))
-	binary.LittleEndian.PutUint64(p, gen)
-	copy(p[8:], layer)
-	return p
+// appendSegHeader appends a segHeader payload.
+func appendSegHeader(dst []byte, layer string, gen uint64) []byte {
+	return append(binary.LittleEndian.AppendUint64(dst, gen), layer...)
 }
 
 func decodeSegHeader(p []byte) (layer string, gen uint64, err error) {
@@ -69,14 +67,13 @@ func decodeSegHeader(p []byte) (layer string, gen uint64, err error) {
 	return string(p[8:]), binary.LittleEndian.Uint64(p), nil
 }
 
-func encodeSegEntry(seq uint64, block wire.BlockID, off uint32, v int64, data []byte) []byte {
-	p := make([]byte, 8+blockIDLen+12+len(data))
-	binary.LittleEndian.PutUint64(p, seq)
-	putBlockID(p[8:], block)
-	binary.LittleEndian.PutUint32(p[8+blockIDLen:], off)
-	binary.LittleEndian.PutUint64(p[12+blockIDLen:], uint64(v))
-	copy(p[20+blockIDLen:], data)
-	return p
+// appendSegEntry appends a segEntry head; the entry's payload follows
+// it.
+func appendSegEntry(dst []byte, seq uint64, block wire.BlockID, off uint32, v int64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = appendBlockID(dst, block)
+	dst = binary.LittleEndian.AppendUint32(dst, off)
+	return binary.LittleEndian.AppendUint64(dst, uint64(v))
 }
 
 func decodeSegEntry(p []byte) (seq uint64, block wire.BlockID, off uint32, v int64, data []byte, err error) {

@@ -41,14 +41,20 @@ const (
 
 // Block id and record payload codecs. Thirteen bytes identify a block
 // (ino u64, stripe u32, idx u8); the remaining fields are fixed-width
-// little-endian.
+// little-endian. Encoders append a record's fixed fields to dst — the
+// head framelog.Log.Append writes before the record's bulk payload —
+// so an append can encode them into a stack array.
 
 const blockIDLen = 13
 
-func putBlockID(dst []byte, id wire.BlockID) {
-	binary.LittleEndian.PutUint64(dst[0:8], id.Ino)
-	binary.LittleEndian.PutUint32(dst[8:12], id.Stripe)
-	dst[12] = id.Idx
+// headCap is the stack array size record heads are encoded into: every
+// fixed head fits, and a placement of up to ten nodes does.
+const headCap = 64
+
+func appendBlockID(dst []byte, id wire.BlockID) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, id.Ino)
+	dst = binary.LittleEndian.AppendUint32(dst, id.Stripe)
+	return append(dst, id.Idx)
 }
 
 func getBlockID(src []byte) wire.BlockID {
@@ -59,13 +65,11 @@ func getBlockID(src []byte) wire.BlockID {
 	}
 }
 
-func encodeWrite(id wire.BlockID, blockLen, off uint32, data []byte) []byte {
-	p := make([]byte, blockIDLen+8+len(data))
-	putBlockID(p, id)
-	binary.LittleEndian.PutUint32(p[13:17], blockLen)
-	binary.LittleEndian.PutUint32(p[17:21], off)
-	copy(p[21:], data)
-	return p
+// appendWrite appends an opWrite head; the written bytes follow it.
+func appendWrite(dst []byte, id wire.BlockID, blockLen, off uint32) []byte {
+	dst = appendBlockID(dst, id)
+	dst = binary.LittleEndian.AppendUint32(dst, blockLen)
+	return binary.LittleEndian.AppendUint32(dst, off)
 }
 
 func decodeWrite(p []byte) (id wire.BlockID, blockLen, off uint32, data []byte, err error) {
@@ -78,17 +82,10 @@ func decodeWrite(p []byte) (id wire.BlockID, blockLen, off uint32, data []byte, 
 	return id, blockLen, off, p[21:], nil
 }
 
-func encodeDelete(id wire.BlockID) []byte {
-	p := make([]byte, blockIDLen)
-	putBlockID(p, id)
-	return p
-}
-
-func encodeEnsure(id wire.BlockID, size uint32) []byte {
-	p := make([]byte, blockIDLen+4)
-	putBlockID(p, id)
-	binary.LittleEndian.PutUint32(p[13:17], size)
-	return p
+// appendEnsure appends an opEnsure payload. An opDelete payload is
+// appendBlockID's.
+func appendEnsure(dst []byte, id wire.BlockID, size uint32) []byte {
+	return binary.LittleEndian.AppendUint32(appendBlockID(dst, id), size)
 }
 
 func decodeEnsure(p []byte) (id wire.BlockID, size uint32, err error) {
@@ -98,16 +95,16 @@ func decodeEnsure(p []byte) (id wire.BlockID, size uint32, err error) {
 	return getBlockID(p), binary.LittleEndian.Uint32(p[13:17]), nil
 }
 
-func encodePlacement(ino uint64, stripe uint32, pl Placement) []byte {
-	p := make([]byte, 22+4*len(pl.Nodes))
-	binary.LittleEndian.PutUint64(p[0:8], ino)
-	binary.LittleEndian.PutUint32(p[8:12], stripe)
-	binary.LittleEndian.PutUint64(p[12:20], pl.Epoch)
-	p[20], p[21] = byte(pl.K), byte(pl.M)
-	for i, n := range pl.Nodes {
-		binary.LittleEndian.PutUint32(p[22+4*i:], uint32(n))
+// appendPlacement appends an opPlacement payload.
+func appendPlacement(dst []byte, ino uint64, stripe uint32, pl Placement) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, ino)
+	dst = binary.LittleEndian.AppendUint32(dst, stripe)
+	dst = binary.LittleEndian.AppendUint64(dst, pl.Epoch)
+	dst = append(dst, byte(pl.K), byte(pl.M))
+	for _, n := range pl.Nodes {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	}
-	return p
+	return dst
 }
 
 func decodePlacement(p []byte) (ino uint64, stripe uint32, pl Placement, err error) {

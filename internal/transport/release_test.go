@@ -23,7 +23,7 @@ func TestDoubleReleaseIsNoOpByDefault(t *testing.T) {
 	body := getFrameBuf()
 	*body = append(*body, 1, 2, 3)
 	resp := &wire.Resp{Data: *body}
-	resp.AttachRelease(newBufRelease(&framePool, body))
+	resp.AttachRelease(newBufRelease(&framePool, body, &poolOutstanding))
 	resp.Release()
 	resp.Release() // must not panic, must not double-free
 }
@@ -38,7 +38,7 @@ func TestDoubleReleasePanicsUnderPoolDebug(t *testing.T) {
 	body := getFrameBuf()
 	*body = append(*body, 1, 2, 3)
 	resp := &wire.Resp{Data: *body}
-	resp.AttachRelease(newBufRelease(&framePool, body))
+	resp.AttachRelease(newBufRelease(&framePool, body, &poolOutstanding))
 	resp.Release()
 	defer func() {
 		if recover() == nil {
@@ -58,7 +58,7 @@ func TestReleasePoisonsBufferUnderPoolDebug(t *testing.T) {
 	*body = append(*body, []byte("payload bytes")...)
 	data := *body
 	resp := &wire.Resp{Data: data}
-	resp.AttachRelease(newBufRelease(&framePool, body))
+	resp.AttachRelease(newBufRelease(&framePool, body, &poolOutstanding))
 	resp.Release()
 	for i, b := range data {
 		if b != poisonByte {
@@ -76,7 +76,7 @@ func TestPoolDebugOutstandingBalances(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		body := getFrameBuf()
 		resp := &wire.Resp{}
-		resp.AttachRelease(newBufRelease(&framePool, body))
+		resp.AttachRelease(newBufRelease(&framePool, body, &poolOutstanding))
 		resps = append(resps, resp)
 	}
 	if got := PoolDebugOutstanding(); got != start+4 {

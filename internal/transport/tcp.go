@@ -127,7 +127,7 @@ func ReplyBuf(n int) ([]byte, func()) {
 		*b = make([]byte, n)
 	}
 	*b = (*b)[:n]
-	return *b, newBufRelease(&replyPool, b)
+	return *b, newBufRelease(&replyPool, b, &poolOutstanding)
 }
 
 // headerPool recycles the buffers outbound frames are encoded into. A
@@ -224,6 +224,12 @@ var poolDebug atomic.Bool
 // arming are not counted.
 var poolOutstanding atomic.Int64
 
+// poolTaken tracks request bodies handlers took (wire.Msg.TakeBody)
+// but have not given back while poolDebug is armed. A block store
+// keeps a taken body as a block for as long as the block lives, so
+// they are counted apart from the replies and views.
+var poolTaken atomic.Int64
+
 func init() { poolDebug.Store(poolPoisonBuild) }
 
 // SetPoolDebug toggles the pooled-buffer misuse detector at runtime
@@ -234,28 +240,37 @@ func SetPoolDebug(on bool) { poolDebug.Store(on) }
 // buffers and lent views counted while the detector was armed.
 func PoolDebugOutstanding() int64 { return poolOutstanding.Load() }
 
+// PoolDebugTaken reports request bodies taken from the server and not
+// yet given back, counted while the detector was armed.
+func PoolDebugTaken() int64 { return poolTaken.Load() }
+
 // poisonByte overwrites released buffers in debug mode; 0xDB reads as
 // garbage in any payload and is recognizable in a hex dump.
 const poisonByte = 0xDB
 
-// newBufRelease builds the wire.Resp release hook for one buffer of
-// pool: the first call returns the buffer to the pool, a redundant
-// second call is absorbed (and panics under poolDebug — releasing a
-// buffer twice would hand the same memory to two owners).
-func newBufRelease(pool *sync.Pool, body *[]byte) func() {
-	if poolDebug.Load() {
-		poolOutstanding.Add(1)
+// newBufRelease builds the release hook for one buffer of pool — a
+// reply's (wire.Resp.AttachRelease) or a taken request body's — that
+// counts it in count while poolDebug is armed: the first call returns
+// the buffer to the pool, a redundant second call is absorbed (and
+// panics under poolDebug — releasing a buffer twice would hand the
+// same memory to two owners).
+func newBufRelease(pool *sync.Pool, body *[]byte, count *atomic.Int64) func() {
+	debug := poolDebug.Load()
+	if debug {
+		count.Add(1)
 	}
 	var released atomic.Bool
 	return func() {
 		if !released.CompareAndSwap(false, true) {
 			if poolDebug.Load() {
-				panic("transport: pooled response buffer released twice")
+				panic("transport: pooled buffer released twice")
 			}
 			return
 		}
+		if debug {
+			count.Add(-1)
+		}
 		if poolDebug.Load() {
-			poolOutstanding.Add(-1)
 			b := *body
 			for i := range b {
 				b[i] = poisonByte
@@ -546,7 +561,9 @@ func (s *TCPServer) acceptLoop() {
 // buffer from ReplyBuf) runs then too, or when the frame is dropped.
 // The Handler contract (no retaining request payloads beyond the call,
 // no touching Resp.Data after returning it) is what makes both the
-// pooling and the borrowing safe.
+// pooling and the borrowing safe. Its one exception is a body the
+// handler takes (wire.Msg.TakeBody): the server then neither recycles
+// nor holds it, and the taker's release returns it to the frame pool.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	var reqWG sync.WaitGroup
@@ -576,31 +593,62 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			putFrameBuf(body)
 			return
 		}
-		msg := new(wire.Msg)
-		if err := msg.Decode(*body); err != nil {
+		in := &inbound{body: body}
+		if err := in.msg.Decode(*body); err != nil {
 			putFrameBuf(body)
 			return
 		}
+		in.msg.OfferBody(in)
 		sem <- struct{}{}
 		reqWG.Add(1)
-		go func(id uint64, msg *wire.Msg, body *[]byte) {
+		go func(id uint64, in *inbound) {
 			defer func() { <-sem; reqWG.Done() }()
 			// Cancellation is a client-side concern on TCP (the caller's
 			// context does not cross the wire); handlers run to
 			// completion under a background context.
-			resp := s.handler(context.Background(), msg)
+			resp := s.handler(context.Background(), &in.msg)
 			if resp == nil {
 				resp = &wire.Resp{}
 			}
-			out := respOut{frame: respFrame(id, resp), body: body, resp: resp}
-			if !out.frame.borrows() {
+			out := respOut{frame: respFrame(id, resp), body: in.body, resp: resp}
+			switch {
+			case in.taken:
+				// The handler owns the body now (wire.Msg.TakeBody).
+				out.body = nil
+			case !out.frame.borrows():
 				// Nothing the flush reads can alias the request body.
-				putFrameBuf(body)
+				putFrameBuf(in.body)
 				out.body = nil
 			}
 			w.send(out)
-		}(hdr.id, msg, body)
+		}(hdr.id, in)
 	}
+}
+
+// maxTakeSlack bounds, as a share of the request, the spare capacity a
+// request buffer may carry and still be taken: a taker keeps the whole
+// buffer, so a block adopting one must not pin much more than itself.
+const maxTakeSlack = 8 // at most 1/8 spare
+
+// inbound is one request the server read: the decoded message and the
+// pooled buffer its payloads alias, offered to the handler as the
+// message's wire.Body.
+type inbound struct {
+	msg   wire.Msg
+	body  *[]byte // framePool
+	taken bool    // set by Take during the handler, read after it
+}
+
+// Take hands the request buffer to the handler, with the release that
+// returns it to the frame pool; nil if taken already, or if the
+// buffer's spare capacity is over a maxTakeSlack share of the request.
+func (in *inbound) Take() func() {
+	n := len(*in.body)
+	if in.taken || cap(*in.body)-n > n/maxTakeSlack {
+		return nil
+	}
+	in.taken = true
+	return newBufRelease(&framePool, in.body, &poolTaken)
 }
 
 // respOut is one queued response: its frame, the request body its
@@ -1514,7 +1562,7 @@ func (mc *muxConn) readLoop() {
 		}
 		resp, body, err := readResp(r, mc.conn, int(hdr.n), dst)
 		if err == nil && body != nil {
-			resp.AttachRelease(newBufRelease(&framePool, body))
+			resp.AttachRelease(newBufRelease(&framePool, body, &poolOutstanding))
 		}
 		mc.mu.Lock()
 		if filling != nil {

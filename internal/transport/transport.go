@@ -34,6 +34,15 @@
 // or dropped, and in process the reply reaches the caller as is, whose
 // Resp.Release runs it. Replies the TCP client decodes into pooled
 // memory carry the client's own release.
+//
+// A request's buffer is the transport's, with one exception: the TCP
+// server offers each request's pooled buffer to its handler
+// (wire.Msg.TakeBody), and a handler that takes it keeps the payloads
+// past the call and runs the release that returns the buffer to the
+// pool once it is done with them — an in-memory block store keeps a
+// full-block write's buffer as the block. In process nothing is
+// offered: the payloads are the caller's, and a handler copies them to
+// keep them.
 package transport
 
 import (
@@ -53,6 +62,10 @@ import (
 //   - msg's payloads belong to the transport: a handler reads them
 //     during the call and retains nothing past it (TCP recycles the
 //     request buffer; in process they are the caller's own slices).
+//     The one exception is a buffer the handler takes with
+//     wire.Msg.TakeBody: TCP offers each request's buffer, the taker
+//     keeps it until it runs the returned release, and in process
+//     nothing is offered, so the payloads are copied to be kept.
 //   - The returned Resp, Data included, belongs to the transport from
 //     the moment it is returned: the handler must not touch it again.
 //     Data may be fresh memory, a slice of msg's payloads, a buffer

@@ -213,6 +213,39 @@ type Msg struct {
 	// SetReplyBuf. Never encoded: like Resp's release hook, it is a
 	// local ownership concern, not a wire one.
 	replyBuf []byte
+	// body is the buffer the transport read the message into, offered
+	// to the handler; see TakeBody. Never encoded, like replyBuf.
+	body Body
+}
+
+// Body is a transport's offer of the buffer it read one request into,
+// which Data and Data2 alias. Take hands the buffer over and returns
+// the function that gives it back to the transport, or returns nil
+// when the buffer is not for taking (already taken, or much larger
+// than the request).
+type Body interface {
+	Take() (free func())
+}
+
+// OfferBody is called by a transport that read the message into a
+// buffer of its own, after Decode: the handler may then take that
+// buffer (TakeBody).
+func (m *Msg) OfferBody(b Body) { m.body = b }
+
+// TakeBody takes the buffer Data and Data2 alias from the transport,
+// so the handler may keep them past the call without copying them. It
+// returns the function that hands the buffer back to the transport,
+// which the taker calls once, after its last use of any byte of it.
+// It returns nil when the transport offers no buffer — in process,
+// where the payloads are the caller's own, or a buffer much larger
+// than the request — and then the payloads must be copied to be kept.
+// Only the handler takes, during the call, and a reply carries no byte
+// of a taken buffer.
+func (m *Msg) TakeBody() (free func()) {
+	if m.body == nil {
+		return nil
+	}
+	return m.body.Take()
 }
 
 // SetReplyBuf names dst as the buffer the reply's Data should land in.
