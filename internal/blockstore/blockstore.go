@@ -11,15 +11,20 @@
 //
 // Every update method is built from the two in-place operations the
 // store offers: Overwrite (write a data range, yield its delta
-// Δd = d′ ⊕ d) and Fold (fold a parity delta into a parity range,
-// p′ = p ⊕ coeff·Δd, Eq. 2). The methods differ only in when and where
-// they schedule them.
+// Δd = d′ ⊕ d into the caller's buffer) and Fold (fold a
+// coefficient-scaled delta into a parity range, p′ = p ⊕ coeff·Δd,
+// Eq. 2), each implemented by the backend itself: the in-memory backend
+// folds or overwrites in place, one pass over the block's bytes with no
+// fresh slice; the durable engine reads the old bytes into the caller's
+// delta, or folds through one reused scratch. The methods differ only
+// in when and where they schedule them.
 //
-// Reads either fill the caller's bytes (ReadInto) or take a read-only
-// view with a release (View). The in-memory backend serves a view from
-// the block itself, uncopied, and keeps it intact by copy-on-write:
-// while any view of a block is lent, a write first moves the block to
-// a fresh buffer. The durable engine fills a reply buffer for a view.
+// Reads either fill the caller's bytes (ReadInto: a reply buffer, a
+// decode input) or take a read-only view with a release (View). The
+// in-memory backend serves a view from the block itself, uncopied, and
+// keeps it intact by copy-on-write: while any view of a block is lent,
+// a write first moves the block to a fresh buffer. The durable engine
+// fills a reply buffer for a view.
 //
 // A whole-block write may hand the store the buffer its data lives in
 // (WriteFull's free): the in-memory backend keeps that buffer as the
@@ -29,6 +34,7 @@
 package blockstore
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -52,6 +58,11 @@ type backend interface {
 	ReadInto(id wire.BlockID, off uint32, dst []byte) error
 	WriteRange(id wire.BlockID, off uint32, data []byte) error
 	WriteFull(id wire.BlockID, data []byte) error
+	// Overwrite writes data at off in place and fills delta with
+	// old ⊕ new; Fold sets the range at off to itself ⊕ c·delta. Both
+	// refuse a range outside the block.
+	Overwrite(id wire.BlockID, off uint32, data, delta []byte) error
+	Fold(id wire.BlockID, off uint32, c byte, delta []byte) error
 	Delete(id wire.BlockID) error
 	Snapshot(id wire.BlockID) ([]byte, bool)
 	Has(id wire.BlockID) bool
@@ -69,10 +80,12 @@ type Store struct {
 }
 
 // Extent is one byte range of a block: the payload of an Overwrite or
-// Fold, and the delta Overwrite returns.
+// Fold. Coeff is the GF(2⁸) coefficient a Fold scales Data by before
+// folding it in; Overwrite ignores it.
 type Extent struct {
-	Off  uint32
-	Data []byte
+	Off   uint32
+	Coeff byte
+	Data  []byte
 }
 
 // New creates an in-memory store charging the given device.
@@ -84,39 +97,33 @@ func New(dev *device.Device) *Store {
 // survive process crashes, device charges stay identical.
 func NewDurable(dev *device.Device, eng *store.Engine) *Store { return &Store{dev: dev, be: eng} }
 
-// Overwrite writes each extent into the block in place and returns, per
-// extent, its delta old ⊕ new at the same offset. The block's mutex is
-// held for the whole batch, and an absent block is first created
-// zero-filled at blockSize. Each extent is charged one random read and
-// one random overwrite of its length under class. On error Overwrite
-// stops: it returns the deltas and cost of the extents already applied.
-func (s *Store) Overwrite(class sim.Class, id wire.BlockID, blockSize int, extents []Extent) ([]Extent, time.Duration, error) {
+// Overwrite writes each extent into the block in place and its delta
+// old ⊕ new into deltas[i], a buffer of the extent's length that the
+// caller supplies and keeps. The block's mutex is held for the whole
+// batch, and an absent block is first created zero-filled at
+// blockSize. Each extent is charged one random read and one random
+// overwrite of its length under class. Overwrite returns how many
+// extents it applied: on error it stops, and the deltas and cost of the
+// extents before it stand.
+func (s *Store) Overwrite(class sim.Class, id wire.BlockID, blockSize int, extents []Extent, deltas [][]byte) (int, time.Duration, error) {
 	s.locks.Lock(id)
 	defer s.locks.Unlock(id)
 	if err := s.be.Ensure(id, uint32(blockSize)); err != nil {
-		return nil, 0, err
+		return 0, 0, err
 	}
-	deltas := make([]Extent, 0, len(extents))
 	var cost time.Duration
-	for _, e := range extents {
-		old := make([]byte, len(e.Data)) // kept: it becomes the delta
-		err := s.be.ReadInto(id, e.Off, old)
-		if err == nil {
-			err = s.be.WriteRange(id, e.Off, e.Data)
-		}
-		if err != nil {
-			return deltas, cost, err
+	for i, e := range extents {
+		if err := s.be.Overwrite(id, e.Off, e.Data, deltas[i]); err != nil {
+			return i, cost, err
 		}
 		cost += s.chargeInPlace(class, len(e.Data))
-		gf256.XorSlice(old, e.Data)
-		deltas = append(deltas, Extent{Off: e.Off, Data: old})
 	}
-	return deltas, cost, nil
+	return len(extents), cost, nil
 }
 
-// Fold XORs each extent into the block in place: the parity update
-// p′ = p ⊕ Δp. Locking, creation and per-extent charges are
-// Overwrite's, so a Fold of no extents only creates the block,
+// Fold folds each extent's Coeff·Data into the block in place: the
+// parity update p′ = p ⊕ α·Δd. Locking, creation and per-extent charges
+// are Overwrite's, so a Fold of no extents only creates the block,
 // uncharged. On error Fold stops and returns the cost of the extents
 // already folded.
 func (s *Store) Fold(class sim.Class, id wire.BlockID, blockSize int, extents []Extent) (time.Duration, error) {
@@ -127,13 +134,7 @@ func (s *Store) Fold(class sim.Class, id wire.BlockID, blockSize int, extents []
 	}
 	var cost time.Duration
 	for _, e := range extents {
-		p := make([]byte, len(e.Data))
-		err := s.be.ReadInto(id, e.Off, p)
-		if err == nil {
-			gf256.XorSlice(p, e.Data)
-			err = s.be.WriteRange(id, e.Off, p)
-		}
-		if err != nil {
+		if err := s.be.Fold(id, e.Off, e.Coeff, e.Data); err != nil {
 			return cost, err
 		}
 		cost += s.chargeInPlace(class, len(e.Data))
@@ -180,8 +181,8 @@ func (s *Store) WriteFull(class sim.Class, id wire.BlockID, data []byte, free fu
 // ReadInto fills dst with [off, off+len(dst)) of a block, charging the
 // device under class. random selects the random access cost. Reading an
 // absent block returns an error; reading beyond the block's size
-// returns an error. The caller owns dst: a reply buffer, a decode
-// input, a read-modify-write scratch.
+// returns an error. The caller owns dst: a reply buffer or a decode
+// input.
 func (s *Store) ReadInto(class sim.Class, id wire.BlockID, off uint32, dst []byte, random bool) (time.Duration, error) {
 	s.locks.Lock(id)
 	err := s.be.ReadInto(id, off, dst)
@@ -353,21 +354,32 @@ func (m *memBackend) span(id wire.BlockID, off uint32, n int) (*memBlock, error)
 }
 
 // own returns a buffer of at least need bytes holding the block, for a
-// write in place: the block's own, unless it is lent or too short —
-// then a fresh one holding the old bytes replaces it (copy-on-write).
-func (m *memBackend) own(id wire.BlockID, need int) []byte {
-	blk, ok := m.get(id)
-	if ok && len(blk.b) >= need && blk.state.Load() == 0 {
+// write in place: blk's own, unless it is lent or too short — then a
+// fresh one holding the old bytes replaces it (copy-on-write). blk is
+// the block's memBlock, nil when it is absent.
+func (m *memBackend) own(id wire.BlockID, blk *memBlock, need int) []byte {
+	if blk != nil && len(blk.b) >= need && blk.state.Load() == 0 {
 		return blk.b
 	}
 	var old []byte
-	if ok {
+	if blk != nil {
 		old = blk.b
 	}
 	b := make([]byte, max(need, len(old)))
 	copy(b, old)
 	m.put(id, &memBlock{b: b})
 	return b
+}
+
+// ownSpan returns [off, off+n) of the block, owned for a write in
+// place, or span's error.
+func (m *memBackend) ownSpan(id wire.BlockID, off uint32, n int) ([]byte, error) {
+	blk, err := m.span(id, off, n)
+	if err != nil {
+		return nil, err
+	}
+	end := int(off) + n
+	return m.own(id, blk, end)[off:end], nil
 }
 
 // Ensure creates a zero-filled block of size bytes if absent.
@@ -404,7 +416,30 @@ func (m *memBackend) lend(id wire.BlockID, off uint32, n int) ([]byte, func(), e
 // WriteRange writes data at off in place, growing the block to cover
 // it.
 func (m *memBackend) WriteRange(id wire.BlockID, off uint32, data []byte) error {
-	copy(m.own(id, int(off)+len(data))[off:], data)
+	blk, _ := m.get(id)
+	copy(m.own(id, blk, int(off)+len(data))[off:], data)
+	return nil
+}
+
+// Overwrite makes one pass over the range: delta = old ⊕ new, then the
+// new bytes.
+func (m *memBackend) Overwrite(id wire.BlockID, off uint32, data, delta []byte) error {
+	b, err := m.ownSpan(id, off, len(data))
+	if err != nil {
+		return err
+	}
+	subtle.XORBytes(delta[:len(data)], b, data)
+	copy(b, data)
+	return nil
+}
+
+// Fold folds c·delta into the range in place.
+func (m *memBackend) Fold(id wire.BlockID, off uint32, c byte, delta []byte) error {
+	b, err := m.ownSpan(id, off, len(delta))
+	if err != nil {
+		return err
+	}
+	gf256.MulAddSlice(c, b, delta)
 	return nil
 }
 

@@ -2,12 +2,15 @@ package blockstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/gf256"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -125,20 +128,18 @@ func TestOverwriteReturnsDelta(t *testing.T) {
 	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
 		old := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 		mustWriteFull(t, s, bid(1), old)
-		deltas, cost, err := s.Overwrite(sim.ClassOther, bid(1), len(old), []Extent{
+		deltas := [][]byte{make([]byte, 2), make([]byte, 1)}
+		n, cost, err := s.Overwrite(sim.ClassOther, bid(1), len(old), []Extent{
 			{Off: 1, Data: []byte{9, 9}},
 			{Off: 6, Data: []byte{0xF0}},
-		})
-		if err != nil || cost <= 0 {
-			t.Fatalf("overwrite: cost %v err %v", cost, err)
+		}, deltas)
+		if err != nil || n != 2 || cost <= 0 {
+			t.Fatalf("overwrite: %d applied, cost %v err %v", n, cost, err)
 		}
-		want := []Extent{{Off: 1, Data: []byte{2 ^ 9, 3 ^ 9}}, {Off: 6, Data: []byte{7 ^ 0xF0}}}
-		if len(deltas) != len(want) {
-			t.Fatalf("%d deltas, want %d", len(deltas), len(want))
-		}
+		want := [][]byte{{2 ^ 9, 3 ^ 9}, {7 ^ 0xF0}}
 		for i := range want {
-			if deltas[i].Off != want[i].Off || !bytes.Equal(deltas[i].Data, want[i].Data) {
-				t.Fatalf("delta %d = %+v, want %+v", i, deltas[i], want[i])
+			if !bytes.Equal(deltas[i], want[i]) {
+				t.Fatalf("delta %d = %v, want %v", i, deltas[i], want[i])
 			}
 		}
 		if got, _ := s.Snapshot(bid(1)); !bytes.Equal(got, []byte{1, 9, 9, 4, 5, 6, 0xF0, 8}) {
@@ -147,11 +148,129 @@ func TestOverwriteReturnsDelta(t *testing.T) {
 	})
 }
 
+// refXor returns a ⊕ b, byte by byte.
+func refXor(a, b []byte) []byte {
+	out := make([]byte, len(a))
+	for i := range a {
+		out[i] = a[i] ^ b[i]
+	}
+	return out
+}
+
+// refFold returns block with c·delta folded in at off, byte by byte:
+// Eq. 2 without the slice kernels.
+func refFold(block []byte, off int, c byte, delta []byte) []byte {
+	out := bytes.Clone(block)
+	for i, d := range delta {
+		out[off+i] ^= gf256.Mul(c, d)
+	}
+	return out
+}
+
+// TestFoldAndOverwriteMatchReference: on both backends, a Fold of
+// coefficient 0, 1 or a random one leaves the block a byte-wise
+// p ⊕ c·Δ reference predicts, and an Overwrite leaves the new bytes in
+// place and returns old ⊕ new. Offsets and lengths are unaligned and
+// cross the durable engine's pages; the first fold lands in an absent
+// block, which it creates zero-filled.
+func TestFoldAndOverwriteMatchReference(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
+		const size = 40<<10 + 13
+		rng := rand.New(rand.NewSource(9))
+		id := bid(7)
+		want := make([]byte, size) // what the block must hold
+		folds := 2                 // the first fold, into the absent block, scales
+		for round := 0; round < 40; round++ {
+			off := rng.Intn(size - 1)
+			n := 1 + rng.Intn(min(size-off, 20<<10))
+			data := make([]byte, n)
+			rng.Read(data)
+			if round%3 == 2 {
+				delta := make([]byte, n)
+				applied, _, err := s.Overwrite(sim.ClassOther, id, size, []Extent{{Off: uint32(off), Data: data}}, [][]byte{delta})
+				if err != nil || applied != 1 {
+					t.Fatalf("round %d: overwrite applied %d: %v", round, applied, err)
+				}
+				if !bytes.Equal(delta, refXor(want[off:off+n], data)) {
+					t.Fatalf("round %d: overwrite [%d,+%d) returned a wrong delta", round, off, n)
+				}
+				copy(want[off:], data)
+			} else {
+				c := [...]byte{0, 1, byte(2 + rng.Intn(254))}[folds%3]
+				folds++
+				if _, err := s.Fold(sim.ClassOther, id, size, []Extent{{Off: uint32(off), Coeff: c, Data: data}}); err != nil {
+					t.Fatalf("round %d: fold: %v", round, err)
+				}
+				want = refFold(want, off, c, data)
+			}
+			if got, ok := s.Snapshot(id); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("round %d: block differs from the reference", round)
+			}
+		}
+		if _, err := s.Fold(sim.ClassOther, id, size, []Extent{{Off: size - 1, Coeff: 1, Data: []byte{1, 2}}}); err == nil {
+			t.Fatal("a fold past the block's end was applied")
+		}
+		if _, _, err := s.Overwrite(sim.ClassOther, id, size, []Extent{{Off: size, Data: []byte{1}}}, [][]byte{{0}}); err == nil {
+			t.Fatal("an overwrite past the block's end was applied")
+		}
+	})
+}
+
+// TestWarmFoldAndOverwriteAllocateNoPayload gates the in-memory
+// read-modify-writes: folding a 64 KiB extent of any coefficient, and
+// overwriting one into the caller's delta buffer, allocate no
+// payload-sized slice.
+func TestWarmFoldAndOverwriteAllocateNoPayload(t *testing.T) {
+	const size, n = 1 << 20, 64 << 10
+	s := New(device.New("test", device.ChameleonSSD()))
+	mustWriteFull(t, s, bid(1), make([]byte, size))
+	data, delta := bytes.Repeat([]byte{0x3c}, n), make([]byte, n)
+	ops := map[string]func() error{
+		"fold-1": func() error {
+			_, err := s.Fold(sim.ClassOther, bid(1), size, []Extent{{Off: 7, Coeff: 1, Data: data}})
+			return err
+		},
+		"fold-scaled": func() error {
+			_, err := s.Fold(sim.ClassOther, bid(1), size, []Extent{{Off: 7, Coeff: 0x53, Data: data}})
+			return err
+		},
+		"overwrite": func() error {
+			_, _, err := s.Overwrite(sim.ClassOther, bid(1), size, []Extent{{Off: 7, Data: data}}, [][]byte{delta})
+			return err
+		},
+	}
+	for name, op := range ops {
+		if perCall := bytesPerCall(t, op); perCall >= n/2 {
+			t.Errorf("%s allocated %.0f bytes per call: the extent goes through a fresh slice", name, perCall)
+		}
+	}
+}
+
+// bytesPerCall runs op warm and returns the bytes it allocates per call.
+func bytesPerCall(t *testing.T, op func() error) float64 {
+	t.Helper()
+	const runs = 40
+	for i := 0; i < 4; i++ {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
 // TestFoldCreatesBlock: folding into an absent block creates it
 // zero-filled at blockSize, so the fold leaves exactly the extent.
 func TestFoldCreatesBlock(t *testing.T) {
 	eachBackend(t, func(t *testing.T, s *Store, _ *device.Device) {
-		if _, err := s.Fold(sim.ClassOther, bid(3), 64, []Extent{{Off: 10, Data: []byte{5, 6}}}); err != nil {
+		if _, err := s.Fold(sim.ClassOther, bid(3), 64, []Extent{{Off: 10, Coeff: 1, Data: []byte{5, 6}}}); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]byte, 64)
@@ -184,12 +303,13 @@ func TestEmptyFoldOnlyCreates(t *testing.T) {
 func TestInPlaceCharges(t *testing.T) {
 	eachBackend(t, func(t *testing.T, s *Store, dev *device.Device) {
 		mustWriteFull(t, s, bid(1), make([]byte, 1024))
-		exts := []Extent{{Off: 0, Data: make([]byte, 100)}, {Off: 512, Data: make([]byte, 300)}}
+		exts := []Extent{{Off: 0, Coeff: 1, Data: make([]byte, 100)}, {Off: 512, Coeff: 7, Data: make([]byte, 300)}}
+		deltas := [][]byte{make([]byte, 100), make([]byte, 300)}
 		for _, op := range []struct {
 			name string
 			run  func() error
 		}{
-			{"overwrite", func() error { _, _, err := s.Overwrite(sim.ClassOther, bid(1), 1024, exts); return err }},
+			{"overwrite", func() error { _, _, err := s.Overwrite(sim.ClassOther, bid(1), 1024, exts, deltas); return err }},
 			{"fold", func() error { _, err := s.Fold(sim.ClassOther, bid(1), 1024, exts); return err }},
 		} {
 			before := dev.Stats()
@@ -237,7 +357,7 @@ func TestConcurrentFolds(t *testing.T) {
 				defer wg.Done()
 				for _, in := range inputs[g] {
 					// Two halves per fold: a batch must stay atomic too.
-					exts := []Extent{{Off: 0, Data: in[:size/2]}, {Off: size / 2, Data: in[size/2:]}}
+					exts := []Extent{{Off: 0, Coeff: 1, Data: in[:size/2]}, {Off: size / 2, Coeff: 1, Data: in[size/2:]}}
 					if _, err := s.Fold(sim.ClassOther, bid(1), size, exts); err != nil {
 						t.Error(err)
 						return
@@ -355,29 +475,47 @@ func memBlockOf(s *Store, id wire.BlockID) *memBlock {
 
 // TestViewKeepsLentBytes: a view keeps the bytes it was lent through
 // every write to its block and the block's delete, a later view sees
-// the write, and once released no loan is left on either buffer. With
-// no view out a write stays in place; the in-memory block moves to a
-// fresh buffer only while it is lent.
+// the write, and once released no loan is left on either buffer. An
+// overwrite's delta comes from the lent bytes. With no view out a
+// write stays in place; the in-memory block moves to a fresh buffer
+// only while it is lent.
 func TestViewKeepsLentBytes(t *testing.T) {
 	const size = 8 << 10
-	writes := map[string]func(s *Store, id wire.BlockID) error{
-		"overwrite": func(s *Store, id wire.BlockID) error {
-			_, _, err := s.Overwrite(sim.ClassOther, id, size, []Extent{{Off: 100, Data: bytes.Repeat([]byte{0x11}, 3000)}})
+	writes := map[string]func(s *Store, id wire.BlockID, before []byte) error{
+		"overwrite": func(s *Store, id wire.BlockID, before []byte) error {
+			data := bytes.Repeat([]byte{0x11}, 3000)
+			delta := make([]byte, len(data))
+			if _, _, err := s.Overwrite(sim.ClassOther, id, size, []Extent{{Off: 100, Data: data}}, [][]byte{delta}); err != nil {
+				return err
+			}
+			if want := refXor(before[100:3100], data); !bytes.Equal(delta, want) {
+				return fmt.Errorf("overwrite of a lent block returned a delta not from its old bytes")
+			}
+			return nil
+		},
+		"fold": func(s *Store, id wire.BlockID, _ []byte) error {
+			_, err := s.Fold(sim.ClassOther, id, size, []Extent{{Off: 4000, Coeff: 1, Data: bytes.Repeat([]byte{0x22}, 4192)}})
 			return err
 		},
-		"fold": func(s *Store, id wire.BlockID) error {
-			_, err := s.Fold(sim.ClassOther, id, size, []Extent{{Off: 4000, Data: bytes.Repeat([]byte{0x22}, 4192)}})
-			return err
+		"scaled-fold": func(s *Store, id wire.BlockID, before []byte) error {
+			data := bytes.Repeat([]byte{0x5a}, 5001)
+			if _, err := s.Fold(sim.ClassOther, id, size, []Extent{{Off: 3, Coeff: 0x8e, Data: data}}); err != nil {
+				return err
+			}
+			if got, _ := s.Snapshot(id); !bytes.Equal(got, refFold(before, 3, 0x8e, data)) {
+				return fmt.Errorf("scaled fold into a lent block did not fold into its old bytes")
+			}
+			return nil
 		},
-		"write-range": func(s *Store, id wire.BlockID) error {
+		"write-range": func(s *Store, id wire.BlockID, _ []byte) error {
 			_, err := s.WriteRange(sim.ClassOther, id, 6000, bytes.Repeat([]byte{0x33}, 2000), true, size)
 			return err
 		},
-		"write-full": func(s *Store, id wire.BlockID) error {
+		"write-full": func(s *Store, id wire.BlockID, _ []byte) error {
 			_, err := s.WriteFull(sim.ClassOther, id, bytes.Repeat([]byte{0x44}, size), nil, false)
 			return err
 		},
-		"delete": func(s *Store, id wire.BlockID) error { return s.Delete(id) },
+		"delete": func(s *Store, id wire.BlockID, _ []byte) error { return s.Delete(id) },
 	}
 	for name, write := range writes {
 		t.Run(name, func(t *testing.T) {
@@ -390,7 +528,7 @@ func TestViewKeepsLentBytes(t *testing.T) {
 				if err != nil || cost <= 0 {
 					t.Fatalf("view: cost %v, %v", cost, err)
 				}
-				if err := write(s, id); err != nil {
+				if err := write(s, id, before); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(view, before) {
@@ -422,7 +560,7 @@ func TestViewKeepsLentBytes(t *testing.T) {
 	s := New(device.New("test", device.ChameleonSSD()))
 	mustWriteFull(t, s, bid(1), make([]byte, size))
 	blk := memBlockOf(s, bid(1))
-	if err := writes["write-range"](s, bid(1)); err != nil || memBlockOf(s, bid(1)) != blk {
+	if err := writes["write-range"](s, bid(1), nil); err != nil || memBlockOf(s, bid(1)) != blk {
 		t.Fatalf("a write with no view out moved the block: %v", err)
 	}
 	if _, _, _, err := s.View(sim.ClassOther, bid(2), 0, 1, true); err == nil {
@@ -455,7 +593,7 @@ func TestConcurrentViewsAndWrites(t *testing.T) {
 					case 1:
 						_, err = s.WriteRange(sim.ClassOther, id, 0, v, true, size)
 					case 2:
-						_, err = s.Fold(sim.ClassOther, id, size, []Extent{{Data: v}})
+						_, err = s.Fold(sim.ClassOther, id, size, []Extent{{Coeff: 1, Data: v}})
 					}
 					if err != nil {
 						t.Error(err)

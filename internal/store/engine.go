@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/framelog"
+	"repro/internal/gf256"
 	"repro/internal/wire"
 )
 
@@ -78,6 +79,9 @@ type Engine struct {
 	seq     uint64
 	segs    map[segKey]*segFile
 	stats   Stats
+
+	// scratch is Fold's read–fold–write buffer, reused under mu.
+	scratch []byte
 
 	replayEntries []SegEntry
 	replayFiles   []string
@@ -204,11 +208,7 @@ func (e *Engine) WriteRange(id wire.BlockID, off uint32, data []byte) error {
 	if bm, ok := e.blocks[id]; ok && bm.length > blockLen {
 		blockLen = bm.length
 	}
-	var head [headCap]byte
-	if err := e.logAppend(opWrite, appendWrite(head[:0], id, blockLen, off), data); err != nil {
-		return err
-	}
-	return e.applyWrite(id, blockLen, off, data)
+	return e.writeLocked(id, blockLen, off, data)
 }
 
 // WriteFull replaces the whole block.
@@ -218,11 +218,78 @@ func (e *Engine) WriteFull(id wire.BlockID, data []byte) error {
 	if e.crashed {
 		return ErrCrashed
 	}
-	var head [headCap]byte
-	if err := e.logAppend(opWrite, appendWrite(head[:0], id, uint32(len(data)), 0), data); err != nil {
+	return e.writeLocked(id, uint32(len(data)), 0, data)
+}
+
+// Overwrite writes data at off, within the block, and fills delta with
+// old ⊕ new: the old bytes are read straight into delta. Its WAL
+// record is WriteRange's.
+func (e *Engine) Overwrite(id wire.BlockID, off uint32, data, delta []byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.crashed {
+		return ErrCrashed
+	}
+	bm, err := e.blockSpan(id, off, len(data))
+	if err != nil {
 		return err
 	}
-	return e.applyWrite(id, uint32(len(data)), 0, data)
+	delta = delta[:len(data)]
+	if err := e.readInto(bm, off, delta); err != nil {
+		return err
+	}
+	if err := e.writeLocked(id, bm.length, off, data); err != nil {
+		return err
+	}
+	gf256.XorSlice(delta, data)
+	return nil
+}
+
+// Fold sets the range at off, within the block, to itself ⊕ c·delta:
+// read into the engine's scratch, fold, and write back, logging the
+// folded bytes as WriteRange would.
+func (e *Engine) Fold(id wire.BlockID, off uint32, c byte, delta []byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.crashed {
+		return ErrCrashed
+	}
+	bm, err := e.blockSpan(id, off, len(delta))
+	if err != nil {
+		return err
+	}
+	if cap(e.scratch) < len(delta) {
+		e.scratch = make([]byte, len(delta))
+	}
+	p := e.scratch[:len(delta)]
+	if err := e.readInto(bm, off, p); err != nil {
+		return err
+	}
+	gf256.MulAddSlice(c, p, delta)
+	return e.writeLocked(id, bm.length, off, p)
+}
+
+// blockSpan returns the metadata of the block holding [off, off+n), or
+// an error when it is absent or shorter. Caller holds mu.
+func (e *Engine) blockSpan(id wire.BlockID, off uint32, n int) (*blockMeta, error) {
+	bm := e.blocks[id]
+	if bm == nil {
+		return nil, fmt.Errorf("store: block %v not found", id)
+	}
+	if end := uint64(off) + uint64(n); end > uint64(bm.length) {
+		return nil, fmt.Errorf("store: read [%d,%d) past block length %d", off, end, bm.length)
+	}
+	return bm, nil
+}
+
+// writeLocked logs, then applies, one write of data at off that leaves
+// the block blockLen bytes long. Caller holds mu.
+func (e *Engine) writeLocked(id wire.BlockID, blockLen, off uint32, data []byte) error {
+	var head [headCap]byte
+	if err := e.logAppend(opWrite, appendWrite(head[:0], id, blockLen, off), data); err != nil {
+		return err
+	}
+	return e.applyWrite(id, blockLen, off, data)
 }
 
 // Delete removes a block and frees its pages.
@@ -326,12 +393,9 @@ func (e *Engine) applyDelete(id wire.BlockID) {
 func (e *Engine) ReadInto(id wire.BlockID, off uint32, dst []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	bm := e.blocks[id]
-	if bm == nil {
-		return fmt.Errorf("store: block %v not found", id)
-	}
-	if end := uint64(off) + uint64(len(dst)); end > uint64(bm.length) {
-		return fmt.Errorf("store: read [%d,%d) past block length %d", off, end, bm.length)
+	bm, err := e.blockSpan(id, off, len(dst))
+	if err != nil {
+		return err
 	}
 	return e.readInto(bm, off, dst)
 }

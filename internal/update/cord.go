@@ -56,7 +56,10 @@ func (c *cord) Name() string { return "cord" }
 
 func (c *cord) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	b := msg.Block
-	delta, cost, err := overwriteMsg(c.env, c.cfg, msg)
+	buf := getDeltaBuf(len(msg.Data))
+	defer putDeltaBuf(buf)
+	delta := *buf
+	cost, err := overwriteMsg(c.env, c.cfg, msg, delta)
 	if err != nil {
 		return 0, err
 	}

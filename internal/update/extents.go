@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"time"
 
+	"repro/internal/logpool"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -46,6 +48,51 @@ func EncodeExtents(exts []ExtentRec) []byte {
 	}
 	return out
 }
+
+// listSize is the byte length of the extent list of exts.
+func listSize(exts []logpool.Extent) int {
+	n := 0
+	for _, e := range exts {
+		n += extentHeaderSize + len(e.Data)
+	}
+	return n
+}
+
+// listSlots lays out the extent list of exts in list, every record
+// stamped v, and returns each record's payload slot unfilled: the
+// caller writes the bytes in place, where EncodeExtents would copy
+// them. list holds listSize(exts) bytes.
+func listSlots(list []byte, exts []logpool.Extent, v int64) [][]byte {
+	slots := make([][]byte, len(exts))
+	pos := 0
+	for i, e := range exts {
+		n := len(e.Data)
+		putExtentHeader(list[pos:], e.Off, n, v)
+		pos += extentHeaderSize
+		slots[i] = list[pos : pos+n : pos+n]
+		pos += n
+	}
+	return slots
+}
+
+// deltaPool recycles the buffers a data overwrite writes its deltas
+// into and a fanout sends them from: a bare delta or the extent list
+// that carries it. A buffer goes back once the calls that borrowed it
+// have returned, which is when transport.RPC ends the borrow.
+var deltaPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// getDeltaBuf returns a pooled buffer of n bytes, holding stale bytes;
+// putDeltaBuf gives it back.
+func getDeltaBuf(n int) *[]byte {
+	b := deltaPool.Get().(*[]byte)
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+func putDeltaBuf(b *[]byte) { deltaPool.Put(b) }
 
 // DecodeExtents unpacks a payload produced by EncodeExtents. Each
 // record's Data aliases b; copy what must outlive b.

@@ -54,18 +54,30 @@ func (f *fl) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Dura
 	if !ok {
 		return 0
 	}
+	// Every delta lands in one pooled buffer, which the fanouts borrow.
 	// A recycle has no caller to report a store error to: the deltas of
 	// the extents written before it still go out.
-	deltas, cost, _ := f.env.Store().Overwrite(sim.ClassOther, be.Block, f.cfg.BlockSize, storeExtents(be.Extents))
+	size := 0
+	for _, e := range be.Extents {
+		size += len(e.Data)
+	}
+	buf := getDeltaBuf(size)
+	defer putDeltaBuf(buf)
+	deltas := make([][]byte, len(be.Extents))
+	for i, rest := 0, *buf; i < len(deltas); i++ {
+		n := len(be.Extents[i].Data)
+		deltas[i], rest = rest[:n:n], rest[n:]
+	}
+	applied, cost, _ := f.env.Store().Overwrite(sim.ClassOther, be.Block, f.cfg.BlockSize, storeExtents(be.Extents), deltas)
 	targets := place.Loc.Nodes[place.K : place.K+place.M]
-	for _, d := range deltas {
+	for i, e := range be.Extents[:applied] {
 		fanCost, err := fanout(context.Background(), f.env, targets, func(to wire.NodeID) *wire.Msg {
 			j := indexOfNode(place.Loc.Nodes[place.K:], to)
 			return &wire.Msg{
 				Kind:  wire.KParityDelta,
 				Block: parityBlock(be.Block, place.K, j),
-				Off:   d.Off,
-				Data:  d.Data,
+				Off:   e.Off,
+				Data:  deltas[i],
 				Idx:   be.Block.Idx,
 				K:     uint8(place.K),
 				M:     uint8(place.M),

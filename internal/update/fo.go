@@ -66,6 +66,6 @@ func applyParityDeltaInPlace(env Env, cfg Config, msg *wire.Msg) (time.Duration,
 	if j < 0 || j >= int(msg.M) {
 		return 0, fmt.Errorf("parity delta for non-parity block %v", msg.Block)
 	}
-	pd := code.ParityDelta(j, int(msg.Idx), msg.Data)
-	return env.Store().Fold(sim.ClassForegroundWrite, msg.Block, cfg.BlockSize, []blockstore.Extent{{Off: msg.Off, Data: pd}})
+	return env.Store().Fold(sim.ClassForegroundWrite, msg.Block, cfg.BlockSize,
+		[]blockstore.Extent{{Off: msg.Off, Coeff: code.Coeff(j, int(msg.Idx)), Data: msg.Data}})
 }

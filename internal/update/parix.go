@@ -264,6 +264,7 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 		}
 		pb := parityBlock(dataBlock, place.K, j)
 		extents := ni.Extents()
+		coeff := code.Coeff(j, int(dataBlock.Idx))
 		pds := make([]blockstore.Extent, len(extents))
 		for i, e := range extents {
 			// Random re-read of new+old log records.
@@ -282,7 +283,7 @@ func (p *parix) recycleMaps(news, olds map[wire.BlockID]*logpool.Index) time.Dur
 				total += dev.Read(sim.ClassOther, int64(len(orig))+32, true)
 			}
 			delta := erasure.DataDelta(orig, e.Data)
-			pds[i] = blockstore.Extent{Off: e.Off, Data: code.ParityDelta(j, int(dataBlock.Idx), delta)}
+			pds[i] = blockstore.Extent{Off: e.Off, Coeff: coeff, Data: delta}
 		}
 		// A recycle has no caller to report a refused fold to; it is
 		// charged nothing.

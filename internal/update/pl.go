@@ -70,8 +70,9 @@ func encodeDeltaRecord(src uint8, delta []byte) []byte {
 func decodeDeltaRecord(rec []byte) (uint8, []byte) { return rec[0], rec[1:] }
 
 // recycleParity replays the raw log for one parity block: each record is
-// re-read from the on-disk log (random), converted to a parity delta and
-// folded into the parity block with a random read-modify-write.
+// re-read from the on-disk log (random) and folded, scaled by its
+// source's coefficient, into the parity block with a random
+// read-modify-write.
 func (p *pl) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Duration {
 	place, ok := p.env.Placement(be.Block)
 	if !ok {
@@ -89,7 +90,7 @@ func (p *pl) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Du
 		src, delta := decodeDeltaRecord(e.Data)
 		// Random re-read of the log record from disk.
 		cost += dev.Read(sim.ClassOther, int64(len(e.Data))+32, true)
-		pds[i] = blockstore.Extent{Off: e.Off, Data: code.ParityDelta(j, int(src), delta)}
+		pds[i] = blockstore.Extent{Off: e.Off, Coeff: code.Coeff(j, int(src)), Data: delta}
 	}
 	// A recycle has no caller to report a refused fold to; it is
 	// charged nothing.

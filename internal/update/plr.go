@@ -125,12 +125,11 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 	}
 	span := make([]byte, hi-lo)
 	for _, e := range l.entries {
-		pd := code.ParityDelta(j, int(e.src), e.delta)
-		gf256.XorSlice(span[e.off-lo:e.off-lo+uint32(len(pd))], pd)
+		gf256.MulAddSlice(code.Coeff(j, int(e.src)), span[e.off-lo:][:len(e.delta)], e.delta)
 	}
 	// A recycle has no caller to report a refused fold to; it is
 	// charged nothing.
-	fc, _ := p.env.Store().Fold(sim.ClassOther, b, p.cfg.BlockSize, []blockstore.Extent{{Off: lo, Data: span}})
+	fc, _ := p.env.Store().Fold(sim.ClassOther, b, p.cfg.BlockSize, []blockstore.Extent{{Off: lo, Coeff: 1, Data: span}})
 	l.entries, l.bytes = nil, 0
 	return cost + fc
 }

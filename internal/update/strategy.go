@@ -298,16 +298,25 @@ func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(to wire
 // parity OSD of the stripe as a kind message — an in-place parity fold
 // (FO) or a parity-log append (PL, PLR). A log append carries the delta
 // as an extent list of one, and the stripe placement its recycle
-// needs; a fold carries the bare delta and no placement.
+// needs; a fold carries the bare delta and no placement. The overwrite
+// writes the delta straight into the payload it leaves in.
 func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind wire.Kind) (time.Duration, error) {
-	delta, cost, err := overwriteMsg(env, cfg, msg)
+	var (
+		head int
+		loc  wire.StripeLoc
+	)
+	if kind != wire.KParityDelta {
+		head, loc = extentHeaderSize, msg.Loc
+	}
+	buf := getDeltaBuf(head + len(msg.Data))
+	defer putDeltaBuf(buf)
+	payload := *buf
+	cost, err := overwriteMsg(env, cfg, msg, payload[head:])
 	if err != nil {
 		return 0, err
 	}
-	var loc wire.StripeLoc
-	if kind != wire.KParityDelta {
-		loc = msg.Loc
-		delta = EncodeExtents([]ExtentRec{{Off: msg.Off, V: msg.V, Data: delta}})
+	if head > 0 {
+		putExtentHeader(payload, msg.Off, len(msg.Data), msg.V)
 	}
 	k, m := int(msg.K), int(msg.M)
 	fanCost, err := fanout(ctx, env, msg.Loc.Nodes[k:k+m], func(to wire.NodeID) *wire.Msg {
@@ -316,7 +325,7 @@ func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind
 			Kind:  kind,
 			Block: parityBlock(msg.Block, k, j),
 			Off:   msg.Off,
-			Data:  delta,
+			Data:  payload,
 			Idx:   msg.Block.Idx,
 			K:     msg.K,
 			M:     msg.M,
@@ -331,21 +340,20 @@ func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind
 }
 
 // overwriteMsg overwrites a client update's range in place on the
-// foreground path and returns its data delta and modeled cost.
-func overwriteMsg(env Env, cfg Config, msg *wire.Msg) ([]byte, time.Duration, error) {
-	deltas, cost, err := env.Store().Overwrite(sim.ClassForegroundWrite, msg.Block, cfg.BlockSize,
-		[]blockstore.Extent{{Off: msg.Off, Data: msg.Data}})
-	if err != nil {
-		return nil, 0, err
-	}
-	return deltas[0].Data, cost, nil
+// foreground path, writes its data delta into delta (len(msg.Data)
+// bytes) and returns its modeled cost.
+func overwriteMsg(env Env, cfg Config, msg *wire.Msg, delta []byte) (time.Duration, error) {
+	_, cost, err := env.Store().Overwrite(sim.ClassForegroundWrite, msg.Block, cfg.BlockSize,
+		[]blockstore.Extent{{Off: msg.Off, Data: msg.Data}}, [][]byte{delta})
+	return cost, err
 }
 
-// storeExtents views recycled log extents as block-store extents.
+// storeExtents views recycled log extents as block-store extents, each
+// folded unscaled (Coeff 1) by a Fold.
 func storeExtents(exts []logpool.Extent) []blockstore.Extent {
 	out := make([]blockstore.Extent, len(exts))
 	for i, e := range exts {
-		out[i] = blockstore.Extent{Off: e.Off, Data: e.Data}
+		out[i] = blockstore.Extent{Off: e.Off, Coeff: 1, Data: e.Data}
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/gf256"
 	"repro/internal/logpool"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -162,26 +163,28 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 	if !ok {
 		return 0
 	}
-	// A recycle has no caller to report a store error to: the deltas of
-	// the extents written before it still go out.
-	outs, cost, _ := t.env.Store().Overwrite(sim.ClassOther, be.Block, t.cfg.BlockSize, storeExtents(be.Extents))
-	if place.M == 0 || len(outs) == 0 {
+	// The overwrite writes each delta straight into its record of the
+	// extent list that carries it. A recycle has no caller to report a
+	// store error to: the deltas of the extents written before it still
+	// go out.
+	buf := getDeltaBuf(listSize(be.Extents))
+	defer putDeltaBuf(buf)
+	outs := listSlots(*buf, be.Extents, int64(sealV))
+	applied, cost, _ := t.env.Store().Overwrite(sim.ClassOther, be.Block, t.cfg.BlockSize, storeExtents(be.Extents), outs)
+	if place.M == 0 || applied == 0 {
 		return cost
 	}
 	code, err := t.env.Code(place.K, place.M)
 	if err != nil {
 		return cost
 	}
+	list := (*buf)[:listSize(be.Extents[:applied])]
 	ctx := context.Background()
 	if t.cfg.UseDeltaLog {
 		// Primary delta to parity OSD 1, copy to parity OSD 2. The copy
 		// goes first: the primary's trim cancels its copy, so the
 		// primary takes only deltas whose copy is in place.
-		recs := make([]ExtentRec, len(outs))
-		for i, o := range outs {
-			recs[i] = ExtentRec{Off: o.Off, V: int64(sealV), Data: o.Data}
-		}
-		payload, flag := pack(EncodeExtents(recs), t.cfg.CompressDeltas)
+		payload, flag := pack(list, t.cfg.CompressDeltas)
 		add := func(role uint8) []*transport.BatchCall {
 			return []*transport.BatchCall{{To: place.parityNode(int(role)), Msg: &wire.Msg{
 				Kind: wire.KDeltaLogAdd, Block: be.Block, Data: payload,
@@ -199,15 +202,17 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 		// The copy was refused: bypass the DeltaLog as O5-off does, so
 		// no trim can cancel a copy the holder does not have.
 	}
-	// Per-parity deltas straight to the parity logs.
+	// Per-parity deltas straight to the parity logs: the list again,
+	// every delta scaled by parity j's coefficient.
 	calls := make([]*transport.BatchCall, place.M)
 	for j := range calls {
-		recs := make([]ExtentRec, len(outs))
-		for i, o := range outs {
-			recs[i] = ExtentRec{Off: o.Off, V: int64(sealV), Data: code.ParityDelta(j, int(be.Block.Idx), o.Data)}
+		pl := make([]byte, len(list))
+		c := code.Coeff(j, int(be.Block.Idx))
+		for i, d := range listSlots(pl, be.Extents[:applied], int64(sealV)) {
+			gf256.MulSlice(c, d, outs[i])
 		}
 		calls[j] = &transport.BatchCall{To: place.parityNode(j), Msg: &wire.Msg{
-			Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, place.K, j), Data: EncodeExtents(recs),
+			Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, place.K, j), Data: pl,
 			K: uint8(place.K), M: uint8(place.M), Loc: place.Loc,
 		}}
 	}

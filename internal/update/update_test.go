@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -340,5 +342,67 @@ func TestReadThroughSeesUnitRecycledMidRead(t *testing.T) {
 	}
 	if string(got) != "new" || reads != 2 {
 		t.Fatalf("read %q after %d base reads, want \"new\" after 2", got, reads)
+	}
+}
+
+// TestWarmFOAllocatesNoPayload gates FO's two halves on a warm
+// in-memory store. The parity handler folds a 64 KiB delta into the
+// parity block scaled in place; the data OSD's update writes its delta
+// into a pooled buffer that the parity fanout borrows. Neither
+// allocates a payload-sized slice per call. The bound is half the
+// payload, not less: under the race detector sync.Pool drops a quarter
+// of what is put back, so a quarter of the updates miss the pool.
+func TestWarmFOAllocatesNoPayload(t *testing.T) {
+	const k, m, size, n = 2, 2, 1 << 20, 64 << 10
+	cfg := DefaultConfig()
+	cfg.BlockSize = size
+	dev := device.New("osd", device.ChameleonSSD())
+	var sent atomic.Int64 // the parity fanout calls concurrently
+	env := &soloEnv{fakeEnv: fakeEnv{call: func(_ wire.NodeID, msg *wire.Msg) (*wire.Resp, error) {
+		sent.Add(int64(len(msg.Data)))
+		return &wire.Resp{}, nil
+	}}, store: blockstore.New(dev), dev: dev}
+	f, err := newFO(cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data := bytes.Repeat([]byte{0x3c}, n)
+	loc := wire.StripeLoc{Nodes: []wire.NodeID{1, 2, 3, 4}}
+	ops := map[string]func() error{
+		"parity-fold": func() error {
+			_, err := applyParityDeltaInPlace(env, cfg, &wire.Msg{Kind: wire.KParityDelta,
+				Block: wire.BlockID{Ino: 1, Idx: k + 1}, Off: 9, Data: data, Idx: 1, K: k, M: m})
+			return err
+		},
+		"update": func() error {
+			_, err := f.Update(context.Background(), &wire.Msg{Kind: wire.KUpdate,
+				Block: wire.BlockID{Ino: 1, Idx: 1}, Off: 9, Data: data, K: k, M: m, Loc: loc, V: 1})
+			return err
+		},
+	}
+	for name, op := range ops {
+		const runs = 40
+		for i := 0; i < 4; i++ {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.0f B/call", name, perCall)
+		if perCall >= n/2 {
+			t.Errorf("%s allocated %.0f bytes per call: the delta goes through a fresh slice", name, perCall)
+		}
+	}
+	if got := sent.Load(); got != 44*m*n {
+		t.Fatalf("the updates sent %d delta bytes, want %d", got, 44*m*n)
 	}
 }
