@@ -34,7 +34,8 @@ import (
 // (fail, crash, restart, resilver, scrub), the MDS with its durable op
 // log and record catalog, the OSD server, the repair/drain engines with
 // the cluster-level scheduler, the block store, the update strategies'
-// shared interface and layer table, the log pools and their recyclers,
+// shared interface and layer table, TSUE itself and its extent lists,
+// the log pools and their recyclers,
 // the durable storage engine and its checkpoint, and the GF(2^8) bulk
 // kernel.
 var lintedFiles = []string{
@@ -52,6 +53,8 @@ var lintedFiles = []string{
 	"internal/blockstore/blockstore.go",
 	"internal/update/strategy.go",
 	"internal/update/layers.go",
+	"internal/update/tsue.go",
+	"internal/update/extents.go",
 	"internal/logpool/pool.go",
 	"internal/logpool/recycler.go",
 	"internal/store/engine.go",

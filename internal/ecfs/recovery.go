@@ -1,12 +1,9 @@
 package ecfs
 
 import (
-	"bytes"
 	"context"
-	"crypto/subtle"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/erasure"
@@ -155,21 +152,16 @@ func (c *Cluster) recover(ctx context.Context, failed wire.NodeID, replacement *
 }
 
 // repairOptions assembles the RepairOptions for this cluster's
-// geometry, strategy, worker count and timing model. Down is filled by
+// geometry, worker count and timing model. Down is filled by
 // the caller (recovery forces the victim in; drain must not).
 func (c *Cluster) repairOptions(fifo bool) RepairOptions {
-	reps := 1
-	if c.Opts.Strategy != nil && c.Opts.Strategy.DataLogReplicas > 0 {
-		reps = c.Opts.Strategy.DataLogReplicas
-	}
 	return RepairOptions{
-		K:               c.Opts.K,
-		M:               c.Opts.M,
-		Workers:         c.Opts.RecoveryWorkers,
-		DataLogReplicas: reps,
-		Resources:       c.resources(),
-		Flush:           c.Flush,
-		NoPromote:       fifo,
+		K:         c.Opts.K,
+		M:         c.Opts.M,
+		Workers:   c.Opts.RecoveryWorkers,
+		Resources: c.resources(),
+		Flush:     c.Flush,
+		NoPromote: fifo,
 	}
 }
 
@@ -179,14 +171,13 @@ func (c *Cluster) repairOptions(fifo bool) RepairOptions {
 // caller, so the same engine rebuilds over the in-process transport and
 // real TCP sockets.
 type recoverer struct {
-	ctx      context.Context // repair-run context; checked at every engine RPC
-	mds      *MDS
-	caller   transport.RPC
-	code     *erasure.Code
-	k, m     int
-	replicas int // replica-log copies to consult during replay
-	failed   wire.NodeID
-	repl     *OSD
+	ctx    context.Context // repair-run context; checked at every engine RPC
+	mds    *MDS
+	caller transport.RPC
+	code   *erasure.Code
+	k, m   int
+	failed wire.NodeID
+	repl   *OSD
 	// down snapshots the failed set at recovery start. A node that dies
 	// *during* the rebuild surfaces as fetch errors and is handled by
 	// the per-stripe fallback.
@@ -197,13 +188,18 @@ type recoverer struct {
 	rebind bool
 }
 
+// isDown reports whether node is the victim or was down when the
+// recovery started.
+func (r *recoverer) isDown(node wire.NodeID) bool { return node == r.failed || r.down[node] }
+
 // rebindStripe moves a stripe's placement from the victim to the
 // replacement at the MDS (bumping the epoch) and broadcasts the new
 // placement to the stripe's live members, so they start rejecting
 // requests that carry the pre-recovery placement and route deltas to
 // the replacement. The replacement learns (and journals) the same
-// placement directly — its handler may not be registered yet.
-func (r *recoverer) rebindStripe(ref StripeRef) (wire.StripeLoc, bool, error) {
+// placement directly — its handler may not be registered yet. It
+// reports whether the stripe was rebound.
+func (r *recoverer) rebindStripe(ref StripeRef) (bool, error) {
 	nl, err := r.mds.Rebind(ref.Ino, ref.Stripe, r.failed, r.repl.id)
 	if err != nil {
 		if errors.Is(err, ErrAlreadyPlaced) {
@@ -212,177 +208,81 @@ func (r *recoverer) rebindStripe(ref StripeRef) (wire.StripeLoc, bool, error) {
 			// where the victim stayed placeable). The stripe keeps
 			// its old placement — degraded until another node can
 			// take the slot — rather than failing the recovery.
-			return wire.StripeLoc{}, false, nil
+			return false, nil
 		}
-		return wire.StripeLoc{}, false, fmt.Errorf("ecfs: rebind %d/%d: %w", ref.Ino, ref.Stripe, err)
+		return false, fmt.Errorf("ecfs: rebind %d/%d: %w", ref.Ino, ref.Stripe, err)
 	}
 	epoch := wire.Msg{
 		Kind: wire.KEpochUpdate, Block: wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}, Loc: nl, K: uint8(r.k), M: uint8(r.m), Class: sim.ClassRebuild,
 	}
 	if _, err := r.repl.learn(&epoch); err != nil {
-		return wire.StripeLoc{}, false, fmt.Errorf("ecfs: rebind %d/%d: %w", ref.Ino, ref.Stripe, err)
+		return false, fmt.Errorf("ecfs: rebind %d/%d: %w", ref.Ino, ref.Stripe, err)
 	}
 	broadcastEpoch(r.ctx, r.caller, epoch, r.down, r.repl.id, r.failed)
-	return nl, true, nil
+	return true, nil
 }
 
 // rebuildStripe reconstructs one lost block: fetch K surviving shards
 // (gatherSurvivors, with fallback to further shard holders on error),
-// decode, replay the replica log for a data block, and write the result
-// to the replacement. The fetched shards are pooled reply buffers, held
-// until the decoded block has been written and then released.
+// decode, let the replacement's strategy replay what peers hold of the
+// block's pending updates, and write the result to the replacement.
+// The fetched shards are pooled reply buffers, held until the decoded
+// block has been written and then released.
 func (r *recoverer) rebuildStripe(ref StripeRef) (StripeRecovery, error) {
 	sr := StripeRecovery{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx}
-	k := r.k
 	// The victim holds ref.Idx, so skipping the lost index skips it.
-	g := gatherSurvivors(r.ctx, r.caller, wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}, ref.Loc, k, int(ref.Idx), r.down, sim.ClassRebuild)
+	g := gatherSurvivors(r.ctx, r.caller, wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe}, ref.Loc, r.k, int(ref.Idx), r.down, sim.ClassRebuild)
 	defer g.release()
 	have := len(g.held)
 	// A structured not-found is the normal state of a never-fully-written
 	// stripe and is classified separately from transport errors.
 	sr.Fetch, sr.Retries, sr.Unreachable, sr.NotFound = g.cost, g.retries, g.unreachable, g.notFound
 	sr.Obtained = have
-	if have < k {
-		if sr.Unreachable > 0 || sr.Retries > sr.NotFound || have > 0 {
-			// Evidence the stripe's data exists but cannot be
-			// reassembled: a holder did not answer at all (transport
-			// error), a reachable holder failed with something other
-			// than a structured not-found, or some shards *were*
-			// fetched yet fewer than K are obtainable — possible data
-			// loss, surfaced to the caller as a *DataLossError.
-			sr.Lost = true
-		} else {
-			// Every miss was a structured not-found from a reachable
-			// holder and no shard exists anywhere: the stripe was
-			// never fully written.
-			sr.Skipped = true
+	switch {
+	case have >= r.k:
+		if err := r.code.Reconstruct(g.shards, int(ref.Idx)); err != nil {
+			return sr, fmt.Errorf("ecfs: reconstruct %d/%d: %w", ref.Ino, ref.Stripe, err)
 		}
-		// Either way there is no data to rebuild, but a fresh-id
-		// replacement must still take over the placement slot:
-		// otherwise the stripe keeps referencing the retired node id
-		// forever, and even a full-stripe rewrite — the one legitimate
-		// way to re-create a lost stripe — could never succeed.
-		if r.rebind {
-			_, ok, err := r.rebindStripe(ref)
-			if err != nil {
-				return sr, err
-			}
-			sr.Rebound = ok
-		}
-		return sr, nil
-	}
-
-	if err := r.code.Reconstruct(g.shards, int(ref.Idx)); err != nil {
-		return sr, fmt.Errorf("ecfs: reconstruct %d/%d: %w", ref.Ino, ref.Stripe, err)
-	}
-	lost := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx}
-	data := g.shards[ref.Idx]
-	// A lost *data* block may have updates that were still buffered in
-	// the dead node's DataLog. Its replica log on the next OSD(s) of the
-	// stripe holds them (§4.2): replay on top of the reconstructed
-	// content and push the resulting parity deltas.
-	if int(ref.Idx) < k {
-		replayed, cost, err := r.replayReplica(ref, lost, data)
-		if err != nil {
+		lost := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: ref.Idx}
+		data := g.shards[ref.Idx]
+		// The lost block may have updates the dead node had not
+		// recycled yet; the strategy replays what its peers hold of
+		// them (TSUE's DataLog replicas, §4.2) over the reconstructed
+		// content.
+		place := update.Placement{K: r.k, M: r.m, Loc: ref.Loc}
+		var err error
+		if sr.Replayed, sr.Replay, err = r.repl.strategy.ReplayReplicas(r.ctx, place, lost, data, r.isDown); err != nil {
 			return sr, err
 		}
-		sr.Replayed = replayed
-		sr.Replay = cost
+		if sr.Write, err = r.repl.store.WriteFull(sim.ClassRebuild, lost, data, nil, true); err != nil {
+			return sr, fmt.Errorf("ecfs: store rebuilt %v: %w", lost, err)
+		}
+		sr.Bytes = len(data)
+	case sr.Unreachable > 0 || sr.Retries > sr.NotFound || have > 0:
+		// Evidence the stripe's data exists but cannot be reassembled:
+		// a holder did not answer at all (transport error), a reachable
+		// holder failed with something other than a structured
+		// not-found, or some shards *were* fetched yet fewer than K are
+		// obtainable — possible data loss, surfaced to the caller as a
+		// *DataLossError.
+		sr.Lost = true
+	default:
+		// Every miss was a structured not-found from a reachable holder
+		// and no shard exists anywhere: the stripe was never fully
+		// written.
+		sr.Skipped = true
 	}
-	cost, err := r.repl.store.WriteFull(sim.ClassRebuild, lost, data, nil, true)
-	if err != nil {
-		return sr, fmt.Errorf("ecfs: store rebuilt %v: %w", lost, err)
-	}
-	sr.Write = cost
-	sr.Bytes = len(data)
+	// A fresh-id replacement takes over the placement slot even of a
+	// stripe with no data to rebuild: otherwise the stripe keeps
+	// referencing the retired node id forever, and even a full-stripe
+	// rewrite — the one legitimate way to re-create a lost stripe —
+	// could never succeed.
 	if r.rebind {
-		_, ok, err := r.rebindStripe(ref)
+		ok, err := r.rebindStripe(ref)
 		if err != nil {
 			return sr, err
 		}
 		sr.Rebound = ok
 	}
 	return sr, nil
-}
-
-// replayReplica fetches the replica-log extents of a lost data block from
-// the stripe's replica holders, applies them to the reconstructed
-// content (in place), and forwards parity deltas for any bytes that
-// changed. Methods without replica logs answer with an error or an empty
-// payload and are skipped. It returns the replayed byte count and the
-// synchronous cost of the replay RPCs.
-func (r *recoverer) replayReplica(ref StripeRef, lost wire.BlockID, data []byte) (int64, time.Duration, error) {
-	n := len(ref.Loc.Nodes)
-	reps := r.replicas
-	var (
-		recs []update.ExtentRec
-		cost time.Duration
-	)
-	for rep := 1; rep <= reps && rep < n; rep++ {
-		node := ref.Loc.Nodes[(int(ref.Idx)+rep)%n]
-		if node == r.failed || r.down[node] {
-			continue
-		}
-		resp, err := r.caller.Call(r.ctx, node, &wire.Msg{Kind: wire.KReplicaFetch, Block: lost, Class: sim.ClassRebuild})
-		if err != nil {
-			continue
-		}
-		if !resp.OK() || len(resp.Data) == 0 {
-			resp.Release()
-			continue
-		}
-		cost += resp.Cost
-		recs, err = update.DecodeExtents(bytes.Clone(resp.Data)) // outlives the reply
-		resp.Release()
-		if err != nil {
-			return 0, cost, err
-		}
-		break
-	}
-	if len(recs) == 0 {
-		return 0, cost, nil
-	}
-	// Apply every record, keeping the deltas of those that change the
-	// block; each live parity then gets one extent list of its deltas.
-	var (
-		replayed int64
-		deltas   []update.ExtentRec
-	)
-	for _, rec := range recs {
-		end := int(rec.Off) + len(rec.Data)
-		if end > len(data) {
-			continue
-		}
-		delta := make([]byte, len(rec.Data))
-		subtle.XORBytes(delta, data[rec.Off:end], rec.Data)
-		copy(data[rec.Off:], rec.Data)
-		if !slices.ContainsFunc(delta, func(b byte) bool { return b != 0 }) {
-			continue // already recycled before the failure: idempotent
-		}
-		replayed += int64(len(rec.Data))
-		deltas = append(deltas, update.ExtentRec{Off: rec.Off, Data: delta})
-	}
-	if len(deltas) == 0 {
-		return 0, cost, nil
-	}
-	for j := 0; j < r.m; j++ {
-		pNode := ref.Loc.Nodes[r.k+j]
-		if pNode == r.failed || r.down[pNode] {
-			continue
-		}
-		pds := make([]update.ExtentRec, len(deltas))
-		for i, d := range deltas {
-			pds[i] = update.ExtentRec{Off: d.Off, Data: r.code.ParityDelta(j, int(ref.Idx), d.Data)}
-		}
-		pb := wire.BlockID{Ino: ref.Ino, Stripe: ref.Stripe, Idx: uint8(r.k + j)}
-		c, err := callCost(r.ctx, r.caller, pNode, &wire.Msg{
-			Kind: wire.KParityLogAdd, Block: pb, Data: update.EncodeExtents(pds),
-			K: uint8(r.k), M: uint8(r.m), Loc: ref.Loc, Class: sim.ClassRebuild,
-		})
-		if err != nil {
-			return replayed, cost, err
-		}
-		cost += c
-	}
-	return replayed, cost, nil
 }

@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/update"
 	"repro/internal/wire"
 )
 
@@ -17,8 +20,15 @@ import (
 // produce byte-identical cluster states.
 func buildRecoveryCluster(t *testing.T, method string, updates int) (*Cluster, *Client, *File, []byte) {
 	t.Helper()
+	return buildRecoveryClusterWith(t, testOptions(method), updates)
+}
+
+// buildRecoveryClusterWith is buildRecoveryCluster on a cluster built
+// from opts.
+func buildRecoveryClusterWith(t *testing.T, opts Options, updates int) (*Cluster, *Client, *File, []byte) {
+	t.Helper()
 	ctx := context.Background()
-	c := MustNewCluster(testOptions(method))
+	c := MustNewCluster(opts)
 	cli := c.NewClient()
 	fileSize := 64 << 10
 	f, mirror := writeTestFile(t, c, cli, fileSize, 23)
@@ -416,6 +426,128 @@ func TestRecoveryErrorReturnsPromptly(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("workers=%d: recovery deadlocked on stripe error", workers)
 		}
+	}
+}
+
+// countReplicaFetches re-registers every live OSD's handler behind one
+// that counts the KReplicaFetch requests it serves, by node, and the
+// ones it answers with records.
+func countReplicaFetches(c *Cluster) (served, answered map[wire.NodeID]int, mu *sync.Mutex) {
+	served, answered, mu = map[wire.NodeID]int{}, map[wire.NodeID]int{}, &sync.Mutex{}
+	for _, o := range c.Alive() {
+		o := o
+		c.Tr.Register(o.ID(), func(hctx context.Context, msg *wire.Msg) *wire.Resp {
+			resp := o.Handler(hctx, msg)
+			if msg.Kind == wire.KReplicaFetch {
+				mu.Lock()
+				served[o.ID()]++
+				if resp.OK() && len(resp.Data) > 0 {
+					answered[o.ID()]++
+				}
+				mu.Unlock()
+			}
+			return resp
+		})
+	}
+	return served, answered, mu
+}
+
+// TestRecoveryReplaysOnlyWhereReplicasExist: replica replay is the
+// update method's own. A method without DataLog replicas sends no
+// KReplicaFetch when a data OSD is rebuilt; TSUE fetches its replicas,
+// replays the pending updates its dead primary held, and its stripes
+// verify and scrub clean.
+func TestRecoveryReplaysOnlyWhereReplicasExist(t *testing.T) {
+	for _, method := range update.AllMethods {
+		t.Run(method, func(t *testing.T) {
+			c, _, f, mirror := buildRecoveryCluster(t, method, 100)
+			defer c.Close()
+			victim := c.OSDs[2]
+			c.FailOSD(victim.ID())
+			served, _, _ := countReplicaFetches(c)
+			repl := newTestReplacement(t, c, victim.ID())
+			res, err := c.Recover(context.Background(), victim.ID(), repl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetches := 0
+			for _, n := range served {
+				fetches += n
+			}
+			if method != "tsue" {
+				if fetches != 0 || res.ReplayedBytes != 0 {
+					t.Fatalf("%d replica fetches and %d bytes replayed by a method that keeps no replicas", fetches, res.ReplayedBytes)
+				}
+				repl.Close()
+				return
+			}
+			if fetches == 0 || res.ReplayedBytes == 0 {
+				t.Fatalf("%d replica fetches replayed %d bytes; want pending updates replayed", fetches, res.ReplayedBytes)
+			}
+			c.Reinstate(repl)
+			if err := c.Flush(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.VerifyStripes(f, mirror); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Scrub(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRecoveryReplaysFromSecondReplica: with two DataLog replicas, a
+// data block whose first replica holder is down too is replayed from
+// the second holder. Units are large enough that no DataLog recycles
+// before the failures, so every update is still pending there.
+func TestRecoveryReplaysFromSecondReplica(t *testing.T) {
+	opts := testOptions("tsue")
+	opts.Strategy.DataLogReplicas = 2
+	opts.Strategy.UnitSize = 1 << 20
+	c, _, f, mirror := buildRecoveryClusterWith(t, opts, 100)
+	defer c.Close()
+	loc, err := c.MDS.Lookup(f.Ino(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stripe 0's first data block, its two replica holders in order.
+	victim, first, second := c.OSD(loc.Nodes[0]), c.OSD(loc.Nodes[1]), loc.Nodes[2]
+	c.FailOSD(victim.ID())
+	c.FailOSD(first.ID())
+	_, answered, mu := countReplicaFetches(c)
+
+	lost := wire.BlockID{Ino: f.Ino(), Stripe: 0, Idx: 0}
+	for i, dead := range []*OSD{victim, first} {
+		repl := newTestReplacement(t, c, dead.ID())
+		res, err := c.Recover(context.Background(), dead.ID(), repl)
+		if err != nil {
+			t.Fatalf("recover %d: %v", dead.ID(), err)
+		}
+		if i == 0 {
+			i := slices.IndexFunc(res.Stripes, func(sr StripeRecovery) bool {
+				return sr.Ino == lost.Ino && sr.Stripe == lost.Stripe && sr.Idx == lost.Idx
+			})
+			if i < 0 || res.Stripes[i].Replayed == 0 {
+				t.Fatalf("block %v: nothing replayed with its first replica holder down", lost)
+			}
+			mu.Lock()
+			if answered[second] == 0 {
+				t.Errorf("the second replica holder %d answered no replica fetch", second)
+			}
+			mu.Unlock()
+		}
+		c.Reinstate(repl)
+	}
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.VerifyStripes(f, mirror); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Scrub(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -170,9 +170,6 @@ func (q *repairQueue) promotions() int {
 type RepairOptions struct {
 	K, M    int
 	Workers int // <= 0 selects DefaultRecoveryWorkers
-	// DataLogReplicas is the number of replica-log copies the update
-	// strategy keeps (replica replay fan-out); <= 0 selects 1.
-	DataLogReplicas int
 	// Down snapshots the failed node set; fetches skip these holders and
 	// epoch broadcasts omit them.
 	Down map[wire.NodeID]bool
@@ -187,15 +184,6 @@ type RepairOptions struct {
 	// NoPromote disables degraded-read promotion, turning the queue into
 	// a strict FIFO — the baseline the repair benchmark compares against.
 	NoPromote bool
-}
-
-func (o *RepairOptions) sanitize() {
-	if o.Workers <= 0 {
-		o.Workers = DefaultRecoveryWorkers
-	}
-	if o.DataLogReplicas <= 0 {
-		o.DataLogReplicas = 1
-	}
 }
 
 // callCost issues one engine RPC and returns the reply's priced cost,
@@ -267,11 +255,13 @@ type repairRun struct {
 	flushed      []time.Duration // maintenance busy time once the pre-run flush is done
 }
 
-// startRepair sanitizes o, snapshots the scheduler's throttle and
-// spent-byte baselines, and runs o.Flush — the §2.3.2 drain — whose
+// startRepair defaults o.Workers, snapshots the scheduler's throttle
+// and spent-byte baselines, and runs o.Flush — the §2.3.2 drain — whose
 // cost becomes the run's DrainTime.
 func startRepair(ctx context.Context, mds *MDS, o RepairOptions) (*repairRun, error) {
-	o.sanitize()
+	if o.Workers <= 0 {
+		o.Workers = DefaultRecoveryWorkers
+	}
 	sched := mds.Scheduler()
 	run := &repairRun{mds: mds, o: o, throttleBase: sched.Throttled(), spentBase: sched.TotalSpentBytes()}
 	start := sim.SnapshotBusyClasses(o.Resources, maintenanceClasses...)
@@ -400,9 +390,11 @@ func (run *repairRun) finish(stripeTime time.Duration, bytes int64) repairTiming
 // using the MDS and RPC caller of any deployment — the engine
 // Cluster.Recover wraps for the in-process cluster and the TCP harness
 // drives over real sockets. The replacement must be reachable in
-// process (its store is written directly and it learns epochs first);
-// everything else — shard fetches, replica replay, epoch broadcasts —
-// travels through caller. See Cluster.Recover for the full semantics.
+// process (its store is written directly, it learns epochs first, and
+// its strategy replays what peers hold of the lost blocks' pending
+// updates over its own RPC); everything else — shard fetches, epoch
+// broadcasts — travels through caller. See Cluster.Recover for the
+// full semantics.
 func RepairNode(ctx context.Context, mds *MDS, caller transport.RPC, code *erasure.Code, o RepairOptions, failed wire.NodeID, repl *OSD) (*RecoveryResult, error) {
 	run, err := startRepair(ctx, mds, o)
 	if err != nil {
@@ -424,17 +416,16 @@ func RepairNode(ctx context.Context, mds *MDS, caller transport.RPC, code *erasu
 func (run *repairRun) rebuild(ctx context.Context, caller transport.RPC, code *erasure.Code, failed wire.NodeID, repl *OSD, refs []StripeRef) (*RecoveryResult, error) {
 	o := run.o
 	r := &recoverer{
-		ctx:      ctx,
-		mds:      run.mds,
-		caller:   caller,
-		code:     code,
-		k:        o.K,
-		m:        o.M,
-		replicas: o.DataLogReplicas,
-		failed:   failed,
-		repl:     repl,
-		down:     o.Down,
-		rebind:   repl.id != failed,
+		ctx:    ctx,
+		mds:    run.mds,
+		caller: caller,
+		code:   code,
+		k:      o.K,
+		m:      o.M,
+		failed: failed,
+		repl:   repl,
+		down:   o.Down,
+		rebind: repl.id != failed,
 	}
 	res := &RecoveryResult{Stripes: make([]StripeRecovery, len(refs))}
 	err := run.work(ctx, refs, func(ref StripeRef, seed, order int) (int64, error) {

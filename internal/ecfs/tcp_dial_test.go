@@ -118,7 +118,7 @@ func TestDialSelfDiscovery(t *testing.T) {
 
 	caller := h.newRPC()
 	res, err := RepairNode(ctx, h.mds, caller, h.code, RepairOptions{
-		K: k, M: m, Workers: 2, DataLogReplicas: 1,
+		K: k, M: m, Workers: 2,
 		Down:  down,
 		Flush: h.flushOver(caller, down),
 	}, victim, repl)

@@ -205,7 +205,7 @@ func TestTCPRecoveryStaleEpochReresolve(t *testing.T) {
 
 	caller := h.newRPC()
 	res, err := RepairNode(context.Background(), h.mds, caller, h.code, RepairOptions{
-		K: k, M: m, Workers: 2, DataLogReplicas: 1,
+		K: k, M: m, Workers: 2,
 		Down:  down,
 		Flush: h.flushOver(caller, down),
 	}, victim, repl)
@@ -351,10 +351,10 @@ func armPoolDebug(t *testing.T) func() {
 	}
 }
 
-// TestTCPRepairNodeReleasesReplies: every pooled reply the repair
-// engine receives over TCP — shard fetches, replica-log fetches, parity
-// deltas, epoch broadcasts, error replies — goes back to the pool, and
-// the rebuilt data is intact.
+// TestTCPRepairNodeReleasesReplies: every pooled reply a repair
+// receives over TCP — the engine's shard fetches, epoch broadcasts and
+// error replies, and the replacement's replica-log fetches and parity
+// deltas — goes back to the pool, and the rebuilt data is intact.
 func TestTCPRepairNodeReleasesReplies(t *testing.T) {
 	const k, m, nOSDs = 2, 1, 4
 	h := newTCPHarness(t, k, m, nOSDs, 8<<10)
@@ -374,7 +374,7 @@ func TestTCPRepairNodeReleasesReplies(t *testing.T) {
 
 	balanced := armPoolDebug(t)
 	res, err := RepairNode(context.Background(), h.mds, caller, h.code, RepairOptions{
-		K: k, M: m, Workers: 2, DataLogReplicas: 1,
+		K: k, M: m, Workers: 2,
 		Down:  down,
 		Flush: h.flushOver(caller, down),
 	}, victim, repl)

@@ -12,11 +12,12 @@ import (
 	"repro/internal/wire"
 )
 
-// ExtentRec is one record of an extent list: a byte range of a block,
-// the virtual time it was logged at, and its bytes. Extent lists are the
-// payload of every log append between OSDs (KDeltaLogAdd,
+// ExtentRec is one record of a decoded extent list: a byte range of a
+// block, the virtual time it was logged at, and its bytes. Extent lists
+// are the payload of every log append between OSDs (KDeltaLogAdd,
 // KParityLogAdd) and of a KReplicaFetch reply; a single extent is a list
-// of one.
+// of one. Senders write a list straight from log extents (listSlots,
+// encodeList); DecodeExtents reads one back as records.
 type ExtentRec struct {
 	Off  uint32
 	V    int64
@@ -32,23 +33,6 @@ func putExtentHeader(dst []byte, off uint32, n int, v int64) {
 	binary.LittleEndian.PutUint64(dst[8:], uint64(v))
 }
 
-// EncodeExtents packs extent records into a flat payload:
-// repeated [off u32][len u32][v i64][bytes].
-func EncodeExtents(exts []ExtentRec) []byte {
-	n := 0
-	for _, e := range exts {
-		n += extentHeaderSize + len(e.Data)
-	}
-	out := make([]byte, n)
-	pos := 0
-	for _, e := range exts {
-		putExtentHeader(out[pos:], e.Off, len(e.Data), e.V)
-		pos += extentHeaderSize
-		pos += copy(out[pos:], e.Data)
-	}
-	return out
-}
-
 // listSize is the byte length of the extent list of exts.
 func listSize(exts []logpool.Extent) int {
 	n := 0
@@ -60,8 +44,7 @@ func listSize(exts []logpool.Extent) int {
 
 // listSlots lays out the extent list of exts in list, every record
 // stamped v, and returns each record's payload slot unfilled: the
-// caller writes the bytes in place, where EncodeExtents would copy
-// them. list holds listSize(exts) bytes.
+// caller writes the bytes in place. list holds listSize(exts) bytes.
 func listSlots(list []byte, exts []logpool.Extent, v int64) [][]byte {
 	slots := make([][]byte, len(exts))
 	pos := 0
@@ -73,6 +56,17 @@ func listSlots(list []byte, exts []logpool.Extent, v int64) [][]byte {
 		pos += n
 	}
 	return slots
+}
+
+// encodeList writes the extent list of exts into list, which holds
+// listSize(exts) bytes: each record keeps its extent's own V and bytes.
+func encodeList(list []byte, exts []logpool.Extent) {
+	pos := 0
+	for _, e := range exts {
+		putExtentHeader(list[pos:], e.Off, len(e.Data), int64(e.V))
+		pos += extentHeaderSize
+		pos += copy(list[pos:], e.Data)
+	}
 }
 
 // deltaPool recycles the buffers a data overwrite writes its deltas
@@ -94,8 +88,9 @@ func getDeltaBuf(n int) *[]byte {
 
 func putDeltaBuf(b *[]byte) { deltaPool.Put(b) }
 
-// DecodeExtents unpacks a payload produced by EncodeExtents. Each
-// record's Data aliases b; copy what must outlive b.
+// DecodeExtents unpacks an extent list: repeated
+// [off u32][len u32][v i64][bytes], little-endian. Each record's Data
+// aliases b; copy what must outlive b.
 func DecodeExtents(b []byte) ([]ExtentRec, error) {
 	var out []ExtentRec
 	for len(b) > 0 {

@@ -68,9 +68,10 @@ type declaredLayer struct {
 // logLayers is an update method's layer table. Every method embeds
 // one, and it derives from the declarations the part of Strategy that
 // is not the method's own: Read, Drain by phase, Settle, Close,
-// LayerStats, MemoryBytes and the crash replay of persisted records. A
-// method that declares no pooled layer (FO, PLR, PARIX) reads the
-// store, drains and settles nothing, and reports no layers.
+// LayerStats, MemoryBytes, the crash replay of persisted records and a
+// replica replay that replays nothing. A method that declares no
+// pooled layer (FO, PLR, PARIX) reads the store, drains and settles
+// nothing, and reports no layers.
 type logLayers struct {
 	env       Env
 	layers    []declaredLayer
@@ -214,6 +215,12 @@ func (l *logLayers) Close() {
 	for _, r := range l.recyclers {
 		r.Wait()
 	}
+}
+
+// ReplayReplicas replays nothing: only TSUE, which overrides it, keeps
+// replicas of its pending updates on peers.
+func (l *logLayers) ReplayReplicas(ctx context.Context, p Placement, lost wire.BlockID, data []byte, down func(wire.NodeID) bool) (int64, time.Duration, error) {
+	return 0, 0, nil
 }
 
 // LayerStats returns each pooled layer's summed pool statistics by

@@ -173,7 +173,7 @@ func TestCopyTrimKeepsNewerCopy(t *testing.T) {
 	a := bytes.Repeat([]byte{0x5A}, 512)
 	bb := make([]byte, 512)
 	rand.New(rand.NewSource(1)).Read(bb)
-	list := func(data []byte) []byte { return EncodeExtents([]ExtentRec{{Off: 4096, Data: data}}) }
+	list := func(data []byte) []byte { return refEncodeExtents([]ExtentRec{{Off: 4096, Data: data}}) }
 	msg := func(role uint8, data []byte) *wire.Msg {
 		return &wire.Msg{Kind: wire.KDeltaLogAdd, Block: b, Data: list(data), Idx: b.Idx, K: k, M: m, Loc: loc, Flag: role}
 	}
@@ -318,7 +318,7 @@ func TestStage2MessageShape(t *testing.T) {
 					recs = append(recs, ExtentRec{Off: uint32(e) * 8192, V: 5, Data: data})
 				}
 				b := wire.BlockID{Ino: 9, Stripe: uint32(st), Idx: uint8(src)}
-				handleOK(t, s, &wire.Msg{Kind: wire.KDeltaLogAdd, Block: b, Data: EncodeExtents(recs),
+				handleOK(t, s, &wire.Msg{Kind: wire.KDeltaLogAdd, Block: b, Data: refEncodeExtents(recs),
 					Idx: b.Idx, K: k, M: m, Loc: loc, Flag: rolePrimary})
 			}
 		}
@@ -368,14 +368,111 @@ func TestStage2MessageShape(t *testing.T) {
 	})
 }
 
+// TestInPlaceListsMatchReference: every extent list TSUE writes in
+// place — a DataLog recycle's slots, a copy trim, a KReplicaFetch
+// reply — is byte for byte the list refEncodeExtents encodes from the
+// same records.
+func TestInPlaceListsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	// records returns n disjoint records of random bytes, one of them
+	// empty, each with its own V.
+	records := func(n int) []ExtentRec {
+		recs := make([]ExtentRec, n)
+		for i := range recs {
+			data := make([]byte, rng.Intn(300))
+			rng.Read(data)
+			recs[i] = ExtentRec{Off: uint32(i) * 1024, V: int64(7*i + 3), Data: data}
+		}
+		recs[n/2].Data = nil
+		return recs
+	}
+	// Log indexes drop an empty record: it holds no bytes.
+	nonEmpty := func(recs []ExtentRec) []ExtentRec {
+		return slices.DeleteFunc(slices.Clone(recs), func(r ExtentRec) bool { return len(r.Data) == 0 })
+	}
+	extents := func(recs []ExtentRec) []logpool.Extent {
+		exts := make([]logpool.Extent, len(recs))
+		for i, r := range recs {
+			exts[i] = logpool.Extent{Off: r.Off, V: time.Duration(r.V), Data: r.Data}
+		}
+		return exts
+	}
+
+	t.Run("encodeList", func(t *testing.T) {
+		recs := records(6)
+		list := make([]byte, listSize(extents(recs)))
+		encodeList(list, extents(recs))
+		if want := refEncodeExtents(recs); !bytes.Equal(list, want) {
+			t.Fatalf("encodeList wrote %x, want %x", list, want)
+		}
+	})
+	t.Run("listSlots", func(t *testing.T) {
+		recs := records(6)
+		list := make([]byte, listSize(extents(recs)))
+		for i, slot := range listSlots(list, extents(recs), 99) {
+			copy(slot, recs[i].Data)
+		}
+		for i := range recs {
+			recs[i].V = 99
+		}
+		if want := refEncodeExtents(recs); !bytes.Equal(list, want) {
+			t.Fatalf("listSlots laid out %x, want %x", list, want)
+		}
+	})
+	t.Run("trim", func(t *testing.T) {
+		const k, m = 4, 2
+		s, rec := newRecordedTSUE(t)
+		loc := wire.StripeLoc{Nodes: []wire.NodeID{20, 21, 22, 23, 1, 30}} // parity 0 here
+		sent := map[uint8][]ExtentRec{}
+		for idx := uint8(0); idx < 3; idx++ {
+			b := wire.BlockID{Ino: 4, Stripe: 2, Idx: idx}
+			sent[idx] = records(4)
+			handleOK(t, s, &wire.Msg{Kind: wire.KDeltaLogAdd, Block: b, Data: refEncodeExtents(sent[idx]),
+				Idx: idx, K: k, M: m, Loc: loc, Flag: rolePrimary})
+		}
+		if err := s.Drain(context.Background(), 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		trims := 0
+		for _, msg := range rec.msgs {
+			if msg.Kind != wire.KDeltaLogAdd || msg.Flag != roleTrim {
+				continue
+			}
+			trims++
+			if want := refEncodeExtents(nonEmpty(sent[msg.Block.Idx])); !bytes.Equal(msg.Data, want) {
+				t.Fatalf("trim of %v is %x, want %x", msg.Block, msg.Data, want)
+			}
+		}
+		if trims != len(sent) {
+			t.Fatalf("%d trims for %d source blocks", trims, len(sent))
+		}
+	})
+	t.Run("replica fetch", func(t *testing.T) {
+		s, _ := newRecordedTSUE(t)
+		b := wire.BlockID{Ino: 4, Stripe: 0, Idx: 1}
+		recs := records(5)
+		for _, r := range recs {
+			handleOK(t, s, &wire.Msg{Kind: wire.KDataLogReplica, Block: b, Off: r.Off, V: r.V, Data: r.Data})
+		}
+		resp := handle(s, &wire.Msg{Kind: wire.KReplicaFetch, Block: b})
+		defer resp.Release()
+		if want := refEncodeExtents(nonEmpty(recs)); !resp.OK() || !bytes.Equal(resp.Data, want) {
+			t.Fatalf("replica fetch answered %x (%s), want %x", resp.Data, resp.Err, want)
+		}
+		if empty := handle(s, &wire.Msg{Kind: wire.KReplicaFetch, Block: b.WithIdx(0)}); !empty.OK() || len(empty.Data) != 0 {
+			t.Fatalf("replica fetch of a block with no replicas answered %d bytes (%s)", len(empty.Data), empty.Err)
+		}
+	})
+}
+
 // FuzzDecodeExtents: an extent list from the wire never panics the
 // decoder — a truncated or oversized header is an error — and whatever
 // decodes re-encodes to the same bytes.
 func FuzzDecodeExtents(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeExtents([]ExtentRec{{Off: 1, V: -3, Data: []byte("abcdef")}}))
-	f.Add(EncodeExtents([]ExtentRec{{Off: 0, Data: nil}, {Off: 1 << 30, V: 1 << 40, Data: bytes.Repeat([]byte{7}, 40)}}))
-	good := EncodeExtents([]ExtentRec{{Off: 9, Data: []byte("xyz")}})
+	f.Add(refEncodeExtents([]ExtentRec{{Off: 1, V: -3, Data: []byte("abcdef")}}))
+	f.Add(refEncodeExtents([]ExtentRec{{Off: 0, Data: nil}, {Off: 1 << 30, V: 1 << 40, Data: bytes.Repeat([]byte{7}, 40)}}))
+	good := refEncodeExtents([]ExtentRec{{Off: 9, Data: []byte("xyz")}})
 	f.Add(good[:extentHeaderSize-1])
 	f.Add(good[:len(good)-1])
 	huge := bytes.Clone(good)
@@ -386,10 +483,10 @@ func FuzzDecodeExtents(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again := EncodeExtents(recs); !bytes.Equal(again, b) {
+		if again := refEncodeExtents(recs); !bytes.Equal(again, b) {
 			t.Fatalf("decode→encode changed %d bytes into %d", len(b), len(again))
 		}
-		back, err := DecodeExtents(EncodeExtents(recs))
+		back, err := DecodeExtents(refEncodeExtents(recs))
 		if err != nil || len(back) != len(recs) {
 			t.Fatalf("round trip: %d of %d records, err %v", len(back), len(recs), err)
 		}

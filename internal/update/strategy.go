@@ -11,15 +11,17 @@
 // network models, so workload tables fall out of real execution.
 //
 // A method writes only what is its own: the update path, the peer
-// handler, and the recycle functions of its log layers. It declares
+// handler, the recycle functions of its log layers, and the replay of
+// any copies peers keep of its pending updates (TSUE's DataLog
+// replicas, which a repair replays onto a rebuilt block). It declares
 // its layers once, in one table (layers.go), and the table derives the
 // rest of Strategy for every method alike: Read — which lends the
 // store's bytes unless a layer is declared the read layer (TSUE's
 // DataLog, a read cache, §3.3.3; FL's data log, an overlay) — Drain by
 // phase, Settle, Close, per-layer stats, the memory budget and the
-// crash replay of persisted records. FO, PLR and PARIX declare no
-// pooled layer; PLR, PARIX and TSUE override Drain where they do more
-// than drain pools.
+// crash replay of persisted records; a method that keeps no replicas
+// replays none. FO, PLR and PARIX declare no pooled layer; PLR, PARIX
+// and TSUE override Drain where they do more than drain pools.
 //
 // Placement handling: strategies keep no placement of their own. The
 // OSD holds one record per stripe — geometry, nodes and placement epoch
@@ -89,8 +91,8 @@ func (p Placement) parityNode(j int) wire.NodeID { return p.Loc.Nodes[p.K+j] }
 const DrainPhases = 3
 
 // Strategy is one update method instance, bound to one OSD. A method
-// writes its own Name, Update and Handle; the rest comes from the
-// layer table it embeds (layers.go).
+// writes its own Name, Update and Handle (and TSUE its ReplayReplicas);
+// the rest comes from the layer table it embeds (layers.go).
 type Strategy interface {
 	// Name returns the method name ("tsue", "pl", ...).
 	Name() string
@@ -132,6 +134,12 @@ type Strategy interface {
 	// persistence key it was logged under, and one of a layer this
 	// method does not declare is dropped.
 	ReplayPersisted(layer string, block wire.BlockID, off uint32, v int64, data []byte)
+	// ReplayReplicas lays what peers hold of a lost block's pending
+	// updates (TSUE's DataLog replicas, §4.2; nothing for the others)
+	// over data, its content reconstructed from the stripe at p, and
+	// forwards the parity deltas of what changed, skipping down nodes.
+	// It returns the bytes replayed and the fetches' and forwards' cost.
+	ReplayReplicas(ctx context.Context, p Placement, lost wire.BlockID, data []byte, down func(wire.NodeID) bool) (replayed int64, cost time.Duration, err error)
 	// Close stops background workers.
 	Close()
 }

@@ -2,6 +2,7 @@ package update
 
 import (
 	"context"
+	"crypto/subtle"
 	"fmt"
 	"slices"
 	"sync"
@@ -127,6 +128,7 @@ func newTSUE(cfg Config, env Env) (*tsue, error) {
 	return t, t.declare("tsue", cfg, env, layers...)
 }
 
+// Name returns "tsue".
 func (t *tsue) Name() string { return "tsue" }
 
 // Update is the synchronous front end: sequential DataLog append plus
@@ -136,13 +138,7 @@ func (t *tsue) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 	lat := t.dataLogs.Append(msg.Block, msg.Off, msg.Data, v)
 
 	// Replicate the log record to the next OSD(s) of the stripe.
-	n := len(msg.Loc.Nodes)
-	if n > 1 && t.cfg.DataLogReplicas > 0 {
-		pos := int(msg.Block.Idx)
-		targets := make([]wire.NodeID, 0, t.cfg.DataLogReplicas)
-		for r := 1; r <= t.cfg.DataLogReplicas && r < n; r++ {
-			targets = append(targets, msg.Loc.Nodes[(pos+r)%n])
-		}
+	if targets := t.replicaHolders(msg.Loc, msg.Block.Idx); len(targets) > 0 {
 		repCost, err := fanout(ctx, t.env, targets, func(wire.NodeID) *wire.Msg {
 			return &wire.Msg{Kind: wire.KDataLogReplica, Block: msg.Block, Off: msg.Off, Data: msg.Data, V: msg.V}
 		})
@@ -152,6 +148,17 @@ func (t *tsue) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 		lat += repCost
 	}
 	return lat, nil
+}
+
+// replicaHolders names the nodes that hold the DataLog replicas of the
+// block at index idx of a stripe placed at loc: the next
+// cfg.DataLogReplicas nodes of the stripe after the block's own,
+// wrapping around, and never the block's own node (§4.1).
+func (t *tsue) replicaHolders(loc wire.StripeLoc, idx uint8) (holders []wire.NodeID) {
+	for r, n := 1, len(loc.Nodes); r <= t.cfg.DataLogReplicas && r < n; r++ {
+		holders = append(holders, loc.Nodes[(int(idx)+r)%n])
+	}
+	return holders
 }
 
 // recycleData is the DataLog recycle function: one read-modify-write per
@@ -247,18 +254,27 @@ func (t *tsue) recycleDeltaUnit(blocks []logpool.BlockExtents) (cost, wall time.
 		if sw.place.M < 2 {
 			continue
 		}
+		// Each source block's list is written straight from the unit's
+		// extents into one pooled buffer, which the trims borrow until
+		// deliver returns.
+		size := 0
+		for _, exts := range sw.blocks {
+			size += listSize(exts)
+		}
+		buf := getDeltaBuf(size)
 		calls = calls[:0]
+		pos := 0
 		for src, exts := range sw.blocks {
-			recs := make([]ExtentRec, len(exts))
-			for i, e := range exts {
-				recs[i] = ExtentRec{Off: e.Off, V: int64(e.V), Data: e.Data}
-			}
-			payload, flag := pack(EncodeExtents(recs), t.cfg.CompressDeltas)
+			list := (*buf)[pos : pos+listSize(exts)]
+			pos += len(list)
+			encodeList(list, exts)
+			payload, flag := pack(list, t.cfg.CompressDeltas)
 			calls = append(calls, &transport.BatchCall{To: sw.place.parityNode(1), Msg: &wire.Msg{
 				Kind: wire.KDeltaLogAdd, Block: sw.anyB.WithIdx(uint8(src)), Data: payload, Flag: roleTrim | flag,
 			}})
 		}
 		trimCost, _, _ := deliver(context.Background(), t.env, calls)
+		putDeltaBuf(buf)
 		cost += trimCost
 	}
 	return cost, wall
@@ -282,6 +298,10 @@ const (
 	roleTrim    = 2 // cancel copies whose primary deltas were recycled
 )
 
+// Handle serves TSUE's peer messages: a DataLog replica record to
+// keep, a recovery's fetch of a block's replica records, a delta for
+// the DeltaLog or its copy or trim at the second parity OSD, and a
+// parity delta list for the ParityLog.
 func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KDataLogReplica:
@@ -291,23 +311,24 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		cost := t.env.Dev().Write(sim.ClassForegroundWrite, int64(len(msg.Data))+32, false, false)
 		return okResp(cost)
 	case wire.KReplicaFetch:
-		// Recovery replay: return the replicated log extents for the
-		// requested block, priced as a sequential log read.
+		// Recovery replay: answer with the block's replica records as
+		// one extent list, priced as a sequential log read. The list is
+		// written into a reply buffer before inserts resume.
 		t.repMu.Lock()
-		ri := t.replicas[msg.Block]
-		var recs []ExtentRec
-		if ri != nil {
-			for _, e := range ri.Extents() {
-				recs = append(recs, ExtentRec{Off: e.Off, V: int64(e.V), Data: e.Data})
-			}
+		var exts []logpool.Extent
+		if ri := t.replicas[msg.Block]; ri != nil {
+			exts = ri.Extents()
 		}
-		payload := EncodeExtents(recs) // copies out before inserts resume
+		if len(exts) == 0 {
+			t.repMu.Unlock()
+			return &wire.Resp{}
+		}
+		list, release := transport.ReplyBuf(listSize(exts))
+		encodeList(list, exts)
 		t.repMu.Unlock()
-		var cost time.Duration
-		if len(payload) > 0 {
-			cost = t.env.Dev().Read(sim.ClassOther, int64(len(payload)), false)
-		}
-		return &wire.Resp{Data: payload, Cost: cost}
+		resp := &wire.Resp{Data: list, Cost: t.env.Dev().Read(sim.ClassOther, int64(len(list)), false)}
+		resp.AttachRelease(release)
+		return resp
 	case wire.KDeltaLogAdd:
 		if msg.Flag&^deltaCompressFlag != rolePrimary {
 			return t.holdCopy(msg)
@@ -447,6 +468,67 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 		t.copyMu.Unlock()
 	}
 	return nil
+}
+
+// ReplayReplicas lays the DataLog replica records of a lost data block
+// over its reconstructed content data and forwards the deltas of those
+// that change it to the parity logs down does not name, one list per
+// parity (§4.2). The records come from the first holder that is not
+// down, answers and has any. A record the primary recycled before it
+// failed changes nothing — replicas hold absolute data — and is skipped.
+func (t *tsue) ReplayReplicas(ctx context.Context, p Placement, lost wire.BlockID, data []byte, down func(wire.NodeID) bool) (int64, time.Duration, error) {
+	if int(lost.Idx) >= p.K {
+		return 0, 0, nil // a parity block has no DataLog
+	}
+	var cost time.Duration
+	for _, node := range t.replicaHolders(p.Loc, lost.Idx) {
+		if down(node) {
+			continue
+		}
+		resp, err := t.env.Call(ctx, node, &wire.Msg{Kind: wire.KReplicaFetch, Block: lost, Class: sim.ClassRebuild})
+		if err != nil {
+			continue // unreachable: the next holder has the same records
+		}
+		if !resp.OK() || len(resp.Data) == 0 {
+			resp.Release()
+			continue
+		}
+		cost += resp.Cost
+		recs, err := DecodeExtents(resp.Data)
+		var (
+			deltas   []logpool.Extent
+			replayed int64
+		)
+		for _, r := range recs {
+			end := int(r.Off) + len(r.Data)
+			if end > len(data) {
+				continue
+			}
+			delta := make([]byte, len(r.Data))
+			subtle.XORBytes(delta, data[r.Off:end], r.Data)
+			if slices.ContainsFunc(delta, func(b byte) bool { return b != 0 }) {
+				copy(data[r.Off:], r.Data)
+				replayed += int64(len(r.Data))
+				deltas = append(deltas, logpool.Extent{Off: r.Off, V: time.Duration(r.V), Data: delta})
+			}
+		}
+		resp.Release()
+		if err != nil || replayed == 0 {
+			return 0, cost, err
+		}
+		code, err := t.env.Code(p.K, p.M)
+		if err != nil {
+			return 0, cost, err
+		}
+		sw := &stripeWork{place: p, anyB: lost, blocks: map[int][]logpool.Extent{int(lost.Idx): deltas}}
+		calls := parityAppends(code, sw, false, down)
+		for _, c := range calls {
+			c.Msg.Class = sim.ClassRebuild
+		}
+		sent, _, err := deliver(ctx, t.env, calls)
+		return replayed, cost + sent, err
+	}
+	return 0, cost, nil
 }
 
 // pruneCopies drops the copies whose every byte is zero — trims have
