@@ -32,8 +32,10 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...
 
 # bench-json regenerates the committed bench snapshot: the repair,
-# fig8b and fig5 experiments, every number in modeled (virtual) time, in
-# one combined JSON file.
+# fig8b and fig5 experiments in one combined JSON file. Every gated
+# number is in modeled (virtual) time; the repair rows' ungated
+# hot_reads, degraded, last_degr_% and foreground_MBps race the rebuild
+# in wall time.
 bench-json:
 	$(GO) run ./cmd/tsuebench -exp $(BENCH_EXPS) -combined BENCH_$(BENCH_ID).json
 

@@ -127,7 +127,7 @@ func main() {
 	fmt.Printf("OSD %d failed — and this time its node id retires with it\n", victim2)
 	freshID := wire.NodeID(opts.NumOSDs + 1)
 	repl2 := newOSD(freshID)
-	cluster.AddOSD(repl2) // joins the MDS placement pool under the fresh id
+	cluster.Reinstate(repl2) // joins the MDS placement pool under the fresh id
 	res2, err := cluster.Recover(ctx, victim2, repl2)
 	if err != nil {
 		log.Fatal(err)

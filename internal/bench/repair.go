@@ -170,7 +170,7 @@ func repairReadRow(ctx context.Context, s Scale, fifo bool) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.AddOSD(repl)
+	c.Reinstate(repl)
 
 	// Hot set: the last few data blocks the victim hosts in the queue's
 	// FIFO seed order (StripesOnSorted = the engines' rebuild order) —

@@ -206,7 +206,7 @@ func (c *Client) lookupWindow(ctx context.Context, ino uint64, first uint32, n i
 			Kind: wire.KMDSLookup, Block: wire.BlockID{Ino: ino, Stripe: first + uint32(s)},
 		}}
 	}
-	transport.Fanout(ctx, c.rpc, calls)
+	c.rpc.CallBatch(ctx, calls)
 	for i, s := range miss {
 		bc := calls[i]
 		if bc.Err != nil {
@@ -304,7 +304,7 @@ func (c *Client) writeWindow(ctx context.Context, ino uint64, first uint32, data
 			refs = append(refs, shardRef{s, i, shard})
 		}
 	}
-	transport.Fanout(ctx, c.rpc, calls)
+	c.rpc.CallBatch(ctx, calls)
 	var (
 		wg sync.WaitGroup
 		mu sync.Mutex
@@ -522,7 +522,7 @@ func (c *Client) readInto(ctx context.Context, ino uint64, off int64, p []byte) 
 	for i, pt := range parts {
 		calls[i] = &transport.BatchCall{To: pt.loc.Nodes[pt.block.Idx], Msg: readMsg(pt, pt.loc, p[pt.src:pt.src+pt.n])}
 	}
-	transport.Fanout(ctx, c.rpc, calls)
+	c.rpc.CallBatch(ctx, calls)
 	var (
 		wg                   sync.WaitGroup
 		mu                   sync.Mutex
@@ -693,7 +693,7 @@ func (g *survivors) release() {
 // gatherSurvivors fetches K shards of stripe's blocks for a decode that
 // rebuilds block index lost. Candidates are loc's holders in index
 // order, skipping lost and any node in down. The first wave asks the
-// first K candidates at once, as one transport.Fanout of KBlockFetch
+// first K candidates at once, as one CallBatch of KBlockFetch
 // calls tagged with class; only the fetches that fail fall through to a
 // further wave over the candidates left. A wave costs its slowest fetch
 // and waves add up. The caller must release the result.
@@ -714,7 +714,7 @@ func gatherSurvivors(ctx context.Context, rpc transport.RPC, stripe wire.BlockID
 				Kind: wire.KBlockFetch, Block: stripe.WithIdx(uint8(idx)), Class: class,
 			}}
 		}
-		transport.Fanout(ctx, rpc, calls)
+		rpc.CallBatch(ctx, calls)
 		var waveMax time.Duration
 		for i, bc := range calls {
 			if bc.Err != nil || !bc.Resp.OK() {

@@ -490,20 +490,11 @@ func (c *Cluster) RestartOSD(ctx context.Context, id wire.NodeID) (*OSD, *Resilv
 	return repl, res, nil
 }
 
-// AddOSD admits an OSD to the cluster under a fresh node id: the
-// transport handler is registered, the node joins the MDS placement
-// pool (so it can be a rebind target and host future placements), and a
-// heartbeat is reported. This is how a replacement with a *different*
-// id than the victim joins before Recover rebinds stripes onto it. It
-// is Reinstate under a name that reads as admission.
-func (c *Cluster) AddOSD(osd *OSD) { c.Reinstate(osd) }
-
 // SpawnOSD builds a fresh OSD under the given node id with exactly the
 // cluster's construction-time configuration (device profile, update
 // strategy, erasure kind) — the replacement-node factory the scenario
-// harness and operator tooling use before AddOSD/Recover. The OSD is
-// not registered anywhere; pass it to AddOSD (fresh id) or Reinstate
-// (same id) to admit it.
+// harness and operator tooling use before Reinstate/Recover. The OSD
+// is not registered anywhere; pass it to Reinstate to admit it.
 func (c *Cluster) SpawnOSD(id wire.NodeID) (*OSD, error) {
 	return NewOSDAt(id, c.Opts.Device, c.Tr.Caller(id), c.Opts.Method, c.cfg, c.Opts.Kind, c.osdDataDir(id))
 }
@@ -525,9 +516,11 @@ func (c *Cluster) MaxNodeID() wire.NodeID {
 // failed instance's background workers are stopped) or appended for a
 // fresh id, the node (re-)admitted to the MDS placement pool, the
 // failure flag cleared, and a heartbeat reported. The usual same-id
-// sequence is FailOSD, NewOSD under the same id, Recover, Reinstate; a
-// fresh-id replacement uses AddOSD, Recover instead and needs no
-// Reinstate.
+// sequence is FailOSD, NewOSD under the same id, Recover, Reinstate. A
+// replacement under a fresh id is admitted first — it joins the MDS
+// placement pool, so it can be a rebind target and host future
+// placements — and Recover then rebinds the victim's stripes onto it:
+// FailOSD, Reinstate, Recover.
 func (c *Cluster) Reinstate(repl *OSD) {
 	c.Tr.Register(repl.id, repl.Handler)
 	found := false

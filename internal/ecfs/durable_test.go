@@ -174,7 +174,7 @@ func TestKillRestartStaleRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AddOSD(repl)
+	c.Reinstate(repl)
 	if _, err := c.Recover(ctx, casualty, repl); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestResilverServesNothingBeforeRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AddOSD(repl)
+	c.Reinstate(repl)
 	if _, err := c.Recover(ctx, casualty, repl); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestKillRestartReplacementKeepsPendingDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AddOSD(repl)
+	c.Reinstate(repl)
 	if _, err := c.Recover(ctx, victim, repl); err != nil {
 		t.Fatalf("recover: %v", err)
 	}

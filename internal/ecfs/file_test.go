@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -28,6 +29,20 @@ func (c *cancelAfterRPC) Call(ctx context.Context, to wire.NodeID, msg *wire.Msg
 		c.cancel()
 	}
 	return c.inner.Call(ctx, to, msg)
+}
+
+// CallBatch issues every call of the batch through Call, concurrently,
+// so each one counts toward the cancel.
+func (c *cancelAfterRPC) CallBatch(ctx context.Context, calls []*transport.BatchCall) {
+	var wg sync.WaitGroup
+	for _, bc := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bc.Resp, bc.Err = c.Call(ctx, bc.To, bc.Msg)
+		}()
+	}
+	wg.Wait()
 }
 
 // TestFileHandleRoundTrip drives the handle surface end to end on the

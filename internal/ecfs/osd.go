@@ -165,12 +165,12 @@ func (o *OSD) Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) (*wire.Re
 	return o.rpc.Call(ctx, to, msg)
 }
 
-// CallBatch delivers a set of peer calls together. On a batch-capable
-// transport (the TCP client) same-destination frames enter their
-// connection's write queue in one flush; otherwise the calls simply run
+// CallBatch delivers a set of peer calls together (transport.RPC's
+// CallBatch): over TCP same-destination frames enter their
+// connection's write queue in one flush; in process the calls run
 // concurrently.
 func (o *OSD) CallBatch(ctx context.Context, calls []*transport.BatchCall) {
-	transport.Fanout(ctx, o.rpc, calls)
+	o.rpc.CallBatch(ctx, calls)
 }
 
 // Code returns the cached RS code for a geometry.

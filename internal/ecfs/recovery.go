@@ -105,7 +105,7 @@ type RecoveryResult struct {
 //
 // The replacement may carry the victim's node id (the classic
 // drop-in-replacement flow) or a *fresh* id admitted via
-// Cluster.AddOSD. With a fresh id, every rebuilt — and every placed but
+// Cluster.Reinstate. With a fresh id, every rebuilt — and every placed but
 // never-written — stripe is rebound at the MDS onto the replacement
 // under a bumped placement epoch, and the new epoch is broadcast to the
 // stripe's surviving members so they reject stale client placements

@@ -577,7 +577,7 @@ func TestRecoveryOntoFreshNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AddOSD(repl)
+	c.Reinstate(repl)
 
 	res, err := c.Recover(context.Background(), victim.ID(), repl)
 	if err != nil {

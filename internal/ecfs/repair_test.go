@@ -87,7 +87,7 @@ func TestPrioritizedRepairReordersQueue(t *testing.T) {
 	c.FailOSD(victim.ID())
 	freshID := wire.NodeID(c.Opts.NumOSDs + 7)
 	repl := newFreshReplacement(t, c, freshID)
-	c.AddOSD(repl)
+	c.Reinstate(repl)
 
 	refs := c.MDS.StripesOnSorted(victim.ID())
 	if len(refs) < 4 {

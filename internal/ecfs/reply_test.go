@@ -25,6 +25,12 @@ func (ackRPC) Call(context.Context, wire.NodeID, *wire.Msg) (*wire.Resp, error) 
 	return &wire.Resp{}, nil
 }
 
+func (ackRPC) CallBatch(_ context.Context, calls []*transport.BatchCall) {
+	for _, bc := range calls {
+		bc.Resp = &wire.Resp{}
+	}
+}
+
 // replyOSD returns a TSUE OSD — in memory, or durable in dataDir when
 // it is not empty — holding one written block of blockSize random
 // bytes, and the read requests the OSD serves it by: a KRead of the

@@ -542,7 +542,7 @@ func (e *Engine) fire(ctx context.Context, c *ecfs.Cluster, ev Event, phaseOps i
 		if err != nil {
 			return err
 		}
-		c.AddOSD(repl)
+		c.Reinstate(repl)
 		if _, err := c.Recover(ctx, id, repl); err != nil {
 			return fmt.Errorf("invariant no-lost-acknowledged-write: recovery after kill of %d: %w", id, err)
 		}

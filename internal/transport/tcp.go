@@ -1080,7 +1080,7 @@ func (c *TCPClient) Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) (*w
 	return bc.Resp, bc.Err
 }
 
-// CallBatch implements BatchRPC: calls are grouped per destination and
+// CallBatch implements RPC: calls are grouped per destination and
 // every group enters its connection's write queue together, so one
 // stripe's same-destination frames leave in a single coalesced flush.
 // Per-call results land in each BatchCall; retry and re-resolve rules

@@ -122,9 +122,9 @@ func TestCallBatch(t *testing.T) {
 	}
 }
 
-// TestFanoutFallback: Fanout on a transport without CallBatch (the
-// in-process one) still completes every call.
-func TestFanoutFallback(t *testing.T) {
+// TestInprocCallBatch: the in-process transport's CallBatch completes
+// every call, and a call to a down node fails alone.
+func TestInprocCallBatch(t *testing.T) {
 	tr := NewInproc(nil)
 	tr.Register(1, echoHandler(1))
 	tr.Register(2, echoHandler(2))
@@ -133,7 +133,7 @@ func TestFanoutFallback(t *testing.T) {
 		{To: 2, Msg: &wire.Msg{Kind: wire.KPing}},
 		{To: 9, Msg: &wire.Msg{Kind: wire.KPing}}, // down
 	}
-	Fanout(context.Background(), tr.Caller(wire.ClientIDBase), calls)
+	tr.Caller(wire.ClientIDBase).CallBatch(context.Background(), calls)
 	if calls[0].Err != nil || calls[0].Resp.Val != 1 {
 		t.Fatalf("call 0: %+v / %v", calls[0].Resp, calls[0].Err)
 	}

@@ -90,6 +90,13 @@ type RPC interface {
 	// other transports may ignore it, so callers compare Resp.Data
 	// with it before copying.
 	Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) (*wire.Resp, error)
+	// CallBatch delivers a set of calls and returns once every call has
+	// its Resp or Err set. Each call has Call's semantics; a transport
+	// delivers the set as it can best: the TCP client groups
+	// same-destination calls so their frames enter the connection's
+	// write queue together and leave in one coalesced flush, and the
+	// in-process transport runs them concurrently.
+	CallBatch(ctx context.Context, calls []*BatchCall)
 }
 
 // Registrar accepts handler registrations for nodes.
@@ -104,35 +111,6 @@ type BatchCall struct {
 	Msg  *wire.Msg
 	Resp *wire.Resp
 	Err  error
-}
-
-// BatchRPC is implemented by transports that can deliver a set of calls
-// more efficiently than issuing them one by one — the TCP client groups
-// same-destination calls so their frames enter the connection's write
-// queue together and leave in one coalesced flush. Semantics per call
-// are identical to RPC.Call.
-type BatchRPC interface {
-	RPC
-	CallBatch(ctx context.Context, calls []*BatchCall)
-}
-
-// Fanout delivers a set of calls through rpc, using CallBatch when the
-// transport supports it and falling back to concurrent Calls otherwise.
-// It returns when every call has its Resp or Err populated.
-func Fanout(ctx context.Context, rpc RPC, calls []*BatchCall) {
-	if b, ok := rpc.(BatchRPC); ok {
-		b.CallBatch(ctx, calls)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, bc := range calls {
-		wg.Add(1)
-		go func(bc *BatchCall) {
-			defer wg.Done()
-			bc.Resp, bc.Err = rpc.Call(ctx, bc.To, bc.Msg)
-		}(bc)
-	}
-	wg.Wait()
 }
 
 // ErrNodeUnreachable is the sentinel wrapped by every transport-level
@@ -254,4 +232,17 @@ func (c *inprocCaller) Call(ctx context.Context, to wire.NodeID, msg *wire.Msg) 
 	}
 	resp.Cost += cost
 	return resp, nil
+}
+
+// CallBatch implements RPC: one concurrent Call per call.
+func (c *inprocCaller) CallBatch(ctx context.Context, calls []*BatchCall) {
+	var wg sync.WaitGroup
+	for _, bc := range calls {
+		wg.Add(1)
+		go func(bc *BatchCall) {
+			defer wg.Done()
+			bc.Resp, bc.Err = c.Call(ctx, bc.To, bc.Msg)
+		}(bc)
+	}
+	wg.Wait()
 }

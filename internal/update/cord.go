@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/logpool"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -28,8 +27,8 @@ type cord struct {
 	// pool, single unit — the serialization point.
 	collector *logpool.PoolSet
 
-	// parity log of merged deltas for parity blocks hosted here;
-	// deferred recycle like PL.
+	// parity log of merged deltas for parity blocks hosted here: PL's
+	// raw parity log.
 	parityLog *logpool.PoolSet
 }
 
@@ -45,11 +44,7 @@ func newCoRD(cfg Config, env Env) (*cord, error) {
 			},
 			unit: c.recycleCollector, into: &c.collector,
 		},
-		layerSpec{
-			name: "parity", phase: 3, pools: 1,
-			pool:    logpool.Config{Mode: logpool.NoMerge, UnitSize: cfg.RecycleThreshold, MaxUnits: 2},
-			workers: cfg.Workers, block: c.recycleParity, into: &c.parityLog,
-		})
+		rawParityLog(cfg, &c.logLayers, &c.parityLog))
 }
 
 func (c *cord) Name() string { return "cord" }
@@ -87,9 +82,7 @@ func (c *cord) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		cost := c.collector.Append(msg.Block, msg.Off, msg.Data, time.Duration(msg.V))
 		return okResp(cost)
 	case wire.KParityLogAdd:
-		return applyList(msg, func(r ExtentRec) time.Duration {
-			return c.parityLog.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
-		})
+		return appendList(c.parityLog, msg)
 	default:
 		return errResp(fmt.Errorf("cord: unexpected message %v", msg.Kind))
 	}
@@ -105,23 +98,9 @@ func (c *cord) recycleCollector(blocks []logpool.BlockExtents) (cost, wall time.
 			continue
 		}
 		// Eq. 5: one delta list per parity, the stripe's M in one batch.
-		calls := parityAppends(code, sw, false, nil)
+		calls := parityAppends(sw.place, sw.anyB, parityDeltaLists(code, sw.blocks), false, nil)
 		sent, _, _ := deliver(context.Background(), c.env, calls)
 		cost += sent
 	}
 	return cost, cost
-}
-
-// recycleParity folds merged parity deltas into the parity block (random
-// read-modify-write per logged extent, after a random log re-read).
-func (c *cord) recycleParity(be logpool.BlockExtents, sealV time.Duration) time.Duration {
-	dev := c.env.Dev()
-	var cost time.Duration
-	for _, e := range be.Extents {
-		cost += dev.Read(sim.ClassOther, int64(len(e.Data))+32, true)
-	}
-	// A recycle has no caller to report a refused fold to; it is
-	// charged nothing.
-	fc, _ := c.env.Store().Fold(sim.ClassOther, be.Block, c.cfg.BlockSize, storeExtents(be.Extents))
-	return cost + fc
 }

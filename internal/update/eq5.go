@@ -7,19 +7,20 @@ import (
 	"repro/internal/wire"
 )
 
-// parityAppends builds one stripe's Eq. 5 forward: a KParityLogAdd per
-// parity whose delta list is not empty, except to nodes skip names.
-func parityAppends(code *erasure.Code, sw *stripeWork, compress bool, skip func(wire.NodeID) bool) []*transport.BatchCall {
+// parityAppends builds the forward of one stripe's parity-delta lists,
+// list j to parity j of b's stripe placed at p: a KParityLogAdd per
+// list that is not empty, except to nodes skip names.
+func parityAppends(p Placement, b wire.BlockID, lists [][]byte, compress bool, skip func(wire.NodeID) bool) []*transport.BatchCall {
 	var calls []*transport.BatchCall
-	for j, list := range parityDeltaLists(code, sw.blocks) {
-		to := sw.place.parityNode(j)
+	for j, list := range lists {
+		to := p.parityNode(j)
 		if len(list) == 0 || (skip != nil && skip(to)) {
 			continue
 		}
 		payload, flag := pack(list, compress)
 		calls = append(calls, &transport.BatchCall{To: to, Msg: &wire.Msg{
-			Kind: wire.KParityLogAdd, Block: parityBlock(sw.anyB, sw.place.K, j), Data: payload, Flag: flag,
-			K: uint8(sw.place.K), M: uint8(sw.place.M), Loc: sw.place.Loc,
+			Kind: wire.KParityLogAdd, Block: parityBlock(b, p.K, j), Data: payload, Flag: flag,
+			K: uint8(p.K), M: uint8(p.M), Loc: p.Loc,
 		}})
 	}
 	return calls

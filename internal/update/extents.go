@@ -7,6 +7,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/erasure"
+	"repro/internal/gf256"
 	"repro/internal/logpool"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -70,9 +72,10 @@ func encodeList(list []byte, exts []logpool.Extent) {
 }
 
 // deltaPool recycles the buffers a data overwrite writes its deltas
-// into and a fanout sends them from: a bare delta or the extent list
-// that carries it. A buffer goes back once the calls that borrowed it
-// have returned, which is when transport.RPC ends the borrow.
+// into and a fanout sends them from: a bare delta, the extent list
+// that carries it, or the M parity-delta lists scaled from it. A buffer
+// goes back once the calls that borrowed it have returned, which is
+// when transport.RPC ends the borrow.
 var deltaPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // getDeltaBuf returns a pooled buffer of n bytes, holding stale bytes;
@@ -87,6 +90,36 @@ func getDeltaBuf(n int) *[]byte {
 }
 
 func putDeltaBuf(b *[]byte) { deltaPool.Put(b) }
+
+// getLists returns a pooled buffer cut into m lists of size bytes each,
+// holding stale bytes; putDeltaBuf gives the buffer back.
+func getLists(m, size int) (*[]byte, [][]byte) {
+	buf := getDeltaBuf(m * size)
+	lists := make([][]byte, m)
+	for j := range lists {
+		lists[j] = (*buf)[j*size : (j+1)*size : (j+1)*size]
+	}
+	return buf, lists
+}
+
+// scaleLists writes into lists the M parity-delta lists of deltas, an
+// extent list of data block src's deltas (Eq. 2): list j is deltas with
+// every record's bytes scaled by α_j,src. Every list holds len(deltas)
+// bytes, and lists[0] may be deltas itself: it is written last, in
+// place. This is the one place a sender scales by α, so every parity
+// log holds parity deltas.
+func scaleLists(code *erasure.Code, src int, deltas []byte, lists [][]byte) {
+	for j := len(lists) - 1; j >= 0; j-- {
+		c, list := code.Coeff(j, src), lists[j]
+		for pos := 0; pos < len(deltas); {
+			n := int(binary.LittleEndian.Uint32(deltas[pos+4:]))
+			copy(list[pos:pos+extentHeaderSize], deltas[pos:])
+			pos += extentHeaderSize
+			gf256.MulSlice(c, list[pos:pos+n], deltas[pos:pos+n])
+			pos += n
+		}
+	}
+}
 
 // DecodeExtents unpacks an extent list: repeated
 // [off u32][len u32][v i64][bytes], little-endian. Each record's Data
@@ -146,6 +179,14 @@ func applyList(msg *wire.Msg, apply func(ExtentRec) time.Duration) *wire.Resp {
 		cost += apply(r)
 	}
 	return okResp(cost)
+}
+
+// appendList appends each record of msg's extent list, parity or data
+// deltas of msg.Block, to the block's pool in set.
+func appendList(set *logpool.PoolSet, msg *wire.Msg) *wire.Resp {
+	return applyList(msg, func(r ExtentRec) time.Duration {
+		return set.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
+	})
 }
 
 // deliver sends calls as one batch (a lone call directly) and returns

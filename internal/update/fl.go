@@ -71,8 +71,7 @@ func (f *fl) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Dura
 	applied, cost, _ := f.env.Store().Overwrite(sim.ClassOther, be.Block, f.cfg.BlockSize, storeExtents(be.Extents), deltas)
 	targets := place.Loc.Nodes[place.K : place.K+place.M]
 	for i, e := range be.Extents[:applied] {
-		fanCost, err := fanout(context.Background(), f.env, targets, func(to wire.NodeID) *wire.Msg {
-			j := indexOfNode(place.Loc.Nodes[place.K:], to)
+		fanCost, err := fanout(context.Background(), f.env, targets, func(j int) *wire.Msg {
 			return &wire.Msg{
 				Kind:  wire.KParityDelta,
 				Block: parityBlock(be.Block, place.K, j),

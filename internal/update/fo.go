@@ -31,17 +31,6 @@ func (f *fo) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error) {
 	return updateInPlace(ctx, f.env, f.cfg, msg, wire.KParityDelta)
 }
 
-// indexOfNode returns the position of `to` in nodes; stripes place every
-// block of a stripe on a distinct node, so the match is unique.
-func indexOfNode(nodes []wire.NodeID, to wire.NodeID) int {
-	for i, n := range nodes {
-		if n == to {
-			return i
-		}
-	}
-	return 0
-}
-
 func (f *fo) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 	switch msg.Kind {
 	case wire.KParityDelta:

@@ -121,7 +121,7 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	// temporal locality. Originals must arrive first so a log recycle
 	// can never observe a new value without its baseline.
 	for _, o := range origins {
-		oCost, err := fanout(ctx, p.env, targets, func(to wire.NodeID) *wire.Msg {
+		oCost, err := fanout(ctx, p.env, targets, func(int) *wire.Msg {
 			return &wire.Msg{
 				Kind: wire.KParixLogAdd, Block: b, Off: o.off, Data: o.data,
 				Idx: b.Idx, K: msg.K, M: msg.M, Loc: msg.Loc, Flag: 1, V: msg.V,
@@ -133,7 +133,7 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 		lat += oCost
 	}
 	// Then the new data to every parity log.
-	fanCost, err := fanout(ctx, p.env, targets, func(to wire.NodeID) *wire.Msg {
+	fanCost, err := fanout(ctx, p.env, targets, func(int) *wire.Msg {
 		return &wire.Msg{
 			Kind: wire.KParixLogAdd, Block: b, Off: msg.Off, Data: msg.Data,
 			Idx: b.Idx, K: msg.K, M: msg.M, Loc: msg.Loc, Flag: 0, V: msg.V,

@@ -36,9 +36,9 @@ type plrLog struct {
 	bytes   int64
 }
 
+// plrEntry is one logged parity delta, scaled by its sender.
 type plrEntry struct {
 	off   uint32
-	src   uint8
 	delta []byte
 }
 
@@ -74,7 +74,7 @@ func (p *plr) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		return applyList(msg, func(r ExtentRec) time.Duration {
-			l.entries = append(l.entries, plrEntry{off: r.Off, src: msg.Idx, delta: bytes.Clone(r.Data)})
+			l.entries = append(l.entries, plrEntry{off: r.Off, delta: bytes.Clone(r.Data)})
 			l.bytes += int64(len(r.Data)) + 32
 			// The reserved region is adjacent to *this* parity block, far
 			// from other blocks' regions: the append is a random write.
@@ -98,34 +98,20 @@ func (p *plr) recycleLocked(b wire.BlockID, l *plrLog) time.Duration {
 	if len(l.entries) == 0 {
 		return 0
 	}
-	place, ok := p.env.Placement(b)
-	if !ok {
-		l.entries, l.bytes = nil, 0
-		return 0
-	}
-	code, err := p.env.Code(place.K, place.M)
-	if err != nil {
-		return 0
-	}
-	j := int(b.Idx) - place.K
 	// Sequential replay of the adjacent log region — PLR's one saving
 	// over PL (no random log re-reads).
 	cost := p.env.Dev().Read(sim.ClassOther, l.bytes, false)
 	// The parity span itself sits wherever this parity block landed on
 	// the device, far from other blocks being recycled concurrently: the
-	// whole span folds as one random read-modify-write.
-	lo, hi := l.entries[0].off, l.entries[0].off+uint32(len(l.entries[0].delta))
-	for _, e := range l.entries[1:] {
-		if e.off < lo {
-			lo = e.off
-		}
-		if end := e.off + uint32(len(e.delta)); end > hi {
-			hi = end
-		}
+	// logged deltas XOR into one span, which folds as one random
+	// read-modify-write.
+	lo, hi := l.entries[0].off, uint32(0)
+	for _, e := range l.entries {
+		lo, hi = min(lo, e.off), max(hi, e.off+uint32(len(e.delta)))
 	}
 	span := make([]byte, hi-lo)
 	for _, e := range l.entries {
-		gf256.MulAddSlice(code.Coeff(j, int(e.src)), span[e.off-lo:][:len(e.delta)], e.delta)
+		gf256.XorSlice(span[e.off-lo:][:len(e.delta)], e.delta)
 	}
 	// A recycle has no caller to report a refused fold to; it is
 	// charged nothing.

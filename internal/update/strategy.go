@@ -23,6 +23,10 @@
 // replays none. FO, PLR and PARIX declare no pooled layer; PLR, PARIX
 // and TSUE override Drain where they do more than drain pools.
 //
+// Every parity log holds parity deltas its sender scaled (α_j·Δ, Eq. 2,
+// or Eq. 5's sums) and folds them at coefficient 1; only an in-place
+// fold (FO, FL, PARIX) names α on the block-store extent.
+//
 // Placement handling: strategies keep no placement of their own. The
 // OSD holds one record per stripe — geometry, nodes and placement epoch
 // — learned from every inbound message that carries a placement (client
@@ -285,14 +289,14 @@ func groupByStripe(env Env, bes []logpool.BlockExtents) map[stripeKey]*stripeWor
 // parityBlock returns the BlockID of parity j for a block in the stripe.
 func parityBlock(b wire.BlockID, k, j int) wire.BlockID { return b.WithIdx(uint8(k + j)) }
 
-// fanout issues one call per target concurrently — one batch through
-// the environment's transport — and returns the largest response cost
-// (the latency of parallel synchronous hops), or the first error
-// encountered.
-func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(to wire.NodeID) *wire.Msg) (time.Duration, error) {
+// fanout issues one call per target, mk(i) to targets[i], concurrently
+// — one batch through the environment's transport — and returns the
+// largest response cost (the latency of parallel synchronous hops), or
+// the first error encountered.
+func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(i int) *wire.Msg) (time.Duration, error) {
 	calls := make([]*transport.BatchCall, len(targets))
 	for i, to := range targets {
-		calls[i] = &transport.BatchCall{To: to, Msg: mk(to)}
+		calls[i] = &transport.BatchCall{To: to, Msg: mk(i)}
 	}
 	_, most, err := deliver(ctx, env, calls)
 	if err != nil {
@@ -302,44 +306,44 @@ func fanout(ctx context.Context, env Env, targets []wire.NodeID, mk func(to wire
 }
 
 // updateInPlace is the synchronous update path FO, PL and PLR share:
-// overwrite the data range in place, then send the data delta to every
-// parity OSD of the stripe as a kind message — an in-place parity fold
-// (FO) or a parity-log append (PL, PLR). A log append carries the delta
-// as an extent list of one, and the stripe placement its recycle
-// needs; a fold carries the bare delta and no placement. The overwrite
-// writes the delta straight into the payload it leaves in.
+// overwrite the data range in place, then send a kind message to every
+// parity OSD of the stripe. FO's in-place fold (KParityDelta) carries
+// the bare data delta and the source index its fold scales by. PL's
+// and PLR's parity-log append (KParityLogAdd) carries its parity's
+// delta, scaled here, as an extent list of one. The overwrite writes
+// the delta straight into the payload it leaves in — for the logs, the
+// first of M lists in one pooled buffer, which the rest scale from.
 func updateInPlace(ctx context.Context, env Env, cfg Config, msg *wire.Msg, kind wire.Kind) (time.Duration, error) {
-	var (
-		head int
-		loc  wire.StripeLoc
-	)
-	if kind != wire.KParityDelta {
-		head, loc = extentHeaderSize, msg.Loc
+	k, m := int(msg.K), int(msg.M)
+	if kind == wire.KParityLogAdd {
+		code, err := env.Code(k, m)
+		if err != nil {
+			return 0, err
+		}
+		buf, lists := getLists(m, extentHeaderSize+len(msg.Data))
+		defer putDeltaBuf(buf)
+		cost, err := overwriteMsg(env, cfg, msg, lists[0][extentHeaderSize:])
+		if err != nil {
+			return 0, err
+		}
+		putExtentHeader(lists[0], msg.Off, len(msg.Data), msg.V)
+		scaleLists(code, int(msg.Block.Idx), lists[0], lists)
+		_, most, err := deliver(ctx, env, parityAppends(Placement{K: k, M: m, Loc: msg.Loc}, msg.Block, lists, false, nil))
+		if err != nil {
+			return 0, err
+		}
+		return cost + most, nil
 	}
-	buf := getDeltaBuf(head + len(msg.Data))
+	buf := getDeltaBuf(len(msg.Data))
 	defer putDeltaBuf(buf)
-	payload := *buf
-	cost, err := overwriteMsg(env, cfg, msg, payload[head:])
+	delta := *buf
+	cost, err := overwriteMsg(env, cfg, msg, delta)
 	if err != nil {
 		return 0, err
 	}
-	if head > 0 {
-		putExtentHeader(payload, msg.Off, len(msg.Data), msg.V)
-	}
-	k, m := int(msg.K), int(msg.M)
-	fanCost, err := fanout(ctx, env, msg.Loc.Nodes[k:k+m], func(to wire.NodeID) *wire.Msg {
-		j := indexOfNode(msg.Loc.Nodes[k:], to)
-		return &wire.Msg{
-			Kind:  kind,
-			Block: parityBlock(msg.Block, k, j),
-			Off:   msg.Off,
-			Data:  payload,
-			Idx:   msg.Block.Idx,
-			K:     msg.K,
-			M:     msg.M,
-			Loc:   loc,
-			V:     msg.V,
-		}
+	fanCost, err := fanout(ctx, env, msg.Loc.Nodes[k:k+m], func(j int) *wire.Msg {
+		return &wire.Msg{Kind: kind, Block: parityBlock(msg.Block, k, j), Off: msg.Off, Data: delta,
+			Idx: msg.Block.Idx, K: msg.K, M: msg.M, V: msg.V}
 	})
 	if err != nil {
 		return 0, err

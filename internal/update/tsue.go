@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/gf256"
 	"repro/internal/logpool"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -139,7 +138,7 @@ func (t *tsue) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 
 	// Replicate the log record to the next OSD(s) of the stripe.
 	if targets := t.replicaHolders(msg.Loc, msg.Block.Idx); len(targets) > 0 {
-		repCost, err := fanout(ctx, t.env, targets, func(wire.NodeID) *wire.Msg {
+		repCost, err := fanout(ctx, t.env, targets, func(int) *wire.Msg {
 			return &wire.Msg{Kind: wire.KDataLogReplica, Block: msg.Block, Off: msg.Off, Data: msg.Data, V: msg.V}
 		})
 		if err != nil {
@@ -209,21 +208,12 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 		// The copy was refused: bypass the DeltaLog as O5-off does, so
 		// no trim can cancel a copy the holder does not have.
 	}
-	// Per-parity deltas straight to the parity logs: the list again,
-	// every delta scaled by parity j's coefficient.
-	calls := make([]*transport.BatchCall, place.M)
-	for j := range calls {
-		pl := make([]byte, len(list))
-		c := code.Coeff(j, int(be.Block.Idx))
-		for i, d := range listSlots(pl, be.Extents[:applied], int64(sealV)) {
-			gf256.MulSlice(c, d, outs[i])
-		}
-		calls[j] = &transport.BatchCall{To: place.parityNode(j), Msg: &wire.Msg{
-			Kind: wire.KParityLogAdd, Block: parityBlock(be.Block, place.K, j), Data: pl,
-			K: uint8(place.K), M: uint8(place.M), Loc: place.Loc,
-		}}
-	}
-	sent, _, _ := deliver(ctx, t.env, calls)
+	// Per-parity deltas straight to the parity logs: the list scaled by
+	// each parity's coefficient, in one pooled buffer.
+	lbuf, lists := getLists(place.M, len(list))
+	defer putDeltaBuf(lbuf)
+	scaleLists(code, int(be.Block.Idx), list, lists)
+	sent, _, _ := deliver(ctx, t.env, parityAppends(place, be.Block, lists, false, nil))
 	return cost + sent
 }
 
@@ -240,7 +230,7 @@ func (t *tsue) recycleDeltaUnit(blocks []logpool.BlockExtents) (cost, wall time.
 		if err != nil {
 			continue
 		}
-		calls := parityAppends(code, sw, t.cfg.CompressDeltas, nil)
+		calls := parityAppends(sw.place, sw.anyB, parityDeltaLists(code, sw.blocks), t.cfg.CompressDeltas, nil)
 		stripeCost, _, _ := deliver(context.Background(), t.env, calls)
 		cost += stripeCost
 		wall = max(wall, stripeCost)
@@ -336,13 +326,9 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 		if t.deltaLogs == nil {
 			return errResp(fmt.Errorf("tsue: delta log disabled on node %d", t.env.ID()))
 		}
-		return applyList(msg, func(r ExtentRec) time.Duration {
-			return t.deltaLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
-		})
+		return appendList(t.deltaLogs, msg)
 	case wire.KParityLogAdd:
-		return applyList(msg, func(r ExtentRec) time.Duration {
-			return t.parityLogs.Append(msg.Block, r.Off, r.Data, time.Duration(r.V))
-		})
+		return appendList(t.parityLogs, msg)
 	default:
 		return errResp(fmt.Errorf("tsue: unexpected message %v", msg.Kind))
 	}
@@ -452,8 +438,8 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 		if err != nil {
 			return err
 		}
-		sw := &stripeWork{place: place, anyB: b, blocks: map[int][]logpool.Extent{int(b.Idx): w.exts}}
-		calls := parityAppends(code, sw, false, func(n wire.NodeID) bool { return slices.Contains(dead, n) })
+		lists := parityDeltaLists(code, map[int][]logpool.Extent{int(b.Idx): w.exts})
+		calls := parityAppends(place, b, lists, false, func(n wire.NodeID) bool { return slices.Contains(dead, n) })
 		if _, _, err := deliver(ctx, t.env, calls); err != nil {
 			return err
 		}
@@ -520,8 +506,8 @@ func (t *tsue) ReplayReplicas(ctx context.Context, p Placement, lost wire.BlockI
 		if err != nil {
 			return 0, cost, err
 		}
-		sw := &stripeWork{place: p, anyB: lost, blocks: map[int][]logpool.Extent{int(lost.Idx): deltas}}
-		calls := parityAppends(code, sw, false, down)
+		lists := parityDeltaLists(code, map[int][]logpool.Extent{int(lost.Idx): deltas})
+		calls := parityAppends(p, lost, lists, false, down)
 		for _, c := range calls {
 			c.Msg.Class = sim.ClassRebuild
 		}

@@ -209,14 +209,6 @@ func TestParityBlockHelper(t *testing.T) {
 	}
 }
 
-func TestDeltaRecordCodec(t *testing.T) {
-	rec := encodeDeltaRecord(5, []byte("delta"))
-	src, delta := decodeDeltaRecord(rec)
-	if src != 5 || string(delta) != "delta" {
-		t.Fatalf("decoded %d %q", src, delta)
-	}
-}
-
 func TestDefaultConfigSane(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.UnitSize != 16<<20 || cfg.MaxUnits != 4 || cfg.Pools != 4 {
@@ -230,8 +222,9 @@ func TestDefaultConfigSane(t *testing.T) {
 	}
 }
 
-// fakeEnv routes Call through a stub for fanout tests; CallBatch fans
-// the stub out through transport.Fanout's concurrent-call path.
+// fakeEnv routes Call through a stub for fanout tests; CallBatch runs
+// the stub once per call, concurrently, as the in-process transport
+// does.
 // Placement answers from the placements learn was shown.
 type fakeEnv struct {
 	call func(to wire.NodeID, msg *wire.Msg) (*wire.Resp, error)
@@ -268,9 +261,15 @@ func (f *fakeEnv) Call(_ context.Context, to wire.NodeID, msg *wire.Msg) (*wire.
 	return f.call(to, msg)
 }
 func (f *fakeEnv) CallBatch(ctx context.Context, calls []*transport.BatchCall) {
-	// The anonymous struct exposes only Call, so Fanout runs one
-	// concurrent Call per target instead of recursing into CallBatch.
-	transport.Fanout(ctx, struct{ transport.RPC }{f}, calls)
+	var wg sync.WaitGroup
+	for _, bc := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bc.Resp, bc.Err = f.call(bc.To, bc.Msg)
+		}()
+	}
+	wg.Wait()
 }
 func (f *fakeEnv) Code(k, m int) (*erasure.Code, error) {
 	return erasure.New(k, m, erasure.Vandermonde)
@@ -298,7 +297,7 @@ func TestFanoutMaxCost(t *testing.T) {
 	env := &fakeEnv{call: func(to wire.NodeID, msg *wire.Msg) (*wire.Resp, error) {
 		return &wire.Resp{Cost: time.Duration(to) * time.Microsecond}, nil
 	}}
-	cost, err := fanout(context.Background(), env, []wire.NodeID{2, 9, 5}, func(to wire.NodeID) *wire.Msg {
+	cost, err := fanout(context.Background(), env, []wire.NodeID{2, 9, 5}, func(int) *wire.Msg {
 		return &wire.Msg{Kind: wire.KPing}
 	})
 	if err != nil {
@@ -316,13 +315,13 @@ func TestFanoutPropagatesErrors(t *testing.T) {
 		}
 		return &wire.Resp{}, nil
 	}}
-	if _, err := fanout(context.Background(), env, []wire.NodeID{2, 3, 4}, func(to wire.NodeID) *wire.Msg {
+	if _, err := fanout(context.Background(), env, []wire.NodeID{2, 3, 4}, func(int) *wire.Msg {
 		return &wire.Msg{Kind: wire.KPing}
 	}); err == nil {
 		t.Fatal("remote error must propagate")
 	}
 	// Single-target path too.
-	if _, err := fanout(context.Background(), env, []wire.NodeID{3}, func(to wire.NodeID) *wire.Msg {
+	if _, err := fanout(context.Background(), env, []wire.NodeID{3}, func(int) *wire.Msg {
 		return &wire.Msg{Kind: wire.KPing}
 	}); err == nil {
 		t.Fatal("single-target remote error must propagate")
@@ -361,15 +360,19 @@ func TestReadThroughSeesUnitRecycledMidRead(t *testing.T) {
 	}
 }
 
-// TestWarmFOAllocatesNoPayload gates FO's two halves on a warm
-// in-memory store. The parity handler folds a 64 KiB delta into the
-// parity block scaled in place; the data OSD's update writes its delta
-// into a pooled buffer that the parity fanout borrows. Neither
-// allocates a payload-sized slice per call. The bound is half the
-// payload, not less: under the race detector sync.Pool drops a quarter
-// of what is put back, so a quarter of the updates miss the pool.
+// TestWarmFOAllocatesNoPayload gates the in-place update paths on a
+// warm in-memory store. FO's parity handler folds a 64 KiB delta into
+// the parity block scaled in place; FO's, PL's and PLR's update write
+// their delta into a pooled buffer that the parity fanout borrows —
+// PL and PLR as M parity-delta lists scaled in that buffer — and TSUE's
+// DataLog recycle with O5 off scales its M lists into one. None
+// allocates a payload-sized slice per call. The bound is half of what
+// a call borrows from the pool (half the payload for the fold), not
+// less: under the race detector sync.Pool drops a quarter of what is
+// put back, so a quarter of the calls miss the pool.
 func TestWarmFOAllocatesNoPayload(t *testing.T) {
 	const k, m, size, n = 2, 2, 1 << 20, 64 << 10
+	const list = extentHeaderSize + n // an extent list of one delta
 	cfg := DefaultConfig()
 	cfg.BlockSize = size
 	dev := device.New("osd", device.ChameleonSSD())
@@ -378,47 +381,86 @@ func TestWarmFOAllocatesNoPayload(t *testing.T) {
 		sent.Add(int64(len(msg.Data)))
 		return &wire.Resp{}, nil
 	}}, store: blockstore.New(dev), dev: dev}
+	data := bytes.Repeat([]byte{0x3c}, n)
+	loc := wire.StripeLoc{Nodes: []wire.NodeID{1, 2, 3, 4}}
+	b := wire.BlockID{Ino: 1, Idx: 1}
+	msg := func() *wire.Msg {
+		return &wire.Msg{Kind: wire.KUpdate, Block: b, Off: 9, Data: data, K: k, M: m, Loc: loc, V: 1}
+	}
+	env.learn(msg())
 	f, err := newFO(cfg, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	data := bytes.Repeat([]byte{0x3c}, n)
-	loc := wire.StripeLoc{Nodes: []wire.NodeID{1, 2, 3, 4}}
-	ops := map[string]func() error{
-		"parity-fold": func() error {
+	p, err := newPL(cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	r, err := newPLR(cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	o5off := cfg
+	o5off.UseDeltaLog = false
+	ts, err := newTSUE(o5off, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	ops := []struct {
+		name  string
+		op    func() error
+		bound int // bytes per call
+		sends int // bytes per call
+	}{
+		{"parity-fold", func() error {
 			_, err := applyParityDeltaInPlace(env, cfg, &wire.Msg{Kind: wire.KParityDelta,
 				Block: wire.BlockID{Ino: 1, Idx: k + 1}, Off: 9, Data: data, Idx: 1, K: k, M: m})
 			return err
-		},
-		"update": func() error {
-			_, err := f.Update(context.Background(), &wire.Msg{Kind: wire.KUpdate,
-				Block: wire.BlockID{Ino: 1, Idx: 1}, Off: 9, Data: data, K: k, M: m, Loc: loc, V: 1})
+		}, n / 2, 0},
+		{"fo-update", func() error {
+			_, err := f.Update(context.Background(), msg())
 			return err
-		},
+		}, n / 2, m * n},
+		{"pl-update", func() error {
+			_, err := p.Update(context.Background(), msg())
+			return err
+		}, m * list / 2, m * list},
+		{"plr-update", func() error {
+			_, err := r.Update(context.Background(), msg())
+			return err
+		}, m * list / 2, m * list},
+		{"tsue-o5-off-recycle", func() error {
+			ts.recycleData(logpool.BlockExtents{Block: b, Extents: []logpool.Extent{{Off: 9, Data: data, V: 1}}}, 1)
+			return nil
+		}, (1 + m) * list / 2, m * list},
 	}
-	for name, op := range ops {
+	for _, o := range ops {
 		const runs = 40
 		for i := 0; i < 4; i++ {
-			if err := op(); err != nil {
+			if err := o.op(); err != nil {
 				t.Fatal(err)
 			}
 		}
+		sent.Store(0)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if err := op(); err != nil {
+			if err := o.op(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs
-		t.Logf("%s: %.0f B/call", name, perCall)
-		if perCall >= n/2 {
-			t.Errorf("%s allocated %.0f bytes per call: the delta goes through a fresh slice", name, perCall)
+		t.Logf("%s: %.0f B/call", o.name, perCall)
+		if perCall >= float64(o.bound) {
+			t.Errorf("%s allocated %.0f bytes per call: the delta goes through a fresh slice", o.name, perCall)
 		}
-	}
-	if got := sent.Load(); got != 44*m*n {
-		t.Fatalf("the updates sent %d delta bytes, want %d", got, 44*m*n)
+		if got := sent.Load(); got != int64(runs*o.sends) {
+			t.Errorf("%s sent %d delta bytes, want %d", o.name, got, runs*o.sends)
+		}
 	}
 }
