@@ -59,6 +59,15 @@ const writeCoalesceStripes = 8
 // the stripe onto a different node set — or a cached node is
 // unreachable, the client transparently re-resolves the placement at
 // the MDS and retries, so callers never observe a rebind.
+//
+// Writes, updates and reads share one send path (send): a request is
+// split into block-addressed parts, the first attempt of every part
+// leaves at once — a lone part as one Call, several as one CallBatch —
+// and each part that attempt did not complete continues, from the
+// outcome it got, in the one re-resolve loop (sendWithReresolve). Only
+// three things differ by kind: the message a part is sent as (msg),
+// whether it may be re-delivered to a node that may have applied it
+// (an update may not), and what a final reply or error means (finish).
 type Client struct {
 	id        wire.NodeID
 	rpc       transport.RPC
@@ -227,18 +236,16 @@ func (c *Client) lookupWindow(ctx context.Context, ino uint64, first uint32, n i
 // writeWindow encodes and distributes a window of n consecutive stripes
 // starting at `first`. data holds the window's file bytes in stripe
 // order; every stripe but the last must be full, and a short tail is
-// zero-padded. Returns per-stripe costs and errors — a failed shard
-// degrades only its own stripe.
+// zero-padded. It returns how many stripes from the start of the window
+// are fully stored, and the error of the first stripe that is not — a
+// failed shard fails only its own stripe.
 //
 // This is the cross-stripe coalescing core: placements for the whole
 // window are resolved up front (lookupWindow), every stripe is encoded,
-// and all n×(K+M) shard frames are issued as a single batch — so on a
+// and all n×(K+M) shards leave through send as one batch — so on a
 // batch-capable transport every same-destination frame of the *window*
 // enters its connection's write queue together and leaves in one
-// coalesced flush per destination. KWriteBlock is a full-block
-// overwrite — idempotent — so any shard that fails the fast path (node
-// unreachable, stale placement) safely drops to the per-shard
-// re-resolve loop, which retries only that shard.
+// coalesced flush per destination.
 //
 // Cancellation is checked once at entry; past that point the window
 // ignores the caller's ctx (cancel and deadline alike), so a stripe is
@@ -249,28 +256,15 @@ func (c *Client) lookupWindow(ctx context.Context, ino uint64, first uint32, n i
 // stripeWriteBudget liveness backstop; should that fire, the write
 // errors out and the stripe may be left short of shards for Scrub to
 // flag.
-func (c *Client) writeWindow(ctx context.Context, ino uint64, first uint32, data []byte, n int) ([]time.Duration, []error) {
-	costs := make([]time.Duration, n)
-	errs := make([]error, n)
+func (c *Client) writeWindow(ctx context.Context, ino uint64, first uint32, data []byte, n int) (int, error) {
 	if err := ctx.Err(); err != nil {
-		for s := range errs {
-			errs[s] = err
-		}
-		return costs, errs
+		return 0, err
 	}
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), stripeWriteBudget)
 	defer cancel()
 	span := c.StripeSpan()
 	locs, errs := c.lookupWindow(ctx, ino, first, n)
-	type shardRef struct {
-		stripe int
-		idx    int
-		shard  []byte
-	}
-	var (
-		calls []*transport.BatchCall
-		refs  []shardRef
-	)
+	parts := make([]part, 0, n*(c.code.K+c.code.M))
 	for s := 0; s < n; s++ {
 		if errs[s] != nil {
 			continue
@@ -293,153 +287,20 @@ func (c *Client) writeWindow(ctx context.Context, ino uint64, first uint32, data
 			errs[s] = err
 			continue
 		}
-		all := append(shards, parity...)
-		for i, shard := range all {
-			calls = append(calls, &transport.BatchCall{To: locs[s].Nodes[i], Msg: &wire.Msg{
-				Kind:  wire.KWriteBlock,
-				Block: wire.BlockID{Ino: ino, Stripe: first + uint32(s), Idx: uint8(i)},
-				Data:  shard,
-				Loc:   locs[s],
-			}})
-			refs = append(refs, shardRef{s, i, shard})
+		for i, shard := range append(shards, parity...) {
+			b := wire.BlockID{Ino: ino, Stripe: first + uint32(s), Idx: uint8(i)}
+			parts = append(parts, part{block: b, loc: locs[s], buf: shard})
 		}
 	}
-	c.rpc.CallBatch(ctx, calls)
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	setCost := func(s int, cost time.Duration) {
-		if cost > costs[s] {
-			costs[s] = cost
-		}
+	if _, failed, err := c.send(ctx, wire.KWriteBlock, parts, 0); err != nil {
+		errs[parts[failed].block.Stripe-first] = err
 	}
-	for ci, bc := range calls {
-		ref := refs[ci]
-		if bc.Err == nil && bc.Resp.OK() {
-			mu.Lock()
-			setCost(ref.stripe, bc.Resp.Cost)
-			mu.Unlock()
-			bc.Resp.Release()
-			continue
-		}
-		if bc.Err == nil && !bc.Resp.IsStale() {
-			// A structured, non-stale rejection (bad geometry, storage
-			// failure): re-resolving the placement cannot change it.
-			mu.Lock()
-			if errs[ref.stripe] == nil {
-				errs[ref.stripe] = bc.Resp.Error()
-			}
-			mu.Unlock()
-			bc.Resp.Release()
-			continue
-		}
-		if bc.Err == nil {
-			bc.Resp.Release()
-		}
-		wg.Add(1)
-		go func(ref shardRef, loc wire.StripeLoc) {
-			defer wg.Done()
-			b := wire.BlockID{Ino: ino, Stripe: first + uint32(ref.stripe), Idx: uint8(ref.idx)}
-			cost, err := c.writeShard(ctx, b, ref.shard, loc)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if errs[ref.stripe] == nil {
-					errs[ref.stripe] = err
-				}
-				return
-			}
-			setCost(ref.stripe, cost)
-		}(ref, locs[ref.stripe])
-	}
-	wg.Wait()
-	return costs, errs
-}
-
-// sendWithReresolve delivers one block-addressed request, re-resolving
-// the placement and retrying when the target rejects a stale epoch or
-// is unreachable. send is invoked with the placement to use for the
-// attempt. A refresh that returns an unchanged placement stops the
-// loop: the MDS agrees with the cache, so the failure is real. A
-// cancelled ctx stops the loop immediately.
-//
-// Retry safety: a stale-epoch *rejection* happens before any server
-// state changes, so it may always be retried — even to the same node,
-// with the refreshed placement. A *transport* error, however, can (on
-// the TCP transport) mean "applied but the reply was lost"; a
-// non-idempotent request (idempotent=false) is therefore retried after
-// a transport error only if the block's host changed — a node that may
-// already have applied it is never re-delivered to.
-//
-// A refresh that fails right after a stale-epoch rejection returns an
-// error wrapping both wire.ErrStaleEpoch and the refresh failure: the
-// holder is alive and has moved on, and callers must be able to tell
-// that from an unreachable holder.
-//
-// Buffer ownership: every failed attempt's response is released here;
-// the successful response is returned and becomes the caller's to
-// Release once it is done with Resp.Data.
-func (c *Client) sendWithReresolve(ctx context.Context, b wire.BlockID, loc wire.StripeLoc, idempotent bool, send func(loc wire.StripeLoc) (*wire.Resp, error)) (*wire.Resp, error) {
-	var (
-		lastErr   error
-		lastStale bool
-	)
-	for attempt := 0; attempt <= maxStaleRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, err
-		}
-		if attempt > 0 {
-			nl, err := c.refreshLoc(ctx, b.Ino, b.Stripe, loc.Epoch)
-			if err != nil {
-				if lastStale {
-					return nil, fmt.Errorf("%w (re-resolve: %w)", lastErr, err)
-				}
-				return nil, err
-			}
-			sameHost := nl.Nodes[b.Idx] == loc.Nodes[b.Idx]
-			if nl.Epoch == loc.Epoch && sameHost {
-				return nil, lastErr
-			}
-			if sameHost && !lastStale && !idempotent {
-				return nil, lastErr
-			}
-			loc = nl
-		}
-		resp, err := send(loc)
+	for s, err := range errs {
 		if err != nil {
-			lastErr, lastStale = err, false
-			continue
+			return s, err
 		}
-		if resp.IsStale() {
-			lastErr, lastStale = resp.Error(), true
-			resp.Release()
-			continue
-		}
-		if e := resp.Error(); e != nil {
-			resp.Release()
-			return nil, e
-		}
-		return resp, nil
 	}
-	return nil, lastErr
-}
-
-// writeShard delivers one stripe member with placement re-resolution
-// (idempotent: a full-block overwrite may be re-delivered freely).
-func (c *Client) writeShard(ctx context.Context, b wire.BlockID, shard []byte, loc wire.StripeLoc) (time.Duration, error) {
-	resp, err := c.sendWithReresolve(ctx, b, loc, true, func(loc wire.StripeLoc) (*wire.Resp, error) {
-		return c.rpc.Call(ctx, loc.Nodes[b.Idx], &wire.Msg{Kind: wire.KWriteBlock, Block: b, Data: shard, Loc: loc})
-	})
-	if err != nil {
-		return 0, err
-	}
-	cost := resp.Cost
-	resp.Release()
-	return cost, nil
+	return n, nil
 }
 
 // writeStripes chunks data into stripes starting at stripe `first`
@@ -462,35 +323,117 @@ func (c *Client) writeStripes(ctx context.Context, ino uint64, first uint32, dat
 		n := min(writeCoalesceStripes, stripes-done)
 		lo := done * span
 		hi := min(len(data), (done+n)*span)
-		_, errs := c.writeWindow(ctx, ino, first+uint32(done), data[lo:hi], n)
-		for s := 0; s < n; s++ {
-			if errs[s] != nil {
-				return done + s, errs[s]
-			}
+		if stored, err := c.writeWindow(ctx, ino, first+uint32(done), data[lo:hi], n); err != nil {
+			return done + stored, err
 		}
 		done += n
 	}
 	return done, nil
 }
 
-// updatePart routes one split of an update to its data block's OSD with
-// placement re-resolution. The update is not idempotent, so
-// sendWithReresolve only retries it to a *different* host after a
-// transport error (the prior target is dead or rebound away — its
-// state is discarded by recovery); stale-epoch rejections retry freely.
-func (c *Client) updatePart(ctx context.Context, p part, payload []byte, v time.Duration) (time.Duration, error) {
-	resp, err := c.sendWithReresolve(ctx, p.block, p.loc, false, func(loc wire.StripeLoc) (*wire.Resp, error) {
-		return c.rpc.Call(ctx, loc.Nodes[p.block.Idx], &wire.Msg{
-			Kind:  wire.KUpdate,
-			Block: p.block,
-			Off:   p.off,
-			Data:  payload,
-			K:     uint8(c.code.K),
-			M:     uint8(c.code.M),
-			Loc:   loc,
-			V:     int64(v),
-		})
-	})
+// readInto fills p from [off, off+len(p)) of a file and returns the
+// modeled latency (the slowest part; parts proceed concurrently). Every
+// part's reply is read straight into its own slice of p. On error p may
+// be partly filled.
+func (c *Client) readInto(ctx context.Context, ino uint64, off int64, p []byte) (time.Duration, error) {
+	parts, err := c.split(ctx, ino, off, p, false)
+	if err != nil {
+		return 0, err
+	}
+	cost, _, err := c.send(ctx, wire.KRead, parts, 0)
+	return cost, err
+}
+
+// send delivers every part of one client request of kind — KWriteBlock,
+// KUpdate or KRead — to its block's holder. It returns the slowest
+// part's cost and, if any part failed, the error of the earliest failed
+// part in parts order with that part's index; v is an update's virtual
+// issue time.
+//
+// The first attempt of every part leaves at once: a lone part as one
+// plain Call, several as one CallBatch, so a batch-capable transport
+// flushes each holder's share together. A part that attempt completed
+// finishes on the caller's goroutine. Every other part goes, with the
+// outcome of that attempt, to sendWithReresolve on a goroutine of its
+// own, which continues from the refresh step — so a part is never sent
+// again under the placement its holder just refused, nor to a holder
+// that just failed before the MDS was asked.
+func (c *Client) send(ctx context.Context, kind wire.Kind, parts []part, v time.Duration) (time.Duration, int, error) {
+	switch len(parts) {
+	case 0:
+		return 0, 0, nil
+	case 1:
+		p := &parts[0]
+		resp, err := c.rpc.Call(ctx, p.loc.Nodes[p.block.Idx], c.msg(kind, p, p.loc, v))
+		cost, err := c.finish(ctx, kind, p, v, resp, err)
+		return cost, 0, err
+	}
+	calls := make([]*transport.BatchCall, len(parts))
+	for i := range parts {
+		p := &parts[i]
+		calls[i] = &transport.BatchCall{To: p.loc.Nodes[p.block.Idx], Msg: c.msg(kind, p, p.loc, v)}
+	}
+	c.rpc.CallBatch(ctx, calls)
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		cost   time.Duration
+		failed = len(parts)
+		ferr   error
+	)
+	done := func(i int, resp *wire.Resp, err error) {
+		pc, err := c.finish(ctx, kind, &parts[i], v, resp, err)
+		mu.Lock()
+		defer mu.Unlock()
+		if err == nil {
+			cost = max(cost, pc)
+		} else if i < failed {
+			failed, ferr = i, err
+		}
+	}
+	for i, bc := range calls {
+		if bc.Err == nil && bc.Resp.OK() {
+			done(i, bc.Resp, nil)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			done(i, bc.Resp, bc.Err)
+		}()
+	}
+	wg.Wait()
+	return cost, failed, ferr
+}
+
+// msg builds part p's request of kind under placement loc. A read
+// names p.buf as its reply buffer, so over TCP the payload is read off
+// the socket straight into the caller's memory; a write or an update
+// carries p.buf as its payload.
+func (c *Client) msg(kind wire.Kind, p *part, loc wire.StripeLoc, v time.Duration) *wire.Msg {
+	m := &wire.Msg{Kind: kind, Block: p.block, Off: p.off, Loc: loc}
+	switch kind {
+	case wire.KRead:
+		m.Size = uint32(len(p.buf))
+		m.SetReplyBuf(p.buf)
+	case wire.KUpdate:
+		m.Data, m.K, m.M, m.V = p.buf, uint8(c.code.K), uint8(c.code.M), int64(v)
+	default:
+		m.Data = p.buf
+	}
+	return m
+}
+
+// finish completes part p from the outcome of its first attempt and
+// returns the part's cost or error: it runs the re-resolve loop, then
+// gives the final reply or error its meaning for kind — a read fills
+// p.buf or falls back to a degraded read, a write or an update takes
+// the reply's cost.
+func (c *Client) finish(ctx context.Context, kind wire.Kind, p *part, v time.Duration, resp *wire.Resp, err error) (time.Duration, error) {
+	resp, err = c.sendWithReresolve(ctx, kind, p, v, resp, err)
+	if kind == wire.KRead {
+		return c.readDone(ctx, *p, resp, err)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -499,69 +442,65 @@ func (c *Client) updatePart(ctx context.Context, p part, payload []byte, v time.
 	return cost, nil
 }
 
-// readInto fills p from [off, off+len(p)) of a file and returns the
-// modeled latency (the slowest part; parts proceed concurrently). Every
-// part's reply is read straight into its own slice of p. A one-part
-// read runs inline; a read spanning blocks sends all its parts as one
-// batch — one flush per holder — and only the parts the batch could not
-// serve (stale placement, unreachable holder, error reply) go on to
-// readPart's re-resolve and degraded path, concurrently. On error p may
-// be partly filled.
-func (c *Client) readInto(ctx context.Context, ino uint64, off int64, p []byte) (time.Duration, error) {
-	parts, err := c.split(ctx, ino, off, len(p), false)
-	if err != nil {
-		return 0, err
-	}
-	switch len(parts) {
-	case 0:
-		return 0, nil
-	case 1:
-		return c.readPart(ctx, parts[0], p)
-	}
-	calls := make([]*transport.BatchCall, len(parts))
-	for i, pt := range parts {
-		calls[i] = &transport.BatchCall{To: pt.loc.Nodes[pt.block.Idx], Msg: readMsg(pt, pt.loc, p[pt.src:pt.src+pt.n])}
-	}
-	c.rpc.CallBatch(ctx, calls)
-	var (
-		wg                   sync.WaitGroup
-		mu                   sync.Mutex
-		batchCost, retryCost time.Duration
-		rerr                 error
-	)
-	for i, bc := range calls {
-		pt, dst := parts[i], p[parts[i].src:parts[i].src+parts[i].n]
-		if bc.Err == nil && bc.Resp.OK() {
-			batchCost = max(batchCost, bc.Resp.Cost)
-			fillFrom(dst, bc.Resp)
-			continue
-		}
-		if bc.Err == nil {
-			bc.Resp.Release()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cost, err := c.readPart(ctx, pt, dst)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				rerr = err
-				return
+// sendWithReresolve continues the delivery of part p, whose last attempt
+// under p.loc ended in resp or err, and returns the part's final
+// outcome. A reply that is neither stale nor an error is that outcome;
+// a structured, non-stale rejection is final, since re-resolving the
+// placement cannot change it. After a stale-epoch rejection or a
+// transport error the placement is re-resolved at the MDS and the part
+// sent again, at most maxStaleRetries times. A refresh that returns an
+// unchanged placement stops the loop: the MDS agrees with the cache, so
+// the failure is real. A cancelled ctx stops the loop immediately.
+//
+// Retry safety: a stale-epoch *rejection* happens before any server
+// state changes, so it may always be retried — even to the same node,
+// with the refreshed placement. A *transport* error, however, can (on
+// the TCP transport) mean "applied but the reply was lost". Reads and
+// full-block writes are idempotent; an update is not, so it is retried
+// after a transport error only if the block's host changed — a node
+// that may already have applied it is never re-delivered to (the prior
+// target is dead or rebound away, and recovery discards its state).
+//
+// A refresh that fails right after a stale-epoch rejection returns an
+// error wrapping both wire.ErrStaleEpoch and the refresh failure: the
+// holder is alive and has moved on, and callers must be able to tell
+// that from an unreachable holder.
+//
+// Buffer ownership: every failed attempt's response is released here;
+// the successful response is returned and becomes the caller's to
+// Release once it is done with Resp.Data.
+func (c *Client) sendWithReresolve(ctx context.Context, kind wire.Kind, p *part, v time.Duration, resp *wire.Resp, err error) (*wire.Resp, error) {
+	loc := p.loc
+	for retries := 0; ; retries++ {
+		stale := false
+		if err == nil {
+			if !resp.IsStale() {
+				if err := resp.Error(); err != nil {
+					resp.Release()
+					return nil, err
+				}
+				return resp, nil
 			}
-			retryCost = max(retryCost, cost)
-		}()
+			err, stale = resp.Error(), true
+			resp.Release()
+		}
+		if retries == maxStaleRetries || ctx.Err() != nil {
+			return nil, err
+		}
+		nl, rerr := c.refreshLoc(ctx, p.block.Ino, p.block.Stripe, loc.Epoch)
+		if rerr != nil {
+			if stale {
+				return nil, fmt.Errorf("%w (re-resolve: %w)", err, rerr)
+			}
+			return nil, rerr
+		}
+		sameHost := nl.Nodes[p.block.Idx] == loc.Nodes[p.block.Idx]
+		if sameHost && (nl.Epoch == loc.Epoch || !stale && kind == wire.KUpdate) {
+			return nil, err
+		}
+		loc = nl
+		resp, err = c.rpc.Call(ctx, loc.Nodes[p.block.Idx], c.msg(kind, p, loc, v))
 	}
-	wg.Wait()
-	return max(batchCost, retryCost), rerr
-}
-
-// readMsg builds the KRead of one part under placement loc, its reply
-// payload bound for dst.
-func readMsg(p part, loc wire.StripeLoc, dst []byte) *wire.Msg {
-	m := &wire.Msg{Kind: wire.KRead, Block: p.block, Off: p.off, Size: uint32(p.n), Loc: loc}
-	m.SetReplyBuf(dst)
-	return m
 }
 
 // fillFrom completes a part's read from its successful reply. A
@@ -576,25 +515,19 @@ func fillFrom(dst []byte, resp *wire.Resp) {
 	resp.Release()
 }
 
-// readPart serves one block-range read into dst (len(dst) == p.n). The
-// normal path ships the cached placement so the holder can epoch-check
-// it: a stale-epoch rejection or an unreachable holder re-resolves at
-// the MDS and retries — after a repair or drain rebinds the stripe,
-// this is how the read cuts over to the new holder with no K-way
-// decode. Only when the normal path is exhausted — and the holder did
-// not answer that the placement is stale — does the read degrade to
-// reconstruction, and then it tells the MDS (wire.KRepairHint) so an
-// in-flight repair promotes the stripe to the front of its queue.
-//
-// Every attempt names dst as its reply buffer, so over TCP the payload
-// is read off the socket straight into the caller's memory.
-func (c *Client) readPart(ctx context.Context, p part, dst []byte) (time.Duration, error) {
-	resp, err := c.sendWithReresolve(ctx, p.block, p.loc, true, func(loc wire.StripeLoc) (*wire.Resp, error) {
-		return c.rpc.Call(ctx, loc.Nodes[p.block.Idx], readMsg(p, loc, dst))
-	})
+// readDone completes one block-range read from the final outcome of its
+// normal path, which ships the cached placement so the holder can
+// epoch-check it: after a repair or drain rebinds the stripe, the
+// re-resolve loop is how the read cuts over to the new holder with no
+// K-way decode. A reply fills p.buf. Only when the normal path is
+// exhausted — and the holder did not answer that the placement is
+// stale — does the read degrade to reconstruction, and then it tells
+// the MDS (wire.KRepairHint) so an in-flight repair promotes the stripe
+// to the front of its queue.
+func (c *Client) readDone(ctx context.Context, p part, resp *wire.Resp, err error) (time.Duration, error) {
 	if err == nil {
 		cost := resp.Cost
-		fillFrom(dst, resp)
+		fillFrom(p.buf, resp)
 		return cost, nil
 	}
 	// A holder that rejected the placement as stale is alive and has
@@ -613,7 +546,7 @@ func (c *Client) readPart(ctx context.Context, p part, dst []byte) (time.Duratio
 	if nl, lerr := c.lookup(ctx, p.block.Ino, p.block.Stripe, false); lerr == nil {
 		p.loc = nl
 	}
-	cost, derr := c.degradedRead(ctx, p, dst)
+	cost, derr := c.degradedRead(ctx, p)
 	if derr != nil {
 		return 0, fmt.Errorf("%w (degraded fallback: %v)", err, derr)
 	}
@@ -634,7 +567,7 @@ func (c *Client) hintRepair(ctx context.Context, b wire.BlockID) {
 }
 
 // degradedRead reconstructs one part's byte range from stripe survivors
-// into dst — the degraded-read path an erasure-coded file system must
+// into p.buf — the degraded-read path an erasure-coded file system must
 // serve while a node is down and recovery has not yet completed. It
 // reflects the last *recycled* state: updates still buffered in the
 // failed node's DataLog are only restored by recovery's replica-log
@@ -642,12 +575,13 @@ func (c *Client) hintRepair(ctx context.Context, b wire.BlockID) {
 //
 // The K survivor blocks come from gatherSurvivors. Decoding is
 // byte-wise, so just the requested range of the one lost block is
-// decoded, straight into dst. The survivor shards alias pooled response
-// buffers, held until the decode is done and only then released.
-func (c *Client) degradedRead(ctx context.Context, p part, dst []byte) (time.Duration, error) {
+// decoded, straight into p.buf. The survivor shards alias pooled
+// response buffers, held until the decode is done and only then
+// released.
+func (c *Client) degradedRead(ctx context.Context, p part) (time.Duration, error) {
 	k := c.code.K
 	lost := int(p.block.Idx)
-	lo, hi := int(p.off), int(p.off)+p.n
+	lo, hi := int(p.off), int(p.off)+len(p.buf)
 	// Untagged fetches are priced as foreground reads.
 	g := gatherSurvivors(ctx, c.rpc, p.block, p.loc, k, lost, nil, sim.ClassOther)
 	defer g.release()
@@ -664,7 +598,7 @@ func (c *Client) degradedRead(ctx context.Context, p part, dst []byte) (time.Dur
 		}
 		shards[idx] = s[lo:hi]
 	}
-	if err := c.code.ReconstructTo(dst, shards, lost); err != nil {
+	if err := c.code.ReconstructTo(p.buf, shards, lost); err != nil {
 		return 0, fmt.Errorf("ecfs: degraded read of %v: %w", p.block, err)
 	}
 	return g.cost, nil
@@ -738,44 +672,41 @@ func gatherSurvivors(ctx context.Context, rpc transport.RPC, stripe wire.BlockID
 	return g
 }
 
-// part maps a byte range of a file request onto one data block. The
-// block's current host is derived from loc at send time (loc may be
-// refreshed by the stale-epoch retry loop).
+// part is one block-addressed piece of a client request: a range of
+// one block, the placement its first attempt is sent under (the
+// re-resolve loop may send later attempts under a fresher one), and
+// buf, the part's own slice of the caller's memory — an update's
+// payload, a read's destination, a write's shard.
 type part struct {
 	block wire.BlockID
 	loc   wire.StripeLoc
 	off   uint32 // intra-block offset
-	src   int    // offset within the request payload
-	n     int
+	buf   []byte
 }
 
-// split maps [off, off+size) of a file onto its data blocks, resolving
-// each stripe's placement through lookup (bind as there).
-func (c *Client) split(ctx context.Context, ino uint64, off int64, size int, bind bool) ([]part, error) {
-	if off < 0 || size < 0 {
+// split maps the file range [off, off+len(buf)) onto its data blocks,
+// each part taking its own slice of buf and resolving its stripe's
+// placement through lookup (bind as there).
+func (c *Client) split(ctx context.Context, ino uint64, off int64, buf []byte, bind bool) ([]part, error) {
+	if off < 0 {
 		return nil, fmt.Errorf("ecfs: negative range")
 	}
 	span := int64(c.StripeSpan())
 	var parts []part
-	src := 0
-	for size > 0 {
+	for len(buf) > 0 {
 		stripe := uint32(off / span)
 		inStripe := off % span
 		blockIdx := int(inStripe) / c.blockSize
 		blockOff := uint32(int(inStripe) % c.blockSize)
-		n := min(size, c.blockSize-int(blockOff))
+		n := min(len(buf), c.blockSize-int(blockOff))
 		loc, err := c.lookup(ctx, ino, stripe, bind)
 		if err != nil {
 			return nil, err
 		}
 		b := wire.BlockID{Ino: ino, Stripe: stripe, Idx: uint8(blockIdx)}
-		parts = append(parts, part{
-			block: b, loc: loc,
-			off: blockOff, src: src, n: n,
-		})
+		parts = append(parts, part{block: b, loc: loc, off: blockOff, buf: buf[:n]})
 		off += int64(n)
-		src += n
-		size -= n
+		buf = buf[n:]
 	}
 	return parts, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -115,50 +114,25 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 
 // UpdateAt applies a partial update at a file byte offset through the
 // cluster's update strategy — for TSUE, the two-stage log-structured
-// path (§3) — splitting it across data blocks as needed. v is the
-// virtual workload time used by the timing model (0 outside replay
-// harnesses). Returns the modeled synchronous update latency (max
-// across split parts, which proceed concurrently). A cancelled ctx
-// aborts unsent parts at the next priced step; like any interrupted
-// POSIX write, a multi-part update may be torn (parity stays consistent
-// per part — each part's two-stage update is atomic at its OSD).
+// path (§3) — splitting it across data blocks as needed; the parts of a
+// multi-block update leave as one batch. v is the virtual workload time
+// used by the timing model (0 outside replay harnesses). Returns the
+// modeled synchronous update latency (max across split parts, which
+// proceed concurrently) and, when parts fail, the first failed part's
+// error. A cancelled ctx aborts unsent parts at the next priced step;
+// like any interrupted POSIX write, a multi-part update may be torn
+// (parity stays consistent per part — each part's two-stage update is
+// atomic at its OSD).
 func (f *File) UpdateAt(ctx context.Context, off int64, data []byte, v time.Duration) (time.Duration, error) {
 	if err := f.guard(); err != nil {
 		return 0, err
 	}
-	parts, err := f.cli.split(ctx, f.ino, off, len(data), true)
+	parts, err := f.cli.split(ctx, f.ino, off, data, true)
 	if err != nil {
 		return 0, err
 	}
-	if len(parts) == 1 {
-		// The common single-block update runs inline.
-		p := parts[0]
-		return f.cli.updatePart(ctx, p, data[p.src:p.src+p.n], v)
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		max  time.Duration
-		rerr error
-	)
-	for _, p := range parts {
-		wg.Add(1)
-		go func(p part) {
-			defer wg.Done()
-			cost, err := f.cli.updatePart(ctx, p, data[p.src:p.src+p.n], v)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				rerr = err
-				return
-			}
-			if cost > max {
-				max = cost
-			}
-		}(p)
-	}
-	wg.Wait()
-	return max, rerr
+	cost, _, err := f.cli.send(ctx, wire.KUpdate, parts, v)
+	return cost, err
 }
 
 // Stripes returns the number of placed stripes of the file (KMDSStat).

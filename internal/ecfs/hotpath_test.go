@@ -143,9 +143,10 @@ func TestPooledRespBalanceAcrossErrorPaths(t *testing.T) {
 	}
 
 	// Failure paths: kill an OSD mid-placement. Writes that land on it
-	// exhaust the re-resolve/retry loop (release-on-error in writeShard
-	// and the coalesced fan-out harvest); reads reconstruct via the
-	// degraded path, which collects k responses and releases them all.
+	// exhaust the re-resolve/retry loop (release-on-error in
+	// sendWithReresolve and the batched first attempt); reads
+	// reconstruct via the degraded path, which collects k responses and
+	// releases them all.
 	h.fail(1)
 	if n, err := f.WriteAt(data, 0); err == nil {
 		t.Logf("write after OSD failure unexpectedly clean (n=%d); error paths not exercised", n)
@@ -227,14 +228,14 @@ func (r *readCountingRPC) checkLanded(msg *wire.Msg, resp *wire.Resp, err error)
 func refRead(t *testing.T, cli *Client, rpc transport.RPC, ino uint64, off int64, size int) []byte {
 	t.Helper()
 	ctx := context.Background()
-	parts, err := cli.split(ctx, ino, off, size, false)
+	out := make([]byte, size)
+	parts, err := cli.split(ctx, ino, off, out, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]byte, size)
 	for _, p := range parts {
 		resp, err := rpc.Call(ctx, p.loc.Nodes[p.block.Idx], &wire.Msg{
-			Kind: wire.KRead, Block: p.block, Off: p.off, Size: uint32(p.n), Loc: p.loc,
+			Kind: wire.KRead, Block: p.block, Off: p.off, Size: uint32(len(p.buf)), Loc: p.loc,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -242,7 +243,7 @@ func refRead(t *testing.T, cli *Client, rpc transport.RPC, ino uint64, off int64
 		if err := resp.Error(); err != nil {
 			t.Fatal(err)
 		}
-		copy(out[p.src:p.src+p.n], resp.Data)
+		copy(p.buf, resp.Data)
 		resp.Release()
 	}
 	return out
@@ -288,7 +289,7 @@ func TestReadAtSpanningStripesIsOneBatch(t *testing.T) {
 	if !bytes.Equal(want, data[off:off+size]) {
 		t.Fatal("reference read disagrees with the written bytes")
 	}
-	parts, err := cli.split(ctx, f.Ino(), int64(off), size, false)
+	parts, err := cli.split(ctx, f.Ino(), int64(off), make([]byte, size), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,6 +269,14 @@ func (s *RepairScheduler) fgClockLocked() time.Duration {
 	return sim.MaxBusyDeltaClasses(s.resources, s.fgBase, sim.ForegroundClasses...)
 }
 
+// budgetLocked reads the budget at rate bytes/s: the bytes the
+// foreground clock plus the injected throttle time allow, and the bytes
+// spent. Callers hold s.mu.
+func (s *RepairScheduler) budgetLocked(rate float64) (have, spent int64) {
+	clock := max(0, s.fgClockLocked()+s.balThrottle)
+	return int64(rate * clock.Seconds()), s.spentLocked()
+}
+
 // weight ranks a queue for contended admissions: pending depth plus a
 // boost per promotion (hot queues first). Callers need not hold s.mu —
 // the queue has its own lock.
@@ -324,12 +332,7 @@ func (s *RepairScheduler) admit(ctx context.Context, q *repairQueue) error {
 			return err
 		}
 		s.mu.Lock()
-		budget := time.Duration(0)
-		if clock := s.fgClockLocked() + s.balThrottle; clock > 0 {
-			budget = clock
-		}
-		have := int64(rate * budget.Seconds())
-		spent := s.spentLocked()
+		have, spent := s.budgetLocked(rate)
 		if spent <= have {
 			// Tokens are available; under contention only the
 			// highest-weight waiter takes them.
@@ -390,12 +393,7 @@ func (s *RepairScheduler) AdmitMaintenance(ctx context.Context, bytes int64) err
 			return err
 		}
 		s.mu.Lock()
-		budget := time.Duration(0)
-		if clock := s.fgClockLocked() + s.balThrottle; clock > 0 {
-			budget = clock
-		}
-		have := int64(rate * budget.Seconds())
-		spent := s.spentLocked()
+		have, spent := s.budgetLocked(rate)
 		s.mu.Unlock()
 		if spent <= have || polls >= admitMaxPolls {
 			s.charge(bytes)

@@ -18,6 +18,7 @@ package logpool
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -109,13 +110,8 @@ func (bi *blockIndex) mayContain(off, end uint32) bool {
 }
 
 // insert merges [off, off+len(data)) into the index under the index's
-// merge mode. The data slice is copied; callers may reuse their buffer.
-func (bi *blockIndex) insert(off uint32, data []byte, v time.Duration) {
-	bi.insertScaled(1, off, data, v)
-}
-
-// insertScaled merges the record c·data (GF(2^8) scaling; c == 1 is the
-// record itself) in one pass over its bytes.
+// merge mode, in one pass over the record's bytes. The data slice is
+// copied; callers may reuse their buffer.
 //
 // Cost model: a record that starts inside one extent or at its tail is
 // applied in place — overlapping bytes are overwritten or XOR-folded
@@ -125,14 +121,14 @@ func (bi *blockIndex) insert(off uint32, data []byte, v time.Duration) {
 // rebuilds the merged extent. Extents therefore mutate in place: a slice
 // obtained from the index is valid only while the caller's lock excludes
 // inserts.
-func (bi *blockIndex) insertScaled(c byte, off uint32, data []byte, v time.Duration) {
+func (bi *blockIndex) insert(off uint32, data []byte, v time.Duration) {
 	if len(data) == 0 {
 		return
 	}
 	end := off + uint32(len(data))
 	bi.setBitmap(off, end)
 	if bi.mode == NoMerge {
-		bi.extents = append(bi.extents, Extent{Off: off, Data: appendScaled(nil, c, data), V: v})
+		bi.extents = append(bi.extents, Extent{Off: off, Data: slices.Clone(data), V: v})
 		bi.bytes += int64(len(data))
 		return
 	}
@@ -148,16 +144,16 @@ func (bi *blockIndex) insertScaled(c byte, off uint32, data []byte, v time.Durat
 		// No overlap/adjacency: plain insert.
 		bi.extents = append(bi.extents, Extent{})
 		copy(bi.extents[first+1:], bi.extents[first:])
-		bi.extents[first] = Extent{Off: off, Data: appendScaled(nil, c, data), V: v}
+		bi.extents[first] = Extent{Off: off, Data: slices.Clone(data), V: v}
 		bi.bytes += int64(len(data))
 		return
 	}
 	if e := &bi.extents[first]; last-first == 1 && e.Off <= off {
 		// One extent, and the record does not reach below its head.
 		k := min(e.End(), end) - off // bytes landing on indexed content
-		bi.fold(c, e.Data[off-e.Off:][:k], data[:k])
+		bi.fold(e.Data[off-e.Off:][:k], data[:k])
 		if rest := data[k:]; len(rest) > 0 {
-			e.Data = appendScaled(e.Data, c, rest)
+			e.Data = append(e.Data, rest...)
 			bi.bytes += int64(len(rest))
 		}
 		if v < e.V {
@@ -187,33 +183,20 @@ func (bi *blockIndex) insertScaled(c byte, off uint32, data []byte, v time.Durat
 		copy(buf[e.Off-lo:], e.Data)
 		bi.bytes -= int64(len(e.Data))
 	}
-	bi.fold(c, buf[off-lo:end-lo], data) // gaps are zero: folding there places
+	bi.fold(buf[off-lo:end-lo], data) // gaps are zero: folding there places
 	merged := Extent{Off: lo, Data: buf, V: minV}
 	bi.extents = append(bi.extents[:first+1], bi.extents[last:]...)
 	bi.extents[first] = merged
 	bi.bytes += int64(len(buf))
 }
 
-// appendScaled appends c·data to dst (nil for a fresh buffer) with
-// append's amortised growth. append copies into the tail it grows, where
-// make or slices.Grow would first zero bytes that are about to be
-// overwritten; the scaling then runs in place.
-func appendScaled(dst []byte, c byte, data []byte) []byte {
-	n := len(dst)
-	dst = append(dst, data...)
-	if c != 1 {
-		gf256.MulSlice(c, dst[n:], dst[n:])
-	}
-	return dst
-}
-
-// fold combines c·src into already-indexed (or zeroed) bytes dst under
+// fold combines src into already-indexed (or zeroed) bytes dst under
 // the merge mode: newest wins, or XOR accumulation.
-func (bi *blockIndex) fold(c byte, dst, src []byte) {
+func (bi *blockIndex) fold(dst, src []byte) {
 	if bi.mode == XorFold {
-		gf256.MulAddSlice(c, dst, src)
+		gf256.XorSlice(dst, src)
 	} else {
-		gf256.MulSlice(c, dst, src)
+		copy(dst, src)
 	}
 }
 

@@ -8,7 +8,7 @@ import "time"
 // new/original value logs and TSUE's Equation-5 delta merging.
 //
 // An Index is not safe for concurrent use, and inserts mutate extents in
-// place (see blockIndex.insertScaled): slices returned by Lookup and
+// place (see blockIndex.insert): slices returned by Lookup and
 // Extents alias internal storage and are valid only while the caller's
 // lock excludes Insert. Copy what must outlive the lock.
 type Index struct {
@@ -20,12 +20,6 @@ func NewIndex(mode MergeMode) *Index { return &Index{bi: blockIndex{mode: mode}}
 
 // Insert merges [off, off+len(data)) into the index (data is copied).
 func (x *Index) Insert(off uint32, data []byte, v time.Duration) { x.bi.insert(off, data, v) }
-
-// InsertScaled merges c·data (GF(2^8) scaling) in one pass: the Eq. 5
-// fold of a coefficient-scaled delta without a scaled temporary.
-func (x *Index) InsertScaled(c byte, off uint32, data []byte, v time.Duration) {
-	x.bi.insertScaled(c, off, data, v)
-}
 
 // Lookup returns the bytes of [off, off+size) if fully covered. The
 // result aliases internal storage until the next Insert.

@@ -315,11 +315,11 @@ func LendRelease(view []byte, end func()) func() {
 }
 
 // outFrame is one outbound frame as a writer ships it: hdr holds the
-// frame header and the Msg/Resp header, and the payloads are the
-// sender's own slices, handed to writev as entries of their own.
+// frame header and the Msg/Resp header, and the payload is the
+// sender's own slice, handed to writev as an entry of its own.
 type outFrame struct {
-	hdr         *[]byte // pooled (headerPool)
-	data, data2 []byte  // borrowed from the sender
+	hdr  *[]byte // pooled (headerPool)
+	data []byte  // borrowed from the sender
 }
 
 // appendTo adds the frame's writev entries to bufs.
@@ -328,26 +328,23 @@ func (f *outFrame) appendTo(bufs net.Buffers) net.Buffers {
 	if len(f.data) > 0 {
 		bufs = append(bufs, f.data)
 	}
-	if len(f.data2) > 0 {
-		bufs = append(bufs, f.data2)
-	}
 	return bufs
 }
 
-func (f *outFrame) size() int64 { return int64(len(*f.hdr) + len(f.data) + len(f.data2)) }
+func (f *outFrame) size() int64 { return int64(len(*f.hdr) + len(f.data)) }
 
 // borrows reports whether writing the frame reads memory its sender owns.
-func (f *outFrame) borrows() bool { return len(f.data)+len(f.data2) > 0 }
+func (f *outFrame) borrows() bool { return len(f.data) > 0 }
 
-// release recycles the header buffer and drops the borrowed payloads.
+// release recycles the header buffer and drops the borrowed payload.
 func (f *outFrame) release() {
 	putHeaderBuf(f.hdr)
 	*f = outFrame{}
 }
 
 // appendMsgHeader appends a request frame's header bytes to buf: the
-// frame header, then the message's encoding up to its payloads, which
-// follow on the wire from m.Data and m.Data2.
+// frame header, then the message's encoding up to its payload, which
+// follows on the wire from m.Data.
 func appendMsgHeader(buf []byte, id uint64, m *wire.Msg) ([]byte, error) {
 	n := m.WireSize()
 	if n > maxFrameSize {
@@ -356,7 +353,7 @@ func appendMsgHeader(buf []byte, id uint64, m *wire.Msg) ([]byte, error) {
 	return m.AppendHeaderTo(appendFrameHeader(buf, uint32(n), frameMsg, id)), nil
 }
 
-// msgFrame frames a request whose payloads stay in m.
+// msgFrame frames a request whose payload stays in m.
 func msgFrame(id uint64, m *wire.Msg) (outFrame, error) {
 	hdr := getHeaderBuf()
 	b, err := appendMsgHeader((*hdr)[:0], id, m)
@@ -365,7 +362,7 @@ func msgFrame(id uint64, m *wire.Msg) (outFrame, error) {
 		return outFrame{}, err
 	}
 	*hdr = b
-	return outFrame{hdr: hdr, data: m.Data, data2: m.Data2}, nil
+	return outFrame{hdr: hdr, data: m.Data}, nil
 }
 
 // appendRespHeader appends a response frame's header bytes to buf, the
@@ -631,7 +628,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 const maxTakeSlack = 8 // at most 1/8 spare
 
 // inbound is one request the server read: the decoded message and the
-// pooled buffer its payloads alias, offered to the handler as the
+// pooled buffer its payload aliases, offered to the handler as the
 // message's wire.Body.
 type inbound struct {
 	msg   wire.Msg

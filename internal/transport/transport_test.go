@@ -230,11 +230,11 @@ func TestWireKindString(t *testing.T) {
 }
 
 func TestWireSizes(t *testing.T) {
-	// WireSize is exact for the binary codec: the 68-byte fixed Msg
+	// WireSize is exact for the binary codec: the 56-byte fixed Msg
 	// header (which always carries the placement epoch) plus 4 bytes per
 	// placement node plus the variable sections.
-	m := &wire.Msg{Data: make([]byte, 100), Data2: make([]byte, 50), Loc: wire.StripeLoc{Nodes: make([]wire.NodeID, 10)}}
-	if want := int64(68 + 40 + 100 + 50); m.WireSize() != want {
+	m := &wire.Msg{Data: make([]byte, 100), Name: "name", Loc: wire.StripeLoc{Nodes: make([]wire.NodeID, 10)}}
+	if want := int64(56 + 40 + 4 + 100); m.WireSize() != want {
 		t.Fatalf("msg wire size = %d, want %d", m.WireSize(), want)
 	}
 	if got := int64(len(m.AppendTo(nil))); got != m.WireSize() {
@@ -247,7 +247,7 @@ func TestWireSizes(t *testing.T) {
 	if got := int64(len(r.AppendTo(nil))); got != r.WireSize() {
 		t.Fatalf("encoded %d bytes but WireSize says %d", got, r.WireSize())
 	}
-	if (&wire.Msg{}).WireSize() != 68 {
+	if (&wire.Msg{}).WireSize() != 56 {
 		t.Fatalf("empty msg = %d, want the fixed header", (&wire.Msg{}).WireSize())
 	}
 }

@@ -22,13 +22,13 @@ import (
 // encoding built, WireSize stays exact, and a reply read header-first
 // with its payload spliced into a destination round-trips.
 func FuzzVectoredFrame(f *testing.F) {
-	f.Add(uint8(wire.KPing), uint8(0), uint32(0), uint32(0), "", int32(0), int64(1))
-	f.Add(uint8(wire.KUpdate), uint8(6), uint32(4<<10), uint32(0), "", int32(0), int64(2))
-	f.Add(uint8(wire.KParixLogAdd), uint8(10), uint32(200), uint32(300), "/f/a", int32(-1), int64(3))
-	f.Add(uint8(wire.KWriteBlock), uint8(10), uint32(64<<10), uint32(32<<10), "", int32(1), int64(4))
-	f.Add(uint8(wire.KRead), uint8(3), uint32(40<<10), uint32(0), "remote: stale epoch", int32(-40<<10), int64(5))
-	f.Add(uint8(wire.KMDSCreate), uint8(0), uint32(0), uint32(0), "/files/trace-0042.dat", int32(7), int64(6))
-	f.Fuzz(func(t *testing.T, kind, nodes uint8, dataLen, data2Len uint32, name string, slack int32, seed int64) {
+	f.Add(uint8(wire.KPing), uint8(0), uint32(0), "", int32(0), int64(1))
+	f.Add(uint8(wire.KUpdate), uint8(6), uint32(4<<10), "", int32(0), int64(2))
+	f.Add(uint8(wire.KParixLogAdd), uint8(10), uint32(200), "/f/a", int32(-1), int64(3))
+	f.Add(uint8(wire.KWriteBlock), uint8(10), uint32(64<<10), "", int32(1), int64(4))
+	f.Add(uint8(wire.KRead), uint8(3), uint32(40<<10), "remote: stale epoch", int32(-40<<10), int64(5))
+	f.Add(uint8(wire.KMDSCreate), uint8(0), uint32(0), "/files/trace-0042.dat", int32(7), int64(6))
+	f.Fuzz(func(t *testing.T, kind, nodes uint8, dataLen uint32, name string, slack int32, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		payload := func(n uint32) []byte {
 			if n %= 96 << 10; n == 0 {
@@ -47,17 +47,17 @@ func FuzzVectoredFrame(f *testing.F) {
 		}
 		m := &wire.Msg{
 			Kind: wire.Kind(kind), Block: wire.BlockID{Ino: rng.Uint64(), Stripe: rng.Uint32(), Idx: uint8(rng.Intn(16))},
-			Off: rng.Uint32(), Size: rng.Uint32(), Loc: loc, Name: name, Seq: rng.Uint64(),
-			Data: payload(dataLen), Data2: payload(data2Len),
+			Off: rng.Uint32(), Size: rng.Uint32(), Loc: loc, Name: name, V: rng.Int63(),
+			Data: payload(dataLen),
 		}
 		id := rng.Uint64()
 
 		hdr := m.AppendHeaderTo(nil)
-		if got := append(append(append([]byte(nil), hdr...), m.Data...), m.Data2...); !bytes.Equal(got, m.AppendTo(nil)) {
-			t.Fatal("Msg: AppendHeaderTo + payloads differs from AppendTo")
+		if got := append(append([]byte(nil), hdr...), m.Data...); !bytes.Equal(got, m.AppendTo(nil)) {
+			t.Fatal("Msg: AppendHeaderTo + payload differs from AppendTo")
 		}
-		if n := int64(len(hdr) + len(m.Data) + len(m.Data2)); n != m.WireSize() {
-			t.Fatalf("Msg: header %d + payloads = %d bytes, WireSize %d", len(hdr), n, m.WireSize())
+		if n := int64(len(hdr) + len(m.Data)); n != m.WireSize() {
+			t.Fatalf("Msg: header %d + payload = %d bytes, WireSize %d", len(hdr), n, m.WireSize())
 		}
 		mf, err := msgFrame(id, m)
 		if err != nil {
@@ -69,7 +69,7 @@ func FuzzVectoredFrame(f *testing.F) {
 		}
 		mf.release()
 
-		r := &wire.Resp{Err: name, Code: wire.Status(kind % 5), Data: m.Data, Ino: m.Block.Ino, Loc: loc, Val: int64(m.Seq), Cost: time.Duration(m.Off)}
+		r := &wire.Resp{Err: name, Code: wire.Status(kind % 5), Data: m.Data, Ino: m.Block.Ino, Loc: loc, Val: m.V, Cost: time.Duration(m.Off)}
 		rhdr := r.AppendHeaderTo(nil)
 		if got := append(append([]byte(nil), rhdr...), r.Data...); !bytes.Equal(got, r.AppendTo(nil)) {
 			t.Fatal("Resp: AppendHeaderTo + payload differs from AppendTo")

@@ -64,7 +64,7 @@ func (c *cord) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error)
 	collectorNode := msg.Loc.Nodes[k] // first parity OSD
 	resp, err := c.env.Call(ctx, collectorNode, &wire.Msg{
 		Kind: wire.KCordCollect, Block: b, Off: msg.Off, Data: delta,
-		Idx: b.Idx, K: msg.K, M: msg.M, Loc: msg.Loc, V: msg.V,
+		K: msg.K, M: msg.M, Loc: msg.Loc, V: msg.V,
 	})
 	if err != nil {
 		return 0, err

@@ -124,7 +124,7 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 		oCost, err := fanout(ctx, p.env, targets, func(int) *wire.Msg {
 			return &wire.Msg{
 				Kind: wire.KParixLogAdd, Block: b, Off: o.off, Data: o.data,
-				Idx: b.Idx, K: msg.K, M: msg.M, Loc: msg.Loc, Flag: 1, V: msg.V,
+				K: msg.K, M: msg.M, Loc: msg.Loc, Flag: 1, V: msg.V,
 			}
 		})
 		if err != nil {
@@ -136,7 +136,7 @@ func (p *parix) Update(ctx context.Context, msg *wire.Msg) (time.Duration, error
 	fanCost, err := fanout(ctx, p.env, targets, func(int) *wire.Msg {
 		return &wire.Msg{
 			Kind: wire.KParixLogAdd, Block: b, Off: msg.Off, Data: msg.Data,
-			Idx: b.Idx, K: msg.K, M: msg.M, Loc: msg.Loc, Flag: 0, V: msg.V,
+			K: msg.K, M: msg.M, Loc: msg.Loc, Flag: 0, V: msg.V,
 		}
 	})
 	if err != nil {

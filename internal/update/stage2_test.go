@@ -20,15 +20,17 @@ import (
 
 // refParityDeltas is the M-pass Eq. 5 merge parityDeltaLists replaced:
 // one XorFold index per parity, fed every source extent scaled by its
-// coefficient. It stays here as the reference the fused helper must
-// match.
+// coefficient into a scratch buffer. It stays here as the reference the
+// fused helper must match.
 func refParityDeltas(code *erasure.Code, blocks map[int][]logpool.Extent) [][]logpool.Extent {
 	out := make([][]logpool.Extent, code.M)
 	for j := range out {
 		merged := logpool.NewIndex(logpool.XorFold)
 		for src, exts := range blocks {
 			for _, e := range exts {
-				merged.InsertScaled(code.Coeff(j, src), e.Off, e.Data, e.V)
+				scaled := make([]byte, len(e.Data))
+				gf256.MulSlice(code.Coeff(j, src), scaled, e.Data)
+				merged.Insert(e.Off, scaled, e.V)
 			}
 		}
 		out[j] = merged.Extents()
@@ -59,7 +61,7 @@ func randomSources(rng *rand.Rand, k, n int) map[int][]logpool.Extent {
 }
 
 // TestParityDeltaListsMatchesReference: the fused one-pass Eq. 5 helper
-// yields exactly the M merged indexes of the M-pass InsertScaled loop —
+// yields exactly the M merged indexes of the M-pass scaled Insert loop —
 // same offsets, same bytes, same minimum V per merged extent.
 func TestParityDeltaListsMatchesReference(t *testing.T) {
 	for _, geo := range []struct{ k, m int }{{6, 4}, {2, 2}} {

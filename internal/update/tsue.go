@@ -194,7 +194,7 @@ func (t *tsue) recycleData(be logpool.BlockExtents, sealV time.Duration) time.Du
 		add := func(role uint8) []*transport.BatchCall {
 			return []*transport.BatchCall{{To: place.parityNode(int(role)), Msg: &wire.Msg{
 				Kind: wire.KDeltaLogAdd, Block: be.Block, Data: payload,
-				Idx: be.Block.Idx, K: uint8(place.K), M: uint8(place.M), Loc: place.Loc, Flag: role | flag,
+				K: uint8(place.K), M: uint8(place.M), Loc: place.Loc, Flag: role | flag,
 			}}}
 		}
 		var copied time.Duration

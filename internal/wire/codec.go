@@ -1,9 +1,9 @@
-// Binary wire codec (format v1).
+// Binary wire codec (format v2).
 //
 // Every frame body the TCP transport ships is one Msg or Resp encoded by
 // the hand-rolled codec below: a fixed-layout header holding the union's
 // scalar fields at hard-coded big-endian offsets, followed by the
-// variable sections (placement nodes, name, payloads) whose lengths the
+// variable sections (placement nodes, name, payload) whose lengths the
 // header declares. No reflection, no per-field type tags, no varints —
 // encoding is a handful of stores plus payload copies, and decoding is
 // bounds checks plus sub-slicing, so the data plane allocates nothing on
@@ -19,11 +19,11 @@
 // bucket charge those same bytes, so simulated pricing and what TCP
 // actually ships agree to the byte.
 //
-// The payloads (Data, Data2) are always the encoding's tail, so an
+// A message's payload (Data) is always the encoding's tail, so an
 // encoding splits into a header — AppendHeaderTo: every other field,
-// plus the payload lengths — followed by the payload bytes verbatim.
+// plus the payload length — followed by the payload bytes verbatim.
 // The TCP transport ships the header from its own buffer and the
-// payloads from the caller's slices, and reads a reply's header apart
+// payload from the caller's slice, and reads a reply's header apart
 // from its payload (RespSections, Resp.DecodeHeader) so the payload can
 // land straight in a buffer the caller named. The bytes on the wire are
 // the same either way.
@@ -41,19 +41,19 @@ import (
 // FormatVersion is the one-byte wire format version leading every
 // encoded Msg and Resp. Bump it when the layout changes; decoders
 // reject every version but their own.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // ErrBadFormat rejects a frame that does not start with FormatVersion —
 // typically a peer still speaking the retired gob framing. Mixed
 // deployments are unsupported; upgrade every node together.
 var ErrBadFormat = errors.New("unsupported wire format (mixed gob/binary deployment?)")
 
-// Fixed header sizes of the v1 layouts (see AppendTo for the field
+// Fixed header sizes of the v2 layouts (see AppendTo for the field
 // offsets). WireSize builds on these, so they are exact by definition.
 // RespFixedSize is also the prefix RespSections reads the rest of a
 // Resp's layout from.
 const (
-	msgFixedSize  = 68
+	msgFixedSize  = 56
 	RespFixedSize = 44
 )
 
@@ -62,13 +62,13 @@ const (
 // decoder for an absurd node slice.
 const maxLocNodes = 0xFFFF
 
-// Msg v1 layout, all integers big-endian:
+// Msg v2 layout, all integers big-endian:
 //
 //	[0]      format version (FormatVersion)
 //	[1]      Kind
 //	[2]      Flag
 //	[3]      Class
-//	[4]      Idx           (delta-origin data-block index)
+//	[4]      Idx           (source data-block index of a KParityDelta)
 //	[5]      K
 //	[6]      M
 //	[7]      Block.Idx
@@ -77,17 +77,15 @@ const maxLocNodes = 0xFFFF
 //	[16:24]  Block.Ino
 //	[24:28]  Off
 //	[28:32]  Size
-//	[32:40]  Seq
-//	[40:48]  V             (int64)
-//	[48:56]  Loc.Epoch
-//	[56:60]  len(Data)
-//	[60:64]  len(Data2)
-//	[64:66]  len(Name)     (uint16)
-//	[66:68]  len(Loc.Nodes) (uint16)
-//	[68:]    Loc.Nodes (4 bytes each) | Name | Data | Data2
+//	[32:40]  V             (int64)
+//	[40:48]  Loc.Epoch
+//	[48:52]  len(Data)
+//	[52:54]  len(Name)     (uint16)
+//	[54:56]  len(Loc.Nodes) (uint16)
+//	[56:]    Loc.Nodes (4 bytes each) | Name | Data
 //
 // AppendTo appends the encoding of m to buf and returns the extended
-// slice: AppendHeaderTo, then Data, then Data2. It allocates only when
+// slice: AppendHeaderTo, then Data. It allocates only when
 // buf lacks capacity, so a pooled buffer makes encoding
 // allocation-free. Panics if Name or Loc.Nodes exceed their uint16
 // length fields — both are bounded far below that by construction
@@ -95,14 +93,13 @@ const maxLocNodes = 0xFFFF
 func (m *Msg) AppendTo(buf []byte) []byte {
 	buf = growBuf(buf, int(m.WireSize()))
 	buf = m.AppendHeaderTo(buf)
-	buf = append(buf, m.Data...)
-	return append(buf, m.Data2...)
+	return append(buf, m.Data...)
 }
 
-// AppendHeaderTo appends every byte of m's encoding but the payloads:
-// the fixed header (which declares len(Data) and len(Data2)), the
-// placement nodes and the name. Data and then Data2, sent verbatim
-// after it, complete the frame AppendTo would have built.
+// AppendHeaderTo appends every byte of m's encoding but the payload:
+// the fixed header (which declares len(Data)), the placement nodes and
+// the name. Data, sent verbatim after it, completes the frame AppendTo
+// would have built.
 func (m *Msg) AppendHeaderTo(buf []byte) []byte {
 	if len(m.Name) > 0xFFFF {
 		panic(fmt.Sprintf("wire: message name of %d bytes exceeds the wire format's 64 KiB bound", len(m.Name)))
@@ -125,13 +122,11 @@ func (m *Msg) AppendHeaderTo(buf []byte) []byte {
 	binary.BigEndian.PutUint64(h[16:24], m.Block.Ino)
 	binary.BigEndian.PutUint32(h[24:28], m.Off)
 	binary.BigEndian.PutUint32(h[28:32], m.Size)
-	binary.BigEndian.PutUint64(h[32:40], m.Seq)
-	binary.BigEndian.PutUint64(h[40:48], uint64(m.V))
-	binary.BigEndian.PutUint64(h[48:56], m.Loc.Epoch)
-	binary.BigEndian.PutUint32(h[56:60], uint32(len(m.Data)))
-	binary.BigEndian.PutUint32(h[60:64], uint32(len(m.Data2)))
-	binary.BigEndian.PutUint16(h[64:66], uint16(len(m.Name)))
-	binary.BigEndian.PutUint16(h[66:68], uint16(len(m.Loc.Nodes)))
+	binary.BigEndian.PutUint64(h[32:40], uint64(m.V))
+	binary.BigEndian.PutUint64(h[40:48], m.Loc.Epoch)
+	binary.BigEndian.PutUint32(h[48:52], uint32(len(m.Data)))
+	binary.BigEndian.PutUint16(h[52:54], uint16(len(m.Name)))
+	binary.BigEndian.PutUint16(h[54:56], uint16(len(m.Loc.Nodes)))
 	buf = buf[:len(buf)+msgFixedSize]
 	for _, n := range m.Loc.Nodes {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
@@ -139,8 +134,8 @@ func (m *Msg) AppendHeaderTo(buf []byte) []byte {
 	return append(buf, m.Name...)
 }
 
-// Decode parses a v1 encoding into m, replacing every field. Data and
-// Data2 alias b — the caller owns b's lifetime and must not recycle it
+// Decode parses a v2 encoding into m, replacing every field. Data
+// aliases b — the caller owns b's lifetime and must not recycle it
 // while the decoded message is live. A malformed frame — wrong version,
 // truncated header, or section lengths that do not add up to exactly
 // len(b) — returns an error without allocating anything beyond what the
@@ -153,19 +148,18 @@ func (m *Msg) Decode(b []byte) error {
 	if b[0] != FormatVersion {
 		return fmt.Errorf("wire: message frame declares format %d, this build speaks %d: %w", b[0], FormatVersion, ErrBadFormat)
 	}
-	dataLen := int(binary.BigEndian.Uint32(b[56:60]))
-	data2Len := int(binary.BigEndian.Uint32(b[60:64]))
-	nameLen := int(binary.BigEndian.Uint16(b[64:66]))
-	nodes := int(binary.BigEndian.Uint16(b[66:68]))
+	dataLen := int(binary.BigEndian.Uint32(b[48:52]))
+	nameLen := int(binary.BigEndian.Uint16(b[52:54]))
+	nodes := int(binary.BigEndian.Uint16(b[54:56]))
 	need := msgFixedSize + 4*nodes + nameLen
-	// Payload lengths are 32-bit; sum in the frame's int domain only
-	// after the small sections proved in-bounds, to keep a corrupt
+	// The payload length is 32-bit; compare in the frame's int domain
+	// only after the small sections proved in-bounds, to keep a corrupt
 	// header from overflowing the bound check.
-	if need > len(b) || dataLen > len(b)-need || data2Len > len(b)-need-dataLen {
+	if need > len(b) || dataLen > len(b)-need {
 		return fmt.Errorf("wire: message sections exceed frame of %d bytes", len(b))
 	}
-	if need+dataLen+data2Len != len(b) {
-		return fmt.Errorf("wire: message frame of %d bytes carries %d trailing bytes", len(b), len(b)-need-dataLen-data2Len)
+	if need+dataLen != len(b) {
+		return fmt.Errorf("wire: message frame of %d bytes carries %d trailing bytes", len(b), len(b)-need-dataLen)
 	}
 	*m = Msg{
 		Kind:  Kind(b[1]),
@@ -182,8 +176,7 @@ func (m *Msg) Decode(b []byte) error {
 		From: NodeID(int32(binary.BigEndian.Uint32(b[8:12]))),
 		Off:  binary.BigEndian.Uint32(b[24:28]),
 		Size: binary.BigEndian.Uint32(b[28:32]),
-		Seq:  binary.BigEndian.Uint64(b[32:40]),
-		V:    int64(binary.BigEndian.Uint64(b[40:48])),
+		V:    int64(binary.BigEndian.Uint64(b[32:40])),
 	}
 	off := msgFixedSize
 	if nodes > 0 {
@@ -193,22 +186,18 @@ func (m *Msg) Decode(b []byte) error {
 			off += 4
 		}
 	}
-	m.Loc.Epoch = binary.BigEndian.Uint64(b[48:56])
+	m.Loc.Epoch = binary.BigEndian.Uint64(b[40:48])
 	if nameLen > 0 {
 		m.Name = string(b[off : off+nameLen])
 		off += nameLen
 	}
 	if dataLen > 0 {
 		m.Data = b[off : off+dataLen : off+dataLen]
-		off += dataLen
-	}
-	if data2Len > 0 {
-		m.Data2 = b[off : off+data2Len : off+data2Len]
 	}
 	return nil
 }
 
-// Resp v1 layout, all integers big-endian:
+// Resp v2 layout (unchanged from v1), all integers big-endian:
 //
 //	[0]      format version (FormatVersion)
 //	[1]      Code
@@ -271,7 +260,7 @@ func RespSections(b []byte) (header, data int, err error) {
 	return RespFixedSize + 4*nodes + errLen, int(binary.BigEndian.Uint32(b[8:12])), nil
 }
 
-// Decode parses a v1 encoding into r, replacing every field. Data
+// Decode parses a v2 encoding into r, replacing every field. Data
 // aliases b; see Msg.Decode for the validation and allocation contract.
 func (r *Resp) Decode(b []byte) error {
 	header, data, err := RespSections(b)

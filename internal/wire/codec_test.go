@@ -29,13 +29,11 @@ func fullMsg(k Kind) *Msg {
 		Block: BlockID{Ino: 0xDEADBEEFCAFE, Stripe: 0xA1B2C3D4, Idx: 9},
 		Off:   4096,
 		Size:  0xFFFF_FFFF,
-		Data:  []byte("primary payload"),
-		Data2: []byte("secondary payload (parix old data)"),
+		Data:  []byte("payload"),
 		Idx:   3,
 		K:     4,
 		M:     2,
 		Loc:   StripeLoc{Nodes: []NodeID{5, 1, -2, 9, 12, 7}, Epoch: 0x1122334455667788},
-		Seq:   1<<63 - 1,
 		Name:  "/files/trace-0042.dat",
 		Flag:  FetchReadThrough | StoreUnlessOverwritten,
 		Class: sim.ClassRebuild,
@@ -72,14 +70,12 @@ func TestMsgRoundTripSparse(t *testing.T) {
 		{Kind: KMDSCreate, Name: "f"},
 		{Kind: KWriteBlock, Data: []byte{0}},
 		{Kind: KEpochUpdate, Loc: StripeLoc{Epoch: 3}},
-		{Kind: KUpdate, Data: make([]byte, 1<<16), Data2: []byte{}},
+		{Kind: KUpdate, Data: make([]byte, 1<<16)},
+		{Kind: KUpdate, Data: []byte{}},
 	}
 	for i, in := range cases {
-		if len(in.Data2) == 0 {
-			in.Data2 = nil // the codec does not distinguish empty from nil
-		}
 		if len(in.Data) == 0 {
-			in.Data = nil
+			in.Data = nil // the codec does not distinguish empty from nil
 		}
 		enc := in.AppendTo(nil)
 		if got, want := int64(len(enc)), in.WireSize(); got != want {
@@ -180,7 +176,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	// Inflate the declared Data length beyond the frame.
 	bad := append([]byte(nil), enc...)
-	bad[56], bad[57], bad[58], bad[59] = 0xFF, 0xFF, 0xFF, 0xFF
+	bad[48], bad[49], bad[50], bad[51] = 0xFF, 0xFF, 0xFF, 0xFF
 	if err := m.Decode(bad); err == nil {
 		t.Fatal("inflated data length must fail")
 	}
@@ -221,7 +217,7 @@ func FuzzMsgDecode(f *testing.F) {
 	trunc := fullMsg(KRead).AppendTo(nil)
 	f.Add(trunc[:len(trunc)-3])
 	inflated := (&Msg{Kind: KPing}).AppendTo(nil)
-	inflated[56] = 0xFF // declared Data length far beyond the frame
+	inflated[48] = 0xFF // declared Data length far beyond the frame
 	f.Add(inflated)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var m Msg

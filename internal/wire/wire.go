@@ -191,11 +191,9 @@ type Msg struct {
 	Off   uint32
 	Size  uint32
 	Data  []byte
-	Data2 []byte // secondary payload (e.g. PARIX old data)
-	Idx   uint8  // data-block index a delta originates from
-	K, M  uint8  // stripe geometry
+	Idx   uint8 // source data-block index of a KParityDelta
+	K, M  uint8 // stripe geometry
 	Loc   StripeLoc
-	Seq   uint64 // per-source sequence number for ordered appends
 	Name  string // file name for MDS ops
 	Flag  uint8  // kind-specific flag (e.g. PARIX first-update)
 	// Class tags the traffic class this message (and its reply) is
@@ -219,7 +217,7 @@ type Msg struct {
 }
 
 // Body is a transport's offer of the buffer it read one request into,
-// which Data and Data2 alias. Take hands the buffer over and returns
+// which Data aliases. Take hands the buffer over and returns
 // the function that gives it back to the transport, or returns nil
 // when the buffer is not for taking (already taken, or much larger
 // than the request).
@@ -232,13 +230,13 @@ type Body interface {
 // buffer (TakeBody).
 func (m *Msg) OfferBody(b Body) { m.body = b }
 
-// TakeBody takes the buffer Data and Data2 alias from the transport,
-// so the handler may keep them past the call without copying them. It
+// TakeBody takes the buffer Data aliases from the transport, so the
+// handler may keep it past the call without copying it. It
 // returns the function that hands the buffer back to the transport,
 // which the taker calls once, after its last use of any byte of it.
 // It returns nil when the transport offers no buffer — in process,
-// where the payloads are the caller's own, or a buffer much larger
-// than the request — and then the payloads must be copied to be kept.
+// where the payload is the caller's own, or a buffer much larger than
+// the request — and then the payload must be copied to be kept.
 // Only the handler takes, during the call, and a reply carries no byte
 // of a taken buffer.
 func (m *Msg) TakeBody() (free func()) {
@@ -275,9 +273,9 @@ func (m *Msg) TrafficClass() sim.Class {
 // transport for pricing and by the TCP transport as the frame length.
 // The fixed header (msgFixedSize bytes, including the 8-byte
 // placement epoch) is always paid; the placement nodes, name and
-// payloads add their own bytes.
+// payload add their own bytes.
 func (m *Msg) WireSize() int64 {
-	return msgFixedSize + 4*int64(len(m.Loc.Nodes)) + int64(len(m.Name)) + int64(len(m.Data)) + int64(len(m.Data2))
+	return msgFixedSize + 4*int64(len(m.Loc.Nodes)) + int64(len(m.Name)) + int64(len(m.Data))
 }
 
 // EncodeAddrMap packs a node address map into a byte payload for the
